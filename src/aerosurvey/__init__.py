@@ -9,14 +9,10 @@ crossovers, NASVD denoising, IDW gridding, grid-intensity comparison).
 __version__ = "0.1.0"
 
 from .core import (
-    AccelSample,
     LineRole,
-    MagSample,
-    RadSample,
     SurveyLine,
     TimeSeries,
     UtmPoint,
-    VlfSample,
     resample_uniform,
 )
 from .emi import (
@@ -109,16 +105,16 @@ from .vibration import (
 )
 
 __all__ = [
-    "AccelSample", "AerosurveyError", "AttitudeTrack", "BuzzPass",
+    "AerosurveyError", "AttitudeTrack", "BuzzPass",
     "CSV_SCHEMA_VERSION", "CrossoverRecord", "CrossoverRow", "DampingInput",
     "EmiConfig", "FlightPlan", "GrayImage", "Grid", "Ingested",
-    "IsolatorConfig", "IsolatorKind", "LineRole", "MagSample", "NODATA",
+    "IsolatorConfig", "IsolatorKind", "LineRole", "NODATA",
     "NoiseCurve", "PassKind", "PayloadPose", "PendulumState",
-    "PipelineConfig", "PipelineStageError", "QcReport", "RadSample",
+    "PipelineConfig", "PipelineStageError", "QcReport",
     "REPORT_SCHEMA_VERSION", "RunReport", "SchemaKind", "SettlingMetrics",
     "SimConfig", "SimResult", "SpectraMatrix", "SpectrumResult",
     "StageResult", "Stretch", "SurveyLine", "SuspensionGeometry",
-    "TimeSeries", "UtmPoint", "VlfSample", "amplitude_spectrum",
+    "TimeSeries", "UtmPoint", "amplitude_spectrum",
     "analyze_passes", "attenuation_db", "build_noise_curve",
     "compare_grids", "crossover_analysis", "crossover_fixture_path",
     "crossover_row_stats", "damping_effectiveness", "default_plan",

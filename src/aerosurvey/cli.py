@@ -45,6 +45,7 @@ from .io_csv import (
     read_survey_lines,
     write_series_csv,
     write_spectra_csv,
+    write_table,
 )
 from .pipeline import (
     REPORT_SCHEMA_VERSION,
@@ -115,11 +116,8 @@ def _cmd_vib_spectrum(args) -> int:
         series = resample_uniform(series, args.rate)
     res = amplitude_spectrum(series, axis=args.axis,
                              prominence_fraction=args.prominence)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("freq_hz", "amplitude_ms2"))
-        for f, a in zip(res.freqs, res.amplitudes):
-            w.writerow((repr(float(f)), repr(float(a))))
+    write_table(args.out, [("freq_hz", "amplitude_ms2")],
+                [res.freqs, res.amplitudes])
     _emit({"out": str(args.out), "n_bins": len(res.freqs),
            "peaks": [{"freq_hz": f, "amplitude_ms2": a} for f, a in res.peaks]})
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Core data model: positions, samples, time series, survey lines.
+"""Core data model: positions, time series, survey lines, config codec.
 
 Units are normalized at the ingestion boundary and never mixed afterwards:
 seconds, meters (UTM easting/northing, altitude AGL), nanotesla, percent,
@@ -12,8 +12,9 @@ read-only), so they are safe to share across threads. Operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dc_fields
 from enum import Enum
+from pathlib import PurePath
 
 import numpy as np
 
@@ -35,65 +36,6 @@ class UtmPoint:
     def __post_init__(self):
         if not _finite(self.easting, self.northing, self.alt):
             raise ValueError("UtmPoint coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class AccelSample:
-    """Body-frame acceleration, m/s^2; z is vertical."""
-
-    ax: float
-    ay: float
-    az: float
-
-    def __post_init__(self):
-        if not _finite(self.ax, self.ay, self.az):
-            raise ValueError("acceleration must be finite")
-
-
-@dataclass(frozen=True)
-class MagSample:
-    position: UtmPoint
-    tmi: float  # total magnetic intensity, nT
-
-    def __post_init__(self):
-        if not math.isfinite(self.tmi):
-            raise ValueError("tmi must be finite")
-
-
-@dataclass(frozen=True)
-class VlfSample:
-    position: UtmPoint
-    in_phase: float      # percent
-    out_of_phase: float  # percent
-    h1: float            # percent
-    h2: float            # percent
-    pt: float            # total field at the receiver, nT
-    roll: float          # degrees
-    pitch: float         # degrees
-
-    def __post_init__(self):
-        for a in (self.roll, self.pitch):
-            if not -180.0 <= a <= 180.0:
-                raise ValueError("roll/pitch must be within [-180, 180] deg")
-
-
-@dataclass(frozen=True)
-class RadSample:
-    """Radiometric sample. th and raw_spectrum are absent (None) when the
-    instrument did not record them; zero is a valid physical reading and is
-    never used to mean 'missing'."""
-
-    position: UtmPoint
-    k: float                                   # percent
-    u: float                                   # ppm
-    th: float | None = None                    # ppm
-    raw_spectrum: tuple[float, ...] | None = None  # counts per channel
-
-    def __post_init__(self):
-        if self.k < 0 or self.u < 0 or (self.th is not None and self.th < 0):
-            raise ValueError("k/u/th must be >= 0")
-        if self.raw_spectrum is not None and any(c < 0 for c in self.raw_spectrum):
-            raise ValueError("spectrum counts must be >= 0")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -223,3 +165,39 @@ def resample_uniform(series: TimeSeries, rate_hz: float) -> TimeSeries:
              for j in range(series.values.shape[1])]
         )
     return TimeSeries(new_t, new_v, series.fields)
+
+
+# ---------------------------------------------------------------------------
+# config dataclass <-> JSON-ready dict
+
+
+def config_to_dict(obj) -> dict:
+    """A config dataclass's fields as JSON values: tuples become lists,
+    paths become strings, all other values are kept as they are."""
+    return {f.name: _to_json(getattr(obj, f.name)) for f in dc_fields(obj)}
+
+
+def _to_json(v):
+    if isinstance(v, (tuple, list)):
+        return [_to_json(x) for x in v]
+    return str(v) if isinstance(v, PurePath) else v
+
+
+def config_from_dict(cls, d):
+    """Inverse of config_to_dict: build `cls` from `d`, lists as tuples.
+
+    Raises ValueError when `d` is not a dict (a JSON object) or names a
+    key that is not a field of `cls`.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__}: expected a JSON object, "
+                         f"got {type(d).__name__}")
+    names = {f.name for f in dc_fields(cls)}
+    for key in d:
+        if key not in names:
+            raise ValueError(f"{cls.__name__}: unknown option {key!r}")
+    return cls(**{k: _to_tuple(v) for k, v in d.items()})
+
+
+def _to_tuple(v):
+    return tuple(_to_tuple(x) for x in v) if isinstance(v, list) else v

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import TooFewPixelsError, TooFewSamplesError
+from .io_csv import write_table
 
 NODATA = -9999.0
 
@@ -218,15 +219,10 @@ def compare_grids(a: Grid, b: Grid, stretch: Stretch = MINMAX) -> dict:
 def write_asc(grid: Grid, path: str | Path) -> None:
     """ESRI ASCII grid; rows are written north first, per the format."""
     ny, nx = grid.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"ncols {nx}\n")
-        fh.write(f"nrows {ny}\n")
-        fh.write(f"xllcorner {repr(grid.origin_x)}\n")
-        fh.write(f"yllcorner {repr(grid.origin_y)}\n")
-        fh.write(f"cellsize {repr(grid.cell_size)}\n")
-        fh.write(f"NODATA_value {repr(NODATA)}\n")
-        for row in grid.values[::-1]:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    head = [("ncols", nx), ("nrows", ny), ("xllcorner", grid.origin_x),
+            ("yllcorner", grid.origin_y), ("cellsize", grid.cell_size),
+            ("NODATA_value", NODATA)]
+    write_table(path, head, grid.values[::-1].T, " ", "\n")
 
 
 def read_asc(path: str | Path) -> Grid:
@@ -247,11 +243,8 @@ def read_asc(path: str | Path) -> Grid:
 
 def write_pgm(img: GrayImage, path: str | Path) -> None:
     """Plain PGM (P2, maxval 255); rows north first like the .asc writer."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("P2\n")
-        fh.write(f"{img.width} {img.height}\n255\n")
-        for row in img.pixels[::-1]:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+    head = [("P2",), (img.width, img.height), (255,)]
+    write_table(path, head, img.pixels[::-1].T, " ", "\n")
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -262,7 +255,7 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if tokens[0] != "P2":
         raise ValueError(f"{path}: not a plain PGM")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    px = np.array([int(v) for v in tokens[4:4 + w * h]]).reshape(h, w)
-    if px.size != w * h:
+    data = tokens[4:4 + w * h]
+    if len(data) != w * h:
         raise ValueError(f"{path}: truncated pixel data")
-    return px[::-1]
+    return np.array([int(v) for v in data]).reshape(h, w)[::-1]

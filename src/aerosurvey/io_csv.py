@@ -10,9 +10,11 @@ Schemas (comma-separated, header row, '.' decimal, UTF-8):
     rad:       t_s,easting_m,northing_m,alt_m,k_pct,u_ppm[,th_ppm][,ch0..chN]
     crossover: x_utm,y_utm,flights_k_pct,tie_k_pct,flights_u_ppm,tie_u_ppm
 
-Floats are written with repr(), the shortest representation that
-round-trips exactly, so serialize(ingest(f)) reproduces numeric content
-bit-for-bit and repeated runs produce byte-identical files.
+Every artifact the package writes (these CSVs, the attitude track, the
+vibration spectrum, ESRI ASCII grids and PGM images) goes through
+write_table. Floats are written with repr(), the shortest representation
+that round-trips exactly, so serialize(ingest(f)) reproduces numeric
+content bit-for-bit and repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .errors import EmptyFileError, MissingColumnError, NonMonotoneTimeError
 from .qc import CrossoverRow
 
 CSV_SCHEMA_VERSION = "1"
+
+# rows converted to Python objects at a time by write_table; bounds the
+# writer's extra memory instead of copying whole arrays into lists
+_CHUNK_ROWS = 4096
 
 
 class SchemaKind(Enum):
@@ -185,16 +191,29 @@ def _ingest_crossover(body, idx) -> Ingested:
     return Ingested(tuple(rows), tuple(rejected))
 
 
+def write_table(path: str | Path, head, columns, delimiter: str = ",",
+                lineterminator: str = "\r\n") -> None:
+    """Write `head` rows, then one row per index across `columns`.
+
+    Columns are 1-D arrays or sequences of equal length. csv formats a
+    float with repr() and an int with str(), so numeric cells are exact;
+    arrays are turned into Python lists one chunk of rows at a time.
+    """
+    n_rows = len(columns[0]) if len(columns) else 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, delimiter=delimiter, lineterminator=lineterminator)
+        w.writerows(head)
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            w.writerows(zip(*(c[start:stop].tolist() if isinstance(c, np.ndarray)
+                              else c[start:stop] for c in columns)))
+
+
 def write_series_csv(path: str | Path, series: TimeSeries) -> None:
     """Serialize a TimeSeries using its field names as the header."""
     fields = series.fields if series.fields else ("value",)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("t_s",) + tuple(fields))
-        vals = series.values if series.values.ndim == 2 else series.values[:, None]
-        for i in range(len(series)):
-            w.writerow([repr(float(series.t[i]))]
-                       + [repr(float(v)) for v in vals[i]])
+    vals = series.values if series.values.ndim == 2 else series.values[:, None]
+    write_table(path, [("t_s",) + tuple(fields)], [series.t, *vals.T])
 
 
 def read_survey_lines(directory: str | Path, schema: SchemaKind | str,
@@ -226,11 +245,7 @@ def read_spectra_csv(path: str | Path) -> np.ndarray:
 
 def write_spectra_csv(path: str | Path, counts: np.ndarray) -> None:
     counts = np.asarray(counts, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"ch{j}" for j in range(counts.shape[1])])
-        for row in counts:
-            w.writerow([repr(float(v)) for v in row])
+    write_table(path, [[f"ch{j}" for j in range(counts.shape[1])]], counts.T)
 
 
 def crossover_fixture_path() -> Path:

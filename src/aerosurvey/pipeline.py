@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import LineRole, SurveyLine, TimeSeries
+from .core import LineRole, TimeSeries, config_from_dict, config_to_dict
 from .emi import noise_amplitude
 from .errors import AerosurveyError, PipelineStageError
 from .gridding import (
@@ -44,6 +44,7 @@ from .suspension import (
     SimResult,
     SuspensionGeometry,
     simulate_survey,
+    split_lines,
     write_attitude_csv,
 )
 
@@ -93,23 +94,11 @@ class PipelineConfig:
         return SimConfig.from_dict(json.loads(Path(self.sim_path).read_text()))
 
     def to_dict(self) -> dict:
-        return {
-            "out_dir": str(self.out_dir),
-            "plan_path": self.plan_path,
-            "geometry_path": self.geometry_path,
-            "sim_path": self.sim_path,
-            "d4_threshold": self.d4_threshold,
-            "tie_field": self.tie_field,
-            "tie_tolerance": self.tie_tolerance,
-            "nasvd_k": self.nasvd_k,
-            "nasvd_energy_min": self.nasvd_energy_min,
-            "cell_fine": self.cell_fine,
-            "cell_coarse": self.cell_coarse,
-        }
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        return cls(**d)
+        return config_from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -221,21 +210,6 @@ def _spectra_from_rad(rad: TimeSeries, n_channels: int) -> np.ndarray:
     return rad.values[:, cols]
 
 
-def _lines_from_labels(series: TimeSeries, labels: tuple[str, ...],
-                       plan: FlightPlan) -> tuple[list[SurveyLine], list[SurveyLine]]:
-    """Split a full trace into flight and tie SurveyLines by segment label."""
-    lab = np.asarray(labels)
-    flights, ties = [], []
-    for lid, role, _, _ in plan.legs():
-        m = lab == lid
-        if m.sum() < 2:
-            continue
-        sub = SurveyLine(lid, role,
-                         TimeSeries(series.t[m], series.values[m], series.fields))
-        (flights if role is LineRole.FLIGHT else ties).append(sub)
-    return flights, ties
-
-
 def _d4_auto_threshold(sim: SimConfig, geometry: SuspensionGeometry) -> float:
     """Spike threshold from the simulator's bounded high-frequency noise.
 
@@ -338,8 +312,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
     def stage_tie() -> StageResult:
         sim: SimResult = state["sim"]
-        flights, ties = _lines_from_labels(state["corrected"],
-                                           sim.segment_at_sensor, plan)
+        lines = split_lines(state["corrected"], sim.segment_at_sensor, plan)
+        flights = [l for l in lines if l.role is LineRole.FLIGHT]
+        ties = [l for l in lines if l.role is LineRole.TIE]
         records, report = crossover_analysis(flights, ties, cfg.tie_field,
                                              cfg.tie_tolerance)
         payload = {

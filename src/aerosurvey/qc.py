@@ -263,6 +263,21 @@ class SpectraMatrix:
         return self.counts.shape
 
 
+def _nasvd_scaled(spectra: SpectraMatrix | np.ndarray, k: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated counts, per-channel 1/sqrt(mean spectrum) scale, and the
+    mask of channels with a non-zero mean (the others keep scale 1)."""
+    m = spectra.counts if isinstance(spectra, SpectraMatrix) else \
+        SpectraMatrix(spectra).counts
+    if not 1 <= k <= min(m.shape):
+        raise InvalidRankError(f"k must be in 1..{min(m.shape)}")
+    mean_spec = m.mean(axis=0)
+    scale = np.ones(m.shape[1])
+    nz = mean_spec > 0
+    scale[nz] = 1.0 / np.sqrt(mean_spec[nz])
+    return m, scale, nz
+
+
 def nasvd_denoise(spectra: SpectraMatrix | np.ndarray, k: int) -> SpectraMatrix:
     """Noise-adjusted SVD denoising of a spectra matrix.
 
@@ -272,17 +287,8 @@ def nasvd_denoise(spectra: SpectraMatrix | np.ndarray, k: int) -> SpectraMatrix:
     zero. Channels whose mean is zero carry no information and pass
     through untouched.
     """
-    m = spectra.counts if isinstance(spectra, SpectraMatrix) else \
-        SpectraMatrix(np.asarray(spectra, dtype=float)).counts
-    n_rows, n_cols = m.shape
-    if not 1 <= k <= min(n_rows, n_cols):
-        raise InvalidRankError(f"k must be in 1..{min(n_rows, n_cols)}")
-    mean_spec = m.mean(axis=0)
-    scale = np.ones(n_cols)
-    nz = mean_spec > 0
-    scale[nz] = 1.0 / np.sqrt(mean_spec[nz])
-    scaled = m * scale
-    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    m, scale, nz = _nasvd_scaled(spectra, k)
+    u, s, vt = np.linalg.svd(m * scale, full_matrices=False)
     recon = (u[:, :k] * s[:k]) @ vt[:k]
     out = recon / scale
     out[:, ~nz] = m[:, ~nz]
@@ -291,13 +297,7 @@ def nasvd_denoise(spectra: SpectraMatrix | np.ndarray, k: int) -> SpectraMatrix:
 
 def nasvd_energy_fraction(spectra: SpectraMatrix | np.ndarray, k: int) -> float:
     """Fraction of total variance captured by the top-k scaled components."""
-    m = spectra.counts if isinstance(spectra, SpectraMatrix) else np.asarray(spectra, float)
-    if not 1 <= k <= min(m.shape):
-        raise InvalidRankError(f"k must be in 1..{min(m.shape)}")
-    mean_spec = m.mean(axis=0)
-    scale = np.ones(m.shape[1])
-    nz = mean_spec > 0
-    scale[nz] = 1.0 / np.sqrt(mean_spec[nz])
+    m, scale, _ = _nasvd_scaled(spectra, k)
     s = np.linalg.svd(m * scale, compute_uv=False)
     total = float(np.sum(s ** 2))
     return 1.0 if total == 0 else float(np.sum(s[:k] ** 2) / total)

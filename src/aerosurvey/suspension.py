@@ -14,19 +14,26 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import LineRole, SurveyLine, TimeSeries
+from .core import (
+    LineRole,
+    SurveyLine,
+    TimeSeries,
+    config_from_dict,
+    config_to_dict,
+)
 from .errors import (
     DegeneratePlanError,
     NeverSettlesError,
     SlackCableError,
     TooShortError,
 )
+from .io_csv import write_table
 
 G = 9.80665  # m/s^2
 
@@ -77,22 +84,11 @@ class SuspensionGeometry:
         return pts
 
     def to_dict(self) -> dict:
-        return {
-            "motor_anchor_points": [list(p) for p in self.motor_anchor_points],
-            "cable_length": self.cable_length,
-            "platform_offsets": list(self.platform_offsets),
-            "intermediate_platform": self.intermediate_platform,
-            "payload_separation": self.payload_separation,
-        }
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SuspensionGeometry":
-        kw = dict(d)
-        if "motor_anchor_points" in kw:
-            kw["motor_anchor_points"] = tuple(tuple(p) for p in kw["motor_anchor_points"])
-        if "platform_offsets" in kw:
-            kw["platform_offsets"] = tuple(kw["platform_offsets"])
-        return cls(**kw)
+        return config_from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -242,17 +238,11 @@ class FlightPlan:
         return out
 
     def to_dict(self) -> dict:
-        return {"origin_utm": list(self.origin_utm), "n_lines": self.n_lines,
-                "line_length_m": self.line_length_m, "spacing_m": self.spacing_m,
-                "heading_deg": self.heading_deg, "altitude_m": self.altitude_m,
-                "tie_lines": self.tie_lines}
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FlightPlan":
-        kw = dict(d)
-        if "origin_utm" in kw:
-            kw["origin_utm"] = tuple(kw["origin_utm"])
-        return cls(**kw)
+        return config_from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -523,29 +513,15 @@ class SimConfig:
         return self.damping_ratio
 
     def to_dict(self) -> dict:
-        d = {}
-        for f in dc_fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = [list(x) if isinstance(x, tuple) else x for x in v]
-            d[f.name] = v
-        return d
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        names = {f.name for f in dc_fields(cls)}
-        kw = {}
-        for k, v in d.items():
-            if k not in names:
-                raise ValueError(f"unknown simulator option: {k}")
-            if k in ("regional_gradient", "k_gradient", "u_gradient"):
-                v = tuple(v)
-            elif k == "anomalies":
-                v = tuple(tuple(a) for a in v)
-            elif k == "turn_radius_m" and v is not None:
-                v = float(v)
-            kw[k] = v
-        return cls(**kw)
+        cfg = config_from_dict(cls, d)
+        if cfg.turn_radius_m is None:
+            return cfg
+        # config hashes are taken over to_dict, so 30 and 30.0 must agree
+        return replace(cfg, turn_radius_m=float(cfg.turn_radius_m))
 
 
 def default_plan(cfg: SimConfig) -> FlightPlan:
@@ -604,18 +580,10 @@ ATTITUDE_COLUMNS = ("t_s", "roll_deg", "pitch_deg", "heading_deg",
 
 
 def write_attitude_csv(track: AttitudeTrack, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(ATTITUDE_COLUMNS)
-        for i in range(len(track)):
-            w.writerow([repr(float(track.t[i])), repr(float(track.roll_deg[i])),
-                        repr(float(track.pitch_deg[i])),
-                        repr(float(track.heading_deg[i])),
-                        repr(float(track.swing_deg[i])),
-                        repr(float(track.easting_m[i])),
-                        repr(float(track.northing_m[i])),
-                        track.segment[i]])
+    numeric = (track.t, track.roll_deg, track.pitch_deg, track.heading_deg,
+               track.swing_deg, track.easting_m, track.northing_m)
+    write_table(path, [ATTITUDE_COLUMNS],
+                [np.asarray(c, dtype=float) for c in numeric] + [track.segment])
 
 
 def read_attitude_csv(path) -> AttitudeTrack:
@@ -899,19 +867,28 @@ def simulate_survey(plan: FlightPlan | None = None,
     base = TimeSeries(bt, cfg.base_datum_nt + diurnal_variation(cfg, bt),
                       ("tmi_nT",))
 
-    def _lines(full: TimeSeries) -> tuple[SurveyLine, ...]:
-        out = []
-        for lid, role, _, _ in (plan.legs() if cfg.speed > 0 else ()):
-            m = np.array([lab == lid for lab in s_label])
-            if m.sum() < 2:
-                continue
-            sub = TimeSeries(full.t[m], full.values[m], full.fields)
-            out.append(SurveyLine(lid, role, sub))
-        return tuple(out)
+    # hover samples are labelled "hover" and match no leg
+    return SimResult(attitude, split_lines(mag_full, s_label, plan),
+                     split_lines(vlf_full, s_label, plan),
+                     split_lines(rad_full, s_label, plan), mag_full, vlf_full,
+                     rad_full, base, plan, geometry, cfg, zeta, s_label)
 
-    return SimResult(attitude, _lines(mag_full), _lines(vlf_full),
-                     _lines(rad_full), mag_full, vlf_full, rad_full, base,
-                     plan, geometry, cfg, zeta, s_label)
+
+def split_lines(series: TimeSeries, labels, plan: FlightPlan
+                ) -> tuple[SurveyLine, ...]:
+    """One SurveyLine per plan leg, from a full trace and its segment labels.
+
+    Samples belong to a leg when their label equals the leg id; legs with
+    fewer than 2 samples are skipped. Lines keep plan.legs() order.
+    """
+    lab = np.asarray(labels)
+    out = []
+    for lid, role, _, _ in plan.legs():
+        m = lab == lid
+        if m.sum() >= 2:
+            out.append(SurveyLine(lid, role, TimeSeries(
+                series.t[m], series.values[m], series.fields)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,21 @@ def test_sim_survey_seed_env(tmp_path, small_plan, capsys, monkeypatch):
     assert json.loads(stdout)["seed"] == 77
 
 
+@pytest.mark.parametrize("flag, content", (
+    ("--plan", {"n_lines": 2, "no_such_key": 1}),
+    ("--plan", [2, 150.0]),
+    ("--geom", {"cable_lenght": 9.0}),
+    ("--cfg", {"speeed": 6.0}),
+))
+def test_sim_survey_bad_config_is_io_error(tmp_path, capsys, flag, content):
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(content))
+    code, _, err = run_cli(capsys, "sim", "survey", flag, p,
+                           "--out-dir", tmp_path / "out")
+    assert code == EXIT_IO
+    assert "error" in err and "Traceback" not in err
+
+
 # --- qc ---
 
 def test_qc_d4_flags_spike_and_exits_3(tmp_path, capsys):
@@ -306,6 +321,29 @@ def test_pipeline_cli_pass_and_tie_failure(tmp_path, small_plan, capsys):
 
 
 # --- version and exit codes ---
+
+@pytest.mark.parametrize("content", ({"tie_tolerance": 1.0, "no_such_key": 1},
+                                     ["out_dir", "x"]))
+def test_pipeline_cli_bad_config_is_io_error(tmp_path, capsys, content):
+    p = tmp_path / "pipe.json"
+    p.write_text(json.dumps(content))
+    code, _, err = run_cli(capsys, "pipeline", "--config", p,
+                           "--out-dir", tmp_path / "out")
+    assert code == EXIT_IO
+    assert "error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_cli_plan_with_unknown_key_is_io_error(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"n_lines": 2, "no_such_key": 1}))
+    cfg = tmp_path / "pipe.json"
+    cfg.write_text(json.dumps({"plan_path": str(plan)}))
+    code, _, err = run_cli(capsys, "pipeline", "--config", cfg,
+                           "--out-dir", tmp_path / "out")
+    assert code == EXIT_IO
+    assert "no_such_key" in err
+
 
 def test_version_text_and_json(capsys):
     code, stdout, _ = run_cli(capsys, "version")

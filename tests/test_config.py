@@ -1,0 +1,57 @@
+"""The config dataclass <-> dict codec shared by every config class."""
+
+from __future__ import annotations
+
+import pytest
+
+from aerosurvey.core import config_from_dict, config_to_dict
+from aerosurvey.pipeline import PipelineConfig, config_hash
+from aerosurvey.suspension import FlightPlan, SimConfig, SuspensionGeometry
+
+CONFIG_CLASSES = (FlightPlan, SuspensionGeometry, SimConfig, PipelineConfig)
+
+# config_sha256 of the default run; it moves only if a default parameter
+# or the dict layout of a config class changes
+DEFAULT_CONFIG_SHA256 = \
+    "1abfb4ffbac6749db82827c299868e970f397e249ca61cdd3a262e3072ab7794"
+
+
+def test_default_config_hash_is_pinned():
+    digest = config_hash(FlightPlan(), SuspensionGeometry(), SimConfig(),
+                         PipelineConfig())
+    assert digest == DEFAULT_CONFIG_SHA256
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES)
+def test_unknown_key_names_class_and_key(cls):
+    with pytest.raises(ValueError, match=f"{cls.__name__}.*'no_such_key'"):
+        cls.from_dict({"no_such_key": 1})
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES)
+@pytest.mark.parametrize("raw", ([1, 2], "plan", 3.0, None))
+def test_non_object_input_rejected(cls, raw):
+    with pytest.raises(ValueError, match=cls.__name__):
+        cls.from_dict(raw)
+
+
+def test_paths_are_written_as_strings(tmp_path):
+    d = config_to_dict(PipelineConfig(out_dir=tmp_path))
+    assert d["out_dir"] == str(tmp_path)
+    assert config_from_dict(PipelineConfig, d) == PipelineConfig(
+        out_dir=str(tmp_path))
+
+
+def test_integer_turn_radius_hashes_like_its_float():
+    as_int = SimConfig.from_dict({"turn_radius_m": 30})
+    as_float = SimConfig.from_dict({"turn_radius_m": 30.0})
+    assert isinstance(as_int.turn_radius_m, float)
+    plan, geom = FlightPlan(), SuspensionGeometry()
+    assert config_hash(plan, geom, as_int) == config_hash(plan, geom, as_float)
+
+
+def test_other_ints_are_kept_as_ints():
+    # coercing ints to float would move config_sha256 for existing configs
+    plan = FlightPlan.from_dict({"n_lines": 3, "line_length_m": 400})
+    assert plan.to_dict()["line_length_m"] == 400
+    assert isinstance(plan.to_dict()["line_length_m"], int)

@@ -186,6 +186,13 @@ def test_pgm_reader_rejects_other_formats(tmp_path):
         read_pgm(p)
 
 
+def test_pgm_reader_rejects_truncated_pixel_data(tmp_path):
+    p = tmp_path / "short.pgm"
+    p.write_text("P2\n3 2\n255\n0 1 2\n3 4\n")
+    with pytest.raises(ValueError, match="truncated pixel data"):
+        read_pgm(p)
+
+
 # --- container validation ---
 
 def test_grid_validation():

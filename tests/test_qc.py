@@ -235,6 +235,14 @@ def test_nasvd_rank_bounds():
             nasvd_energy_fraction(counts, bad)
 
 
+def test_nasvd_rejects_negative_counts():
+    counts = np.ones((10, 6))
+    counts[3, 2] = -1.0
+    for fn in (nasvd_denoise, nasvd_energy_fraction):
+        with pytest.raises(ValueError, match="counts must be >= 0"):
+            fn(counts, 2)
+
+
 def test_spectra_matrix_validation():
     with pytest.raises(ValueError):
         SpectraMatrix(np.array([1.0, 2.0]))  # not 2-D

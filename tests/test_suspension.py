@@ -20,6 +20,7 @@ from aerosurvey.suspension import (
     _build_path,
     _dubins_csc,
     read_attitude_csv,
+    split_lines,
     write_attitude_csv,
 )
 from aerosurvey.errors import (
@@ -346,6 +347,25 @@ def test_simulate_survey_line_split(default_sim):
     n_on_line = sum(len(ln.series) for ln in res.mag_lines)
     labels = np.asarray(res.segment_at_sensor)
     assert n_on_line == int(np.isin(labels, [ln.line_id for ln in res.mag_lines]).sum())
+
+
+def test_split_lines_matches_per_sample_labels(default_sim):
+    res = default_sim
+    for full, lines in ((res.mag_full, res.mag_lines),
+                        (res.vlf_full, res.vlf_lines),
+                        (res.rad_full, res.rad_lines)):
+        again = split_lines(full, res.segment_at_sensor, res.plan)
+        assert [(ln.line_id, ln.role) for ln in again] == \
+            [(ln.line_id, ln.role) for ln in lines]
+        for ln, ref in zip(again, lines):
+            m = np.array([lab == ln.line_id for lab in res.segment_at_sensor])
+            assert np.array_equal(ln.series.t, full.t[m])
+            assert np.array_equal(ln.series.values, full.values[m])
+            assert np.array_equal(ref.series.values, full.values[m])
+            assert ref.series.fields == full.fields
+    # a leg with fewer than 2 labelled samples yields no line
+    one = ("L1",) + ("turn",) * (len(res.mag_full) - 1)
+    assert split_lines(res.mag_full, one, res.plan) == ()
 
 
 def test_simulate_survey_platform_locks_heading(default_sim):
