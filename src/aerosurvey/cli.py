@@ -172,9 +172,14 @@ def _read_buzz_trace(path: Path) -> TimeSeries:
     with open(path, newline="", encoding="utf-8") as fh:
         rd = csv.reader(fh)
         next(rd)
-        for row in rd:
-            t.append(float(row[ti]))
-            v.append(float(row[vi]))
+        try:
+            # blank lines are skipped, as by the schema readers
+            for rownum, row in enumerate((r for r in rd if r), start=1):
+                t.append(float(row[ti]))
+                v.append(float(row[vi]))
+        except IndexError:
+            raise ValueError(f"{path}: data row {rownum} has {len(row)} "
+                             f"cells, the header has {len(header)}") from None
     return TimeSeries(np.array(t), np.array(v), (value_col[-1],))
 
 

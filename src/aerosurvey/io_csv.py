@@ -236,10 +236,14 @@ def read_spectra_csv(path: str | Path) -> np.ndarray:
     cols = [c for c in header if c.startswith("ch") and c[2:].isdigit()]
     if not cols:
         raise MissingColumnError(f"{path}: no ch0..chN columns")
-    idx = {c: header.index(c) for c in cols}
+    idx = [header.index(c) for c in cols]
     out = []
-    for row in body:
-        out.append([float(row[idx[c]]) for c in cols])
+    try:
+        for rownum, row in enumerate(body, start=1):
+            out.append([float(row[i]) for i in idx])
+    except IndexError:
+        raise ValueError(f"{path}: data row {rownum} has {len(row)} cells, "
+                         f"the header has {len(header)}") from None
     return np.array(out)
 
 

@@ -157,32 +157,75 @@ def _segment_intersections(pa: np.ndarray, pb: np.ndarray,
 
     Returns (ua, ub): global fractional sample indices along each line
     (segment index + in-segment parameter). Collinear overlapping
-    segments contribute their overlap midpoint only.
+    segments contribute their overlap midpoint only. Transversal hits
+    come first, then collinear ones, each in row-major (i, j) order.
+
+    Candidate pairs come from a sort-and-sweep over bounding boxes
+    (Bentley & Ottmann 1979): B's boxes are sorted by xmin; for each A
+    segment two searchsorted calls find the B segments whose xmin lies
+    in [a.xmin - widest B box, a.xmax], and those are kept when the y
+    ranges overlap too. The segment test runs on those candidate index
+    arrays with the same elementwise formulas as a dense (na, nb) test,
+    so the hits are bit-identical to it. Boxes are grown so that no pair
+    the eps test accepts is missed: u, v in [-eps, 1 + eps] reach
+    eps * length past a segment's ends, and a collinear partner
+    (|q - p x r| <= eps) lies within 2 eps / |r| of segment a; both
+    margins are doubled for rounding. Cost follows the candidates, a
+    few per segment for survey lines.
     """
-    hits: list[tuple[float, float]] = []
     a0, a1 = pa[:-1], pa[1:]
     b0, b1 = pb[:-1], pb[1:]
     r = a1 - a0                              # (na, 2)
     s = b1 - b0                              # (nb, 2)
-    denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
-    qp = b0[None, :, :] - a0[:, None, :]     # (na, nb, 2)
-    qpxr = qp[:, :, 0] * r[:, None, 1] - qp[:, :, 1] * r[:, None, 0]
-    qpxs = qp[:, :, 0] * s[None, :, 1] - qp[:, :, 1] * s[None, :, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if len(r) == 0 or len(s) == 0:
+        return []
+    len_a = np.hypot(r[:, 0], r[:, 1])[:, None]
+    # segments with |r|^2 < eps never make a collinear hit
+    pad_a = 2.0 * eps * (len_a + 2.0 / np.maximum(len_a, 0.5 * np.sqrt(eps)))
+    pad_b = 2.0 * eps * np.hypot(s[:, 0], s[:, 1])[:, None]
+    lo_a, hi_a = np.minimum(a0, a1) - pad_a, np.maximum(a0, a1) + pad_a
+    lo_b, hi_b = np.minimum(b0, b1) - pad_b, np.maximum(b0, b1) + pad_b
+
+    order = np.argsort(lo_b[:, 0], kind="stable")
+    xmin_b = lo_b[order, 0]
+    # nanmax and the clamp let a NaN vertex match nothing, not everything
+    width = np.nanmax(hi_b[:, 0] - lo_b[:, 0])
+    first = np.searchsorted(xmin_b, lo_a[:, 0] - width, side="left")
+    stop = np.searchsorted(xmin_b, hi_a[:, 0], side="right")
+    counts = np.maximum(stop - first, 0)
+    ii = np.repeat(np.arange(len(r)), counts)
+    # position of each candidate within its A segment's run of B segments
+    within = np.arange(len(ii)) - np.repeat(np.cumsum(counts) - counts,
+                                             counts)
+    jj = order[np.repeat(first, counts) + within]
+    keep = (hi_b[jj, 0] >= lo_a[ii, 0]) & (lo_b[jj, 1] <= hi_a[ii, 1]) \
+        & (hi_b[jj, 1] >= lo_a[ii, 1])
+    ii, jj = ii[keep], jj[keep]
+    rank = np.lexsort((jj, ii))              # row-major (i, j)
+    ii, jj = ii[rank], jj[rank]
+
+    ri, sj = r[ii], s[jj]
+    denom = ri[:, 0] * sj[:, 1] - ri[:, 1] * sj[:, 0]
+    qp = b0[jj] - a0[ii]
+    qpxr = qp[:, 0] * ri[:, 1] - qp[:, 1] * ri[:, 0]
+    qpxs = qp[:, 0] * sj[:, 1] - qp[:, 1] * sj[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = qpxs / denom
         v = qpxr / denom
     crossing = (np.abs(denom) > eps) & (u >= -eps) & (u <= 1 + eps) \
         & (v >= -eps) & (v <= 1 + eps)
-    for i, j in zip(*np.nonzero(crossing)):
-        hits.append((i + float(np.clip(u[i, j], 0, 1)),
-                     j + float(np.clip(v[i, j], 0, 1))))
+    hits: list[tuple[float, float]] = []
+    for k in np.flatnonzero(crossing):
+        hits.append((ii[k] + float(np.clip(u[k], 0, 1)),
+                     jj[k] + float(np.clip(v[k], 0, 1))))
     # coincident-overlap case: parallel and collinear segments
     collinear = (np.abs(denom) <= eps) & (np.abs(qpxr) <= eps)
-    for i, j in zip(*np.nonzero(collinear)):
+    for k in np.flatnonzero(collinear):
+        i, j = ii[k], jj[k]
         rr = float(r[i] @ r[i])
         if rr < eps:
             continue
-        t0 = float(qp[i, j] @ r[i]) / rr
+        t0 = float(qp[k] @ r[i]) / rr
         t1 = t0 + float(s[j] @ r[i]) / rr
         lo, hi = max(0.0, min(t0, t1)), min(1.0, max(t0, t1))
         if lo <= hi:

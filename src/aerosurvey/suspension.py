@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.signal import lfilter
 
 from .core import (
     LineRole,
@@ -373,54 +374,50 @@ class PendulumState:
 
 
 def _integrate_pendulum(acc: np.ndarray, acc_half: np.ndarray, dt: float,
-                        omega: float, zeta: float, length: float
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        omega: float, zeta: float, length: float,
+                        theta0: float = 0.0, rate0: float = 0.0) -> np.ndarray:
     """RK4 integration of theta'' = -2 zeta w theta' - w^2 theta - a(t)/L.
 
-    `acc` holds the forcing at step times, `acc_half` at midpoints; both
-    are (n,) for one horizontal axis. Returns (theta, theta_dot) in rad.
+    `acc` holds the forcing at step times, `acc_half` at midpoints, with
+    time along axis 0; further axes (such as the two horizontal axes) are
+    integrated together. Returns theta in rad, shaped like `acc`.
+
+    For this linear ODE one fixed RK4 step is exactly the linear map
+    x[n+1] = M x[n] + b0 a[n] + bh a_half[n] + b1 a[n+1] on the state
+    x = (theta, theta_dot). M, b0, bh and b1 are read off by applying the
+    RK4 step formulas below to the five unit inputs, so the scheme is the
+    same RK4 scheme step for step, not an exact exponential. With the
+    initial state as the input at n = 0, Cayley-Hamilton turns the
+    recurrence into one 2nd-order IIR filter on theta with denominator
+    [1, -tr M, det M] and input w[n] + (M - tr M I) w[n-1], where w[n] is
+    what enters x[n]; scipy.signal.lfilter runs it. It matches the
+    per-step loop to rounding (about 1e-12 relative).
     """
-    n = len(acc)
-    th = np.empty(n)
-    om = np.empty(n)
-    th[0] = 0.0
-    om[0] = 0.0
     c1, c2 = 2.0 * zeta * omega, omega * omega
+    # rows of the identity: unit theta, theta_dot, a[n], a_half[n], a[n+1]
+    t0, w0, a0, ah, a1 = np.eye(5)
+    k1t, k1w = w0, -c1 * w0 - c2 * t0 - a0 / length
+    k2t = w0 + 0.5 * dt * k1w
+    k2w = -c1 * k2t - c2 * (t0 + 0.5 * dt * k1t) - ah / length
+    k3t = w0 + 0.5 * dt * k2w
+    k3w = -c1 * k3t - c2 * (t0 + 0.5 * dt * k2t) - ah / length
+    k4t = w0 + dt * k3w
+    k4w = -c1 * k4t - c2 * (t0 + dt * k3t) - a1 / length
+    step = np.stack([t0 + dt / 6.0 * (k1t + 2 * k2t + 2 * k3t + k4t),
+                     w0 + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)])
+    m, b0, bh, b1 = step[:, :2], step[:, 2], step[:, 3], step[:, 4]
 
-    def f(theta, rate, a):
-        return rate, -c1 * rate - c2 * theta - a / length
-
-    for i in range(n - 1):
-        a0, ah, a1 = acc[i], acc_half[i], acc[i + 1]
-        t0, w0 = th[i], om[i]
-        k1t, k1w = f(t0, w0, a0)
-        k2t, k2w = f(t0 + 0.5 * dt * k1t, w0 + 0.5 * dt * k1w, ah)
-        k3t, k3w = f(t0 + 0.5 * dt * k2t, w0 + 0.5 * dt * k2w, ah)
-        k4t, k4w = f(t0 + dt * k3t, w0 + dt * k3w, a1)
-        th[i + 1] = t0 + dt / 6.0 * (k1t + 2 * k2t + 2 * k3t + k4t)
-        om[i + 1] = w0 + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
-    return th, om
-
-
-def _integrate_free(theta0: float, rate0: float, n: int, dt: float,
-                    omega: float, zeta: float) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 free decay (no forcing) from an arbitrary initial state, rad."""
-    th = np.empty(n)
-    om = np.empty(n)
-    th[0], om[0] = theta0, rate0
-    c1, c2 = 2.0 * zeta * omega, omega * omega
-    for i in range(n - 1):
-        t0, w0 = th[i], om[i]
-        k1t, k1w = w0, -c1 * w0 - c2 * t0
-        k2t = w0 + 0.5 * dt * k1w
-        k2w = -c1 * k2t - c2 * (t0 + 0.5 * dt * k1t)
-        k3t = w0 + 0.5 * dt * k2w
-        k3w = -c1 * k3t - c2 * (t0 + 0.5 * dt * k2t)
-        k4t = w0 + dt * k3w
-        k4w = -c1 * k4t - c2 * (t0 + dt * k3t)
-        th[i + 1] = t0 + dt / 6.0 * (k1t + 2 * k2t + 2 * k3t + k4t)
-        om[i + 1] = w0 + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
-    return th, om
+    # w[:, n]: what enters (theta, theta_dot) at step n
+    w = np.empty((2,) + acc.shape)
+    w[0, 0], w[1, 0] = theta0, rate0
+    w[:, 1:] = (np.multiply.outer(b0, acc[:-1]) + np.multiply.outer(bh, acc_half)
+                + np.multiply.outer(b1, acc[1:]))
+    tr = m[0, 0] + m[1, 1]
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    # first row of (M - tr M I) is (-M[1, 1], M[0, 1])
+    u = w[0].copy()
+    u[1:] += m[0, 1] * w[1, :-1] - m[1, 1] * w[0, :-1]
+    return lfilter([1.0], [1.0, -tr, det], u, axis=0)
 
 
 def pendulum_ring_down(theta0_deg: float, damping_ratio: float,
@@ -429,8 +426,9 @@ def pendulum_ring_down(theta0_deg: float, damping_ratio: float,
     """Free decay from an initial swing angle; scalar series in degrees."""
     n = int(round(duration_s * rate_hz)) + 1
     omega = math.sqrt(G / cable_length)
-    th, _ = _integrate_free(math.radians(theta0_deg), 0.0, n, 1.0 / rate_hz,
-                            omega, damping_ratio)
+    th = _integrate_pendulum(np.zeros(n), np.zeros(n - 1), 1.0 / rate_hz,
+                             omega, damping_ratio, cable_length,
+                             theta0=math.radians(theta0_deg))
     t = np.arange(n) / rate_hz
     return TimeSeries(t, np.degrees(th), ("swing_deg",))
 
@@ -723,9 +721,12 @@ def simulate_survey(plan: FlightPlan | None = None,
 
     The pendulum is forced by the path's centripetal acceleration per
     horizontal axis and integrated with fixed-step RK4 at sim_rate_hz.
-    Sensor streams are decimated to sensor_rate_hz; each line (with its
-    approach and the turn leading into it) draws noise from its own
-    seeded substream, so single lines are reproducible in isolation.
+    Both axes go through one IIR filter call that runs the RK4 step as
+    the linear recurrence it is for this ODE (see _integrate_pendulum),
+    so the swing matches a per-step RK4 loop to rounding. Sensor streams
+    are decimated to sensor_rate_hz; each line (with its approach and
+    the turn leading into it) draws noise from its own seeded substream,
+    so single lines are reproducible in isolation.
     speed == 0 is a stationary hover: zero swing forcing, baseline noise
     only.
     """
@@ -758,10 +759,8 @@ def simulate_survey(plan: FlightPlan | None = None,
             segs, cfg.speed * t, cfg.speed)
         _, _, acc_h, _, _, _ = _sample_path(
             segs, cfg.speed * (t[:-1] + dt / 2.0), cfg.speed)
-        th_e, _ = _integrate_pendulum(acc[:, 0], acc_h[:, 0], dt, omega,
-                                      zeta, length)
-        th_n, _ = _integrate_pendulum(acc[:, 1], acc_h[:, 1], dt, omega,
-                                      zeta, length)
+        th_e, th_n = _integrate_pendulum(acc, acc_h, dt, omega, zeta,
+                                         length).T
 
     rng0 = np.random.default_rng((cfg.seed, 0))
     wob_r = _wobble(rng0, t, cfg.wobble_roll_deg)

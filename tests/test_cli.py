@@ -118,6 +118,18 @@ def test_emi_buzz_end_to_end(tmp_path, capsys):
     assert "overflight" in payload["per_kind"]
 
 
+def test_emi_buzz_ragged_row_is_io_error(tmp_path, capsys):
+    # the blank line is skipped; the short row is data row 2
+    (tmp_path / "pass.csv").write_text(
+        "t_s,buzz_nT\n0.0,1.5\n\n0.02\n0.04,1.1\n")
+    spec = tmp_path / "passes.json"
+    spec.write_text(json.dumps([{"separation_m": 5.0, "csv_path": "pass.csv"}]))
+    code, _, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
+                           "--out", tmp_path / "buzz.json")
+    assert code == EXIT_IO
+    assert "pass.csv: data row 2" in err and "Traceback" not in err
+
+
 # --- sim ---
 
 @pytest.fixture()
@@ -264,6 +276,17 @@ def test_qc_nasvd_roundtrip_and_bad_rank(tmp_path, capsys):
                            "--k", 99, "--out", tmp_path / "nope.csv")
     assert code == EXIT_IO
     assert "error" in err
+
+
+def test_qc_nasvd_ragged_row_is_io_error(tmp_path, capsys):
+    infile = tmp_path / "spectra.csv"
+    infile.write_text("ch0,ch1,ch2\r\n1.0,2.0,3.0\r\n4.0,5.0\r\n")
+    out = tmp_path / "denoised.csv"
+    code, _, err = run_cli(capsys, "qc", "nasvd", "--in", infile,
+                           "--k", 1, "--out", out)
+    assert code == EXIT_IO
+    assert "spectra.csv: data row 2" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # --- grid ---

@@ -149,3 +149,9 @@ def test_spectra_round_trip(tmp_path):
     bad = _write(tmp_path / "bad.csv", "a,b\n1,2\n")
     with pytest.raises(MissingColumnError):
         read_spectra_csv(bad)
+
+
+def test_spectra_ragged_row_names_file_and_row(tmp_path):
+    p = _write(tmp_path / "ragged.csv", "ch0,ch1,ch2\n1,2,3\n4,5\n")
+    with pytest.raises(ValueError, match=r"ragged\.csv: data row 2 has 2 cells"):
+        read_spectra_csv(p)
