@@ -20,6 +20,8 @@ from .errors import TooFewPixelsError, TooFewSamplesError
 from .io_csv import write_table
 
 NODATA = -9999.0
+# grid centres whose neighbour lists grid_idw holds at a time
+_IDW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -143,18 +145,22 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
     centers = np.column_stack([cx.ravel(), cy.ravel()])
 
     tree = cKDTree(np.column_stack([x, y]))
-    neighbors = tree.query_ball_point(centers, r=search_radius)
     out = np.full(centers.shape[0], np.nan)
-    for i, idx in enumerate(neighbors):
-        if not idx:
-            continue
-        d = np.hypot(x[idx] - centers[i, 0], y[idx] - centers[i, 1])
-        j = int(np.argmin(d))
-        if d[j] < 1e-9:  # exactness at nodes
-            out[i] = values[idx][j]
-            continue
-        w = d ** (-power)
-        out[i] = float(np.sum(w * values[idx]) / np.sum(w))
+    # neighbour lists are lists of Python ints; asking for one block of
+    # centres at a time bounds them instead of holding them for the grid
+    for start in range(0, len(centers), _IDW_BLOCK):
+        block = centers[start:start + _IDW_BLOCK]
+        for i, idx in enumerate(tree.query_ball_point(block, r=search_radius),
+                                start):
+            if not idx:
+                continue
+            d = np.hypot(x[idx] - centers[i, 0], y[idx] - centers[i, 1])
+            j = int(np.argmin(d))
+            if d[j] < 1e-9:  # exactness at nodes
+                out[i] = values[idx][j]
+                continue
+            w = d ** (-power)
+            out[i] = float(np.sum(w * values[idx]) / np.sum(w))
     out = out.reshape(ny, nx)
     valid = np.isfinite(out)
     out[~valid] = NODATA

@@ -20,9 +20,11 @@ content bit-for-bit and repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,8 @@ CSV_SCHEMA_VERSION = "1"
 # rows converted to Python objects at a time by write_table; bounds the
 # writer's extra memory instead of copying whole arrays into lists
 _CHUNK_ROWS = 4096
+# characters str() can produce for a Python bool, int or float
+_NUMERIC_TEXT = frozenset("0123456789+-.einfaTrueFls")
 
 
 class SchemaKind(Enum):
@@ -195,18 +199,81 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
                 lineterminator: str = "\r\n") -> None:
     """Write `head` rows, then one row per index across `columns`.
 
-    Columns are 1-D arrays or sequences of equal length. csv formats a
-    float with repr() and an int with str(), so numeric cells are exact;
-    arrays are turned into Python lists one chunk of rows at a time.
+    Columns are 1-D arrays or sequences of equal length. The bytes are
+    those a csv.writer with this dialect writes for the same rows; the
+    head goes through one. The body is built one chunk of _CHUNK_ROWS
+    rows at a time with a single `%` operation over a "%s" row format:
+
+    * A numeric array (bool, int or float) is turned into Python objects
+      with tolist(), and "%s" applies the str() csv applies, which for a
+      float is the round-trip repr(). That text holds no quote, line break
+      or (for the usual delimiters) delimiter, so csv never quotes it; a
+      dialect whose delimiter or line terminator uses a character of that
+      text sends the column down the escaping path below instead.
+    * In a float column each distinct value of the chunk is formatted
+      once: np.unique over the float64 bits (so 0.0 and -0.0 stay apart)
+      gives the distinct values and where each cell takes its text from.
+      Gamma-count channels, grid NODATA and headings repeat heavily.
+    * Any other column (labels, plain sequences) has each distinct value
+      of the chunk escaped once by a csv.writer of the same dialect; the
+      memo key keeps the type, so 1, 1.0 and True stay apart. A
+      one-column table keeps csv's "" for an empty field.
     """
-    n_rows = len(columns[0]) if len(columns) else 0
+    n_cols = len(columns)
+    n_rows = len(columns[0]) if n_cols else 0
+    row_fmt = (delimiter.replace("%", "%%").join(["%s"] * n_cols)
+               + lineterminator.replace("%", "%%"))
+    numeric_ok = not _NUMERIC_TEXT.intersection(delimiter + lineterminator)
+    escape = _escaper(delimiter, lineterminator, n_cols)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, delimiter=delimiter, lineterminator=lineterminator)
-        w.writerows(head)
+        csv.writer(fh, delimiter=delimiter,
+                   lineterminator=lineterminator).writerows(head)
         for start in range(0, n_rows, _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            w.writerows(zip(*(c[start:stop].tolist() if isinstance(c, np.ndarray)
-                              else c[start:stop] for c in columns)))
+            parts = [_cells(c[start:start + _CHUNK_ROWS], numeric_ok, escape)
+                     for c in columns]
+            fh.write((row_fmt * len(parts[0]))
+                     % tuple(chain.from_iterable(zip(*parts))))
+
+
+def _cells(chunk, numeric_ok: bool, escape) -> list:
+    """One chunk of a column as objects whose str() is the cell's text."""
+    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "biuf" \
+            and numeric_ok:
+        if chunk.dtype.kind != "f":
+            return chunk.tolist()
+        x = chunk.astype(np.float64)
+        distinct, inverse = np.unique(x.view(np.int64), return_inverse=True)
+        if len(distinct) == len(x):
+            return x.tolist()
+        texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()],
+                         dtype=object)
+        return texts[inverse].tolist()
+    memo: dict = {}
+    out = []
+    for v in (chunk.tolist() if isinstance(chunk, np.ndarray) else chunk):
+        key = v if type(v) is str else (type(v), str(v))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = escape(v)
+        out.append(text)
+    return out
+
+
+def _escaper(delimiter: str, lineterminator: str, n_cols: int):
+    """value -> its cell text as a csv.writer of this dialect writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator=lineterminator)
+    # csv writes an empty cell as "" only when it is the row's one cell; an
+    # empty trailing cell gives the value the context of a wider row
+    tail = (None,) if n_cols > 1 else ()
+    cut = len(lineterminator) + len(delimiter) * len(tail)
+
+    def escape(value) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value,) + tail)
+        return buf.getvalue()[:-cut]
+    return escape
 
 
 def write_series_csv(path: str | Path, series: TimeSeries) -> None:
@@ -244,7 +311,12 @@ def read_spectra_csv(path: str | Path) -> np.ndarray:
     except IndexError:
         raise ValueError(f"{path}: data row {rownum} has {len(row)} cells, "
                          f"the header has {len(header)}") from None
-    return np.array(out)
+    counts = np.array(out)
+    bad = ~np.isfinite(counts).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: data row {int(np.argmax(bad)) + 1} has a "
+                         f"non-finite value")
+    return counts
 
 
 def write_spectra_csv(path: str | Path, counts: np.ndarray) -> None:

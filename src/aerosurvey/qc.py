@@ -332,10 +332,11 @@ def nasvd_denoise(spectra: SpectraMatrix | np.ndarray, k: int) -> SpectraMatrix:
     """
     m, scale, nz = _nasvd_scaled(spectra, k)
     u, s, vt = np.linalg.svd(m * scale, full_matrices=False)
-    recon = (u[:, :k] * s[:k]) @ vt[:k]
-    out = recon / scale
+    out = (u[:, :k] * s[:k]) @ vt[:k]
+    del u   # rebuilt in place: one spectra-sized array alive, not four
+    out /= scale
     out[:, ~nz] = m[:, ~nz]
-    return SpectraMatrix(np.maximum(out, 0.0))
+    return SpectraMatrix(np.maximum(out, 0.0, out=out))
 
 
 def nasvd_energy_fraction(spectra: SpectraMatrix | np.ndarray, k: int) -> float:

@@ -669,11 +669,16 @@ def _build_path(plan: FlightPlan, cfg: SimConfig):
 
 
 def _sample_path(segs, s: np.ndarray, v: float):
-    """Evaluate position/course/accel/label/block at path offsets `s`."""
+    """Evaluate position/course/accel/label/block at path offsets `s`.
+
+    `s` must be non-decreasing (offsets of increasing times), so the
+    samples of each segment form one contiguous slice.
+    """
     lengths = np.array([sg.length for sg, _, _ in segs])
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
     s = np.clip(s, 0.0, cum[-1] - 1e-9)
     idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(segs) - 1)
+    bounds = np.searchsorted(idx, np.arange(len(segs) + 1)).tolist()
     n = len(s)
     pos = np.empty((n, 2))
     course = np.empty(n)
@@ -681,15 +686,15 @@ def _sample_path(segs, s: np.ndarray, v: float):
     labels = np.empty(n, dtype=object)
     blocks = np.empty(n, dtype=int)
     for i, (sg, lab, blk) in enumerate(segs):
-        m = idx == i
-        if not m.any():
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo == hi:
             continue
-        p, c, a = sg.sample(s[m] - cum[i], v)
-        pos[m] = p
-        course[m] = c
-        acc[m] = a
-        labels[m] = lab
-        blocks[m] = blk
+        p, c, a = sg.sample(s[lo:hi] - cum[i], v)
+        pos[lo:hi] = p
+        course[lo:hi] = c
+        acc[lo:hi] = a
+        labels[lo:hi] = lab
+        blocks[lo:hi] = blk
     return pos, course, acc, labels, blocks, cum[-1]
 
 
@@ -714,26 +719,10 @@ def _spectral_profiles(n_channels: int) -> tuple[np.ndarray, np.ndarray]:
     return prof_k, prof_u
 
 
-def simulate_survey(plan: FlightPlan | None = None,
-                    geometry: SuspensionGeometry | None = None,
-                    cfg: SimConfig | None = None) -> SimResult:
-    """Fly the plan and synthesize every sensor stream.
-
-    The pendulum is forced by the path's centripetal acceleration per
-    horizontal axis and integrated with fixed-step RK4 at sim_rate_hz.
-    Both axes go through one IIR filter call that runs the RK4 step as
-    the linear recurrence it is for this ODE (see _integrate_pendulum),
-    so the swing matches a per-step RK4 loop to rounding. Sensor streams
-    are decimated to sensor_rate_hz; each line (with its approach and
-    the turn leading into it) draws noise from its own seeded substream,
-    so single lines are reproducible in isolation.
-    speed == 0 is a stationary hover: zero swing forcing, baseline noise
-    only.
-    """
-    cfg = cfg or SimConfig()
-    plan = plan or default_plan(cfg)
-    geometry = geometry or SuspensionGeometry()
-    zeta = cfg.effective_damping(geometry)
+def _fly(plan: FlightPlan, geometry: SuspensionGeometry, cfg: SimConfig,
+         zeta: float) -> tuple[AttitudeTrack, np.ndarray, np.ndarray]:
+    """Payload attitude at sim_rate_hz, with each step's block and VLF
+    sensor altitude."""
     length = geometry.cable_length
     omega = math.sqrt(G / length)
     dt = 1.0 / cfg.sim_rate_hz
@@ -787,22 +776,49 @@ def simulate_survey(plan: FlightPlan | None = None,
     pay_n = pos[:, 1] + length * np.sin(th_n)
     depth = length * np.cos(np.radians(np.minimum(swing, 89.0)))
     vlf_alt = plan.altitude_m - depth
-    mag_alt = vlf_alt + geometry.payload_separation
 
-    attitude = AttitudeTrack(t, roll, pitch, heading, swing, pay_e, pay_n,
-                             tuple(str(x) for x in labels), cfg.speed)
+    return (AttitudeTrack(t, roll, pitch, heading, swing, pay_e, pay_n,
+                          tuple(labels.tolist()), cfg.speed), blocks, vlf_alt)
+
+
+def simulate_survey(plan: FlightPlan | None = None,
+                    geometry: SuspensionGeometry | None = None,
+                    cfg: SimConfig | None = None) -> SimResult:
+    """Fly the plan and synthesize every sensor stream.
+
+    The pendulum is forced by the path's centripetal acceleration per
+    horizontal axis and integrated with fixed-step RK4 at sim_rate_hz.
+    Both axes go through one IIR filter call that runs the RK4 step as
+    the linear recurrence it is for this ODE (see _integrate_pendulum),
+    so the swing matches a per-step RK4 loop to rounding. Sensor streams
+    are decimated to sensor_rate_hz; each line (with its approach and
+    the turn leading into it) draws noise from its own seeded substream,
+    so single lines are reproducible in isolation.
+    speed == 0 is a stationary hover: zero swing forcing, baseline noise
+    only.
+    """
+    cfg = cfg or SimConfig()
+    plan = plan or default_plan(cfg)
+    geometry = geometry or SuspensionGeometry()
+    zeta = cfg.effective_damping(geometry)
+    length = geometry.cable_length
+    origin = tuple(plan.origin_utm)
+    # the attitude-rate intermediates die inside _fly, before the sensor
+    # streams are built
+    attitude, blocks, vlf_alt = _fly(plan, geometry, cfg, zeta)
 
     # --- sensor streams at sensor_rate_hz -------------------------------
     step = int(round(cfg.sim_rate_hz / cfg.sensor_rate_hz))
-    si = np.arange(0, n, step)
+    si = np.arange(0, len(attitude), step)
     ns = len(si)
-    ts = t[si]
-    se, sn = pay_e[si], pay_n[si]
-    s_vlf_alt, s_mag_alt = vlf_alt[si], mag_alt[si]
-    s_swing = swing[si]
-    s_roll, s_pitch = roll[si], pitch[si]
+    ts = attitude.t[si]
+    se, sn = attitude.easting_m[si], attitude.northing_m[si]
+    s_vlf_alt = vlf_alt[si]
+    s_mag_alt = s_vlf_alt + geometry.payload_separation
+    s_swing = attitude.swing_deg[si]
+    s_roll, s_pitch = attitude.roll_deg[si], attitude.pitch_deg[si]
     s_block = blocks[si]
-    s_label = tuple(str(labels[j]) for j in si)
+    s_label = tuple(attitude.segment[j] for j in si.tolist())
 
     emi_amp = cfg.emi_a1 * length ** (-cfg.emi_exponent)
     prof_k, prof_u = _spectral_profiles(cfg.n_channels)

@@ -289,6 +289,19 @@ def test_qc_nasvd_ragged_row_is_io_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_qc_nasvd_non_finite_cell_is_io_error(tmp_path, capsys):
+    infile = tmp_path / "spectra.csv"
+    infile.write_text("ch0,ch1,ch2\r\n1.0,2.0,3.0\r\n4.0,nan,6.0\r\n"
+                      "7.0,8.0,9.0\r\n")
+    out = tmp_path / "denoised.csv"
+    code, _, err = run_cli(capsys, "qc", "nasvd", "--in", infile,
+                           "--k", 1, "--out", out)
+    assert code == EXIT_IO
+    assert "spectra.csv: data row 2 has a non-finite value" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # --- grid ---
 
 def test_grid_make_and_compare(tmp_path, capsys):

@@ -155,3 +155,12 @@ def test_spectra_ragged_row_names_file_and_row(tmp_path):
     p = _write(tmp_path / "ragged.csv", "ch0,ch1,ch2\n1,2,3\n4,5\n")
     with pytest.raises(ValueError, match=r"ragged\.csv: data row 2 has 2 cells"):
         read_spectra_csv(p)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_spectra_non_finite_cell_names_file_and_row(tmp_path, cell):
+    p = _write(tmp_path / "nonfinite.csv",
+               f"ch0,ch1,ch2\n1,2,3\n4,5,6\n7,{cell},9\n1,{cell},2\n")
+    with pytest.raises(ValueError,
+                       match=r"nonfinite\.csv: data row 3 has a non-finite"):
+        read_spectra_csv(p)

@@ -19,6 +19,7 @@ from aerosurvey.suspension import (
     G,
     _build_path,
     _dubins_csc,
+    _sample_path,
     read_attitude_csv,
     split_lines,
     write_attitude_csv,
@@ -269,6 +270,50 @@ def test_build_path_blocks_and_labels():
     # the turn between the legs belongs to the upcoming leg's block
     turn_blocks = {blk for _, lab, blk in segs if lab == "turn"}
     assert turn_blocks == {1}
+
+
+def _sample_path_masked(segs, s, v):
+    """Reference: one full-length mask per segment (the seed's loop)."""
+    lengths = np.array([sg.length for sg, _, _ in segs])
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    s = np.clip(s, 0.0, cum[-1] - 1e-9)
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(segs) - 1)
+    n = len(s)
+    pos, course, acc = np.empty((n, 2)), np.empty(n), np.empty((n, 2))
+    labels = np.empty(n, dtype=object)
+    blocks = np.empty(n, dtype=int)
+    for i, (sg, lab, blk) in enumerate(segs):
+        m = idx == i
+        if not m.any():
+            continue
+        pos[m], course[m], acc[m] = sg.sample(s[m] - cum[i], v)
+        labels[m] = lab
+        blocks[m] = blk
+    return pos, course, acc, labels, blocks, cum[-1]
+
+
+@pytest.mark.parametrize("plan", [
+    FlightPlan(),
+    FlightPlan(n_lines=8, line_length_m=2000.0, spacing_m=50.0, tie_lines=3),
+    FlightPlan(n_lines=3, line_length_m=300.0, spacing_m=40.0, tie_lines=2,
+               heading_deg=30.0),
+], ids=["default", "survey_large", "rotated"])
+def test_sample_path_matches_mask_reference(plan):
+    cfg = SimConfig()
+    segs = _build_path(plan, cfg)
+    total = sum(sg.length for sg, _, _ in segs)
+    dt = 1.0 / cfg.sim_rate_hz
+    t = np.arange(int(total / cfg.speed * cfg.sim_rate_hz) + 1) * dt
+    # step times and midpoints as the simulator uses them; a coarse grid
+    # that skips short segments; offsets beyond both ends of the path
+    for s in (cfg.speed * t, cfg.speed * (t[:-1] + dt / 2.0),
+              np.linspace(-5.0, total + 5.0, 41)):
+        got = _sample_path(segs, s, cfg.speed)
+        want = _sample_path_masked(segs, s, cfg.speed)
+        for a, b in zip(got[:5], want[:5]):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert got[5] == want[5]
 
 
 # --- pendulum dynamics ---

@@ -172,3 +172,76 @@ def test_two_column_table_matches_reference(tmp_path, n):
                 lambda p: write_table(p, [("freq_hz", "amplitude_ms2")],
                                       [freqs, amps]),
                 lambda p: ref_spectrum_table(p, freqs, amps))
+
+
+# --- write_table against csv.writer, one row at a time ---
+
+def ref_table(path, head, columns, delimiter=",", lineterminator="\r\n"):
+    """csv.writer.writerow per row; numpy scalars become Python scalars."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, delimiter=delimiter, lineterminator=lineterminator)
+        w.writerows(head)
+        for i in range(len(columns[0]) if len(columns) else 0):
+            w.writerow([c[i].item() if isinstance(c[i], np.generic) else c[i]
+                        for c in columns])
+
+
+TABLE_ROWS = (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1)
+# the last two share characters with numeric text, so csv quotes numbers
+DIALECTS = ((",", "\r\n"), (" ", "\n"), (";", "%\n"), (".", "\n"), ("e", "\n"))
+LABELS = ("L1", "a,b", 'say "hi"', "two\nlines", "", None, "x y", "turn")
+
+
+def _mixed_columns(n: int) -> list:
+    rng = np.random.default_rng(7)
+    repeated = rng.choice([0.0, -0.0, 0.1 + 0.2, 1e22, 5e-324, np.nan,
+                           -np.nan, np.inf, -np.inf, -9999.0], n)
+    repeated[_CHUNK_ROWS - 6:_CHUNK_ROWS + 6] = 54000.125  # run across chunks
+    distinct = np.arange(n) * 0.01 + 0.005
+    f32 = rng.choice(np.float32([0.1, -2.5, 3e-38, 1.0]), n)
+    return [repeated, distinct, f32, rng.integers(-2**62, 2**62, n),
+            rng.integers(0, 256, n).astype(np.uint8), rng.random(n) > 0.5,
+            tuple(LABELS[i % len(LABELS)] for i in range(n))]
+
+
+@pytest.mark.parametrize("delimiter,lineterminator", DIALECTS)
+@pytest.mark.parametrize("n", TABLE_ROWS)
+def test_table_of_every_column_kind_matches_reference(tmp_path, n, delimiter,
+                                                      lineterminator):
+    cols = _mixed_columns(n)
+    head = [("rep", "distinct", "f32", "i64", "u8", "flag", "label"),
+            ("a b", 'q"', "")]
+    _same_bytes(tmp_path,
+                lambda p: write_table(p, head, cols, delimiter, lineterminator),
+                lambda p: ref_table(p, head, cols, delimiter, lineterminator))
+
+
+@pytest.mark.parametrize("n", TABLE_ROWS)
+def test_object_column_keeps_types_and_zero_signs_apart(tmp_path, n):
+    cycle = [1, 1.0, True, 0.0, -0.0, None, "", "1", np.float64(1.5), 1.5,
+             np.int64(1), float("nan")]
+    mixed = [cycle[i % len(cycle)] for i in range(n)]
+    floats = np.resize(np.array([1.0, -0.0, 0.0]), n)
+    for cols in ([mixed, floats], [np.array(mixed, dtype=object), floats]):
+        _same_bytes(tmp_path, lambda p: write_table(p, [("v", "f")], cols),
+                    lambda p: ref_table(p, [("v", "f")], cols))
+
+
+@pytest.mark.parametrize("n", TABLE_ROWS)
+def test_one_column_table_keeps_quoted_empty_fields(tmp_path, n):
+    for delimiter, lineterminator in DIALECTS[:2]:
+        for col in ([("", None, "a")[i % 3] for i in range(n)],
+                    np.zeros(n), np.ones(n, dtype=bool)):
+            _same_bytes(tmp_path,
+                        lambda p: write_table(p, [("only",)], [col], delimiter,
+                                              lineterminator),
+                        lambda p: ref_table(p, [("only",)], [col], delimiter,
+                                            lineterminator))
+
+
+def test_space_delimited_label_with_space_is_quoted(tmp_path):
+    labels = ("line 1", "L2", "a  b", " lead")
+    vals = np.array([1.5, -0.0, np.inf, 2.0])
+    write_table(tmp_path / "t.txt", [("name", "v")], [labels, vals], " ", "\n")
+    assert (tmp_path / "t.txt").read_text() == (
+        'name v\n"line 1" 1.5\nL2 -0.0\n"a  b" inf\n" lead" 2.0\n')
