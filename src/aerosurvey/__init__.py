@@ -71,7 +71,6 @@ from .suspension import (
     AttitudeTrack,
     FlightPlan,
     PayloadPose,
-    PendulumState,
     SettlingMetrics,
     SimConfig,
     SimResult,
@@ -109,8 +108,8 @@ __all__ = [
     "CSV_SCHEMA_VERSION", "CrossoverRecord", "CrossoverRow", "DampingInput",
     "EmiConfig", "FlightPlan", "GrayImage", "Grid", "Ingested",
     "IsolatorConfig", "IsolatorKind", "LineRole", "NODATA",
-    "NoiseCurve", "PassKind", "PayloadPose", "PendulumState",
-    "PipelineConfig", "PipelineStageError", "QcReport",
+    "NoiseCurve", "PassKind", "PayloadPose", "PipelineConfig",
+    "PipelineStageError", "QcReport",
     "REPORT_SCHEMA_VERSION", "RunReport", "SchemaKind", "SettlingMetrics",
     "SimConfig", "SimResult", "SpectraMatrix", "SpectrumResult",
     "StageResult", "Stretch", "SurveyLine", "SuspensionGeometry",

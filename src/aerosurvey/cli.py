@@ -8,7 +8,6 @@ was fine, the answer is "no"), 4 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import traceback
@@ -40,6 +39,10 @@ from .gridding import (
 from .io_csv import (
     CSV_SCHEMA_VERSION,
     SchemaKind,
+    _json_text,
+    _read_floats,
+    _read_rows,
+    _write_json,
     ingest_csv,
     read_spectra_csv,
     read_survey_lines,
@@ -50,11 +53,13 @@ from .io_csv import (
 from .pipeline import (
     REPORT_SCHEMA_VERSION,
     PipelineConfig,
+    _write_crossings,
     apply_seed_override,
     run_pipeline,
     write_survey_artifacts,
 )
 from .qc import (
+    FIELD_COLUMNS,
     SpectraMatrix,
     crossover_analysis,
     diurnal_correct,
@@ -89,17 +94,21 @@ _ANALYSIS_ERRORS = (NeverBelowFloorError, NoFitAvailableError,
                     NeverSettlesError, NoIntersectionsError)
 
 # column name on the CLI -> field key used by crossover_analysis
-_FIELD_KEYS = {"k_pct": "K", "u_ppm": "U", "tmi_nT": "TMI"}
+_FIELD_KEYS = {col: key for key, col in FIELD_COLUMNS.items()}
 _FIELD_SCHEMAS = {"k_pct": SchemaKind.RAD, "u_ppm": SchemaKind.RAD,
                   "tmi_nT": SchemaKind.MAG}
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    sys.stdout.write(_json_text(obj))
 
 
-def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _read_json_list(path) -> list[dict]:
+    """The JSON list of objects that --config and --passes name."""
+    raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
+        raise ValueError(f"{path}: expected a JSON list of objects")
+    return raw
 
 
 def _scalar(series: TimeSeries, column: str) -> TimeSeries:
@@ -132,14 +141,13 @@ def _cmd_vib_compare(args) -> int:
 
 
 def _cmd_vib_rank(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
     candidates = [IsolatorConfig(kind=IsolatorKind(c["kind"]),
                                  count=int(c["count"]),
                                  mount_angle_deg=float(c.get("mount_angle_deg", 0.0)),
                                  intensity=float(c["intensity"]),
                                  damping_ratio=float(c["damping_ratio"]),
                                  stiffness=float(c["stiffness"]))
-                  for c in raw]
+                  for c in _read_json_list(args.config)]
     ranked = select_configuration(candidates, args.mass, args.freq)
     _emit({"payload_mass_kg": args.mass, "frequency_hz": args.freq,
            "ranking": [{"rank": i + 1, "kind": c.kind.value, "count": c.count,
@@ -155,42 +163,24 @@ def _cmd_vib_rank(args) -> int:
 
 def _read_buzz_trace(path: Path) -> TimeSeries:
     """Buzz traces are mag CSVs or any two-column t_s,<value> file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise MissingColumnError(f"{path}: empty file")
+    header, body = _read_rows(path)
     if "tmi_nT" in header:
-        data = ingest_csv(path, SchemaKind.MAG).data
-        return _scalar(data, "tmi_nT")
+        return _scalar(ingest_csv(path, SchemaKind.MAG).data, "tmi_nT")
     if "t_s" not in header:
         raise MissingColumnError(f"{path}: no t_s column")
     value_col = [c for c in header if c != "t_s"]
     if not value_col:
         raise MissingColumnError(f"{path}: no value column")
-    ti, vi = header.index("t_s"), header.index(value_col[-1])
-    t, v = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        try:
-            # blank lines are skipped, as by the schema readers
-            for rownum, row in enumerate((r for r in rd if r), start=1):
-                t.append(float(row[ti]))
-                v.append(float(row[vi]))
-        except IndexError:
-            raise ValueError(f"{path}: data row {rownum} has {len(row)} "
-                             f"cells, the header has {len(header)}") from None
-    return TimeSeries(np.array(t), np.array(v), (value_col[-1],))
+    t, v = _read_floats(path, header, body, [header.index("t_s"),
+                                             header.index(value_col[-1])]).T
+    return TimeSeries(t, v, (value_col[-1],))
 
 
 def _cmd_emi_buzz(args) -> int:
-    spec = json.loads(Path(args.passes).read_text())
-    base_dir = Path(args.passes).parent
     passes = []
-    for entry in spec:
-        p = Path(entry["csv_path"])
-        if not p.is_absolute():
-            p = base_dir / p
+    for entry in _read_json_list(args.passes):
+        # an absolute csv_path stays as it is
+        p = Path(args.passes).parent / entry["csv_path"]
         passes.append(BuzzPass(float(entry["separation_m"]),
                                _read_buzz_trace(p),
                                PassKind(entry.get("kind", "overflight"))))
@@ -255,20 +245,13 @@ def _cmd_qc_diurnal(args) -> int:
 
 
 def _cmd_qc_tie(args) -> int:
-    key = _FIELD_KEYS.get(args.field)
-    if key is None:
-        raise ValueError(f"unsupported field: {args.field}")
+    key = _FIELD_KEYS[args.field]          # argparse allows only these
     schema = _FIELD_SCHEMAS[args.field]
     flights = read_survey_lines(args.flights, schema, LineRole.FLIGHT)
     ties = read_survey_lines(args.ties, schema, LineRole.TIE)
     records, report = crossover_analysis(list(flights), list(ties), key,
                                          args.tol)
-    payload = {"report": report.to_dict(),
-               "crossings": [{"easting_m": r.location.easting,
-                              "northing_m": r.location.northing,
-                              "flight": r.flight_value, "tie": r.tie_value,
-                              "difference": r.difference} for r in records]}
-    _write_json(args.out, payload)
+    _write_crossings(args.out, records, report)
     _emit(report.to_dict())
     return EXIT_OK if report.passed else EXIT_QC
 

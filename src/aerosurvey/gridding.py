@@ -234,6 +234,8 @@ def write_asc(grid: Grid, path: str | Path) -> None:
 def read_asc(path: str | Path) -> Grid:
     with open(path, encoding="utf-8") as fh:
         tokens = fh.read().split()
+    if len(tokens) < 12:
+        raise ValueError(f"{path}: not an ESRI ASCII grid (header cut short)")
     header = {tokens[i].lower(): float(tokens[i + 1]) for i in range(0, 12, 2)}
     nx, ny = int(header["ncols"]), int(header["nrows"])
     nodata = header["nodata_value"]

@@ -10,21 +10,26 @@ Schemas (comma-separated, header row, '.' decimal, UTF-8):
     rad:       t_s,easting_m,northing_m,alt_m,k_pct,u_ppm[,th_ppm][,ch0..chN]
     crossover: x_utm,y_utm,flights_k_pct,tie_k_pct,flights_u_ppm,tie_u_ppm
 
-Every artifact the package writes (these CSVs, the attitude track, the
-vibration spectrum, ESRI ASCII grids and PGM images) goes through
-write_table. Floats are written with repr(), the shortest representation
-that round-trips exactly, so serialize(ingest(f)) reproduces numeric
-content bit-for-bit and repeated runs produce byte-identical files.
+Every CSV the package reads is split into rows by _read_rows and its
+float columns are parsed by _parse_columns. Every artifact it writes
+(these CSVs, the attitude track, the vibration spectrum, ESRI ASCII
+grids and PGM images) goes through write_table, every JSON artifact
+through _write_json. Floats are written with repr(), the shortest
+representation that round-trips exactly, so serialize(ingest(f))
+reproduces numeric content bit-for-bit and repeated runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +109,59 @@ def _check_header(path, header: list[str], required) -> dict[str, int]:
     return idx
 
 
+def _parse_columns(body: list[list[str]], cols: list[int], width: int = 0
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells `cols` of every row of `body` as one float matrix.
+
+    Returns (values, failed, ragged), one entry per row. `ragged` marks
+    rows with fewer than max(width, max(cols) + 1) cells; `failed` marks
+    those and the rows with a cell Python's float() rejects (" 1.5 ",
+    "1_0", "nan" and "Infinity" parse). All cells are converted in one
+    pass; only when that raises are the rows walked to find the bad ones.
+    """
+    n, k = len(body), len(cols)
+    ragged = np.fromiter(map(len, body), np.intp, count=n) \
+        < max(width, max(cols) + 1)
+    failed = ragged.copy()
+    if not ragged.any():
+        cells = chain.from_iterable(zip(*(map(itemgetter(c), body)
+                                          for c in cols)))
+        try:
+            values = np.fromiter(map(float, cells), float, count=n * k)
+            return values.reshape(n, k), failed, ragged
+        except ValueError:
+            pass
+    values = np.full((n, k), np.nan)
+    for i in np.flatnonzero(~ragged).tolist():
+        try:
+            values[i] = [float(body[i][c]) for c in cols]
+        except ValueError:
+            failed[i] = True
+    return values, failed, ragged
+
+
+def _read_floats(path, header: list[str], body: list[list[str]],
+                 cols: list[int], width: int = 0) -> np.ndarray:
+    """_parse_columns for the strict readers: the first bad row raises.
+
+    The ValueError names the file and the 1-based data row: the first row
+    with too few cells or an unparsable cell, else the first with a nan or
+    inf.
+    """
+    values, failed, ragged = _parse_columns(body, cols, width)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if ragged[i]:
+            raise ValueError(f"{path}: data row {i + 1} has {len(body[i])} "
+                             f"cells, the header has {len(header)}")
+        raise ValueError(f"{path}: data row {i + 1} has an unparsable value")
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: data row {int(np.argmax(bad)) + 1} has a "
+                         f"non-finite value")
+    return values
+
+
 def ingest_csv(path: str | Path, schema: SchemaKind | str,
                strict: bool = False) -> Ingested:
     """Parse a CSV against a declared schema.
@@ -127,50 +185,36 @@ def ingest_csv(path: str | Path, schema: SchemaKind | str,
             value_cols.append("th_ppm")
         value_cols.extend(c for c in header if c.startswith("ch") and c[2:].isdigit())
 
-    t_list: list[float] = []
-    rows_out: list[list[float]] = []
-    rejected: list[tuple[int, str]] = []
-    t_max = -np.inf
-    for rownum, row in enumerate(body, start=1):
-        try:
-            t = float(row[idx["t_s"]])
-            vals = [float(row[idx[c]]) for c in value_cols]
-        except (ValueError, IndexError):
-            rejected.append((rownum, "unparsable field"))
-            continue
-        if not np.isfinite(t) or not all(np.isfinite(v) for v in vals):
-            rejected.append((rownum, "non-finite field"))
-            continue
-        bad = _invariant_violation(value_cols, vals)
-        if bad:
-            rejected.append((rownum, bad))
-            continue
-        if t <= t_max:
-            if strict:
-                raise NonMonotoneTimeError(
-                    f"{path}: non-monotone timestamp at data row {rownum}")
-            rejected.append((rownum, "duplicate/non-monotone timestamp"))
-            continue
-        t_max = t
-        t_list.append(t)
-        rows_out.append(vals)
+    values, failed, _ = _parse_columns(
+        body, [idx["t_s"]] + [idx[c] for c in value_cols])
+    checks = [(failed, "unparsable field"),
+              (~np.isfinite(values).all(axis=1), "non-finite field")]
+    for c, v in zip(value_cols, values[:, 1:].T):
+        if c in _ANGLE_COLS:     # a nan row has failed the finite check
+            checks.append((np.abs(v) > 180.0, f"{c} out of [-180, 180]"))
+        elif c in _NONNEG_COLS:
+            checks.append((v < 0, f"{c} negative"))
+    reasons = [r for _, r in checks] + ["duplicate/non-monotone timestamp"]
+    # each row's first failed check, 1-based; 0 for a row that passes all
+    first_fail = np.select([m for m, _ in checks], range(1, len(checks) + 1))
 
-    if not rows_out:
+    # a timestamp must exceed every timestamp kept before it
+    kept = np.flatnonzero(first_fail == 0)
+    t = values[kept, 0]
+    late = t <= np.maximum.accumulate(np.r_[-np.inf, t[:-1]])
+    if strict and late.any():
+        raise NonMonotoneTimeError(f"{path}: non-monotone timestamp at data "
+                                   f"row {kept[np.argmax(late)] + 1}")
+    first_fail[kept[late]] = len(reasons)
+    kept = kept[~late]
+
+    if not len(kept):
         raise EmptyFileError(f"{path}: no usable data rows")
-    values = np.array(rows_out)
-    if values.shape[1] == 1:
-        values = values[:, 0]
-    return Ingested(TimeSeries(np.array(t_list), values, tuple(value_cols)),
-                    tuple(rejected))
-
-
-def _invariant_violation(cols: list[str], vals: list[float]) -> str | None:
-    for c, v in zip(cols, vals):
-        if c in _ANGLE_COLS and not -180.0 <= v <= 180.0:
-            return f"{c} out of [-180, 180]"
-        if c in _NONNEG_COLS and v < 0:
-            return f"{c} negative"
-    return None
+    data = values[kept, 1:] if len(value_cols) > 1 else values[kept, 1]
+    rejected = tuple((i + 1, reasons[first_fail[i] - 1])
+                     for i in np.flatnonzero(first_fail).tolist())
+    return Ingested(TimeSeries(values[kept, 0], data, tuple(value_cols)),
+                    rejected)
 
 
 def _ingest_crossover(body, idx) -> Ingested:
@@ -303,25 +347,21 @@ def read_spectra_csv(path: str | Path) -> np.ndarray:
     cols = [c for c in header if c.startswith("ch") and c[2:].isdigit()]
     if not cols:
         raise MissingColumnError(f"{path}: no ch0..chN columns")
-    idx = [header.index(c) for c in cols]
-    out = []
-    try:
-        for rownum, row in enumerate(body, start=1):
-            out.append([float(row[i]) for i in idx])
-    except IndexError:
-        raise ValueError(f"{path}: data row {rownum} has {len(row)} cells, "
-                         f"the header has {len(header)}") from None
-    counts = np.array(out)
-    bad = ~np.isfinite(counts).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{path}: data row {int(np.argmax(bad)) + 1} has a "
-                         f"non-finite value")
-    return counts
+    return _read_floats(path, header, body, [header.index(c) for c in cols])
 
 
 def write_spectra_csv(path: str | Path, counts: np.ndarray) -> None:
     counts = np.asarray(counts, dtype=float)
     write_table(path, [[f"ch{j}" for j in range(counts.shape[1])]], counts.T)
+
+
+def _json_text(obj) -> str:
+    """The text of every JSON artifact and of the CLI's JSON output."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _write_json(path: str | Path, obj) -> None:
+    Path(path).write_text(_json_text(obj))
 
 
 def crossover_fixture_path() -> Path:

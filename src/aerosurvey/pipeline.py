@@ -28,7 +28,7 @@ from .gridding import (
     write_asc,
     write_pgm,
 )
-from .io_csv import write_series_csv, write_spectra_csv
+from .io_csv import _json_text, _write_json, write_series_csv, write_spectra_csv
 from .qc import (
     FIELD_COLUMNS,
     SpectraMatrix,
@@ -138,7 +138,7 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.to_dict())
 
 
 def apply_seed_override(cfg: SimConfig) -> SimConfig:
@@ -203,6 +203,19 @@ def write_survey_artifacts(result: SimResult, out_dir: str | Path) -> dict:
             write_series_csv(d / f"{line.line_id}.csv", line.series)
             paths[f"{sub}/{line.line_id}.csv"] = d / f"{line.line_id}.csv"
     return paths
+
+
+def _write_crossings(path, records, report) -> None:
+    """crossings.json: crossover_analysis's QcReport and every record."""
+    _write_json(path, {
+        "report": report.to_dict(),
+        "crossings": [{
+            "easting_m": r.location.easting,
+            "northing_m": r.location.northing,
+            "flight": r.flight_value, "tie": r.tie_value,
+            "difference": r.difference,
+        } for r in records],
+    })
 
 
 def _spectra_from_rad(rad: TimeSeries, n_channels: int) -> np.ndarray:
@@ -291,9 +304,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         report = fourth_difference(
             TimeSeries(sim.mag_full.t, sim.mag_full.column("tmi_nT"),
                        ("tmi_nT",)), threshold=thr, field_name="tmi_nT")
-        path = out / "d4_report.json"
-        path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2)
-                        + "\n")
+        _write_json(out / "d4_report.json", report.to_dict())
         return StageResult("qc_d4", report.passed, report.stats,
                            ("d4_report.json",))
 
@@ -317,17 +328,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         ties = [l for l in lines if l.role is LineRole.TIE]
         records, report = crossover_analysis(flights, ties, cfg.tie_field,
                                              cfg.tie_tolerance)
-        payload = {
-            "report": report.to_dict(),
-            "crossings": [{
-                "easting_m": r.location.easting,
-                "northing_m": r.location.northing,
-                "flight": r.flight_value, "tie": r.tie_value,
-                "difference": r.difference,
-            } for r in records],
-        }
-        (out / "crossings.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_crossings(out / "crossings.json", records, report)
         return StageResult("qc_tie", report.passed, report.stats,
                            ("crossings.json",))
 
@@ -376,8 +377,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     def stage_compare() -> StageResult:
         grids: dict[str, Grid] = state["grids"]
         cmp = compare_grids(grids["coarse"], grids["fine"])
-        (out / "cmp.json").write_text(
-            json.dumps(cmp, sort_keys=True, indent=2) + "\n")
+        _write_json(out / "cmp.json", cmp)
         # the delta is a finding, not a gate: with a handful of coarse
         # pixels the min-max stretch dominates the std, so the stage passes
         # when both grids are comparable (non-degenerate stretch ranges)

@@ -12,10 +12,9 @@ deterministic under a fixed seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
+from operator import itemgetter
 
 import numpy as np
 from scipy.optimize import minimize
@@ -32,9 +31,8 @@ from .errors import (
     DegeneratePlanError,
     NeverSettlesError,
     SlackCableError,
-    TooShortError,
 )
-from .io_csv import write_table
+from .io_csv import _check_header, _read_floats, _read_rows, write_table
 
 G = 9.80665  # m/s^2
 
@@ -357,22 +355,6 @@ def _dubins_csc(p0, psi0, p1, psi1, radius: float) -> list:
 # pendulum dynamics
 
 
-@dataclass(frozen=True)
-class PendulumState:
-    """Snapshot of the suspended payload's swing state.
-
-    heading_error is payload-minus-UAV heading; it is clipped to the
-    configured yaw-lag cap (zero when the intermediate platform is
-    fitted, which is what makes the heading lock exact).
-    """
-
-    swing_angle: float   # deg, along-track
-    swing_rate: float    # deg/s
-    roll: float          # deg
-    pitch: float         # deg
-    heading_error: float  # deg
-
-
 def _integrate_pendulum(acc: np.ndarray, acc_half: np.ndarray, dt: float,
                         omega: float, zeta: float, length: float,
                         theta0: float = 0.0, rate0: float = 0.0) -> np.ndarray:
@@ -585,24 +567,15 @@ def write_attitude_csv(track: AttitudeTrack, path) -> None:
 
 
 def read_attitude_csv(path) -> AttitudeTrack:
-    path = Path(path)
-    cols = {name: [] for name in ATTITUDE_COLUMNS}
-    with path.open(newline="") as fh:
-        rd = csv.DictReader(fh)
-        missing = set(ATTITUDE_COLUMNS) - set(rd.fieldnames or ())
-        if missing:
-            raise ValueError(f"attitude csv missing columns: {sorted(missing)}")
-        for row in rd:
-            for name in ATTITUDE_COLUMNS:
-                cols[name].append(row[name])
-    if not cols["t_s"]:
-        raise TooShortError("attitude csv has no rows")
-    arr = {k: np.array([float(v) for v in cols[k]])
-           for k in ATTITUDE_COLUMNS[:-1]}
-    return AttitudeTrack(arr["t_s"], arr["roll_deg"], arr["pitch_deg"],
-                         arr["heading_deg"], arr["swing_deg"],
-                         arr["easting_m"], arr["northing_m"],
-                         tuple(cols["segment"]))
+    header, body = _read_rows(path)
+    idx = _check_header(path, header, ATTITUDE_COLUMNS)
+    segment = idx["segment"]
+    values = _read_floats(path, header, body,
+                          [idx[c] for c in ATTITUDE_COLUMNS[:-1]],
+                          width=segment + 1)
+    # ATTITUDE_COLUMNS lists the numeric fields in AttitudeTrack's order
+    return AttitudeTrack(*values.T.copy(),
+                         tuple(map(itemgetter(segment), body)))
 
 
 # ---------------------------------------------------------------------------

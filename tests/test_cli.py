@@ -89,6 +89,26 @@ def test_vib_rank_orders_by_effectiveness(tmp_path, capsys):
         1.0 * 0.3 * 800.0 / (6.0 * 4 * 35.0 ** 2), rel=1e-12)
 
 
+# a JSON object, a list of numbers and a list of strings: not candidates
+NOT_A_LIST_OF_OBJECTS = (
+    {"kind": "wire_rope", "count": 4, "csv_path": "pass.csv"},
+    [1, 2],
+    [["wire_rope", 4]],
+)
+
+
+@pytest.mark.parametrize("content", NOT_A_LIST_OF_OBJECTS)
+def test_vib_rank_config_not_a_list_of_objects_is_io_error(tmp_path, capsys,
+                                                           content):
+    config = tmp_path / "candidates.json"
+    config.write_text(json.dumps(content))
+    code, _, err = run_cli(capsys, "vib", "rank", "--config", config,
+                           "--mass", 6.0, "--freq", 35.0)
+    assert code == EXIT_IO
+    assert "candidates.json: expected a JSON list of objects" in err
+    assert "Traceback" not in err
+
+
 # --- emi ---
 
 def test_emi_buzz_end_to_end(tmp_path, capsys):
@@ -128,6 +148,32 @@ def test_emi_buzz_ragged_row_is_io_error(tmp_path, capsys):
                            "--out", tmp_path / "buzz.json")
     assert code == EXIT_IO
     assert "pass.csv: data row 2" in err and "Traceback" not in err
+
+
+def test_emi_buzz_absolute_csv_path(tmp_path, capsys):
+    trace = tmp_path / "traces" / "pass.csv"
+    trace.parent.mkdir()
+    trace.write_text("t_s,buzz_nT\n0.0,1.5\n0.02\n")
+    spec = tmp_path / "spec" / "passes.json"
+    spec.parent.mkdir()
+    spec.write_text(json.dumps([{"separation_m": 5.0, "csv_path": str(trace)}]))
+    code, _, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
+                           "--out", tmp_path / "buzz.json")
+    assert code == EXIT_IO
+    assert f"{trace}: data row 2 has 1 cells" in err
+
+
+@pytest.mark.parametrize("content", NOT_A_LIST_OF_OBJECTS)
+def test_emi_buzz_passes_not_a_list_of_objects_is_io_error(tmp_path, capsys,
+                                                           content):
+    (tmp_path / "pass.csv").write_text("t_s,buzz_nT\n0.0,1.5\n0.02,1.1\n")
+    spec = tmp_path / "passes.json"
+    spec.write_text(json.dumps(content))
+    code, _, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
+                           "--out", tmp_path / "buzz.json")
+    assert code == EXIT_IO
+    assert "passes.json: expected a JSON list of objects" in err
+    assert "Traceback" not in err
 
 
 # --- sim ---
@@ -332,6 +378,16 @@ def test_grid_make_and_compare(tmp_path, capsys):
     assert set(payload) == {"stddev_a", "stddev_b", "delta"}
     assert payload["delta"] == pytest.approx(
         payload["stddev_b"] - payload["stddev_a"], abs=1e-9)
+
+
+@pytest.mark.parametrize("text", ("", "ncols 2\nnrows 2\nxllcorner 0\n"))
+def test_grid_compare_truncated_asc_is_io_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.asc"
+    bad.write_text(text)
+    code, _, err = run_cli(capsys, "grid", "compare", "--a", bad, "--b", bad,
+                           "--out", tmp_path / "cmp.json")
+    assert code == EXIT_IO
+    assert "bad.asc: not an ESRI ASCII grid" in err and "Traceback" not in err
 
 
 # --- pipeline ---

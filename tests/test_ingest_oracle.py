@@ -1,0 +1,509 @@
+"""The array-wide CSV readers against the per-row readers they replaced.
+
+`_loop_ingest_csv`, `_loop_read_spectra_csv` and `_loop_read_buzz_trace`
+are the row-at-a-time readers that `ingest_csv`, `read_spectra_csv` and
+the CLI's buzz reader replaced, kept here only as oracles. For every
+input the oracle accepts, the new reader must return the same bits, the
+same fields and the same rejected rows; where the oracle raises, the new
+reader must raise the same exception (for `strict` both ways).
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aerosurvey.cli import EXIT_IO, _read_buzz_trace, main
+from aerosurvey.core import TimeSeries
+from aerosurvey.errors import (
+    EmptyFileError,
+    MissingColumnError,
+    NonMonotoneTimeError,
+)
+from aerosurvey.io_csv import (
+    _ANGLE_COLS,
+    _NONNEG_COLS,
+    _REQUIRED,
+    Ingested,
+    SchemaKind,
+    _check_header,
+    _read_rows,
+    ingest_csv,
+    read_spectra_csv,
+)
+from aerosurvey.suspension import (
+    AttitudeTrack,
+    read_attitude_csv,
+    write_attitude_csv,
+)
+
+# fixed, derandomized profile: the same examples on every run
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None,
+                    database=None)
+
+
+# ---------------------------------------------------------------------------
+# the replaced readers
+
+
+def _loop_ingest_csv(path, schema, strict=False) -> Ingested:
+    """ingest_csv as a per-row loop with a per-row invariant check."""
+    schema = SchemaKind(schema)
+    header, body = _read_rows(path)
+    idx = _check_header(path, header, _REQUIRED[schema])
+    value_cols = list(_REQUIRED[schema][1:])
+    if schema is SchemaKind.RAD:
+        if "th_ppm" in idx:
+            value_cols.append("th_ppm")
+        value_cols.extend(c for c in header if c.startswith("ch") and c[2:].isdigit())
+
+    t_list: list[float] = []
+    rows_out: list[list[float]] = []
+    rejected: list[tuple[int, str]] = []
+    t_max = -np.inf
+    for rownum, row in enumerate(body, start=1):
+        try:
+            t = float(row[idx["t_s"]])
+            vals = [float(row[idx[c]]) for c in value_cols]
+        except (ValueError, IndexError):
+            rejected.append((rownum, "unparsable field"))
+            continue
+        if not np.isfinite(t) or not all(np.isfinite(v) for v in vals):
+            rejected.append((rownum, "non-finite field"))
+            continue
+        bad = _invariant_violation(value_cols, vals)
+        if bad:
+            rejected.append((rownum, bad))
+            continue
+        if t <= t_max:
+            if strict:
+                raise NonMonotoneTimeError(
+                    f"{path}: non-monotone timestamp at data row {rownum}")
+            rejected.append((rownum, "duplicate/non-monotone timestamp"))
+            continue
+        t_max = t
+        t_list.append(t)
+        rows_out.append(vals)
+
+    if not rows_out:
+        raise EmptyFileError(f"{path}: no usable data rows")
+    values = np.array(rows_out)
+    if values.shape[1] == 1:
+        values = values[:, 0]
+    return Ingested(TimeSeries(np.array(t_list), values, tuple(value_cols)),
+                    tuple(rejected))
+
+
+def _invariant_violation(cols, vals):
+    for c, v in zip(cols, vals):
+        if c in _ANGLE_COLS and not -180.0 <= v <= 180.0:
+            return f"{c} out of [-180, 180]"
+        if c in _NONNEG_COLS and v < 0:
+            return f"{c} negative"
+    return None
+
+
+def _loop_read_spectra_csv(path) -> np.ndarray:
+    header, body = _read_rows(path)
+    cols = [c for c in header if c.startswith("ch") and c[2:].isdigit()]
+    if not cols:
+        raise MissingColumnError(f"{path}: no ch0..chN columns")
+    idx = [header.index(c) for c in cols]
+    out = []
+    try:
+        for rownum, row in enumerate(body, start=1):
+            out.append([float(row[i]) for i in idx])
+    except IndexError:
+        raise ValueError(f"{path}: data row {rownum} has {len(row)} cells, "
+                         f"the header has {len(header)}") from None
+    counts = np.array(out)
+    bad = ~np.isfinite(counts).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: data row {int(np.argmax(bad)) + 1} has a "
+                         f"non-finite value")
+    return counts
+
+
+def _loop_read_buzz_trace(path) -> TimeSeries:
+    """The two-column branch of the CLI's buzz reader, with its own csv.reader."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+    value_col = [c for c in header if c != "t_s"]
+    ti, vi = header.index("t_s"), header.index(value_col[-1])
+    t, v = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        rd = csv.reader(fh)
+        next(rd)
+        try:
+            for rownum, row in enumerate((r for r in rd if r), start=1):
+                t.append(float(row[ti]))
+                v.append(float(row[vi]))
+        except IndexError:
+            raise ValueError(f"{path}: data row {rownum} has {len(row)} "
+                             f"cells, the header has {len(header)}") from None
+    return TimeSeries(np.array(t), np.array(v), (value_col[-1],))
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def _write_rows(path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _schema_columns(draw, schema: SchemaKind) -> list[str]:
+    cols = list(_REQUIRED[schema])
+    if schema is SchemaKind.RAD:
+        if draw(st.booleans()):
+            cols.append("th_ppm")
+        cols += [f"ch{j}" for j in range(draw(st.integers(0, 3)))]
+    return draw(st.permutations(cols))
+
+
+UNPARSABLE = ["oops", "", "1.2.3", "0x10", "1e", "--1", "1,5"]
+NON_FINITE = ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "-Infinity",
+              "1e999"]
+ODD_BUT_VALID = [" 1.5 ", "1_0", "\t2\t", "+3", "1E2", ".5", "-0.0"]
+ANGLES = ["180", "-180", "180.0000001", "-200", "1e3", "-0.0"]
+NEGATIVES = ["-0.5", "-0.0", "-1e-300", "0", "-inf"]
+KINDS = ("unparsable", "ragged", "blank", "non_finite", "odd", "angle",
+         "negative", "duplicate_t", "decreasing_t", "long")
+
+
+@st.composite
+def schema_files(draw):
+    """(schema, header, rows) for a time-stamped schema, rows mutated."""
+    schema = draw(st.sampled_from([s for s in SchemaKind
+                                   if s is not SchemaKind.CROSSOVER]))
+    header = _schema_columns(draw, schema)
+    n = draw(st.integers(1, 10))
+    rows = [[repr(0.5 * i) if c == "t_s" else repr(1.25 + i + j)
+             for j, c in enumerate(header)] for i in range(n)]
+    ti = header.index("t_s")
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(KINDS))
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        j = draw(st.integers(0, len(header) - 1))
+        if kind == "ragged":
+            rows[i] = row[:draw(st.integers(0, max(len(row) - 1, 0)))]
+        elif kind == "blank":
+            rows.insert(i, [])
+        elif kind == "long":
+            row.append("9")
+        elif j >= len(row):
+            continue
+        elif kind == "unparsable":
+            row[j] = draw(st.sampled_from(UNPARSABLE))
+        elif kind == "non_finite":
+            row[j] = draw(st.sampled_from(NON_FINITE))
+        elif kind == "odd":
+            row[j] = draw(st.sampled_from(ODD_BUT_VALID))
+        elif kind == "angle":
+            cols = [k for k, c in enumerate(header)
+                    if c in _ANGLE_COLS and k < len(row)]
+            if cols:
+                row[draw(st.sampled_from(cols))] = draw(st.sampled_from(ANGLES))
+        elif kind == "negative":
+            cols = [k for k, c in enumerate(header)
+                    if c in _NONNEG_COLS and k < len(row)]
+            if cols:
+                row[draw(st.sampled_from(cols))] = \
+                    draw(st.sampled_from(NEGATIVES))
+        elif ti < len(row):
+            src = rows[draw(st.integers(0, len(rows) - 1))]
+            if kind == "duplicate_t" and ti < len(src):
+                row[ti] = src[ti]
+            elif kind == "decreasing_t":
+                row[ti] = repr(-0.25 * draw(st.integers(0, 3)))
+    return schema, header, rows
+
+
+def _read_all(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:  # the exception itself is compared
+        return None, exc
+
+
+def _assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# ingest_csv
+
+
+@PROPERTY
+@given(schema_files(), st.booleans())
+def test_ingest_matches_row_loop(tmp_path_factory, case, strict):
+    schema, header, rows = case
+    path = tmp_path_factory.mktemp("ingest") / f"{schema.value}.csv"
+    _write_rows(path, [header] + rows)
+    want, want_exc = _outcome(_loop_ingest_csv, path, schema, strict)
+    got, got_exc = _outcome(ingest_csv, path, schema, strict)
+    if want_exc is not None:
+        assert type(got_exc) is type(want_exc)
+        assert str(got_exc) == str(want_exc)
+        return
+    assert got_exc is None
+    assert got.rejected_rows == want.rejected_rows
+    assert got.data.fields == want.data.fields
+    _assert_same_bits(got.data.t, want.data.t)
+    _assert_same_bits(got.data.values, want.data.values)
+
+
+@pytest.fixture(scope="module")
+def survey_dir(tmp_path_factory):
+    from aerosurvey.pipeline import write_survey_artifacts
+    from aerosurvey.suspension import FlightPlan, SimConfig, simulate_survey
+
+    out = tmp_path_factory.mktemp("survey")
+    write_survey_artifacts(simulate_survey(
+        FlightPlan(n_lines=2, line_length_m=150.0, tie_lines=1), None,
+        SimConfig(seed=7)), out)
+    return out
+
+
+@pytest.mark.parametrize("schema", ["mag", "base", "vlf", "rad"])
+def test_ingest_matches_row_loop_on_simulated_files(survey_dir, schema):
+    path = survey_dir / f"{schema}.csv"
+    want = _loop_ingest_csv(path, schema)
+    got = ingest_csv(path, schema)
+    assert got.rejected_rows == want.rejected_rows == ()
+    assert got.data.fields == want.data.fields
+    _assert_same_bits(got.data.t, want.data.t)
+    _assert_same_bits(got.data.values, want.data.values)
+
+
+def test_ingest_strict_names_first_non_monotone_row(tmp_path):
+    path = tmp_path / "b.csv"
+    # row 2 is dropped as non-finite, so row 4 is the first late timestamp
+    _write_rows(path, [["t_s", "tmi_nT"], ["1", "5"], ["0.5", "nan"],
+                       ["2", "5"], ["1.5", "5"], ["1.0", "5"]])
+    with pytest.raises(NonMonotoneTimeError, match=r"b\.csv: .* data row 4$"):
+        ingest_csv(path, SchemaKind.BASE, strict=True)
+    out = ingest_csv(path, SchemaKind.BASE)
+    assert out.rejected_rows == (
+        (2, "non-finite field"), (4, "duplicate/non-monotone timestamp"),
+        (5, "duplicate/non-monotone timestamp"))
+    assert out.data.t.tolist() == [1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# spectra
+
+
+@st.composite
+def spectra_files(draw):
+    k = draw(st.integers(1, 4))
+    header = [f"ch{j}" for j in range(k)]
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, k)), "t_s")
+    n = draw(st.integers(1, 8))
+    rows = [[repr(float(3 * i + j)) for j in range(len(header))]
+            for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("unparsable", "ragged", "blank",
+                                     "non_finite", "odd", "long")))
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if kind == "ragged":
+            rows[i] = row[:draw(st.integers(0, max(len(row) - 1, 0)))]
+        elif kind == "blank":
+            rows.insert(i, [])
+        elif kind == "long":
+            row.append("1")
+        elif row:
+            j = draw(st.integers(0, len(row) - 1))
+            row[j] = draw(st.sampled_from(
+                {"unparsable": UNPARSABLE, "non_finite": NON_FINITE,
+                 "odd": ODD_BUT_VALID}[kind]))
+    return header, rows
+
+
+def _first_failed_row(header, rows) -> int:
+    """1-based data row of the first row with a short or unparsable cell."""
+    idx = [header.index(c) for c in header if c.startswith("ch")]
+    for rownum, row in enumerate((r for r in rows if r), start=1):
+        try:
+            [float(row[i]) for i in idx]
+        except (ValueError, IndexError):
+            return rownum
+    raise AssertionError("no failed row")
+
+
+@PROPERTY
+@given(spectra_files())
+def test_spectra_match_row_loop(tmp_path_factory, case):
+    header, rows = case
+    path = tmp_path_factory.mktemp("spectra") / "s.csv"
+    _write_rows(path, [header] + rows)
+    want, want_exc = _outcome(_loop_read_spectra_csv, path)
+    got, got_exc = _outcome(read_spectra_csv, path)
+    if want_exc is None:
+        assert got_exc is None
+        _assert_same_bits(got, want)
+        return
+    assert type(got_exc) is type(want_exc)
+    if str(want_exc).startswith(str(path)):
+        assert str(got_exc) == str(want_exc)
+    else:
+        # float()'s own message: the new reader names the file and the row
+        row = _first_failed_row(header, rows)
+        assert re.fullmatch(rf"{re.escape(str(path))}: data row {row} has "
+                            r"(an unparsable value|\d+ cells, the header "
+                            r"has \d+)", str(got_exc))
+
+
+def test_spectra_unparsable_cell_names_file_and_row(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("ch0,ch1\n1,2\n\n3,4\n5,x\n6,nan\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=r"counts\.csv: data row 3 has an unparsable"):
+        read_spectra_csv(path)
+
+
+def test_spectra_round_trip_keeps_bits(tmp_path):
+    counts = np.array([[0.1, -0.0, 1e-300], [5e300, 3.0, 0.30000000000000004]])
+    path = tmp_path / "s.csv"
+    _write_rows(path, [["ch0", "ch1", "ch2"]]
+                + [[repr(v) for v in row] for row in counts.tolist()])
+    _assert_same_bits(read_spectra_csv(path), counts)
+
+
+# ---------------------------------------------------------------------------
+# buzz traces
+
+
+@PROPERTY
+@given(spectra_files())
+def test_buzz_trace_matches_row_loop(tmp_path_factory, case):
+    header, rows = case
+    keep = [k for k, c in enumerate(header) if c != "t_s"]
+    header = ["t_s"] + [header[k] for k in keep]
+    rows = [[repr(0.1 * i)] + [r[k] for k in keep if k < len(r)] if r else r
+            for i, r in enumerate(rows)]
+    path = tmp_path_factory.mktemp("buzz") / "pass.csv"
+    _write_rows(path, [header] + rows)
+    want, want_exc = _outcome(_loop_read_buzz_trace, path)
+    got, got_exc = _outcome(_read_buzz_trace, path)
+    if want_exc is None and not len(want):
+        # a file without data rows now fails here, not in the analysis
+        assert isinstance(got_exc, EmptyFileError)
+    elif want_exc is None and np.isfinite(want.values).all() \
+            and np.isfinite(want.t).all():
+        assert got_exc is None
+        assert got.fields == want.fields
+        _assert_same_bits(got.t, want.t)
+        _assert_same_bits(got.values, want.values)
+    elif want_exc is None:
+        # nan and inf were accepted; now they name the file and the row
+        assert isinstance(got_exc, ValueError)
+        assert re.match(rf"{re.escape(str(path))}: data row \d+ has a "
+                        r"non-finite value$", str(got_exc))
+    else:
+        assert type(got_exc) is type(want_exc)
+        assert str(got_exc).startswith(f"{path}: ")
+        if str(want_exc).startswith(str(path)):
+            assert str(got_exc) == str(want_exc)
+
+
+def test_buzz_mag_trace_stays_lenient(tmp_path):
+    path = tmp_path / "mag_pass.csv"
+    _write_rows(path, [["t_s", "easting_m", "northing_m", "alt_m", "tmi_nT"],
+                       ["0", "0", "0", "40", "54000"],
+                       ["0.1", "0", "0", "40", "nan"],
+                       ["0.2", "0", "0", "40", "54001"]])
+    trace = _read_buzz_trace(path)
+    assert trace.fields == ("tmi_nT",)
+    assert trace.values.tolist() == [54000.0, 54001.0]
+
+
+def test_emi_buzz_non_finite_cell_is_io_error(tmp_path, capsys):
+    t = np.arange(0, 6.0, 0.02)
+    rows = [[repr(a), repr(b)] for a, b in zip(t.tolist(),
+                                               np.sin(t).tolist())]
+    rows[3][1] = "nan"
+    passes = []
+    for sep in (4.0, 6.0, 8.0, 10.0, 12.0, 15.0):
+        _write_rows(tmp_path / f"p{sep:g}.csv", [["t_s", "buzz_nT"]] + rows)
+        passes.append({"separation_m": sep, "csv_path": f"p{sep:g}.csv"})
+    spec = tmp_path / "passes.json"
+    spec.write_text(json.dumps(passes))
+    code = main(["emi", "buzz", "--passes", str(spec),
+                 "--out", str(tmp_path / "buzz.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert "p4.csv: data row 4 has a non-finite value" in err
+
+
+# ---------------------------------------------------------------------------
+# attitude track
+
+
+def _track(n: int = 5) -> AttitudeTrack:
+    t = 0.01 * np.arange(n)
+    return AttitudeTrack(t, np.sin(t), -np.cos(t), np.full(n, 90.0),
+                         np.array([0.1, -0.0, 1e-300, 2.5, 3.0])[:n],
+                         500000.0 + t, 6100000.0 - t,
+                         ("L1", "L1", "turn", "a,b", "T1")[:n])
+
+
+def test_attitude_round_trip_keeps_bits_and_labels(tmp_path):
+    track = _track()
+    path = tmp_path / "attitude.csv"
+    write_attitude_csv(track, path)
+    back = read_attitude_csv(path)
+    for name in ("t", "roll_deg", "pitch_deg", "heading_deg", "swing_deg",
+                 "easting_m", "northing_m"):
+        _assert_same_bits(getattr(back, name), getattr(track, name))
+        assert getattr(back, name).flags.c_contiguous
+    assert back.segment == track.segment
+
+
+def test_attitude_reads_any_column_order(tmp_path):
+    track = _track()
+    path = tmp_path / "attitude.csv"
+    write_attitude_csv(track, path)
+    rows = _read_all(path)
+    order = [7, 3, 0, 6, 1, 5, 2, 4]
+    _write_rows(path, [[r[k] for k in order] for r in rows])
+    back = read_attitude_csv(path)
+    _assert_same_bits(back.northing_m, track.northing_m)
+    assert back.segment == track.segment
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda rows: [rows[0][:-1]] + [r[:-1] for r in rows[1:]],
+     MissingColumnError, r"missing column 'segment'"),
+    (lambda rows: rows[:1], EmptyFileError, r"no data rows"),
+    (lambda rows: [], EmptyFileError, r"empty file"),
+    (lambda rows: rows[:2] + [rows[2][:-1]] + rows[3:],
+     ValueError, r"data row 2 has 7 cells, the header has 8"),
+    (lambda rows: rows[:3] + [["0.03", "oops"] + rows[3][2:]] + rows[4:],
+     ValueError, r"data row 3 has an unparsable value"),
+    (lambda rows: rows[:2] + [rows[2][:4] + ["inf"] + rows[2][5:]] + rows[3:],
+     ValueError, r"data row 2 has a non-finite value"),
+])
+def test_attitude_errors_name_file_and_row(tmp_path, edit, error, message):
+    path = tmp_path / "attitude.csv"
+    write_attitude_csv(_track(), path)
+    rows = _read_all(path)
+    _write_rows(path, edit(rows))
+    with pytest.raises(error, match=rf"attitude\.csv: .*{message}"):
+        read_attitude_csv(path)

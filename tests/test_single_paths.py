@@ -1,0 +1,72 @@
+"""One CSV reading path and one JSON writer in the package.
+
+Every CSV the package reads goes through io_csv (one row splitter, one
+column parser), and every JSON artifact through io_csv._json_text. These
+tests fail when a module grows its own csv reader or its own indented
+json.dumps, so the paths cannot quietly split again.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import aerosurvey
+
+SRC = Path(aerosurvey.__file__).resolve().parent
+
+
+class _Finder(ast.NodeVisitor):
+    """Innermost enclosing function of every node `match` accepts."""
+
+    def __init__(self, match):
+        self.match = match
+        self.scope = ["<module>"]
+        self.hits: list[str] = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def generic_visit(self, node):
+        if self.match(node):
+            self.hits.append(self.scope[-1])
+        super().generic_visit(node)
+
+
+def _where(match) -> set[tuple[str, str]]:
+    """{(file, function)} of the package's nodes that `match` accepts."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        finder = _Finder(match)
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= {(path.name, scope) for scope in finder.hits}
+    return found
+
+
+def _uses(node, module: str, names: set[str]) -> bool:
+    """`module`.<name> for one of `names`, or a from-import of it."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr in names and isinstance(node.value, ast.Name)
+                and node.value.id == module)
+    return (isinstance(node, ast.ImportFrom) and node.module == module
+            and any(a.name in names for a in node.names))
+
+
+def test_csv_is_read_only_by_the_row_splitter():
+    assert _where(lambda n: _uses(n, "csv", {"reader", "DictReader"})) \
+        == {("io_csv.py", "_read_rows")}
+
+
+def test_indented_json_dump_only_in_its_writer():
+    def indented_dump(node) -> bool:
+        if isinstance(node, ast.Call):
+            return (_uses(node.func, "json", {"dumps"})
+                    and any(k.arg == "indent" for k in node.keywords))
+        return isinstance(node, ast.ImportFrom) \
+            and _uses(node, "json", {"dumps"})
+
+    assert _where(indented_dump) == {("io_csv.py", "_json_text")}
