@@ -12,6 +12,7 @@ import json
 import sys
 import traceback
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,23 @@ def _read_json_list(path) -> list[dict]:
     return raw
 
 
+def _field(path, i: int, entry: dict, key: str, convert, default=None):
+    """convert(entry[key]) for entry i of the JSON list file `path`.
+
+    A missing key without a default, or a value convert rejects (null, a
+    list, an object, a non-numeric string), raises ValueError naming the
+    file, the entry and the key.
+    """
+    if key not in entry and default is None:
+        raise ValueError(f"{path}: entry {i}: missing key {key!r}")
+    value = entry.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: entry {i}: invalid {key!r}: "
+                         f"{json.dumps(value)}") from None
+
+
 def _scalar(series: TimeSeries, column: str) -> TimeSeries:
     return TimeSeries(series.t, series.column(column), (column,))
 
@@ -141,13 +159,15 @@ def _cmd_vib_compare(args) -> int:
 
 
 def _cmd_vib_rank(args) -> int:
-    candidates = [IsolatorConfig(kind=IsolatorKind(c["kind"]),
-                                 count=int(c["count"]),
-                                 mount_angle_deg=float(c.get("mount_angle_deg", 0.0)),
-                                 intensity=float(c["intensity"]),
-                                 damping_ratio=float(c["damping_ratio"]),
-                                 stiffness=float(c["stiffness"]))
-                  for c in _read_json_list(args.config)]
+    candidates = []
+    for i, c in enumerate(_read_json_list(args.config)):
+        get = partial(_field, args.config, i, c)
+        candidates.append(IsolatorConfig(
+            kind=get("kind", IsolatorKind), count=get("count", int),
+            mount_angle_deg=get("mount_angle_deg", float, 0.0),
+            intensity=get("intensity", float),
+            damping_ratio=get("damping_ratio", float),
+            stiffness=get("stiffness", float)))
     ranked = select_configuration(candidates, args.mass, args.freq)
     _emit({"payload_mass_kg": args.mass, "frequency_hz": args.freq,
            "ranking": [{"rank": i + 1, "kind": c.kind.value, "count": c.count,
@@ -178,12 +198,13 @@ def _read_buzz_trace(path: Path) -> TimeSeries:
 
 def _cmd_emi_buzz(args) -> int:
     passes = []
-    for entry in _read_json_list(args.passes):
+    for i, entry in enumerate(_read_json_list(args.passes)):
+        get = partial(_field, args.passes, i, entry)
         # an absolute csv_path stays as it is
-        p = Path(args.passes).parent / entry["csv_path"]
-        passes.append(BuzzPass(float(entry["separation_m"]),
+        p = get("csv_path", Path(args.passes).parent.joinpath)
+        passes.append(BuzzPass(get("separation_m", float),
                                _read_buzz_trace(p),
-                               PassKind(entry.get("kind", "overflight"))))
+                               get("kind", PassKind, "overflight")))
     cfg = EmiConfig(noise_floor=args.floor)
     anchors = tuple(args.at) if args.at else (8.0, 9.0, 10.0)
     result = analyze_passes(passes, cfg, detrend_window_s=args.window,

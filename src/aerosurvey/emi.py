@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import median_filter
 
 from .core import TimeSeries
 from .errors import (
@@ -105,6 +104,8 @@ def noise_amplitude(trace: TimeSeries, detrend_window_s: float = 1.0) -> float:
     dt = float(np.median(np.diff(trace.t)))
     k = max(3, int(round(detrend_window_s / dt)) | 1)  # odd sample count
     k = min(k, len(x) if len(x) % 2 else len(x) - 1)
+    from scipy.ndimage import median_filter
+
     resid = x - median_filter(x.astype(float), size=k, mode="nearest")
     lo, hi = np.percentile(resid, [2.5, 97.5])
     return float(hi - lo) / 2.0

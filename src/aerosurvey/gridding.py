@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import TooFewPixelsError, TooFewSamplesError
 from .io_csv import write_table
@@ -22,6 +22,8 @@ from .io_csv import write_table
 NODATA = -9999.0
 # grid centres whose neighbour lists grid_idw holds at a time
 _IDW_BLOCK = 1024
+# (centre, sample) pairs that grid_idw weighs in one array operation
+_IDW_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -144,27 +146,46 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
     cx, cy = np.meshgrid(xs, ys)
     centers = np.column_stack([cx.ravel(), cy.ravel()])
 
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(np.column_stack([x, y]))
     out = np.full(centers.shape[0], np.nan)
     # neighbour lists are lists of Python ints; asking for one block of
-    # centres at a time bounds them instead of holding them for the grid
+    # centres at a time bounds them instead of holding them for the grid,
+    # and a block's lists are dropped as soon as they are flattened
     for start in range(0, len(centers), _IDW_BLOCK):
         block = centers[start:start + _IDW_BLOCK]
-        for i, idx in enumerate(tree.query_ball_point(block, r=search_radius),
-                                start):
-            if not idx:
-                continue
-            d = np.hypot(x[idx] - centers[i, 0], y[idx] - centers[i, 1])
-            j = int(np.argmin(d))
-            if d[j] < 1e-9:  # exactness at nodes
-                out[i] = values[idx][j]
-                continue
-            w = d ** (-power)
-            out[i] = float(np.sum(w * values[idx]) / np.sum(w))
+        lists = tree.query_ball_point(block, r=search_radius)
+        counts = np.fromiter(map(len, lists), np.intp, len(lists))
+        flat = np.fromiter(chain.from_iterable(lists), np.intp, counts.sum())
+        del lists
+        firsts = np.cumsum(counts) - counts
+        # centres with k neighbours form one C-contiguous (m, k) gather, so
+        # each row sum is the same pairwise sum as the 1-D sum per centre
+        for k in np.unique(counts[counts > 0]).tolist():
+            group = np.flatnonzero(counts == k)
+            step = max(1, _IDW_PAIRS // k)
+            for a in range(0, len(group), step):
+                rows = group[a:a + step]
+                out[start + rows] = _idw_rows(
+                    x, y, values, block[rows],
+                    flat[firsts[rows, None] + np.arange(k)], power)
     out = out.reshape(ny, nx)
     valid = np.isfinite(out)
     out[~valid] = NODATA
     return Grid(origin[0], origin[1], cell_size, out, valid)
+
+
+def _idw_rows(x, y, values, centres, nb, power) -> np.ndarray:
+    """IDW means of centres (m, 2) over neighbour indices nb (m, k)."""
+    d = np.hypot(x[nb] - centres[:, :1], y[nb] - centres[:, 1:])
+    hit = np.arange(len(nb)), d.argmin(axis=1)  # nearest sample per row
+    res = values[nb[hit]]  # a centre on a sample takes its value
+    far = ~(d[hit] < 1e-9)  # exactness at nodes; a nan distance is far
+    if far.any():
+        w = d[far] ** (-power)
+        res[far] = np.sum(w * values[nb[far]], axis=1) / np.sum(w, axis=1)
+    return res
 
 
 def to_grayscale(grid: Grid, stretch: Stretch = MINMAX) -> GrayImage:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -176,7 +177,7 @@ def ingest_csv(path: str | Path, schema: SchemaKind | str,
     idx = _check_header(path, header, _REQUIRED[schema])
 
     if schema is SchemaKind.CROSSOVER:
-        return _ingest_crossover(body, idx)
+        return _ingest_crossover(path, body, idx)
 
     # value columns: everything required after t_s, plus rad optionals
     value_cols = list(_REQUIRED[schema][1:])
@@ -217,7 +218,7 @@ def ingest_csv(path: str | Path, schema: SchemaKind | str,
                     rejected)
 
 
-def _ingest_crossover(body, idx) -> Ingested:
+def _ingest_crossover(path, body, idx) -> Ingested:
     rows: list[CrossoverRow] = []
     rejected: list[tuple[int, str]] = []
     for rownum, row in enumerate(body, start=1):
@@ -233,9 +234,12 @@ def _ingest_crossover(body, idx) -> Ingested:
         except (ValueError, IndexError, InvalidOperation):
             rejected.append((rownum, "unparsable field"))
             continue
+        if not (math.isfinite(x) and math.isfinite(y)):
+            rejected.append((rownum, "non-finite field"))
+            continue
         rows.append(CrossoverRow(UtmPoint(x, y), fk, tk, fu, tu))
     if not rows:
-        raise EmptyFileError("no usable crossover rows")
+        raise EmptyFileError(f"{path}: no usable crossover rows")
     return Ingested(tuple(rows), tuple(rejected))
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .core import (
     LineRole,
@@ -164,6 +162,8 @@ def payload_pose(geometry: SuspensionGeometry, roll_deg: float,
         if worst >= lsq:
             return 1e6 + worst    # outside some cable's reach
         return float(np.max(bz - np.sqrt(lsq - d2)))
+
+    from scipy.optimize import minimize
 
     # explicit simplex sized to the anchor spread: scipy's default builds
     # the start simplex by relative perturbation, which degenerates to a
@@ -399,6 +399,8 @@ def _integrate_pendulum(acc: np.ndarray, acc_half: np.ndarray, dt: float,
     # first row of (M - tr M I) is (-M[1, 1], M[0, 1])
     u = w[0].copy()
     u[1:] += m[0, 1] * w[1, :-1] - m[1, 1] * w[0, :-1]
+    from scipy.signal import lfilter
+
     return lfilter([1.0], [1.0, -tr, det], u, axis=0)
 
 

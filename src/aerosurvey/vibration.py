@@ -12,7 +12,6 @@ from enum import Enum
 import math
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .core import TimeSeries
 from .errors import (
@@ -152,6 +151,8 @@ def amplitude_spectrum(series: TimeSeries, axis: str = "z",
     peaks: list[tuple[float, float]] = []
     top = float(amps.max())
     if top > 0:
+        from scipy.signal import find_peaks
+
         locs, _ = find_peaks(amps, prominence=prominence_fraction * top)
         peaks = [(float(freqs[i]), float(amps[i])) for i in locs]
         peaks.sort(key=lambda p: (-p[1], p[0]))

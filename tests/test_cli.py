@@ -109,6 +109,38 @@ def test_vib_rank_config_not_a_list_of_objects_is_io_error(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+GOOD_CANDIDATE = {"kind": "wire_rope", "count": 4, "intensity": 1.0,
+                  "damping_ratio": 0.3, "stiffness": 800.0}
+# JSON values no candidate or pass field accepts: null, a list, an object
+# and a non-numeric string
+BAD_VALUES = (None, [4], {"n": 4}, "four")
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("key", ("kind", "count", "mount_angle_deg",
+                                 "intensity", "damping_ratio", "stiffness"))
+def test_vib_rank_bad_candidate_field_is_io_error(tmp_path, capsys, key,
+                                                  value):
+    config = tmp_path / "candidates.json"
+    config.write_text(json.dumps([GOOD_CANDIDATE,
+                                  {**GOOD_CANDIDATE, key: value}]))
+    code, _, err = run_cli(capsys, "vib", "rank", "--config", config,
+                           "--mass", 6.0, "--freq", 35.0)
+    assert code == EXIT_IO
+    assert f"candidates.json: entry 1: invalid {key!r}" in err
+    assert "Traceback" not in err
+
+
+def test_vib_rank_missing_candidate_field_is_io_error(tmp_path, capsys):
+    config = tmp_path / "candidates.json"
+    config.write_text(json.dumps([{k: v for k, v in GOOD_CANDIDATE.items()
+                                   if k != "stiffness"}]))
+    code, _, err = run_cli(capsys, "vib", "rank", "--config", config,
+                           "--mass", 6.0, "--freq", 35.0)
+    assert code == EXIT_IO
+    assert "candidates.json: entry 0: missing key 'stiffness'" in err
+
+
 # --- emi ---
 
 def test_emi_buzz_end_to_end(tmp_path, capsys):
@@ -173,6 +205,22 @@ def test_emi_buzz_passes_not_a_list_of_objects_is_io_error(tmp_path, capsys,
                            "--out", tmp_path / "buzz.json")
     assert code == EXIT_IO
     assert "passes.json: expected a JSON list of objects" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("key", ("separation_m", "csv_path", "kind"))
+def test_emi_buzz_bad_pass_field_is_io_error(tmp_path, capsys, key, value):
+    if key == "csv_path" and isinstance(value, str):
+        value = 4.0           # any string is a path; a number is not
+    (tmp_path / "pass.csv").write_text("t_s,buzz_nT\n0.0,1.5\n0.02,1.1\n")
+    spec = tmp_path / "passes.json"
+    spec.write_text(json.dumps([{"separation_m": 5.0, "csv_path": "pass.csv",
+                                 key: value}]))
+    code, _, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
+                           "--out", tmp_path / "buzz.json")
+    assert code == EXIT_IO
+    assert f"passes.json: entry 0: invalid {key!r}" in err
     assert "Traceback" not in err
 
 

@@ -123,6 +123,34 @@ def test_crossover_fixture_parses_exactly():
     assert rows[0].diff_u == Decimal("-0.13")
 
 
+CROSSOVER_HEADER = ("x_utm,y_utm,flights_k_pct,tie_k_pct,flights_u_ppm,"
+                    "tie_u_ppm")
+
+
+@pytest.mark.parametrize("x", ("nan", "inf", "-inf"))
+def test_crossover_non_finite_coordinate_rejects_only_its_row(tmp_path, x):
+    p = _write(tmp_path / "x.csv", "\n".join([
+        CROSSOVER_HEADER,
+        "500000.0,7000000.0,2.50,2.47,3.10,3.07",
+        f"{x},7000010.0,2.51,2.49,3.11,3.09",
+        "500020.0,nan,2.52,2.50,3.12,3.10",
+    ]) + "\n")
+    out = ingest_csv(p, SchemaKind.CROSSOVER)
+    assert len(out.data) == 1
+    assert out.data[0].location.easting == 500000.0
+    assert out.rejected_rows == ((2, "non-finite field"),
+                                 (3, "non-finite field"))
+
+
+def test_crossover_without_usable_rows_names_the_file(tmp_path):
+    p = _write(tmp_path / "bad_crossovers.csv", "\n".join([
+        CROSSOVER_HEADER, "nan,7000000.0,2.50,2.47,3.10,3.07",
+        "500000.0,7000000.0,x,2.47,3.10,3.07"]) + "\n")
+    with pytest.raises(EmptyFileError,
+                       match="bad_crossovers.csv: no usable crossover rows"):
+        ingest_csv(p, SchemaKind.CROSSOVER)
+
+
 def test_read_survey_lines_ids_and_roles(tmp_path):
     d = tmp_path / "flights"
     d.mkdir()

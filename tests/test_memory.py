@@ -10,6 +10,10 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+# the package imports these at first use; loading them here keeps their
+# import out of the kernels' traced peaks
+import scipy.signal  # noqa: F401
+import scipy.spatial  # noqa: F401
 
 from aerosurvey.gridding import grid_idw
 from aerosurvey.qc import nasvd_denoise

@@ -1,0 +1,133 @@
+"""scipy is imported at first use, so most commands start at numpy's cost.
+
+Each check runs in a fresh interpreter and reads sys.modules afterwards:
+importing the package or the CLI loads no scipy module, the qc commands
+and `grid compare` load none either, and `grid make` loads scipy.spatial
+alone. The functions that import scipy themselves must give in a fresh
+process the same result as in this one.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import aerosurvey
+from aerosurvey.gridding import grid_idw, write_asc
+from aerosurvey.pipeline import write_survey_artifacts
+from aerosurvey.suspension import FlightPlan, SimConfig, simulate_survey
+
+PACKAGE_ROOT = str(Path(aerosurvey.__file__).resolve().parent.parent)
+# printed last by every probe: the scipy modules the process has loaded
+REPORT = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+          " if m.split('.')[0] == 'scipy')))\n")
+HEAVY = {"scipy.signal", "scipy.optimize", "scipy.ndimage"}
+
+
+def _fresh(code: str) -> list[str]:
+    """stdout lines of `code` run in a new interpreter, scipy report last."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code + REPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def _cli(argvs: list[list[str]]) -> tuple[list[int], set[str]]:
+    """Exit codes of cli.main over `argvs` in one fresh process, and the
+    scipy modules loaded by then."""
+    lines = _fresh("import json\nfrom aerosurvey.cli import main\n"
+                   f"print(json.dumps([main(a) for a in {argvs!r}]))")
+    return json.loads(lines[-2]), set(json.loads(lines[-1]))
+
+
+@pytest.fixture(scope="module")
+def survey(tmp_path_factory):
+    """A small simulated survey plus two grids of its magnetic data."""
+    out = tmp_path_factory.mktemp("survey")
+    plan = FlightPlan(n_lines=2, line_length_m=200.0, tie_lines=1)
+    result = simulate_survey(plan, None, SimConfig(seed=5))
+    write_survey_artifacts(result, out)
+    mag = result.mag_full
+    for name, cell in (("fine", 10.0), ("coarse", 50.0)):
+        write_asc(grid_idw(mag.column("easting_m"), mag.column("northing_m"),
+                           mag.column("tmi_nT"), cell, 4.0 * cell),
+                  out / f"{name}.asc")
+    return out
+
+
+@pytest.mark.parametrize("module", ["aerosurvey", "aerosurvey.cli"])
+def test_importing_the_package_loads_no_scipy(module):
+    assert json.loads(_fresh(f"import {module}")[-1]) == []
+
+
+def test_qc_and_grid_compare_load_no_scipy(survey):
+    s, o = str(survey), str(survey / "out")
+    codes, loaded = _cli([
+        ["qc", "d4", "--in", f"{s}/mag.csv", "--threshold", "6.72",
+         "--out", f"{o}-d4.json"],
+        ["qc", "diurnal", "--rover", f"{s}/mag.csv", "--base",
+         f"{s}/base.csv", "--datum", "54000", "--out", f"{o}-corrected.csv"],
+        ["qc", "tie", "--flights", f"{s}/flights", "--ties", f"{s}/ties",
+         "--tol", "100", "--out", f"{o}-tie.json"],
+        ["qc", "nasvd", "--in", f"{s}/spectra.csv", "--k", "4",
+         "--out", f"{o}-denoised.csv"],
+        ["grid", "compare", "--a", f"{s}/coarse.asc", "--b", f"{s}/fine.asc",
+         "--out", f"{o}-cmp.json"],
+    ])
+    assert codes == [0, 0, 0, 0, 0]
+    assert loaded == set()
+
+
+def test_grid_make_loads_only_scipy_spatial(survey):
+    codes, loaded = _cli([["grid", "make", "--in", f"{survey}/mag.csv",
+                           "--cell", "10", "--out", f"{survey}/make.asc"]])
+    assert codes == [0]
+    assert "scipy.spatial" in loaded
+    assert not loaded & HEAVY
+
+
+# each function that imports scipy on its first call, as an expression
+# whose value is JSON; the fresh process must compute the same value
+FIRST_USE = {
+    "lfilter": ("from aerosurvey.suspension import pendulum_ring_down",
+                "pendulum_ring_down(10.0, 0.05, 9.0, 5.0).values.tolist()"),
+    "minimize": ("from aerosurvey.suspension import SuspensionGeometry, "
+                 "payload_pose",
+                 "payload_pose(SuspensionGeometry(), 12.0, -7.0, 30.0)"
+                 ".offset"),
+    "find_peaks": ("import numpy as np\n"
+                   "from aerosurvey.core import TimeSeries\n"
+                   "from aerosurvey.vibration import amplitude_spectrum\n"
+                   "t = np.arange(512) / 256.0",
+                   "amplitude_spectrum(TimeSeries(t, np.column_stack(["
+                   "0 * t, 0 * t, 3 * np.sin(2 * np.pi * 33 * t)]), "
+                   "('ax_ms2', 'ay_ms2', 'az_ms2'))).peaks"),
+    "median_filter": ("import numpy as np\n"
+                      "from aerosurvey.core import TimeSeries\n"
+                      "from aerosurvey.emi import noise_amplitude\n"
+                      "t = np.arange(1000) / 50.0",
+                      "noise_amplitude(TimeSeries(t, np.sin(7 * t) "
+                      "+ np.cos(31 * t), ('buzz_nT',)))"),
+    "cKDTree": ("import numpy as np\nfrom aerosurvey.gridding import grid_idw\n"
+                "x = np.arange(40.0) % 7; y = np.arange(40.0) // 7",
+                "grid_idw(x, y, x * y, 0.5, 1.2, power=1.5).values.tolist()"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_USE))
+def test_first_use_import_gives_the_same_result(name):
+    setup, expr = FIRST_USE[name]
+    lines = _fresh(f"import json\n{setup}\nprint(json.dumps({expr}))")
+    scope: dict = {}
+    exec(setup, scope)
+    assert lines[-2] == json.dumps(eval(expr, scope))
+    assert np.isfinite(np.asarray(json.loads(lines[-2]), dtype=float)).all()

@@ -3,7 +3,9 @@
 Every CSV the package reads goes through io_csv (one row splitter, one
 column parser), and every JSON artifact through io_csv._json_text. These
 tests fail when a module grows its own csv reader or its own indented
-json.dumps, so the paths cannot quietly split again.
+json.dumps, so the paths cannot quietly split again. The last test keeps
+scipy out of module scope: the functions that need it import it on their
+first call, so importing the package costs no more than numpy.
 """
 
 from __future__ import annotations
@@ -70,3 +72,15 @@ def test_indented_json_dump_only_in_its_writer():
             and _uses(node, "json", {"dumps"})
 
     assert _where(indented_dump) == {("io_csv.py", "_json_text")}
+
+
+def test_scipy_is_imported_only_inside_functions():
+    def scipy_import(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == "scipy" for a in node.names)
+        return (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "scipy")
+
+    found = _where(scipy_import)
+    assert found, "the walk found no scipy import at all"
+    assert {f for f, scope in found if scope == "<module>"} == set()
