@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from dataclasses import replace
@@ -42,6 +43,7 @@ from .io_csv import (
     SchemaKind,
     _json_text,
     _read_floats,
+    _read_json,
     _read_rows,
     _write_json,
     ingest_csv,
@@ -54,6 +56,7 @@ from .io_csv import (
 from .pipeline import (
     REPORT_SCHEMA_VERSION,
     PipelineConfig,
+    _load_config,
     _write_crossings,
     apply_seed_override,
     run_pipeline,
@@ -90,9 +93,13 @@ EXIT_IO = 2
 EXIT_QC = 3
 EXIT_INTERNAL = 4
 
-# analysis outcomes: the inputs were valid, the analysis says no
-_ANALYSIS_ERRORS = (NeverBelowFloorError, NoFitAvailableError,
-                    NeverSettlesError, NoIntersectionsError)
+# exception -> exit code, first match wins; anything else is a bug (exit 4)
+_EXIT_CODES = (
+    # analysis outcomes: the inputs were valid, the analysis says no
+    ((NeverBelowFloorError, NoFitAvailableError, NeverSettlesError,
+      NoIntersectionsError), EXIT_QC),
+    ((AerosurveyError, OSError, ValueError, KeyError), EXIT_IO),
+)
 
 # column name on the CLI -> field key used by crossover_analysis
 _FIELD_KEYS = {col: key for key, col in FIELD_COLUMNS.items()}
@@ -106,7 +113,7 @@ def _emit(obj) -> None:
 
 def _read_json_list(path) -> list[dict]:
     """The JSON list of objects that --config and --passes name."""
-    raw = json.loads(Path(path).read_text())
+    raw = _read_json(path)
     if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
         raise ValueError(f"{path}: expected a JSON list of objects")
     return raw
@@ -116,8 +123,8 @@ def _field(path, i: int, entry: dict, key: str, convert, default=None):
     """convert(entry[key]) for entry i of the JSON list file `path`.
 
     A missing key without a default, or a value convert rejects (null, a
-    list, an object, a non-numeric string), raises ValueError naming the
-    file, the entry and the key.
+    list, an object, a non-numeric string; see _real and _count), raises
+    ValueError naming the file, the entry and the key.
     """
     if key not in entry and default is None:
         raise ValueError(f"{path}: entry {i}: missing key {key!r}")
@@ -127,6 +134,22 @@ def _field(path, i: int, entry: dict, key: str, convert, default=None):
     except (TypeError, ValueError):
         raise ValueError(f"{path}: entry {i}: invalid {key!r}: "
                          f"{json.dumps(value)}") from None
+
+
+def _real(value) -> float:
+    """A finite number, or a string float() reads as one; not a bool."""
+    out = math.nan if isinstance(value, bool) else float(value)
+    if not math.isfinite(out):
+        raise ValueError(value)
+    return out
+
+
+def _count(value) -> int:
+    """A whole _real: 4 and 4.0 are taken, 4.9 is not."""
+    out = _real(value)
+    if not out.is_integer():
+        raise ValueError(value)
+    return int(out)
 
 
 def _scalar(series: TimeSeries, column: str) -> TimeSeries:
@@ -163,11 +186,11 @@ def _cmd_vib_rank(args) -> int:
     for i, c in enumerate(_read_json_list(args.config)):
         get = partial(_field, args.config, i, c)
         candidates.append(IsolatorConfig(
-            kind=get("kind", IsolatorKind), count=get("count", int),
-            mount_angle_deg=get("mount_angle_deg", float, 0.0),
-            intensity=get("intensity", float),
-            damping_ratio=get("damping_ratio", float),
-            stiffness=get("stiffness", float)))
+            kind=get("kind", IsolatorKind), count=get("count", _count),
+            mount_angle_deg=get("mount_angle_deg", _real, 0.0),
+            intensity=get("intensity", _real),
+            damping_ratio=get("damping_ratio", _real),
+            stiffness=get("stiffness", _real)))
     ranked = select_configuration(candidates, args.mass, args.freq)
     _emit({"payload_mass_kg": args.mass, "frequency_hz": args.freq,
            "ranking": [{"rank": i + 1, "kind": c.kind.value, "count": c.count,
@@ -202,7 +225,7 @@ def _cmd_emi_buzz(args) -> int:
         get = partial(_field, args.passes, i, entry)
         # an absolute csv_path stays as it is
         p = get("csv_path", Path(args.passes).parent.joinpath)
-        passes.append(BuzzPass(get("separation_m", float),
+        passes.append(BuzzPass(get("separation_m", _real),
                                _read_buzz_trace(p),
                                get("kind", PassKind, "overflight")))
     cfg = EmiConfig(noise_floor=args.floor)
@@ -220,13 +243,10 @@ def _cmd_emi_buzz(args) -> int:
 
 
 def _cmd_sim_survey(args) -> int:
-    plan = (FlightPlan.from_dict(json.loads(Path(args.plan).read_text()))
-            if args.plan else None)
-    geometry = (SuspensionGeometry.from_dict(
-        json.loads(Path(args.geom).read_text())) if args.geom else None)
-    cfg = (SimConfig.from_dict(json.loads(Path(args.cfg).read_text()))
-           if args.cfg else SimConfig())
-    cfg = apply_seed_override(cfg)
+    # no --plan: simulate_survey's default_plan, spaced and flown as cfg says
+    plan = _load_config(FlightPlan, args.plan)
+    geometry = _load_config(SuspensionGeometry, args.geom)
+    cfg = apply_seed_override(_load_config(SimConfig, args.cfg, SimConfig()))
     result = simulate_survey(plan, geometry, cfg)
     paths = write_survey_artifacts(result, args.out_dir)
     _emit({"out_dir": str(args.out_dir),
@@ -328,10 +348,7 @@ def _cmd_grid_compare(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if args.config:
-        cfg = PipelineConfig.from_dict(json.loads(Path(args.config).read_text()))
-    else:
-        cfg = PipelineConfig()
+    cfg = _load_config(PipelineConfig, args.config, PipelineConfig())
     if args.out_dir is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
     if args.tie_tolerance is not None:
@@ -339,16 +356,10 @@ def _cmd_pipeline(args) -> int:
     try:
         report = run_pipeline(cfg)
     except PipelineStageError as exc:
-        if exc.partial_report is not None:
-            out = Path(cfg.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "report.json").write_text(exc.partial_report.to_json())
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, _ANALYSIS_ERRORS):
-            return EXIT_QC
-        if isinstance(exc.cause, (AerosurveyError, OSError, ValueError)):
-            return EXIT_IO
-        return EXIT_INTERNAL
+        # the completed stages go on record; main exits as the cause says
+        _write_json(Path(cfg.out_dir) / "report.json",
+                    exc.partial_report.to_dict())
+        raise
     _emit(report.to_dict())
     return EXIT_OK if report.overall_pass else EXIT_QC
 
@@ -491,13 +502,12 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except _ANALYSIS_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QC
-    except (AerosurveyError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except Exception:  # pragma: no cover - defensive
+    except Exception as exc:
+        cause = exc.cause if isinstance(exc, PipelineStageError) else exc
+        for types, code in _EXIT_CODES:
+            if isinstance(cause, types):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, fields as dc_fields
 from enum import Enum
 from pathlib import PurePath
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -186,18 +187,54 @@ def _to_json(v):
 def config_from_dict(cls, d):
     """Inverse of config_to_dict: build `cls` from `d`, lists as tuples.
 
-    Raises ValueError when `d` is not a dict (a JSON object) or names a
-    key that is not a field of `cls`.
+    Raises ValueError naming the class and key when `d` is not a dict (a
+    JSON object), names a key that is not a field of `cls`, or holds a
+    value that the field's annotation does not take (see _fits).
     """
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, "
                          f"got {type(d).__name__}")
     names = {f.name for f in dc_fields(cls)}
-    for key in d:
+    hints = get_type_hints(cls)
+    for key, value in d.items():
         if key not in names:
             raise ValueError(f"{cls.__name__}: unknown option {key!r}")
+        if not _fits(value, hints[key]):
+            raise ValueError(f"{cls.__name__}: invalid {key!r}: {value!r}")
     return cls(**{k: _to_tuple(v) for k, v in d.items()})
+
+
+def _fits(value, hint) -> bool:
+    """Whether JSON value `value` fits a field annotated `hint`.
+
+    An int field takes an integer and a float field any number, neither a
+    bool (values are kept as given, so config hashes do not move); a tuple
+    field takes a list of the same shape, a union what any member takes.
+    """
+    if hint is int or hint is float:
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if args:
+        return any(_fits(value, a) for a in args)
+    return isinstance(value, hint)
 
 
 def _to_tuple(v):
     return tuple(_to_tuple(x) for x in v) if isinstance(v, list) else v
+
+
+class _DictCodec:
+    """to_dict/from_dict of a config dataclass, through the codec above."""
+
+    def to_dict(self) -> dict:
+        return config_to_dict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return config_from_dict(cls, d)

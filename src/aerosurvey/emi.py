@@ -39,8 +39,8 @@ class BuzzPass:
     speed_mps: float | None = None  # recorded metadata only
 
     def __post_init__(self):
-        if self.separation <= 0:
-            raise ValueError("separation must be > 0")
+        if not (math.isfinite(self.separation) and self.separation > 0):
+            raise ValueError("separation must be finite and > 0")
         if len(self.trace) == 0:
             raise ValueError("trace must be non-empty")
 

@@ -14,7 +14,8 @@ Every CSV the package reads is split into rows by _read_rows and its
 float columns are parsed by _parse_columns. Every artifact it writes
 (these CSVs, the attitude track, the vibration spectrum, ESRI ASCII
 grids and PGM images) goes through write_table, every JSON artifact
-through _write_json. Floats are written with repr(), the shortest
+through _write_json, and every JSON file the package reads through
+_read_json. Floats are written with repr(), the shortest
 representation that round-trips exactly, so serialize(ingest(f))
 reproduces numeric content bit-for-bit and repeated runs produce
 byte-identical files.
@@ -366,6 +367,14 @@ def _json_text(obj) -> str:
 
 def _write_json(path: str | Path, obj) -> None:
     Path(path).write_text(_json_text(obj))
+
+
+def _read_json(path: str | Path):
+    """The JSON value in file `path`; bad JSON raises ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
 def crossover_fixture_path() -> Path:

@@ -17,18 +17,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import LineRole, TimeSeries, config_from_dict, config_to_dict
+from .core import LineRole, TimeSeries, _DictCodec
 from .emi import noise_amplitude
-from .errors import AerosurveyError, PipelineStageError
+from .errors import PipelineStageError
 from .gridding import (
-    Grid,
     compare_grids,
     grid_idw,
     to_grayscale,
     write_asc,
     write_pgm,
 )
-from .io_csv import _json_text, _write_json, write_series_csv, write_spectra_csv
+from .io_csv import (
+    _read_json,
+    _write_json,
+    write_series_csv,
+    write_spectra_csv,
+)
 from .qc import (
     FIELD_COLUMNS,
     SpectraMatrix,
@@ -43,6 +47,7 @@ from .suspension import (
     SimConfig,
     SimResult,
     SuspensionGeometry,
+    _on_line,
     simulate_survey,
     split_lines,
     write_attitude_csv,
@@ -53,7 +58,7 @@ SEED_ENV_VAR = "AEROSURVEY_SEED"
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(_DictCodec):
     """Pipeline run parameters; None paths fall back to bundled defaults."""
 
     out_dir: str | Path = "pipeline_out"
@@ -76,29 +81,6 @@ class PipelineConfig:
             raise ValueError("cell sizes must be > 0")
         if self.tie_field not in FIELD_COLUMNS:
             raise ValueError(f"tie_field must be one of {sorted(FIELD_COLUMNS)}")
-
-    def load_plan(self) -> FlightPlan:
-        if self.plan_path is None:
-            return FlightPlan()
-        return FlightPlan.from_dict(json.loads(Path(self.plan_path).read_text()))
-
-    def load_geometry(self) -> SuspensionGeometry:
-        if self.geometry_path is None:
-            return SuspensionGeometry()
-        return SuspensionGeometry.from_dict(
-            json.loads(Path(self.geometry_path).read_text()))
-
-    def load_sim(self) -> SimConfig:
-        if self.sim_path is None:
-            return SimConfig()
-        return SimConfig.from_dict(json.loads(Path(self.sim_path).read_text()))
-
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        return config_from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -137,9 +119,6 @@ class RunReport:
             "pass": self.overall_pass,
         }
 
-    def to_json(self) -> str:
-        return _json_text(self.to_dict())
-
 
 def apply_seed_override(cfg: SimConfig) -> SimConfig:
     """Honor the AEROSURVEY_SEED environment variable."""
@@ -150,6 +129,21 @@ def apply_seed_override(cfg: SimConfig) -> SimConfig:
         return replace(cfg, seed=int(raw))
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+
+
+def _load_config(cls, path, default=None):
+    """`cls` from the JSON object in file `path`; `default` when path is None.
+
+    Malformed JSON, an unknown key, a wrong-typed value and a value the
+    class rejects all raise ValueError naming the file.
+    """
+    if path is None:
+        return default
+    raw = _read_json(path)
+    try:
+        return cls.from_dict(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def config_hash(plan: FlightPlan, geometry: SuspensionGeometry,
@@ -243,157 +237,124 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
     Writes all intermediate artifacts under cfg.out_dir and returns the
     consolidated report (also written as report.json). Any stage raising
-    aborts with PipelineStageError carrying the stage name and the report
-    of the stages that did complete.
+    aborts with PipelineStageError carrying the stage name, the cause and
+    the report of the stages that did complete.
     """
+    plan = _load_config(FlightPlan, cfg.plan_path, FlightPlan())
+    geometry = _load_config(SuspensionGeometry, cfg.geometry_path,
+                            SuspensionGeometry())
+    sim_cfg = apply_seed_override(
+        _load_config(SimConfig, cfg.sim_path, SimConfig()))
+    digest = config_hash(plan, geometry, sim_cfg, cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    plan = cfg.load_plan()
-    geometry = cfg.load_geometry()
-    sim_cfg = apply_seed_override(cfg.load_sim())
-    digest = config_hash(plan, geometry, sim_cfg, cfg)
-
     stages: list[StageResult] = []
-    state: dict = {}
 
-    def partial() -> RunReport:
-        return RunReport(tuple(stages), sim_cfg.seed, digest)
-
-    def run_stage(name, fn):
-        try:
-            stages.append(fn())
-        except PipelineStageError:
-            raise
-        except (AerosurveyError, OSError, ValueError) as exc:
-            raise PipelineStageError(name, exc, partial()) from exc
-
-    def stage_simulate() -> StageResult:
-        result = simulate_survey(plan, geometry, sim_cfg)
-        state["sim"] = result
-        paths = write_survey_artifacts(result, out)
-        att = result.attitude
+    stage = "simulate"
+    try:
+        sim = simulate_survey(plan, geometry, sim_cfg)
+        paths = write_survey_artifacts(sim, out)
+        att = sim.attitude
         straight = att.straight_mask()
         max_roll = float(np.max(np.abs(att.roll_deg[straight])))
         max_pitch = float(np.max(np.abs(att.pitch_deg[straight])))
-        # robust out-of-phase amplitude on the longest flight line
-        vlf = max(result.vlf_lines, key=lambda l: len(l.series))
-        out_series = TimeSeries(vlf.series.t,
-                                vlf.series.column("outphase_pct"),
-                                ("outphase_pct",))
-        out_amp = noise_amplitude(out_series)
+        # robust out-of-phase amplitude on the (first) longest flight line
+        n_samples = [len(l.series) for l in sim.vlf_lines]
+        vlf = sim.vlf_lines[n_samples.index(max(n_samples))]
+        out_amp = noise_amplitude(TimeSeries(
+            vlf.series.t, vlf.series.column("outphase_pct"), ("outphase_pct",)))
         passed = (max_roll <= 5.0 and max_pitch <= 5.0
                   and out_amp <= sim_cfg.outphase_noise_pct)
-        return StageResult("simulate", passed, {
+        stages.append(StageResult(stage, passed, {
             "n_sim_samples": len(att),
-            "n_sensor_samples": len(result.mag_full),
-            "n_flight_lines": len([l for l in result.mag_lines
-                                   if l.role is LineRole.FLIGHT]),
-            "n_tie_lines": len([l for l in result.mag_lines
-                                if l.role is LineRole.TIE]),
-            "effective_damping_ratio": result.effective_damping_ratio,
+            "n_sensor_samples": len(sim.mag_full),
+            "n_flight_lines": sum(l.role is LineRole.FLIGHT
+                                  for l in sim.mag_lines),
+            "n_tie_lines": sum(l.role is LineRole.TIE for l in sim.mag_lines),
+            "effective_damping_ratio": sim.effective_damping_ratio,
             "max_straight_roll_deg": max_roll,
             "max_straight_pitch_deg": max_pitch,
             "straight_outphase_amplitude_pct": out_amp,
-        }, tuple(sorted(paths)))
+        }, tuple(sorted(paths))))
 
-    def stage_d4() -> StageResult:
-        sim: SimResult = state["sim"]
+        stage = "qc_d4"
         thr = cfg.d4_threshold if cfg.d4_threshold is not None \
             else _d4_auto_threshold(sim_cfg, geometry)
-        report = fourth_difference(
+        d4 = fourth_difference(
             TimeSeries(sim.mag_full.t, sim.mag_full.column("tmi_nT"),
                        ("tmi_nT",)), threshold=thr, field_name="tmi_nT")
-        _write_json(out / "d4_report.json", report.to_dict())
-        return StageResult("qc_d4", report.passed, report.stats,
-                           ("d4_report.json",))
+        _write_json(out / "d4_report.json", d4.to_dict())
+        stages.append(StageResult(stage, d4.passed, d4.stats,
+                                  ("d4_report.json",)))
 
-    def stage_diurnal() -> StageResult:
-        sim: SimResult = state["sim"]
+        stage = "qc_diurnal"
         corrected = diurnal_correct(sim.mag_full, sim.base,
                                     sim_cfg.base_datum_nt)
-        state["corrected"] = corrected
         write_series_csv(out / "corrected.csv", corrected)
         correction = sim.mag_full.column("tmi_nT") - corrected.column("tmi_nT")
-        return StageResult("qc_diurnal", True, {
+        stages.append(StageResult(stage, True, {
             "datum_nt": sim_cfg.base_datum_nt,
             "rms_correction_nt": float(np.sqrt(np.mean(correction ** 2))),
             "max_abs_correction_nt": float(np.max(np.abs(correction))),
-        }, ("corrected.csv",))
+        }, ("corrected.csv",)))
 
-    def stage_tie() -> StageResult:
-        sim: SimResult = state["sim"]
-        lines = split_lines(state["corrected"], sim.segment_at_sensor, plan)
-        flights = [l for l in lines if l.role is LineRole.FLIGHT]
-        ties = [l for l in lines if l.role is LineRole.TIE]
-        records, report = crossover_analysis(flights, ties, cfg.tie_field,
-                                             cfg.tie_tolerance)
-        _write_crossings(out / "crossings.json", records, report)
-        return StageResult("qc_tie", report.passed, report.stats,
-                           ("crossings.json",))
+        stage = "qc_tie"
+        lines = split_lines(corrected, sim.segment_at_sensor, plan)
+        records, tie = crossover_analysis(
+            [l for l in lines if l.role is LineRole.FLIGHT],
+            [l for l in lines if l.role is LineRole.TIE],
+            cfg.tie_field, cfg.tie_tolerance)
+        _write_crossings(out / "crossings.json", records, tie)
+        stages.append(StageResult(stage, tie.passed, tie.stats,
+                                  ("crossings.json",)))
 
-    def stage_nasvd() -> StageResult:
-        sim: SimResult = state["sim"]
+        stage = "qc_nasvd"
         counts = _spectra_from_rad(sim.rad_full, sim_cfg.n_channels)
         mat = SpectraMatrix(counts)
         denoised = nasvd_denoise(mat, cfg.nasvd_k)
         write_spectra_csv(out / "denoised.csv", denoised.counts)
-        frac = nasvd_energy_fraction(mat, cfg.nasvd_k)
-        return StageResult("qc_nasvd", frac >= cfg.nasvd_energy_min, {
+        energy = nasvd_energy_fraction(mat, cfg.nasvd_k)
+        stages.append(StageResult(stage, energy >= cfg.nasvd_energy_min, {
             "k": cfg.nasvd_k,
-            "energy_fraction": frac,
+            "energy_fraction": energy,
             "energy_min": cfg.nasvd_energy_min,
             "n_spectra": counts.shape[0],
             "n_channels": counts.shape[1],
-        }, ("denoised.csv",))
+        }, ("denoised.csv",)))
 
-    def stage_grid() -> StageResult:
-        sim: SimResult = state["sim"]
-        corrected = state["corrected"]
-        lab = np.asarray(sim.segment_at_sensor)
-        online = ~np.isin(lab, ("turn", "transit"))
+        stage = "grid_make"
+        online = _on_line(sim.segment_at_sensor)
         x = corrected.column("easting_m")[online]
         y = corrected.column("northing_m")[online]
         v = corrected.column("tmi_nT")[online]
-        grids = {}
-        arts = []
+        grids, stats, arts = {}, {}, []
         for tag, cell in (("fine", cfg.cell_fine), ("coarse", cfg.cell_coarse)):
             radius = max(2.0 * cell, 0.75 * plan.spacing_m)
-            g = grid_idw(x, y, v, cell, radius)
-            grids[tag] = g
+            g = grids[tag] = grid_idw(x, y, v, cell, radius)
             write_asc(g, out / f"tmi_{tag}.asc")
             write_pgm(to_grayscale(g), out / f"tmi_{tag}.pgm")
             arts += [f"tmi_{tag}.asc", f"tmi_{tag}.pgm"]
-        state["grids"] = grids
-        stats = {}
-        ok = True
-        for tag, g in grids.items():
-            frac = float(np.mean(g.valid))
             stats[f"{tag}_shape"] = list(g.shape)
-            stats[f"{tag}_valid_fraction"] = frac
-            ok = ok and frac > 0.5
-        return StageResult("grid_make", ok, stats, tuple(arts))
+            stats[f"{tag}_valid_fraction"] = float(np.mean(g.valid))
+        stages.append(StageResult(stage, all(
+            stats[f"{tag}_valid_fraction"] > 0.5 for tag in grids),
+            stats, tuple(arts)))
 
-    def stage_compare() -> StageResult:
-        grids: dict[str, Grid] = state["grids"]
+        stage = "grid_compare"
         cmp = compare_grids(grids["coarse"], grids["fine"])
         _write_json(out / "cmp.json", cmp)
         # the delta is a finding, not a gate: with a handful of coarse
         # pixels the min-max stretch dominates the std, so the stage passes
         # when both grids are comparable (non-degenerate stretch ranges)
-        passed = bool(np.isfinite(cmp["delta"]))
-        return StageResult("grid_compare", passed, {
+        stages.append(StageResult(stage, bool(np.isfinite(cmp["delta"])), {
             "stddev_coarse": cmp["stddev_a"],
             "stddev_fine": cmp["stddev_b"],
             "delta": cmp["delta"],
-        }, ("cmp.json",))
-
-    for name, fn in (("simulate", stage_simulate), ("qc_d4", stage_d4),
-                     ("qc_diurnal", stage_diurnal), ("qc_tie", stage_tie),
-                     ("qc_nasvd", stage_nasvd), ("grid_make", stage_grid),
-                     ("grid_compare", stage_compare)):
-        run_stage(name, fn)
+        }, ("cmp.json",)))
+    except Exception as exc:
+        raise PipelineStageError(stage, exc, RunReport(
+            tuple(stages), sim_cfg.seed, digest)) from exc
 
     report = RunReport(tuple(stages), sim_cfg.seed, digest)
-    (out / "report.json").write_text(report.to_json())
+    _write_json(out / "report.json", report.to_dict())
     return report

@@ -13,18 +13,12 @@ deterministic under a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
-from .core import (
-    LineRole,
-    SurveyLine,
-    TimeSeries,
-    config_from_dict,
-    config_to_dict,
-)
+from .core import LineRole, SurveyLine, TimeSeries, _DictCodec
 from .errors import (
     DegeneratePlanError,
     NeverSettlesError,
@@ -45,7 +39,7 @@ def _square_anchors(side: float) -> tuple[tuple[float, float, float], ...]:
 
 
 @dataclass(frozen=True)
-class SuspensionGeometry:
+class SuspensionGeometry(_DictCodec):
     """Cable suspension layout in the UAV body frame (x fwd, y left, z up).
 
     `platform_offsets` are the distances of the payload-mount attachment
@@ -79,13 +73,6 @@ class SuspensionGeometry:
             pts[i, 0] = a[0] / horiz * r
             pts[i, 1] = a[1] / horiz * r
         return pts
-
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SuspensionGeometry":
-        return config_from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -191,7 +178,7 @@ def payload_pose(geometry: SuspensionGeometry, roll_deg: float,
 
 
 @dataclass(frozen=True)
-class FlightPlan:
+class FlightPlan(_DictCodec):
     """Lawnmower plan: parallel lines plus perpendicular tie lines.
 
     heading_deg is a compass course (0 = north, clockwise positive); lines
@@ -235,13 +222,6 @@ class FlightPlan:
             out.append((f"T{j + 1}", LineRole.TIE, mid - margin * perp,
                         mid + (width + margin) * perp))
         return out
-
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FlightPlan":
-        return config_from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -422,7 +402,7 @@ def pendulum_ring_down(theta0_deg: float, damping_ratio: float,
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_DictCodec):
     """Everything the survey simulator needs besides plan and geometry.
 
     damping_ratio is the bare pendulum value; the intermediate platform
@@ -488,22 +468,14 @@ class SimConfig:
             raise ValueError("sim_rate_hz must be an integer multiple of sensor_rate_hz")
         if self.damping_ratio <= 0 or self.damping_ratio >= 1:
             raise ValueError("damping_ratio must be in (0, 1)")
+        if self.turn_radius_m is not None:
+            # config hashes are taken over to_dict, so 30 and 30.0 must agree
+            object.__setattr__(self, "turn_radius_m", float(self.turn_radius_m))
 
     def effective_damping(self, geometry: SuspensionGeometry) -> float:
         if geometry.intermediate_platform:
             return min(0.95, self.damping_ratio * self.platform_damping_boost)
         return self.damping_ratio
-
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        cfg = config_from_dict(cls, d)
-        if cfg.turn_radius_m is None:
-            return cfg
-        # config hashes are taken over to_dict, so 30 and 30.0 must agree
-        return replace(cfg, turn_radius_m=float(cfg.turn_radius_m))
 
 
 def default_plan(cfg: SimConfig) -> FlightPlan:
@@ -553,8 +525,12 @@ class AttitudeTrack:
 
     def straight_mask(self) -> np.ndarray:
         """True on survey/tie lines (settled flight), False on turns etc."""
-        seg = np.asarray(self.segment)
-        return ~np.isin(seg, ("turn", "transit"))
+        return _on_line(self.segment)
+
+
+def _on_line(segment) -> np.ndarray:
+    """True where a path segment label names a survey or tie line."""
+    return ~np.isin(np.asarray(segment), ("turn", "transit"))
 
 
 ATTITUDE_COLUMNS = ("t_s", "roll_deg", "pitch_deg", "heading_deg",

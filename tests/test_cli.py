@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from aerosurvey import pipeline
 from aerosurvey.cli import (
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_QC,
@@ -114,6 +116,8 @@ GOOD_CANDIDATE = {"kind": "wire_rope", "count": 4, "intensity": 1.0,
 # JSON values no candidate or pass field accepts: null, a list, an object
 # and a non-numeric string
 BAD_VALUES = (None, [4], {"n": 4}, "four")
+# values float() takes that no numeric field accepts
+NOT_A_FINITE_NUMBER = (True, "nan", "-inf")
 
 
 @pytest.mark.parametrize("value", BAD_VALUES)
@@ -129,6 +133,21 @@ def test_vib_rank_bad_candidate_field_is_io_error(tmp_path, capsys, key,
     assert code == EXIT_IO
     assert f"candidates.json: entry 1: invalid {key!r}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("count", True), ("count", 4.9)] + [
+    (key, value) for key in ("mount_angle_deg", "intensity", "damping_ratio",
+                             "stiffness") for value in NOT_A_FINITE_NUMBER])
+def test_vib_rank_bool_fraction_or_non_finite_is_io_error(tmp_path, capsys,
+                                                          key, value):
+    config = tmp_path / "candidates.json"
+    config.write_text(json.dumps([GOOD_CANDIDATE,
+                                  {**GOOD_CANDIDATE, key: value}]))
+    code, _, err = run_cli(capsys, "vib", "rank", "--config", config,
+                           "--mass", 6.0, "--freq", 35.0)
+    assert code == EXIT_IO
+    assert (f"candidates.json: entry 1: invalid {key!r}: {json.dumps(value)}"
+            in err)
 
 
 def test_vib_rank_missing_candidate_field_is_io_error(tmp_path, capsys):
@@ -224,6 +243,20 @@ def test_emi_buzz_bad_pass_field_is_io_error(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", NOT_A_FINITE_NUMBER)
+def test_emi_buzz_bool_or_non_finite_separation_is_io_error(tmp_path, capsys,
+                                                            value):
+    (tmp_path / "pass.csv").write_text("t_s,buzz_nT\n0.0,1.5\n0.02,1.1\n")
+    spec = tmp_path / "passes.json"
+    spec.write_text(json.dumps([{"separation_m": value,
+                                 "csv_path": "pass.csv"}]))
+    code, _, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
+                           "--out", tmp_path / "buzz.json")
+    assert code == EXIT_IO
+    assert (f"passes.json: entry 0: invalid 'separation_m': {json.dumps(value)}"
+            in err)
+
+
 # --- sim ---
 
 @pytest.fixture()
@@ -268,6 +301,23 @@ def test_sim_survey_bad_config_is_io_error(tmp_path, capsys, flag, content):
                            "--out-dir", tmp_path / "out")
     assert code == EXIT_IO
     assert "error" in err and "Traceback" not in err
+
+
+# a wrong-typed value or malformed JSON in any config file
+@pytest.mark.parametrize("argv, text", (
+    (["sim", "survey", "--plan"], '{"n_lines": "four"}'),
+    (["sim", "survey", "--cfg"], '{"speed": null}'),
+    (["sim", "survey", "--geom"], '{"intermediate_platform": 1}'),
+    (["sim", "survey", "--plan"], '{"n_lines": 4'),
+    (["pipeline", "--config"], '{"nasvd_k": "4"}'),
+    (["pipeline", "--config"], '{"tie_tolerance": 1.0,'),
+))
+def test_bad_config_value_or_json_names_the_file(tmp_path, capsys, argv, text):
+    p = tmp_path / "config.json"
+    p.write_text(text)
+    code, _, err = run_cli(capsys, *argv, p, "--out-dir", tmp_path / "out")
+    assert code == EXIT_IO
+    assert f"error: {p}: " in err and "Traceback" not in err
 
 
 # --- qc ---
@@ -458,6 +508,29 @@ def test_pipeline_cli_pass_and_tie_failure(tmp_path, small_plan, capsys):
     assert code == EXIT_QC
     assert json.loads(stdout)["pass"] is False
     assert json.loads((out_bad / "report.json").read_text())["pass"] is False
+
+
+# a stage failure writes the partial report and exits as its cause would
+@pytest.mark.parametrize("error, exit_code", ((IndexError, EXIT_INTERNAL),
+                                              (TypeError, EXIT_INTERNAL),
+                                              (KeyError, EXIT_IO)))
+def test_pipeline_cli_stage_failure_writes_partial_report(
+        tmp_path, small_plan, capsys, monkeypatch, error, exit_code):
+    def broken_grid(*args, **kwargs):
+        raise error("broken grid")
+
+    monkeypatch.setattr(pipeline, "grid_idw", broken_grid)
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"plan_path": str(small_plan)}))
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "pipeline", "--config", config,
+                           "--out-dir", out_dir)
+    assert code == exit_code
+    assert "stage 'grid_make' failed" in err
+    assert ("Traceback" in err) == (exit_code == EXIT_INTERNAL)
+    partial = json.loads((out_dir / "report.json").read_text())
+    assert [s["name"] for s in partial["stages"]] == [
+        "simulate", "qc_d4", "qc_diurnal", "qc_tie", "qc_nasvd"]
 
 
 # --- version and exit codes ---

@@ -55,3 +55,30 @@ def test_other_ints_are_kept_as_ints():
     plan = FlightPlan.from_dict({"n_lines": 3, "line_length_m": 400})
     assert plan.to_dict()["line_length_m"] == 400
     assert isinstance(plan.to_dict()["line_length_m"], int)
+
+
+@pytest.mark.parametrize("cls, key, value", (
+    (FlightPlan, "n_lines", "four"),
+    (FlightPlan, "n_lines", 4.5),
+    (FlightPlan, "tie_lines", True),
+    (FlightPlan, "origin_utm", [327400.0]),
+    (SimConfig, "speed", None),
+    (SimConfig, "speed", False),
+    (SimConfig, "anomalies", [[40.0, 180.0, 12.0]]),
+    (SuspensionGeometry, "intermediate_platform", 1),
+    (SuspensionGeometry, "platform_offsets", "0.7"),
+    (PipelineConfig, "nasvd_k", "4"),
+    (PipelineConfig, "plan_path", 3),
+))
+def test_wrong_typed_value_names_class_and_key(cls, key, value):
+    with pytest.raises(ValueError, match=f"{cls.__name__}: invalid '{key}'"):
+        cls.from_dict({key: value})
+
+
+def test_null_only_where_the_default_is_none():
+    cfg = SimConfig.from_dict({"turn_radius_m": None, "anomalies": [],
+                               "regional_gradient": [0, 0.5]})
+    assert cfg.turn_radius_m is None and cfg.regional_gradient == (0, 0.5)
+    assert PipelineConfig.from_dict({"d4_threshold": None}).d4_threshold is None
+    with pytest.raises(ValueError, match="'nasvd_k'"):
+        PipelineConfig.from_dict({"nasvd_k": None})

@@ -150,6 +150,13 @@ def test_threshold_first_point_already_quiet():
     assert threshold_separation(curve, EmiConfig(noise_floor=0.2)) == 4.0
 
 
+@pytest.mark.parametrize("separation", (float("nan"), float("inf")))
+def test_buzz_pass_separation_must_be_finite_and_positive(separation):
+    # nan <= 0 is false, so a plain sign test lets nan through
+    with pytest.raises(ValueError, match="separation"):
+        BuzzPass(separation, _gauss_trace(1.0, seed=1))
+
+
 # --- interference percent ---
 
 def test_interference_percent_against_signal_scale():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from aerosurvey import __version__
+from aerosurvey import __version__, pipeline
 from aerosurvey.errors import InvalidRankError, PipelineStageError
 from aerosurvey.pipeline import (
     PipelineConfig,
@@ -175,6 +175,23 @@ def test_raising_stage_wraps_with_partial_report(tmp_path):
     assert done == STAGE_ORDER[:4]
     # no consolidated report for an aborted run
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_any_exception_in_a_stage_carries_partial_report(tmp_path,
+                                                         monkeypatch):
+    def broken_grid(*args, **kwargs):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(pipeline, "grid_idw", broken_grid)
+    cfg = PipelineConfig(out_dir=tmp_path / "out",
+                         plan_path=write_small_plan(tmp_path))
+    with pytest.raises(PipelineStageError) as exc_info:
+        run_pipeline(cfg)
+    err = exc_info.value
+    assert err.stage == "grid_make"
+    assert isinstance(err.cause, IndexError)
+    done = tuple(s.name for s in err.partial_report.stages)
+    assert done == STAGE_ORDER[:5]
 
 
 # --- reproducibility ---

@@ -1,8 +1,9 @@
-"""One CSV reading path and one JSON writer in the package.
+"""One CSV reading path, one JSON reader and one JSON writer in the package.
 
 Every CSV the package reads goes through io_csv (one row splitter, one
-column parser), and every JSON artifact through io_csv._json_text. These
-tests fail when a module grows its own csv reader or its own indented
+column parser), every JSON file through io_csv._read_json, and every
+JSON artifact through io_csv._json_text. These tests fail when a module
+grows its own csv reader, its own json.load(s) or its own indented
 json.dumps, so the paths cannot quietly split again. The last test keeps
 scipy out of module scope: the functions that need it import it on their
 first call, so importing the package costs no more than numpy.
@@ -61,6 +62,11 @@ def _uses(node, module: str, names: set[str]) -> bool:
 def test_csv_is_read_only_by_the_row_splitter():
     assert _where(lambda n: _uses(n, "csv", {"reader", "DictReader"})) \
         == {("io_csv.py", "_read_rows")}
+
+
+def test_json_is_read_only_by_its_reader():
+    assert _where(lambda n: _uses(n, "json", {"load", "loads"})) \
+        == {("io_csv.py", "_read_json")}
 
 
 def test_indented_json_dump_only_in_its_writer():
