@@ -207,12 +207,15 @@ def config_from_dict(cls, d):
 def _fits(value, hint) -> bool:
     """Whether JSON value `value` fits a field annotated `hint`.
 
-    An int field takes an integer and a float field any number, neither a
-    bool (values are kept as given, so config hashes do not move); a tuple
-    field takes a list of the same shape, a union what any member takes.
+    An int field takes an integer and a float field any finite number
+    (JSON's NaN and Infinity parse to floats), neither a bool (values are
+    kept as given, so config hashes do not move); a tuple field takes a
+    list of the same shape, a union what any member takes.
     """
     if hint is int or hint is float:
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+        if isinstance(value, float):
+            return hint is float and math.isfinite(value)
+        return isinstance(value, int) and not isinstance(value, bool)
     args = get_args(hint)
     if get_origin(hint) is tuple:
         if not isinstance(value, list):

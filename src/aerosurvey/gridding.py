@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,8 @@ from .io_csv import write_table
 NODATA = -9999.0
 # grid centres whose neighbour lists grid_idw holds at a time
 _IDW_BLOCK = 1024
+# (centre, sample) pairs that grid_idw tests against the radius at a time
+_IDW_CANDIDATES = 1 << 15
 # (centre, sample) pairs that grid_idw weighs in one array operation
 _IDW_PAIRS = 1 << 14
 
@@ -124,14 +125,25 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
     sample's value exactly; centers with no neighbors are nodata. The
     default extent snaps cell centers onto the sample bounding box, so a
     lone sample sits exactly on its cell center.
+
+    A sample is a neighbour when dx*dx + dy*dy <= search_radius**2, the
+    test of scipy's query_ball_point for p=2, and a center weighs its
+    neighbours in ascending sample order. They are found by a cell-bucket
+    fixed-radius query (_Bins; Bentley, Stanat & Williams 1977): the
+    samples sit in square bins a little wider than the radius, and only
+    the 3 x 3 bins around a center are tested.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(x) < 3:
         raise TooFewSamplesError("gridding needs >= 3 samples")
-    if cell_size <= 0 or search_radius <= 0 or power <= 0:
-        raise ValueError("cell_size, search_radius, power must be > 0")
+    for name, val in (("cell_size", cell_size),
+                      ("search_radius", search_radius), ("power", power)):
+        if not (math.isfinite(val) and val > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {val!r}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("sample coordinates must be finite")
     if origin is None:
         origin = (float(x.min()) - cell_size / 2.0,
                   float(y.min()) - cell_size / 2.0)
@@ -146,19 +158,11 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
     cx, cy = np.meshgrid(xs, ys)
     centers = np.column_stack([cx.ravel(), cy.ravel()])
 
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(np.column_stack([x, y]))
+    bins = _Bins(x, y, float(search_radius))
     out = np.full(centers.shape[0], np.nan)
-    # neighbour lists are lists of Python ints; asking for one block of
-    # centres at a time bounds them instead of holding them for the grid,
-    # and a block's lists are dropped as soon as they are flattened
     for start in range(0, len(centers), _IDW_BLOCK):
         block = centers[start:start + _IDW_BLOCK]
-        lists = tree.query_ball_point(block, r=search_radius)
-        counts = np.fromiter(map(len, lists), np.intp, len(lists))
-        flat = np.fromiter(chain.from_iterable(lists), np.intp, counts.sum())
-        del lists
+        counts, flat = bins.neighbours(block)
         firsts = np.cumsum(counts) - counts
         # centres with k neighbours form one C-contiguous (m, k) gather, so
         # each row sum is the same pairwise sum as the 1-D sum per centre
@@ -174,6 +178,97 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
     valid = np.isfinite(out)
     out[~valid] = NODATA
     return Grid(origin[0], origin[1], cell_size, out, valid)
+
+
+class _Bins:
+    """Fixed-radius neighbour query over samples bucketed in square bins.
+
+    The bins are a little wider than the radius r, so a sample within r
+    of a point lies at most one bin row and one bin column from the
+    point's bin, despite rounding. Sorted by bin key (row-major), the 3 x 3
+    bins around a point are 3 runs of consecutive keys.
+    """
+
+    def __init__(self, x, y, r):
+        self.x, self.y, self.rr = x, y, r * r
+        self.x0, self.y0 = x.min(), y.min()
+        # the floor on the side keeps bin numbers below 2**26 + 2, so their
+        # rounding (< 2**-25 bins) stays well inside the 1e-6 bin margin
+        self.side = max(r * (1 + 1e-6), (x.max() - self.x0) * 2.0 ** -26,
+                        (y.max() - self.y0) * 2.0 ** -26)
+        self.nbx = int((x.max() - self.x0) / self.side) + 1
+        self.nby = int((y.max() - self.y0) / self.side) + 1
+        key = self._bin(y, self.y0)
+        key *= self.nbx
+        key += self._bin(x, self.x0)
+        self.order = np.argsort(key, kind="stable")
+        self.key = key[self.order]
+
+    def _bin(self, v, v0, nb=0):
+        """Bin numbers of v; given nb bins, clipped to [-2, nb + 1]."""
+        b = v - v0
+        b /= self.side
+        if nb:  # the samples' own bins are >= 0 and need no clipping
+            np.floor(b, out=b)
+            np.clip(b, -2, nb + 1, out=b)
+        return b.astype(np.intp)
+
+    def neighbours(self, centres):
+        """(counts, flat): centre i's counts[i] neighbours follow those of
+        the centres before it in flat, in ascending sample order.
+
+        Candidates are tested at most _IDW_CANDIDATES (centre, sample)
+        pairs at a time; a centre with more candidates goes alone.
+        """
+        nbx = self.nbx
+        # centres two bins past the samples' bins get empty runs
+        cbx = self._bin(centres[:, 0], self.x0, nbx)
+        cby = self._bin(centres[:, 1], self.y0, self.nby)
+        rows = (cby[:, None] + np.arange(-1, 2)) * nbx
+        lo = np.maximum(cbx - 1, 0)[:, None]
+        hi = np.minimum(cbx + 1, nbx - 1)[:, None]
+        begin = np.searchsorted(self.key, rows + lo)
+        length = np.searchsorted(self.key, rows + hi, "right") - begin
+        cands = length.sum(axis=1)
+        ends = np.cumsum(cands)
+        counts = np.zeros(len(centres), np.intp)
+        flats = []
+        a = 0
+        while a < len(centres):
+            z = max(a + 1, int(np.searchsorted(
+                ends, ends[a] - cands[a] + _IDW_CANDIDATES, "right")))
+            counts[a:z], flat = self._near(centres[a:z], begin[a:z].ravel(),
+                                           length[a:z].ravel(), cands[a:z])
+            flats.append(flat)
+            a = z
+        return counts, np.concatenate(flats)
+
+    def _near(self, centres, begin, length, cands):
+        """Neighbour counts and lists of centres from their candidate runs."""
+        n = len(self.x)
+        idx = np.repeat(begin - (np.cumsum(length) - length), length)
+        idx += np.arange(len(idx))
+        idx = self.order[idx]
+        d2 = self.x[idx]
+        d2 -= np.repeat(centres[:, 0], cands)
+        d2 *= d2
+        dy = self.y[idx]
+        dy -= np.repeat(centres[:, 1], cands)
+        dy *= dy
+        d2 += dy  # (0 + dx*dx) + dy*dy: query_ball_point's sum for p=2
+        near = d2 <= self.rr
+        del d2, dy
+        counts = np.zeros(len(centres), np.intp)
+        some = cands > 0
+        counts[some] = np.add.reduceat(near, (np.cumsum(cands) - cands)[some],
+                                       dtype=np.intp)
+        # each centre's runs are in bin order: sort its neighbours by index
+        offset = np.repeat(np.arange(len(centres)) * n, counts)
+        flat = idx[near]
+        flat += offset
+        flat.sort()
+        flat -= offset
+        return counts, flat
 
 
 def _idw_rows(x, y, values, centres, nb, power) -> np.ndarray:

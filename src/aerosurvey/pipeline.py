@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .core import LineRole, TimeSeries, _DictCodec
 from .emi import noise_amplitude
-from .errors import PipelineStageError
+from .errors import AerosurveyError, PipelineStageError
 from .gridding import (
     compare_grids,
     grid_idw,
@@ -134,16 +134,18 @@ def apply_seed_override(cfg: SimConfig) -> SimConfig:
 def _load_config(cls, path, default=None):
     """`cls` from the JSON object in file `path`; `default` when path is None.
 
-    Malformed JSON, an unknown key, a wrong-typed value and a value the
-    class rejects all raise ValueError naming the file.
+    Malformed JSON, an unknown key and a wrong-typed value raise
+    ValueError naming the file; a value the class rejects keeps the
+    class's exception type, and its message names the file too.
     """
     if path is None:
         return default
     raw = _read_json(path)
     try:
         return cls.from_dict(raw)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except (AerosurveyError, ValueError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def config_hash(plan: FlightPlan, geometry: SuspensionGeometry,

@@ -320,6 +320,29 @@ def test_bad_config_value_or_json_names_the_file(tmp_path, capsys, argv, text):
     assert f"error: {p}: " in err and "Traceback" not in err
 
 
+# JSON's NaN/Infinity in a float field, or a value the class rejects
+@pytest.mark.parametrize("argv, text, message", (
+    (["sim", "survey", "--cfg"], '{"noise_floor": Infinity}',
+     "SimConfig: invalid 'noise_floor': inf"),
+    (["sim", "survey", "--cfg"], '{"speed": NaN}',
+     "SimConfig: invalid 'speed': nan"),
+    (["sim", "survey", "--plan"], '{"line_length_m": -Infinity}',
+     "FlightPlan: invalid 'line_length_m': -inf"),
+    (["pipeline", "--config"], '{"cell_fine": NaN}',
+     "PipelineConfig: invalid 'cell_fine': nan"),
+    (["sim", "survey", "--plan"], '{"n_lines": 0}', "plan needs >= 1 line"),
+))
+def test_config_value_rejected_at_load_names_the_file(tmp_path, capsys, argv,
+                                                      text, message):
+    p = tmp_path / "config.json"
+    p.write_text(text)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, p, "--out-dir", out)
+    assert code == EXIT_IO
+    assert f"error: {p}: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- qc ---
 
 def test_qc_d4_flags_spike_and_exits_3(tmp_path, capsys):
@@ -476,6 +499,25 @@ def test_grid_make_and_compare(tmp_path, capsys):
     assert set(payload) == {"stddev_a", "stddev_b", "delta"}
     assert payload["delta"] == pytest.approx(
         payload["stddev_b"] - payload["stddev_a"], abs=1e-9)
+
+
+@pytest.mark.parametrize("flag, value, name", (
+    ("--radius", "nan", "search_radius"), ("--radius", "inf", "search_radius"),
+    ("--power", "nan", "power"), ("--power", "inf", "power"),
+    ("--cell", "nan", "cell_size"), ("--cell", "inf", "cell_size"),
+))
+def test_grid_make_non_finite_parameter_is_io_error(tmp_path, capsys, flag,
+                                                    value, name):
+    t = np.arange(20, dtype=float)
+    write_mag(tmp_path / "mag.csv", t, 5.0 * t, 3.0 * (t % 4), 50000.0 + t)
+    out = tmp_path / "g.asc"
+    args = {"--cell": "10", "--radius": "40", "--power": "2", flag: value}
+    code, _, err = run_cli(capsys, "grid", "make", "--in",
+                           tmp_path / "mag.csv", "--out", out,
+                           *(a for kv in args.items() for a in kv))
+    assert code == EXIT_IO
+    assert f"error: {name} must be finite and > 0" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("text", ("", "ncols 2\nnrows 2\nxllcorner 0\n"))

@@ -82,3 +82,14 @@ def test_null_only_where_the_default_is_none():
     assert PipelineConfig.from_dict({"d4_threshold": None}).d4_threshold is None
     with pytest.raises(ValueError, match="'nasvd_k'"):
         PipelineConfig.from_dict({"nasvd_k": None})
+
+
+@pytest.mark.parametrize("cls, key", ((FlightPlan, "spacing_m"),
+                                      (SuspensionGeometry, "cable_length"),
+                                      (SimConfig, "speed"),
+                                      (PipelineConfig, "cell_coarse")))
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf")))
+def test_non_finite_float_names_class_and_key(cls, key, value):
+    # json.loads parses NaN, Infinity and -Infinity to floats
+    with pytest.raises(ValueError, match=f"{cls.__name__}: invalid '{key}'"):
+        cls.from_dict({key: value})

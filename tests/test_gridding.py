@@ -76,6 +76,22 @@ def test_grid_idw_input_validation():
         grid_idw(*three, np.ones(3), cell_size=1.0, search_radius=-2.0)
 
 
+@pytest.mark.parametrize("name", ("cell_size", "search_radius", "power"))
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -float("inf"),
+                                 0.0, -1.0))
+def test_grid_idw_rejects_non_finite_or_non_positive_parameters(name, bad):
+    kw = {"cell_size": 1.0, "search_radius": 2.0, "power": 2.0, name: bad}
+    three = (np.array([0.0, 1.0, 2.0]),) * 2
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        grid_idw(*three, np.ones(3), **kw)
+
+
+def test_grid_idw_rejects_non_finite_sample_coordinates():
+    x = np.array([0.0, 1.0, np.inf, 3.0])
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        grid_idw(x, np.zeros(4), np.ones(4), 1.0, 2.0)
+
+
 # --- grayscale conversion ---
 
 def _grid(values, valid=None):

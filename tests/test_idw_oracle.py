@@ -7,7 +7,8 @@ same pairwise summation the loop's 1-D np.sum does, so every cell must
 carry the loop's float bits. The neighbour counts are chosen to cross
 numpy's pairwise-sum thresholds (an 8-wide unrolled loop below 8 values,
 blocks of 128 above), and _IDW_BLOCK / _IDW_PAIRS are shrunk so that
-blocks and row chunks end inside a group of equal counts.
+blocks and row chunks end inside a group of equal counts, _IDW_CANDIDATES
+so that candidate batches end inside a block.
 """
 
 from __future__ import annotations
@@ -112,12 +113,14 @@ def clustered_samples(draw):
 @given(sample=clustered_samples(),
        power=st.sampled_from([2.0, 1.0, 0.5, 3.0, 2.7]),
        block=st.sampled_from([1, 2, 3, 7, 1024]),
-       pairs=st.sampled_from([1, 5, 130, 600, 1 << 14]))
+       pairs=st.sampled_from([1, 5, 130, 600, 1 << 14]),
+       cands=st.sampled_from([1, 300, 1 << 15]))
 @PROPERTY
-def test_grid_idw_matches_loop_on_clusters(sample, power, block, pairs):
+def test_grid_idw_matches_loop_on_clusters(sample, power, block, pairs, cands):
     x, y, v, shape = sample
     with mock.patch.object(gridding, "_IDW_BLOCK", block), \
-            mock.patch.object(gridding, "_IDW_PAIRS", pairs):
+            mock.patch.object(gridding, "_IDW_PAIRS", pairs), \
+            mock.patch.object(gridding, "_IDW_CANDIDATES", cands):
         _assert_same_bits(x, y, v, 1.0, 0.45, power=power,
                           origin=(0.0, 0.0), shape=shape)
 
@@ -128,11 +131,12 @@ def test_grid_idw_matches_loop_on_clusters(sample, power, block, pairs):
        power=st.sampled_from([2.0, 1.5, 3.0]),
        explicit=st.booleans(),
        block=st.sampled_from([5, 64, 1024]),
-       pairs=st.sampled_from([7, 200, 1 << 14]))
+       pairs=st.sampled_from([7, 200, 1 << 14]),
+       cands=st.sampled_from([1, 50, 1 << 15]))
 @PROPERTY
 def test_grid_idw_matches_loop_on_scattered_samples(n, seed, cell, reach,
                                                     power, explicit, block,
-                                                    pairs):
+                                                    pairs, cands):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 40.0, n)
     y = rng.uniform(0.0, 25.0, n)
@@ -142,7 +146,8 @@ def test_grid_idw_matches_loop_on_scattered_samples(n, seed, cell, reach,
         kw.update(origin=(-3.0, -2.0), shape=(int(30 / cell) + 1,
                                               int(45 / cell) + 1))
     with mock.patch.object(gridding, "_IDW_BLOCK", block), \
-            mock.patch.object(gridding, "_IDW_PAIRS", pairs):
+            mock.patch.object(gridding, "_IDW_PAIRS", pairs), \
+            mock.patch.object(gridding, "_IDW_CANDIDATES", cands):
         _assert_same_bits(x, y, v, cell, reach * cell, **kw)
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
-# the package imports these at first use; loading them here keeps their
-# import out of the kernels' traced peaks
+# the package imports it at first use; loading it here keeps its import
+# out of the kernels' traced peaks
 import scipy.signal  # noqa: F401
-import scipy.spatial  # noqa: F401
 
 from aerosurvey.gridding import grid_idw
 from aerosurvey.qc import nasvd_denoise
@@ -53,3 +52,20 @@ def test_grid_idw_peak_over_22k_centres():
     y = np.repeat(cy.ravel(), 400) + rng.uniform(-0.1, 0.1, cx.size * 400)
     v = rng.normal(size=x.size)
     assert _peak_mb(grid_idw, x, y, v, 1.0, 0.45) < 6.0  # [8.7]
+
+
+def test_grid_idw_peak_with_few_centres_and_many_pairs():
+    # 8 x 2000 m lines 50 m apart and 3 ties, one sample per 0.64 m: 26.6k
+    # samples. 100 m cells and a 400 m radius leave 84 centres with 1.1M
+    # candidate pairs in their 3 x 3 bins (708k within the radius), which
+    # grid_idw tests _IDW_CANDIDATES at a time
+    rng = np.random.default_rng(1)
+    along = np.arange(0.0, 2000.0, 0.64)
+    tie = np.linspace(0.0, 350.0, 547)
+    x = np.concatenate([np.tile(along, 8)]
+                       + [np.full(tie.size, e) for e in (0.0, 1000.0, 2000.0)])
+    y = np.concatenate([np.repeat(np.arange(8) * 50.0, along.size)] + [tie] * 3)
+    x += rng.normal(0.0, 1.0, x.size)
+    y += rng.normal(0.0, 1.0, y.size)
+    v = 54000.0 + np.cumsum(rng.normal(0.0, 0.3, x.size))
+    assert _peak_mb(grid_idw, x, y, v, 100.0, 400.0) < 20.0  # [32.9]

@@ -1,10 +1,10 @@
 """scipy is imported at first use, so most commands start at numpy's cost.
 
 Each check runs in a fresh interpreter and reads sys.modules afterwards:
-importing the package or the CLI loads no scipy module, the qc commands
-and `grid compare` load none either, and `grid make` loads scipy.spatial
-alone. The functions that import scipy themselves must give in a fresh
-process the same result as in this one.
+importing the package or the CLI loads no scipy module, and neither do
+the qc commands, `grid compare` or `grid make` (its neighbour query is
+numpy alone). The functions that import scipy themselves must give in a
+fresh process the same result as in this one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ PACKAGE_ROOT = str(Path(aerosurvey.__file__).resolve().parent.parent)
 # printed last by every probe: the scipy modules the process has loaded
 REPORT = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
           " if m.split('.')[0] == 'scipy')))\n")
-HEAVY = {"scipy.signal", "scipy.optimize", "scipy.ndimage"}
 
 
 def _fresh(code: str) -> list[str]:
@@ -87,12 +86,12 @@ def test_qc_and_grid_compare_load_no_scipy(survey):
     assert loaded == set()
 
 
-def test_grid_make_loads_only_scipy_spatial(survey):
+def test_grid_make_loads_no_scipy(survey):
     codes, loaded = _cli([["grid", "make", "--in", f"{survey}/mag.csv",
-                           "--cell", "10", "--out", f"{survey}/make.asc"]])
+                           "--cell", "10", "--pgm", f"{survey}/make.pgm",
+                           "--out", f"{survey}/make.asc"]])
     assert codes == [0]
-    assert "scipy.spatial" in loaded
-    assert not loaded & HEAVY
+    assert loaded == set()
 
 
 # each function that imports scipy on its first call, as an expression
@@ -117,9 +116,6 @@ FIRST_USE = {
                       "t = np.arange(1000) / 50.0",
                       "noise_amplitude(TimeSeries(t, np.sin(7 * t) "
                       "+ np.cos(31 * t), ('buzz_nT',)))"),
-    "cKDTree": ("import numpy as np\nfrom aerosurvey.gridding import grid_idw\n"
-                "x = np.arange(40.0) % 7; y = np.arange(40.0) // 7",
-                "grid_idw(x, y, x * y, 0.5, 1.2, power=1.5).values.tolist()"),
 }
 
 

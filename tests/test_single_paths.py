@@ -4,14 +4,16 @@ Every CSV the package reads goes through io_csv (one row splitter, one
 column parser), every JSON file through io_csv._read_json, and every
 JSON artifact through io_csv._json_text. These tests fail when a module
 grows its own csv reader, its own json.load(s) or its own indented
-json.dumps, so the paths cannot quietly split again. The last test keeps
-scipy out of module scope: the functions that need it import it on their
-first call, so importing the package costs no more than numpy.
+json.dumps, so the paths cannot quietly split again. The last tests keep
+scipy out of module scope (the functions that need it import it on their
+first call, so importing the package costs no more than numpy) and keep
+its k-d tree out of the package: grid_idw has its own binned query.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import aerosurvey
@@ -90,3 +92,12 @@ def test_scipy_is_imported_only_inside_functions():
     found = _where(scipy_import)
     assert found, "the walk found no scipy import at all"
     assert {f for f, scope in found if scope == "<module>"} == set()
+
+
+def test_no_kd_tree_in_the_package():
+    pattern = re.compile(r"scipy\.spatial|cKDTree")
+    found = [f"{path.name}:{i}" for path in sorted(SRC.rglob("*.py"))
+             for i, line in enumerate(path.read_text(encoding="utf-8")
+                                      .splitlines(), 1)
+             if pattern.search(line)]
+    assert found == []
