@@ -149,8 +149,8 @@ def resample_uniform(series: TimeSeries, rate_hz: float) -> TimeSeries:
     and spans the original time range (last node <= last timestamp, up to
     float rounding). Exact on affine inputs.
     """
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be > 0")
+    if not (math.isfinite(rate_hz) and rate_hz > 0):
+        raise ValueError(f"rate_hz must be finite and > 0, got {rate_hz!r}")
     if len(series) < 2:
         raise TooFewSamplesError("resample needs >= 2 samples")
     t0, t1 = float(series.t[0]), float(series.t[-1])

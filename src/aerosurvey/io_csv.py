@@ -18,7 +18,11 @@ through _write_json, and every JSON file the package reads through
 _read_json. Floats are written with repr(), the shortest
 representation that round-trips exactly, so serialize(ingest(f))
 reproduces numeric content bit-for-bit and repeated runs produce
-byte-identical files.
+byte-identical files. write_table does not call repr() per cell: the
+numtext kernel gives whole chunks of float64 cells repr()'s exact text
+in numpy and calls repr() only for the values it is not sure of
+(subnormals, nan, inf and a few near-ties), and each chunk of about
+_CHUNK_CELLS cells is assembled and written with one byte mask.
 """
 
 from __future__ import annotations
@@ -42,9 +46,11 @@ from .qc import CrossoverRow
 
 CSV_SCHEMA_VERSION = "1"
 
-# rows converted to Python objects at a time by write_table; bounds the
-# writer's extra memory instead of copying whole arrays into lists
-_CHUNK_ROWS = 4096
+# cells write_table formats at a time; bounds the writer's extra memory
+# and keeps the number kernel's arrays in cache
+_CHUNK_CELLS = 1 << 14
+# bytes of a cell's slot in write_table's canvas when no label is longer
+_SLOT = 48
 # characters str() can produce for a Python bool, int or float
 _NUMERIC_TEXT = frozenset("0123456789+-.einfaTrueFls")
 
@@ -249,63 +255,137 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
     """Write `head` rows, then one row per index across `columns`.
 
     Columns are 1-D arrays or sequences of equal length. The bytes are
-    those a csv.writer with this dialect writes for the same rows; the
-    head goes through one. The body is built one chunk of _CHUNK_ROWS
-    rows at a time with a single `%` operation over a "%s" row format:
+    those a csv.writer with this dialect writes for the same rows, where a
+    numpy float is written as the repr() of its float64 value; the head
+    goes through one. The body is built in chunks of about _CHUNK_CELLS
+    cells, each in a byte canvas with one fixed-width slot per cell:
 
-    * A numeric array (bool, int or float) is turned into Python objects
-      with tolist(), and "%s" applies the str() csv applies, which for a
-      float is the round-trip repr(). That text holds no quote, line break
-      or (for the usual delimiters) delimiter, so csv never quotes it; a
-      dialect whose delimiter or line terminator uses a character of that
-      text sends the column down the escaping path below instead.
-    * In a float column each distinct value of the chunk is formatted
-      once: np.unique over the float64 bits (so 0.0 and -0.0 stay apart)
-      gives the distinct values and where each cell takes its text from.
-      Gamma-count channels, grid NODATA and headings repeat heavily.
-    * Any other column (labels, plain sequences) has each distinct value
-      of the chunk escaped once by a csv.writer of the same dialect; the
-      memo key keeps the type, so 1, 1.0 and True stay apart. A
-      one-column table keeps csv's "" for an empty field.
+    * Int and float array columns are formatted by numtext.number_text,
+      all of a chunk's float cells in one call (int cells in another);
+      it sends the values its digit search is not sure of to repr(). Their
+      text holds no quote, line break or (for the usual delimiters)
+      delimiter, so csv never quotes it; a dialect whose delimiter or line
+      terminator uses a character of that text sends the column down the
+      escaping path below instead.
+    * Any other column (labels, bools, plain sequences) has each distinct
+      value escaped once by a csv.writer of the same dialect; the memo key
+      keeps the type, so 1, 1.0 and True stay apart. A one-column table
+      keeps csv's "" for an empty field.
+
+    Each cell's text lies at [start, end) of its slot and its delimiter
+    (the line terminator in the last column) follows the chunk's longest
+    text, so the chunk's rows are the canvas bytes under one mask. A slot
+    is _SLOT bytes, wider when a label does not fit; a chunk of wider
+    slots has fewer rows, so every canvas stays near _SLOT * _CHUNK_CELLS
+    bytes.
     """
+    # loaded by the first write, so a command that writes no table skips it
+    from .numtext import PLAIN, TEXT_END, number_text, text_table
+
     n_cols = len(columns)
     n_rows = len(columns[0]) if n_cols else 0
-    row_fmt = (delimiter.replace("%", "%%").join(["%s"] * n_cols)
-               + lineterminator.replace("%", "%%"))
     numeric_ok = not _NUMERIC_TEXT.intersection(delimiter + lineterminator)
     escape = _escaper(delimiter, lineterminator, n_cols)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, delimiter=delimiter,
+    # float, int and uint64 columns: each group stacks without rounding
+    groups: dict[str, list[int]] = {"f": [], "i": [], "u": []}
+    memos = {}
+    for ci, col in enumerate(columns):
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+        if kind in "iuf" and numeric_ok:
+            groups["f" if kind == "f" else
+                   "u" if col.dtype == np.uint64 else "i"].append(ci)
+        else:
+            memos[ci] = _memo(col, escape)
+    seps = [delimiter] * (n_cols - 1) + [lineterminator] if n_cols else []
+    sep_len = np.array([len(sep.encode()) for sep in seps], np.int64)
+    longest = max(sep_len, default=0)
+    sep_bytes = np.zeros((n_cols, longest), np.uint8)
+    for ci, sep in enumerate(seps):
+        sep_bytes[ci, :sep_len[ci]] = np.frombuffer(sep.encode(), np.uint8)
+    # labels start at PLAIN like the fallback texts of numbers
+    text_end = max([TEXT_END] + [PLAIN + len(t) for _, texts in memos.values()
+                                 for t in texts])
+    slot = max(_SLOT, -(-(text_end + longest) // 8) * 8)
+    rows = max(1, _CHUNK_CELLS * _SLOT // (slot * max(n_cols, 1)))
+    with open(path, "wb") as fh:
+        text = io.StringIO()
+        csv.writer(text, delimiter=delimiter,
                    lineterminator=lineterminator).writerows(head)
-        for start in range(0, n_rows, _CHUNK_ROWS):
-            parts = [_cells(c[start:start + _CHUNK_ROWS], numeric_ok, escape)
-                     for c in columns]
-            fh.write((row_fmt * len(parts[0]))
-                     % tuple(chain.from_iterable(zip(*parts))))
+        fh.write(text.getvalue().encode())
+        buffer = np.empty((min(rows, n_rows), n_cols, slot), np.uint8)
+        for r0 in range(0, n_rows, rows):
+            r1 = min(r0 + rows, n_rows)
+            canvas = buffer[:r1 - r0]
+            start = np.full((r1 - r0, n_cols), PLAIN)
+            end = np.empty((r1 - r0, n_cols), np.int64)
+            for cis in groups.values():
+                if not cis:
+                    continue
+                values = np.stack([columns[ci][r0:r1] for ci in cis], axis=1)
+                alone = len(cis) == n_cols
+                cells = canvas if alone else np.empty(values.shape + (slot,),
+                                                      np.uint8)
+                first, last = number_text(values.ravel(),
+                                          cells.reshape(-1, slot))
+                start[:, cis] = first.reshape(values.shape)
+                end[:, cis] = last.reshape(values.shape)
+                if not alone:
+                    canvas[:, cis] = cells
+            for ci, (codes, texts) in memos.items():
+                used, inverse = np.unique(codes[r0:r1], return_inverse=True)
+                table, length = text_table([texts[u] for u in used.tolist()])
+                canvas[:, ci, PLAIN:PLAIN + table.shape[1]] = table[inverse]
+                end[:, ci] = PLAIN + length[inverse]
+            # mask only the columns of the slots that hold text
+            at = int(end.max())
+            canvas[:, :, at:at + longest] = sep_bytes
+            lo = int(start.min())
+            width = min(slot, -(-(at + longest - lo) // 8) * 8)
+            lo = min(lo, slot - width)
+            mask = _row_mask(start - lo, end - lo, at - lo,
+                             at - lo + sep_len, width)
+            fh.write(canvas[:, :, lo:lo + width][mask.reshape(
+                r1 - r0, n_cols, width)])
 
 
-def _cells(chunk, numeric_ok: bool, escape) -> list:
-    """One chunk of a column as objects whose str() is the cell's text."""
-    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "biuf" \
-            and numeric_ok:
-        if chunk.dtype.kind != "f":
-            return chunk.tolist()
-        x = chunk.astype(np.float64)
-        distinct, inverse = np.unique(x.view(np.int64), return_inverse=True)
-        if len(distinct) == len(x):
-            return x.tolist()
-        texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()],
-                         dtype=object)
-        return texts[inverse].tolist()
-    memo: dict = {}
-    out = []
-    for v in (chunk.tolist() if isinstance(chunk, np.ndarray) else chunk):
-        key = v if type(v) is str else (type(v), str(v))
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = escape(v)
-        out.append(text)
-    return out
+def _row_mask(start, end, sep_at: int, sep_end, width: int) -> np.ndarray:
+    """Flat mask of the bytes [start, end) and [sep_at, sep_end) per slot.
+
+    Each 64 bytes of a slot of `width` bytes (a multiple of 8) are one
+    int64 of mask bits, (1 << hi) - (1 << lo), unpacked least significant
+    bit first; numpy shifts by 64 to 0, so hi == 64 sets every bit from lo
+    up.
+    """
+    words = []
+    for w in range(0, width, 64):
+        word = 0
+        for lo, hi in ((start, end), (sep_at, sep_end)):
+            if width > 64:
+                lo, hi = np.clip(lo - w, 0, 64), np.clip(hi - w, 0, 64)
+            word = word | (1 << hi) - (1 << lo)
+        words.append(word)
+    octets = np.stack(words, axis=-1).astype("<i8", copy=False).view(np.uint8)
+    return np.unpackbits(octets.reshape(-1, octets.shape[-1])[:, :width // 8],
+                         axis=-1, bitorder="little").view(bool).ravel()
+
+
+def _memo(column, escape) -> tuple[np.ndarray, list[bytes]]:
+    """(codes, texts): texts[codes[i]] is the escaped UTF-8 text of cell i.
+
+    Cells with the same type and str() share one text, so 1, 1.0 and True
+    stay apart and each distinct value is escaped once; a column of str
+    is keyed by its values.
+    """
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    try:
+        plain = all(type(v) is str for v in set(values))
+    except TypeError:                   # an unhashable cell
+        plain = False
+    keys = values if plain else list(zip(map(type, values), map(str, values)))
+    distinct = dict(zip(keys, values))
+    code = dict(zip(distinct, range(len(distinct))))
+    return (np.fromiter(map(code.__getitem__, keys), np.intp, len(keys)),
+            [escape(v).encode() for v in distinct.values()])
 
 
 def _escaper(delimiter: str, lineterminator: str, n_cols: int):

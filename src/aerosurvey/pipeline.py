@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -79,6 +80,13 @@ class PipelineConfig(_DictCodec):
                 raise FileNotFoundError(f"config file not found: {p}")
         if self.cell_fine <= 0 or self.cell_coarse <= 0:
             raise ValueError("cell sizes must be > 0")
+        if not (math.isfinite(self.tie_tolerance) and self.tie_tolerance >= 0):
+            raise ValueError("tie_tolerance must be finite and >= 0, "
+                             f"got {self.tie_tolerance!r}")
+        if self.d4_threshold is not None and not (
+                math.isfinite(self.d4_threshold) and self.d4_threshold > 0):
+            raise ValueError("d4_threshold must be finite and > 0, "
+                             f"got {self.d4_threshold!r}")
         if self.tie_field not in FIELD_COLUMNS:
             raise ValueError(f"tie_field must be one of {sorted(FIELD_COLUMNS)}")
 

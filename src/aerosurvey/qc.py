@@ -8,6 +8,7 @@ denoising of gamma-ray spectra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -112,8 +113,12 @@ def fourth_difference(series: TimeSeries | np.ndarray,
     With no explicit threshold, 4x the robust standard deviation
     (1.4826 * median absolute deviation) of d4 is used. Flags are window
     start indices where |d4| exceeds the threshold; the test passes when
-    nothing is flagged.
+    nothing is flagged. An explicit threshold must be finite and > 0.
     """
+    if threshold is not None and not (math.isfinite(threshold)
+                                      and threshold > 0):
+        raise ValueError("threshold must be finite and > 0, "
+                         f"got {threshold!r}")
     if isinstance(series, TimeSeries):
         x = series.scalar(field_name) if series.values.ndim == 2 else series.values
     else:
@@ -138,8 +143,10 @@ def diurnal_correct(rover: TimeSeries, base: TimeSeries,
 
     corrected(t) = rover(t) - (base(t) - datum), with the base record
     linearly interpolated to rover timestamps. The base record must cover
-    the rover's full time range.
+    the rover's full time range. The datum must be finite.
     """
+    if not math.isfinite(datum):
+        raise ValueError(f"datum must be finite, got {datum!r}")
     slack = 1e-9
     if base.t[0] > rover.t[0] + slack or base.t[-1] < rover.t[-1] - slack:
         raise BaseDoesNotCoverError("base record does not span rover times")
@@ -251,9 +258,13 @@ def crossover_analysis(flight_lines: tuple[SurveyLine, ...],
     Every geometric flight x tie intersection (2-D segment-segment test)
     yields a record with both line values linearly interpolated between
     the bracketing samples; difference = flight - tie. The report passes
-    when max |difference| <= tolerance. Records are ordered by ascending
-    easting then northing so results never depend on evaluation order.
+    when max |difference| <= tolerance, which must be finite and >= 0.
+    Records are ordered by ascending easting then northing so results
+    never depend on evaluation order.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError("tolerance must be finite and >= 0, "
+                         f"got {tolerance!r}")
     col = FIELD_COLUMNS.get(field_name, field_name)
     records: list[CrossoverRecord] = []
     for fl in flight_lines:

@@ -120,7 +120,8 @@ def amplitude_spectrum(series: TimeSeries, axis: str = "z",
     axis : str
         Body axis to analyze: 'x', 'y' or 'z'.
     prominence_fraction : float
-        Peak prominence threshold as a fraction of the maximum bin.
+        Peak prominence threshold as a fraction of the maximum bin; finite
+        and in [0, 1].
 
     Notes
     -----
@@ -129,6 +130,10 @@ def amplitude_spectrum(series: TimeSeries, axis: str = "z",
     plain 2/N single-sided rule for a boxcar and recovers the amplitude
     of an on-bin sine exactly; DC and Nyquist bins are not doubled.
     """
+    if not (math.isfinite(prominence_fraction)
+            and 0.0 <= prominence_fraction <= 1.0):
+        raise ValueError("prominence_fraction must be finite and in [0, 1], "
+                         f"got {prominence_fraction!r}")
     t = series.t
     if len(t) < 64:
         raise TooShortError("spectrum needs >= 64 samples")

@@ -530,6 +530,74 @@ def test_grid_compare_truncated_asc_is_io_error(tmp_path, capsys, text):
     assert "bad.asc: not an ESRI ASCII grid" in err and "Traceback" not in err
 
 
+
+# --- gate and reprocessing parameters: nan, inf and out-of-range exit 2 ---
+
+def _survey_inputs(tmp_path):
+    t = np.arange(0, 30.0, 0.1)
+    write_mag(tmp_path / "mag.csv", t, t, np.zeros_like(t),
+              50000.0 + 0.5 * np.sin(2 * np.pi * t / 30.0))
+    write_series_csv(tmp_path / "base.csv", TimeSeries(
+        np.arange(-1.0, 32.0), np.full(33, 49900.0), ("tmi_nT",)))
+    t = np.arange(0, 4.0, 1.0 / 256.0)
+    write_accel(tmp_path / "accel.csv", t, np.sin(2 * np.pi * 33.0 * t))
+    flights, ties = _write_tie_fixture(tmp_path, 50000.0)
+    return {"mag": tmp_path / "mag.csv", "base": tmp_path / "base.csv",
+            "accel": tmp_path / "accel.csv", "flights": flights, "ties": ties,
+            "out": tmp_path / "out.file"}
+
+
+@pytest.mark.parametrize("argv, message", (
+    *((["qc", "d4", "--in", "{mag}", "--threshold", v, "--out", "{out}"],
+      "threshold must be finite and > 0") for v in ("nan", "inf", "0", "-1")),
+    *((["qc", "tie", "--flights", "{flights}", "--ties", "{ties}", "--tol", v,
+        "--out", "{out}"], "tolerance must be finite and >= 0")
+      for v in ("nan", "inf", "-1")),
+    *((["qc", "diurnal", "--rover", "{mag}", "--base", "{base}", "--datum", v,
+        "--out", "{out}"], "datum must be finite") for v in ("nan", "inf")),
+    *((["vib", "spectrum", "--in", "{accel}", "--prominence", v,
+        "--out", "{out}"], "prominence_fraction must be finite and in [0, 1]")
+      for v in ("nan", "-1", "1.5")),
+    *((["vib", "spectrum", "--in", "{accel}", "--rate", v, "--out", "{out}"],
+      "rate_hz must be finite and > 0") for v in ("nan", "inf")),
+))
+def test_bad_gate_or_parameter_exits_2_naming_it(tmp_path, capsys, argv,
+                                                 message):
+    paths = _survey_inputs(tmp_path)
+    code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == EXIT_IO
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("tolerance", ("nan", "inf", "-1"))
+def test_pipeline_bad_tie_tolerance_exits_2_before_simulating(
+        tmp_path, small_plan, capsys, tolerance):
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"plan_path": str(small_plan)}))
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "pipeline", "--config", config,
+                           "--out-dir", out_dir, "--tie-tolerance", tolerance)
+    assert code == EXIT_IO
+    assert "error: tie_tolerance must be finite and >= 0" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("content, message", (
+    ({"tie_tolerance": -1.0}, "tie_tolerance must be finite and >= 0"),
+    ({"d4_threshold": 0.0}, "d4_threshold must be finite and > 0"),
+))
+def test_pipeline_config_with_bad_gate_names_the_file(tmp_path, capsys,
+                                                      content, message):
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps(content))
+    code, _, err = run_cli(capsys, "pipeline", "--config", config,
+                           "--out-dir", tmp_path / "run")
+    assert code == EXIT_IO
+    assert f"error: {config}: {message}" in err
+    assert not (tmp_path / "run").exists()
+
+
 # --- pipeline ---
 
 def test_pipeline_cli_pass_and_tie_failure(tmp_path, small_plan, capsys):

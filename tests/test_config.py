@@ -93,3 +93,18 @@ def test_non_finite_float_names_class_and_key(cls, key, value):
     # json.loads parses NaN, Infinity and -Infinity to floats
     with pytest.raises(ValueError, match=f"{cls.__name__}: invalid '{key}'"):
         cls.from_dict({key: value})
+
+
+@pytest.mark.parametrize("key, value, message", (
+    ("tie_tolerance", float("nan"), "tie_tolerance must be finite and >= 0"),
+    ("tie_tolerance", float("inf"), "tie_tolerance must be finite and >= 0"),
+    ("tie_tolerance", -1.0, "tie_tolerance must be finite and >= 0"),
+    ("d4_threshold", float("nan"), "d4_threshold must be finite and > 0"),
+    ("d4_threshold", 0.0, "d4_threshold must be finite and > 0"),
+    ("d4_threshold", -2.0, "d4_threshold must be finite and > 0"),
+))
+def test_pipeline_gates_are_checked_when_built(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(**{key: value})
+    edge = PipelineConfig(tie_tolerance=0.0, d4_threshold=1e-12)
+    assert edge.tie_tolerance == 0.0 and edge.d4_threshold == 1e-12

@@ -86,6 +86,9 @@ def test_resample_uniform_errors():
     ts2 = TimeSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         resample_uniform(ts2, 0.0)
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rate_hz must be finite and > 0"):
+            resample_uniform(ts2, rate)
 
 
 def test_survey_line_needs_position_columns():

@@ -2,7 +2,8 @@
 
 Each bound sits between the peak of the kernel before its intermediates
 were cut (in brackets) and its peak now, so putting back a whole-run
-transient fails the test. tracemalloc counts numpy's data buffers.
+transient fails the test. For write_table the bracket is its peak with
+one chunk for the whole table. tracemalloc counts numpy's data buffers.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import scipy.signal  # noqa: F401
 
 from aerosurvey.gridding import grid_idw
+from aerosurvey.io_csv import write_table
 from aerosurvey.qc import nasvd_denoise
 from aerosurvey.suspension import FlightPlan, SimConfig, simulate_survey
 
@@ -69,3 +71,22 @@ def test_grid_idw_peak_with_few_centres_and_many_pairs():
     y += rng.normal(0.0, 1.0, y.size)
     v = 54000.0 + np.cumsum(rng.normal(0.0, 0.3, x.size))
     assert _peak_mb(grid_idw, x, y, v, 100.0, 400.0) < 20.0  # [32.9]
+
+
+def test_write_table_peak_for_a_denoised_spectra_table(tmp_path):
+    # 26,695 samples x 32 channels, the size of survey_large's denoised.csv
+    counts = np.random.default_rng(2).normal(20.0, 5.0, (26_695, 32))
+    head = [tuple(f"ch{j}" for j in range(32))]
+    assert _peak_mb(write_table, tmp_path / "d.csv", head,
+                    list(counts.T.copy())) < 12.0  # [241]
+
+
+def test_write_table_peak_for_an_attitude_table(tmp_path):
+    # survey_large's attitude track: 266,948 rows of 7 floats and a label
+    rng = np.random.default_rng(3)
+    n = 266_948
+    floats = [np.cumsum(rng.normal(0.0, 1.0, n)) for _ in range(7)]
+    labels = tuple(("turn", "L1", "transit", "T1", "L2")[i % 5]
+                   for i in range(n))
+    assert _peak_mb(write_table, tmp_path / "a.csv", [tuple("abcdefgh")],
+                    floats + [labels]) < 16.0  # [634]

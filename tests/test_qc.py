@@ -93,6 +93,20 @@ def test_diurnal_correct_multichannel_rover():
     assert np.array_equal(out.column("easting_m"), rt)  # untouched
 
 
+@pytest.mark.parametrize("threshold", (float("nan"), float("inf"), 0.0, -1.0))
+def test_d4_threshold_must_be_finite_and_positive(threshold):
+    # a nan threshold flags nothing, so the gate would pass on anything
+    with pytest.raises(ValueError, match="threshold must be finite and > 0"):
+        fourth_difference(np.arange(10.0) ** 2, threshold=threshold)
+
+
+@pytest.mark.parametrize("datum", (float("nan"), float("inf")))
+def test_diurnal_correct_rejects_non_finite_datum(datum):
+    rover = TimeSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="datum must be finite"):
+        diurnal_correct(rover, rover, datum=datum)
+
+
 def test_diurnal_correct_requires_coverage():
     rover = TimeSeries(np.array([0.0, 10.0]), np.array([1.0, 2.0]))
     late_base = TimeSeries(np.array([5.0, 20.0]), np.array([0.0, 0.0]))
@@ -146,6 +160,16 @@ def test_crossover_field_name_mapping():
         ("easting_m", "northing_m", "alt_m", "k_pct")))
     records, _ = crossover_analysis((fk,), (tk,), "K", tolerance=1.0)
     assert records[0].difference == pytest.approx(-0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("tolerance", (float("nan"), float("inf"), -1.0))
+def test_crossover_tolerance_must_be_finite_and_non_negative(tolerance):
+    flight = _line("L1", LineRole.FLIGHT, [(0.0, 0.0), (0.0, 10.0)], [1, 2])
+    tie = _line("T1", LineRole.TIE, [(-5.0, 5.0), (5.0, 5.0)], [1, 2])
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        crossover_analysis((flight,), (tie,), "TMI", tolerance)
+    assert crossover_analysis((flight,), (tie,), "TMI", 0.0)[1].stats[
+        "tolerance"] == 0.0
 
 
 def test_crossover_no_intersections_raises():

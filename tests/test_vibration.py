@@ -103,6 +103,14 @@ def test_spectrum_recovers_on_bin_sine_amplitude_exactly():
     assert res.peaks[1][0] == pytest.approx(76.0)
 
 
+@pytest.mark.parametrize("fraction", (float("nan"), float("inf"), -0.1, 1.5))
+def test_spectrum_prominence_must_be_a_finite_fraction(fraction):
+    with pytest.raises(ValueError, match=r"prominence_fraction must be finite "
+                                         r"and in \[0, 1\]"):
+        amplitude_spectrum(_sine_trace([(33.0, 3.0)]),
+                           prominence_fraction=fraction)
+
+
 def test_spectrum_mean_removal_kills_dc():
     t = np.arange(0.0, 4.0, 1.0 / 128.0)
     res = amplitude_spectrum(TimeSeries(t, 9.81 + 0.5 * np.sin(2 * np.pi * 20 * t)))

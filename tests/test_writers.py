@@ -2,7 +2,9 @@
 
 The references below are the original per-row writers, kept here only as
 oracles: the chunked io_csv.write_table path must reproduce their bytes
-exactly, including awkward floats and row counts around the chunk size.
+exactly, including awkward floats and row counts around a chunk boundary
+(the `chunked` fixture sets the writer's cell budget so that a table is
+written CHUNK_ROWS rows at a time).
 """
 
 from __future__ import annotations
@@ -12,23 +14,33 @@ import csv
 import numpy as np
 import pytest
 
+from aerosurvey import io_csv
 from aerosurvey.core import TimeSeries
 from aerosurvey.gridding import NODATA, GrayImage, Grid, write_asc, write_pgm
-from aerosurvey.io_csv import (
-    _CHUNK_ROWS,
-    write_series_csv,
-    write_spectra_csv,
-    write_table,
-)
+from aerosurvey.io_csv import write_series_csv, write_spectra_csv, write_table
 from aerosurvey.suspension import (
     ATTITUDE_COLUMNS,
     AttitudeTrack,
     write_attitude_csv,
 )
 
-ROW_COUNTS = (1, _CHUNK_ROWS, _CHUNK_ROWS + 1)
+CHUNK_ROWS = 4096
+ROW_COUNTS = (1, CHUNK_ROWS, CHUNK_ROWS + 1)
 AWKWARD = np.array([-0.0, 5e-324, 1e22, 0.1 + 0.2, 3.0, -17.0, 1e16,
-                    54000.123456789, -2.5e-17])
+                    54000.123456789, -2.5e-17,
+                    # the bounds of the positional layout
+                    1e-4, np.nextafter(1e-4, 0.0), 9999999999999998.0,
+                    # exponent form, with and without a '.'
+                    1e-05, 1.5e-300, -2.5e-320, 1.7976931348623157e308,
+                    # an exact tie at the 17th digit; just below 0.1
+                    1480675860000000.25, 0.09999999999999999])
+
+
+@pytest.fixture
+def chunked(monkeypatch):
+    """set(n_cols): write a table of n_cols columns CHUNK_ROWS rows a chunk."""
+    return lambda n_cols: monkeypatch.setattr(io_csv, "_CHUNK_CELLS",
+                                              CHUNK_ROWS * n_cols)
 
 
 def _awkward(n_rows: int, n_cols: int, seed: int = 0) -> np.ndarray:
@@ -114,28 +126,33 @@ def _same_bytes(tmp_path, write_new, write_ref):
 # --- byte identity ---
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
-def test_series_csv_matches_reference(tmp_path, n):
+def test_series_csv_matches_reference(tmp_path, chunked, n):
+    chunked(6)
     t = np.arange(n) * 0.1
     multi = TimeSeries(t, _awkward(n, 5), ("a", "b", "c", "d", "e"))
     _same_bytes(tmp_path, lambda p: write_series_csv(p, multi),
                 lambda p: ref_series_csv(p, multi))
     scalar = TimeSeries(t, _awkward(n, 1, seed=1)[:, 0])   # no field names
+    chunked(2)
     _same_bytes(tmp_path, lambda p: write_series_csv(p, scalar),
                 lambda p: ref_series_csv(p, scalar))
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
-def test_spectra_csv_matches_reference(tmp_path, n):
+def test_spectra_csv_matches_reference(tmp_path, chunked, n):
+    chunked(8)
     counts = np.abs(_awkward(n, 8))
     _same_bytes(tmp_path, lambda p: write_spectra_csv(p, counts),
                 lambda p: ref_spectra_csv(p, counts))
     ints = np.arange(n * 3).reshape(n, 3)   # integer input is written as float
+    chunked(3)
     _same_bytes(tmp_path, lambda p: write_spectra_csv(p, ints),
                 lambda p: ref_spectra_csv(p, ints))
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
-def test_attitude_csv_matches_reference(tmp_path, n):
+def test_attitude_csv_matches_reference(tmp_path, chunked, n):
+    chunked(8)
     cols = _awkward(n, 6, seed=2)
     labels = tuple(("turn", "L1", "transit", "T1", "hover")[i % 5]
                    for i in range(n))
@@ -145,7 +162,8 @@ def test_attitude_csv_matches_reference(tmp_path, n):
 
 
 @pytest.mark.parametrize("ny", ROW_COUNTS)
-def test_asc_matches_reference(tmp_path, ny):
+def test_asc_matches_reference(tmp_path, chunked, ny):
+    chunked(3)                  # a grid row is a table row
     vals = _awkward(ny, 3, seed=3)
     valid = np.random.default_rng(4).random((ny, 3)) > 0.3
     valid[0, 0] = False                                 # at least one NODATA
@@ -156,7 +174,8 @@ def test_asc_matches_reference(tmp_path, ny):
 
 
 @pytest.mark.parametrize("ny", ROW_COUNTS)
-def test_pgm_matches_reference(tmp_path, ny):
+def test_pgm_matches_reference(tmp_path, chunked, ny):
+    chunked(4)
     px = np.random.default_rng(5).integers(0, 256, (ny, 4))
     px[0, :2] = (0, 255)
     img = GrayImage(px, px > 0)
@@ -165,7 +184,8 @@ def test_pgm_matches_reference(tmp_path, ny):
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
-def test_two_column_table_matches_reference(tmp_path, n):
+def test_two_column_table_matches_reference(tmp_path, chunked, n):
+    chunked(2)
     freqs, amps = _awkward(n, 2, seed=6).T
     amps = amps.astype(np.float32)       # cells hold the exact float64 value
     _same_bytes(tmp_path,
@@ -186,7 +206,7 @@ def ref_table(path, head, columns, delimiter=",", lineterminator="\r\n"):
                         for c in columns])
 
 
-TABLE_ROWS = (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1)
+TABLE_ROWS = (0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
 # the last two share characters with numeric text, so csv quotes numbers
 DIALECTS = ((",", "\r\n"), (" ", "\n"), (";", "%\n"), (".", "\n"), ("e", "\n"))
 LABELS = ("L1", "a,b", 'say "hi"', "two\nlines", "", None, "x y", "turn")
@@ -196,7 +216,7 @@ def _mixed_columns(n: int) -> list:
     rng = np.random.default_rng(7)
     repeated = rng.choice([0.0, -0.0, 0.1 + 0.2, 1e22, 5e-324, np.nan,
                            -np.nan, np.inf, -np.inf, -9999.0], n)
-    repeated[_CHUNK_ROWS - 6:_CHUNK_ROWS + 6] = 54000.125  # run across chunks
+    repeated[CHUNK_ROWS - 6:CHUNK_ROWS + 6] = 54000.125  # run across chunks
     distinct = np.arange(n) * 0.01 + 0.005
     f32 = rng.choice(np.float32([0.1, -2.5, 3e-38, 1.0]), n)
     return [repeated, distinct, f32, rng.integers(-2**62, 2**62, n),
@@ -206,8 +226,9 @@ def _mixed_columns(n: int) -> list:
 
 @pytest.mark.parametrize("delimiter,lineterminator", DIALECTS)
 @pytest.mark.parametrize("n", TABLE_ROWS)
-def test_table_of_every_column_kind_matches_reference(tmp_path, n, delimiter,
-                                                      lineterminator):
+def test_table_of_every_column_kind_matches_reference(
+        tmp_path, chunked, n, delimiter, lineterminator):
+    chunked(7)
     cols = _mixed_columns(n)
     head = [("rep", "distinct", "f32", "i64", "u8", "flag", "label"),
             ("a b", 'q"', "")]
@@ -217,7 +238,8 @@ def test_table_of_every_column_kind_matches_reference(tmp_path, n, delimiter,
 
 
 @pytest.mark.parametrize("n", TABLE_ROWS)
-def test_object_column_keeps_types_and_zero_signs_apart(tmp_path, n):
+def test_object_column_keeps_types_and_zero_signs_apart(tmp_path, chunked, n):
+    chunked(2)
     cycle = [1, 1.0, True, 0.0, -0.0, None, "", "1", np.float64(1.5), 1.5,
              np.int64(1), float("nan")]
     mixed = [cycle[i % len(cycle)] for i in range(n)]
@@ -228,7 +250,8 @@ def test_object_column_keeps_types_and_zero_signs_apart(tmp_path, n):
 
 
 @pytest.mark.parametrize("n", TABLE_ROWS)
-def test_one_column_table_keeps_quoted_empty_fields(tmp_path, n):
+def test_one_column_table_keeps_quoted_empty_fields(tmp_path, chunked, n):
+    chunked(1)
     for delimiter, lineterminator in DIALECTS[:2]:
         for col in ([("", None, "a")[i % 3] for i in range(n)],
                     np.zeros(n), np.ones(n, dtype=bool)):
@@ -237,6 +260,30 @@ def test_one_column_table_keeps_quoted_empty_fields(tmp_path, n):
                                               lineterminator),
                         lambda p: ref_table(p, [("only",)], [col], delimiter,
                                             lineterminator))
+
+
+@pytest.mark.parametrize("delimiter,lineterminator", DIALECTS[:3])
+def test_labels_longer_than_a_number_widen_the_slots(tmp_path, chunked,
+                                                     delimiter,
+                                                     lineterminator):
+    chunked(3)
+    n = CHUNK_ROWS + 3
+    labels = tuple(("x" * (7 * i % 150), 'a "quoted", long ' * (i % 9), "")
+                   [i % 3] for i in range(n))
+    cols = [np.arange(n) * 0.25 - 7.0, labels,
+            np.random.default_rng(8).integers(-9, 9, n)]
+    head = [("v", "label", "i")]
+    _same_bytes(tmp_path,
+                lambda p: write_table(p, head, cols, delimiter, lineterminator),
+                lambda p: ref_table(p, head, cols, delimiter, lineterminator))
+
+
+def test_default_chunks_match_reference(tmp_path):
+    # three and a half chunks of the default cell budget
+    n = 7 * io_csv._CHUNK_CELLS // 4
+    cols = [_awkward(n, 1, seed=9)[:, 0], np.arange(n) % 7 == 0]
+    _same_bytes(tmp_path, lambda p: write_table(p, [("v", "flag")], cols),
+                lambda p: ref_table(p, [("v", "flag")], cols))
 
 
 def test_space_delimited_label_with_space_is_quoted(tmp_path):
