@@ -58,7 +58,6 @@ from .qc import (
     CrossoverRecord,
     CrossoverRow,
     QcReport,
-    SpectraMatrix,
     crossover_analysis,
     crossover_row_stats,
     diurnal_correct,
@@ -111,7 +110,7 @@ __all__ = [
     "NoiseCurve", "PassKind", "PayloadPose", "PipelineConfig",
     "PipelineStageError", "QcReport",
     "REPORT_SCHEMA_VERSION", "RunReport", "SchemaKind", "SettlingMetrics",
-    "SimConfig", "SimResult", "SpectraMatrix", "SpectrumResult",
+    "SimConfig", "SimResult", "SpectrumResult",
     "StageResult", "Stretch", "SurveyLine", "SuspensionGeometry",
     "TimeSeries", "UtmPoint", "amplitude_spectrum",
     "analyze_passes", "attenuation_db", "build_noise_curve",

@@ -64,7 +64,6 @@ from .pipeline import (
 )
 from .qc import (
     FIELD_COLUMNS,
-    SpectraMatrix,
     crossover_analysis,
     diurnal_correct,
     fourth_difference,
@@ -299,11 +298,9 @@ def _cmd_qc_tie(args) -> int:
 
 def _cmd_qc_nasvd(args) -> int:
     counts = read_spectra_csv(args.infile)
-    mat = SpectraMatrix(counts)
-    denoised = nasvd_denoise(mat, args.k)
-    write_spectra_csv(args.out, denoised.counts)
+    write_spectra_csv(args.out, nasvd_denoise(counts, args.k))
     _emit({"out": str(args.out), "k": args.k,
-           "energy_fraction": nasvd_energy_fraction(mat, args.k),
+           "energy_fraction": nasvd_energy_fraction(counts, args.k),
            "n_spectra": int(counts.shape[0]),
            "n_channels": int(counts.shape[1])})
     return EXIT_OK

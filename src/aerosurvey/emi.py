@@ -48,11 +48,11 @@ class BuzzPass:
 @dataclass(frozen=True)
 class EmiConfig:
     noise_floor: float = 0.2            # ambient level, nT
-    interference_pct_limit: float = 4.0  # acceptance limit on A/signal, percent
 
     def __post_init__(self):
-        if self.noise_floor <= 0 or self.interference_pct_limit <= 0:
-            raise ValueError("noise_floor and interference_pct_limit must be > 0")
+        if not (math.isfinite(self.noise_floor) and self.noise_floor > 0):
+            raise ValueError("noise_floor must be finite and > 0, "
+                             f"got {self.noise_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,12 @@ def noise_amplitude(trace: TimeSeries, detrend_window_s: float = 1.0) -> float:
     A moving median over `detrend_window_s` removes the slow signal
     (regional field, pass geometry); the amplitude is half the
     97.5th-2.5th percentile span of the residual, so isolated spikes do
-    not dominate. The trace must span at least 3 detrend windows.
+    not dominate. The window must be finite and > 0, and the trace must
+    span at least 3 of them.
     """
-    if detrend_window_s <= 0:
-        raise NonPositiveParameterError("detrend window must be > 0")
+    if not (math.isfinite(detrend_window_s) and detrend_window_s > 0):
+        raise NonPositiveParameterError("detrend_window_s must be finite and "
+                                        f"> 0, got {detrend_window_s!r}")
     if trace.duration < 3.0 * detrend_window_s:
         raise TraceTooShortError("trace must span >= 3 detrend windows")
     if trace.values.ndim == 1:
@@ -188,9 +190,13 @@ def threshold_separation(curve: NoiseCurve, cfg: EmiConfig) -> float:
 
 def interference_percent(curve: NoiseCurve, separation: float,
                          signal_scale: float) -> float:
-    """Fitted platform amplitude at `separation` as a percent of a signal scale."""
-    if signal_scale <= 0 or separation <= 0:
-        raise NonPositiveParameterError("separation and signal scale must be > 0")
+    """Fitted platform amplitude at `separation` as a percent of a signal
+    scale; both must be finite and > 0."""
+    for name, val in (("separation", separation),
+                      ("signal_scale", signal_scale)):
+        if not (math.isfinite(val) and val > 0):
+            raise NonPositiveParameterError(
+                f"{name} must be finite and > 0, got {val!r}")
     return 100.0 * curve.amplitude_at(separation) / signal_scale
 
 

@@ -25,6 +25,9 @@ _IDW_BLOCK = 1024
 _IDW_CANDIDATES = 1 << 15
 # (centre, sample) pairs that grid_idw weighs in one array operation
 _IDW_PAIRS = 1 << 14
+# the most cells grid_idw builds: its centres and output take 40 bytes a
+# cell, 2.7 GB here, where 66 line-km of survey at 10 m cells is 30k cells
+_MAX_GRID_CELLS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,8 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
     within `search_radius`; a center within 1e-9 m of a sample takes that
     sample's value exactly; centers with no neighbors are nodata. The
     default extent snaps cell centers onto the sample bounding box, so a
-    lone sample sits exactly on its cell center.
+    lone sample sits exactly on its cell center. A grid of more than
+    _MAX_GRID_CELLS (2**26) cells is refused with a ValueError.
 
     A sample is a neighbour when dx*dx + dy*dy <= search_radius**2, the
     test of scipy's query_ball_point for p=2, and a center weighs its
@@ -148,10 +152,14 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
         origin = (float(x.min()) - cell_size / 2.0,
                   float(y.min()) - cell_size / 2.0)
     if shape is None:
-        nx = int(math.floor((x.max() - x.min()) / cell_size * (1 + 1e-12) + 1e-9)) + 1
-        ny = int(math.floor((y.max() - y.min()) / cell_size * (1 + 1e-12) + 1e-9)) + 1
-        shape = (ny, nx)
+        # clamped before int(): a tiny cell_size can make the count inf
+        shape = tuple(int(math.floor(min(
+            float(v.max() - v.min()) / cell_size * (1 + 1e-12) + 1e-9,
+            _MAX_GRID_CELLS))) + 1 for v in (y, x))
     ny, nx = shape
+    if ny * nx > _MAX_GRID_CELLS:
+        raise ValueError(f"cell_size {cell_size!r} gives more than "
+                         f"{_MAX_GRID_CELLS} grid cells")
 
     xs = origin[0] + (np.arange(nx) + 0.5) * cell_size
     ys = origin[1] + (np.arange(ny) + 0.5) * cell_size

@@ -36,7 +36,6 @@ from .io_csv import (
 )
 from .qc import (
     FIELD_COLUMNS,
-    SpectraMatrix,
     crossover_analysis,
     diurnal_correct,
     fourth_difference,
@@ -197,13 +196,12 @@ def write_survey_artifacts(result: SimResult, out_dir: str | Path) -> dict:
     write_spectra_csv(out / "spectra.csv", spectra)
     paths["spectra.csv"] = out / "spectra.csv"
 
-    for sub, lines in (("flights", [l for l in result.mag_lines
-                                    if l.role is LineRole.FLIGHT]),
-                       ("ties", [l for l in result.mag_lines
-                                 if l.role is LineRole.TIE])):
+    lines = split_lines(result.mag_full, result.segment_at_sensor,
+                        result.plan)
+    for sub, role in (("flights", LineRole.FLIGHT), ("ties", LineRole.TIE)):
         d = out / sub
         d.mkdir(exist_ok=True)
-        for line in lines:
+        for line in (l for l in lines if l.role is role):
             write_series_csv(d / f"{line.line_id}.csv", line.series)
             paths[f"{sub}/{line.line_id}.csv"] = d / f"{line.line_id}.csv"
     return paths
@@ -269,8 +267,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         max_roll = float(np.max(np.abs(att.roll_deg[straight])))
         max_pitch = float(np.max(np.abs(att.pitch_deg[straight])))
         # robust out-of-phase amplitude on the (first) longest flight line
-        n_samples = [len(l.series) for l in sim.vlf_lines]
-        vlf = sim.vlf_lines[n_samples.index(max(n_samples))]
+        vlf_per_line = split_lines(sim.vlf_full, sim.segment_at_sensor, plan)
+        n_samples = [len(l.series) for l in vlf_per_line]
+        vlf = vlf_per_line[n_samples.index(max(n_samples))]
         out_amp = noise_amplitude(TimeSeries(
             vlf.series.t, vlf.series.column("outphase_pct"), ("outphase_pct",)))
         passed = (max_roll <= 5.0 and max_pitch <= 5.0
@@ -279,8 +278,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
             "n_sim_samples": len(att),
             "n_sensor_samples": len(sim.mag_full),
             "n_flight_lines": sum(l.role is LineRole.FLIGHT
-                                  for l in sim.mag_lines),
-            "n_tie_lines": sum(l.role is LineRole.TIE for l in sim.mag_lines),
+                                  for l in vlf_per_line),
+            "n_tie_lines": sum(l.role is LineRole.TIE for l in vlf_per_line),
             "effective_damping_ratio": sim.effective_damping_ratio,
             "max_straight_roll_deg": max_roll,
             "max_straight_pitch_deg": max_pitch,
@@ -320,10 +319,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
         stage = "qc_nasvd"
         counts = _spectra_from_rad(sim.rad_full, sim_cfg.n_channels)
-        mat = SpectraMatrix(counts)
-        denoised = nasvd_denoise(mat, cfg.nasvd_k)
-        write_spectra_csv(out / "denoised.csv", denoised.counts)
-        energy = nasvd_energy_fraction(mat, cfg.nasvd_k)
+        write_spectra_csv(out / "denoised.csv",
+                          nasvd_denoise(counts, cfg.nasvd_k))
+        energy = nasvd_energy_fraction(counts, cfg.nasvd_k)
         stages.append(StageResult(stage, energy >= cfg.nasvd_energy_min, {
             "k": cfg.nasvd_k,
             "energy_fraction": energy,

@@ -297,32 +297,15 @@ def crossover_analysis(flight_lines: tuple[SurveyLine, ...],
     return records, QcReport("crossover", not flagged, flagged, stats)
 
 
-@dataclass(frozen=True)
-class SpectraMatrix:
-    """Gamma-ray spectra: rows are samples, columns energy channels."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.counts, dtype=float)  # copy, then freeze
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
-        if c.ndim != 2:
-            raise ValueError("spectra matrix must be 2-D")
-        if np.any(c < 0):
-            raise ValueError("counts must be >= 0")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.counts.shape
-
-
-def _nasvd_scaled(spectra: SpectraMatrix | np.ndarray, k: int
+def _nasvd_scaled(spectra: np.ndarray, k: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated counts, per-channel 1/sqrt(mean spectrum) scale, and the
     mask of channels with a non-zero mean (the others keep scale 1)."""
-    m = spectra.counts if isinstance(spectra, SpectraMatrix) else \
-        SpectraMatrix(spectra).counts
+    m = np.asarray(spectra, dtype=float)
+    if m.ndim != 2:
+        raise ValueError("spectra matrix must be 2-D")
+    if np.any(m < 0):
+        raise ValueError("counts must be >= 0")
     if not 1 <= k <= min(m.shape):
         raise InvalidRankError(f"k must be in 1..{min(m.shape)}")
     mean_spec = m.mean(axis=0)
@@ -332,14 +315,16 @@ def _nasvd_scaled(spectra: SpectraMatrix | np.ndarray, k: int
     return m, scale, nz
 
 
-def nasvd_denoise(spectra: SpectraMatrix | np.ndarray, k: int) -> SpectraMatrix:
+def nasvd_denoise(spectra: np.ndarray, k: int) -> np.ndarray:
     """Noise-adjusted SVD denoising of a spectra matrix.
 
-    Counting noise scales with sqrt(counts), so each channel is scaled by
-    1/sqrt(mean spectrum) to equalize noise before the rank-k truncated
-    SVD; the reconstruction is scaled back and negative values clamped to
-    zero. Channels whose mean is zero carry no information and pass
-    through untouched.
+    `spectra` is a 2-D array of counts >= 0, rows samples and columns
+    energy channels; it is only read. Counting noise scales with
+    sqrt(counts), so each channel is scaled by 1/sqrt(mean spectrum) to
+    equalize noise before the rank-k truncated SVD; the reconstruction is
+    scaled back and negative values clamped to zero. Channels whose mean
+    is zero carry no information and pass through untouched. Returns the
+    clamped reconstruction, a new array of the same shape.
     """
     m, scale, nz = _nasvd_scaled(spectra, k)
     u, s, vt = np.linalg.svd(m * scale, full_matrices=False)
@@ -347,10 +332,10 @@ def nasvd_denoise(spectra: SpectraMatrix | np.ndarray, k: int) -> SpectraMatrix:
     del u   # rebuilt in place: one spectra-sized array alive, not four
     out /= scale
     out[:, ~nz] = m[:, ~nz]
-    return SpectraMatrix(np.maximum(out, 0.0, out=out))
+    return np.maximum(out, 0.0, out=out)
 
 
-def nasvd_energy_fraction(spectra: SpectraMatrix | np.ndarray, k: int) -> float:
+def nasvd_energy_fraction(spectra: np.ndarray, k: int) -> float:
     """Fraction of total variance captured by the top-k scaled components."""
     m, scale, _ = _nasvd_scaled(spectra, k)
     s = np.linalg.svd(m * scale, compute_uv=False)

@@ -564,14 +564,14 @@ def read_attitude_csv(path) -> AttitudeTrack:
 class SimResult:
     """Synthetic survey: payload attitude plus all sensor traces.
 
-    Full traces run gate to gate (turns included); the per-line tuples
-    carry only on-line samples, one SurveyLine per flight or tie line.
+    Full traces run gate to gate (turns included), each sample stored
+    once. `segment_at_sensor` labels the sensor samples with their path
+    segment; split_lines(full, result.segment_at_sensor, result.plan)
+    gives the on-line samples of a trace, one SurveyLine per flight or
+    tie line.
     """
 
     attitude: AttitudeTrack
-    mag_lines: tuple[SurveyLine, ...]
-    vlf_lines: tuple[SurveyLine, ...]
-    rad_lines: tuple[SurveyLine, ...]
     mag_full: TimeSeries
     vlf_full: TimeSeries
     rad_full: TimeSeries
@@ -579,8 +579,11 @@ class SimResult:
     plan: FlightPlan
     geometry: SuspensionGeometry
     cfg: SimConfig
-    effective_damping_ratio: float
-    segment_at_sensor: tuple[str, ...] = ()
+    segment_at_sensor: tuple[str, ...]
+
+    @property
+    def effective_damping_ratio(self) -> float:
+        return self.cfg.effective_damping(self.geometry)
 
 
 def _build_path(plan: FlightPlan, cfg: SimConfig):
@@ -769,7 +772,6 @@ def simulate_survey(plan: FlightPlan | None = None,
     s_swing = attitude.swing_deg[si]
     s_roll, s_pitch = attitude.roll_deg[si], attitude.pitch_deg[si]
     s_block = blocks[si]
-    s_label = tuple(attitude.segment[j] for j in si.tolist())
 
     emi_amp = cfg.emi_a1 * length ** (-cfg.emi_exponent)
     prof_k, prof_u = _spectral_profiles(cfg.n_channels)
@@ -833,11 +835,8 @@ def simulate_survey(plan: FlightPlan | None = None,
     base = TimeSeries(bt, cfg.base_datum_nt + diurnal_variation(cfg, bt),
                       ("tmi_nT",))
 
-    # hover samples are labelled "hover" and match no leg
-    return SimResult(attitude, split_lines(mag_full, s_label, plan),
-                     split_lines(vlf_full, s_label, plan),
-                     split_lines(rad_full, s_label, plan), mag_full, vlf_full,
-                     rad_full, base, plan, geometry, cfg, zeta, s_label)
+    return SimResult(attitude, mag_full, vlf_full, rad_full, base, plan,
+                     geometry, cfg, attitude.segment[::step])
 
 
 def split_lines(series: TimeSeries, labels, plan: FlightPlan
@@ -845,7 +844,10 @@ def split_lines(series: TimeSeries, labels, plan: FlightPlan
     """One SurveyLine per plan leg, from a full trace and its segment labels.
 
     Samples belong to a leg when their label equals the leg id; legs with
-    fewer than 2 samples are skipped. Lines keep plan.legs() order.
+    fewer than 2 samples are skipped, so a hover (labelled "hover") gives
+    no lines. Lines keep plan.legs() order, and each holds a copy of its
+    rows of `series`: SimResult stores only the full traces, and callers
+    split them where they need lines.
     """
     lab = np.asarray(labels)
     out = []

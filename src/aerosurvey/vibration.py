@@ -198,13 +198,16 @@ def select_configuration(candidates: list[IsolatorConfig], payload_mass: float,
     """Rank isolator configurations by damping effectiveness.
 
     Evaluated at the dominant excitation frequency with the shared payload
-    mass; returns (config, score) best first. Ties break deterministically
-    by (kind, count).
+    mass; both must be finite and > 0. Returns (config, score) best
+    first. Ties break deterministically by (kind, count).
     """
     if not candidates:
         raise NoCandidatesError("no isolator candidates")
-    if payload_mass <= 0 or dominant_freq <= 0:
-        raise NonPositiveParameterError("mass and frequency must be > 0")
+    for name, val in (("payload_mass", payload_mass),
+                      ("dominant_freq", dominant_freq)):
+        if not (math.isfinite(val) and val > 0):
+            raise NonPositiveParameterError(
+                f"{name} must be finite and > 0, got {val!r}")
     scored = [(c, damping_effectiveness(c.damping_input(payload_mass, dominant_freq)))
               for c in candidates]
     scored.sort(key=lambda cs: (-cs[1], cs[0].kind.value, cs[0].count))

@@ -27,12 +27,15 @@ from aerosurvey.gridding import Grid, grid_idw, intensity_stddev, to_grayscale
 from aerosurvey.io_csv import SchemaKind, crossover_fixture_path, ingest_csv
 from aerosurvey.pipeline import PipelineConfig, run_pipeline
 from aerosurvey.qc import (
-    SpectraMatrix,
     crossover_row_stats,
     fourth_difference_values,
     nasvd_denoise,
 )
-from aerosurvey.suspension import SuspensionGeometry, simulate_survey
+from aerosurvey.suspension import (
+    SuspensionGeometry,
+    simulate_survey,
+    split_lines,
+)
 from aerosurvey.vibration import (
     DampingInput,
     amplitude_spectrum,
@@ -171,7 +174,7 @@ def test_c08_nasvd_full_rank_identity_and_poisson_monte_carlo():
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
     counts = rng.uniform(1.0, 50.0, (20, 8))
-    rec = nasvd_denoise(SpectraMatrix(counts), 8).counts
+    rec = nasvd_denoise(counts, 8)
     assert np.max(np.abs(rec - counts)) <= 1e-8 * np.max(np.abs(counts))
 
     wins = 0
@@ -181,7 +184,7 @@ def test_c08_nasvd_full_rank_identity_and_poisson_monte_carlo():
         strength = srng.uniform(10.0, 60.0, 50)
         truth = np.outer(strength, shape)
         noisy = srng.poisson(truth).astype(float)
-        denoised = nasvd_denoise(SpectraMatrix(noisy), 1).counts
+        denoised = nasvd_denoise(noisy, 1)
         rms_noisy = float(np.sqrt(np.mean((noisy - truth) ** 2)))
         rms_denoised = float(np.sqrt(np.mean((denoised - truth) ** 2)))
         wins += rms_denoised < rms_noisy
@@ -202,7 +205,7 @@ def test_c09_default_pipeline_meets_attitude_and_noise_gates(pipeline_run):
     straight = att.straight_mask()
     assert np.all(np.abs(att.roll_deg[straight]) <= 5.0)
     assert np.all(np.abs(att.pitch_deg[straight]) <= 5.0)
-    for line in res.vlf_lines:
+    for line in split_lines(res.vlf_full, res.segment_at_sensor, res.plan):
         series = TimeSeries(line.series.t, line.series.column("outphase_pct"),
                             ("outphase_pct",))
         assert noise_amplitude(series) <= 4.0

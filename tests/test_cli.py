@@ -542,9 +542,22 @@ def _survey_inputs(tmp_path):
     t = np.arange(0, 4.0, 1.0 / 256.0)
     write_accel(tmp_path / "accel.csv", t, np.sin(2 * np.pi * 33.0 * t))
     flights, ties = _write_tie_fixture(tmp_path, 50000.0)
+    (tmp_path / "candidates.json").write_text(json.dumps([GOOD_CANDIDATE]))
+    # five buzz passes that the default analysis accepts
+    rng = np.random.default_rng(1)
+    t = np.arange(0, 20.0, 1.0 / 50.0)
+    passes = []
+    for sep in (4.0, 6.0, 8.0, 10.0, 12.0):
+        trace = (rng.normal(0.0, 145.8 * sep ** -3.0 / 1.96, t.size)
+                 + rng.normal(0.0, 0.2 / 1.96, t.size))
+        write_series_csv(tmp_path / f"pass_{sep:g}.csv",
+                         TimeSeries(t, trace, ("buzz_nT",)))
+        passes.append({"separation_m": sep, "csv_path": f"pass_{sep:g}.csv"})
+    (tmp_path / "passes.json").write_text(json.dumps(passes))
     return {"mag": tmp_path / "mag.csv", "base": tmp_path / "base.csv",
             "accel": tmp_path / "accel.csv", "flights": flights, "ties": ties,
-            "out": tmp_path / "out.file"}
+            "candidates": tmp_path / "candidates.json",
+            "passes": tmp_path / "passes.json", "out": tmp_path / "out.file"}
 
 
 @pytest.mark.parametrize("argv, message", (
@@ -560,6 +573,17 @@ def _survey_inputs(tmp_path):
       for v in ("nan", "-1", "1.5")),
     *((["vib", "spectrum", "--in", "{accel}", "--rate", v, "--out", "{out}"],
       "rate_hz must be finite and > 0") for v in ("nan", "inf")),
+    *((["vib", "rank", "--config", "{candidates}", "--mass", m, "--freq", f],
+      f"{name} must be finite and > 0") for m, f, name in (
+        ("nan", "35", "payload_mass"), ("inf", "35", "payload_mass"),
+        ("6", "nan", "dominant_freq"), ("6", "inf", "dominant_freq"))),
+    *((["emi", "buzz", "--passes", "{passes}", flag, v, "--out", "{out}"],
+      f"{name} must be finite and > 0") for flag, name in (
+        ("--floor", "noise_floor"), ("--window", "detrend_window_s"),
+        ("--signal-scale", "signal_scale"), ("--at", "separation"))
+      for v in ("nan", "inf")),
+    (["grid", "make", "--in", "{mag}", "--cell", "1e-9", "--radius", "1e-9",
+      "--out", "{out}"], "cell_size 1e-09 gives more than 67108864 grid cells"),
 ))
 def test_bad_gate_or_parameter_exits_2_naming_it(tmp_path, capsys, argv,
                                                  message):

@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from aerosurvey.core import LineRole
 from aerosurvey.qc import _segment_intersections
-from aerosurvey.suspension import FlightPlan, SimConfig, simulate_survey
+from aerosurvey.suspension import (
+    FlightPlan,
+    SimConfig,
+    simulate_survey,
+    split_lines,
+)
 
 # fixed, derandomized profile: the same examples on every run
 PROPERTY = settings(derandomize=True, max_examples=250, deadline=None,
@@ -174,8 +179,9 @@ def test_sweep_matches_dense_oracle_on_edge_cases(pa, pb):
 def test_sweep_matches_dense_oracle_on_simulated_lines():
     sim = simulate_survey(FlightPlan(n_lines=2, line_length_m=150.0,
                                      tie_lines=1), cfg=SimConfig(seed=7))
-    flights = [ln for ln in sim.rad_lines if ln.role is LineRole.FLIGHT]
-    ties = [ln for ln in sim.rad_lines if ln.role is LineRole.TIE]
+    lines = split_lines(sim.rad_full, sim.segment_at_sensor, sim.plan)
+    flights = [ln for ln in lines if ln.role is LineRole.FLIGHT]
+    ties = [ln for ln in lines if ln.role is LineRole.TIE]
     assert flights and ties
     for fl in flights:
         for tl in ties:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from aerosurvey import (
     write_pgm,
 )
 from aerosurvey.errors import TooFewPixelsError, TooFewSamplesError
+from aerosurvey.gridding import _MAX_GRID_CELLS
 
 
 # --- IDW gridding ---
@@ -90,6 +93,26 @@ def test_grid_idw_rejects_non_finite_sample_coordinates():
     x = np.array([0.0, 1.0, np.inf, 3.0])
     with pytest.raises(ValueError, match="coordinates must be finite"):
         grid_idw(x, np.zeros(4), np.ones(4), 1.0, 2.0)
+
+
+@pytest.mark.parametrize("cell, shape", (
+    (1e-9, None),               # 4e10 x 5e9 cells
+    (5e-324, None),             # cell counts beyond float range
+    (1.0, (1 << 13, (1 << 13) + 1)),
+))
+def test_grid_idw_refuses_more_than_max_grid_cells(cell, shape):
+    x = np.array([0.0, 10.0, 20.0, 30.0, 40.0])
+    y = np.array([0.0, 5.0, 0.0, 5.0, 0.0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"cell_size {cell!r} gives more "
+                           f"than {_MAX_GRID_CELLS} grid cells"):
+            grid_idw(x, y, np.ones(5), cell, 1.0, shape=shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # refused before any array of one value per cell exists
+    assert peak < 2 ** 20
 
 
 # --- grayscale conversion ---

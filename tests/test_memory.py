@@ -1,9 +1,11 @@
-"""Peak traced memory of the survey kernels at survey_large size.
+"""Peak traced memory of the survey kernels at survey_large size, and
+the memory a simulated survey holds once it is built.
 
-Each bound sits between the peak of the kernel before its intermediates
-were cut (in brackets) and its peak now, so putting back a whole-run
-transient fails the test. For write_table the bracket is its peak with
-one chunk for the whole table. tracemalloc counts numpy's data buffers.
+Each bound sits between the figure before its intermediates or stored
+copies were cut (in brackets) and the figure now, so putting back a
+whole-run transient or a stored copy fails the test. For write_table
+the bracket is its peak with one chunk for the whole table. tracemalloc
+counts numpy's data buffers.
 """
 
 from __future__ import annotations
@@ -37,6 +39,21 @@ def test_simulate_survey_peak_at_survey_large_size():
     plan = FlightPlan(n_lines=8, line_length_m=2000.0, spacing_m=50.0,
                       tie_lines=3)
     assert _peak_mb(simulate_survey, plan, None, SimConfig(seed=4)) < 72.0  # [90]
+
+
+def test_sim_result_holds_each_sample_once_at_survey_large_size():
+    # what the result keeps after simulate_survey returns: the attitude
+    # track and the full traces, without per-line copies of the traces
+    plan = FlightPlan(n_lines=8, line_length_m=2000.0, spacing_m=50.0,
+                      tie_lines=3)
+    tracemalloc.start()
+    try:
+        result = simulate_survey(plan, None, SimConfig(seed=4))
+        held = tracemalloc.get_traced_memory()[0] / MB
+    finally:
+        tracemalloc.stop()
+    assert len(result.mag_full) == 26_695
+    assert held < 32.0  # [36.8]
 
 
 def test_nasvd_denoise_peak_at_survey_large_size():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from aerosurvey import (
-    SpectraMatrix,
     TimeSeries,
     crossover_analysis,
     crossover_row_stats,
@@ -213,7 +212,7 @@ def test_nasvd_full_rank_is_identity():
     rng = np.random.default_rng(11)
     counts = rng.poisson(40.0, (50, 32)).astype(float)
     out = nasvd_denoise(counts, k=32)
-    err = np.linalg.norm(out.counts - counts) / np.linalg.norm(counts)
+    err = np.linalg.norm(out - counts) / np.linalg.norm(counts)
     assert err < 1e-8
     assert nasvd_energy_fraction(counts, 32) == pytest.approx(1.0, rel=1e-12)
 
@@ -223,7 +222,7 @@ def test_nasvd_rank1_data_recovered_at_k1():
     profile = np.exp(-np.arange(32) / 6.0)
     truth = np.outer(intensity, profile)
     out = nasvd_denoise(truth, k=1)
-    assert np.allclose(out.counts, truth, rtol=1e-10, atol=1e-8)
+    assert np.allclose(out, truth, rtol=1e-10, atol=1e-8)
     assert nasvd_energy_fraction(truth, 1) == pytest.approx(1.0, rel=1e-10)
 
 
@@ -235,7 +234,7 @@ def test_nasvd_improves_poisson_noise():
     wins = 0
     for seed in range(5):
         noisy = np.random.default_rng(seed).poisson(truth).astype(float)
-        den = nasvd_denoise(noisy, k=1).counts
+        den = nasvd_denoise(noisy, k=1)
         if np.linalg.norm(den - truth) < np.linalg.norm(noisy - truth):
             wins += 1
     assert wins >= 4
@@ -246,8 +245,8 @@ def test_nasvd_zero_channels_pass_through():
     counts = rng.poisson(30.0, (20, 8)).astype(float)
     counts[:, 3] = 0.0
     out = nasvd_denoise(counts, k=2)
-    assert np.array_equal(out.counts[:, 3], np.zeros(20))
-    assert np.min(out.counts) >= 0.0  # clamped
+    assert np.array_equal(out[:, 3], np.zeros(20))
+    assert np.min(out) >= 0.0  # clamped
 
 
 def test_nasvd_rank_bounds():
@@ -267,8 +266,9 @@ def test_nasvd_rejects_negative_counts():
             fn(counts, 2)
 
 
-def test_spectra_matrix_validation():
-    with pytest.raises(ValueError):
-        SpectraMatrix(np.array([1.0, 2.0]))  # not 2-D
-    with pytest.raises(ValueError):
-        SpectraMatrix(np.array([[1.0, -2.0]]))  # negative counts
+def test_nasvd_validates_spectra_matrix():
+    for fn in (nasvd_denoise, nasvd_energy_fraction):
+        with pytest.raises(ValueError, match="spectra matrix must be 2-D"):
+            fn(np.array([1.0, 2.0]), 1)
+        with pytest.raises(ValueError, match="counts must be >= 0"):
+            fn(np.array([[1.0, -2.0]]), 1)

@@ -384,30 +384,34 @@ def test_simulate_survey_streams_are_aligned(default_sim):
 
 def test_simulate_survey_line_split(default_sim):
     res = default_sim
-    assert [ln.line_id for ln in res.mag_lines] == ["L1", "L2", "L3", "L4", "T1"]
-    roles = {ln.line_id: ln.role for ln in res.mag_lines}
+    lines = split_lines(res.mag_full, res.segment_at_sensor, res.plan)
+    assert [ln.line_id for ln in lines] == ["L1", "L2", "L3", "L4", "T1"]
+    roles = {ln.line_id: ln.role for ln in lines}
     assert roles["T1"] is LineRole.TIE
     assert roles["L2"] is LineRole.FLIGHT
     # every on-line sensor sample lands in exactly one line
-    n_on_line = sum(len(ln.series) for ln in res.mag_lines)
+    n_on_line = sum(len(ln.series) for ln in lines)
     labels = np.asarray(res.segment_at_sensor)
-    assert n_on_line == int(np.isin(labels, [ln.line_id for ln in res.mag_lines]).sum())
+    assert n_on_line == int(np.isin(labels, [ln.line_id for ln in lines]).sum())
 
 
 def test_split_lines_matches_per_sample_labels(default_sim):
     res = default_sim
-    for full, lines in ((res.mag_full, res.mag_lines),
-                        (res.vlf_full, res.vlf_lines),
-                        (res.rad_full, res.rad_lines)):
-        again = split_lines(full, res.segment_at_sensor, res.plan)
-        assert [(ln.line_id, ln.role) for ln in again] == \
-            [(ln.line_id, ln.role) for ln in lines]
-        for ln, ref in zip(again, lines):
-            m = np.array([lab == ln.line_id for lab in res.segment_at_sensor])
+    # sensor sample i is attitude sample i * step, and carries its label
+    step = round(res.cfg.sim_rate_hz / res.cfg.sensor_rate_hz)
+    at_sensor = np.arange(0, len(res.attitude), step)
+    assert np.array_equal(res.attitude.t[at_sensor], res.mag_full.t)
+    labels = [res.attitude.segment[j] for j in at_sensor.tolist()]
+    assert list(res.segment_at_sensor) == labels
+    legs = [(lid, role) for lid, role, _, _ in res.plan.legs()]
+    for full in (res.mag_full, res.vlf_full, res.rad_full):
+        lines = split_lines(full, res.segment_at_sensor, res.plan)
+        assert [(ln.line_id, ln.role) for ln in lines] == legs
+        for ln in lines:
+            m = np.array([lab == ln.line_id for lab in labels])
             assert np.array_equal(ln.series.t, full.t[m])
             assert np.array_equal(ln.series.values, full.values[m])
-            assert np.array_equal(ref.series.values, full.values[m])
-            assert ref.series.fields == full.fields
+            assert ln.series.fields == full.fields
     # a leg with fewer than 2 labelled samples yields no line
     one = ("L1",) + ("turn",) * (len(res.mag_full) - 1)
     assert split_lines(res.mag_full, one, res.plan) == ()
@@ -443,7 +447,7 @@ def test_simulate_survey_hover():
     res = simulate_survey(cfg=SimConfig(speed=0.0, hover_duration_s=30.0))
     assert set(res.attitude.segment) == {"hover"}
     assert res.attitude.t[-1] == pytest.approx(30.0)
-    assert res.mag_lines == ()
+    assert split_lines(res.mag_full, res.segment_at_sensor, res.plan) == ()
     assert np.all(res.attitude.swing_deg == 0.0)
     # hover magnetometer trace is regional + diurnal + noise at one spot
     assert np.ptp(res.mag_full.column("easting_m")) == 0.0
