@@ -42,9 +42,10 @@ from .io_csv import (
     CSV_SCHEMA_VERSION,
     SchemaKind,
     _json_text,
+    _open_csv,
+    _read_columns,
     _read_floats,
     _read_json,
-    _read_rows,
     _write_json,
     ingest_csv,
     read_spectra_csv,
@@ -205,17 +206,23 @@ def _cmd_vib_rank(args) -> int:
 
 def _read_buzz_trace(path: Path) -> TimeSeries:
     """Buzz traces are mag CSVs or any two-column t_s,<value> file."""
-    header, body = _read_rows(path)
+    with _open_csv(path) as (_, header, _):
+        pass
     if "tmi_nT" in header:
         return _scalar(ingest_csv(path, SchemaKind.MAG).data, "tmi_nT")
-    if "t_s" not in header:
-        raise MissingColumnError(f"{path}: no t_s column")
-    value_col = [c for c in header if c != "t_s"]
-    if not value_col:
-        raise MissingColumnError(f"{path}: no value column")
-    t, v = _read_floats(path, header, body, [header.index("t_s"),
-                                             header.index(value_col[-1])]).T
-    return TimeSeries(t, v, (value_col[-1],))
+
+    def value_column(header: list[str]) -> str:
+        if "t_s" not in header:
+            raise MissingColumnError(f"{path}: no t_s column")
+        value_col = [c for c in header if c != "t_s"]
+        if not value_col:
+            raise MissingColumnError(f"{path}: no value column")
+        return value_col[-1]
+
+    header, *parsed = _read_columns(path, lambda header: [
+        header.index(c) for c in ("t_s", value_column(header))])
+    t, v = _read_floats(path, header, *parsed).T
+    return TimeSeries(t, v, (value_column(header),))
 
 
 def _cmd_emi_buzz(args) -> int:

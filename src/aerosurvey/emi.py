@@ -191,13 +191,21 @@ def threshold_separation(curve: NoiseCurve, cfg: EmiConfig) -> float:
 def interference_percent(curve: NoiseCurve, separation: float,
                          signal_scale: float) -> float:
     """Fitted platform amplitude at `separation` as a percent of a signal
-    scale; both must be finite and > 0."""
+    scale; both must be finite and > 0, and the percent finite."""
     for name, val in (("separation", separation),
                       ("signal_scale", signal_scale)):
         if not (math.isfinite(val) and val > 0):
             raise NonPositiveParameterError(
                 f"{name} must be finite and > 0, got {val!r}")
-    return 100.0 * curve.amplitude_at(separation) / signal_scale
+    try:
+        pct = 100.0 * curve.amplitude_at(separation) / signal_scale
+    except OverflowError:               # r ** -p beyond the float range
+        pct = math.inf
+    if not math.isfinite(pct):
+        raise NonPositiveParameterError(
+            f"separation {separation!r} gives a non-finite interference "
+            f"percent")
+    return pct
 
 
 def analyze_passes(passes: list[BuzzPass], cfg: EmiConfig,

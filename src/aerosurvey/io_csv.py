@@ -10,8 +10,15 @@ Schemas (comma-separated, header row, '.' decimal, UTF-8):
     rad:       t_s,easting_m,northing_m,alt_m,k_pct,u_ppm[,th_ppm][,ch0..chN]
     crossover: x_utm,y_utm,flights_k_pct,tie_k_pct,flights_u_ppm,tie_u_ppm
 
-Every CSV the package reads is split into rows by _read_rows and its
-float columns are parsed by _parse_columns. Every artifact it writes
+Every CSV the package reads has its header read by csv in _open_csv.
+The float-only readers (ingest_csv for every schema but crossover,
+read_spectra_csv and the CLI's buzz traces) go through _read_columns,
+which hands the data rows to numpy's C parser. Any input that parser
+refuses or may misread is read again by _read_rows, which splits it into
+rows with csv, and _parse_columns, so rejected rows, reasons and error
+messages are those of the row reader on either route. The crossover
+schema (exact Decimal cells) and the attitude track (a label column) are
+always read by _read_rows. Every artifact it writes
 (these CSVs, the attitude track, the vibration spectrum, ESRI ASCII
 grids and PGM images) goes through write_table, every JSON artifact
 through _write_json, and every JSON file the package reads through
@@ -31,6 +38,8 @@ import csv
 import io
 import json
 import math
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -53,6 +62,13 @@ _CHUNK_CELLS = 1 << 14
 _SLOT = 48
 # characters str() can produce for a Python bool, int or float
 _NUMERIC_TEXT = frozenset("0123456789+-.einfaTrueFls")
+# bytes on which loadtxt reads a line otherwise than csv and float(), so a
+# file holding one goes to the row reader: a quote (loadtxt splits a
+# quoted cell at its commas, which shifts the columns after it even when
+# that cell is not read) and the information separators U+001C to U+001F
+# (loadtxt strips them around a number, float() rejects them). No other
+# UTF-8 character contains these bytes.
+_CSV_ONLY = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class SchemaKind(Enum):
@@ -97,13 +113,26 @@ class Ingested:
     rejected_rows: tuple[tuple[int, str], ...] = ()
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+@contextmanager
+def _open_csv(path: str | Path):
+    """(file, header, rows): the open file, its header and a csv reader.
+
+    Blank rows are skipped; the header is the first other row, its cells
+    stripped, and `rows` yields the data rows after it. The file is
+    positioned just after the header, so another parser can take the data
+    rows instead of `rows`.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise EmptyFileError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    body = rows[1:]
+        rows = filter(None, csv.reader(fh))
+        header = next(rows, None)
+        if header is None:
+            raise EmptyFileError(f"{path}: empty file")
+        yield fh, [c.strip() for c in header], rows
+
+
+def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    with _open_csv(path) as (_, header, rows):
+        body = list(rows)
     if not body:
         raise EmptyFileError(f"{path}: no data rows")
     return header, body
@@ -148,15 +177,65 @@ def _parse_columns(body: list[list[str]], cols: list[int], width: int = 0
     return values, failed, ragged
 
 
-def _read_floats(path, header: list[str], body: list[list[str]],
-                 cols: list[int], width: int = 0) -> np.ndarray:
-    """_parse_columns for the strict readers: the first bad row raises.
+def _load_floats(fh, cols: list[int]) -> np.ndarray | None:
+    """Cells `cols` of the rest of `fh` by numpy's C parser, or None.
+
+    loadtxt converts a cell with PyOS_string_to_double, the core of
+    float(), and skips blank lines as csv does. Where the two were seen to
+    differ, other than at the bytes _CSV_ONLY, it raises ValueError: "1_0",
+    non-ASCII digits, an empty cell, a short row, a whitespace-only or NUL
+    line, a NUL in a cell, bytes that are not UTF-8. Those, and a file
+    without data rows, give None.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt: input contained no data",
+                                UserWarning)
+        try:
+            return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                              usecols=cols, dtype=float)
+        except (ValueError, UserWarning):
+            return None
+
+
+def _has_csv_only_bytes(path) -> bool:
+    with open(path, "rb") as fh:
+        return any(b in block for block in iter(lambda: fh.read(1 << 20), b"")
+                   for b in _CSV_ONLY)
+
+
+def _read_columns(path, select):
+    """(header, body, values, failed, ragged) of the cells select names.
+
+    `select(header)` gives the column indices to parse and raises
+    MissingColumnError for a header without them. The data rows go to
+    _load_floats first; there `body` is None and no row failed. Where it
+    gives None, the file holds a byte of _CSV_ONLY or select rejects the
+    header, the file is read again by _read_rows and _parse_columns, so
+    the rows, the errors and their messages are exactly theirs.
+    """
+    with _open_csv(path) as (fh, header, _):
+        try:
+            cols = select(header)
+        except MissingColumnError:
+            cols = None     # so a file without data rows says that first
+        values = (None if cols is None or _has_csv_only_bytes(path)
+                  else _load_floats(fh, cols))
+    if values is None:
+        header, body = _read_rows(path)
+        return header, body, *_parse_columns(body, select(header))
+    passed = np.zeros(len(values), bool)
+    return header, None, values, passed, passed
+
+
+def _read_floats(path, header: list[str], body: list[list[str]] | None,
+                 values: np.ndarray, failed: np.ndarray, ragged: np.ndarray
+                 ) -> np.ndarray:
+    """`values` for the strict readers: the first bad row raises.
 
     The ValueError names the file and the 1-based data row: the first row
     with too few cells or an unparsable cell, else the first with a nan or
     inf.
     """
-    values, failed, ragged = _parse_columns(body, cols, width)
     if failed.any():
         i = int(np.argmax(failed))
         if ragged[i]:
@@ -180,21 +259,17 @@ def ingest_csv(path: str | Path, schema: SchemaKind | str,
     NonMonotoneTimeError.
     """
     schema = SchemaKind(schema) if not isinstance(schema, SchemaKind) else schema
-    header, body = _read_rows(path)
-    idx = _check_header(path, header, _REQUIRED[schema])
-
     if schema is SchemaKind.CROSSOVER:
+        header, body = _read_rows(path)
+        idx = _check_header(path, header, _REQUIRED[schema])
         return _ingest_crossover(path, body, idx)
 
-    # value columns: everything required after t_s, plus rad optionals
-    value_cols = list(_REQUIRED[schema][1:])
-    if schema is SchemaKind.RAD:
-        if "th_ppm" in idx:
-            value_cols.append("th_ppm")
-        value_cols.extend(c for c in header if c.startswith("ch") and c[2:].isdigit())
+    def columns(header: list[str]) -> list[int]:
+        idx = _check_header(path, header, _REQUIRED[schema])
+        return [idx[c] for c in ("t_s", *_value_columns(schema, header))]
 
-    values, failed, _ = _parse_columns(
-        body, [idx["t_s"]] + [idx[c] for c in value_cols])
+    header, _, values, failed, _ = _read_columns(path, columns)
+    value_cols = _value_columns(schema, header)
     checks = [(failed, "unparsable field"),
               (~np.isfinite(values).all(axis=1), "non-finite field")]
     for c, v in zip(value_cols, values[:, 1:].T):
@@ -221,8 +296,32 @@ def ingest_csv(path: str | Path, schema: SchemaKind | str,
     data = values[kept, 1:] if len(value_cols) > 1 else values[kept, 1]
     rejected = tuple((i + 1, reasons[first_fail[i] - 1])
                      for i in np.flatnonzero(first_fail).tolist())
+    if rejected:
+        _warn_rejected(path, rejected)
     return Ingested(TimeSeries(values[kept, 0], data, tuple(value_cols)),
                     rejected)
+
+
+def _value_columns(schema: SchemaKind, header: list[str]) -> list[str]:
+    """Everything `schema` requires after t_s, plus rad's optionals."""
+    cols = list(_REQUIRED[schema][1:])
+    if schema is SchemaKind.RAD:
+        if "th_ppm" in header:
+            cols.append("th_ppm")
+        cols.extend(c for c in header if c.startswith("ch") and c[2:].isdigit())
+    return cols
+
+
+def _warn_rejected(path, rejected: tuple[tuple[int, str], ...]) -> None:
+    """One WARNING on the aerosurvey logger: the file, the count and the
+    first three (data row, reason) pairs."""
+    # loaded by the first file with a bad row, so clean runs skip it
+    import logging
+
+    first = "; ".join(f"row {i}: {reason}" for i, reason in rejected[:3])
+    more = ", ..." if len(rejected) > 3 else ""
+    logging.getLogger("aerosurvey").warning(
+        "%s: %d data rows rejected (%s%s)", path, len(rejected), first, more)
 
 
 def _ingest_crossover(path, body, idx) -> Ingested:
@@ -428,11 +527,13 @@ def read_survey_lines(directory: str | Path, schema: SchemaKind | str,
 
 def read_spectra_csv(path: str | Path) -> np.ndarray:
     """Plain spectra matrix: header ch0..chN, one sample per row."""
-    header, body = _read_rows(path)
-    cols = [c for c in header if c.startswith("ch") and c[2:].isdigit()]
-    if not cols:
-        raise MissingColumnError(f"{path}: no ch0..chN columns")
-    return _read_floats(path, header, body, [header.index(c) for c in cols])
+    def columns(header: list[str]) -> list[int]:
+        cols = [c for c in header if c.startswith("ch") and c[2:].isdigit()]
+        if not cols:
+            raise MissingColumnError(f"{path}: no ch0..chN columns")
+        return [header.index(c) for c in cols]
+
+    return _read_floats(path, *_read_columns(path, columns))
 
 
 def write_spectra_csv(path: str | Path, counts: np.ndarray) -> None:

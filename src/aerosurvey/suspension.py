@@ -24,7 +24,13 @@ from .errors import (
     NeverSettlesError,
     SlackCableError,
 )
-from .io_csv import _check_header, _read_floats, _read_rows, write_table
+from .io_csv import (
+    _check_header,
+    _parse_columns,
+    _read_floats,
+    _read_rows,
+    write_table,
+)
 
 G = 9.80665  # m/s^2
 
@@ -548,9 +554,8 @@ def read_attitude_csv(path) -> AttitudeTrack:
     header, body = _read_rows(path)
     idx = _check_header(path, header, ATTITUDE_COLUMNS)
     segment = idx["segment"]
-    values = _read_floats(path, header, body,
-                          [idx[c] for c in ATTITUDE_COLUMNS[:-1]],
-                          width=segment + 1)
+    values = _read_floats(path, header, body, *_parse_columns(
+        body, [idx[c] for c in ATTITUDE_COLUMNS[:-1]], width=segment + 1))
     # ATTITUDE_COLUMNS lists the numeric fields in AttitudeTrack's order
     return AttitudeTrack(*values.T.copy(),
                          tuple(map(itemgetter(segment), body)))

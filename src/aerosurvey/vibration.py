@@ -198,8 +198,9 @@ def select_configuration(candidates: list[IsolatorConfig], payload_mass: float,
     """Rank isolator configurations by damping effectiveness.
 
     Evaluated at the dominant excitation frequency with the shared payload
-    mass; both must be finite and > 0. Returns (config, score) best
-    first. Ties break deterministically by (kind, count).
+    mass; both must be finite and > 0 and give every candidate a finite
+    score. Returns (config, score) best first. Ties break deterministically
+    by (kind, count).
     """
     if not candidates:
         raise NoCandidatesError("no isolator candidates")
@@ -208,7 +209,18 @@ def select_configuration(candidates: list[IsolatorConfig], payload_mass: float,
         if not (math.isfinite(val) and val > 0):
             raise NonPositiveParameterError(
                 f"{name} must be finite and > 0, got {val!r}")
-    scored = [(c, damping_effectiveness(c.damping_input(payload_mass, dominant_freq)))
-              for c in candidates]
+    scored = []
+    for i, c in enumerate(candidates):
+        try:
+            score = damping_effectiveness(c.damping_input(payload_mass,
+                                                          dominant_freq))
+        except ZeroDivisionError:       # mass * count * f**2 underflows
+            score = math.inf
+        if not math.isfinite(score):
+            raise NonPositiveParameterError(
+                f"payload_mass {payload_mass!r} and dominant_freq "
+                f"{dominant_freq!r} give candidate {i} a non-finite "
+                f"effectiveness")
+        scored.append((c, score))
     scored.sort(key=lambda cs: (-cs[1], cs[0].kind.value, cs[0].count))
     return scored

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -584,6 +589,12 @@ def _survey_inputs(tmp_path):
       for v in ("nan", "inf")),
     (["grid", "make", "--in", "{mag}", "--cell", "1e-9", "--radius", "1e-9",
       "--out", "{out}"], "cell_size 1e-09 gives more than 67108864 grid cells"),
+    # finite but tiny: the score or the fitted amplitude leaves the floats
+    *((["vib", "rank", "--config", "{candidates}", "--mass", m, "--freq", f],
+      f"payload_mass {m} and dominant_freq {f} give candidate 0 a non-finite "
+      "effectiveness") for m, f in (("1e-320", "1e-200"), ("1e-300", "1e-10"))),
+    (["emi", "buzz", "--passes", "{passes}", "--at", "1e-300", "--out",
+      "{out}"], "separation 1e-300 gives a non-finite interference percent"),
 ))
 def test_bad_gate_or_parameter_exits_2_naming_it(tmp_path, capsys, argv,
                                                  message):
@@ -728,3 +739,49 @@ def test_wrong_schema_is_io_error(tmp_path, capsys):
                            "--threshold", 5.0, "--out", tmp_path / "out.json")
     assert code == EXIT_IO
     assert "error" in err
+
+
+# --- rows dropped at ingest are reported on stderr ---
+
+def _mag_with_bad_row(tmp_path):
+    """A clean mag file and a copy whose data row 5 has an unparsable cell."""
+    t = np.arange(0, 30.0, 0.1)
+    clean = tmp_path / "clean.csv"
+    write_mag(clean, t, t, np.zeros_like(t), 50000.0 + np.sin(t))
+    lines = clean.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",oops\r\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    return clean, bad
+
+
+def test_rejected_rows_logged_as_one_warning(tmp_path, capsys, caplog):
+    clean, bad = _mag_with_bad_row(tmp_path)
+    with caplog.at_level(logging.WARNING, logger="aerosurvey"):
+        code, stdout, err = run_cli(capsys, "qc", "d4", "--in", bad,
+                                    "--threshold", 6.72,
+                                    "--out", tmp_path / "d4.json")
+    assert code == EXIT_OK and json.loads(stdout) and err == ""
+    [record] = caplog.records
+    assert record.name == "aerosurvey" and record.levelno == logging.WARNING
+    assert record.getMessage() == (f"{bad}: 1 data rows rejected "
+                                   "(row 5: unparsable field)")
+    caplog.clear()
+    code, _, _ = run_cli(capsys, "qc", "d4", "--in", clean, "--threshold",
+                         6.72, "--out", tmp_path / "d4_clean.json")
+    assert code == EXIT_OK and caplog.records == []
+
+
+def test_rejected_rows_warning_reaches_stderr_without_logging_setup(tmp_path):
+    _, bad = _mag_with_bad_row(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(pipeline.__file__).resolve().parent.parent),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "aerosurvey.cli", "qc", "d4", "--in", str(bad),
+         "--threshold", "6.72", "--out", str(tmp_path / "d4.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK and json.loads(proc.stdout)
+    assert proc.stderr == (f"{bad}: 1 data rows rejected "
+                           "(row 5: unparsable field)\n")

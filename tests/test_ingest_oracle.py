@@ -6,6 +6,12 @@ the CLI's buzz reader replaced, kept here only as oracles. For every
 input the oracle accepts, the new reader must return the same bits, the
 same fields and the same rejected rows; where the oracle raises, the new
 reader must raise the same exception (for `strict` both ways).
+
+The readers parse with numpy's C parser first and fall back to the row
+reader (`_read_rows` and `_parse_columns`) for any input the C parser
+refuses or might misread. The route tests at the end hold each input that takes the
+fallback, and each odd input that does not, against both the row loops
+and the row route alone.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aerosurvey import io_csv
 from aerosurvey.cli import EXIT_IO, _read_buzz_trace, main
-from aerosurvey.core import TimeSeries
+from aerosurvey.core import LineRole, TimeSeries
 from aerosurvey.errors import (
     EmptyFileError,
     MissingColumnError,
@@ -36,6 +43,7 @@ from aerosurvey.io_csv import (
     _read_rows,
     ingest_csv,
     read_spectra_csv,
+    read_survey_lines,
 )
 from aerosurvey.suspension import (
     AttitudeTrack,
@@ -450,6 +458,172 @@ def test_emi_buzz_non_finite_cell_is_io_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_IO
     assert "p4.csv: data row 4 has a non-finite value" in err
+
+
+# ---------------------------------------------------------------------------
+# the C parser and the row reader
+
+
+def _route_rows(n: int = 4) -> list[str]:
+    """n rows under ROUTE_HEADER: increasing t_s, every value >= 0."""
+    return [",".join(repr(0.5 * i + 0.25 * j) for j in range(8))
+            for i in range(n)]
+
+
+# the rad schema for ingest_csv, ch0 and ch1 for read_spectra_csv and t_s
+# with ch1, the last column, for the buzz reader
+ROUTE_HEADER = "t_s,easting_m,northing_m,alt_m,k_pct,u_ppm,ch0,ch1"
+
+
+def _text(rows: list[str], end: str = "\n", last: bool = True) -> str:
+    return end.join([ROUTE_HEADER] + rows) + (end if last else "")
+
+
+def _cell(rows: list[str], i: int, value: str, j: int = -1) -> list[str]:
+    """`rows` with cell j of row i replaced by `value`."""
+    cells = rows[i].split(",")
+    cells[j] = value
+    return rows[:i] + [",".join(cells)] + rows[i + 1:]
+
+
+def _line(rows: list[str], line: str) -> list[str]:
+    return rows[:2] + [line] + rows[2:]
+
+
+# name -> (file text, route): "rows" where the row reader must read the
+# data (loadtxt refuses it, or the file holds a byte of _CSV_ONLY), "fast"
+# where numpy's C parser reads it. "\udcff" stands for a 0xff byte; that
+# case puts it after 8 KiB of rows, so the header still decodes.
+ROUTE_CASES = {
+    "underscore in a number": (_text(_cell(_route_rows(), 1, "1_0")), "rows"),
+    "full-width digit": (_text(_cell(_route_rows(), 1, "\uff11")), "rows"),
+    "Arabic-Indic digit": (_text(_cell(_route_rows(), 1, "\u0661")), "rows"),
+    "quoted cell": (_text(_cell(_route_rows(), 1, '"2.5"')), "rows"),
+    "quoted comma in a cell the readers skip":
+        (_text(_cell(_route_rows(), 1, '"1,5"', j=1)), "rows"),
+    "cell padded with a record separator":
+        (_text(_cell(_route_rows(), 1, "2.5\x1e")), "rows"),
+    "whitespace-only line": (_text(_line(_route_rows(), "   ")), "rows"),
+    "form-feed line": (_text(_line(_route_rows(), "\x0c")), "rows"),
+    "vertical-tab line": (_text(_line(_route_rows(), "\x0b")), "rows"),
+    "no-break-space line": (_text(_line(_route_rows(), "\xa0")), "rows"),
+    "NUL line": (_text(_line(_route_rows(), "\x00")), "rows"),
+    "NUL in a cell": (_text(_cell(_route_rows(), 1, "2\x005")), "rows"),
+    "short row": (_text(_route_rows()[:2] + ["0.75,1,2,3,4,5,6"]
+                        + _route_rows()[3:]), "rows"),
+    "header only": (_text([]), "rows"),
+    "empty cell": (_text(_cell(_route_rows(), 1, "")), "rows"),
+    "non-UTF-8 byte": (_text(_cell(_route_rows(300), 299, "2\udcff")), "rows"),
+    "CRLF": (_text(_route_rows(), "\r\n"), "fast"),
+    "lone CR": (_text(_route_rows(), "\r"), "fast"),
+    "CR CR LF": (_text(_route_rows(), "\r\r\n"), "fast"),
+    "blank lines": (_text(_line(_line(_route_rows(), ""), "")), "fast"),
+    "no final newline": (_text(_route_rows(), last=False), "fast"),
+    "extra trailing cells": (_text(_cell(_route_rows(), 1, "2.5,9,x")), "fast"),
+    "tab-padded cell": (_text(_cell(_route_rows(), 1, "\t2.5\t")), "fast"),
+    "nan, Infinity and 1e400": (_text(_cell(_cell(_cell(
+        _route_rows(), 1, "nan"), 2, "Infinity"), 3, "1e400")), "fast"),
+    "subnormals": (_text(_cell(_cell(_route_rows(), 1, "5e-324"), 2,
+                               "2.2250738585072e-309")), "fast"),
+}
+
+ROUTE_READERS = {"ingest_csv": lambda p: ingest_csv(p, SchemaKind.RAD),
+                 "read_spectra_csv": read_spectra_csv,
+                 "buzz reader": _read_buzz_trace}
+
+
+def _assert_same_outcome(got, want) -> None:
+    """Same exception and message, or the same bits, fields and rows."""
+    (value, exc), (want_value, want_exc) = got, want
+    assert type(exc) is type(want_exc) and str(exc) == str(want_exc)
+    if isinstance(want_value, Ingested):
+        assert value.rejected_rows == want_value.rejected_rows
+        value, want_value = value.data, want_value.data
+    if isinstance(want_value, TimeSeries):
+        assert value.fields == want_value.fields
+        _assert_same_bits(value.t, want_value.t)
+        value, want_value = value.values, want_value.values
+    if want_value is not None:
+        _assert_same_bits(value, want_value)
+
+
+def _assert_matches_loop(reader: str, path, got) -> None:
+    """`got` against the row loop, under the rules of the tests above."""
+    if reader == "ingest_csv":
+        _assert_same_outcome(got, _outcome(_loop_ingest_csv, path,
+                                           SchemaKind.RAD))
+        return
+    loop = (_loop_read_spectra_csv if reader == "read_spectra_csv"
+            else _loop_read_buzz_trace)
+    want, want_exc = _outcome(loop, path)
+    exc = got[1]
+    if want_exc is not None:
+        # float()'s own message is replaced by one naming the file and row
+        assert type(exc) is type(want_exc)
+        assert str(exc) == str(want_exc) \
+            or str(exc).startswith(f"{path}: data row ")
+    elif isinstance(want, TimeSeries) and not len(want):
+        # a trace without data rows fails in the reader
+        assert isinstance(exc, EmptyFileError)
+    elif isinstance(want, TimeSeries) and not (
+            np.isfinite(want.t).all() and np.isfinite(want.values).all()):
+        # a nan or inf the trace loop accepted names the file and the row
+        assert re.fullmatch(rf"{re.escape(str(path))}: data row \d+ has a "
+                            r"non-finite value", str(exc))
+    else:
+        _assert_same_outcome(got, (want, None))
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_both_routes_match_the_row_loops(tmp_path, monkeypatch, case):
+    text, route = ROUTE_CASES[case]
+    path = tmp_path / "route.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    read_rows = io_csv._read_rows
+    fallbacks = []
+    monkeypatch.setattr(io_csv, "_read_rows",
+                        lambda p: fallbacks.append(p) or read_rows(p))
+    got = {name: _outcome(reader, path)
+           for name, reader in ROUTE_READERS.items()}
+    assert len(fallbacks) == (len(ROUTE_READERS) if route == "rows" else 0)
+    for name, outcome in got.items():
+        _assert_matches_loop(name, path, outcome)
+    # the row route alone reads every case as the two routes together do
+    monkeypatch.setattr(io_csv, "_load_floats", lambda fh, cols: None)
+    for name, reader in ROUTE_READERS.items():
+        _assert_same_outcome(_outcome(reader, path), got[name])
+
+
+def _no_fallback(path):
+    raise AssertionError(f"{path}: read by the row reader")
+
+
+@pytest.mark.parametrize("schema", ["mag", "base", "vlf", "rad"])
+def test_simulated_files_take_the_c_parser(survey_dir, monkeypatch, schema):
+    path = survey_dir / f"{schema}.csv"
+    want = _loop_ingest_csv(path, schema)
+    monkeypatch.setattr(io_csv, "_read_rows", _no_fallback)
+    _assert_same_outcome((ingest_csv(path, schema), None), (want, None))
+
+
+def test_simulated_spectra_lines_and_traces_take_the_c_parser(
+        survey_dir, tmp_path, monkeypatch):
+    trace = tmp_path / "pass.csv"
+    io_csv.write_series_csv(trace, TimeSeries(
+        np.arange(0.0, 2.0, 0.02), np.sin(np.arange(100.0)), ("buzz_nT",)))
+    spectra, mag = survey_dir / "spectra.csv", survey_dir / "mag.csv"
+    rover = _loop_ingest_csv(mag, SchemaKind.MAG).data
+    want = (_loop_read_spectra_csv(spectra), _loop_read_buzz_trace(trace),
+            TimeSeries(rover.t, rover.column("tmi_nT"), ("tmi_nT",)))
+    monkeypatch.setattr(io_csv, "_read_rows", _no_fallback)
+    got = (read_spectra_csv(spectra), _read_buzz_trace(trace),
+           _read_buzz_trace(mag))
+    for g, w in zip(got, want):
+        _assert_same_outcome((g, None), (w, None))
+    for sub, role in (("flights", LineRole.FLIGHT), ("ties", LineRole.TIE)):
+        lines = read_survey_lines(survey_dir / sub, SchemaKind.MAG, role)
+        assert [line.series.values.shape[1] for line in lines] \
+            == [4] * len(lines)
 
 
 # ---------------------------------------------------------------------------

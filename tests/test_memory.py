@@ -18,7 +18,7 @@ import numpy as np
 import scipy.signal  # noqa: F401
 
 from aerosurvey.gridding import grid_idw
-from aerosurvey.io_csv import write_table
+from aerosurvey.io_csv import read_spectra_csv, write_spectra_csv, write_table
 from aerosurvey.qc import nasvd_denoise
 from aerosurvey.suspension import FlightPlan, SimConfig, simulate_survey
 
@@ -60,6 +60,16 @@ def test_nasvd_denoise_peak_at_survey_large_size():
     rng = np.random.default_rng(0)
     counts = rng.poisson(rng.uniform(5.0, 80.0, 32), (26_695, 32)).astype(float)
     assert _peak_mb(nasvd_denoise, counts, 4) < 30.0  # [40]
+
+
+def test_read_spectra_csv_peak_at_survey_large_size(tmp_path):
+    # the row reader held every cell as a Python str; numpy's C parser
+    # keeps little besides the matrix (6.5 MiB)
+    rng = np.random.default_rng(0)
+    counts = rng.poisson(rng.uniform(5.0, 80.0, 32), (26_695, 32)).astype(float)
+    path = tmp_path / "spectra.csv"
+    write_spectra_csv(path, counts)
+    assert _peak_mb(read_spectra_csv, path) < 20.0  # [59]
 
 
 def test_grid_idw_peak_over_22k_centres():

@@ -63,7 +63,7 @@ def _uses(node, module: str, names: set[str]) -> bool:
 
 def test_csv_is_read_only_by_the_row_splitter():
     assert _where(lambda n: _uses(n, "csv", {"reader", "DictReader"})) \
-        == {("io_csv.py", "_read_rows")}
+        == {("io_csv.py", "_open_csv")}
 
 
 def test_json_is_read_only_by_its_reader():
