@@ -24,6 +24,10 @@ from .errors import (
 )
 
 
+# cells of the window matrix _running_median partitions at a time (2 MiB)
+_MEDIAN_CELLS = 1 << 18
+
+
 class PassKind(Enum):
     OVERFLIGHT = "overflight"
     HOVER_YAW = "hover_yaw"
@@ -91,6 +95,12 @@ def noise_amplitude(trace: TimeSeries, detrend_window_s: float = 1.0) -> float:
     97.5th-2.5th percentile span of the residual, so isolated spikes do
     not dominate. The window must be finite and > 0, and the trace must
     span at least 3 of them.
+
+    The median (_running_median) is exact and equals
+    scipy.ndimage.median_filter(x, k, mode="nearest"), but costs O(n k)
+    for n samples and a k-sample window. On a 2-core VM that is a few ms
+    at survey sizes (k = 11) and about 1 s at n = 3e4, k = 9999, where
+    median_filter takes 0.005 s.
     """
     if not (math.isfinite(detrend_window_s) and detrend_window_s > 0):
         raise NonPositiveParameterError("detrend_window_s must be finite and "
@@ -106,11 +116,28 @@ def noise_amplitude(trace: TimeSeries, detrend_window_s: float = 1.0) -> float:
     dt = float(np.median(np.diff(trace.t)))
     k = max(3, int(round(detrend_window_s / dt)) | 1)  # odd sample count
     k = min(k, len(x) if len(x) % 2 else len(x) - 1)
-    from scipy.ndimage import median_filter
-
-    resid = x - median_filter(x.astype(float), size=k, mode="nearest")
+    resid = x - _running_median(x.astype(float), k)
     lo, hi = np.percentile(resid, [2.5, 97.5])
     return float(hi - lo) / 2.0
+
+
+def _running_median(x: np.ndarray, k: int) -> np.ndarray:
+    """Median of the k samples centred on each sample, for odd k <= len(x).
+
+    Windows past either end repeat the end sample (median_filter's
+    mode="nearest"). Each window's middle order statistic is taken with
+    np.partition over a block of rows of the (n, k) window view, a block
+    being at most _MEDIAN_CELLS cells, so the working memory stays fixed
+    while the time grows as n k.
+    """
+    h = k // 2
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x, h, mode="edge"), k)
+    out = np.empty(len(x))
+    rows = max(1, _MEDIAN_CELLS // k)
+    for lo in range(0, len(x), rows):
+        out[lo:lo + rows] = np.partition(windows[lo:lo + rows], h, axis=1)[:, h]
+    return out
 
 
 def fit_power_law(separations: np.ndarray,

@@ -120,14 +120,19 @@ def _open_csv(path: str | Path):
     Blank rows are skipped; the header is the first other row, its cells
     stripped, and `rows` yields the data rows after it. The file is
     positioned just after the header, so another parser can take the data
-    rows instead of `rows`.
+    rows instead of `rows`. A row csv refuses (a cell over its field size
+    limit), in the header or while the caller reads `rows`, raises
+    ValueError naming the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = filter(None, csv.reader(fh))
-        header = next(rows, None)
-        if header is None:
-            raise EmptyFileError(f"{path}: empty file")
-        yield fh, [c.strip() for c in header], rows
+        try:
+            header = next(rows, None)
+            if header is None:
+                raise EmptyFileError(f"{path}: empty file")
+            yield fh, [c.strip() for c in header], rows
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:

@@ -474,6 +474,37 @@ def test_qc_nasvd_non_finite_cell_is_io_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# a cell past csv's field size limit (131072 characters), in a data row or
+# in the header, through ingest_csv, read_spectra_csv and the buzz reader
+LONG_CELL = "x" * 200_000
+
+
+@pytest.mark.parametrize("name, text, argv", (
+    ("mag.csv", f"t_s,tmi_nT\r\n0.0,{LONG_CELL}\r\n0.1,1.0\r\n",
+     ["qc", "d4", "--in", "{file}", "--threshold", "6.72"]),
+    ("mag.csv", f"t_s,{LONG_CELL}\r\n0.0,1.0\r\n",
+     ["qc", "d4", "--in", "{file}", "--threshold", "6.72"]),
+    ("spectra.csv", f"ch0,ch1\r\n1.0,{LONG_CELL}\r\n",
+     ["qc", "nasvd", "--in", "{file}", "--k", "1"]),
+    ("pass.csv", f"t_s,buzz_nT\r\n0.0,1.0\r\n0.1,{LONG_CELL}\r\n",
+     ["emi", "buzz", "--passes", "{passes}"]),
+), ids=("d4-row", "d4-header", "nasvd", "buzz"))
+def test_cell_over_csv_field_limit_is_io_error(tmp_path, capsys, name, text,
+                                                argv):
+    infile = tmp_path / name
+    infile.write_text(text)
+    passes = tmp_path / "passes.json"
+    passes.write_text(json.dumps([{"separation_m": s, "csv_path": name}
+                                  for s in (4.0, 6.0, 8.0)]))
+    out = tmp_path / "out.file"
+    code, _, err = run_cli(capsys, *(a.format(file=infile, passes=passes)
+                                     for a in argv), "--out", out)
+    assert code == EXIT_IO
+    assert f"error: {infile}: field larger than field limit" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # --- grid ---
 
 def test_grid_make_and_compare(tmp_path, capsys):

@@ -13,10 +13,9 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
-# the package imports it at first use; loading it here keeps its import
-# out of the kernels' traced peaks
-import scipy.signal  # noqa: F401
 
+from aerosurvey.core import TimeSeries
+from aerosurvey.emi import noise_amplitude
 from aerosurvey.gridding import grid_idw
 from aerosurvey.io_csv import read_spectra_csv, write_spectra_csv, write_table
 from aerosurvey.qc import nasvd_denoise
@@ -70,6 +69,15 @@ def test_read_spectra_csv_peak_at_survey_large_size(tmp_path):
     path = tmp_path / "spectra.csv"
     write_spectra_csv(path, counts)
     assert _peak_mb(read_spectra_csv, path) < 20.0  # [59]
+
+
+def test_noise_amplitude_peak_with_a_1001_sample_median():
+    # a 1e5-sample trace and a 10 s window at 100 Hz: the (n, k) window
+    # matrix would be 764 MiB; the median partitions it in row blocks
+    t = np.arange(100_000) / 100.0
+    x = np.random.default_rng(0).normal(size=t.size)
+    trace = TimeSeries(t, x, ("buzz_nT",))
+    assert _peak_mb(noise_amplitude, trace, 10.0) < 16.0  # [770]
 
 
 def test_grid_idw_peak_over_22k_centres():

@@ -1,17 +1,22 @@
-"""The lfilter pendulum integrator against the per-step RK4 loop.
+"""The IIR pendulum integrator against the per-step RK4 loop and lfilter.
 
 `_rk4_loop` is the original Python loop, kept here only as an oracle,
 with the initial state made a parameter. One RK4 step of the linear swing
 ODE is a linear map, so the IIR form must reproduce the loop to rounding.
+The package runs the IIR filter in its own float loop (`_iir2`); with
+scipy.signal.lfilter in its place the result must be the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+from aerosurvey import suspension
 from aerosurvey.suspension import (
     G,
     SimConfig,
@@ -105,3 +110,43 @@ def test_ring_down_is_the_unforced_rk4_loop():
     ref, _ = _rk4_loop(np.zeros(n), np.zeros(n - 1), DT, OMEGA, 0.2, LENGTH,
                        math.radians(15.0))
     assert _rel_dev(np.radians(series.values), ref) <= 1e-10
+
+
+def _lfilter_iir2(u, a1, a2):
+    return lfilter([1.0], [1.0, a1, a2], u)
+
+
+@pytest.mark.parametrize("case", ("rest-zero", "rest-negative-zero",
+                                  "state-1d", "state-2d", "rest-2d"))
+@pytest.mark.parametrize("n", (1, 2, 5, 20_000))
+def test_integrator_is_bit_identical_to_lfilter(case, n):
+    (ae, ahe), (an, ahn) = _forcing("piecewise", n, 4), _forcing("random", n, 5)
+    state = STATE if case.startswith("state") else (0.0, 0.0)
+    if case == "rest-zero":
+        acc, acc_half = np.zeros(n), np.zeros(n - 1)
+    elif case == "rest-negative-zero":
+        # -0.0 forcing makes -0.0 inputs; signed zeros must match too
+        acc, acc_half = np.full(n, -0.0), np.full(n - 1, -0.0)
+    elif case.endswith("2d"):
+        acc, acc_half = np.column_stack([ae, an]), np.column_stack([ahe, ahn])
+    else:
+        acc, acc_half = ae, ahe
+    args = (acc, acc_half, DT, OMEGA, SIM_ZETA, LENGTH, *state)
+    theta = _integrate_pendulum(*args)
+    with mock.patch.object(suspension, "_iir2", _lfilter_iir2):
+        ref = _integrate_pendulum(*args)
+    assert theta.shape == ref.shape == acc.shape
+    assert theta.dtype == np.float64
+    assert np.array_equal(theta.view(np.int64), ref.view(np.int64))
+
+
+def test_survey_swing_is_bit_identical_to_lfilter():
+    # both axes of a simulated two-line survey, turns included
+    plan = suspension.FlightPlan(n_lines=2, line_length_m=200.0, tie_lines=1)
+    got = suspension.simulate_survey(plan, None, SimConfig(seed=3))
+    with mock.patch.object(suspension, "_iir2", _lfilter_iir2):
+        ref = suspension.simulate_survey(plan, None, SimConfig(seed=3))
+    for name in ("roll_deg", "pitch_deg", "swing_deg", "easting_m"):
+        a, b = getattr(got.attitude, name), getattr(ref.attitude, name)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+    assert got.attitude.swing_deg.max() > 0.1

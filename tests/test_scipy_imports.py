@@ -2,9 +2,12 @@
 
 Each check runs in a fresh interpreter and reads sys.modules afterwards:
 importing the package or the CLI loads no scipy module, and neither do
-the qc commands, `grid compare` or `grid make` (its neighbour query is
-numpy alone). The functions that import scipy themselves must give in a
-fresh process the same result as in this one.
+the qc commands, `grid compare`, `grid make` (its neighbour query is
+numpy alone), `sim survey`, `emi buzz` or run_pipeline (the pendulum
+filter and the running median are the package's own). Only `vib
+spectrum` (find_peaks) and payload_pose (minimize) import scipy. The
+functions that once imported scipy, or still do, must give in a fresh
+process the same result as in this one.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import numpy as np
 import pytest
 
 import aerosurvey
+from aerosurvey.core import TimeSeries
 from aerosurvey.gridding import grid_idw, write_asc
+from aerosurvey.io_csv import write_series_csv
 from aerosurvey.pipeline import write_survey_artifacts
 from aerosurvey.suspension import FlightPlan, SimConfig, simulate_survey
 
@@ -94,8 +99,43 @@ def test_grid_make_loads_no_scipy(survey):
     assert loaded == set()
 
 
-# each function that imports scipy on its first call, as an expression
-# whose value is JSON; the fresh process must compute the same value
+def test_sim_survey_and_emi_buzz_load_no_scipy(tmp_path):
+    rng = np.random.default_rng(1)
+    t = np.arange(0, 20.0, 1.0 / 50.0)
+    passes = []
+    for sep in (4.0, 6.0, 8.0, 10.0, 12.0):
+        trace = (rng.normal(0.0, 145.8 * sep ** -3.0 / 1.96, t.size)
+                 + rng.normal(0.0, 0.2 / 1.96, t.size))
+        pass_csv = tmp_path / f"pass_{sep:g}.csv"
+        write_series_csv(pass_csv, TimeSeries(t, trace, ("buzz_nT",)))
+        passes.append({"separation_m": sep, "csv_path": pass_csv.name})
+    (tmp_path / "passes.json").write_text(json.dumps(passes))
+    (tmp_path / "plan.json").write_text(json.dumps(
+        {"n_lines": 2, "line_length_m": 200.0, "tie_lines": 1}))
+    codes, loaded = _cli([
+        ["sim", "survey", "--plan", f"{tmp_path}/plan.json",
+         "--out-dir", f"{tmp_path}/sim"],
+        ["emi", "buzz", "--passes", f"{tmp_path}/passes.json",
+         "--out", f"{tmp_path}/buzz.json"],
+    ])
+    assert codes == [0, 0]
+    assert loaded == set()
+
+
+def test_run_pipeline_loads_no_scipy(tmp_path):
+    # the default plan, as `aerosurvey pipeline` runs it
+    lines = _fresh("from aerosurvey.pipeline import PipelineConfig, "
+                   "run_pipeline\n"
+                   f"cfg = PipelineConfig(out_dir={str(tmp_path)!r})\n"
+                   "print(run_pipeline(cfg).overall_pass)")
+    assert lines[-2] in ("True", "False")
+    assert (tmp_path / "report.json").is_file()
+    assert json.loads(lines[-1]) == []
+
+
+# each function that imports scipy on its first call, or did before the
+# package had its own code for it, as an expression whose value is JSON;
+# the fresh process must compute the same value
 FIRST_USE = {
     "lfilter": ("from aerosurvey.suspension import pendulum_ring_down",
                 "pendulum_ring_down(10.0, 0.05, 9.0, 5.0).values.tolist()"),
@@ -119,6 +159,10 @@ FIRST_USE = {
 }
 
 
+# the entries whose scipy call the package now makes itself
+NO_SCIPY = {"lfilter", "median_filter"}
+
+
 @pytest.mark.parametrize("name", sorted(FIRST_USE))
 def test_first_use_import_gives_the_same_result(name):
     setup, expr = FIRST_USE[name]
@@ -127,3 +171,5 @@ def test_first_use_import_gives_the_same_result(name):
     exec(setup, scope)
     assert lines[-2] == json.dumps(eval(expr, scope))
     assert np.isfinite(np.asarray(json.loads(lines[-2]), dtype=float)).all()
+    loaded = json.loads(lines[-1])
+    assert (loaded == []) == (name in NO_SCIPY), loaded
