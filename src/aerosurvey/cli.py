@@ -23,7 +23,6 @@ from .core import TimeSeries, resample_uniform
 from .emi import BuzzPass, EmiConfig, PassKind, analyze_passes
 from .errors import (
     AerosurveyError,
-    MissingColumnError,
     NeverBelowFloorError,
     NeverSettlesError,
     NoFitAvailableError,
@@ -42,9 +41,7 @@ from .io_csv import (
     CSV_SCHEMA_VERSION,
     SchemaKind,
     _json_text,
-    _open_csv,
-    _read_columns,
-    _read_floats,
+    _read_buzz_trace,
     _read_json,
     _write_json,
     ingest_csv,
@@ -202,27 +199,6 @@ def _cmd_vib_rank(args) -> int:
 
 # ---------------------------------------------------------------------------
 # emi
-
-
-def _read_buzz_trace(path: Path) -> TimeSeries:
-    """Buzz traces are mag CSVs or any two-column t_s,<value> file."""
-    with _open_csv(path) as (_, header, _):
-        pass
-    if "tmi_nT" in header:
-        return _scalar(ingest_csv(path, SchemaKind.MAG).data, "tmi_nT")
-
-    def value_column(header: list[str]) -> str:
-        if "t_s" not in header:
-            raise MissingColumnError(f"{path}: no t_s column")
-        value_col = [c for c in header if c != "t_s"]
-        if not value_col:
-            raise MissingColumnError(f"{path}: no value column")
-        return value_col[-1]
-
-    header, *parsed = _read_columns(path, lambda header: [
-        header.index(c) for c in ("t_s", value_column(header))])
-    t, v = _read_floats(path, header, *parsed).T
-    return TimeSeries(t, v, (value_column(header),))
 
 
 def _cmd_emi_buzz(args) -> int:

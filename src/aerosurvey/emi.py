@@ -205,7 +205,11 @@ def threshold_separation(curve: NoiseCurve, cfg: EmiConfig) -> float:
         return curve.points[0][0]
     if curve.fitted_decay is not None and curve.fitted_decay[1] > 0:
         a1, p = curve.fitted_decay
-        return _round_up_half_meter((a1 / floor) ** (1.0 / p))
+        try:
+            return _round_up_half_meter((a1 / floor) ** (1.0 / p))
+        except OverflowError:       # too flat a decay: beyond any float
+            raise NeverBelowFloorError("amplitude above floor at all "
+                                       "separations") from None
     amps = [a for _, a in curve.points]
     if any(b > a for a, b in zip(amps, amps[1:])):
         raise ValueError("no fit and points not monotone non-increasing")

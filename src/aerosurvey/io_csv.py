@@ -11,24 +11,24 @@ Schemas (comma-separated, header row, '.' decimal, UTF-8):
     crossover: x_utm,y_utm,flights_k_pct,tie_k_pct,flights_u_ppm,tie_u_ppm
 
 Every CSV the package reads has its header read by csv in _open_csv.
-The float-only readers (ingest_csv for every schema but crossover,
-read_spectra_csv and the CLI's buzz traces) go through _read_columns,
-which hands the data rows to numpy's C parser. Any input that parser
-refuses or may misread is read again by _read_rows, which splits it into
-rows with csv, and _parse_columns, so rejected rows, reasons and error
-messages are those of the row reader on either route. The crossover
-schema (exact Decimal cells) and the attitude track (a label column) are
-always read by _read_rows. Every artifact it writes
-(these CSVs, the attitude track, the vibration spectrum, ESRI ASCII
-grids and PGM images) goes through write_table, every JSON artifact
-through _write_json, and every JSON file the package reads through
-_read_json. Floats are written with repr(), the shortest
-representation that round-trips exactly, so serialize(ingest(f))
-reproduces numeric content bit-for-bit and repeated runs produce
-byte-identical files. write_table does not call repr() per cell: the
-numtext kernel gives whole chunks of float64 cells repr()'s exact text
-in numpy and calls repr() only for the values it is not sure of
-(subnormals, nan, inf and a few near-ties), and each chunk of about
+The float readers (ingest_csv for every schema but crossover,
+read_spectra_csv, the CLI's buzz traces and the attitude track with its
+label column) go through _read_columns, which hands the data rows to
+numpy's C parser. Any input that parser refuses or may misread is read
+again by _read_rows, which splits it into rows with csv, and
+_parse_columns, so rejected rows, reasons and error messages are those
+of the row reader on either route. Only the crossover schema (exact
+Decimal cells) is always read by _read_rows, and no other module calls
+these parts. Every artifact the package writes (these CSVs, the attitude
+track, the vibration spectrum, ESRI ASCII grids and PGM images) goes
+through write_table, every JSON artifact through _write_json, and every
+JSON file the package reads through _read_json. Floats are written with
+repr(), the shortest representation that round-trips exactly, so
+serialize(ingest(f)) reproduces numeric content bit-for-bit and repeated
+runs produce byte-identical files. write_table does not call repr() per
+cell: the numtext kernel gives whole chunks of float64 cells repr()'s
+exact text in numpy and calls repr() only for the values it is not sure
+of (subnormals, nan, inf and a few near-ties), and each chunk of about
 _CHUNK_CELLS cells is assembled and written with one byte mask.
 """
 
@@ -43,7 +43,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -151,55 +150,56 @@ def _check_header(path, header: list[str], required) -> dict[str, int]:
     return idx
 
 
-def _parse_columns(body: list[list[str]], cols: list[int], width: int = 0
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells `cols` of every row of `body` as one float matrix.
+def _parse_columns(body: list[list[str]], cols: list[int],
+                   labelled: bool = False):
+    """(values, failed, ragged, labels) of the cells `cols` of `body`.
 
-    Returns (values, failed, ragged), one entry per row. `ragged` marks
-    rows with fewer than max(width, max(cols) + 1) cells; `failed` marks
+    `values` holds them as floats, one row per row of `body`; with
+    `labelled` the last of `cols` is a text column instead, whose cells
+    make the tuple `labels` (None while a row is ragged), else None.
+    `ragged` marks the rows without every cell of `cols`; `failed` marks
     those and the rows with a cell Python's float() rejects (" 1.5 ",
-    "1_0", "nan" and "Infinity" parse). All cells are converted in one
-    pass; only when that raises are the rows walked to find the bad ones.
+    "1_0", "nan" and "Infinity" parse).
     """
-    n, k = len(body), len(cols)
-    ragged = np.fromiter(map(len, body), np.intp, count=n) \
-        < max(width, max(cols) + 1)
+    n = len(body)
+    floats = cols[:-1] if labelled else cols
+    ragged = np.fromiter(map(len, body), np.intp, count=n) <= max(cols)
     failed = ragged.copy()
-    if not ragged.any():
-        cells = chain.from_iterable(zip(*(map(itemgetter(c), body)
-                                          for c in cols)))
-        try:
-            values = np.fromiter(map(float, cells), float, count=n * k)
-            return values.reshape(n, k), failed, ragged
-        except ValueError:
-            pass
-    values = np.full((n, k), np.nan)
+    values = np.full((n, len(floats)), np.nan)
     for i in np.flatnonzero(~ragged).tolist():
         try:
-            values[i] = [float(body[i][c]) for c in cols]
+            values[i] = [float(body[i][c]) for c in floats]
         except ValueError:
             failed[i] = True
-    return values, failed, ragged
+    labels = (tuple(map(itemgetter(cols[-1]), body))
+              if labelled and not ragged.any() else None)
+    return values, failed, ragged, labels
 
 
-def _load_floats(fh, cols: list[int]) -> np.ndarray | None:
-    """Cells `cols` of the rest of `fh` by numpy's C parser, or None.
+def _load_floats(fh, cols: list[int], labelled: bool = False):
+    """(values, labels) of the rest of `fh` by numpy's C parser, or None.
 
-    loadtxt converts a cell with PyOS_string_to_double, the core of
-    float(), and skips blank lines as csv does. Where the two were seen to
-    differ, other than at the bytes _CSV_ONLY, it raises ValueError: "1_0",
-    non-ASCII digits, an empty cell, a short row, a whitespace-only or NUL
-    line, a NUL in a cell, bytes that are not UTF-8. Those, and a file
-    without data rows, give None.
+    As in _parse_columns; a text cell is kept as it stands, as csv keeps
+    it. loadtxt converts a float cell with PyOS_string_to_double, the core
+    of float(), and skips blank lines as csv does. Where the two were seen
+    to differ, other than at the bytes _CSV_ONLY, it raises ValueError:
+    "1_0", non-ASCII digits, an empty cell, a short row, a whitespace-only
+    or NUL line, a NUL in a cell, bytes that are not UTF-8. Those, and a
+    file without data rows, give None.
     """
+    dtype = (np.dtype([("v", float, (len(cols) - 1,)), ("s", object)])
+             if labelled else float)
     with warnings.catch_warnings():
         warnings.filterwarnings("error", "loadtxt: input contained no data",
                                 UserWarning)
         try:
-            return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                              usecols=cols, dtype=float)
+            table = np.loadtxt(fh, delimiter=",", comments=None,
+                               ndmin=1 if labelled else 2, usecols=cols,
+                               dtype=dtype)
         except (ValueError, UserWarning):
             return None
+    return (table["v"], tuple(table["s"].tolist())) if labelled \
+        else (table, None)
 
 
 def _has_csv_only_bytes(path) -> bool:
@@ -208,10 +208,11 @@ def _has_csv_only_bytes(path) -> bool:
                    for b in _CSV_ONLY)
 
 
-def _read_columns(path, select):
-    """(header, body, values, failed, ragged) of the cells select names.
+def _read_columns(path, select, labelled: bool = False):
+    """(header, body, values, failed, ragged, labels) of the cells select
+    names, as _parse_columns gives them.
 
-    `select(header)` gives the column indices to parse and raises
+    `select(header)` gives the column indices to read and raises
     MissingColumnError for a header without them. The data rows go to
     _load_floats first; there `body` is None and no row failed. Where it
     gives None, the file holds a byte of _CSV_ONLY or select rejects the
@@ -223,24 +224,26 @@ def _read_columns(path, select):
             cols = select(header)
         except MissingColumnError:
             cols = None     # so a file without data rows says that first
-        values = (None if cols is None or _has_csv_only_bytes(path)
-                  else _load_floats(fh, cols))
-    if values is None:
+        table = (None if cols is None or _has_csv_only_bytes(path)
+                 else _load_floats(fh, cols, labelled))
+    if table is None:
         header, body = _read_rows(path)
-        return header, body, *_parse_columns(body, select(header))
+        return header, body, *_parse_columns(body, select(header), labelled)
+    values, labels = table
     passed = np.zeros(len(values), bool)
-    return header, None, values, passed, passed
+    return header, None, values, passed, passed, labels
 
 
-def _read_floats(path, header: list[str], body: list[list[str]] | None,
-                 values: np.ndarray, failed: np.ndarray, ragged: np.ndarray
-                 ) -> np.ndarray:
-    """`values` for the strict readers: the first bad row raises.
+def _read_floats(path, select, labelled: bool = False):
+    """(values, labels) of _read_columns for the strict readers: the first
+    bad row raises.
 
     The ValueError names the file and the 1-based data row: the first row
     with too few cells or an unparsable cell, else the first with a nan or
     inf.
     """
+    header, body, values, failed, ragged, labels = _read_columns(
+        path, select, labelled)
     if failed.any():
         i = int(np.argmax(failed))
         if ragged[i]:
@@ -251,7 +254,28 @@ def _read_floats(path, header: list[str], body: list[list[str]] | None,
     if bad.any():
         raise ValueError(f"{path}: data row {int(np.argmax(bad)) + 1} has a "
                          f"non-finite value")
-    return values
+    return values, labels
+
+
+def _read_buzz_trace(path: Path) -> TimeSeries:
+    """Buzz traces are mag CSVs or any two-column t_s,<value> file."""
+    with _open_csv(path) as (_, header, _):
+        pass
+    if "tmi_nT" in header:
+        data = ingest_csv(path, SchemaKind.MAG).data
+        return TimeSeries(data.t, data.column("tmi_nT"), ("tmi_nT",))
+
+    def value_column(header: list[str]) -> str:
+        if "t_s" not in header:
+            raise MissingColumnError(f"{path}: no t_s column")
+        value_col = [c for c in header if c != "t_s"]
+        if not value_col:
+            raise MissingColumnError(f"{path}: no value column")
+        return value_col[-1]
+
+    values, _ = _read_floats(path, lambda header: [
+        header.index(c) for c in ("t_s", value_column(header))])
+    return TimeSeries(*values.T, (value_column(header),))
 
 
 def ingest_csv(path: str | Path, schema: SchemaKind | str,
@@ -273,7 +297,7 @@ def ingest_csv(path: str | Path, schema: SchemaKind | str,
         idx = _check_header(path, header, _REQUIRED[schema])
         return [idx[c] for c in ("t_s", *_value_columns(schema, header))]
 
-    header, _, values, failed, _ = _read_columns(path, columns)
+    header, _, values, failed, _, _ = _read_columns(path, columns)
     value_cols = _value_columns(schema, header)
     checks = [(failed, "unparsable field"),
               (~np.isfinite(values).all(axis=1), "non-finite field")]
@@ -538,7 +562,7 @@ def read_spectra_csv(path: str | Path) -> np.ndarray:
             raise MissingColumnError(f"{path}: no ch0..chN columns")
         return [header.index(c) for c in cols]
 
-    return _read_floats(path, *_read_columns(path, columns))
+    return _read_floats(path, columns)[0]
 
 
 def write_spectra_csv(path: str | Path, counts: np.ndarray) -> None:

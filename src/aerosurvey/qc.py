@@ -120,7 +120,7 @@ def fourth_difference(series: TimeSeries | np.ndarray,
         raise ValueError("threshold must be finite and > 0, "
                          f"got {threshold!r}")
     if isinstance(series, TimeSeries):
-        x = series.scalar(field_name) if series.values.ndim == 2 else series.values
+        x = series.scalar(field_name)
     else:
         x = np.asarray(series, dtype=float)
     d4 = fourth_difference_values(x)
@@ -150,8 +150,7 @@ def diurnal_correct(rover: TimeSeries, base: TimeSeries,
     slack = 1e-9
     if base.t[0] > rover.t[0] + slack or base.t[-1] < rover.t[-1] - slack:
         raise BaseDoesNotCoverError("base record does not span rover times")
-    base_vals = base.scalar("tmi_nT" if "tmi_nT" in base.fields else None) \
-        if base.values.ndim == 2 else base.values
+    base_vals = base.scalar("tmi_nT" if "tmi_nT" in base.fields else None)
     drift = np.interp(rover.t, base.t, base_vals) - datum
     if rover.values.ndim == 1:
         return TimeSeries(rover.t, rover.values - drift, rover.fields)

@@ -16,7 +16,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -26,13 +25,7 @@ from .errors import (
     NeverSettlesError,
     SlackCableError,
 )
-from .io_csv import (
-    _check_header,
-    _parse_columns,
-    _read_floats,
-    _read_rows,
-    write_table,
-)
+from .io_csv import _check_header, _read_floats, write_table
 
 G = 9.80665  # m/s^2
 
@@ -593,14 +586,13 @@ def write_attitude_csv(track: AttitudeTrack, path) -> None:
 
 
 def read_attitude_csv(path) -> AttitudeTrack:
-    header, body = _read_rows(path)
-    idx = _check_header(path, header, ATTITUDE_COLUMNS)
-    segment = idx["segment"]
-    values = _read_floats(path, header, body, *_parse_columns(
-        body, [idx[c] for c in ATTITUDE_COLUMNS[:-1]], width=segment + 1))
+    def columns(header: list[str]) -> list[int]:
+        idx = _check_header(path, header, ATTITUDE_COLUMNS)
+        return [idx[c] for c in ATTITUDE_COLUMNS]
+
+    values, segment = _read_floats(path, columns, labelled=True)
     # ATTITUDE_COLUMNS lists the numeric fields in AttitudeTrack's order
-    return AttitudeTrack(*values.T.copy(),
-                         tuple(map(itemgetter(segment), body)))
+    return AttitudeTrack(*values.T.copy(), segment)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +688,7 @@ def _sample_path(segs, s: np.ndarray, v: float):
         acc[lo:hi] = a
         labels[lo:hi] = lab
         blocks[lo:hi] = blk
-    return pos, course, acc, labels, blocks, cum[-1]
+    return pos, course, acc, labels, blocks
 
 
 def _wobble(rng: np.random.Generator, t: np.ndarray, amp: float) -> np.ndarray:
@@ -745,9 +737,9 @@ def _fly(plan: FlightPlan, geometry: SuspensionGeometry, cfg: SimConfig,
         duration = lengths_total / cfg.speed
         n = int(math.floor(duration * cfg.sim_rate_hz)) + 1
         t = np.arange(n) * dt
-        pos, course, acc, labels, blocks, _ = _sample_path(
+        pos, course, acc, labels, blocks = _sample_path(
             segs, cfg.speed * t, cfg.speed)
-        _, _, acc_h, _, _, _ = _sample_path(
+        _, _, acc_h, _, _ = _sample_path(
             segs, cfg.speed * (t[:-1] + dt / 2.0), cfg.speed)
         th_e, th_n = _integrate_pendulum(acc, acc_h, dt, omega, zeta,
                                          length).T

@@ -194,6 +194,23 @@ def test_emi_buzz_end_to_end(tmp_path, capsys):
     assert "overflight" in payload["per_kind"]
 
 
+def test_emi_buzz_fit_with_exponent_near_zero_never_reaches_floor(
+        tmp_path, capsys):
+    # one trace at three separations: the fitted decay is flat, so
+    # (a1 / floor) ** (1 / p) is beyond the float range
+    t = np.arange(0, 6.0, 0.02)
+    write_series_csv(tmp_path / "pass.csv", TimeSeries(
+        t, np.arange(t.size) % 10 * 1.0, ("buzz_nT",)))
+    spec = tmp_path / "passes.json"
+    spec.write_text(json.dumps([{"separation_m": sep, "csv_path": "pass.csv"}
+                                for sep in (3.0, 4.0, 5.0)]))
+    code, _, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
+                           "--out", tmp_path / "buzz.json")
+    assert code == EXIT_QC
+    assert "amplitude above floor at all separations" in err
+    assert "Traceback" not in err
+
+
 def test_emi_buzz_ragged_row_is_io_error(tmp_path, capsys):
     # the blank line is skipped; the short row is data row 2
     (tmp_path / "pass.csv").write_text(

@@ -1,8 +1,9 @@
 """The array-wide CSV readers against the per-row readers they replaced.
 
-`_loop_ingest_csv`, `_loop_read_spectra_csv` and `_loop_read_buzz_trace`
-are the row-at-a-time readers that `ingest_csv`, `read_spectra_csv` and
-the CLI's buzz reader replaced, kept here only as oracles. For every
+`_loop_ingest_csv`, `_loop_read_spectra_csv`, `_loop_read_buzz_trace` and
+`_loop_read_attitude_csv` are the row-at-a-time readers that
+`ingest_csv`, `read_spectra_csv`, the CLI's buzz reader and
+`read_attitude_csv` replaced, kept here only as oracles. For every
 input the oracle accepts, the new reader must return the same bits, the
 same fields and the same rejected rows; where the oracle raises, the new
 reader must raise the same exception (for `strict` both ways).
@@ -46,6 +47,7 @@ from aerosurvey.io_csv import (
     read_survey_lines,
 )
 from aerosurvey.suspension import (
+    ATTITUDE_COLUMNS,
     AttitudeTrack,
     read_attitude_csv,
     write_attitude_csv,
@@ -156,6 +158,30 @@ def _loop_read_buzz_trace(path) -> TimeSeries:
             raise ValueError(f"{path}: data row {rownum} has {len(row)} "
                              f"cells, the header has {len(header)}") from None
     return TimeSeries(np.array(t), np.array(v), (value_col[-1],))
+
+
+def _loop_read_attitude_csv(path) -> AttitudeTrack:
+    """read_attitude_csv as a per-row loop over the row reader's rows."""
+    header, body = _read_rows(path)
+    idx = _check_header(path, header, ATTITUDE_COLUMNS)
+    cols = [idx[c] for c in ATTITUDE_COLUMNS]
+    rows = []
+    for rownum, row in enumerate(body, start=1):
+        if len(row) <= max(cols):
+            raise ValueError(f"{path}: data row {rownum} has {len(row)} "
+                             f"cells, the header has {len(header)}")
+        try:
+            rows.append([float(row[c]) for c in cols[:-1]])
+        except ValueError:
+            raise ValueError(f"{path}: data row {rownum} has an unparsable "
+                             f"value") from None
+    values = np.array(rows)
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: data row {int(np.argmax(bad)) + 1} has a "
+                         f"non-finite value")
+    return AttitudeTrack(*values.T.copy(),
+                         tuple(row[cols[-1]] for row in body))
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +559,15 @@ ROUTE_READERS = {"ingest_csv": lambda p: ingest_csv(p, SchemaKind.RAD),
 
 
 def _assert_same_outcome(got, want) -> None:
-    """Same exception and message, or the same bits, fields and rows."""
+    """Same exception and message, or the same bits, fields, labels and
+    rows."""
     (value, exc), (want_value, want_exc) = got, want
     assert type(exc) is type(want_exc) and str(exc) == str(want_exc)
+    if isinstance(want_value, AttitudeTrack):
+        assert value.segment == want_value.segment
+        names = ("t",) + ATTITUDE_COLUMNS[1:-1]
+        value, want_value = (np.stack([getattr(track, n) for n in names])
+                             for track in (value, want_value))
     if isinstance(want_value, Ingested):
         assert value.rejected_rows == want_value.rejected_rows
         value, want_value = value.data, want_value.data
@@ -589,7 +621,7 @@ def test_both_routes_match_the_row_loops(tmp_path, monkeypatch, case):
     for name, outcome in got.items():
         _assert_matches_loop(name, path, outcome)
     # the row route alone reads every case as the two routes together do
-    monkeypatch.setattr(io_csv, "_load_floats", lambda fh, cols: None)
+    monkeypatch.setattr(io_csv, "_load_floats", lambda *args: None)
     for name, reader in ROUTE_READERS.items():
         _assert_same_outcome(_outcome(reader, path), got[name])
 
@@ -681,3 +713,72 @@ def test_attitude_errors_name_file_and_row(tmp_path, edit, error, message):
     _write_rows(path, edit(rows))
     with pytest.raises(error, match=rf"attitude\.csv: .*{message}"):
         read_attitude_csv(path)
+
+
+# cells of the label column: csv and the C parser keep each as it stands
+LABELS = ["L1", "turn", "transit", "T1", "", " L2 ", "\tx", "a\x00", "\x00",
+          "nan", "1e5", "#c", "\u00e9", "a\x85b", "a\u2028b", "\x0c"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\r\r\n"]
+ATTITUDE_KINDS = ("no_label", "ragged", "blank", "space_line", "long",
+                  "quote", "label", "unparsable", "non_finite", "odd")
+
+
+@st.composite
+def attitude_files(draw) -> bytes:
+    """An attitude file, its columns in any order, mutated at the byte
+    level: quotes, short rows, rows missing only the label, odd labels,
+    nan and inf, mixed line ends and a byte that is not UTF-8."""
+    header = draw(st.permutations(ATTITUDE_COLUMNS))
+    seg = header.index("segment")
+    rows = [[draw(st.sampled_from(LABELS)) if c == "segment"
+             else repr(0.01 * i + j) for j, c in enumerate(header)]
+            for i in range(draw(st.integers(1, 8)))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(ATTITUDE_KINDS))
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        j = draw(st.integers(0, len(header) - 1))
+        if kind == "no_label":
+            rows[i] = row[:seg] + row[seg + 1:]
+        elif kind == "ragged":
+            rows[i] = row[:draw(st.integers(0, max(len(row) - 1, 0)))]
+        elif kind == "blank":
+            rows.insert(i, [])
+        elif kind == "space_line":
+            rows.insert(i, [draw(st.sampled_from([" ", "\t", "\x00"]))])
+        elif kind == "long":
+            row.append("9")
+        elif j >= len(row):
+            continue
+        elif kind == "quote":
+            row[j] = '"' + row[j].replace('"', '""') + '"'
+        elif kind == "label":
+            row[j] = draw(st.sampled_from(LABELS))
+        else:
+            row[j] = draw(st.sampled_from({
+                "unparsable": UNPARSABLE, "non_finite": NON_FINITE,
+                "odd": ODD_BUT_VALID}[kind]))
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines),
+                         max_size=len(lines)))
+    data = "".join(line + end for line, end in zip(lines, ends)).encode()
+    if draw(st.integers(0, 3)) == 3:
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xff" + data[k:]
+    return data
+
+
+@PROPERTY
+@given(attitude_files())
+def test_attitude_matches_row_loop(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("attitude") / "attitude.csv"
+    path.write_bytes(data)
+    _assert_same_outcome(_outcome(read_attitude_csv, path),
+                         _outcome(_loop_read_attitude_csv, path))
+
+
+def test_simulated_attitude_takes_the_c_parser(survey_dir, monkeypatch):
+    path = survey_dir / "attitude.csv"
+    want = _loop_read_attitude_csv(path)
+    monkeypatch.setattr(io_csv, "_read_rows", _no_fallback)
+    _assert_same_outcome((read_attitude_csv(path), None), (want, None))

@@ -19,7 +19,13 @@ from aerosurvey.emi import noise_amplitude
 from aerosurvey.gridding import grid_idw
 from aerosurvey.io_csv import read_spectra_csv, write_spectra_csv, write_table
 from aerosurvey.qc import nasvd_denoise
-from aerosurvey.suspension import FlightPlan, SimConfig, simulate_survey
+from aerosurvey.suspension import (
+    FlightPlan,
+    SimConfig,
+    read_attitude_csv,
+    simulate_survey,
+    write_attitude_csv,
+)
 
 MB = 2 ** 20
 
@@ -69,6 +75,17 @@ def test_read_spectra_csv_peak_at_survey_large_size(tmp_path):
     path = tmp_path / "spectra.csv"
     write_spectra_csv(path, counts)
     assert _peak_mb(read_spectra_csv, path) < 20.0  # [59]
+
+
+def test_read_attitude_csv_peak_at_survey_large_size(tmp_path):
+    # 266,948 rows of 7 floats and a label: the row reader held every cell
+    # as a Python str; the C parser keeps the matrix and the labels
+    plan = FlightPlan(n_lines=8, line_length_m=2000.0, spacing_m=50.0,
+                      tie_lines=3)
+    path = tmp_path / "attitude.csv"
+    write_attitude_csv(simulate_survey(plan, None, SimConfig(seed=4)).attitude,
+                       path)
+    assert _peak_mb(read_attitude_csv, path) < 60.0  # [190]
 
 
 def test_noise_amplitude_peak_with_a_1001_sample_median():

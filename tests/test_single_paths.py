@@ -1,7 +1,8 @@
 """One CSV reading path, one JSON reader and one JSON writer in the package.
 
 Every CSV the package reads goes through io_csv (one row splitter, one
-column parser), every JSON file through io_csv._read_json, and every
+column parser, one call of numpy's C parser, and no other module
+composing them), every JSON file through io_csv._read_json, and every
 JSON artifact through io_csv._json_text. These tests fail when a module
 grows its own csv reader, its own json.load(s) or its own indented
 json.dumps, so the paths cannot quietly split again. The last tests keep
@@ -64,6 +65,26 @@ def _uses(node, module: str, names: set[str]) -> bool:
 def test_csv_is_read_only_by_the_row_splitter():
     assert _where(lambda n: _uses(n, "csv", {"reader", "DictReader"})) \
         == {("io_csv.py", "_open_csv")}
+
+
+# the parts of io_csv's read protocol: the row route and the C parser
+_PROTOCOL = {"_open_csv", "_read_rows", "_parse_columns"}
+
+
+def test_csv_read_protocol_stays_in_io_csv():
+    def protocol(node) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in _PROTOCOL
+        if isinstance(node, ast.Attribute):
+            return node.attr in _PROTOCOL or (
+                node.attr == "loadtxt" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+        return isinstance(node, ast.ImportFrom) and any(
+            a.name in _PROTOCOL | {"loadtxt"} for a in node.names)
+
+    found = _where(protocol)
+    assert {f for f, _ in found} == {"io_csv.py"}
+    assert ("io_csv.py", "_load_floats") in found
 
 
 def test_json_is_read_only_by_its_reader():
