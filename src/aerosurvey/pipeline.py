@@ -192,8 +192,7 @@ def write_survey_artifacts(result: SimResult, out_dir: str | Path) -> dict:
         write_series_csv(out / name, series)
         paths[name] = out / name
 
-    spectra = _spectra_from_rad(result.rad_full, result.cfg.n_channels)
-    write_spectra_csv(out / "spectra.csv", spectra)
+    write_spectra_csv(out / "spectra.csv", _spectra_from_rad(result.rad_full))
     paths["spectra.csv"] = out / "spectra.csv"
 
     lines = split_lines(result.mag_full, result.segment_at_sensor,
@@ -220,9 +219,9 @@ def _write_crossings(path, records, report) -> None:
     })
 
 
-def _spectra_from_rad(rad: TimeSeries, n_channels: int) -> np.ndarray:
-    cols = [rad.fields.index(f"ch{j}") for j in range(n_channels)]
-    return rad.values[:, cols]
+def _spectra_from_rad(rad: TimeSeries) -> np.ndarray:
+    """The gamma channel columns of `rad` (ch0 on), a view of its values."""
+    return rad.values[:, rad.fields.index("ch0"):]
 
 
 def _d4_auto_threshold(sim: SimConfig, geometry: SuspensionGeometry) -> float:
@@ -238,6 +237,42 @@ def _d4_auto_threshold(sim: SimConfig, geometry: SuspensionGeometry) -> float:
 
 # ---------------------------------------------------------------------------
 # the pipeline
+
+
+def _simulate_stage(plan: FlightPlan, geometry: SuspensionGeometry,
+                    sim_cfg: SimConfig, out: Path):
+    """Simulate, write the survey artifacts and judge the flight.
+
+    Returns the stage's StageResult and the four things later stages read:
+    the magnetometer and base traces, the radiometric record and the
+    sensor samples' segment labels. The SimResult, with its attitude track
+    and VLF stream, dies when this returns.
+    """
+    sim = simulate_survey(plan, geometry, sim_cfg)
+    paths = write_survey_artifacts(sim, out)
+    att = sim.attitude
+    straight = att.straight_mask()
+    max_roll = float(np.max(np.abs(att.roll_deg[straight])))
+    max_pitch = float(np.max(np.abs(att.pitch_deg[straight])))
+    # robust out-of-phase amplitude on the (first) longest flight line
+    vlf_per_line = split_lines(sim.vlf_full, sim.segment_at_sensor, plan)
+    n_samples = [len(l.series) for l in vlf_per_line]
+    vlf = vlf_per_line[n_samples.index(max(n_samples))]
+    out_amp = noise_amplitude(TimeSeries(
+        vlf.series.t, vlf.series.column("outphase_pct"), ("outphase_pct",)))
+    passed = (max_roll <= 5.0 and max_pitch <= 5.0
+              and out_amp <= sim_cfg.outphase_noise_pct)
+    result = StageResult("simulate", passed, {
+        "n_sim_samples": len(att),
+        "n_sensor_samples": len(sim.mag_full),
+        "n_flight_lines": sum(l.role is LineRole.FLIGHT for l in vlf_per_line),
+        "n_tie_lines": sum(l.role is LineRole.TIE for l in vlf_per_line),
+        "effective_damping_ratio": sim.effective_damping_ratio,
+        "max_straight_roll_deg": max_roll,
+        "max_straight_pitch_deg": max_pitch,
+        "straight_outphase_amplitude_pct": out_amp,
+    }, tuple(sorted(paths)))
+    return result, sim.mag_full, sim.base, sim.rad_full, sim.segment_at_sensor
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
@@ -260,47 +295,24 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
     stage = "simulate"
     try:
-        sim = simulate_survey(plan, geometry, sim_cfg)
-        paths = write_survey_artifacts(sim, out)
-        att = sim.attitude
-        straight = att.straight_mask()
-        max_roll = float(np.max(np.abs(att.roll_deg[straight])))
-        max_pitch = float(np.max(np.abs(att.pitch_deg[straight])))
-        # robust out-of-phase amplitude on the (first) longest flight line
-        vlf_per_line = split_lines(sim.vlf_full, sim.segment_at_sensor, plan)
-        n_samples = [len(l.series) for l in vlf_per_line]
-        vlf = vlf_per_line[n_samples.index(max(n_samples))]
-        out_amp = noise_amplitude(TimeSeries(
-            vlf.series.t, vlf.series.column("outphase_pct"), ("outphase_pct",)))
-        passed = (max_roll <= 5.0 and max_pitch <= 5.0
-                  and out_amp <= sim_cfg.outphase_noise_pct)
-        stages.append(StageResult(stage, passed, {
-            "n_sim_samples": len(att),
-            "n_sensor_samples": len(sim.mag_full),
-            "n_flight_lines": sum(l.role is LineRole.FLIGHT
-                                  for l in vlf_per_line),
-            "n_tie_lines": sum(l.role is LineRole.TIE for l in vlf_per_line),
-            "effective_damping_ratio": sim.effective_damping_ratio,
-            "max_straight_roll_deg": max_roll,
-            "max_straight_pitch_deg": max_pitch,
-            "straight_outphase_amplitude_pct": out_amp,
-        }, tuple(sorted(paths))))
+        result, mag, base, rad, segment = _simulate_stage(
+            plan, geometry, sim_cfg, out)
+        stages.append(result)
 
         stage = "qc_d4"
         thr = cfg.d4_threshold if cfg.d4_threshold is not None \
             else _d4_auto_threshold(sim_cfg, geometry)
         d4 = fourth_difference(
-            TimeSeries(sim.mag_full.t, sim.mag_full.column("tmi_nT"),
-                       ("tmi_nT",)), threshold=thr, field_name="tmi_nT")
+            TimeSeries(mag.t, mag.column("tmi_nT"), ("tmi_nT",)),
+            threshold=thr, field_name="tmi_nT")
         _write_json(out / "d4_report.json", d4.to_dict())
         stages.append(StageResult(stage, d4.passed, d4.stats,
                                   ("d4_report.json",)))
 
         stage = "qc_diurnal"
-        corrected = diurnal_correct(sim.mag_full, sim.base,
-                                    sim_cfg.base_datum_nt)
+        corrected = diurnal_correct(mag, base, sim_cfg.base_datum_nt)
         write_series_csv(out / "corrected.csv", corrected)
-        correction = sim.mag_full.column("tmi_nT") - corrected.column("tmi_nT")
+        correction = mag.column("tmi_nT") - corrected.column("tmi_nT")
         stages.append(StageResult(stage, True, {
             "datum_nt": sim_cfg.base_datum_nt,
             "rms_correction_nt": float(np.sqrt(np.mean(correction ** 2))),
@@ -308,7 +320,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         }, ("corrected.csv",)))
 
         stage = "qc_tie"
-        lines = split_lines(corrected, sim.segment_at_sensor, plan)
+        lines = split_lines(corrected, segment, plan)
         records, tie = crossover_analysis(
             [l for l in lines if l.role is LineRole.FLIGHT],
             [l for l in lines if l.role is LineRole.TIE],
@@ -318,7 +330,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
                                   ("crossings.json",)))
 
         stage = "qc_nasvd"
-        counts = _spectra_from_rad(sim.rad_full, sim_cfg.n_channels)
+        counts = _spectra_from_rad(rad)
         write_spectra_csv(out / "denoised.csv",
                           nasvd_denoise(counts, cfg.nasvd_k))
         energy = nasvd_energy_fraction(counts, cfg.nasvd_k)
@@ -331,7 +343,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         }, ("denoised.csv",)))
 
         stage = "grid_make"
-        online = _on_line(sim.segment_at_sensor)
+        online = _on_line(segment)
         x = corrected.column("easting_m")[online]
         y = corrected.column("northing_m")[online]
         v = corrected.column("tmi_nT")[online]

@@ -13,7 +13,6 @@ deterministic under a fixed seed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -343,7 +342,7 @@ def _integrate_pendulum(acc: np.ndarray, acc_half: np.ndarray, dt: float,
 
     `acc` holds the forcing at step times, `acc_half` at midpoints, with
     time along axis 0; further axes (such as the two horizontal axes) are
-    integrated together. Returns theta in rad, shaped like `acc`.
+    integrated one after another. Returns theta in rad, shaped like `acc`.
 
     For this linear ODE one fixed RK4 step is exactly the linear map
     x[n+1] = M x[n] + b0 a[n] + bh a_half[n] + b1 a[n+1] on the state
@@ -378,27 +377,36 @@ def _integrate_pendulum(acc: np.ndarray, acc_half: np.ndarray, dt: float,
                      w0 + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)])
     m, b0, bh, b1 = step[:, :2], step[:, 2], step[:, 3], step[:, 4]
 
-    # w[:, n]: what enters (theta, theta_dot) at step n
-    w = np.empty((2,) + acc.shape)
-    w[0, 0], w[1, 0] = theta0, rate0
-    w[:, 1:] = (np.multiply.outer(b0, acc[:-1]) + np.multiply.outer(bh, acc_half)
-                + np.multiply.outer(b1, acc[1:]))
     tr = m[0, 0] + m[1, 1]
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    # first row of (M - tr M I) is (-M[1, 1], M[0, 1])
-    u = w[0].copy()
-    u[1:] += m[0, 1] * w[1, :-1] - m[1, 1] * w[0, :-1]
     a1, a2 = float(-tr), float(det)
-    cols = np.ascontiguousarray(u.reshape(len(u), -1).T)
-    theta = np.empty(cols.shape[::-1])
-    for j, col in enumerate(cols):
+    n = len(acc)
+    forcing = acc.reshape(n, -1)
+    forcing_half = acc_half.reshape(n - 1, forcing.shape[1])
+    theta = np.empty(forcing.shape)
+    # one axis at a time, in one buffer: w[:, n] is what enters
+    # (theta, theta_dot) at step n
+    w = np.empty((2, n))
+    for j in range(forcing.shape[1]):
+        f, fh = forcing[:, j], forcing_half[:, j]
+        # b0 a[n] + bh a_half[n] + b1 a[n+1], summed in place in that order
+        w[0, 0], w[1, 0] = theta0, rate0
+        for i in range(2):
+            np.multiply(b0[i], f[:-1], out=w[i, 1:])
+            w[i, 1:] += bh[i] * fh
+            w[i, 1:] += b1[i] * f[1:]
+        # the filter input w[0] + (M - tr M I) w shifted by one step, whose
+        # first row is (-M[1, 1], M[0, 1]), built in w's own rows
+        w[1] *= m[0, 1]
+        w[1] -= m[1, 1] * w[0]
+        w[0, 1:] += w[1, :-1]
         # a memoryview hands out one Python float at a time, cheaper than
         # a list of them all
-        theta[:, j] = _iir2(memoryview(col), a1, a2)
-    return theta.reshape(u.shape)
+        theta[:, j] = _iir2(memoryview(w[0]), a1, a2)
+    return theta.reshape(acc.shape)
 
 
-def _iir2(u: Iterable[float], a1: float, a2: float) -> list[float]:
+def _iir2(u: memoryview, a1: float, a2: float) -> np.ndarray:
     """y[n] = u[n] - a1 y[n-1] - a2 y[n-2] from rest, as lfilter runs it.
 
     lfilter's direct form II transposed step for b = [1, 0, 0] and
@@ -410,12 +418,14 @@ def _iir2(u: Iterable[float], a1: float, a2: float) -> list[float]:
     is +0 whenever it is zero and y = z0 + x is never -0, in lfilter as
     here.
     """
-    out: list[float] = []
-    append = out.append
+    out = np.empty(len(u))
+    # stored through a memoryview, one float at a time: a list of them all
+    # would hold a Python float object per step
+    put = memoryview(out)
     z = w = 0.0
-    for x in u:
+    for i, x in enumerate(u):
         y = z + x
-        append(y)
+        put[i] = y
         z = w - y * a1
         w = 0.0 - y * a2
     return out
@@ -591,6 +601,9 @@ def read_attitude_csv(path) -> AttitudeTrack:
         return [idx[c] for c in ATTITUDE_COLUMNS]
 
     values, segment = _read_floats(path, columns, labelled=True)
+    # one str object per distinct label, not one per row
+    distinct: dict[str, str] = {}
+    segment = tuple(map(distinct.setdefault, segment, segment))
     # ATTITUDE_COLUMNS lists the numeric fields in AttitudeTrack's order
     return AttitudeTrack(*values.T.copy(), segment)
 
@@ -725,53 +738,80 @@ def _fly(plan: FlightPlan, geometry: SuspensionGeometry, cfg: SimConfig,
         n = int(round(cfg.hover_duration_s * cfg.sim_rate_hz)) + 1
         t = np.arange(n) * dt
         pos = np.tile(np.asarray(origin), (n, 1))
-        psi = math.radians(90.0 - plan.heading_deg)
-        course = np.full(n, psi)
-        th_e = np.zeros(n)
-        th_n = np.zeros(n)
-        labels = np.full(n, "hover", dtype=object)
+        course = np.full(n, math.radians(90.0 - plan.heading_deg))
+        segment = ("hover",) * n
         blocks = np.zeros(n, dtype=int)
+        theta = np.zeros((n, 2))
     else:
         segs = _build_path(plan, cfg)
         lengths_total = sum(sg.length for sg, _, _ in segs)
         duration = lengths_total / cfg.speed
         n = int(math.floor(duration * cfg.sim_rate_hz)) + 1
         t = np.arange(n) * dt
+        acc_h = _sample_path(segs, cfg.speed * (t[:-1] + dt / 2.0),
+                             cfg.speed)[2]
         pos, course, acc, labels, blocks = _sample_path(
             segs, cfg.speed * t, cfg.speed)
-        _, _, acc_h, _, _ = _sample_path(
-            segs, cfg.speed * (t[:-1] + dt / 2.0), cfg.speed)
-        th_e, th_n = _integrate_pendulum(acc, acc_h, dt, omega, zeta,
-                                         length).T
+        segment = tuple(labels.tolist())
+        del labels
+        theta = _integrate_pendulum(acc, acc_h, dt, omega, zeta, length)
+        del acc, acc_h
+    th_e, th_n = theta.T
 
     rng0 = np.random.default_rng((cfg.seed, 0))
     wob_r = _wobble(rng0, t, cfg.wobble_roll_deg)
     wob_p = _wobble(rng0, t, cfg.wobble_pitch_deg)
 
-    # project swing onto the track frame for recorded roll/pitch
+    # project swing onto the track frame for recorded roll/pitch:
+    # degrees(th_e tx + th_n ty) + wob_p and degrees(th_e ty - th_n tx) + wob_r
     tx, ty = np.cos(course), np.sin(course)
-    pitch = np.degrees(th_e * tx + th_n * ty) + wob_p
-    roll = np.degrees(th_e * ty - th_n * tx) + wob_r
-    swing = np.degrees(np.hypot(th_e, th_n))
+    pitch = th_e * tx
+    pitch += th_n * ty
+    np.degrees(pitch, out=pitch)
+    pitch += wob_p
+    roll = th_e * ty
+    roll -= th_n * tx
+    np.degrees(roll, out=roll)
+    roll += wob_r
+    del tx, ty, wob_r, wob_p
+    swing = np.hypot(th_e, th_n)
+    np.degrees(swing, out=swing)
 
-    # compass heading; payload lags the UAV unless the platform locks it
-    cw = 90.0 - np.degrees(np.unwrap(course))
-    if geometry.intermediate_platform or cfg.yaw_lag_s == 0.0:
-        err = np.zeros(n)
-    else:
+    # payload position: cable tilt displaces sensors from the UAV track,
+    # pos + length sin(th)
+    pay_e = np.sin(th_e)
+    pay_e *= length
+    pay_e += pos[:, 0]
+    pay_n = np.sin(th_n)
+    pay_n *= length
+    pay_n += pos[:, 1]
+    del pos, theta, th_e, th_n
+
+    # compass heading cw = 90 - degrees(unwrap(course)); the payload lags
+    # the UAV unless the platform locks it. A locked heading adds no error:
+    # cw is never -0, so cw + 0 would be cw
+    heading = np.unwrap(course)
+    del course
+    np.degrees(heading, out=heading)
+    np.subtract(90.0, heading, out=heading)
+    if not (geometry.intermediate_platform or cfg.yaw_lag_s == 0.0):
         k = max(1, int(round(cfg.yaw_lag_s * cfg.sim_rate_hz)))
-        lagged = np.concatenate([np.full(k, cw[0]), cw[:-k]])
-        err = np.clip(lagged - cw, -cfg.yaw_lag_cap_deg, cfg.yaw_lag_cap_deg)
-    heading = np.mod(cw + err, 360.0)
+        err = np.concatenate([np.full(k, heading[0]), heading[:-k]])
+        err -= heading
+        np.clip(err, -cfg.yaw_lag_cap_deg, cfg.yaw_lag_cap_deg, out=err)
+        heading += err
+        del err
+    np.mod(heading, 360.0, out=heading)
 
-    # payload position: cable tilt displaces sensors from the UAV track
-    pay_e = pos[:, 0] + length * np.sin(th_e)
-    pay_n = pos[:, 1] + length * np.sin(th_n)
-    depth = length * np.cos(np.radians(np.minimum(swing, 89.0)))
-    vlf_alt = plan.altitude_m - depth
+    # VLF sensor altitude: altitude - length cos(radians(min(swing, 89)))
+    vlf_alt = np.minimum(swing, 89.0)
+    np.radians(vlf_alt, out=vlf_alt)
+    np.cos(vlf_alt, out=vlf_alt)
+    vlf_alt *= length
+    np.subtract(plan.altitude_m, vlf_alt, out=vlf_alt)
 
     return (AttitudeTrack(t, roll, pitch, heading, swing, pay_e, pay_n,
-                          tuple(labels.tolist()), cfg.speed), blocks, vlf_alt)
+                          segment, cfg.speed), blocks, vlf_alt)
 
 
 def simulate_survey(plan: FlightPlan | None = None,
@@ -792,6 +832,13 @@ def simulate_survey(plan: FlightPlan | None = None,
     so single lines are reproducible in isolation.
     speed == 0 is a stationary hover: zero swing forcing, baseline noise
     only.
+
+    Memory: inside _fly the midpoint path samples die but for their
+    accelerations, each other attitude-rate intermediate dies once read,
+    and the recorded channels are built in place. The step blocks and VLF
+    altitudes _fly returns die here once decimated, and the gamma counts
+    are drawn straight into the radiometric record. At survey_large size
+    the traced peak is 36 MiB, of which the returned result holds 28.
     """
     cfg = cfg or SimConfig()
     plan = plan or default_plan(cfg)
@@ -799,8 +846,6 @@ def simulate_survey(plan: FlightPlan | None = None,
     zeta = cfg.effective_damping(geometry)
     length = geometry.cable_length
     origin = tuple(plan.origin_utm)
-    # the attitude-rate intermediates die inside _fly, before the sensor
-    # streams are built
     attitude, blocks, vlf_alt = _fly(plan, geometry, cfg, zeta)
 
     # --- sensor streams at sensor_rate_hz -------------------------------
@@ -814,6 +859,7 @@ def simulate_survey(plan: FlightPlan | None = None,
     s_swing = attitude.swing_deg[si]
     s_roll, s_pitch = attitude.roll_deg[si], attitude.pitch_deg[si]
     s_block = blocks[si]
+    del blocks, vlf_alt
 
     emi_amp = cfg.emi_a1 * length ** (-cfg.emi_exponent)
     prof_k, prof_u = _spectral_profiles(cfg.n_channels)
@@ -824,9 +870,11 @@ def simulate_survey(plan: FlightPlan | None = None,
     h1 = np.empty(ns)
     h2 = np.empty(ns)
     pt = np.empty(ns)
-    k_pct = np.empty(ns)
-    u_ppm = np.empty(ns)
-    spectra = np.empty((ns, cfg.n_channels))
+    # the radiometric record is filled in place: k_pct, u_ppm and the
+    # gamma counts are drawn straight into its columns
+    rad = np.empty((ns, 5 + cfg.n_channels))
+    rad[:, 0], rad[:, 1], rad[:, 2] = se, sn, s_mag_alt
+    k_pct, u_ppm, spectra = rad[:, 3], rad[:, 4], rad[:, 5:]
 
     dx = se - origin[0]
     dy = sn - origin[1]
@@ -857,6 +905,12 @@ def simulate_survey(plan: FlightPlan | None = None,
                                     + np.outer(u_ppm[m], prof_u))
         spectra[m] = rng.poisson(lam)
 
+    # first the largest record, so its buffer is gone before the others
+    rad_fields = ("easting_m", "northing_m", "alt_m", "k_pct", "u_ppm") + \
+        tuple(f"ch{j}" for j in range(cfg.n_channels))
+    rad_full = TimeSeries(ts, rad, rad_fields)
+    del rad, k_pct, u_ppm, spectra
+
     tmi = regional_field(cfg, se, sn, origin) + diurnal_variation(cfg, ts) \
         + mag_noise
 
@@ -867,11 +921,6 @@ def simulate_survey(plan: FlightPlan | None = None,
                              s_roll, s_pitch]),
         ("easting_m", "northing_m", "alt_m", "inphase_pct", "outphase_pct",
          "h1_pct", "h2_pct", "pT_nT", "roll_deg", "pitch_deg"))
-    rad_fields = ("easting_m", "northing_m", "alt_m", "k_pct", "u_ppm") + \
-        tuple(f"ch{j}" for j in range(cfg.n_channels))
-    rad_full = TimeSeries(ts, np.column_stack([se, sn, s_mag_alt, k_pct,
-                                               u_ppm, spectra]), rad_fields)
-
     # base station covers the rover window with a sample to spare each side
     bt = np.arange(-1, ns + 1) / cfg.sensor_rate_hz
     base = TimeSeries(bt, cfg.base_datum_nt + diurnal_variation(cfg, bt),

@@ -1,5 +1,6 @@
-"""Peak traced memory of the survey kernels at survey_large size, and
-the memory a simulated survey holds once it is built.
+"""Peak traced memory of the survey kernels at survey_large size, the
+memory a simulated or read-back survey holds once it is built, and what
+run_pipeline keeps alive from one stage to the next.
 
 Each bound sits between the figure before its intermediates or stored
 copies were cut (in brackets) and the figure now, so putting back a
@@ -10,18 +11,23 @@ counts numpy's data buffers.
 
 from __future__ import annotations
 
+import gc
+import json
 import tracemalloc
 
 import numpy as np
 
+from aerosurvey import pipeline
 from aerosurvey.core import TimeSeries
 from aerosurvey.emi import noise_amplitude
 from aerosurvey.gridding import grid_idw
 from aerosurvey.io_csv import read_spectra_csv, write_spectra_csv, write_table
 from aerosurvey.qc import nasvd_denoise
 from aerosurvey.suspension import (
+    AttitudeTrack,
     FlightPlan,
     SimConfig,
+    SimResult,
     read_attitude_csv,
     simulate_survey,
     write_attitude_csv,
@@ -43,7 +49,7 @@ def test_simulate_survey_peak_at_survey_large_size():
     # 8 x 2000 m lines and 3 ties: 267k steps, 26.7k sensor samples
     plan = FlightPlan(n_lines=8, line_length_m=2000.0, spacing_m=50.0,
                       tie_lines=3)
-    assert _peak_mb(simulate_survey, plan, None, SimConfig(seed=4)) < 72.0  # [90]
+    assert _peak_mb(simulate_survey, plan, None, SimConfig(seed=4)) < 45.0  # [59]
 
 
 def test_sim_result_holds_each_sample_once_at_survey_large_size():
@@ -86,6 +92,62 @@ def test_read_attitude_csv_peak_at_survey_large_size(tmp_path):
     write_attitude_csv(simulate_survey(plan, None, SimConfig(seed=4)).attitude,
                        path)
     assert _peak_mb(read_attitude_csv, path) < 60.0  # [190]
+
+
+def test_read_attitude_csv_holds_one_object_per_label(tmp_path):
+    # the same 266,948 rows: seven float columns (14.3 MiB) and a tuple of
+    # labels, which held one str per row for 13 distinct labels
+    plan = FlightPlan(n_lines=8, line_length_m=2000.0, spacing_m=50.0,
+                      tie_lines=3)
+    path = tmp_path / "attitude.csv"
+    write_attitude_csv(simulate_survey(plan, None, SimConfig(seed=4)).attitude,
+                       path)
+    tracemalloc.start()
+    try:
+        track = read_attitude_csv(path)
+        held = tracemalloc.get_traced_memory()[0] / MB
+    finally:
+        tracemalloc.stop()
+    assert len({id(s) for s in track.segment}) == len(set(track.segment)) == 13
+    assert held < 20.0  # [29.4]
+
+
+def _write_plan(tmp_path, seed: int, **plan) -> pipeline.PipelineConfig:
+    plan_path, sim_path = tmp_path / "plan.json", tmp_path / "sim.json"
+    plan_path.write_text(json.dumps(plan))
+    sim_path.write_text(json.dumps({"seed": seed}))
+    return pipeline.PipelineConfig(out_dir=tmp_path / "out",
+                                   plan_path=str(plan_path),
+                                   sim_path=str(sim_path))
+
+
+def test_run_pipeline_peak_at_mid_size(tmp_path):
+    # 4 x 1000 m lines and 2 ties: the simulate stage sets the peak
+    cfg = _write_plan(tmp_path, 4, n_lines=4, line_length_m=1000.0,
+                      tie_lines=2)
+    assert _peak_mb(pipeline.run_pipeline, cfg) < 17.0  # [19.0]
+
+
+def test_no_attitude_track_alive_during_nasvd(tmp_path, monkeypatch):
+    # after the simulate stage only its traces live on: the SimResult, its
+    # attitude track and VLF stream are gone by the time NASVD runs
+    def survey_objects():
+        return [o for o in gc.get_objects()
+                if isinstance(o, (AttitudeTrack, SimResult))]
+
+    before = survey_objects()   # held, so their ids stay unique
+    known = {id(o) for o in before}
+    alive = []     # one list per call
+
+    def nasvd_denoise(*args):
+        alive.append([type(o).__name__ for o in survey_objects()
+                      if id(o) not in known])
+        return denoise(*args)
+
+    denoise = pipeline.nasvd_denoise
+    monkeypatch.setattr(pipeline, "nasvd_denoise", nasvd_denoise)
+    pipeline.run_pipeline(pipeline.PipelineConfig(out_dir=tmp_path / "out"))
+    assert alive == [[]]
 
 
 def test_noise_amplitude_peak_with_a_1001_sample_median():
