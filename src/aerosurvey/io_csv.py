@@ -28,8 +28,13 @@ serialize(ingest(f)) reproduces numeric content bit-for-bit and repeated
 runs produce byte-identical files. write_table does not call repr() per
 cell: the numtext kernel gives whole chunks of float64 cells repr()'s
 exact text in numpy and calls repr() only for the values it is not sure
-of (subnormals, nan, inf and a few near-ties), and each chunk of about
-_CHUNK_CELLS cells is assembled and written with one byte mask.
+of (subnormals, nan, inf and a few near-ties). Each chunk of about
+_CHUNK_CELLS cells is laid out first, then written into a byte canvas
+whose slots are as wide as its texts need, with a filler byte that no
+UTF-8 text holds around every text, so the chunk's rows are the canvas
+bytes that are not filler. A table whose rows or columns make another
+artifact (spectra.csv from rad.csv, the line files from mag.csv) writes
+that one too, cut from the same text.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import io
 import json
 import math
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -57,8 +62,9 @@ CSV_SCHEMA_VERSION = "1"
 # cells write_table formats at a time; bounds the writer's extra memory
 # and keeps the number kernel's arrays in cache
 _CHUNK_CELLS = 1 << 14
-# bytes of a cell's slot in write_table's canvas when no label is longer
-_SLOT = 48
+# bytes of a cell's slot in write_table's canvas when no label is longer:
+# the longest number text and a two-byte separator, in whole uint32 words
+_SLOT = 44
 # characters str() can produce for a Python bool, int or float
 _NUMERIC_TEXT = frozenset("0123456789+-.einfaTrueFls")
 # bytes on which loadtxt reads a line otherwise than csv and float(), so a
@@ -379,122 +385,156 @@ def _ingest_crossover(path, body, idx) -> Ingested:
 
 
 def write_table(path: str | Path, head, columns, delimiter: str = ",",
-                lineterminator: str = "\r\n") -> None:
+                lineterminator: str = "\r\n", parts=()) -> None:
     """Write `head` rows, then one row per index across `columns`.
 
     Columns are 1-D arrays or sequences of equal length. The bytes are
     those a csv.writer with this dialect writes for the same rows, where a
     numpy float is written as the repr() of its float64 value; the head
-    goes through one. The body is built in chunks of about _CHUNK_CELLS
-    cells, each in a byte canvas with one fixed-width slot per cell:
+    goes through one. Each (path, first, rows) of `parts` names a further
+    file: the table of rows `rows` (ascending indices, None for all) and
+    columns `first` on of this one, head rows included, as write_table
+    would write it. Its text is cut from this table's, not made again. A
+    part of one text column needs a table of one, for csv writes an empty
+    field as "" only when it is alone in its row.
 
-    * Int and float array columns are formatted by numtext.number_text,
-      all of a chunk's float cells in one call (int cells in another);
-      it sends the values its digit search is not sure of to repr(). Their
-      text holds no quote, line break or (for the usual delimiters)
-      delimiter, so csv never quotes it; a dialect whose delimiter or line
-      terminator uses a character of that text sends the column down the
-      escaping path below instead.
+    The body is built in chunks of about _CHUNK_CELLS cells, each in a
+    byte canvas with one fixed-width slot per cell, filled with
+    numtext.FILL, a byte no UTF-8 text holds:
+
+    * Runs of adjacent int or float array columns (uint64 apart) are
+      formatted by numtext.NumberText straight into their slots, a run's
+      cells in one call; it sends the values its digit search is not sure
+      of to repr(). Their text holds no quote, line break or (for the
+      usual delimiters) delimiter, so csv never quotes it; a dialect
+      whose delimiter or line terminator uses a character of that text
+      sends the column down the escaping path below instead.
     * Any other column (labels, bools, plain sequences) has each distinct
-      value escaped once by a csv.writer of the same dialect; the memo key
-      keeps the type, so 1, 1.0 and True stay apart. A one-column table
-      keeps csv's "" for an empty field.
+      value escaped once by a csv.writer of the same dialect, into one
+      table of texts its cells index; the memo key keeps the type, so 1,
+      1.0 and True stay apart. A one-column table keeps csv's "" for an
+      empty field.
 
-    Each cell's text lies at [start, end) of its slot and its delimiter
-    (the line terminator in the last column) follows the chunk's longest
-    text, so the chunk's rows are the canvas bytes under one mask. A slot
-    is _SLOT bytes, wider when a label does not fit; a chunk of wider
-    slots has fewer rows, so every canvas stays near _SLOT * _CHUNK_CELLS
-    bytes.
+    The chunk's texts are laid out before any is written, so a slot holds
+    only the layout columns some text of the chunk reaches: each cell's
+    text lies at [start, end) of its slot with FILL around it and its
+    delimiter (the line terminator in the last column) after every column
+    a text is written to. The chunk's rows are then the canvas bytes that
+    are not FILL, taken in one pass, and a part's rows are cut from them
+    by the cell lengths. Chunks have _CHUNK_CELLS * _SLOT // slot cells,
+    where a slot is _SLOT bytes, wider when a label does not fit.
     """
     # loaded by the first write, so a command that writes no table skips it
-    from .numtext import PLAIN, TEXT_END, number_text, text_table
+    from .numtext import FILL, PLAIN, TEXT_END, NumberText, text_table
 
     n_cols = len(columns)
     n_rows = len(columns[0]) if n_cols else 0
     numeric_ok = not _NUMERIC_TEXT.intersection(delimiter + lineterminator)
     escape = _escaper(delimiter, lineterminator, n_cols)
-    # float, int and uint64 columns: each group stacks without rounding
-    groups: dict[str, list[int]] = {"f": [], "i": [], "u": []}
+    # [first, stop) of each run of adjacent float, int or uint64 columns;
+    # a run stacks without rounding
+    runs: list[list[int]] = []
     memos = {}
+    run_kind = None
     for ci, col in enumerate(columns):
         kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
         if kind in "iuf" and numeric_ok:
-            groups["f" if kind == "f" else
-                   "u" if col.dtype == np.uint64 else "i"].append(ci)
+            kind = ("f" if kind == "f" else
+                    "u" if col.dtype == np.uint64 else "i")
+            if kind != run_kind:
+                runs.append([ci, ci])
+            runs[-1][1] = ci + 1
         else:
-            memos[ci] = _memo(col, escape)
+            codes, texts = _memo(col, escape)
+            memos[ci] = (codes, *text_table(texts))
+            kind = None
+        run_kind = kind
     seps = [delimiter] * (n_cols - 1) + [lineterminator] if n_cols else []
     sep_len = np.array([len(sep.encode()) for sep in seps], np.int64)
     longest = max(sep_len, default=0)
-    sep_bytes = np.zeros((n_cols, longest), np.uint8)
+    sep_bytes = np.full((n_cols, longest), FILL, np.uint8)
     for ci, sep in enumerate(seps):
         sep_bytes[ci, :sep_len[ci]] = np.frombuffer(sep.encode(), np.uint8)
     # labels start at PLAIN like the fallback texts of numbers
-    text_end = max([TEXT_END] + [PLAIN + len(t) for _, texts in memos.values()
-                                 for t in texts])
-    slot = max(_SLOT, -(-(text_end + longest) // 8) * 8)
+    text_end = max([TEXT_END] + [PLAIN + table.shape[1]
+                                 for _, table, _ in memos.values()])
+    slot = max(_SLOT, -(-(text_end + longest) // 4) * 4)
     rows = max(1, _CHUNK_CELLS * _SLOT // (slot * max(n_cols, 1)))
-    with open(path, "wb") as fh:
-        text = io.StringIO()
-        csv.writer(text, delimiter=delimiter,
-                   lineterminator=lineterminator).writerows(head)
-        fh.write(text.getvalue().encode())
-        buffer = np.empty((min(rows, n_rows), n_cols, slot), np.uint8)
+    for _, first, _ in parts:
+        if n_cols - first == 1 < n_cols and first in memos:
+            raise ValueError("a part of one text column needs a table of one")
+    with ExitStack() as files:
+        outs = []
+        for out, first, part_rows in ((path, 0, None), *parts):
+            fh = files.enter_context(open(out, "wb"))
+            head_text = io.StringIO()
+            csv.writer(head_text, delimiter=delimiter,
+                       lineterminator=lineterminator
+                       ).writerows(row[first:] for row in head)
+            fh.write(head_text.getvalue().encode())
+            outs.append((fh, first, part_rows))
+        buffer = np.empty(min(rows, n_rows) * n_cols * slot, np.uint8)
         for r0 in range(0, n_rows, rows):
             r1 = min(r0 + rows, n_rows)
-            canvas = buffer[:r1 - r0]
             start = np.full((r1 - r0, n_cols), PLAIN)
             end = np.empty((r1 - r0, n_cols), np.int64)
-            for cis in groups.values():
-                if not cis:
-                    continue
-                values = np.stack([columns[ci][r0:r1] for ci in cis], axis=1)
-                alone = len(cis) == n_cols
-                cells = canvas if alone else np.empty(values.shape + (slot,),
-                                                      np.uint8)
-                first, last = number_text(values.ravel(),
-                                          cells.reshape(-1, slot))
-                start[:, cis] = first.reshape(values.shape)
-                end[:, cis] = last.reshape(values.shape)
-                if not alone:
-                    canvas[:, cis] = cells
-            for ci, (codes, texts) in memos.items():
-                used, inverse = np.unique(codes[r0:r1], return_inverse=True)
-                table, length = text_table([texts[u] for u in used.tolist()])
-                canvas[:, ci, PLAIN:PLAIN + table.shape[1]] = table[inverse]
-                end[:, ci] = PLAIN + length[inverse]
-            # mask only the columns of the slots that hold text
-            at = int(end.max())
-            canvas[:, :, at:at + longest] = sep_bytes
-            lo = int(start.min())
-            width = min(slot, -(-(at + longest - lo) // 8) * 8)
-            lo = min(lo, slot - width)
-            mask = _row_mask(start - lo, end - lo, at - lo,
-                             at - lo + sep_len, width)
-            fh.write(canvas[:, :, lo:lo + width][mask.reshape(
-                r1 - r0, n_cols, width)])
+            texts = []
+            for c0, c1 in runs:
+                text = NumberText(np.stack(
+                    [columns[ci][r0:r1] for ci in range(c0, c1)], axis=1))
+                start[:, c0:c1], end[:, c0:c1] = text.start, text.end
+                texts.append((c0, c1, text))
+            labels = []
+            for ci, (codes, table, length) in memos.items():
+                cell_length = length[codes[r0:r1]]
+                end[:, ci] = PLAIN + cell_length
+                # only as wide as this chunk's longest text
+                text_width = int(cell_length.max(initial=0))
+                labels.append((ci, table[codes[r0:r1], :text_width]))
+            # slots hold columns [lo, at + longest) of the layout: the
+            # separators follow every column the texts are written to
+            lo = min([PLAIN] + [text.first for _, _, text in texts])
+            at = max([int(end.max())] + [text.high for _, _, text in texts])
+            width = -(-(at + longest - lo) // 4) * 4
+            canvas = buffer[:(r1 - r0) * n_cols * width].reshape(
+                r1 - r0, n_cols, width)
+            row = np.full((n_cols, width), FILL, np.uint8)
+            row[:, at - lo:at - lo + longest] = sep_bytes
+            canvas[:] = row
+            for c0, c1, text in texts:
+                text.write(canvas[:, c0:c1], lo)
+            del texts
+            for ci, cells in labels:
+                canvas[:, ci, PLAIN - lo:PLAIN - lo + cells.shape[1]] = cells
+            del labels
+            flat = canvas.reshape(-1)
+            body = flat[flat != FILL]
+            outs[0][0].write(body)
+            if len(outs) > 1:
+                cell = end - start + sep_len        # bytes, separator included
+                row_len = cell.sum(axis=1)
+                row_end = np.cumsum(row_len)
+            for fh, first, part_rows in outs[1:]:
+                if part_rows is None:
+                    local = np.arange(r1 - r0)
+                else:
+                    a, b = np.searchsorted(part_rows, (r0, r1))
+                    local = part_rows[a:b] - r0
+                if len(local):
+                    begin = (row_end[local] - row_len[local]
+                             + cell[local, :first].sum(axis=1))
+                    fh.write(_cut(body, begin, row_end[local]))
 
 
-def _row_mask(start, end, sep_at: int, sep_end, width: int) -> np.ndarray:
-    """Flat mask of the bytes [start, end) and [sep_at, sep_end) per slot.
-
-    Each 64 bytes of a slot of `width` bytes (a multiple of 8) are one
-    int64 of mask bits, (1 << hi) - (1 << lo), unpacked least significant
-    bit first; numpy shifts by 64 to 0, so hi == 64 sets every bit from lo
-    up.
-    """
-    words = []
-    for w in range(0, width, 64):
-        word = 0
-        for lo, hi in ((start, end), (sep_at, sep_end)):
-            if width > 64:
-                lo, hi = np.clip(lo - w, 0, 64), np.clip(hi - w, 0, 64)
-            word = word | (1 << hi) - (1 << lo)
-        words.append(word)
-    octets = np.stack(words, axis=-1).astype("<i8", copy=False).view(np.uint8)
-    return np.unpackbits(octets.reshape(-1, octets.shape[-1])[:, :width // 8],
-                         axis=-1, bitorder="little").view(bool).ravel()
+def _cut(body: np.ndarray, begin: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The bytes [begin[i], stop[i]) of `body`, for ascending spans."""
+    gap = np.append(begin[1:] - stop[:-1], 0)
+    span = body[begin[0]:stop[-1]]
+    if not gap.any():
+        return span
+    keep = np.repeat(np.resize([True, False], 2 * len(gap)),
+                     np.column_stack([stop - begin, gap]).ravel())
+    return span[keep]
 
 
 def _memo(column, escape) -> tuple[np.ndarray, list[bytes]]:
@@ -533,11 +573,13 @@ def _escaper(delimiter: str, lineterminator: str, n_cols: int):
     return escape
 
 
-def write_series_csv(path: str | Path, series: TimeSeries) -> None:
-    """Serialize a TimeSeries using its field names as the header."""
+def write_series_csv(path: str | Path, series: TimeSeries, parts=()) -> None:
+    """Serialize a TimeSeries using its field names as the header; `parts`
+    as write_table's, with t_s as column 0."""
     fields = series.fields if series.fields else ("value",)
     vals = series.values if series.values.ndim == 2 else series.values[:, None]
-    write_table(path, [("t_s",) + tuple(fields)], [series.t, *vals.T])
+    write_table(path, [("t_s",) + tuple(fields)], [series.t, *vals.T],
+                parts=parts)
 
 
 def read_survey_lines(directory: str | Path, schema: SchemaKind | str,

@@ -48,6 +48,7 @@ from .suspension import (
     SimResult,
     SuspensionGeometry,
     _on_line,
+    line_rows,
     simulate_survey,
     split_lines,
     write_attitude_csv,
@@ -178,31 +179,35 @@ def config_hash(plan: FlightPlan, geometry: SuspensionGeometry,
 
 
 def write_survey_artifacts(result: SimResult, out_dir: str | Path) -> dict:
-    """Write the simulator outputs; returns {artifact name: path}."""
+    """Write the simulator outputs; returns {artifact name: path}.
+
+    spectra.csv is the gamma channel columns of rad.csv, and each flights/
+    or ties/ file the rows of mag.csv on one line, so their text is cut
+    from those tables as they are written, not made again.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
 
     write_attitude_csv(result.attitude, out / "attitude.csv")
     paths["attitude.csv"] = out / "attitude.csv"
-    for name, series in (("mag.csv", result.mag_full),
-                         ("vlf.csv", result.vlf_full),
-                         ("rad.csv", result.rad_full),
-                         ("base.csv", result.base)):
-        write_series_csv(out / name, series)
+    lines = []
+    for lid, role, rows in line_rows(result.segment_at_sensor, result.plan):
+        name = f"{'flights' if role is LineRole.FLIGHT else 'ties'}/{lid}.csv"
+        lines.append((out / name, 0, rows))
         paths[name] = out / name
-
-    write_spectra_csv(out / "spectra.csv", _spectra_from_rad(result.rad_full))
+    for sub in ("flights", "ties"):
+        (out / sub).mkdir(exist_ok=True)
+    rad = result.rad_full
+    # t_s is column 0 of a series table
+    spectra = [(out / "spectra.csv", 1 + rad.fields.index("ch0"), None)]
+    for name, series, parts in (("mag.csv", result.mag_full, lines),
+                                ("vlf.csv", result.vlf_full, ()),
+                                ("rad.csv", rad, spectra),
+                                ("base.csv", result.base, ())):
+        write_series_csv(out / name, series, parts)
+        paths[name] = out / name
     paths["spectra.csv"] = out / "spectra.csv"
-
-    lines = split_lines(result.mag_full, result.segment_at_sensor,
-                        result.plan)
-    for sub, role in (("flights", LineRole.FLIGHT), ("ties", LineRole.TIE)):
-        d = out / sub
-        d.mkdir(exist_ok=True)
-        for line in (l for l in lines if l.role is role):
-            write_series_csv(d / f"{line.line_id}.csv", line.series)
-            paths[f"{sub}/{line.line_id}.csv"] = d / f"{line.line_id}.csv"
     return paths
 
 
@@ -302,9 +307,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         stage = "qc_d4"
         thr = cfg.d4_threshold if cfg.d4_threshold is not None \
             else _d4_auto_threshold(sim_cfg, geometry)
-        d4 = fourth_difference(
-            TimeSeries(mag.t, mag.column("tmi_nT"), ("tmi_nT",)),
-            threshold=thr, field_name="tmi_nT")
+        d4 = fourth_difference(mag, threshold=thr, field_name="tmi_nT")
         _write_json(out / "d4_report.json", d4.to_dict())
         stages.append(StageResult(stage, d4.passed, d4.stats,
                                   ("d4_report.json",)))

@@ -237,8 +237,10 @@ class _Straight:
         d = (self.p1 - self.p0) / self.length
         pos = self.p0[None, :] + s[:, None] * d[None, :]
         course = np.full(len(s), math.atan2(d[1], d[0]))
-        acc = np.zeros((len(s), 2))
-        return pos, course, acc
+        return pos, course, self.acceleration(s, v)
+
+    def acceleration(self, s: np.ndarray, v: float) -> np.ndarray:
+        return np.zeros((len(s), 2))
 
 
 @dataclass(frozen=True)
@@ -252,14 +254,22 @@ class _Arc:
     def length(self) -> float:
         return self.radius * abs(self.sweep)
 
-    def sample(self, s: np.ndarray, v: float):
+    def _radial(self, s: np.ndarray):
+        """(angle about the center, unit radial vector) at offsets `s`."""
         sgn = 1.0 if self.sweep >= 0 else -1.0
         ang = self.a0 + sgn * s / self.radius
-        radial = np.column_stack([np.cos(ang), np.sin(ang)])
+        return ang, np.column_stack([np.cos(ang), np.sin(ang)])
+
+    def sample(self, s: np.ndarray, v: float):
+        ang, radial = self._radial(s)
         pos = self.center[None, :] + self.radius * radial
+        sgn = 1.0 if self.sweep >= 0 else -1.0
         course = ang + sgn * math.pi / 2.0
         acc = -(v ** 2 / self.radius) * radial  # centripetal, toward center
         return pos, course, acc
+
+    def acceleration(self, s: np.ndarray, v: float) -> np.ndarray:
+        return -(v ** 2 / self.radius) * self._radial(s)[1]
 
 
 def _mod2pi(a: float) -> float:
@@ -674,8 +684,9 @@ def _build_path(plan: FlightPlan, cfg: SimConfig):
     return segs
 
 
-def _sample_path(segs, s: np.ndarray, v: float):
-    """Evaluate position/course/accel/label/block at path offsets `s`.
+def _segment_spans(segs, s: np.ndarray):
+    """(i, lo, hi, offsets) per segment that holds samples of `s`:
+    s[lo:hi] lie on segs[i], at `offsets` from its start.
 
     `s` must be non-decreasing (offsets of increasing times), so the
     samples of each segment form one contiguous slice.
@@ -685,23 +696,34 @@ def _sample_path(segs, s: np.ndarray, v: float):
     s = np.clip(s, 0.0, cum[-1] - 1e-9)
     idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(segs) - 1)
     bounds = np.searchsorted(idx, np.arange(len(segs) + 1)).tolist()
+    for i in range(len(segs)):
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo < hi:
+            yield i, lo, hi, s[lo:hi] - cum[i]
+
+
+def _sample_path(segs, s: np.ndarray, v: float):
+    """Evaluate position/course/accel/label/block at path offsets `s`."""
     n = len(s)
     pos = np.empty((n, 2))
     course = np.empty(n)
     acc = np.empty((n, 2))
     labels = np.empty(n, dtype=object)
     blocks = np.empty(n, dtype=int)
-    for i, (sg, lab, blk) in enumerate(segs):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo == hi:
-            continue
-        p, c, a = sg.sample(s[lo:hi] - cum[i], v)
-        pos[lo:hi] = p
-        course[lo:hi] = c
-        acc[lo:hi] = a
+    for i, lo, hi, offsets in _segment_spans(segs, s):
+        sg, lab, blk = segs[i]
+        pos[lo:hi], course[lo:hi], acc[lo:hi] = sg.sample(offsets, v)
         labels[lo:hi] = lab
         blocks[lo:hi] = blk
     return pos, course, acc, labels, blocks
+
+
+def _path_acceleration(segs, s: np.ndarray, v: float) -> np.ndarray:
+    """The accelerations _sample_path gives at path offsets `s`, alone."""
+    acc = np.empty((len(s), 2))
+    for i, lo, hi, offsets in _segment_spans(segs, s):
+        acc[lo:hi] = segs[i][0].acceleration(offsets, v)
+    return acc
 
 
 def _wobble(rng: np.random.Generator, t: np.ndarray, amp: float) -> np.ndarray:
@@ -748,8 +770,8 @@ def _fly(plan: FlightPlan, geometry: SuspensionGeometry, cfg: SimConfig,
         duration = lengths_total / cfg.speed
         n = int(math.floor(duration * cfg.sim_rate_hz)) + 1
         t = np.arange(n) * dt
-        acc_h = _sample_path(segs, cfg.speed * (t[:-1] + dt / 2.0),
-                             cfg.speed)[2]
+        acc_h = _path_acceleration(segs, cfg.speed * (t[:-1] + dt / 2.0),
+                                   cfg.speed)
         pos, course, acc, labels, blocks = _sample_path(
             segs, cfg.speed * t, cfg.speed)
         segment = tuple(labels.tolist())
@@ -916,29 +938,33 @@ def simulate_survey(plan: FlightPlan | None = None,
 
     mag_full = TimeSeries(ts, np.column_stack([se, sn, s_mag_alt, tmi]),
                           ("easting_m", "northing_m", "alt_m", "tmi_nT"))
+    # base station covers the rover window with a sample to spare each side
+    bt = np.arange(-1, ns + 1) / cfg.sensor_rate_hz
+    base = TimeSeries(bt, cfg.base_datum_nt + diurnal_variation(cfg, bt),
+                      ("tmi_nT",))
+    segment_at_sensor = attitude.segment[::step]
+    # last the VLF stream, which dies with the attitude track while the
+    # records above outlive the simulate stage: built after them, its
+    # buffers sit above theirs in the heap, so freeing the stage's arrays
+    # can hand the top of the heap back to the system
     vlf_full = TimeSeries(
         ts, np.column_stack([se, sn, s_vlf_alt, in_pct, out_pct, h1, h2, pt,
                              s_roll, s_pitch]),
         ("easting_m", "northing_m", "alt_m", "inphase_pct", "outphase_pct",
          "h1_pct", "h2_pct", "pT_nT", "roll_deg", "pitch_deg"))
-    # base station covers the rover window with a sample to spare each side
-    bt = np.arange(-1, ns + 1) / cfg.sensor_rate_hz
-    base = TimeSeries(bt, cfg.base_datum_nt + diurnal_variation(cfg, bt),
-                      ("tmi_nT",))
 
     return SimResult(attitude, mag_full, vlf_full, rad_full, base, plan,
-                     geometry, cfg, attitude.segment[::step])
+                     geometry, cfg, segment_at_sensor)
 
 
-def split_lines(series: TimeSeries, labels, plan: FlightPlan
-                ) -> tuple[SurveyLine, ...]:
-    """One SurveyLine per plan leg, from a full trace and its segment labels.
+def line_rows(labels, plan: FlightPlan
+              ) -> tuple[tuple[str, LineRole, np.ndarray], ...]:
+    """(line id, role, sample indices) of each plan leg, from the segment
+    labels of a full trace.
 
     Samples belong to a leg when their label equals the leg id; legs with
     fewer than 2 samples are skipped, so a hover (labelled "hover") gives
-    no lines. Lines keep plan.legs() order, and each holds a copy of its
-    rows of `series`: SimResult stores only the full traces, and callers
-    split them where they need lines.
+    no lines. Lines keep plan.legs() order.
     """
     legs = plan.legs()
     index = {lid: i for i, (lid, *_) in enumerate(legs)}
@@ -947,11 +973,21 @@ def split_lines(series: TimeSeries, labels, plan: FlightPlan
                        count=len(labels))
     out = []
     for lid, role, _, _ in legs:
-        m = code == index[lid]
-        if m.sum() >= 2:
-            out.append(SurveyLine(lid, role, TimeSeries(
-                series.t[m], series.values[m], series.fields)))
+        rows = np.flatnonzero(code == index[lid])
+        if len(rows) >= 2:
+            out.append((lid, role, rows))
     return tuple(out)
+
+
+def split_lines(series: TimeSeries, labels, plan: FlightPlan
+                ) -> tuple[SurveyLine, ...]:
+    """One SurveyLine per line of line_rows(labels, plan), each holding a
+    copy of its rows of `series`: SimResult stores only the full traces,
+    and callers split them where they need lines.
+    """
+    return tuple(SurveyLine(lid, role, TimeSeries(
+        series.t[rows], series.values[rows], series.fields))
+        for lid, role, rows in line_rows(labels, plan))
 
 
 # ---------------------------------------------------------------------------

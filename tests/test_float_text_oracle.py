@@ -1,6 +1,6 @@
 """The bulk number kernel of the artifact writer against repr() and str().
 
-numtext.number_text must give every float64 value exactly the text
+numtext.NumberText must give every float64 value exactly the text
 repr() gives it, and every int value the text str() gives it. The cases aim at
 the places a shortest-digits search can go wrong: raw bit patterns of
 every kind, every binary exponent, powers of two and ten and their
@@ -26,12 +26,43 @@ from aerosurvey import io_csv, numtext
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
                     database=None)
 RNG = np.random.default_rng(20240601)
+# values at the edges of the layout: signed zero, a subnormal, 1e22, the
+# positional bounds, exponent text with and without a '.', nan and inf
+AWKWARD = [-0.0, 5e-324, 1e22, 0.1 + 0.2, -17.0, 1e16, 1e-4, 1e-05,
+           -2.5e-17, 1.5e-300, 1.7976931348623157e308, np.nan, -np.inf,
+           9999999999999998.0]
 
 
 def _texts(x: np.ndarray) -> list[str]:
-    out = np.zeros((len(x), 48), np.uint8)
-    start, end = numtext.number_text(x, out)
+    """NumberText's texts, checking that it leaves FILL around each."""
+    out = np.full((len(x), 48), numtext.FILL, np.uint8)
+    text = numtext.NumberText(x)
+    text.write(out)
+    start, end = text.start, text.end
+    inside = np.arange(48) >= start[:, None]
+    inside &= np.arange(48) < end[:, None]
+    assert (out[inside] != numtext.FILL).all()
+    assert (out[~inside] == numtext.FILL).all()
     return [out[i, start[i]:end[i]].tobytes().decode() for i in range(len(x))]
+
+
+def test_texts_written_into_a_view_of_a_wider_canvas():
+    # two columns of a four-column canvas whose slots hold only the
+    # layout columns [first, high): the other columns stay FILL
+    x = np.concatenate([RNG.normal(0.0, 1e3, 396), AWKWARD]).reshape(-1, 2)
+    text = numtext.NumberText(x)
+    assert text.first % 4 == 0 and text.first <= numtext.PLAIN
+    assert text.high <= numtext.TEXT_END
+    width = -(-(text.high - text.first) // 4) * 4
+    canvas = np.full((len(x), 4, width), numtext.FILL, np.uint8)
+    text.write(canvas[:, 1:3], text.first)
+    assert (canvas[:, [0, 3]] == numtext.FILL).all()
+    start, end = text.start - text.first, text.end - text.first
+    for (i, j), v in np.ndenumerate(x):
+        slot = canvas[i, 1 + j]
+        assert slot[start[i, j]:end[i, j]].tobytes() == repr(float(v)).encode()
+        assert (np.delete(slot, np.s_[start[i, j]:end[i, j]])
+                == numtext.FILL).all()
 
 
 def _assert_matches_repr(x) -> None:

@@ -10,17 +10,26 @@ written CHUNK_ROWS rows at a time).
 from __future__ import annotations
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aerosurvey import io_csv
 from aerosurvey.core import TimeSeries
 from aerosurvey.gridding import NODATA, GrayImage, Grid, write_asc, write_pgm
 from aerosurvey.io_csv import write_series_csv, write_spectra_csv, write_table
+from aerosurvey.pipeline import _spectra_from_rad, write_survey_artifacts
 from aerosurvey.suspension import (
     ATTITUDE_COLUMNS,
     AttitudeTrack,
+    FlightPlan,
+    SimConfig,
+    line_rows,
+    simulate_survey,
+    split_lines,
     write_attitude_csv,
 )
 
@@ -292,3 +301,102 @@ def test_space_delimited_label_with_space_is_quoted(tmp_path):
     write_table(tmp_path / "t.txt", [("name", "v")], [labels, vals], " ", "\n")
     assert (tmp_path / "t.txt").read_text() == (
         'name v\n"line 1" 1.5\nL2 -0.0\n"a  b" inf\n" lead" 2.0\n')
+
+
+# --- write_table and its parts against csv.writer, drawn by hypothesis ---
+
+ORACLE = settings(derandomize=True, database=None, max_examples=300,
+                  deadline=None)
+ORACLE_ROWS = 8         # rows per chunk, so most tables cross chunks
+CELLS = {
+    "float": st.floats(width=64) | st.sampled_from(AWKWARD.tolist()),
+    "int": st.integers(-2 ** 63, 2 ** 63 - 1),
+    "uint64": st.integers(0, 2 ** 64 - 1),
+    "bool": st.booleans(),
+    "label": st.text(" ,;.e%\"\r\n\u00e9\u20acL1", max_size=5),
+}
+DTYPES = {"float": float, "int": np.int64, "uint64": np.uint64, "bool": bool}
+
+
+@st.composite
+def tables(draw):
+    """(dialect, columns, part): a table and the part (first column, rows)
+    to cut from it."""
+    n = draw(st.integers(0, 3 * ORACLE_ROWS + 1))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1,
+                          max_size=5))
+    columns = []
+    for kind in kinds:
+        cells = draw(st.lists(CELLS[kind], min_size=n, max_size=n))
+        columns.append(tuple(cells) if kind == "label"
+                       else np.array(cells, DTYPES[kind]))
+    # a part keeps two columns of a wider table (csv writes an empty field
+    # as "" only when it is alone in its row)
+    first = draw(st.integers(0, max(len(columns) - 2, 0)))
+    rows = sorted(draw(st.sets(st.integers(0, n - 1)))) if n else []
+    return draw(st.sampled_from(DIALECTS)), columns, (first, rows)
+
+
+@given(tables())
+@ORACLE
+def test_write_table_and_its_part_match_csv_writer(tmp_path_factory, table):
+    (delimiter, lineterminator), columns, (first, rows) = table
+    tmp = tmp_path_factory.mktemp("oracle")
+    head = [tuple(f"c{i}" for i in range(len(columns)))]
+    with mock.patch.object(io_csv, "_CHUNK_CELLS",
+                           ORACLE_ROWS * len(columns)):
+        write_table(tmp / "t", head, columns, delimiter, lineterminator,
+                    [(tmp / "p", first, np.array(rows, np.intp))])
+    ref_table(tmp / "rt", head, columns, delimiter, lineterminator)
+    ref_table(tmp / "rp", [head[0][first:]],
+              [[c[i] for i in rows] for c in columns[first:]], delimiter,
+              lineterminator)
+    assert (tmp / "t").read_bytes() == (tmp / "rt").read_bytes()
+    assert (tmp / "p").read_bytes() == (tmp / "rp").read_bytes()
+
+
+def test_one_column_part_of_a_wider_table(tmp_path):
+    n = 2 * CHUNK_ROWS + 5
+    floats, labels = _awkward(n, 1)[:, 0], ("", "a") * (n // 2) + ("",)
+    rows = np.arange(3, n, 7)
+    with mock.patch.object(io_csv, "_CHUNK_CELLS", 3 * CHUNK_ROWS):
+        write_table(tmp_path / "t", [("i", "f")], [np.arange(n), floats],
+                    parts=[(tmp_path / "p", 1, rows)])
+    write_table(tmp_path / "r", [("f",)], [floats[rows]])
+    assert (tmp_path / "p").read_bytes() == (tmp_path / "r").read_bytes()
+    # a lone text field is escaped apart, so it is not cut
+    with pytest.raises(ValueError, match="one text column"):
+        write_table(tmp_path / "t", [], [floats, labels],
+                    parts=[(tmp_path / "p", 1, None)])
+
+
+@pytest.mark.parametrize("chunk_cells", (37 * 5, io_csv._CHUNK_CELLS))
+def test_survey_parts_are_cells_and_rows_of_their_tables(
+        tmp_path, monkeypatch, chunk_cells):
+    monkeypatch.setattr(io_csv, "_CHUNK_CELLS", chunk_cells)
+    sim = simulate_survey(FlightPlan(n_lines=3, line_length_m=300.0,
+                                     tie_lines=2), None, SimConfig(seed=5))
+    write_survey_artifacts(sim, tmp_path / "out")
+    out = tmp_path / "out"
+    # spectra.csv: the gamma channel cells of rad.csv, header included
+    ch0 = 1 + sim.rad_full.fields.index("ch0")
+    rad = (out / "rad.csv").read_bytes().split(b"\r\n")
+    assert (out / "spectra.csv").read_bytes().split(b"\r\n") == [
+        row.split(b",", ch0)[-1] for row in rad]
+    # each flights/ or ties/ file: the header and its rows of mag.csv
+    mag = (out / "mag.csv").read_bytes().split(b"\r\n")
+    lines = line_rows(sim.segment_at_sensor, sim.plan)
+    assert len(lines) == 5
+    for lid, role, rows in lines:
+        sub = "flights" if lid.startswith("L") else "ties"
+        assert (out / sub / f"{lid}.csv").read_bytes().split(b"\r\n") == [
+            mag[0], *(mag[1 + r] for r in rows.tolist()), b""]
+    # and both are what the writers give the cut-out tables
+    write_spectra_csv(tmp_path / "s.csv", _spectra_from_rad(sim.rad_full))
+    assert (tmp_path / "s.csv").read_bytes() == \
+        (out / "spectra.csv").read_bytes()
+    for line in split_lines(sim.mag_full, sim.segment_at_sensor, sim.plan):
+        sub = "flights" if line.line_id.startswith("L") else "ties"
+        write_series_csv(tmp_path / "l.csv", line.series)
+        assert (tmp_path / "l.csv").read_bytes() == \
+            (out / sub / f"{line.line_id}.csv").read_bytes()
