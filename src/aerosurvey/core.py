@@ -12,7 +12,7 @@ read-only), so they are safe to share across threads. Operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from enum import Enum
 from pathlib import PurePath
 from typing import get_args, get_origin, get_type_hints
@@ -189,7 +189,8 @@ def config_from_dict(cls, d):
 
     Raises ValueError naming the class and key when `d` is not a dict (a
     JSON object), names a key that is not a field of `cls`, or holds a
-    value that the field's annotation does not take (see _fits).
+    value that the field's annotation does not take (see _fits); building
+    `cls` then checks the declared ranges (see _DictCodec).
     """
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, "
@@ -232,8 +233,29 @@ def _to_tuple(v):
     return tuple(_to_tuple(x) for x in v) if isinstance(v, list) else v
 
 
+def ranged(default, lo, hi=math.inf, above=False):
+    """A config field held to [lo, hi], or to (lo, hi] when `above`."""
+    return field(default=default, metadata={"range": (lo, hi, above)})
+
+
 class _DictCodec:
-    """to_dict/from_dict of a config dataclass, through the codec above."""
+    """to_dict/from_dict of a config dataclass, through the codec above,
+    and one check of its ranged() fields, however it is built."""
+    _range_error = ValueError  # raised by the check
+
+    def __post_init__(self):
+        for f in dc_fields(self):
+            v = getattr(self, f.name)
+            if "range" not in f.metadata or v is None and f.default is None:
+                continue
+            lo, hi, above = f.metadata["range"]
+            # comparisons, not math.isfinite, which overflows on huge ints
+            if (lo < v if above else lo <= v) and v <= hi and v < math.inf:
+                continue
+            bound = f" and <= {hi}" if hi < math.inf else ""
+            raise self._range_error(f"{f.name} must be finite and "
+                                    f"{'>' if above else '>='} {lo}{bound}, "
+                                    f"got {v!r}")
 
     def to_dict(self) -> dict:
         return config_to_dict(self)

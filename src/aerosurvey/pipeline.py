@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import LineRole, TimeSeries, _DictCodec
+from .core import LineRole, TimeSeries, _DictCodec, ranged
 from .emi import noise_amplitude
 from .errors import AerosurveyError, PipelineStageError
 from .gridding import (
@@ -60,33 +59,26 @@ SEED_ENV_VAR = "AEROSURVEY_SEED"
 
 @dataclass(frozen=True)
 class PipelineConfig(_DictCodec):
-    """Pipeline run parameters; None paths fall back to bundled defaults."""
+    """Pipeline run parameters; None paths fall back to bundled defaults,
+    and a None d4_threshold to one derived from the sim noise bound."""
 
     out_dir: str | Path = "pipeline_out"
     plan_path: str | None = None
     geometry_path: str | None = None
     sim_path: str | None = None
-    d4_threshold: float | None = None   # None: derived from sim noise bound
+    d4_threshold: float | None = ranged(None, 0, above=True)
     tie_field: str = "TMI"
-    tie_tolerance: float = 1.0          # nT on corrected TMI
-    nasvd_k: int = 4
-    nasvd_energy_min: float = 0.8
-    cell_fine: float = 10.0             # m
-    cell_coarse: float = 100.0          # m
+    tie_tolerance: float = ranged(1.0, 0)          # nT on corrected TMI
+    nasvd_k: int = ranged(4, 1, 1024)
+    nasvd_energy_min: float = ranged(0.8, 0, 1)
+    cell_fine: float = ranged(10.0, 0, 100_000, above=True)      # m
+    cell_coarse: float = ranged(100.0, 0, 100_000, above=True)   # m
 
     def __post_init__(self):
+        super().__post_init__()
         for p in (self.plan_path, self.geometry_path, self.sim_path):
             if p is not None and not Path(p).is_file():
                 raise FileNotFoundError(f"config file not found: {p}")
-        if self.cell_fine <= 0 or self.cell_coarse <= 0:
-            raise ValueError("cell sizes must be > 0")
-        if not (math.isfinite(self.tie_tolerance) and self.tie_tolerance >= 0):
-            raise ValueError("tie_tolerance must be finite and >= 0, "
-                             f"got {self.tie_tolerance!r}")
-        if self.d4_threshold is not None and not (
-                math.isfinite(self.d4_threshold) and self.d4_threshold > 0):
-            raise ValueError("d4_threshold must be finite and > 0, "
-                             f"got {self.d4_threshold!r}")
         if self.tie_field not in FIELD_COLUMNS:
             raise ValueError(f"tie_field must be one of {sorted(FIELD_COLUMNS)}")
 
@@ -134,9 +126,10 @@ def apply_seed_override(cfg: SimConfig) -> SimConfig:
     if raw is None:
         return cfg
     try:
-        return replace(cfg, seed=int(raw))
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+    return replace(cfg, seed=seed)
 
 
 def _load_config(cls, path, default=None):

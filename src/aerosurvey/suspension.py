@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import LineRole, SurveyLine, TimeSeries, _DictCodec
+from .core import LineRole, SurveyLine, TimeSeries, _DictCodec, ranged
 from .errors import (
     DegeneratePlanError,
     NeverSettlesError,
@@ -27,6 +27,9 @@ from .errors import (
 from .io_csv import _check_header, _read_floats, write_table
 
 G = 9.80665  # m/s^2
+# the most steps _fly simulates: simulate_survey's traced peak is about 150
+# bytes a step, 630 MB here, where survey_large's 17.2 line-km is 267k steps
+_MAX_SIM_STEPS = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -49,18 +52,15 @@ class SuspensionGeometry(_DictCodec):
     """
 
     motor_anchor_points: tuple[tuple[float, float, float], ...] = _square_anchors(1.0)
-    cable_length: float = 9.0          # m
+    cable_length: float = ranged(9.0, 0.1, 1000)   # m
     platform_offsets: tuple[float, ...] = (0.7071067811865476,) * 4  # m
     intermediate_platform: bool = True
-    payload_separation: float = 1.0    # magnetometer-to-VLF spacing, m
+    payload_separation: float = ranged(1.0, 0, 1000)  # mag-to-VLF, m
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.motor_anchor_points) != 4 or len(self.platform_offsets) != 4:
             raise ValueError("exactly 4 anchors and 4 platform offsets required")
-        if self.cable_length <= 0:
-            raise ValueError("cable_length must be > 0")
-        if self.payload_separation < 0:
-            raise ValueError("payload_separation must be >= 0")
 
     def platform_points(self) -> np.ndarray:
         """Attachment points on the payload mount, payload frame, (4, 3)."""
@@ -187,18 +187,13 @@ class FlightPlan(_DictCodec):
     """
 
     origin_utm: tuple[float, float] = (327400.0, 5030600.0)
-    n_lines: int = 4
-    line_length_m: float = 500.0
-    spacing_m: float = 50.0
-    heading_deg: float = 0.0
-    altitude_m: float = 40.0
-    tie_lines: int = 1
-
-    def __post_init__(self):
-        if self.n_lines < 1 or self.tie_lines < 0:
-            raise DegeneratePlanError("plan needs >= 1 line")
-        if self.line_length_m <= 0 or self.spacing_m <= 0:
-            raise DegeneratePlanError("line length and spacing must be > 0")
+    n_lines: int = ranged(4, 1, 10_000)
+    line_length_m: float = ranged(500.0, 1, 100_000)
+    spacing_m: float = ranged(50.0, 1, 100_000)
+    heading_deg: float = ranged(0.0, -360, 360)
+    altitude_m: float = ranged(40.0, 0, 10_000)
+    tie_lines: int = ranged(1, 0, 10_000)
+    _range_error = DegeneratePlanError
 
     def direction(self) -> np.ndarray:
         h = math.radians(self.heading_deg)
@@ -468,34 +463,34 @@ class SimConfig(_DictCodec):
     geometry puts 145.8 * 9^-3 = 0.2 nT of buzz on the magnetometer.
     """
 
-    speed: float = 8.0                 # m/s; 0 = hover
-    line_spacing: float = 50.0         # m, used by default_plan
-    survey_altitude: float = 40.0      # m AGL
-    damping_ratio: float = 0.30
-    noise_floor: float = 0.2           # nT, ambient white band
-    outphase_noise_pct: float = 4.0    # straight-segment VLF band
-    seed: int = 20240601
+    speed: float = ranged(8.0, 0, 100)                 # m/s; 0 = hover
+    line_spacing: float = ranged(50.0, 1, 100_000)     # m, for default_plan
+    survey_altitude: float = ranged(40.0, 0, 10_000)   # m AGL
+    damping_ratio: float = ranged(0.30, 0, 0.99, above=True)
+    noise_floor: float = ranged(0.2, 0, 1000)          # nT, ambient white band
+    outphase_noise_pct: float = ranged(4.0, 0, 100)    # straight-segment VLF
+    seed: int = ranged(20240601, 0)
 
-    sim_rate_hz: float = 100.0
-    sensor_rate_hz: float = 10.0
-    lead_in_m: float = 60.0
-    lead_out_m: float = 40.0
-    turn_radius_m: float | None = None  # default: spacing / 2
-    hover_duration_s: float = 60.0
+    sim_rate_hz: float = ranged(100.0, 1, 10_000)
+    sensor_rate_hz: float = ranged(10.0, 0.1, 1000)
+    lead_in_m: float = ranged(60.0, 0, 100_000)
+    lead_out_m: float = ranged(40.0, 0, 100_000)
+    turn_radius_m: float | None = ranged(None, 1, 100_000)  # None: spacing / 2
+    hover_duration_s: float = ranged(60.0, 0, 86_400, above=True)
 
-    platform_damping_boost: float = 1.5
-    yaw_lag_s: float = 1.0
-    yaw_lag_cap_deg: float = 10.0
-    wobble_roll_deg: float = 2.0       # bounded attitude jitter amplitude
-    wobble_pitch_deg: float = 1.5
+    platform_damping_boost: float = ranged(1.5, 1, 100)
+    yaw_lag_s: float = ranged(1.0, 0, 60)
+    yaw_lag_cap_deg: float = ranged(10.0, 0, 180)
+    wobble_roll_deg: float = ranged(2.0, 0, 45)  # bounded attitude jitter
+    wobble_pitch_deg: float = ranged(1.5, 0, 45)
 
-    emi_a1: float = 145.8              # nT at 1 m
-    emi_exponent: float = 3.0
+    emi_a1: float = ranged(145.8, 0, 1e6)              # nT at 1 m
+    emi_exponent: float = ranged(3.0, 0, 10)
 
-    base_datum_nt: float = 54000.0
-    diurnal_amp_nt: float = 6.0
-    diurnal_period_s: float = 1800.0
-    regional_base_nt: float = 54200.0
+    base_datum_nt: float = ranged(54000.0, 0, 100_000)
+    diurnal_amp_nt: float = ranged(6.0, 0, 1000)
+    diurnal_period_s: float = ranged(1800.0, 1, 1e7)
+    regional_base_nt: float = ranged(54200.0, 0, 100_000)
     regional_gradient: tuple[float, float] = (0.03, 0.06)   # nT/m east,north
     # (dx, dy, amplitude nT, sigma m) Gaussian anomalies, plan-origin relative
     anomalies: tuple[tuple[float, float, float, float], ...] = (
@@ -504,27 +499,24 @@ class SimConfig(_DictCodec):
         (75.0, 255.0, 8.0, 50.0),
     )
 
-    swing_noise_gain: float = 0.4      # VLF pct per degree of swing
-    pt_base_nt: float = 35.0
-    k_base_pct: float = 2.5
+    swing_noise_gain: float = ranged(0.4, 0, 100)  # VLF pct per swing degree
+    pt_base_nt: float = ranged(35.0, 0, 100_000)
+    k_base_pct: float = ranged(2.5, 0, 100)
     k_gradient: tuple[float, float] = (4e-4, 3e-4)
-    k_noise_pct: float = 0.02
-    u_base_ppm: float = 2.9
+    k_noise_pct: float = ranged(0.02, 0, 100)
+    u_base_ppm: float = ranged(2.9, 0, 1e6)
     u_gradient: tuple[float, float] = (-3e-4, 5e-4)
-    u_noise_ppm: float = 0.03
-    n_channels: int = 32
-    spectrum_scale: float = 40.0       # counts per unit concentration
+    u_noise_ppm: float = ranged(0.03, 0, 1e6)
+    n_channels: int = ranged(32, 1, 1024)
+    spectrum_scale: float = ranged(40.0, 0, 1e6)  # counts / unit concentration
 
     def __post_init__(self):
-        if self.speed < 0:
-            raise ValueError("speed must be >= 0")
-        if self.sim_rate_hz <= 0 or self.sensor_rate_hz <= 0:
-            raise ValueError("rates must be > 0")
+        super().__post_init__()
         step = self.sim_rate_hz / self.sensor_rate_hz
         if abs(step - round(step)) > 1e-9 or round(step) < 1:
             raise ValueError("sim_rate_hz must be an integer multiple of sensor_rate_hz")
-        if self.damping_ratio <= 0 or self.damping_ratio >= 1:
-            raise ValueError("damping_ratio must be in (0, 1)")
+        if any(not sigma >= 1 for *_, sigma in self.anomalies):
+            raise ValueError("anomalies: every sigma must be >= 1 m")
         if self.turn_radius_m is not None:
             # config hashes are taken over to_dict, so 30 and 30.0 must agree
             object.__setattr__(self, "turn_radius_m", float(self.turn_radius_m))
@@ -652,8 +644,6 @@ def _build_path(plan: FlightPlan, cfg: SimConfig):
     """Flown segment list [(segment, label, block)] in lawnmower order."""
     radius = cfg.turn_radius_m if cfg.turn_radius_m is not None \
         else plan.spacing_m / 2.0
-    if radius <= 0:
-        raise DegeneratePlanError("turn radius must be > 0")
     flown = []
     fi = 0
     for lid, role, start, end in plan.legs():
@@ -747,6 +737,12 @@ def _spectral_profiles(n_channels: int) -> tuple[np.ndarray, np.ndarray]:
     return prof_k, prof_u
 
 
+def _refuse_steps(steps: float, fields: str) -> None:
+    if steps > _MAX_SIM_STEPS:
+        raise ValueError(f"{fields} gives {steps:.4g} simulator steps, more "
+                         f"than _MAX_SIM_STEPS ({_MAX_SIM_STEPS})")
+
+
 def _fly(plan: FlightPlan, geometry: SuspensionGeometry, cfg: SimConfig,
          zeta: float) -> tuple[AttitudeTrack, np.ndarray, np.ndarray]:
     """Payload attitude at sim_rate_hz, with each step's block and VLF
@@ -758,6 +754,7 @@ def _fly(plan: FlightPlan, geometry: SuspensionGeometry, cfg: SimConfig,
 
     if cfg.speed == 0.0:
         n = int(round(cfg.hover_duration_s * cfg.sim_rate_hz)) + 1
+        _refuse_steps(n, "hover_duration_s x sim_rate_hz")
         t = np.arange(n) * dt
         pos = np.tile(np.asarray(origin), (n, 1))
         course = np.full(n, math.radians(90.0 - plan.heading_deg))
@@ -768,6 +765,7 @@ def _fly(plan: FlightPlan, geometry: SuspensionGeometry, cfg: SimConfig,
         segs = _build_path(plan, cfg)
         lengths_total = sum(sg.length for sg, _, _ in segs)
         duration = lengths_total / cfg.speed
+        _refuse_steps(duration * cfg.sim_rate_hz, "path / speed x sim_rate_hz")
         n = int(math.floor(duration * cfg.sim_rate_hz)) + 1
         t = np.arange(n) * dt
         acc_h = _path_acceleration(segs, cfg.speed * (t[:-1] + dt / 2.0),

@@ -310,6 +310,31 @@ def test_sim_survey_seed_env(tmp_path, small_plan, capsys, monkeypatch):
     assert json.loads(stdout)["seed"] == 77
 
 
+def test_negative_seed_env_names_the_field(tmp_path, small_plan, capsys,
+                                           monkeypatch):
+    monkeypatch.setenv("AEROSURVEY_SEED", "-1")
+    code, _, err = run_cli(capsys, "sim", "survey", "--plan", small_plan,
+                           "--out-dir", tmp_path / "out")
+    assert code == EXIT_IO
+    assert "error: seed must be finite and >= 0, got -1" in err
+    assert "Traceback" not in err
+
+
+# a zero-width anomaly once wrote a NaN TMI sample and exited 0, and one
+# of 1e-300 m divides by 2 sigma**2 == 0
+@pytest.mark.parametrize("sigma", (0, -60.0, 1e-300, 0.999))
+def test_anomaly_sigma_below_1_m_is_refused(tmp_path, small_plan, capsys,
+                                            sigma):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"anomalies": [[0, 0, 1, sigma]]}))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "sim", "survey", "--plan", small_plan,
+                           "--cfg", cfg, "--out-dir", out)
+    assert code == EXIT_IO
+    assert f"error: {cfg}: anomalies: every sigma must be >= 1 m" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, content", (
     ("--plan", {"n_lines": 2, "no_such_key": 1}),
     ("--plan", [2, 150.0]),
@@ -352,7 +377,8 @@ def test_bad_config_value_or_json_names_the_file(tmp_path, capsys, argv, text):
      "FlightPlan: invalid 'line_length_m': -inf"),
     (["pipeline", "--config"], '{"cell_fine": NaN}',
      "PipelineConfig: invalid 'cell_fine': nan"),
-    (["sim", "survey", "--plan"], '{"n_lines": 0}', "plan needs >= 1 line"),
+    (["sim", "survey", "--plan"], '{"n_lines": 0}',
+     "n_lines must be finite and >= 1 and <= 10000, got 0"),
 ))
 def test_config_value_rejected_at_load_names_the_file(tmp_path, capsys, argv,
                                                       text, message):

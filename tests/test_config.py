@@ -2,13 +2,28 @@
 
 from __future__ import annotations
 
-import pytest
+import contextlib
+import io
+import json
+import math
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aerosurvey import cli, suspension
 from aerosurvey.core import config_from_dict, config_to_dict
 from aerosurvey.pipeline import PipelineConfig, config_hash
 from aerosurvey.suspension import FlightPlan, SimConfig, SuspensionGeometry
 
 CONFIG_CLASSES = (FlightPlan, SuspensionGeometry, SimConfig, PipelineConfig)
+# (class, field) of every int, float and float | None field
+NUMERIC_FIELDS = tuple((cls, f) for cls in CONFIG_CLASSES for f in fields(cls)
+                       if f.type in ("int", "float", "float | None"))
+FIELD_IDS = [f"{cls.__name__}.{f.name}" for cls, f in NUMERIC_FIELDS]
 
 # config_sha256 of the default run; it moves only if a default parameter
 # or the dict layout of a config class changes
@@ -108,3 +123,89 @@ def test_pipeline_gates_are_checked_when_built(key, value, message):
         PipelineConfig(**{key: value})
     edge = PipelineConfig(tie_tolerance=0.0, d4_threshold=1e-12)
     assert edge.tie_tolerance == 0.0 and edge.d4_threshold == 1e-12
+
+
+@pytest.mark.parametrize("cls, f", NUMERIC_FIELDS, ids=FIELD_IDS)
+def test_every_numeric_field_declares_a_range_holding_its_default(cls, f):
+    lo, hi, above = f.metadata["range"]
+    assert f.default is None or (lo < f.default if above else lo <= f.default)
+    assert f.default is None or f.default <= hi
+
+
+def test_range_message_format_and_huge_integers():
+    with pytest.raises(ValueError, match=r"^speed must be finite and >= 0 "
+                       r"and <= 100, got -1\.0$"):
+        SimConfig(speed=-1.0)
+    with pytest.raises(ValueError, match=r"^cell_fine must be finite and > 0"):
+        PipelineConfig.from_dict({"cell_fine": 0})
+    # huge JSON integers are compared, never converted to float
+    with pytest.raises(ValueError, match="n_channels"):
+        SimConfig.from_dict({"n_channels": 10 ** 400})
+    assert SimConfig(seed=10 ** 40).seed == 10 ** 40
+
+
+def _past(f, v, way: int):
+    """The value of field `f`'s type next to `v`, on side `way` (+1 or -1)."""
+    return v + way if f.type == "int" else math.nextafter(v, way * math.inf)
+
+
+def _probes(f) -> list:
+    """JSON values that try field `f`: the fixed set, plus each declared
+    bound and the nearest value outside it."""
+    values = [0, -1, 1e-300, 1e300, True, "x", None]
+    if "range" in f.metadata:
+        lo, hi, above = f.metadata["range"]
+        values += [lo, lo if above else _past(f, lo, -1)]
+        if hi < math.inf:
+            values += [hi, _past(f, hi, 1)]
+    # each value once, keeping True apart from 1 and 0 from 0.0
+    return list({(type(v), v): v for v in values}.values())
+
+
+def _outside(f, value) -> bool:
+    lo, hi, above = f.metadata.get("range", (-math.inf, math.inf, False))
+    return not isinstance(value, bool) and isinstance(value, (int, float)) \
+        and not ((lo < value if above else lo <= value) and value <= hi)
+
+
+SMALL_PLAN = {"n_lines": 2, "line_length_m": 150.0, "tie_lines": 1}
+# the config file each class is read from, after --plan <small plan>
+COMMANDS = {FlightPlan: ["sim", "survey", "--plan"],
+            SuspensionGeometry: ["sim", "survey", "--geom"],
+            SimConfig: ["sim", "survey", "--cfg"],
+            PipelineConfig: ["pipeline", "--config"]}
+
+
+@pytest.mark.parametrize("cls, f", NUMERIC_FIELDS, ids=FIELD_IDS)
+def test_one_field_config_never_ends_in_exit_4(cls, f, monkeypatch):
+    # a plan refused at this cap allocates nothing; one just under it
+    # holds about 40 MB
+    monkeypatch.setattr(suspension, "_MAX_SIM_STEPS", 2 ** 18)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=2 * len(_probes(f)))
+    @given(st.sampled_from(_probes(f)))
+    def one_field(value):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            plan, config = tmp / "plan.json", tmp / "config.json"
+            plan.write_text(json.dumps(SMALL_PLAN))
+            content = {f.name: value}
+            if cls is FlightPlan:
+                content = {**SMALL_PLAN, f.name: value}
+            elif cls is PipelineConfig:
+                content["plan_path"] = str(plan)
+            config.write_text(json.dumps(content))
+            argv = [*COMMANDS[cls], str(config), "--out-dir", str(tmp / "out")]
+            if cls in (SuspensionGeometry, SimConfig):
+                argv += ["--plan", str(plan)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        assert code in (cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_QC), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if _outside(f, value):
+            assert code == cli.EXIT_IO and f.name in err.getvalue()
+
+    one_field()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from aerosurvey.core import LineRole
 from aerosurvey.suspension import (
     AttitudeTrack,
     G,
+    _MAX_SIM_STEPS,
     _build_path,
     _dubins_csc,
     _sample_path,
@@ -518,6 +520,26 @@ def test_sim_config_validation():
         SimConfig(sim_rate_hz=100.0, sensor_rate_hz=30.0)  # not a divisor
     with pytest.raises(ValueError):
         SimConfig(speed=-1.0)
+
+
+@pytest.mark.parametrize("plan, cfg, fields", (
+    (FlightPlan(n_lines=2, line_length_m=150.0), SimConfig(speed=1e-3),
+     "path / speed x sim_rate_hz"),
+    (None, SimConfig(speed=0.0, hover_duration_s=86_400.0, sim_rate_hz=1000.0),
+     "hover_duration_s x sim_rate_hz"),
+))
+def test_simulator_refuses_more_than_max_sim_steps(plan, cfg, fields):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{fields} gives .* simulator "
+                           f"steps, more than _MAX_SIM_STEPS "
+                           f"\\({_MAX_SIM_STEPS}\\)"):
+            simulate_survey(plan, None, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # refused before any array of one value per step exists
+    assert peak < 2 ** 20
 
 
 def test_sim_config_round_trip_and_unknown_keys():
