@@ -8,18 +8,15 @@ was fine, the answer is "no"), 4 internal error.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 import traceback
-from dataclasses import replace
-from functools import partial
+from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import TimeSeries, resample_uniform
+from .core import TimeSeries, _DictCodec, ranged, resample_uniform
 from .emi import BuzzPass, EmiConfig, PassKind, analyze_passes
 from .errors import (
     AerosurveyError,
@@ -54,6 +51,7 @@ from .io_csv import (
 from .pipeline import (
     REPORT_SCHEMA_VERSION,
     PipelineConfig,
+    _decode_at,
     _load_config,
     _write_crossings,
     apply_seed_override,
@@ -76,7 +74,6 @@ from .suspension import (
 )
 from .vibration import (
     IsolatorConfig,
-    IsolatorKind,
     amplitude_spectrum,
     attenuation_db,
     reduction_factor,
@@ -108,45 +105,14 @@ def _emit(obj) -> None:
     sys.stdout.write(_json_text(obj))
 
 
-def _read_json_list(path) -> list[dict]:
-    """The JSON list of objects that --config and --passes name."""
+def _entries(cls, path, defaults=None) -> list:
+    """`cls` from each object of the JSON list in file `path` (--config,
+    --passes), over `defaults`; errors name the file and the entry."""
     raw = _read_json(path)
     if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
         raise ValueError(f"{path}: expected a JSON list of objects")
-    return raw
-
-
-def _field(path, i: int, entry: dict, key: str, convert, default=None):
-    """convert(entry[key]) for entry i of the JSON list file `path`.
-
-    A missing key without a default, or a value convert rejects (null, a
-    list, an object, a non-numeric string; see _real and _count), raises
-    ValueError naming the file, the entry and the key.
-    """
-    if key not in entry and default is None:
-        raise ValueError(f"{path}: entry {i}: missing key {key!r}")
-    value = entry.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: entry {i}: invalid {key!r}: "
-                         f"{json.dumps(value)}") from None
-
-
-def _real(value) -> float:
-    """A finite number, or a string float() reads as one; not a bool."""
-    out = math.nan if isinstance(value, bool) else float(value)
-    if not math.isfinite(out):
-        raise ValueError(value)
-    return out
-
-
-def _count(value) -> int:
-    """A whole _real: 4 and 4.0 are taken, 4.9 is not."""
-    out = _real(value)
-    if not out.is_integer():
-        raise ValueError(value)
-    return int(out)
+    return [_decode_at(cls, {**(defaults or {}), **e}, f"{path}: entry {i}")
+            for i, e in enumerate(raw)]
 
 
 def _scalar(series: TimeSeries, column: str) -> TimeSeries:
@@ -179,15 +145,8 @@ def _cmd_vib_compare(args) -> int:
 
 
 def _cmd_vib_rank(args) -> int:
-    candidates = []
-    for i, c in enumerate(_read_json_list(args.config)):
-        get = partial(_field, args.config, i, c)
-        candidates.append(IsolatorConfig(
-            kind=get("kind", IsolatorKind), count=get("count", _count),
-            mount_angle_deg=get("mount_angle_deg", _real, 0.0),
-            intensity=get("intensity", _real),
-            damping_ratio=get("damping_ratio", _real),
-            stiffness=get("stiffness", _real)))
+    candidates = _entries(IsolatorConfig, args.config,
+                          {"mount_angle_deg": 0.0})
     ranked = select_configuration(candidates, args.mass, args.freq)
     _emit({"payload_mass_kg": args.mass, "frequency_hz": args.freq,
            "ranking": [{"rank": i + 1, "kind": c.kind.value, "count": c.count,
@@ -201,15 +160,20 @@ def _cmd_vib_rank(args) -> int:
 # emi
 
 
+@dataclass(frozen=True)
+class _PassEntry(_DictCodec):
+    """One --passes entry; a relative csv_path starts at the file's folder."""
+
+    separation_m: float = ranged(MISSING, 0, above=True)
+    csv_path: str
+    kind: PassKind = PassKind.OVERFLIGHT
+
+
 def _cmd_emi_buzz(args) -> int:
-    passes = []
-    for i, entry in enumerate(_read_json_list(args.passes)):
-        get = partial(_field, args.passes, i, entry)
-        # an absolute csv_path stays as it is
-        p = get("csv_path", Path(args.passes).parent.joinpath)
-        passes.append(BuzzPass(get("separation_m", _real),
-                               _read_buzz_trace(p),
-                               get("kind", PassKind, "overflight")))
+    passes = [BuzzPass(e.separation_m,
+                       _read_buzz_trace(Path(args.passes).parent / e.csv_path),
+                       e.kind)
+              for e in _entries(_PassEntry, args.passes)]
     cfg = EmiConfig(noise_floor=args.floor)
     anchors = tuple(args.at) if args.at else (8.0, 9.0, 10.0)
     result = analyze_passes(passes, cfg, detrend_window_s=args.window,

@@ -12,8 +12,9 @@ read-only), so they are safe to share across threads. Operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields as dc_fields
-from enum import Enum
+import sys
+from dataclasses import MISSING, dataclass, field, fields as dc_fields
+from enum import Enum, EnumMeta
 from pathlib import PurePath
 from typing import get_args, get_origin, get_type_hints
 
@@ -149,8 +150,7 @@ def resample_uniform(series: TimeSeries, rate_hz: float) -> TimeSeries:
     and spans the original time range (last node <= last timestamp, up to
     float rounding). Exact on affine inputs.
     """
-    if not (math.isfinite(rate_hz) and rate_hz > 0):
-        raise ValueError(f"rate_hz must be finite and > 0, got {rate_hz!r}")
+    check_range("rate_hz", rate_hz, 0, above=True)
     if len(series) < 2:
         raise TooFewSamplesError("resample needs >= 2 samples")
     t0, t1 = float(series.t[0]), float(series.t[-1])
@@ -169,18 +169,35 @@ def resample_uniform(series: TimeSeries, rate_hz: float) -> TimeSeries:
 
 
 # ---------------------------------------------------------------------------
-# config dataclass <-> JSON-ready dict
+# range check and config dataclass <-> JSON-ready dict
+
+
+def check_range(name, value, lo, hi=math.inf, above=False, error=ValueError):
+    """Raise `error` naming `name` unless `value` is finite and in [lo, hi]
+    ((lo, hi] when `above`); lo = -inf asks only for a finite value."""
+    # not math.isfinite, which overflows on ints beyond the float range
+    if (lo < value if above else lo <= value) and value <= hi \
+            and abs(value) <= sys.float_info.max:
+        return
+    text = f"{name} must be finite"
+    if lo > -math.inf:
+        text += f" and {'>' if above else '>='} {lo}"
+    if hi < math.inf:
+        text += f" and <= {hi}"
+    raise error(f"{text}, got {value!r}")
 
 
 def config_to_dict(obj) -> dict:
     """A config dataclass's fields as JSON values: tuples become lists,
-    paths become strings, all other values are kept as they are."""
+    paths strings, enum members their values, the rest stays as it is."""
     return {f.name: _to_json(getattr(obj, f.name)) for f in dc_fields(obj)}
 
 
 def _to_json(v):
     if isinstance(v, (tuple, list)):
         return [_to_json(x) for x in v]
+    if isinstance(v, Enum):
+        return v.value
     return str(v) if isinstance(v, PurePath) else v
 
 
@@ -188,21 +205,26 @@ def config_from_dict(cls, d):
     """Inverse of config_to_dict: build `cls` from `d`, lists as tuples.
 
     Raises ValueError naming the class and key when `d` is not a dict (a
-    JSON object), names a key that is not a field of `cls`, or holds a
-    value that the field's annotation does not take (see _fits); building
-    `cls` then checks the declared ranges (see _DictCodec).
+    JSON object), lacks a field without a default, names a key that is not
+    a field of `cls`, or holds a value that the field's annotation does not
+    take (see _fits); building `cls` then checks the declared ranges (see
+    _DictCodec).
     """
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, "
                          f"got {type(d).__name__}")
-    names = {f.name for f in dc_fields(cls)}
     hints = get_type_hints(cls)
+    for f in dc_fields(cls):
+        if f.name not in d and f.default is f.default_factory is MISSING:
+            raise ValueError(f"{cls.__name__}: missing key {f.name!r}")
     for key, value in d.items():
-        if key not in names:
+        if key not in hints:
             raise ValueError(f"{cls.__name__}: unknown option {key!r}")
         if not _fits(value, hints[key]):
             raise ValueError(f"{cls.__name__}: invalid {key!r}: {value!r}")
-    return cls(**{k: _to_tuple(v) for k, v in d.items()})
+    return cls(**{k: hints[k](v) if isinstance(hints[k], EnumMeta)
+                  else _to_tuple(v)
+                  for k, v in d.items()})
 
 
 def _fits(value, hint) -> bool:
@@ -210,13 +232,16 @@ def _fits(value, hint) -> bool:
 
     An int field takes an integer and a float field any finite number
     (JSON's NaN and Infinity parse to floats), neither a bool (values are
-    kept as given, so config hashes do not move); a tuple field takes a
-    list of the same shape, a union what any member takes.
+    kept as given, so config hashes do not move); an enum field takes one
+    of its members' values; a tuple field takes a list of the same shape,
+    a union what any member takes.
     """
     if hint is int or hint is float:
         if isinstance(value, float):
             return hint is float and math.isfinite(value)
         return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(hint, EnumMeta):
+        return isinstance(value, str) and value in hint._value2member_map_
     args = get_args(hint)
     if get_origin(hint) is tuple:
         if not isinstance(value, list):
@@ -233,8 +258,14 @@ def _to_tuple(v):
     return tuple(_to_tuple(x) for x in v) if isinstance(v, list) else v
 
 
+def _numbers(v) -> list:
+    """The numbers in a (nested) tuple, or [v]."""
+    return [x for m in v for x in _numbers(m)] if isinstance(v, tuple) else [v]
+
+
 def ranged(default, lo, hi=math.inf, above=False):
-    """A config field held to [lo, hi], or to (lo, hi] when `above`."""
+    """A config field (every number of a tuple field) held to [lo, hi], or
+    to (lo, hi] when `above`; a `default` of MISSING makes it required."""
     return field(default=default, metadata={"range": (lo, hi, above)})
 
 
@@ -248,14 +279,9 @@ class _DictCodec:
             v = getattr(self, f.name)
             if "range" not in f.metadata or v is None and f.default is None:
                 continue
-            lo, hi, above = f.metadata["range"]
-            # comparisons, not math.isfinite, which overflows on huge ints
-            if (lo < v if above else lo <= v) and v <= hi and v < math.inf:
-                continue
-            bound = f" and <= {hi}" if hi < math.inf else ""
-            raise self._range_error(f"{f.name} must be finite and "
-                                    f"{'>' if above else '>='} {lo}{bound}, "
-                                    f"got {v!r}")
+            for x in _numbers(v):
+                check_range(f.name, x, *f.metadata["range"],
+                            error=self._range_error)
 
     def to_dict(self) -> dict:
         return config_to_dict(self)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, _DictCodec, check_range, ranged
 from .errors import (
     NeverBelowFloorError,
     NoFitAvailableError,
@@ -43,20 +43,14 @@ class BuzzPass:
     speed_mps: float | None = None  # recorded metadata only
 
     def __post_init__(self):
-        if not (math.isfinite(self.separation) and self.separation > 0):
-            raise ValueError("separation must be finite and > 0")
+        check_range("separation", self.separation, 0, above=True)
         if len(self.trace) == 0:
             raise ValueError("trace must be non-empty")
 
 
 @dataclass(frozen=True)
-class EmiConfig:
-    noise_floor: float = 0.2            # ambient level, nT
-
-    def __post_init__(self):
-        if not (math.isfinite(self.noise_floor) and self.noise_floor > 0):
-            raise ValueError("noise_floor must be finite and > 0, "
-                             f"got {self.noise_floor!r}")
+class EmiConfig(_DictCodec):
+    noise_floor: float = ranged(0.2, 0, above=True)  # ambient level, nT
 
 
 @dataclass(frozen=True)
@@ -102,9 +96,8 @@ def noise_amplitude(trace: TimeSeries, detrend_window_s: float = 1.0) -> float:
     at survey sizes (k = 11) and about 1 s at n = 3e4, k = 9999, where
     median_filter takes 0.005 s.
     """
-    if not (math.isfinite(detrend_window_s) and detrend_window_s > 0):
-        raise NonPositiveParameterError("detrend_window_s must be finite and "
-                                        f"> 0, got {detrend_window_s!r}")
+    check_range("detrend_window_s", detrend_window_s, 0, above=True,
+                error=NonPositiveParameterError)
     if trace.duration < 3.0 * detrend_window_s:
         raise TraceTooShortError("trace must span >= 3 detrend windows")
     if trace.values.ndim == 1:
@@ -225,9 +218,7 @@ def interference_percent(curve: NoiseCurve, separation: float,
     scale; both must be finite and > 0, and the percent finite."""
     for name, val in (("separation", separation),
                       ("signal_scale", signal_scale)):
-        if not (math.isfinite(val) and val > 0):
-            raise NonPositiveParameterError(
-                f"{name} must be finite and > 0, got {val!r}")
+        check_range(name, val, 0, above=True, error=NonPositiveParameterError)
     try:
         pct = 100.0 * curve.amplitude_at(separation) / signal_scale
     except OverflowError:               # r ** -p beyond the float range

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import check_range
 from .errors import TooFewPixelsError, TooFewSamplesError
 from .io_csv import write_table
 
@@ -65,8 +66,7 @@ class Grid:
     valid: np.ndarray   # bool, same shape
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be > 0")
+        check_range("cell_size", self.cell_size, 0, above=True)
         v = np.array(self.values, dtype=float)
         m = np.array(self.valid, dtype=bool)
         if v.shape != m.shape or v.ndim != 2:
@@ -144,8 +144,7 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
         raise TooFewSamplesError("gridding needs >= 3 samples")
     for name, val in (("cell_size", cell_size),
                       ("search_radius", search_radius), ("power", power)):
-        if not (math.isfinite(val) and val > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {val!r}")
+        check_range(name, val, 0, above=True)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("sample coordinates must be finite")
     if origin is None:

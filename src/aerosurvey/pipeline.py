@@ -132,21 +132,20 @@ def apply_seed_override(cfg: SimConfig) -> SimConfig:
     return replace(cfg, seed=seed)
 
 
-def _load_config(cls, path, default=None):
-    """`cls` from the JSON object in file `path`; `default` when path is None.
-
-    Malformed JSON, an unknown key and a wrong-typed value raise
-    ValueError naming the file; a value the class rejects keeps the
-    class's exception type, and its message names the file too.
-    """
-    if path is None:
-        return default
-    raw = _read_json(path)
+def _decode_at(cls, raw, where):
+    """cls.from_dict(raw), with `where` in front of the message of any
+    ValueError or package error it raises (keeping the error's type)."""
     try:
         return cls.from_dict(raw)
     except (AerosurveyError, ValueError) as exc:
-        exc.args = (f"{path}: {exc}",)
+        exc.args = (f"{where}: {exc}",)
         raise
+
+
+def _load_config(cls, path, default=None):
+    """`cls` from the JSON object in file `path`, every error naming the
+    file (malformed JSON too); `default` when path is None."""
+    return default if path is None else _decode_at(cls, _read_json(path), path)
 
 
 def config_hash(plan: FlightPlan, geometry: SuspensionGeometry,

@@ -14,7 +14,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .core import SurveyLine, TimeSeries, UtmPoint
+from .core import SurveyLine, TimeSeries, UtmPoint, check_range
 from .errors import (
     BaseDoesNotCoverError,
     InvalidRankError,
@@ -115,10 +115,8 @@ def fourth_difference(series: TimeSeries | np.ndarray,
     start indices where |d4| exceeds the threshold; the test passes when
     nothing is flagged. An explicit threshold must be finite and > 0.
     """
-    if threshold is not None and not (math.isfinite(threshold)
-                                      and threshold > 0):
-        raise ValueError("threshold must be finite and > 0, "
-                         f"got {threshold!r}")
+    if threshold is not None:
+        check_range("threshold", threshold, 0, above=True)
     if isinstance(series, TimeSeries):
         x = series.scalar(field_name)
     else:
@@ -145,8 +143,7 @@ def diurnal_correct(rover: TimeSeries, base: TimeSeries,
     linearly interpolated to rover timestamps. The base record must cover
     the rover's full time range. The datum must be finite.
     """
-    if not math.isfinite(datum):
-        raise ValueError(f"datum must be finite, got {datum!r}")
+    check_range("datum", datum, -math.inf)
     slack = 1e-9
     if base.t[0] > rover.t[0] + slack or base.t[-1] < rover.t[-1] - slack:
         raise BaseDoesNotCoverError("base record does not span rover times")
@@ -261,9 +258,7 @@ def crossover_analysis(flight_lines: tuple[SurveyLine, ...],
     Records are ordered by ascending easting then northing so results
     never depend on evaluation order.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError("tolerance must be finite and >= 0, "
-                         f"got {tolerance!r}")
+    check_range("tolerance", tolerance, 0)
     col = FIELD_COLUMNS.get(field_name, field_name)
     records: list[CrossoverRecord] = []
     for fl in flight_lines:

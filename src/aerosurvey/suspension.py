@@ -18,7 +18,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import LineRole, SurveyLine, TimeSeries, _DictCodec, ranged
+from .core import (LineRole, SurveyLine, TimeSeries, _DictCodec, check_range,
+                   ranged)
 from .errors import (
     DegeneratePlanError,
     NeverSettlesError,
@@ -51,9 +52,11 @@ class SuspensionGeometry(_DictCodec):
     give the classic parallel linkage.
     """
 
-    motor_anchor_points: tuple[tuple[float, float, float], ...] = _square_anchors(1.0)
+    motor_anchor_points: tuple[tuple[float, float, float], ...] = ranged(
+        _square_anchors(1.0), -100, 100)  # m
     cable_length: float = ranged(9.0, 0.1, 1000)   # m
-    platform_offsets: tuple[float, ...] = (0.7071067811865476,) * 4  # m
+    platform_offsets: tuple[float, ...] = ranged(
+        (0.7071067811865476,) * 4, 0, 100)  # m
     intermediate_platform: bool = True
     payload_separation: float = ranged(1.0, 0, 1000)  # mag-to-VLF, m
 
@@ -186,7 +189,7 @@ class FlightPlan(_DictCodec):
     cross at evenly spaced fractions of the line length.
     """
 
-    origin_utm: tuple[float, float] = (327400.0, 5030600.0)
+    origin_utm: tuple[float, float] = ranged((327400.0, 5030600.0), 0, 1e7)
     n_lines: int = ranged(4, 1, 10_000)
     line_length_m: float = ranged(500.0, 1, 100_000)
     spacing_m: float = ranged(50.0, 1, 100_000)
@@ -491,21 +494,22 @@ class SimConfig(_DictCodec):
     diurnal_amp_nt: float = ranged(6.0, 0, 1000)
     diurnal_period_s: float = ranged(1800.0, 1, 1e7)
     regional_base_nt: float = ranged(54200.0, 0, 100_000)
-    regional_gradient: tuple[float, float] = (0.03, 0.06)   # nT/m east,north
+    regional_gradient: tuple[float, float] = ranged(   # nT/m east,north
+        (0.03, 0.06), -1000, 1000)
     # (dx, dy, amplitude nT, sigma m) Gaussian anomalies, plan-origin relative
-    anomalies: tuple[tuple[float, float, float, float], ...] = (
+    anomalies: tuple[tuple[float, float, float, float], ...] = ranged((
         (40.0, 180.0, 12.0, 60.0),
         (110.0, 330.0, -10.0, 80.0),
         (75.0, 255.0, 8.0, 50.0),
-    )
+    ), -1e6, 1e6)
 
     swing_noise_gain: float = ranged(0.4, 0, 100)  # VLF pct per swing degree
     pt_base_nt: float = ranged(35.0, 0, 100_000)
     k_base_pct: float = ranged(2.5, 0, 100)
-    k_gradient: tuple[float, float] = (4e-4, 3e-4)
+    k_gradient: tuple[float, float] = ranged((4e-4, 3e-4), -1, 1)  # pct/m
     k_noise_pct: float = ranged(0.02, 0, 100)
     u_base_ppm: float = ranged(2.9, 0, 1e6)
-    u_gradient: tuple[float, float] = (-3e-4, 5e-4)
+    u_gradient: tuple[float, float] = ranged((-3e-4, 5e-4), -1, 1)  # ppm/m
     u_noise_ppm: float = ranged(0.03, 0, 1e6)
     n_channels: int = ranged(32, 1, 1024)
     spectrum_scale: float = ranged(40.0, 0, 1e6)  # counts / unit concentration
@@ -815,7 +819,7 @@ def _fly(plan: FlightPlan, geometry: SuspensionGeometry, cfg: SimConfig,
     np.degrees(heading, out=heading)
     np.subtract(90.0, heading, out=heading)
     if not (geometry.intermediate_platform or cfg.yaw_lag_s == 0.0):
-        k = max(1, int(round(cfg.yaw_lag_s * cfg.sim_rate_hz)))
+        k = min(n, max(1, int(round(cfg.yaw_lag_s * cfg.sim_rate_hz))))
         err = np.concatenate([np.full(k, heading[0]), heading[:-k]])
         err -= heading
         np.clip(err, -cfg.yaw_lag_cap_deg, cfg.yaw_lag_cap_deg, out=err)
@@ -1011,8 +1015,7 @@ def settling_metrics(track: AttitudeTrack, threshold_deg: float = 1.0,
     next; if the swing still violates the threshold at the end of any
     window the flight never settles and NeverSettlesError is raised.
     """
-    if threshold_deg <= 0:
-        raise ValueError("threshold_deg must be > 0")
+    check_range("threshold_deg", threshold_deg, 0, above=True)
     speed = speed_mps if speed_mps is not None else (track.speed_mps or 0.0)
     seg = np.asarray(track.segment)
     turn = seg == "turn"

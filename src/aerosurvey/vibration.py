@@ -7,13 +7,13 @@ and reduction factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from enum import Enum
 import math
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, _DictCodec, check_range, ranged
 from .errors import (
     NoCandidatesError,
     NonPositiveFactorError,
@@ -24,28 +24,26 @@ from .errors import (
 )
 
 
+def _positive():
+    return ranged(MISSING, 0, above=True)
+
+
 @dataclass(frozen=True)
-class DampingInput:
+class DampingInput(_DictCodec):
     """Parameters of the damping-effectiveness figure of merit.
 
     The figure is dimensionally inconsistent if read as physics; it is a
     ranking score for comparing isolator configurations, never a
-    transmissibility. All parameters must be strictly positive.
+    transmissibility. All parameters must be finite and strictly positive.
     """
 
-    intensity: float      # initial vibrational intensity, m/s^2
-    damping_ratio: float  # dimensionless
-    stiffness: float      # N/m
-    mass: float           # supported mass, kg
-    count: int            # number of isolators sharing the load
-    frequency: float      # excitation frequency, Hz
-
-    def __post_init__(self):
-        vals = (self.intensity, self.damping_ratio, self.stiffness,
-                self.mass, self.count, self.frequency)
-        if any(v <= 0 for v in vals):
-            raise NonPositiveParameterError(
-                "all damping parameters must be strictly positive")
+    intensity: float = _positive()      # initial vibrational intensity, m/s^2
+    damping_ratio: float = _positive()  # dimensionless
+    stiffness: float = _positive()      # N/m
+    mass: float = _positive()           # supported mass, kg
+    count: int = _positive()            # number of isolators sharing the load
+    frequency: float = _positive()      # excitation frequency, Hz
+    _range_error = NonPositiveParameterError
 
 
 class IsolatorKind(Enum):
@@ -54,7 +52,7 @@ class IsolatorKind(Enum):
 
 
 @dataclass(frozen=True)
-class IsolatorConfig:
+class IsolatorConfig(_DictCodec):
     """A candidate isolator arrangement.
 
     Per-isolator parameters (intensity, damping_ratio, stiffness) combine
@@ -63,15 +61,14 @@ class IsolatorConfig:
     """
 
     kind: IsolatorKind
-    count: int
-    mount_angle_deg: float
-    intensity: float
-    damping_ratio: float
-    stiffness: float
+    count: int = ranged(MISSING, 1)
+    mount_angle_deg: float = ranged(MISSING, -math.inf)
+    intensity: float = _positive()
+    damping_ratio: float = _positive()
+    stiffness: float = _positive()
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        super().__post_init__()
         if self.kind is IsolatorKind.RUBBER_BALL and not 4 <= self.count <= 12:
             raise ValueError("rubber ball count must be within 4..12")
 
@@ -130,10 +127,7 @@ def amplitude_spectrum(series: TimeSeries, axis: str = "z",
     plain 2/N single-sided rule for a boxcar and recovers the amplitude
     of an on-bin sine exactly; DC and Nyquist bins are not doubled.
     """
-    if not (math.isfinite(prominence_fraction)
-            and 0.0 <= prominence_fraction <= 1.0):
-        raise ValueError("prominence_fraction must be finite and in [0, 1], "
-                         f"got {prominence_fraction!r}")
+    check_range("prominence_fraction", prominence_fraction, 0, 1)
     t = series.t
     if len(t) < 64:
         raise TooShortError("spectrum needs >= 64 samples")
@@ -171,9 +165,9 @@ def damping_effectiveness(inp: DampingInput) -> float:
 
 
 def attenuation_db(reduction: float) -> float:
-    """Amplitude ratio expressed in decibels: 20*log10(reduction)."""
-    if reduction <= 0:
-        raise NonPositiveFactorError("reduction factor must be > 0")
+    """Amplitude ratio, finite and > 0, in decibels: 20*log10(reduction)."""
+    check_range("reduction", reduction, 0, above=True,
+                error=NonPositiveFactorError)
     return 20.0 * math.log10(reduction)
 
 
@@ -206,9 +200,7 @@ def select_configuration(candidates: list[IsolatorConfig], payload_mass: float,
         raise NoCandidatesError("no isolator candidates")
     for name, val in (("payload_mass", payload_mass),
                       ("dominant_freq", dominant_freq)):
-        if not (math.isfinite(val) and val > 0):
-            raise NonPositiveParameterError(
-                f"{name} must be finite and > 0, got {val!r}")
+        check_range(name, val, 0, above=True, error=NonPositiveParameterError)
     scored = []
     for i, c in enumerate(candidates):
         try:

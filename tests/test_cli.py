@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import logging
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aerosurvey import pipeline
 from aerosurvey.cli import (
@@ -136,11 +140,14 @@ def test_vib_rank_bad_candidate_field_is_io_error(tmp_path, capsys, key,
     code, _, err = run_cli(capsys, "vib", "rank", "--config", config,
                            "--mass", 6.0, "--freq", 35.0)
     assert code == EXIT_IO
-    assert f"candidates.json: entry 1: invalid {key!r}" in err
+    assert (f"candidates.json: entry 1: IsolatorConfig: invalid {key!r}: "
+            f"{value!r}" in err)
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value", [("count", True), ("count", 4.9)] + [
+# a whole float for a count and a numeric string were once read as numbers
+@pytest.mark.parametrize("key, value", [
+    ("count", True), ("count", 4.9), ("count", 4.0), ("intensity", "1.5")] + [
     (key, value) for key in ("mount_angle_deg", "intensity", "damping_ratio",
                              "stiffness") for value in NOT_A_FINITE_NUMBER])
 def test_vib_rank_bool_fraction_or_non_finite_is_io_error(tmp_path, capsys,
@@ -151,8 +158,8 @@ def test_vib_rank_bool_fraction_or_non_finite_is_io_error(tmp_path, capsys,
     code, _, err = run_cli(capsys, "vib", "rank", "--config", config,
                            "--mass", 6.0, "--freq", 35.0)
     assert code == EXIT_IO
-    assert (f"candidates.json: entry 1: invalid {key!r}: {json.dumps(value)}"
-            in err)
+    assert (f"candidates.json: entry 1: IsolatorConfig: invalid {key!r}: "
+            f"{value!r}" in err)
 
 
 def test_vib_rank_missing_candidate_field_is_io_error(tmp_path, capsys):
@@ -162,7 +169,8 @@ def test_vib_rank_missing_candidate_field_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "vib", "rank", "--config", config,
                            "--mass", 6.0, "--freq", 35.0)
     assert code == EXIT_IO
-    assert "candidates.json: entry 0: missing key 'stiffness'" in err
+    assert ("candidates.json: entry 0: IsolatorConfig: missing key "
+            "'stiffness'" in err)
 
 
 # --- emi ---
@@ -261,7 +269,8 @@ def test_emi_buzz_bad_pass_field_is_io_error(tmp_path, capsys, key, value):
     code, _, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
                            "--out", tmp_path / "buzz.json")
     assert code == EXIT_IO
-    assert f"passes.json: entry 0: invalid {key!r}" in err
+    assert (f"passes.json: entry 0: _PassEntry: invalid {key!r}: {value!r}"
+            in err)
     assert "Traceback" not in err
 
 
@@ -275,8 +284,51 @@ def test_emi_buzz_bool_or_non_finite_separation_is_io_error(tmp_path, capsys,
     code, _, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
                            "--out", tmp_path / "buzz.json")
     assert code == EXIT_IO
-    assert (f"passes.json: entry 0: invalid 'separation_m': {json.dumps(value)}"
-            in err)
+    assert (f"passes.json: entry 0: _PassEntry: invalid 'separation_m': "
+            f"{value!r}" in err)
+
+
+# --- vib rank and emi buzz entries: any one value exits 0, 2 or 3 ---
+
+# 10**400, an int beyond the floats, once overflowed in the score (exit 4)
+ENTRY_VALUES = (0, -1, 1e-300, 1e300, True, "x", None, 4.0, "4", [], {},
+                10 ** 400)
+LEFT_OUT = object()
+
+
+@pytest.mark.parametrize("command", ("vib", "emi"))
+def test_one_entry_value_never_ends_in_exit_4(tmp_path, command):
+    paths = _survey_inputs(tmp_path)
+    if command == "vib":
+        good, listing = GOOD_CANDIDATE, [GOOD_CANDIDATE]
+        argv = ["vib", "rank", "--config", paths["candidates"], "--mass", "6",
+                "--freq", "35"]
+    else:
+        listing = json.loads(paths["passes"].read_text())
+        good = {**listing[0], "kind": "overflight"}
+        argv = ["emi", "buzz", "--passes", paths["passes"], "--out",
+                paths["out"]]
+    spec = Path(argv[3])
+    cases = [(key, value) for key in good for value in (*ENTRY_VALUES,
+                                                        LEFT_OUT)]
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=2 * len(cases))
+    @given(st.sampled_from(cases))
+    def one_value(case):
+        key, value = case
+        entry = {k: v for k, v in good.items() if k != key}
+        if value is not LEFT_OUT:
+            entry[key] = value
+        spec.write_text(json.dumps([entry, *listing[1:]]))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        assert code in (EXIT_OK, EXIT_IO, EXIT_QC), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    one_value()
 
 
 # --- sim ---
@@ -333,6 +385,44 @@ def test_anomaly_sigma_below_1_m_is_refused(tmp_path, small_plan, capsys,
     assert code == EXIT_IO
     assert f"error: {cfg}: anomalies: every sigma must be >= 1 m" in err
     assert not out.exists()
+
+
+# an element once overflowed to inf TMI rows (exit 0), or to a NaN sample
+# count (exit 2 naming no field)
+@pytest.mark.parametrize("flag, content, key", (
+    ("--cfg", {"regional_gradient": [1e307, 0]}, "regional_gradient"),
+    ("--plan", {"origin_utm": [1e308, 0]}, "origin_utm"),
+))
+def test_tuple_element_out_of_range_names_the_field(tmp_path, small_plan,
+                                                    capsys, flag, content,
+                                                    key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    argv = ["sim", "survey", flag, config, "--out-dir", out]
+    if flag != "--plan":
+        argv += ["--plan", small_plan]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_IO
+    assert f"error: {config}: {key} must be finite and >= " in err
+    assert "Traceback" not in err and not out.exists()
+
+
+# a yaw lag of more steps than the track once built a lagged heading of
+# the lag's length and exited 2 on a broadcast error
+def test_yaw_lag_longer_than_the_track_is_flown(tmp_path, capsys):
+    cfg, geom = tmp_path / "cfg.json", tmp_path / "geom.json"
+    cfg.write_text(json.dumps({"speed": 0, "hover_duration_s": 0.5,
+                               "yaw_lag_s": 2}))
+    geom.write_text(json.dumps({"intermediate_platform": False}))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "sim", "survey", "--cfg", cfg,
+                                "--geom", geom, "--out-dir", out)
+    assert code == EXIT_OK, err
+    assert json.loads(stdout)["n_sensor_samples"] == 6
+    heading = np.loadtxt(out / "attitude.csv", delimiter=",", skiprows=1,
+                         usecols=3)
+    assert len(heading) == 51 and np.all(heading == heading[0])
 
 
 @pytest.mark.parametrize("flag, content", (
@@ -647,8 +737,8 @@ def _survey_inputs(tmp_path):
       for v in ("nan", "inf", "-1")),
     *((["qc", "diurnal", "--rover", "{mag}", "--base", "{base}", "--datum", v,
         "--out", "{out}"], "datum must be finite") for v in ("nan", "inf")),
-    *((["vib", "spectrum", "--in", "{accel}", "--prominence", v,
-        "--out", "{out}"], "prominence_fraction must be finite and in [0, 1]")
+    *((["vib", "spectrum", "--in", "{accel}", "--prominence", v, "--out",
+        "{out}"], "prominence_fraction must be finite and >= 0 and <= 1")
       for v in ("nan", "-1", "1.5")),
     *((["vib", "spectrum", "--in", "{accel}", "--rate", v, "--out", "{out}"],
       "rate_hz must be finite and > 0") for v in ("nan", "inf")),

@@ -24,6 +24,25 @@ CONFIG_CLASSES = (FlightPlan, SuspensionGeometry, SimConfig, PipelineConfig)
 NUMERIC_FIELDS = tuple((cls, f) for cls in CONFIG_CLASSES for f in fields(cls)
                        if f.type in ("int", "float", "float | None"))
 FIELD_IDS = [f"{cls.__name__}.{f.name}" for cls, f in NUMERIC_FIELDS]
+TUPLE_FIELDS = tuple((cls, f) for cls in CONFIG_CLASSES for f in fields(cls)
+                     if f.type.startswith("tuple["))
+
+
+def _paths(v) -> list[tuple[int, ...]]:
+    """Index paths to the numbers of tuple `v`, through its first member
+    where it holds tuples."""
+    if isinstance(v[0], tuple):
+        return [(0, *p) for p in _paths(v[0])]
+    return [(i,) for i in range(len(v))]
+
+
+# (class, field, index path) of every scalar field (path None) and of each
+# number in a tuple field
+ELEMENTS = tuple((cls, f, None) for cls, f in NUMERIC_FIELDS) + tuple(
+    (cls, f, p) for cls, f in TUPLE_FIELDS for p in _paths(f.default))
+ELEMENT_IDS = FIELD_IDS + [
+    f"{cls.__name__}.{f.name}" + "".join(f"[{i}]" for i in p)
+    for cls, f, p in ELEMENTS[len(NUMERIC_FIELDS):]]
 
 # config_sha256 of the default run; it moves only if a default parameter
 # or the dict layout of a config class changes
@@ -125,11 +144,17 @@ def test_pipeline_gates_are_checked_when_built(key, value, message):
     assert edge.tie_tolerance == 0.0 and edge.d4_threshold == 1e-12
 
 
-@pytest.mark.parametrize("cls, f", NUMERIC_FIELDS, ids=FIELD_IDS)
+def _flat(v) -> list:
+    return [x for m in v for x in _flat(m)] if isinstance(v, tuple) else [v]
+
+
+@pytest.mark.parametrize("cls, f", NUMERIC_FIELDS + TUPLE_FIELDS,
+                         ids=FIELD_IDS + [f"{cls.__name__}.{f.name}"
+                                          for cls, f in TUPLE_FIELDS])
 def test_every_numeric_field_declares_a_range_holding_its_default(cls, f):
     lo, hi, above = f.metadata["range"]
-    assert f.default is None or (lo < f.default if above else lo <= f.default)
-    assert f.default is None or f.default <= hi
+    for v in _flat(f.default) if f.default is not None else ():
+        assert (lo < v if above else lo <= v) and v <= hi
 
 
 def test_range_message_format_and_huge_integers():
@@ -176,8 +201,22 @@ COMMANDS = {FlightPlan: ["sim", "survey", "--plan"],
             PipelineConfig: ["pipeline", "--config"]}
 
 
-@pytest.mark.parametrize("cls, f", NUMERIC_FIELDS, ids=FIELD_IDS)
-def test_one_field_config_never_ends_in_exit_4(cls, f, monkeypatch):
+def _set(f, path, value):
+    """The JSON value of field `f`: `value` itself, or `f`'s default with
+    `value` at index `path`."""
+    if path is None:
+        return value
+    out = json.loads(json.dumps(f.default))
+    *outer, last = path
+    target = out
+    for i in outer:
+        target = target[i]
+    target[last] = value
+    return out
+
+
+@pytest.mark.parametrize("cls, f, path", ELEMENTS, ids=ELEMENT_IDS)
+def test_one_field_config_never_ends_in_exit_4(cls, f, path, monkeypatch):
     # a plan refused at this cap allocates nothing; one just under it
     # holds about 40 MB
     monkeypatch.setattr(suspension, "_MAX_SIM_STEPS", 2 ** 18)
@@ -190,9 +229,9 @@ def test_one_field_config_never_ends_in_exit_4(cls, f, monkeypatch):
             tmp = Path(tmp)
             plan, config = tmp / "plan.json", tmp / "config.json"
             plan.write_text(json.dumps(SMALL_PLAN))
-            content = {f.name: value}
+            content = {f.name: _set(f, path, value)}
             if cls is FlightPlan:
-                content = {**SMALL_PLAN, f.name: value}
+                content = {**SMALL_PLAN, **content}
             elif cls is PipelineConfig:
                 content["plan_path"] = str(plan)
             config.write_text(json.dumps(content))

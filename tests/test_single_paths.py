@@ -3,9 +3,10 @@
 Every CSV the package reads goes through io_csv (one row splitter, one
 column parser, one call of numpy's C parser, and no other module
 composing them), every JSON file through io_csv._read_json, and every
-JSON artifact through io_csv._json_text. These tests fail when a module
-grows its own csv reader, its own json.load(s) or its own indented
-json.dumps, so the paths cannot quietly split again. The last tests keep
+JSON artifact through io_csv._json_text, and every scalar range message
+through core.check_range. These tests fail when a module grows its own
+csv reader, its own json.load(s), its own indented json.dumps or its own
+range check, so the paths cannot quietly split again. The last tests keep
 scipy out of module scope (the functions that need it import it on their
 first call, so importing the package costs no more than numpy) and keep
 its k-d tree out of the package: grid_idw has its own binned query.
@@ -101,6 +102,23 @@ def test_indented_json_dump_only_in_its_writer():
             and _uses(node, "json", {"dumps"})
 
     assert _where(indented_dump) == {("io_csv.py", "_json_text")}
+
+
+def _raises_text(node, text: str) -> bool:
+    """A raise with a string literal (or f-string part) holding `text`."""
+    return isinstance(node, ast.Raise) and any(
+        isinstance(c, ast.Constant) and isinstance(c.value, str)
+        and text in c.value for c in ast.walk(node))
+
+
+def test_range_messages_come_only_from_check_range():
+    # the array checks (grid_idw's coordinates, UtmPoint) say "must be
+    # finite" alone; check_range adds " and <bound>" to that text
+    assert ("core.py", "check_range") in _where(
+        lambda n: isinstance(n, ast.Raise))
+    assert ("gridding.py", "grid_idw") in _where(
+        lambda n: _raises_text(n, "must be finite"))
+    assert _where(lambda n: _raises_text(n, "must be finite and")) == set()
 
 
 def test_scipy_is_imported_only_inside_functions():

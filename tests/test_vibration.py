@@ -106,7 +106,7 @@ def test_spectrum_recovers_on_bin_sine_amplitude_exactly():
 @pytest.mark.parametrize("fraction", (float("nan"), float("inf"), -0.1, 1.5))
 def test_spectrum_prominence_must_be_a_finite_fraction(fraction):
     with pytest.raises(ValueError, match=r"prominence_fraction must be finite "
-                                         r"and in \[0, 1\]"):
+                                         r"and >= 0 and <= 1"):
         amplitude_spectrum(_sine_trace([(33.0, 3.0)]),
                            prominence_fraction=fraction)
 
