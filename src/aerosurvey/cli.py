@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import TimeSeries, _DictCodec, ranged, resample_uniform
+from .core import LineRole, _DictCodec, ranged, resample_uniform
 from .emi import BuzzPass, EmiConfig, PassKind, analyze_passes
 from .errors import (
     AerosurveyError,
@@ -79,7 +79,6 @@ from .vibration import (
     reduction_factor,
     select_configuration,
 )
-from .core import LineRole
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,10 +112,6 @@ def _entries(cls, path, defaults=None) -> list:
         raise ValueError(f"{path}: expected a JSON list of objects")
     return [_decode_at(cls, {**(defaults or {}), **e}, f"{path}: entry {i}")
             for i, e in enumerate(raw)]
-
-
-def _scalar(series: TimeSeries, column: str) -> TimeSeries:
-    return TimeSeries(series.t, series.column(column), (column,))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +207,7 @@ def _cmd_qc_d4(args) -> int:
     if schema is None:
         raise ValueError(f"unsupported field: {args.field}")
     data = ingest_csv(args.infile, schema).data
-    report = fourth_difference(_scalar(data, args.field),
-                               threshold=args.threshold,
+    report = fourth_difference(data, threshold=args.threshold,
                                field_name=args.field)
     _write_json(args.out, report.to_dict())
     _emit(report.to_dict())

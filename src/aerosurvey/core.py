@@ -40,8 +40,8 @@ class UtmPoint:
             raise ValueError("UtmPoint coordinates must be finite")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)  # copy: never freeze the caller's buffer
+def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype)  # copy: never freeze the caller's buffer
     a.flags.writeable = False
     return a
 

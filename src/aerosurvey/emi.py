@@ -241,14 +241,17 @@ def analyze_passes(passes: list[BuzzPass], cfg: EmiConfig,
     fit are the ones that produced it. Separations merge in ascending
     order, then pass kind, so the report is deterministic.
     """
+    if not passes:
+        raise TooFewSeparationsError("need >= 3 distinct separations")
     by_kind: dict[PassKind, list[BuzzPass]] = {}
     for p in sorted(passes, key=lambda p: (p.separation, p.kind.value)):
         by_kind.setdefault(p.kind, []).append(p)
 
     per_kind: dict[str, dict] = {}
-    worst: tuple[float, NoiseCurve] | None = None
+    curves: dict[str, NoiseCurve] = {}
     for kind in sorted(by_kind, key=lambda k: k.value):
-        curve = build_noise_curve(by_kind[kind], cfg, detrend_window_s)
+        curve = curves[kind.value] = build_noise_curve(
+            by_kind[kind], cfg, detrend_window_s)
         try:
             thr = threshold_separation(curve, cfg)
         except NeverBelowFloorError:
@@ -259,23 +262,16 @@ def analyze_passes(passes: list[BuzzPass], cfg: EmiConfig,
                     else {"a1": curve.fitted_decay[0], "p": curve.fitted_decay[1]}),
             "threshold_m": thr,
         }
-        if worst is None or thr > worst[0]:
-            worst = (thr, curve)
 
-    assert worst is not None  # passes list validated by build_noise_curve
-    thr, curve = worst
-    if math.isinf(thr):
+    # the first kind with the largest threshold
+    worst = max(per_kind, key=lambda k: per_kind[k]["threshold_m"])
+    if math.isinf(per_kind[worst]["threshold_m"]):
         raise NeverBelowFloorError("amplitude above floor at all separations")
-    interference = []
-    if signal_scale is not None:
-        for r in interference_at:
-            interference.append(
-                {"r": r, "pct": interference_percent(curve, r, signal_scale)})
+    interference = [] if signal_scale is None else [
+        {"r": r, "pct": interference_percent(curves[worst], r, signal_scale)}
+        for r in interference_at]
     return {
-        "points": [list(pt) for pt in curve.points],
-        "fit": (None if curve.fitted_decay is None
-                else {"a1": curve.fitted_decay[0], "p": curve.fitted_decay[1]}),
-        "threshold_m": thr,
+        **per_kind[worst],
         "interference_pct_at": interference,
         "per_kind": per_kind,
         "noise_floor": cfg.noise_floor,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import check_range
+from .core import _readonly, check_range
 from .errors import TooFewPixelsError, TooFewSamplesError
 from .io_csv import write_table
 
@@ -67,14 +67,12 @@ class Grid:
 
     def __post_init__(self):
         check_range("cell_size", self.cell_size, 0, above=True)
-        v = np.array(self.values, dtype=float)
-        m = np.array(self.valid, dtype=bool)
+        v = _readonly(self.values)
+        m = _readonly(self.valid, bool)
         if v.shape != m.shape or v.ndim != 2:
             raise ValueError("values/valid must be matching 2-D arrays")
         if not np.all(np.isfinite(v[m])):
             raise ValueError("valid cells must be finite")
-        v.flags.writeable = False
-        m.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "valid", m)
 
@@ -97,14 +95,12 @@ class GrayImage:
     valid: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.pixels, dtype=np.int64)
-        m = np.array(self.valid, dtype=bool)
+        p = _readonly(self.pixels, np.int64)
+        m = _readonly(self.valid, bool)
         if p.shape != m.shape or p.ndim != 2:
             raise ValueError("pixels/valid must be matching 2-D arrays")
         if p.min() < 0 or p.max() > 255:
             raise ValueError("pixel values must lie in [0, 255]")
-        p.flags.writeable = False
-        m.flags.writeable = False
         object.__setattr__(self, "pixels", p)
         object.__setattr__(self, "valid", m)
 
@@ -360,6 +356,11 @@ def read_asc(path: str | Path) -> Grid:
     if len(tokens) < 12:
         raise ValueError(f"{path}: not an ESRI ASCII grid (header cut short)")
     header = {tokens[i].lower(): float(tokens[i + 1]) for i in range(0, 12, 2)}
+    for key in ("ncols", "nrows"):
+        check_range(f"{path}: {key}", header[key], 1)
+        if not header[key].is_integer():
+            raise ValueError(f"{path}: {key} must be a whole number, "
+                             f"got {header[key]!r}")
     nx, ny = int(header["ncols"]), int(header["nrows"])
     nodata = header["nodata_value"]
     data = np.array([float(v) for v in tokens[12:]])
@@ -383,7 +384,7 @@ def read_pgm(path: str | Path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         tokens = [t for line in fh
                   for t in line.split("#", 1)[0].split()]
-    if tokens[0] != "P2":
+    if len(tokens) < 4 or tokens[0] != "P2":
         raise ValueError(f"{path}: not a plain PGM")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     data = tokens[4:4 + w * h]

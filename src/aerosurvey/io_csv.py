@@ -125,9 +125,9 @@ def _open_csv(path: str | Path):
     Blank rows are skipped; the header is the first other row, its cells
     stripped, and `rows` yields the data rows after it. The file is
     positioned just after the header, so another parser can take the data
-    rows instead of `rows`. A row csv refuses (a cell over its field size
-    limit), in the header or while the caller reads `rows`, raises
-    ValueError naming the file.
+    rows instead of `rows`. A header that names a column twice, or a row
+    csv refuses (a cell over its field size limit), in the header or while
+    the caller reads `rows`, raises ValueError naming the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = filter(None, csv.reader(fh))
@@ -135,7 +135,12 @@ def _open_csv(path: str | Path):
             header = next(rows, None)
             if header is None:
                 raise EmptyFileError(f"{path}: empty file")
-            yield fh, [c.strip() for c in header], rows
+            header = [c.strip() for c in header]
+            if len(set(header)) < len(header):
+                name = next(c for i, c in enumerate(header) if c in header[:i])
+                raise ValueError(f"{path}: column '{name}' appears twice in "
+                                 f"the header")
+            yield fh, header, rows
         except csv.Error as exc:
             raise ValueError(f"{path}: {exc}") from None
 

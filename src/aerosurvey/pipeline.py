@@ -228,8 +228,7 @@ def _d4_auto_threshold(sim: SimConfig, geometry: SuspensionGeometry) -> float:
     regional field and diurnal drift contribute negligibly at 10 Hz. A 5%
     margin keeps the clean default run flag-free.
     """
-    emi_amp = sim.emi_a1 * geometry.cable_length ** (-sim.emi_exponent)
-    return 16.0 * (emi_amp + sim.noise_floor) * 1.05
+    return 16.0 * (sim.emi_amplitude(geometry) + sim.noise_floor) * 1.05
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +250,22 @@ def _simulate_stage(plan: FlightPlan, geometry: SuspensionGeometry,
     straight = att.straight_mask()
     max_roll = float(np.max(np.abs(att.roll_deg[straight])))
     max_pitch = float(np.max(np.abs(att.pitch_deg[straight])))
-    # robust out-of-phase amplitude on the (first) longest flight line
-    vlf_per_line = split_lines(sim.vlf_full, sim.segment_at_sensor, plan)
-    n_samples = [len(l.series) for l in vlf_per_line]
-    vlf = vlf_per_line[n_samples.index(max(n_samples))]
+    # robust out-of-phase amplitude on the (first) longest line
+    lines = line_rows(sim.segment_at_sensor, plan)
+    if not lines:
+        raise ValueError("the flight has no survey line with 2 or more "
+                         "sensor samples")
+    _, _, rows = max(lines, key=lambda line: len(line[2]))
+    vlf = sim.vlf_full
     out_amp = noise_amplitude(TimeSeries(
-        vlf.series.t, vlf.series.column("outphase_pct"), ("outphase_pct",)))
+        vlf.t[rows], vlf.column("outphase_pct")[rows], ("outphase_pct",)))
     passed = (max_roll <= 5.0 and max_pitch <= 5.0
               and out_amp <= sim_cfg.outphase_noise_pct)
     result = StageResult("simulate", passed, {
         "n_sim_samples": len(att),
         "n_sensor_samples": len(sim.mag_full),
-        "n_flight_lines": sum(l.role is LineRole.FLIGHT for l in vlf_per_line),
-        "n_tie_lines": sum(l.role is LineRole.TIE for l in vlf_per_line),
+        "n_flight_lines": sum(role is LineRole.FLIGHT for _, role, _ in lines),
+        "n_tie_lines": sum(role is LineRole.TIE for _, role, _ in lines),
         "effective_damping_ratio": sim.effective_damping_ratio,
         "max_straight_roll_deg": max_roll,
         "max_straight_pitch_deg": max_pitch,

@@ -252,22 +252,17 @@ class _Arc:
     def length(self) -> float:
         return self.radius * abs(self.sweep)
 
-    def _radial(self, s: np.ndarray):
-        """(angle about the center, unit radial vector) at offsets `s`."""
+    def sample(self, s: np.ndarray, v: float):
         sgn = 1.0 if self.sweep >= 0 else -1.0
         ang = self.a0 + sgn * s / self.radius
-        return ang, np.column_stack([np.cos(ang), np.sin(ang)])
-
-    def sample(self, s: np.ndarray, v: float):
-        ang, radial = self._radial(s)
+        radial = np.column_stack([np.cos(ang), np.sin(ang)])
         pos = self.center[None, :] + self.radius * radial
-        sgn = 1.0 if self.sweep >= 0 else -1.0
         course = ang + sgn * math.pi / 2.0
         acc = -(v ** 2 / self.radius) * radial  # centripetal, toward center
         return pos, course, acc
 
     def acceleration(self, s: np.ndarray, v: float) -> np.ndarray:
-        return -(v ** 2 / self.radius) * self._radial(s)[1]
+        return self.sample(s, v)[2]
 
 
 def _mod2pi(a: float) -> float:
@@ -287,19 +282,18 @@ def _dubins_csc(p0, psi0, p1, psi1, radius: float) -> list:
     left1 = p1 + r * np.array([-math.sin(psi1), math.cos(psi1)])
     right1 = p1 + r * np.array([math.sin(psi1), -math.cos(psi1)])
 
-    candidates = []
-
+    # a candidate: (length, first centre, first sweep, rest of the path)
     def outer(c0, c1, turn):  # LSL (turn=+1) / RSR (turn=-1)
         dv = c1 - c0
         dist = float(np.hypot(*dv))
         if dist < 1e-12:
             a1 = _mod2pi(turn * (psi1 - psi0))
-            return (r * a1, [(c0, psi0, turn * a1)], None)
+            return (r * a1, c0, turn * a1, None)
         theta = math.atan2(dv[1], dv[0])
         a1 = _mod2pi(turn * (theta - psi0))
         a2 = _mod2pi(turn * (psi1 - theta))
-        return (r * (a1 + a2) + dist,
-                [(c0, psi0, turn * a1)], (theta, dist, c1, turn * a2))
+        return (r * (a1 + a2) + dist, c0, turn * a1,
+                (theta, dist, c1, turn * a2))
 
     def inner(c0, c1, turn):  # LSR (turn=+1) / RSL (turn=-1)
         dv = c1 - c0
@@ -310,19 +304,18 @@ def _dubins_csc(p0, psi0, p1, psi1, radius: float) -> list:
         straight = math.sqrt(dist ** 2 - 4.0 * r ** 2)
         a1 = _mod2pi(turn * (theta - psi0))
         a2 = _mod2pi(-turn * (psi1 - theta))
-        return (r * (a1 + a2) + straight,
-                [(c0, psi0, turn * a1)], (theta, straight, c1, -turn * a2))
+        return (r * (a1 + a2) + straight, c0, turn * a1,
+                (theta, straight, c1, -turn * a2))
 
-    for cand in (outer(left0, left1, 1.0), outer(right0, right1, -1.0),
-                 inner(left0, right1, 1.0), inner(right0, left1, -1.0)):
-        if cand is not None:
-            candidates.append(cand)
+    candidates = [c for c in (outer(left0, left1, 1.0),
+                              outer(right0, right1, -1.0),
+                              inner(left0, right1, 1.0),
+                              inner(right0, left1, -1.0)) if c is not None]
     if not candidates:
         raise DegeneratePlanError("no feasible turn between legs")
-    total, first_arc, rest = min(candidates, key=lambda c: c[0])
+    total, c0, sweep1, rest = min(candidates, key=lambda c: c[0])
 
     segs: list = []
-    (c0, psi_in, sweep1) = first_arc[0]
     a0 = math.atan2(p0[1] - c0[1], p0[0] - c0[0])
     if abs(sweep1) > 1e-12:
         segs.append(_Arc(c0, r, a0, sweep1))
@@ -530,6 +523,11 @@ class SimConfig(_DictCodec):
             return min(0.95, self.damping_ratio * self.platform_damping_boost)
         return self.damping_ratio
 
+    def emi_amplitude(self, geometry: SuspensionGeometry) -> float:
+        """Platform EMI at the payload, nT: emi_a1 * r^-emi_exponent at the
+        cable length r."""
+        return self.emi_a1 * geometry.cable_length ** (-self.emi_exponent)
+
 
 def default_plan(cfg: SimConfig) -> FlightPlan:
     return FlightPlan(spacing_m=cfg.line_spacing, altitude_m=cfg.survey_altitude)
@@ -582,12 +580,18 @@ class AttitudeTrack:
 
 
 _OFF_LINE = frozenset(("turn", "transit"))
+_TURN = frozenset(("turn",))
+
+
+def _labelled(segment, labels: frozenset) -> np.ndarray:
+    """True where a path segment label is one of `labels`."""
+    return np.fromiter(map(labels.__contains__, segment), bool,
+                       count=len(segment))
 
 
 def _on_line(segment) -> np.ndarray:
     """True where a path segment label names a survey or tie line."""
-    return ~np.fromiter(map(_OFF_LINE.__contains__, segment), bool,
-                        count=len(segment))
+    return ~_labelled(segment, _OFF_LINE)
 
 
 ATTITUDE_COLUMNS = ("t_s", "roll_deg", "pitch_deg", "heading_deg",
@@ -747,8 +751,8 @@ def _refuse_steps(steps: float, fields: str) -> None:
                          f"than _MAX_SIM_STEPS ({_MAX_SIM_STEPS})")
 
 
-def _fly(plan: FlightPlan, geometry: SuspensionGeometry, cfg: SimConfig,
-         zeta: float) -> tuple[AttitudeTrack, np.ndarray, np.ndarray]:
+def _fly(plan: FlightPlan, geometry: SuspensionGeometry, cfg: SimConfig
+         ) -> tuple[AttitudeTrack, np.ndarray, np.ndarray]:
     """Payload attitude at sim_rate_hz, with each step's block and VLF
     sensor altitude."""
     length = geometry.cable_length
@@ -778,7 +782,8 @@ def _fly(plan: FlightPlan, geometry: SuspensionGeometry, cfg: SimConfig,
             segs, cfg.speed * t, cfg.speed)
         segment = tuple(labels.tolist())
         del labels
-        theta = _integrate_pendulum(acc, acc_h, dt, omega, zeta, length)
+        theta = _integrate_pendulum(acc, acc_h, dt, omega,
+                                    cfg.effective_damping(geometry), length)
         del acc, acc_h
     th_e, th_n = theta.T
 
@@ -867,10 +872,8 @@ def simulate_survey(plan: FlightPlan | None = None,
     cfg = cfg or SimConfig()
     plan = plan or default_plan(cfg)
     geometry = geometry or SuspensionGeometry()
-    zeta = cfg.effective_damping(geometry)
-    length = geometry.cable_length
     origin = tuple(plan.origin_utm)
-    attitude, blocks, vlf_alt = _fly(plan, geometry, cfg, zeta)
+    attitude, blocks, vlf_alt = _fly(plan, geometry, cfg)
 
     # --- sensor streams at sensor_rate_hz -------------------------------
     step = int(round(cfg.sim_rate_hz / cfg.sensor_rate_hz))
@@ -885,7 +888,7 @@ def simulate_survey(plan: FlightPlan | None = None,
     s_block = blocks[si]
     del blocks, vlf_alt
 
-    emi_amp = cfg.emi_a1 * length ** (-cfg.emi_exponent)
+    emi_amp = cfg.emi_amplitude(geometry)
     prof_k, prof_u = _spectral_profiles(cfg.n_channels)
 
     mag_noise = np.empty(ns)
@@ -1011,37 +1014,31 @@ def settling_metrics(track: AttitudeTrack, threshold_deg: float = 1.0,
                      speed_mps: float | None = None) -> SettlingMetrics:
     """Per-turn time for |swing| to drop below threshold and stay there.
 
-    Each settling window runs from the end of a turn to the start of the
-    next; if the swing still violates the threshold at the end of any
-    window the flight never settles and NeverSettlesError is raised.
+    Each settling window runs from the end of a turn run to the start of
+    the next (or the track's end); if the swing still violates the
+    threshold at the end of any window, or the track ends in a turn, the
+    flight never settles and NeverSettlesError is raised.
     """
     check_range("threshold_deg", threshold_deg, 0, above=True)
     speed = speed_mps if speed_mps is not None else (track.speed_mps or 0.0)
-    seg = np.asarray(track.segment)
-    turn = seg == "turn"
     nt = len(track)
-    # indices where a turn block ends
-    ends = [i for i in range(nt) if turn[i] and (i + 1 == nt or not turn[i + 1])]
+    # the turn runs are [edges[0], edges[1]), [edges[2], edges[3]), ...
+    edges = np.flatnonzero(np.diff(_labelled(track.segment, _TURN),
+                                   prepend=False, append=False)).tolist()
+    # the last sample at or before each index whose swing breaks the threshold
+    bad = np.abs(track.swing_deg) >= threshold_deg
+    last_bad = np.maximum.accumulate(np.where(bad, np.arange(nt), -1))
     times: list[float] = []
-    for e in ends:
-        if e + 1 >= nt:
+    for lo, hi in zip(edges[1::2], edges[2::2] + [nt]):
+        if lo == nt:
             raise NeverSettlesError("track ends inside a turn")
-        nxt = e + 1
-        while nxt < nt and not turn[nxt]:
-            nxt += 1
-        win = np.abs(track.swing_deg[e + 1:nxt])
-        if len(win) == 0:
-            raise NeverSettlesError("no samples after turn")
-        bad = np.nonzero(win >= threshold_deg)[0]
-        if len(bad) == 0:
-            times.append(0.0)
-            continue
-        last = int(bad[-1])
-        if last == len(win) - 1:
+        last = int(last_bad[hi - 1])
+        if last == hi - 1:
             raise NeverSettlesError(
                 f"swing still >= {threshold_deg} deg at end of window after t="
-                f"{track.t[e]:.1f}s")
-        times.append(float(track.t[e + 1 + last + 1] - track.t[e]))
+                f"{track.t[lo - 1]:.1f}s")
+        times.append(0.0 if last < lo
+                     else float(track.t[last + 1] - track.t[lo - 1]))
     if not times:
         return SettlingMetrics(0, 0.0, 0.0, 0.0, threshold_deg)
     worst = max(times)

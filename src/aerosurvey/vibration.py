@@ -193,8 +193,9 @@ def select_configuration(candidates: list[IsolatorConfig], payload_mass: float,
 
     Evaluated at the dominant excitation frequency with the shared payload
     mass; both must be finite and > 0 and give every candidate a finite
-    score. Returns (config, score) best first. Ties break deterministically
-    by (kind, count).
+    score, and each candidate's intensity x damping_ratio x stiffness must
+    be finite. Returns (config, score) best first. Ties break
+    deterministically by (kind, count).
     """
     if not candidates:
         raise NoCandidatesError("no isolator candidates")
@@ -208,6 +209,11 @@ def select_configuration(candidates: list[IsolatorConfig], payload_mass: float,
                                                           dominant_freq))
         except ZeroDivisionError:       # mass * count * f**2 underflows
             score = math.inf
+        if not math.isfinite(c.intensity * c.damping_ratio * c.stiffness):
+            raise NonPositiveParameterError(
+                f"candidate {i}: intensity {c.intensity!r} x damping_ratio "
+                f"{c.damping_ratio!r} x stiffness {c.stiffness!r} is not "
+                f"finite")
         if not math.isfinite(score):
             raise NonPositiveParameterError(
                 f"payload_mass {payload_mass!r} and dominant_freq "

@@ -173,6 +173,20 @@ def test_vib_rank_missing_candidate_field_is_io_error(tmp_path, capsys):
             "'stiffness'" in err)
 
 
+# a candidate whose own values overflow once blamed the shared mass and
+# frequency, which are fine
+def test_vib_rank_candidate_overflow_names_the_candidate(tmp_path, capsys):
+    config = tmp_path / "candidates.json"
+    config.write_text(json.dumps([GOOD_CANDIDATE, {
+        **GOOD_CANDIDATE, "intensity": 1e300, "stiffness": 1e300}]))
+    code, _, err = run_cli(capsys, "vib", "rank", "--config", config,
+                           "--mass", 6.0, "--freq", 35.0)
+    assert code == EXIT_IO
+    assert ("error: candidate 1: intensity 1e+300 x damping_ratio 0.3 x "
+            "stiffness 1e+300 is not finite" in err)
+    assert "payload_mass" not in err and "Traceback" not in err
+
+
 # --- emi ---
 
 def test_emi_buzz_end_to_end(tmp_path, capsys):
@@ -255,6 +269,18 @@ def test_emi_buzz_passes_not_a_list_of_objects_is_io_error(tmp_path, capsys,
     assert code == EXIT_IO
     assert "passes.json: expected a JSON list of objects" in err
     assert "Traceback" not in err
+
+
+# an empty list once ended in an AssertionError (exit 4)
+def test_emi_buzz_empty_pass_list_is_io_error(tmp_path, capsys):
+    spec = tmp_path / "passes.json"
+    spec.write_text("[]")
+    out = tmp_path / "buzz.json"
+    code, _, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
+                           "--out", out)
+    assert code == EXIT_IO
+    assert "error: need >= 3 distinct separations" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("value", BAD_VALUES)
@@ -607,6 +633,17 @@ def test_qc_nasvd_non_finite_cell_is_io_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_qc_nasvd_repeated_column_is_io_error(tmp_path, capsys):
+    infile = tmp_path / "spectra.csv"
+    infile.write_text("ch0,ch1,ch0\r\n1.0,2.0,3.0\r\n4.0,5.0,6.0\r\n")
+    out = tmp_path / "denoised.csv"
+    code, _, err = run_cli(capsys, "qc", "nasvd", "--in", infile,
+                           "--k", 1, "--out", out)
+    assert code == EXIT_IO
+    assert "spectra.csv: column 'ch0' appears twice in the header" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 # a cell past csv's field size limit (131072 characters), in a data row or
 # in the header, through ingest_csv, read_spectra_csv and the buzz reader
 LONG_CELL = "x" * 200_000
@@ -697,6 +734,28 @@ def test_grid_compare_truncated_asc_is_io_error(tmp_path, capsys, text):
                            "--out", tmp_path / "cmp.json")
     assert code == EXIT_IO
     assert "bad.asc: not an ESRI ASCII grid" in err and "Traceback" not in err
+
+
+# an infinite size once overflowed int() (exit 4), and 1.5 was cut to 1
+@pytest.mark.parametrize("key, value, message", (
+    ("ncols", "inf", "must be finite and >= 1, got inf"),
+    ("nrows", "inf", "must be finite and >= 1, got inf"),
+    ("ncols", "nan", "must be finite and >= 1, got nan"),
+    ("nrows", "0", "must be finite and >= 1, got 0.0"),
+    ("ncols", "1.5", "must be a whole number, got 1.5"),
+    ("nrows", "1.5", "must be a whole number, got 1.5"),
+))
+def test_grid_compare_bad_asc_size_names_file_and_key(tmp_path, capsys, key,
+                                                      value, message):
+    header = {"ncols": "1", "nrows": "1", key: value}
+    bad = tmp_path / "bad.asc"
+    bad.write_text(f"ncols {header['ncols']}\nnrows {header['nrows']}\n"
+                   "xllcorner 0\nyllcorner 0\ncellsize 1\n"
+                   "NODATA_value -9999\n1.0\n")
+    code, _, err = run_cli(capsys, "grid", "compare", "--a", bad, "--b", bad,
+                           "--out", tmp_path / "cmp.json")
+    assert code == EXIT_IO
+    assert f"error: {bad}: {key} {message}" in err and "Traceback" not in err
 
 
 
@@ -840,6 +899,20 @@ def test_pipeline_cli_stage_failure_writes_partial_report(
     partial = json.loads((out_dir / "report.json").read_text())
     assert [s["name"] for s in partial["stages"]] == [
         "simulate", "qc_d4", "qc_diurnal", "qc_tie", "qc_nasvd"]
+
+
+# a hover once failed on "max() arg is an empty sequence"
+def test_pipeline_hover_says_it_has_no_survey_line(tmp_path, capsys):
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"speed": 0}))
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"sim_path": str(sim)}))
+    code, _, err = run_cli(capsys, "pipeline", "--config", config,
+                           "--out-dir", tmp_path / "run")
+    assert code == EXIT_IO
+    assert ("error: stage 'simulate' failed: the flight has no survey line "
+            "with 2 or more sensor samples" in err)
+    assert "Traceback" not in err
 
 
 # --- version and exit codes ---

@@ -232,6 +232,16 @@ def test_pgm_reader_rejects_truncated_pixel_data(tmp_path):
         read_pgm(p)
 
 
+# these once raised IndexError
+@pytest.mark.parametrize("text", ("", "\n# comment only\n", "P2\n",
+                                  "P2\n3 2\n"))
+def test_pgm_reader_rejects_an_empty_or_cut_short_header(tmp_path, text):
+    p = tmp_path / "cut.pgm"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=r"cut\.pgm: not a plain PGM"):
+        read_pgm(p)
+
+
 # --- container validation ---
 
 def test_grid_validation():

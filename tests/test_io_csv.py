@@ -8,6 +8,7 @@ from aerosurvey import TimeSeries, ingest_csv, read_survey_lines
 from aerosurvey.core import LineRole
 from aerosurvey.io_csv import (
     SchemaKind,
+    _read_buzz_trace,
     crossover_fixture_path,
     read_spectra_csv,
     write_series_csv,
@@ -18,6 +19,7 @@ from aerosurvey.errors import (
     MissingColumnError,
     NonMonotoneTimeError,
 )
+from aerosurvey.suspension import read_attitude_csv
 
 
 def _write(path: Path, text: str) -> Path:
@@ -192,3 +194,35 @@ def test_spectra_non_finite_cell_names_file_and_row(tmp_path, cell):
     with pytest.raises(ValueError,
                        match=r"nonfinite\.csv: data row 3 has a non-finite"):
         read_spectra_csv(p)
+
+
+# every reader refuses a header that names a column twice, whichever copy
+# it would have read: the first (header.index) or the last (a name -> index
+# dict)
+_REPEATED = {
+    "ingest_csv": ("t_s,easting_m,northing_m,alt_m,tmi_nT,tmi_nT\n"
+                   "0,1,2,40,54000,1\n1,2,3,40,54001,2\n", "tmi_nT",
+                   lambda p: ingest_csv(p, SchemaKind.MAG)),
+    "ingest_csv_crossover": (
+        "x_utm,y_utm,flights_k_pct,tie_k_pct,flights_u_ppm,tie_u_ppm,y_utm\n"
+        "1,2,1.00,1.01,2.00,2.02,3\n", "y_utm",
+        lambda p: ingest_csv(p, SchemaKind.CROSSOVER)),
+    "read_spectra_csv": ("ch0,ch1,ch0\n1,2,3\n4,5,6\n", "ch0",
+                         read_spectra_csv),
+    "buzz_trace": ("t_s,buzz_nT,buzz_nT\n0,1,2\n1,3,4\n", "buzz_nT",
+                   lambda p: _read_buzz_trace(p)),
+    "read_attitude_csv": (
+        "t_s,roll_deg,pitch_deg,heading_deg,swing_deg,easting_m,northing_m,"
+        "segment,roll_deg\n0,1,2,3,4,5,6,L1,9\n", "roll_deg",
+        lambda p: read_attitude_csv(p)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_REPEATED))
+def test_repeated_header_name_is_refused_naming_file_and_column(tmp_path,
+                                                                reader):
+    text, column, read = _REPEATED[reader]
+    p = _write(tmp_path / "twice.csv", text)
+    with pytest.raises(ValueError, match=rf"twice\.csv: column '{column}' "
+                                         rf"appears twice in the header"):
+        read(p)

@@ -6,7 +6,9 @@ composing them), every JSON file through io_csv._read_json, and every
 JSON artifact through io_csv._json_text, and every scalar range message
 through core.check_range. These tests fail when a module grows its own
 csv reader, its own json.load(s), its own indented json.dumps or its own
-range check, so the paths cannot quietly split again. The last tests keep
+range check, so the paths cannot quietly split again. Arrays are frozen
+only by core._readonly (and numtext's shared tables), and the payload EMI
+level is worked out only by SimConfig.emi_amplitude. The last tests keep
 scipy out of module scope (the functions that need it import it on their
 first call, so importing the package costs no more than numpy) and keep
 its k-d tree out of the package: grid_idw has its own binned query.
@@ -119,6 +121,24 @@ def test_range_messages_come_only_from_check_range():
     assert ("gridding.py", "grid_idw") in _where(
         lambda n: _raises_text(n, "must be finite"))
     assert _where(lambda n: _raises_text(n, "must be finite and")) == set()
+
+
+def test_arrays_are_frozen_only_by_readonly():
+    def freeze(node) -> bool:
+        return isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Attribute) and t.attr == "writeable"
+            and isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
+            for t in node.targets) and isinstance(node.value, ast.Constant) \
+            and node.value.value is False
+
+    assert _where(freeze) == {("core.py", "_readonly"),
+                              ("numtext.py", "_tables")}
+
+
+def test_emi_level_is_read_only_by_emi_amplitude():
+    assert _where(lambda n: isinstance(n, ast.Attribute)
+                  and n.attr == "emi_a1") \
+        == {("suspension.py", "emi_amplitude")}
 
 
 def test_scipy_is_imported_only_inside_functions():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from aerosurvey import (
     settling_metrics,
     simulate_survey,
 )
-from aerosurvey.core import LineRole
+from aerosurvey.core import LineRole, check_range
 from aerosurvey.suspension import (
     AttitudeTrack,
     G,
+    SettlingMetrics,
     _MAX_SIM_STEPS,
     _build_path,
     _dubins_csc,
@@ -507,6 +509,104 @@ def test_settling_metrics_no_turns_is_empty():
     m = settling_metrics(track)
     assert m.n_turns == 0
     assert m.settling_time_s == 0.0
+
+
+def _loop_settling_metrics(track, threshold_deg=1.0, speed_mps=None):
+    """settling_metrics as the per-step loop it replaced, kept as an oracle."""
+    check_range("threshold_deg", threshold_deg, 0, above=True)
+    speed = speed_mps if speed_mps is not None else (track.speed_mps or 0.0)
+    seg = np.asarray(track.segment)
+    turn = seg == "turn"
+    nt = len(track)
+    # indices where a turn block ends
+    ends = [i for i in range(nt)
+            if turn[i] and (i + 1 == nt or not turn[i + 1])]
+    times = []
+    for e in ends:
+        if e + 1 >= nt:
+            raise NeverSettlesError("track ends inside a turn")
+        nxt = e + 1
+        while nxt < nt and not turn[nxt]:
+            nxt += 1
+        win = np.abs(track.swing_deg[e + 1:nxt])
+        if len(win) == 0:
+            raise NeverSettlesError("no samples after turn")
+        bad = np.nonzero(win >= threshold_deg)[0]
+        if len(bad) == 0:
+            times.append(0.0)
+            continue
+        last = int(bad[-1])
+        if last == len(win) - 1:
+            raise NeverSettlesError(
+                f"swing still >= {threshold_deg} deg at end of window after t="
+                f"{track.t[e]:.1f}s")
+        times.append(float(track.t[e + 1 + last + 1] - track.t[e]))
+    if not times:
+        return SettlingMetrics(0, 0.0, 0.0, 0.0, threshold_deg)
+    worst = max(times)
+    return SettlingMetrics(len(times), worst, float(np.mean(times)),
+                           worst * speed, threshold_deg)
+
+
+def _cut(track, lo, hi):
+    """Samples [lo, hi) of an attitude track."""
+    return AttitudeTrack(*(getattr(track, f.name)[lo:hi]
+                           for f in fields(AttitudeTrack)[:-1]),
+                         track.speed_mps)
+
+
+def _turn_runs(track):
+    """[start, stop) of each run of turn samples."""
+    turn = np.r_[False, np.asarray(track.segment) == "turn", False]
+    edges = np.flatnonzero(np.diff(turn.astype(np.int8)))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+@pytest.fixture(scope="module")
+def settling_tracks(default_sim):
+    def fly(plan=None, geometry=None, **cfg):
+        return simulate_survey(plan, geometry, SimConfig(**cfg)).attitude
+
+    full = default_sim.attitude
+    (a0, a1), (b0, b1) = _turn_runs(full)[:2]
+    n = 12
+    short = AttitudeTrack(
+        np.arange(n) * 0.5, *np.zeros((3, n)),
+        np.array([3.0, 2.0, 0.5, 2.0, 2.0, 0.0, 2.0, 0.2, 0.0, 2.0, 2.0, 2.0]),
+        *np.zeros((2, n)),
+        ("L1", "turn", "L1", "turn", "turn", "L1", "turn", "L2", "L2",
+         "transit", "turn", "L3"), 4.0)
+    return {
+        "default": full,
+        "survey_large": fly(FlightPlan(n_lines=8, line_length_m=2000.0,
+                                       spacing_m=50.0, tie_lines=3)),
+        "hover": fly(speed=0.0, hover_duration_s=10.0),
+        "low_damping": fly(geometry=SuspensionGeometry(
+            intermediate_platform=False), damping_ratio=0.01),
+        "no_lead_in_or_out": fly(lead_in_m=0.0, lead_out_m=0.0),
+        "cut_inside_a_turn": _cut(full, 0, (b0 + b1) // 2),
+        "cut_at_a_turn_end": _cut(full, 0, b1),
+        "cut_after_a_turn_start": _cut(full, (a0 + a1) // 2, len(full)),
+        "short_runs": short,
+    }
+
+
+@pytest.mark.parametrize("threshold", (0.05, 0.3, 1, 3))
+@pytest.mark.parametrize("name", (
+    "default", "survey_large", "hover", "low_damping", "no_lead_in_or_out",
+    "cut_inside_a_turn", "cut_at_a_turn_end", "cut_after_a_turn_start",
+    "short_runs"))
+def test_settling_metrics_matches_the_per_step_loop(settling_tracks, name,
+                                                    threshold):
+    track = settling_tracks[name]
+
+    def outcome(metrics):
+        try:
+            return metrics(track, threshold)
+        except NeverSettlesError as exc:
+            return str(exc)
+
+    assert outcome(settling_metrics) == outcome(_loop_settling_metrics)
 
 
 # --- configuration and serialization ---
