@@ -3,6 +3,10 @@
 Exit codes are stable per failure class: 0 success (and overall QC pass),
 1 usage, 2 unreadable/invalid input, 3 QC or analysis failure (the data
 was fine, the answer is "no"), 4 internal error.
+
+Only the modules of the qc and grid commands are imported here; every
+other command imports its own module when it runs, so a qc or grid
+process loads no simulator, pipeline, EMI or vibration code.
 """
 
 from __future__ import annotations
@@ -10,14 +14,13 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from dataclasses import MISSING, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import LineRole, _DictCodec, ranged, resample_uniform
-from .emi import BuzzPass, EmiConfig, PassKind, analyze_passes
+from .core import LineRole, _decode_at, resample_uniform
 from .errors import (
     AerosurveyError,
     NeverBelowFloorError,
@@ -40,6 +43,7 @@ from .io_csv import (
     _json_text,
     _read_buzz_trace,
     _read_json,
+    _write_crossings,
     _write_json,
     ingest_csv,
     read_spectra_csv,
@@ -48,16 +52,6 @@ from .io_csv import (
     write_spectra_csv,
     write_table,
 )
-from .pipeline import (
-    REPORT_SCHEMA_VERSION,
-    PipelineConfig,
-    _decode_at,
-    _load_config,
-    _write_crossings,
-    apply_seed_override,
-    run_pipeline,
-    write_survey_artifacts,
-)
 from .qc import (
     FIELD_COLUMNS,
     crossover_analysis,
@@ -65,19 +59,6 @@ from .qc import (
     fourth_difference,
     nasvd_denoise,
     nasvd_energy_fraction,
-)
-from .suspension import (
-    FlightPlan,
-    SimConfig,
-    SuspensionGeometry,
-    simulate_survey,
-)
-from .vibration import (
-    IsolatorConfig,
-    amplitude_spectrum,
-    attenuation_db,
-    reduction_factor,
-    select_configuration,
 )
 
 EXIT_OK = 0
@@ -119,6 +100,7 @@ def _entries(cls, path, defaults=None) -> list:
 
 
 def _cmd_vib_spectrum(args) -> int:
+    from .vibration import amplitude_spectrum
     series = ingest_csv(args.infile, SchemaKind.ACCEL).data
     if args.rate is not None:
         series = resample_uniform(series, args.rate)
@@ -132,6 +114,7 @@ def _cmd_vib_spectrum(args) -> int:
 
 
 def _cmd_vib_compare(args) -> int:
+    from .vibration import attenuation_db, reduction_factor
     before = ingest_csv(args.before, SchemaKind.ACCEL).data
     after = ingest_csv(args.after, SchemaKind.ACCEL).data
     r = reduction_factor(before, after, axis=args.axis)
@@ -140,6 +123,7 @@ def _cmd_vib_compare(args) -> int:
 
 
 def _cmd_vib_rank(args) -> int:
+    from .vibration import IsolatorConfig, select_configuration
     candidates = _entries(IsolatorConfig, args.config,
                           {"mount_angle_deg": 0.0})
     ranked = select_configuration(candidates, args.mass, args.freq)
@@ -155,16 +139,8 @@ def _cmd_vib_rank(args) -> int:
 # emi
 
 
-@dataclass(frozen=True)
-class _PassEntry(_DictCodec):
-    """One --passes entry; a relative csv_path starts at the file's folder."""
-
-    separation_m: float = ranged(MISSING, 0, above=True)
-    csv_path: str
-    kind: PassKind = PassKind.OVERFLIGHT
-
-
 def _cmd_emi_buzz(args) -> int:
+    from .emi import BuzzPass, EmiConfig, _PassEntry, analyze_passes
     passes = [BuzzPass(e.separation_m,
                        _read_buzz_trace(Path(args.passes).parent / e.csv_path),
                        e.kind)
@@ -184,6 +160,10 @@ def _cmd_emi_buzz(args) -> int:
 
 
 def _cmd_sim_survey(args) -> int:
+    from .pipeline import (_load_config, apply_seed_override,
+                           write_survey_artifacts)
+    from .suspension import (FlightPlan, SimConfig, SuspensionGeometry,
+                             simulate_survey)
     # no --plan: simulate_survey's default_plan, spaced and flown as cfg says
     plan = _load_config(FlightPlan, args.plan)
     geometry = _load_config(SuspensionGeometry, args.geom)
@@ -286,6 +266,7 @@ def _cmd_grid_compare(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from .pipeline import PipelineConfig, _load_config, run_pipeline
     cfg = _load_config(PipelineConfig, args.config, PipelineConfig())
     if args.out_dir is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
@@ -303,6 +284,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def version_info() -> dict:
+    from .pipeline import REPORT_SCHEMA_VERSION
     return {"version": __version__,
             "csv_schema_version": CSV_SCHEMA_VERSION,
             "report_schema_version": REPORT_SCHEMA_VERSION}

@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import TooFewSamplesError
+from .errors import AerosurveyError, TooFewSamplesError
 
 
 def _finite(*values: float) -> bool:
@@ -225,6 +225,16 @@ def config_from_dict(cls, d):
     return cls(**{k: hints[k](v) if isinstance(hints[k], EnumMeta)
                   else _to_tuple(v)
                   for k, v in d.items()})
+
+
+def _decode_at(cls, raw, where):
+    """cls.from_dict(raw), with `where` in front of the message of any
+    ValueError or package error it raises (keeping the error's type)."""
+    try:
+        return cls.from_dict(raw)
+    except (AerosurveyError, ValueError) as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def _fits(value, hint) -> bool:

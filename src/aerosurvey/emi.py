@@ -9,7 +9,7 @@ acceptable separation is where the decay falls to the ambient noise floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,6 +46,16 @@ class BuzzPass:
         check_range("separation", self.separation, 0, above=True)
         if len(self.trace) == 0:
             raise ValueError("trace must be non-empty")
+
+
+@dataclass(frozen=True)
+class _PassEntry(_DictCodec):
+    """One `emi buzz --passes` entry; a relative csv_path starts at the
+    file's folder."""
+
+    separation_m: float = ranged(MISSING, 0, above=True)
+    csv_path: str
+    kind: PassKind = PassKind.OVERFLIGHT
 
 
 @dataclass(frozen=True)

@@ -350,24 +350,48 @@ def write_asc(grid: Grid, path: str | Path) -> None:
     write_table(path, head, grid.values[::-1].T, " ", "\n")
 
 
+# an ESRI ASCII grid's header keys, as write_asc writes them
+_ASC_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
+             "NODATA_value")
+
+
+def _asc_number(text: str, where: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{where} must be a number, got {text!r}") from None
+
+
 def read_asc(path: str | Path) -> Grid:
+    """Grid of an ESRI ASCII file (inverse of write_asc); each error names
+    the file and the header key or the data cell at fault."""
     with open(path, encoding="utf-8") as fh:
         tokens = fh.read().split()
     if len(tokens) < 12:
         raise ValueError(f"{path}: not an ESRI ASCII grid (header cut short)")
-    header = {tokens[i].lower(): float(tokens[i + 1]) for i in range(0, 12, 2)}
+    found = dict(zip(map(str.lower, tokens[0:12:2]), tokens[1:12:2]))
+    for key in _ASC_KEYS:
+        if key.lower() not in found:
+            raise ValueError(f"{path}: {key} missing from the header")
+    header = {key: _asc_number(found[key.lower()], f"{path}: {key}")
+              for key in _ASC_KEYS}
     for key in ("ncols", "nrows"):
         check_range(f"{path}: {key}", header[key], 1)
         if not header[key].is_integer():
             raise ValueError(f"{path}: {key} must be a whole number, "
                              f"got {header[key]!r}")
     nx, ny = int(header["ncols"]), int(header["nrows"])
-    nodata = header["nodata_value"]
-    data = np.array([float(v) for v in tokens[12:]])
+    body = tokens[12:]
+    try:
+        data = np.array([float(v) for v in body])
+    except ValueError:
+        for i, v in enumerate(body):     # raises at the first bad cell
+            _asc_number(v, f"{path}: data row {i // nx + 1}, "
+                           f"column {i % nx + 1}")
     if data.size != nx * ny:
         raise ValueError(f"{path}: expected {nx * ny} values, got {data.size}")
     values = data.reshape(ny, nx)[::-1]  # back to south-up
-    valid = values != nodata
+    valid = values != header["NODATA_value"]
     vals = np.where(valid, values, NODATA)
     return Grid(header["xllcorner"], header["yllcorner"], header["cellsize"],
                 vals, valid)

@@ -626,6 +626,19 @@ def _write_json(path: str | Path, obj) -> None:
     Path(path).write_text(_json_text(obj))
 
 
+def _write_crossings(path, records, report) -> None:
+    """crossings.json: crossover_analysis's QcReport and every record."""
+    _write_json(path, {
+        "report": report.to_dict(),
+        "crossings": [{
+            "easting_m": r.location.easting,
+            "northing_m": r.location.northing,
+            "flight": r.flight_value, "tie": r.tie_value,
+            "difference": r.difference,
+        } for r in records],
+    })
+
+
 def _read_json(path: str | Path):
     """The JSON value in file `path`; bad JSON raises ValueError naming it."""
     try:

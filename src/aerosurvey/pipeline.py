@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import LineRole, TimeSeries, _DictCodec, ranged
+from .core import LineRole, TimeSeries, _DictCodec, _decode_at, ranged
 from .emi import noise_amplitude
-from .errors import AerosurveyError, PipelineStageError
+from .errors import PipelineStageError
 from .gridding import (
     compare_grids,
     grid_idw,
@@ -29,6 +29,7 @@ from .gridding import (
 )
 from .io_csv import (
     _read_json,
+    _write_crossings,
     _write_json,
     write_series_csv,
     write_spectra_csv,
@@ -132,16 +133,6 @@ def apply_seed_override(cfg: SimConfig) -> SimConfig:
     return replace(cfg, seed=seed)
 
 
-def _decode_at(cls, raw, where):
-    """cls.from_dict(raw), with `where` in front of the message of any
-    ValueError or package error it raises (keeping the error's type)."""
-    try:
-        return cls.from_dict(raw)
-    except (AerosurveyError, ValueError) as exc:
-        exc.args = (f"{where}: {exc}",)
-        raise
-
-
 def _load_config(cls, path, default=None):
     """`cls` from the JSON object in file `path`, every error naming the
     file (malformed JSON too); `default` when path is None."""
@@ -201,19 +192,6 @@ def write_survey_artifacts(result: SimResult, out_dir: str | Path) -> dict:
         paths[name] = out / name
     paths["spectra.csv"] = out / "spectra.csv"
     return paths
-
-
-def _write_crossings(path, records, report) -> None:
-    """crossings.json: crossover_analysis's QcReport and every record."""
-    _write_json(path, {
-        "report": report.to_dict(),
-        "crossings": [{
-            "easting_m": r.location.easting,
-            "northing_m": r.location.northing,
-            "flight": r.flight_value, "tie": r.tie_value,
-            "difference": r.difference,
-        } for r in records],
-    })
 
 
 def _spectra_from_rad(rad: TimeSeries) -> np.ndarray:

@@ -736,7 +736,13 @@ def test_grid_compare_truncated_asc_is_io_error(tmp_path, capsys, text):
     assert "bad.asc: not an ESRI ASCII grid" in err and "Traceback" not in err
 
 
-# an infinite size once overflowed int() (exit 4), and 1.5 was cut to 1
+_ASC_LINES = {"ncols": "2", "nrows": "2", "xllcorner": "0", "yllcorner": "0",
+              "cellsize": "1", "NODATA_value": "-9999", "data": "1 2 3 4"}
+
+
+# an infinite size once overflowed int() (exit 4), and 1.5 was cut to 1;
+# a missing or misspelt key, a PGM, or text where a number goes once gave
+# only a bare KeyError, float()'s message or a count of values
 @pytest.mark.parametrize("key, value, message", (
     ("ncols", "inf", "must be finite and >= 1, got inf"),
     ("nrows", "inf", "must be finite and >= 1, got inf"),
@@ -744,19 +750,29 @@ def test_grid_compare_truncated_asc_is_io_error(tmp_path, capsys, text):
     ("nrows", "0", "must be finite and >= 1, got 0.0"),
     ("ncols", "1.5", "must be a whole number, got 1.5"),
     ("nrows", "1.5", "must be a whole number, got 1.5"),
+    pytest.param("ncols", "ncol 2\nnrows 2\nxllcorner 0\nyllcorner 0\n"
+                 "cellsize 1\nNODATA_value -9999\n1 2 3 4\n",
+                 "missing from the header", id="ncols-first key ncol"),
+    pytest.param("ncols", "P2\n3 3\n255\n0 1 2\n3 4 5\n6 7 8\n",
+                 "missing from the header", id="ncols-a PGM file"),
+    ("cellsize", None, "missing from the header"),
+    ("xllcorner", "abc", "must be a number, got 'abc'"),
+    ("NODATA_value", "none", "must be a number, got 'none'"),
+    ("data", "1 2 3 x", "row 2, column 2 must be a number, got 'x'"),
 ))
 def test_grid_compare_bad_asc_size_names_file_and_key(tmp_path, capsys, key,
                                                       value, message):
-    header = {"ncols": "1", "nrows": "1", key: value}
+    # `value` is the text of line `key` (None drops the line), or, when it
+    # holds a newline, the whole file
+    lines = {**_ASC_LINES, key: value}
     bad = tmp_path / "bad.asc"
-    bad.write_text(f"ncols {header['ncols']}\nnrows {header['nrows']}\n"
-                   "xllcorner 0\nyllcorner 0\ncellsize 1\n"
-                   "NODATA_value -9999\n1.0\n")
+    bad.write_text(value if value and "\n" in value else "".join(
+        v + "\n" if k == "data" else f"{k} {v}\n"
+        for k, v in lines.items() if v is not None))
     code, _, err = run_cli(capsys, "grid", "compare", "--a", bad, "--b", bad,
                            "--out", tmp_path / "cmp.json")
     assert code == EXIT_IO
     assert f"error: {bad}: {key} {message}" in err and "Traceback" not in err
-
 
 
 # --- gate and reprocessing parameters: nan, inf and out-of-range exit 2 ---

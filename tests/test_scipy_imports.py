@@ -1,4 +1,5 @@
-"""scipy is imported at first use, so most commands start at numpy's cost.
+"""scipy is imported at first use, so most commands start at numpy's cost;
+and each command loads only the package modules it runs.
 
 Each check runs in a fresh interpreter and reads sys.modules afterwards:
 importing the package or the CLI loads no scipy module, and neither do
@@ -8,6 +9,12 @@ filter and the running median are the package's own). Only `vib
 spectrum` (find_peaks) and payload_pose (minimize) import scipy. The
 functions that once imported scipy, or still do, must give in a fresh
 process the same result as in this one.
+
+Importing the package loads none of its modules (a submodule still
+resolves as an attribute), and the qc and grid commands load none of the
+simulator, pipeline, EMI or vibration modules; `vib` loads neither the
+simulator, the pipeline nor EMI, and `emi buzz` neither the simulator,
+the pipeline nor vibration.
 """
 
 from __future__ import annotations
@@ -29,13 +36,19 @@ from aerosurvey.pipeline import write_survey_artifacts
 from aerosurvey.suspension import FlightPlan, SimConfig, simulate_survey
 
 PACKAGE_ROOT = str(Path(aerosurvey.__file__).resolve().parent.parent)
-# printed last by every probe: the scipy modules the process has loaded
+# printed last by every probe: the scipy modules the process has loaded,
+# then the package's own modules, as their names after "aerosurvey."
 REPORT = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-          " if m.split('.')[0] == 'scipy')))\n")
+          " if m.split('.')[0] == 'scipy')))\n"
+          "print(json.dumps(sorted(m.partition('.')[2] for m in sys.modules"
+          " if m.startswith('aerosurvey.'))))\n")
+# the modules the qc and grid commands do not run
+NOT_QC_OR_GRID = {"suspension", "pipeline", "emi", "vibration"}
 
 
 def _fresh(code: str) -> list[str]:
-    """stdout lines of `code` run in a new interpreter, scipy report last."""
+    """stdout lines of `code` run in a new interpreter: the scipy modules
+    it loaded next to last, and the package's own modules last."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
@@ -45,12 +58,13 @@ def _fresh(code: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-def _cli(argvs: list[list[str]]) -> tuple[list[int], set[str]]:
+def _cli(argvs: list[list[str]]) -> tuple[list[int], set[str], set[str]]:
     """Exit codes of cli.main over `argvs` in one fresh process, and the
-    scipy modules loaded by then."""
+    scipy modules and the package's own modules loaded by then."""
     lines = _fresh("import json\nfrom aerosurvey.cli import main\n"
                    f"print(json.dumps([main(a) for a in {argvs!r}]))")
-    return json.loads(lines[-2]), set(json.loads(lines[-1]))
+    return (json.loads(lines[-3]), set(json.loads(lines[-2])),
+            set(json.loads(lines[-1])))
 
 
 @pytest.fixture(scope="module")
@@ -70,12 +84,27 @@ def survey(tmp_path_factory):
 
 @pytest.mark.parametrize("module", ["aerosurvey", "aerosurvey.cli"])
 def test_importing_the_package_loads_no_scipy(module):
-    assert json.loads(_fresh(f"import {module}")[-1]) == []
+    assert json.loads(_fresh(f"import {module}")[-2]) == []
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    assert json.loads(_fresh("import aerosurvey")[-1]) == []
+
+
+def test_a_submodule_resolves_after_a_bare_import():
+    lines = _fresh("import aerosurvey\nprint(aerosurvey.suspension.__name__,"
+                   " aerosurvey.SimConfig.__name__)")
+    assert lines[-3].split() == ["aerosurvey.suspension", "SimConfig"]
+
+
+def test_importing_the_cli_loads_only_the_qc_and_grid_modules():
+    assert json.loads(_fresh("import aerosurvey.cli")[-1]) \
+        == ["cli", "core", "errors", "gridding", "io_csv", "qc"]
 
 
 def test_qc_and_grid_compare_load_no_scipy(survey):
     s, o = str(survey), str(survey / "out")
-    codes, loaded = _cli([
+    codes, loaded, ours = _cli([
         ["qc", "d4", "--in", f"{s}/mag.csv", "--threshold", "6.72",
          "--out", f"{o}-d4.json"],
         ["qc", "diurnal", "--rover", f"{s}/mag.csv", "--base",
@@ -89,37 +118,73 @@ def test_qc_and_grid_compare_load_no_scipy(survey):
     ])
     assert codes == [0, 0, 0, 0, 0]
     assert loaded == set()
+    assert ours.isdisjoint(NOT_QC_OR_GRID), ours
 
 
 def test_grid_make_loads_no_scipy(survey):
-    codes, loaded = _cli([["grid", "make", "--in", f"{survey}/mag.csv",
-                           "--cell", "10", "--pgm", f"{survey}/make.pgm",
-                           "--out", f"{survey}/make.asc"]])
+    codes, loaded, ours = _cli([["grid", "make", "--in", f"{survey}/mag.csv",
+                                 "--cell", "10", "--pgm", f"{survey}/make.pgm",
+                                 "--out", f"{survey}/make.asc"]])
     assert codes == [0]
     assert loaded == set()
+    assert ours.isdisjoint(NOT_QC_OR_GRID), ours
 
 
-def test_sim_survey_and_emi_buzz_load_no_scipy(tmp_path):
+def _buzz_passes(folder: Path) -> Path:
+    """passes.json of five buzz passes that the default analysis accepts."""
     rng = np.random.default_rng(1)
     t = np.arange(0, 20.0, 1.0 / 50.0)
     passes = []
     for sep in (4.0, 6.0, 8.0, 10.0, 12.0):
         trace = (rng.normal(0.0, 145.8 * sep ** -3.0 / 1.96, t.size)
                  + rng.normal(0.0, 0.2 / 1.96, t.size))
-        pass_csv = tmp_path / f"pass_{sep:g}.csv"
+        pass_csv = folder / f"pass_{sep:g}.csv"
         write_series_csv(pass_csv, TimeSeries(t, trace, ("buzz_nT",)))
         passes.append({"separation_m": sep, "csv_path": pass_csv.name})
-    (tmp_path / "passes.json").write_text(json.dumps(passes))
+    (folder / "passes.json").write_text(json.dumps(passes))
+    return folder / "passes.json"
+
+
+def test_sim_survey_and_emi_buzz_load_no_scipy(tmp_path):
+    passes = _buzz_passes(tmp_path)
     (tmp_path / "plan.json").write_text(json.dumps(
         {"n_lines": 2, "line_length_m": 200.0, "tie_lines": 1}))
-    codes, loaded = _cli([
+    codes, loaded, _ = _cli([
         ["sim", "survey", "--plan", f"{tmp_path}/plan.json",
          "--out-dir", f"{tmp_path}/sim"],
-        ["emi", "buzz", "--passes", f"{tmp_path}/passes.json",
+        ["emi", "buzz", "--passes", str(passes),
          "--out", f"{tmp_path}/buzz.json"],
     ])
     assert codes == [0, 0]
     assert loaded == set()
+
+
+def test_emi_buzz_loads_no_simulator_pipeline_or_vibration(tmp_path):
+    codes, _, ours = _cli([["emi", "buzz", "--passes",
+                            str(_buzz_passes(tmp_path)),
+                            "--out", f"{tmp_path}/buzz.json"]])
+    assert codes == [0]
+    assert ours.isdisjoint({"suspension", "pipeline", "vibration"}), ours
+
+
+def test_vib_rank_and_compare_load_no_simulator_pipeline_or_emi(tmp_path):
+    t = np.arange(0, 4.0, 1.0 / 256.0)
+    for name, amplitude in (("before", 3.0), ("after", 1.0)):
+        az = amplitude * np.sin(2 * np.pi * 33.0 * t)
+        write_series_csv(tmp_path / f"{name}.csv", TimeSeries(
+            t, np.column_stack([0 * t, 0 * t, az]),
+            ("ax_ms2", "ay_ms2", "az_ms2")))
+    (tmp_path / "candidates.json").write_text(json.dumps([
+        {"kind": "wire_rope", "count": 4, "intensity": 1.0,
+         "damping_ratio": 0.3, "stiffness": 800.0}]))
+    codes, _, ours = _cli([
+        ["vib", "rank", "--config", f"{tmp_path}/candidates.json",
+         "--mass", "6", "--freq", "35"],
+        ["vib", "compare", "--before", f"{tmp_path}/before.csv",
+         "--after", f"{tmp_path}/after.csv"],
+    ])
+    assert codes == [0, 0]
+    assert ours.isdisjoint({"suspension", "pipeline", "emi"}), ours
 
 
 def test_run_pipeline_loads_no_scipy(tmp_path):
@@ -128,9 +193,9 @@ def test_run_pipeline_loads_no_scipy(tmp_path):
                    "run_pipeline\n"
                    f"cfg = PipelineConfig(out_dir={str(tmp_path)!r})\n"
                    "print(run_pipeline(cfg).overall_pass)")
-    assert lines[-2] in ("True", "False")
+    assert lines[-3] in ("True", "False")
     assert (tmp_path / "report.json").is_file()
-    assert json.loads(lines[-1]) == []
+    assert json.loads(lines[-2]) == []
 
 
 # each function that imports scipy on its first call, or did before the
@@ -169,7 +234,7 @@ def test_first_use_import_gives_the_same_result(name):
     lines = _fresh(f"import json\n{setup}\nprint(json.dumps({expr}))")
     scope: dict = {}
     exec(setup, scope)
-    assert lines[-2] == json.dumps(eval(expr, scope))
-    assert np.isfinite(np.asarray(json.loads(lines[-2]), dtype=float)).all()
-    loaded = json.loads(lines[-1])
+    assert lines[-3] == json.dumps(eval(expr, scope))
+    assert np.isfinite(np.asarray(json.loads(lines[-3]), dtype=float)).all()
+    loaded = json.loads(lines[-2])
     assert (loaded == []) == (name in NO_SCIPY), loaded
