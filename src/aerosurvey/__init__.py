@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "core": ("LineRole", "SurveyLine", "TimeSeries", "UtmPoint",
-             "resample_uniform"),
+    "core": ("CrossoverRow", "LineRole", "SurveyLine", "TimeSeries",
+             "UtmPoint", "resample_uniform"),
     "emi": ("BuzzPass", "EmiConfig", "NoiseCurve", "PassKind",
             "analyze_passes", "build_noise_curve", "fit_power_law",
             "interference_percent", "noise_amplitude", "threshold_separation"),
@@ -28,7 +28,7 @@ _EXPORTS = {
     "io_csv": ("CSV_SCHEMA_VERSION", "Ingested", "SchemaKind",
                "crossover_fixture_path", "ingest_csv", "read_spectra_csv",
                "read_survey_lines", "write_series_csv", "write_spectra_csv"),
-    "qc": ("CrossoverRecord", "CrossoverRow", "QcReport", "crossover_analysis",
+    "qc": ("CrossoverRecord", "QcReport", "crossover_analysis",
            "crossover_row_stats", "diurnal_correct", "fourth_difference",
            "fourth_difference_values", "nasvd_denoise",
            "nasvd_energy_fraction"),

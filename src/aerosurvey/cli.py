@@ -54,6 +54,7 @@ from .io_csv import (
 )
 from .qc import (
     FIELD_COLUMNS,
+    _correction_stats,
     crossover_analysis,
     diurnal_correct,
     fourth_difference,
@@ -75,10 +76,10 @@ _EXIT_CODES = (
     ((AerosurveyError, OSError, ValueError, KeyError), EXIT_IO),
 )
 
-# column name on the CLI -> field key used by crossover_analysis
-_FIELD_KEYS = {col: key for key, col in FIELD_COLUMNS.items()}
-_FIELD_SCHEMAS = {"k_pct": SchemaKind.RAD, "u_ppm": SchemaKind.RAD,
-                  "tmi_nT": SchemaKind.MAG}
+# --field column -> (its crossover_analysis field key, the schema of its
+# files); argparse allows only these columns
+_FIELDS = {FIELD_COLUMNS[key]: (key, schema) for key, schema in (
+    ("K", SchemaKind.RAD), ("U", SchemaKind.RAD), ("TMI", SchemaKind.MAG))}
 
 
 def _emit(obj) -> None:
@@ -183,10 +184,7 @@ def _cmd_sim_survey(args) -> int:
 
 
 def _cmd_qc_d4(args) -> int:
-    schema = _FIELD_SCHEMAS.get(args.field)
-    if schema is None:
-        raise ValueError(f"unsupported field: {args.field}")
-    data = ingest_csv(args.infile, schema).data
+    data = ingest_csv(args.infile, _FIELDS[args.field][1]).data
     report = fourth_difference(data, threshold=args.threshold,
                                field_name=args.field)
     _write_json(args.out, report.to_dict())
@@ -199,15 +197,14 @@ def _cmd_qc_diurnal(args) -> int:
     base = ingest_csv(args.base, SchemaKind.BASE).data
     corrected = diurnal_correct(rover, base, args.datum)
     write_series_csv(args.out, corrected)
-    delta = rover.column("tmi_nT") - corrected.column("tmi_nT")
+    rms = _correction_stats(rover, corrected)["rms_correction_nt"]
     _emit({"out": str(args.out), "datum_nt": args.datum,
-           "rms_correction_nt": float(np.sqrt(np.mean(delta ** 2)))})
+           "rms_correction_nt": rms})
     return EXIT_OK
 
 
 def _cmd_qc_tie(args) -> int:
-    key = _FIELD_KEYS[args.field]          # argparse allows only these
-    schema = _FIELD_SCHEMAS[args.field]
+    key, schema = _FIELDS[args.field]
     flights = read_survey_lines(args.flights, schema, LineRole.FLIGHT)
     ties = read_survey_lines(args.ties, schema, LineRole.TIE)
     records, report = crossover_analysis(list(flights), list(ties), key,
@@ -232,10 +229,7 @@ def _cmd_qc_nasvd(args) -> int:
 
 
 def _cmd_grid_make(args) -> int:
-    schema = _FIELD_SCHEMAS.get(args.field)
-    if schema is None:
-        raise ValueError(f"unsupported field: {args.field}")
-    data = ingest_csv(args.infile, schema).data
+    data = ingest_csv(args.infile, _FIELDS[args.field][1]).data
     x = data.column("easting_m")
     y = data.column("northing_m")
     v = data.column(args.field)
@@ -360,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     d4 = qc.add_parser("d4", help="4th-difference spike test")
     d4.add_argument("--in", dest="infile", required=True)
-    d4.add_argument("--field", default="tmi_nT")
+    d4.add_argument("--field", default="tmi_nT", choices=sorted(_FIELDS))
     d4.add_argument("--threshold", type=float, default=None)
     d4.add_argument("--out", required=True)
     d4.set_defaults(func=_cmd_qc_d4)
@@ -373,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     tie = qc.add_parser("tie", help="tie-line crossover differences")
     tie.add_argument("--flights", required=True, help="directory of line CSVs")
     tie.add_argument("--ties", required=True, help="directory of tie CSVs")
-    tie.add_argument("--field", default="tmi_nT",
-                     choices=sorted(_FIELD_KEYS))
+    tie.add_argument("--field", default="tmi_nT", choices=sorted(_FIELDS))
     tie.add_argument("--tol", type=float, required=True)
     tie.add_argument("--out", required=True)
     tie.set_defaults(func=_cmd_qc_tie)
@@ -388,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     gm = grid.add_parser("make", help="IDW grid from scattered samples")
     gm.add_argument("--in", dest="infile", required=True)
-    gm.add_argument("--field", default="tmi_nT")
+    gm.add_argument("--field", default="tmi_nT", choices=sorted(_FIELDS))
     gm.add_argument("--cell", type=float, required=True, help="cell size m")
     gm.add_argument("--radius", type=float, default=None,
                     help="search radius m (default 4x cell)")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields as dc_fields
+from decimal import Decimal
 from enum import Enum, EnumMeta
 from pathlib import PurePath
 from typing import get_args, get_origin, get_type_hints
@@ -141,6 +142,30 @@ class SurveyLine:
 
     def field_values(self, name: str) -> np.ndarray:
         return self.series.column(name)
+
+
+@dataclass(frozen=True)
+class CrossoverRow:
+    """A pre-computed crossover deliverable row carrying K and U pairs.
+
+    Survey deliverables report these values to two decimals; they are kept
+    as exact decimals so differences (and their maxima) are exact rather
+    than float-approximate.
+    """
+
+    location: UtmPoint
+    flights_k: Decimal  # percent
+    tie_k: Decimal      # percent
+    flights_u: Decimal  # ppm
+    tie_u: Decimal      # ppm
+
+    @property
+    def diff_k(self) -> Decimal:
+        return self.flights_k - self.tie_k
+
+    @property
+    def diff_u(self) -> Decimal:
+        return self.flights_u - self.tie_u
 
 
 def resample_uniform(series: TimeSeries, rate_hz: float) -> TimeSeries:

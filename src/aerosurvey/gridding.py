@@ -355,11 +355,24 @@ _ASC_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
              "NODATA_value")
 
 
-def _asc_number(text: str, where: str) -> float:
+def _number(text: str, where: str, kind=float):
+    """`text` as a `kind` (float or int); a bad one raises, named `where`."""
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
-        raise ValueError(f"{where} must be a number, got {text!r}") from None
+        noun = "a number" if kind is float else "a whole number"
+        raise ValueError(f"{where} must be {noun}, got {text!r}") from None
+
+
+def _cells(tokens: list[str], ncols: int, where: str, kind=float):
+    """The data cells `tokens`, rows of `ncols` in file order, as an array
+    of `kind`; the first bad one raises, named by `where`, row and column."""
+    try:
+        return np.array([kind(v) for v in tokens])
+    except ValueError:
+        for i, v in enumerate(tokens):     # raises at the first bad cell
+            _number(v, f"{where} row {i // ncols + 1}, column {i % ncols + 1}",
+                    kind)
 
 
 def read_asc(path: str | Path) -> Grid:
@@ -373,7 +386,7 @@ def read_asc(path: str | Path) -> Grid:
     for key in _ASC_KEYS:
         if key.lower() not in found:
             raise ValueError(f"{path}: {key} missing from the header")
-    header = {key: _asc_number(found[key.lower()], f"{path}: {key}")
+    header = {key: _number(found[key.lower()], f"{path}: {key}")
               for key in _ASC_KEYS}
     for key in ("ncols", "nrows"):
         check_range(f"{path}: {key}", header[key], 1)
@@ -381,13 +394,7 @@ def read_asc(path: str | Path) -> Grid:
             raise ValueError(f"{path}: {key} must be a whole number, "
                              f"got {header[key]!r}")
     nx, ny = int(header["ncols"]), int(header["nrows"])
-    body = tokens[12:]
-    try:
-        data = np.array([float(v) for v in body])
-    except ValueError:
-        for i, v in enumerate(body):     # raises at the first bad cell
-            _asc_number(v, f"{path}: data row {i // nx + 1}, "
-                           f"column {i % nx + 1}")
+    data = _cells(tokens[12:], nx, f"{path}: data")
     if data.size != nx * ny:
         raise ValueError(f"{path}: expected {nx * ny} values, got {data.size}")
     values = data.reshape(ny, nx)[::-1]  # back to south-up
@@ -404,14 +411,18 @@ def write_pgm(img: GrayImage, path: str | Path) -> None:
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    """Pixel array of a plain PGM, south-up (inverse of write_pgm)."""
+    """Pixel array of a plain PGM, south-up (inverse of write_pgm); each
+    error names the file and the header field or the pixel at fault."""
     with open(path, encoding="utf-8") as fh:
         tokens = [t for line in fh
                   for t in line.split("#", 1)[0].split()]
     if len(tokens) < 4 or tokens[0] != "P2":
         raise ValueError(f"{path}: not a plain PGM")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    w, h, _ = (_number(v, f"{path}: {key}", int) for key, v in
+               zip(("width", "height", "maxval"), tokens[1:4]))
+    for key, n in (("width", w), ("height", h)):
+        check_range(f"{path}: {key}", n, 1)
     data = tokens[4:4 + w * h]
     if len(data) != w * h:
         raise ValueError(f"{path}: truncated pixel data")
-    return np.array([int(v) for v in data]).reshape(h, w)[::-1]
+    return _cells(data, w, f"{path}: pixel", int).reshape(h, w)[::-1]

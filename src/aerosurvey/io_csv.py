@@ -53,9 +53,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LineRole, SurveyLine, TimeSeries, UtmPoint
+from .core import CrossoverRow, LineRole, SurveyLine, TimeSeries, UtmPoint
 from .errors import EmptyFileError, MissingColumnError, NonMonotoneTimeError
-from .qc import CrossoverRow
 
 CSV_SCHEMA_VERSION = "1"
 
@@ -348,8 +347,13 @@ def _value_columns(schema: SchemaKind, header: list[str]) -> list[str]:
     if schema is SchemaKind.RAD:
         if "th_ppm" in header:
             cols.append("th_ppm")
-        cols.extend(c for c in header if c.startswith("ch") and c[2:].isdigit())
+        cols.extend(_channel_columns(header))
     return cols
+
+
+def _channel_columns(header: list[str]) -> list[str]:
+    """The gamma channel columns of `header` (ch0..chN), in its order."""
+    return [c for c in header if c.startswith("ch") and c[2:].isdigit()]
 
 
 def _warn_rejected(path, rejected: tuple[tuple[int, str], ...]) -> None:
@@ -604,7 +608,7 @@ def read_survey_lines(directory: str | Path, schema: SchemaKind | str,
 def read_spectra_csv(path: str | Path) -> np.ndarray:
     """Plain spectra matrix: header ch0..chN, one sample per row."""
     def columns(header: list[str]) -> list[int]:
-        cols = [c for c in header if c.startswith("ch") and c[2:].isdigit()]
+        cols = _channel_columns(header)
         if not cols:
             raise MissingColumnError(f"{path}: no ch0..chN columns")
         return [header.index(c) for c in cols]

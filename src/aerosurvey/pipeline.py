@@ -36,6 +36,7 @@ from .io_csv import (
 )
 from .qc import (
     FIELD_COLUMNS,
+    _correction_stats,
     crossover_analysis,
     diurnal_correct,
     fourth_difference,
@@ -194,11 +195,6 @@ def write_survey_artifacts(result: SimResult, out_dir: str | Path) -> dict:
     return paths
 
 
-def _spectra_from_rad(rad: TimeSeries) -> np.ndarray:
-    """The gamma channel columns of `rad` (ch0 on), a view of its values."""
-    return rad.values[:, rad.fields.index("ch0"):]
-
-
 def _d4_auto_threshold(sim: SimConfig, geometry: SuspensionGeometry) -> float:
     """Spike threshold from the simulator's bounded high-frequency noise.
 
@@ -287,11 +283,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         stage = "qc_diurnal"
         corrected = diurnal_correct(mag, base, sim_cfg.base_datum_nt)
         write_series_csv(out / "corrected.csv", corrected)
-        correction = mag.column("tmi_nT") - corrected.column("tmi_nT")
         stages.append(StageResult(stage, True, {
             "datum_nt": sim_cfg.base_datum_nt,
-            "rms_correction_nt": float(np.sqrt(np.mean(correction ** 2))),
-            "max_abs_correction_nt": float(np.max(np.abs(correction))),
+            **_correction_stats(mag, corrected),
         }, ("corrected.csv",)))
 
         stage = "qc_tie"
@@ -305,7 +299,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
                                   ("crossings.json",)))
 
         stage = "qc_nasvd"
-        counts = _spectra_from_rad(rad)
+        counts = rad.values[:, rad.fields.index("ch0"):]   # a view
         write_spectra_csv(out / "denoised.csv",
                           nasvd_denoise(counts, cfg.nasvd_k))
         energy = nasvd_energy_fraction(counts, cfg.nasvd_k)

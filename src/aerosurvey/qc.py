@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 import numpy as np
 
-from .core import SurveyLine, TimeSeries, UtmPoint, check_range
+from .core import CrossoverRow, SurveyLine, TimeSeries, UtmPoint, check_range
 from .errors import (
     BaseDoesNotCoverError,
     InvalidRankError,
@@ -56,30 +55,6 @@ class CrossoverRecord:
     @property
     def difference(self) -> float:
         return self.flight_value - self.tie_value
-
-
-@dataclass(frozen=True)
-class CrossoverRow:
-    """A pre-computed crossover deliverable row carrying K and U pairs.
-
-    Survey deliverables report these values to two decimals; they are kept
-    as exact decimals so differences (and their maxima) are exact rather
-    than float-approximate.
-    """
-
-    location: UtmPoint
-    flights_k: Decimal  # percent
-    tie_k: Decimal      # percent
-    flights_u: Decimal  # ppm
-    tie_u: Decimal      # ppm
-
-    @property
-    def diff_k(self) -> Decimal:
-        return self.flights_k - self.tie_k
-
-    @property
-    def diff_u(self) -> Decimal:
-        return self.flights_u - self.tie_u
 
 
 def crossover_row_stats(rows: tuple[CrossoverRow, ...]) -> dict:
@@ -152,6 +127,13 @@ def diurnal_correct(rover: TimeSeries, base: TimeSeries,
     if rover.values.ndim == 1:
         return TimeSeries(rover.t, rover.values - drift, rover.fields)
     return rover.with_column("tmi_nT", rover.column("tmi_nT") - drift)
+
+
+def _correction_stats(rover: TimeSeries, corrected: TimeSeries) -> dict:
+    """RMS and largest size of the correction diurnal_correct applied, nT."""
+    correction = rover.column("tmi_nT") - corrected.column("tmi_nT")
+    return {"rms_correction_nt": float(np.sqrt(np.mean(correction ** 2))),
+            "max_abs_correction_nt": float(np.max(np.abs(correction)))}
 
 
 def _segment_intersections(pa: np.ndarray, pb: np.ndarray,

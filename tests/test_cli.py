@@ -975,6 +975,22 @@ def test_missing_required_argument_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+# argparse checks --field against the CLI's one field table
+@pytest.mark.parametrize("argv", (
+    ["qc", "d4", "--in", "{d}/mag.csv", "--out", "{d}/d4.json"],
+    ["qc", "tie", "--flights", "{d}", "--ties", "{d}", "--tol", "1",
+     "--out", "{d}/tie.json"],
+    ["grid", "make", "--in", "{d}/mag.csv", "--cell", "10",
+     "--out", "{d}/g.asc"],
+), ids=("qc d4", "qc tie", "grid make"))
+def test_unknown_field_is_usage_error(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *(a.format(d=tmp_path) for a in argv),
+                           "--field", "th_ppm")
+    assert code == EXIT_USAGE
+    assert "argument --field: invalid choice: 'th_ppm'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_input_file_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "vib", "compare",
                            "--before", tmp_path / "nope.csv",

@@ -242,6 +242,25 @@ def test_pgm_reader_rejects_an_empty_or_cut_short_header(tmp_path, text):
         read_pgm(p)
 
 
+# these once raised a bare "invalid literal for int()" naming no file
+@pytest.mark.parametrize("text, fault", (
+    ("P2\nx 2\n255\n0 1\n2 3\n", "width must be a whole number, got 'x'"),
+    ("P2\n2 2.5\n255\n0 1\n2 3\n",
+     "height must be a whole number, got '2.5'"),
+    ("P2\n2 2\nmax\n0 1\n2 3\n", "maxval must be a whole number, got 'max'"),
+    ("P2\n2 2\n255\n0 1\n2 x\n",
+     "pixel row 2, column 2 must be a whole number, got 'x'"),
+    ("P2\n-1 -1\n255\n7\n", "width must be finite and >= 1, got -1"),
+    ("P2\n3 0\n255\n", "height must be finite and >= 1, got 0"),
+), ids=("width", "height", "maxval", "pixel", "negative", "empty"))
+def test_pgm_reader_names_the_file_and_the_bad_token(tmp_path, text, fault):
+    p = tmp_path / "bad.pgm"
+    p.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_pgm(p)
+    assert str(exc.value) == f"{p}: {fault}"
+
+
 # --- container validation ---
 
 def test_grid_validation():

@@ -6,7 +6,9 @@ checked in test_scipy_imports.)"""
 
 from __future__ import annotations
 
+import ast
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +38,17 @@ def test_an_unknown_attribute_names_itself():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         aerosurvey.no_such_name
     assert not hasattr(aerosurvey, "no_such_name")
+
+
+def test_crossover_row_is_cores_and_still_resolves_from_qc():
+    from aerosurvey import core, qc
+    assert aerosurvey.CrossoverRow is core.CrossoverRow is qc.CrossoverRow
+
+
+def test_the_io_layer_imports_no_analysis_module():
+    # io_csv reads and writes the types of core; qc, gridding and the
+    # simulator build on it, not the other way round
+    source = Path(aerosurvey.io_csv.__file__).read_text(encoding="utf-8")
+    imported = {node.module for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert imported == {"core", "errors", "numtext"}

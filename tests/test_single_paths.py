@@ -7,8 +7,11 @@ JSON artifact through io_csv._json_text, and every scalar range message
 through core.check_range. These tests fail when a module grows its own
 csv reader, its own json.load(s), its own indented json.dumps or its own
 range check, so the paths cannot quietly split again. Arrays are frozen
-only by core._readonly (and numtext's shared tables), and the payload EMI
-level is worked out only by SimConfig.emi_amplitude. The last tests keep
+only by core._readonly (and numtext's shared tables), the payload EMI
+level is worked out only by SimConfig.emi_amplitude, the size of the
+diurnal correction only by qc._correction_stats (for the pipeline and the
+qc diurnal command alike), and which columns are gamma channels only by
+io_csv._channel_columns. The last tests keep
 scipy out of module scope (the functions that need it import it on their
 first call, so importing the package costs no more than numpy) and keep
 its k-d tree out of the package: grid_idw has its own binned query.
@@ -139,6 +142,36 @@ def test_emi_level_is_read_only_by_emi_amplitude():
     assert _where(lambda n: isinstance(n, ast.Attribute)
                   and n.attr == "emi_a1") \
         == {("suspension.py", "emi_amplitude")}
+
+
+def _tmi_column(node) -> bool:
+    """A call <series>.column("tmi_nT")."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "column" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == "tmi_nT")
+
+
+def test_diurnal_correction_size_only_in_correction_stats():
+    # the correction is one TMI column minus the other; its RMS and max
+    # are the pipeline's qc_diurnal stats and the qc diurnal command's output
+    assert _where(lambda n: isinstance(n, ast.BinOp)
+                  and isinstance(n.op, ast.Sub)
+                  and _tmi_column(n.left) and _tmi_column(n.right)) \
+        == {("qc.py", "_correction_stats")}
+
+
+def test_gamma_channel_columns_only_in_channel_columns():
+    # a ch<digits> header cell: c.startswith("ch") and c[2:].isdigit()
+    def predicate(node) -> bool:
+        return isinstance(node, ast.Call) \
+            and isinstance(node.func, ast.Attribute) and (
+                node.func.attr == "isdigit" or (
+                    node.func.attr == "startswith" and any(
+                        isinstance(a, ast.Constant) and a.value == "ch"
+                        for a in node.args)))
+
+    assert _where(predicate) == {("io_csv.py", "_channel_columns")}
 
 
 def test_scipy_is_imported_only_inside_functions():

@@ -21,7 +21,7 @@ from aerosurvey import io_csv
 from aerosurvey.core import TimeSeries
 from aerosurvey.gridding import NODATA, GrayImage, Grid, write_asc, write_pgm
 from aerosurvey.io_csv import write_series_csv, write_spectra_csv, write_table
-from aerosurvey.pipeline import _spectra_from_rad, write_survey_artifacts
+from aerosurvey.pipeline import write_survey_artifacts
 from aerosurvey.suspension import (
     ATTITUDE_COLUMNS,
     AttitudeTrack,
@@ -392,7 +392,7 @@ def test_survey_parts_are_cells_and_rows_of_their_tables(
         assert (out / sub / f"{lid}.csv").read_bytes().split(b"\r\n") == [
             mag[0], *(mag[1 + r] for r in rows.tolist()), b""]
     # and both are what the writers give the cut-out tables
-    write_spectra_csv(tmp_path / "s.csv", _spectra_from_rad(sim.rad_full))
+    write_spectra_csv(tmp_path / "s.csv", sim.rad_full.values[:, ch0 - 1:])
     assert (tmp_path / "s.csv").read_bytes() == \
         (out / "spectra.csv").read_bytes()
     for line in split_lines(sim.mag_full, sim.segment_at_sensor, sim.plan):
