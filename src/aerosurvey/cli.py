@@ -163,19 +163,19 @@ def _cmd_emi_buzz(args) -> int:
 def _cmd_sim_survey(args) -> int:
     from .pipeline import (_load_config, apply_seed_override,
                            write_survey_artifacts)
-    from .suspension import (FlightPlan, SimConfig, SuspensionGeometry,
-                             simulate_survey)
-    # no --plan: simulate_survey's default_plan, spaced and flown as cfg says
+    from .suspension import FlightPlan, SimConfig, SuspensionGeometry, _Flight
+    # no --plan: the flight's default_plan, spaced and flown as cfg says
     plan = _load_config(FlightPlan, args.plan)
     geometry = _load_config(SuspensionGeometry, args.geom)
     cfg = apply_seed_override(_load_config(SimConfig, args.cfg, SimConfig()))
-    result = simulate_survey(plan, geometry, cfg)
-    paths = write_survey_artifacts(result, args.out_dir)
+    flight = _Flight(plan, geometry, cfg)
+    paths = write_survey_artifacts(flight, args.out_dir)
     _emit({"out_dir": str(args.out_dir),
            "artifacts": sorted(paths),
            "seed": cfg.seed,
-           "n_sensor_samples": len(result.mag_full),
-           "effective_damping_ratio": result.effective_damping_ratio})
+           "n_sensor_samples": len(flight.mag_full),
+           "effective_damping_ratio":
+               cfg.effective_damping(flight.geometry)})
     return EXIT_OK
 
 

@@ -41,8 +41,14 @@ class UtmPoint:
             raise ValueError("UtmPoint coordinates must be finite")
 
 
-def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
-    a = np.array(a, dtype=dtype)  # copy: never freeze the caller's buffer
+def _readonly(a: np.ndarray, dtype=float, adopt: bool = False) -> np.ndarray:
+    """`a` as a read-only `dtype` array: a copy, never the caller's buffer
+    frozen, unless `adopt` takes over an array of that dtype whose creator
+    drops it, frozen in place."""
+    if not adopt:
+        a = np.array(a, dtype=dtype)
+    elif not (isinstance(a, np.ndarray) and a.dtype == dtype):
+        raise TypeError(f"only a {np.dtype(dtype)} array can be adopted")
     a.flags.writeable = False
     return a
 
@@ -62,8 +68,22 @@ class TimeSeries:
     fields: tuple[str, ...] = ()
 
     def __post_init__(self):
-        t = _readonly(self.t)
-        v = _readonly(self.values)
+        self._hold(_readonly(self.t), _readonly(self.values))
+
+    @classmethod
+    def _adopt(cls, t: np.ndarray, values: np.ndarray,
+               fields: tuple[str, ...] = ()) -> "TimeSeries":
+        """The series of `t` and `values` without a copy, for float arrays
+        whose creator drops them: they become read-only in place. The
+        public constructor copies, so it never freezes a caller's buffer;
+        both run the same checks."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "fields", fields)
+        series._hold(_readonly(t, adopt=True), _readonly(values, adopt=True))
+        return series
+
+    def _hold(self, t: np.ndarray, v: np.ndarray) -> None:
+        """Store the read-only `t` and `v` and check them."""
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "values", v)
         if t.ndim != 1:

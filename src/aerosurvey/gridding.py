@@ -371,8 +371,12 @@ def _cells(tokens: list[str], ncols: int, where: str, kind=float):
         return np.array([kind(v) for v in tokens])
     except ValueError:
         for i, v in enumerate(tokens):     # raises at the first bad cell
-            _number(v, f"{where} row {i // ncols + 1}, column {i % ncols + 1}",
-                    kind)
+            _number(v, _cell_at(where, i, ncols), kind)
+
+
+def _cell_at(where: str, i: int, ncols: int) -> str:
+    """`where` with the row and column of cell i of rows of `ncols`."""
+    return f"{where} row {i // ncols + 1}, column {i % ncols + 1}"
 
 
 def read_asc(path: str | Path) -> Grid:
@@ -412,17 +416,24 @@ def write_pgm(img: GrayImage, path: str | Path) -> None:
 
 def read_pgm(path: str | Path) -> np.ndarray:
     """Pixel array of a plain PGM, south-up (inverse of write_pgm); each
-    error names the file and the header field or the pixel at fault."""
+    error names the file and the header field or the pixel at fault.
+    maxval must lie in [1, 65535] and every pixel in [0, maxval]."""
     with open(path, encoding="utf-8") as fh:
         tokens = [t for line in fh
                   for t in line.split("#", 1)[0].split()]
     if len(tokens) < 4 or tokens[0] != "P2":
         raise ValueError(f"{path}: not a plain PGM")
-    w, h, _ = (_number(v, f"{path}: {key}", int) for key, v in
-               zip(("width", "height", "maxval"), tokens[1:4]))
-    for key, n in (("width", w), ("height", h)):
-        check_range(f"{path}: {key}", n, 1)
+    w, h, maxval = (_number(v, f"{path}: {key}", int) for key, v in
+                    zip(("width", "height", "maxval"), tokens[1:4]))
+    for key, n, hi in (("width", w, math.inf), ("height", h, math.inf),
+                       ("maxval", maxval, 65535)):
+        check_range(f"{path}: {key}", n, 1, hi)
     data = tokens[4:4 + w * h]
     if len(data) != w * h:
         raise ValueError(f"{path}: truncated pixel data")
-    return _cells(data, w, f"{path}: pixel", int).reshape(h, w)[::-1]
+    pixels = _cells(data, w, f"{path}: pixel", int)
+    # the first pixel outside [0, maxval] raises
+    for i in np.flatnonzero((pixels < 0) | (pixels > maxval))[:1].tolist():
+        check_range(_cell_at(f"{path}: pixel", i, w), int(pixels[i]), 0,
+                    maxval)
+    return pixels.reshape(h, w)[::-1]

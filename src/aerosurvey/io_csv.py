@@ -397,6 +397,10 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
                 lineterminator: str = "\r\n", parts=()) -> None:
     """Write `head` rows, then one row per index across `columns`.
 
+    `path` is a file name, or a binary file open for writing: the rows go
+    after what it holds, so a table can be written a block of rows at a
+    time, its head with the first.
+
     Columns are 1-D arrays or sequences of equal length. The bytes are
     those a csv.writer with this dialect writes for the same rows, where a
     numpy float is written as the repr() of its float64 value; the head
@@ -475,7 +479,8 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
     with ExitStack() as files:
         outs = []
         for out, first, part_rows in ((path, 0, None), *parts):
-            fh = files.enter_context(open(out, "wb"))
+            fh = out if hasattr(out, "write") else \
+                files.enter_context(open(out, "wb"))
             head_text = io.StringIO()
             csv.writer(head_text, delimiter=delimiter,
                        lineterminator=lineterminator

@@ -48,11 +48,11 @@ from .suspension import (
     SimConfig,
     SimResult,
     SuspensionGeometry,
+    _Flight,
     _on_line,
+    _write_attitude,
     line_rows,
-    simulate_survey,
     split_lines,
-    write_attitude_csv,
 )
 
 REPORT_SCHEMA_VERSION = "1"
@@ -162,19 +162,23 @@ def config_hash(plan: FlightPlan, geometry: SuspensionGeometry,
 # artifact writers
 
 
-def write_survey_artifacts(result: SimResult, out_dir: str | Path) -> dict:
+def write_survey_artifacts(result: SimResult | _Flight,
+                           out_dir: str | Path) -> dict:
     """Write the simulator outputs; returns {artifact name: path}.
 
-    spectra.csv is the gamma channel columns of rad.csv, and each flights/
-    or ties/ file the rows of mag.csv on one line, so their text is cut
-    from those tables as they are written, not made again.
+    `result` is a SimResult, whose attitude track is written as one
+    block, or a _Flight still to fly: each block it flies is appended to
+    attitude.csv as it comes, so the track never exists whole, and its
+    sensor streams are written once they are done. spectra.csv is the
+    gamma channel columns of rad.csv, and each flights/ or ties/ file the
+    rows of mag.csv on one line, so their text is cut from those tables
+    as they are written, not made again.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    write_attitude_csv(result.attitude, out / "attitude.csv")
-    paths["attitude.csv"] = out / "attitude.csv"
+    paths = {"attitude.csv": out / "attitude.csv"}
+    _write_attitude(paths["attitude.csv"], result.blocks()
+                    if isinstance(result, _Flight) else (result.attitude,))
     lines = []
     for lid, role, rows in line_rows(result.segment_at_sensor, result.plan):
         name = f"{'flights' if role is LineRole.FLIGHT else 'ties'}/{lid}.csv"
@@ -215,15 +219,13 @@ def _simulate_stage(plan: FlightPlan, geometry: SuspensionGeometry,
 
     Returns the stage's StageResult and the four things later stages read:
     the magnetometer and base traces, the radiometric record and the
-    sensor samples' segment labels. The SimResult, with its attitude track
-    and VLF stream, dies when this returns.
+    sensor samples' segment labels. The survey is written as it is flown,
+    so its attitude track never exists whole; the VLF stream dies when
+    this returns.
     """
-    sim = simulate_survey(plan, geometry, sim_cfg)
+    sim = _Flight(plan, geometry, sim_cfg)
     paths = write_survey_artifacts(sim, out)
-    att = sim.attitude
-    straight = att.straight_mask()
-    max_roll = float(np.max(np.abs(att.roll_deg[straight])))
-    max_pitch = float(np.max(np.abs(att.pitch_deg[straight])))
+    max_roll, max_pitch = map(float, np.max(sim.straight_peaks, axis=0))
     # robust out-of-phase amplitude on the (first) longest line
     lines = line_rows(sim.segment_at_sensor, plan)
     if not lines:
@@ -236,11 +238,11 @@ def _simulate_stage(plan: FlightPlan, geometry: SuspensionGeometry,
     passed = (max_roll <= 5.0 and max_pitch <= 5.0
               and out_amp <= sim_cfg.outphase_noise_pct)
     result = StageResult("simulate", passed, {
-        "n_sim_samples": len(att),
+        "n_sim_samples": sim.n_steps,
         "n_sensor_samples": len(sim.mag_full),
         "n_flight_lines": sum(role is LineRole.FLIGHT for _, role, _ in lines),
         "n_tie_lines": sum(role is LineRole.TIE for _, role, _ in lines),
-        "effective_damping_ratio": sim.effective_damping_ratio,
+        "effective_damping_ratio": sim_cfg.effective_damping(geometry),
         "max_straight_roll_deg": max_roll,
         "max_straight_pitch_deg": max_pitch,
         "straight_outphase_amplitude_pct": out_amp,

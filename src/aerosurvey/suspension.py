@@ -13,6 +13,7 @@ deterministic under a fixed seed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -28,9 +29,16 @@ from .errors import (
 from .io_csv import _check_header, _read_floats, write_table
 
 G = 9.80665  # m/s^2
-# the most steps _fly simulates: simulate_survey's traced peak is about 150
-# bytes a step, 630 MB here, where survey_large's 17.2 line-km is 267k steps
+# the most steps a flight simulates: simulate_survey's traced peak is about
+# 125 bytes a step, 520 MB here, and flying into the artifacts (which never
+# holds the attitude track whole) about 65, where survey_large's 17.2
+# line-km is 267k steps
 _MAX_SIM_STEPS = 1 << 22
+# the most steps _Flight flies at once, and the most sensor rows whose
+# gamma counts it draws at once, so its working set does not grow with
+# the survey
+_CHUNK_STEPS = 1 << 14
+_COUNT_ROWS = 1 << 11
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +352,14 @@ def _integrate_pendulum(acc: np.ndarray, acc_half: np.ndarray, dt: float,
     `acc` holds the forcing at step times, `acc_half` at midpoints, with
     time along axis 0; further axes (such as the two horizontal axes) are
     integrated one after another. Returns theta in rad, shaped like `acc`.
+    This is one block of _Swing, which runs the same steps block by block.
+    """
+    swing = _Swing(dt, omega, zeta, length, theta0, rate0)
+    return swing.feed(acc, acc_half).reshape(acc.shape)
+
+
+class _Swing:
+    """The RK4 pendulum recurrence, run one block of steps at a time.
 
     For this linear ODE one fixed RK4 step is exactly the linear map
     x[n+1] = M x[n] + b0 a[n] + bh a_half[n] + b1 a[n+1] on the state
@@ -363,52 +379,88 @@ def _integrate_pendulum(acc: np.ndarray, acc_half: np.ndarray, dt: float,
     the loop takes about 0.1 s at survey_large size (267k steps x 2
     axes), against 0.005 s in lfilter's C loop plus 1.3 s and 69 MB to
     import scipy.signal.
+
+    feed() takes the forcing of the next steps and returns their theta.
+    Across a block edge each axis carries what the next step reads of the
+    last one: its forcing a[n], its shifted input row w[1] and the
+    filter's two-value state. So the blocks give, bit for bit, the theta
+    of one run over all steps.
     """
-    c1, c2 = 2.0 * zeta * omega, omega * omega
-    # rows of the identity: unit theta, theta_dot, a[n], a_half[n], a[n+1]
-    t0, w0, a0, ah, a1 = np.eye(5)
-    k1t, k1w = w0, -c1 * w0 - c2 * t0 - a0 / length
-    k2t = w0 + 0.5 * dt * k1w
-    k2w = -c1 * k2t - c2 * (t0 + 0.5 * dt * k1t) - ah / length
-    k3t = w0 + 0.5 * dt * k2w
-    k3w = -c1 * k3t - c2 * (t0 + 0.5 * dt * k2t) - ah / length
-    k4t = w0 + dt * k3w
-    k4w = -c1 * k4t - c2 * (t0 + dt * k3t) - a1 / length
-    step = np.stack([t0 + dt / 6.0 * (k1t + 2 * k2t + 2 * k3t + k4t),
-                     w0 + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)])
-    m, b0, bh, b1 = step[:, :2], step[:, 2], step[:, 3], step[:, 4]
 
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    a1, a2 = float(-tr), float(det)
-    n = len(acc)
-    forcing = acc.reshape(n, -1)
-    forcing_half = acc_half.reshape(n - 1, forcing.shape[1])
-    theta = np.empty(forcing.shape)
-    # one axis at a time, in one buffer: w[:, n] is what enters
-    # (theta, theta_dot) at step n
-    w = np.empty((2, n))
-    for j in range(forcing.shape[1]):
-        f, fh = forcing[:, j], forcing_half[:, j]
-        # b0 a[n] + bh a_half[n] + b1 a[n+1], summed in place in that order
-        w[0, 0], w[1, 0] = theta0, rate0
-        for i in range(2):
-            np.multiply(b0[i], f[:-1], out=w[i, 1:])
-            w[i, 1:] += bh[i] * fh
-            w[i, 1:] += b1[i] * f[1:]
-        # the filter input w[0] + (M - tr M I) w shifted by one step, whose
-        # first row is (-M[1, 1], M[0, 1]), built in w's own rows
-        w[1] *= m[0, 1]
-        w[1] -= m[1, 1] * w[0]
-        w[0, 1:] += w[1, :-1]
-        # a memoryview hands out one Python float at a time, cheaper than
-        # a list of them all
-        theta[:, j] = _iir2(memoryview(w[0]), a1, a2)
-    return theta.reshape(acc.shape)
+    def __init__(self, dt: float, omega: float, zeta: float, length: float,
+                 theta0: float = 0.0, rate0: float = 0.0):
+        c1, c2 = 2.0 * zeta * omega, omega * omega
+        # rows of the identity: unit theta, theta_dot, a[n], a_half[n], a[n+1]
+        t0, w0, a0, ah, a1 = np.eye(5)
+        k1t, k1w = w0, -c1 * w0 - c2 * t0 - a0 / length
+        k2t = w0 + 0.5 * dt * k1w
+        k2w = -c1 * k2t - c2 * (t0 + 0.5 * dt * k1t) - ah / length
+        k3t = w0 + 0.5 * dt * k2w
+        k3w = -c1 * k3t - c2 * (t0 + 0.5 * dt * k2t) - ah / length
+        k4t = w0 + dt * k3w
+        k4w = -c1 * k4t - c2 * (t0 + dt * k3t) - a1 / length
+        step = np.stack([t0 + dt / 6.0 * (k1t + 2 * k2t + 2 * k3t + k4t),
+                         w0 + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)])
+        self._m, self._b0, self._bh, self._b1 = (
+            step[:, :2], step[:, 2], step[:, 3], step[:, 4])
+        m = self._m
+        tr = m[0, 0] + m[1, 1]
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        self._a1, self._a2 = float(-tr), float(det)
+        self._start = (theta0, rate0)
+        # per axis (a[n], w[1, n], filter state) at the last step fed
+        self._carry: list | None = None
+
+    def feed(self, acc: np.ndarray, acc_half: np.ndarray) -> np.ndarray:
+        """theta, (steps, axes), of the next len(acc) steps.
+
+        `acc` is the forcing at those steps, time along axis 0. The first
+        feed starts at step 0, the initial state, so its `acc_half` holds
+        one midpoint fewer; a later feed's holds the midpoint before each
+        of its steps.
+        """
+        m, b0, bh, b1 = self._m, self._b0, self._bh, self._b1
+        n = len(acc)
+        forcing = acc.reshape(n, -1)
+        forcing_half = acc_half.reshape(len(acc_half), forcing.shape[1])
+        first = self._carry is None
+        if first:
+            self._carry = [(None, None, (0.0, 0.0))] * forcing.shape[1]
+        # w[:, 0] is the last step fed before these, or step 0 on the first
+        # feed; w[:, s] is what enters (theta, theta_dot) at step s
+        lo = 0 if first else 1
+        theta = np.empty(forcing.shape)
+        w = np.empty((2, n + lo))
+        for j in range(forcing.shape[1]):
+            f, fh = forcing[:, j], forcing_half[:, j]
+            last, w1, state = self._carry[j]
+            if first:
+                w[0, 0], w[1, 0] = self._start
+            else:
+                f = np.concatenate(([last], f))
+                w[1, 0] = w1
+            # b0 a[n] + bh a_half[n] + b1 a[n+1], summed in place in that order
+            for i in range(2):
+                np.multiply(b0[i], f[:-1], out=w[i, 1:])
+                w[i, 1:] += bh[i] * fh
+                w[i, 1:] += b1[i] * f[1:]
+            # the filter input w[0] + (M - tr M I) w shifted by one step,
+            # whose first row is (-M[1, 1], M[0, 1]), built in w's own rows
+            w[1, lo:] *= m[0, 1]
+            w[1, lo:] -= m[1, 1] * w[0, lo:]
+            w[0, 1:] += w[1, :-1]
+            # a memoryview hands out one Python float at a time, cheaper
+            # than a list of them all
+            theta[:, j], state = _iir2(memoryview(w[0, lo:]), self._a1,
+                                       self._a2, state)
+            self._carry[j] = (f[-1], w[1, -1], state)
+        return theta
 
 
-def _iir2(u: memoryview, a1: float, a2: float) -> np.ndarray:
-    """y[n] = u[n] - a1 y[n-1] - a2 y[n-2] from rest, as lfilter runs it.
+def _iir2(u: memoryview, a1: float, a2: float, zi) -> tuple[np.ndarray, tuple]:
+    """y[n] = u[n] - a1 y[n-1] - a2 y[n-2] from the state `zi`, as
+    lfilter([1], [1, a1, a2], u, zi=zi) runs it; returns y and the final
+    state, lfilter's zf. (0.0, 0.0) is rest.
 
     lfilter's direct form II transposed step for b = [1, 0, 0] and
     a = [1, a1, a2] is y = z0 + b0 x; z0 = z1 + b1 x - a1 y;
@@ -423,13 +475,13 @@ def _iir2(u: memoryview, a1: float, a2: float) -> np.ndarray:
     # stored through a memoryview, one float at a time: a list of them all
     # would hold a Python float object per step
     put = memoryview(out)
-    z = w = 0.0
+    z, w = zi
     for i, x in enumerate(u):
         y = z + x
         put[i] = y
         z = w - y * a1
         w = 0.0 - y * a2
-    return out
+    return out, (z, w)
 
 
 def pendulum_ring_down(theta0_deg: float, damping_ratio: float,
@@ -598,11 +650,26 @@ ATTITUDE_COLUMNS = ("t_s", "roll_deg", "pitch_deg", "heading_deg",
                     "swing_deg", "easting_m", "northing_m", "segment")
 
 
-def write_attitude_csv(track: AttitudeTrack, path) -> None:
+def _attitude_columns(track: AttitudeTrack) -> list:
+    """The columns of ATTITUDE_COLUMNS, seven float arrays and the labels."""
     numeric = (track.t, track.roll_deg, track.pitch_deg, track.heading_deg,
                track.swing_deg, track.easting_m, track.northing_m)
-    write_table(path, [ATTITUDE_COLUMNS],
-                [np.asarray(c, dtype=float) for c in numeric] + [track.segment])
+    return [np.asarray(c, dtype=float) for c in numeric] + [track.segment]
+
+
+def write_attitude_csv(track: AttitudeTrack, path) -> None:
+    _write_attitude(path, (track,))
+
+
+def _write_attitude(path, blocks) -> None:
+    """The attitude table at `path`, each AttitudeTrack of `blocks`
+    appended as it comes, so a track flown a chunk at a time is never
+    held whole."""
+    with open(path, "wb") as fh:
+        head = [ATTITUDE_COLUMNS]
+        for block in blocks:
+            write_table(fh, head, _attitude_columns(block))
+            head = []
 
 
 def read_attitude_csv(path) -> AttitudeTrack:
@@ -701,19 +768,17 @@ def _segment_spans(segs, s: np.ndarray):
 
 
 def _sample_path(segs, s: np.ndarray, v: float):
-    """Evaluate position/course/accel/label/block at path offsets `s`."""
+    """Evaluate position/course/accel/label at path offsets `s`."""
     n = len(s)
     pos = np.empty((n, 2))
     course = np.empty(n)
     acc = np.empty((n, 2))
     labels = np.empty(n, dtype=object)
-    blocks = np.empty(n, dtype=int)
     for i, lo, hi, offsets in _segment_spans(segs, s):
-        sg, lab, blk = segs[i]
+        sg, lab, _ = segs[i]
         pos[lo:hi], course[lo:hi], acc[lo:hi] = sg.sample(offsets, v)
         labels[lo:hi] = lab
-        blocks[lo:hi] = blk
-    return pos, course, acc, labels, blocks
+    return pos, course, acc, labels
 
 
 def _path_acceleration(segs, s: np.ndarray, v: float) -> np.ndarray:
@@ -724,11 +789,10 @@ def _path_acceleration(segs, s: np.ndarray, v: float) -> np.ndarray:
     return acc
 
 
-def _wobble(rng: np.random.Generator, t: np.ndarray, amp: float) -> np.ndarray:
+def _wobble(phases: np.ndarray, t: np.ndarray, amp: float) -> np.ndarray:
     """Bounded multi-tone attitude jitter, |w| <= amp by construction."""
     freqs = (0.073, 0.19, 0.412)
     weights = (0.5, 0.3, 0.2)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
     out = np.zeros_like(t)
     for f, w, ph in zip(freqs, weights, phases):
         out += amp * w * np.sin(2.0 * math.pi * f * t + ph)
@@ -751,96 +815,298 @@ def _refuse_steps(steps: float, fields: str) -> None:
                          f"than _MAX_SIM_STEPS ({_MAX_SIM_STEPS})")
 
 
-def _fly(plan: FlightPlan, geometry: SuspensionGeometry, cfg: SimConfig
-         ) -> tuple[AttitudeTrack, np.ndarray, np.ndarray]:
-    """Payload attitude at sim_rate_hz, with each step's block and VLF
-    sensor altitude."""
-    length = geometry.cable_length
-    omega = math.sqrt(G / length)
-    dt = 1.0 / cfg.sim_rate_hz
-    origin = tuple(plan.origin_utm)
+def _block_starts(segs, n: int, v: float, dt: float) -> list[int]:
+    """The first step of each block of `segs`, as _sample_path places
+    step i at path offset v * (i * dt), clipped into the path: the first
+    whose offset reaches the block's first segment."""
+    lengths = np.array([sg.length for sg, _, _ in segs])
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    top = cum[-1] - 1e-9
+    first: dict[int, int] = {}
+    for j, (_, _, blk) in enumerate(segs):
+        first.setdefault(blk, j)
 
-    if cfg.speed == 0.0:
-        n = int(round(cfg.hover_duration_s * cfg.sim_rate_hz)) + 1
-        _refuse_steps(n, "hover_duration_s x sim_rate_hz")
-        t = np.arange(n) * dt
-        pos = np.tile(np.asarray(origin), (n, 1))
-        course = np.full(n, math.radians(90.0 - plan.heading_deg))
-        segment = ("hover",) * n
-        blocks = np.zeros(n, dtype=int)
-        theta = np.zeros((n, 2))
-    else:
-        segs = _build_path(plan, cfg)
-        lengths_total = sum(sg.length for sg, _, _ in segs)
-        duration = lengths_total / cfg.speed
-        _refuse_steps(duration * cfg.sim_rate_hz, "path / speed x sim_rate_hz")
-        n = int(math.floor(duration * cfg.sim_rate_hz)) + 1
-        t = np.arange(n) * dt
-        acc_h = _path_acceleration(segs, cfg.speed * (t[:-1] + dt / 2.0),
+    def offset(i: int) -> float:
+        return min(max(v * (i * dt), 0.0), top)
+
+    return [bisect_left(range(n), cum[j], key=offset) for j in first.values()]
+
+
+_VLF_FIELDS = ("easting_m", "northing_m", "alt_m", "inphase_pct",
+               "outphase_pct", "h1_pct", "h2_pct", "pT_nT", "roll_deg",
+               "pitch_deg")
+
+
+class _Flight:
+    """A survey flown a chunk of steps at a time: the one simulator.
+
+    A block is one plan leg with the turn and transits leading into it (a
+    hover is one block); each draws its sensor noise from its own
+    substream, default_rng((seed, 100 + block)), once the block is flown.
+    Blocks are flown in chunks of at most _CHUNK_STEPS steps: the transit
+    into the first tie line grows with the survey's width. blocks() yields
+    each chunk's AttitudeTrack at sim_rate_hz and fills its rows of the
+    sensor records at sensor_rate_hz, allocated here, for the step count
+    is known before flying. Once blocks() is exhausted, mag_full,
+    vlf_full, rad_full, base and segment_at_sensor hold the sensor
+    streams, as a SimResult's do, adopting the records uncopied, and
+    straight_peaks the largest |roll| and |pitch| on the survey and tie
+    lines, one row per chunk that has samples there.
+
+    Each value is the one a single pass over all steps gives, bit for
+    bit: each step's path sample, wobble and sensor value is worked out
+    element by element, the wobble phases are drawn up front, and each
+    chunk edge carries the swing recurrence's state (_Swing), the last
+    course with the running sum of np.unwrap's phase corrections and,
+    with a yaw lag of k steps, the last k unlagged headings.
+    """
+
+    def __init__(self, plan: FlightPlan | None = None,
+                 geometry: SuspensionGeometry | None = None,
+                 cfg: SimConfig | None = None):
+        cfg = self.cfg = cfg or SimConfig()
+        plan = self.plan = plan or default_plan(cfg)
+        geometry = self.geometry = geometry or SuspensionGeometry()
+        dt = 1.0 / cfg.sim_rate_hz
+        if cfg.speed == 0.0:
+            n = int(round(cfg.hover_duration_s * cfg.sim_rate_hz)) + 1
+            _refuse_steps(n, "hover_duration_s x sim_rate_hz")
+            self._segs, starts = None, [0]
+        else:
+            segs = self._segs = _build_path(plan, cfg)
+            duration = sum(sg.length for sg, _, _ in segs) / cfg.speed
+            _refuse_steps(duration * cfg.sim_rate_hz, "path / speed x sim_rate_hz")
+            n = int(math.floor(duration * cfg.sim_rate_hz)) + 1
+            starts = _block_starts(segs, n, cfg.speed, dt)
+        self.n_steps = n
+        self._spans = list(zip(starts, starts[1:] + [n]))
+        rng0 = np.random.default_rng((cfg.seed, 0))
+        self._phases = [rng0.uniform(0.0, 2.0 * math.pi, size=3)
+                        for _ in ("roll", "pitch")]
+        # what a chunk edge carries
+        length = geometry.cable_length
+        self._swing = _Swing(dt, math.sqrt(G / length),
+                             cfg.effective_damping(geometry), length)
+        self._course = self._correction = self._lagged = None
+        self._lag = 0
+        if not (geometry.intermediate_platform or cfg.yaw_lag_s == 0.0):
+            self._lag = min(n, max(1, int(round(cfg.yaw_lag_s
+                                                * cfg.sim_rate_hz))))
+        # the sensor samples are steps 0, step, 2 step, ...
+        self._step = int(round(cfg.sim_rate_hz / cfg.sensor_rate_hz))
+        ns = len(range(0, n, self._step))
+        self._ts = np.empty(ns)
+        self._mag = np.empty((ns, 4))
+        self._vlf = np.empty((ns, len(_VLF_FIELDS)))
+        self._rad = np.empty((ns, 5 + cfg.n_channels))
+        self._labels: list[str] = []
+        self._peaks: list[tuple[float, float]] = []
+
+    def blocks(self):
+        """Fly the survey: yield each chunk's AttitudeTrack in turn."""
+        step = self._step
+        for blk, (lo, hi) in enumerate(self._spans):
+            # the block's sensor rows, and its swing there for its noise
+            k0, k1 = -(-lo // step), -(-hi // step)
+            swing = np.empty(k1 - k0)
+            for c0 in range(lo, hi, _CHUNK_STEPS):
+                track = self._fly(c0, min(c0 + _CHUNK_STEPS, hi))
+                at, sw = self._decimate(track, c0)
+                swing[at - k0:at - k0 + len(sw)] = sw
+                straight = track.straight_mask()
+                if straight.any():
+                    self._peaks.append(
+                        (np.max(np.abs(track.roll_deg[straight])),
+                         np.max(np.abs(track.pitch_deg[straight]))))
+                yield track
+                del track   # gone before the next chunk is flown
+            if k1 > k0:
+                self._noise(blk, k0, k1, swing)
+        self._finish()
+
+    def _fly(self, lo: int, hi: int) -> AttitudeTrack:
+        """The payload attitude at steps [lo, hi), the next ones."""
+        cfg, geometry = self.cfg, self.geometry
+        length = geometry.cable_length
+        t = np.arange(lo, hi) * (1.0 / cfg.sim_rate_hz)
+        pos, course, segment, theta = self._path(t, lo, hi)
+        th_e, th_n = theta.T
+
+        # project swing onto the track frame for recorded roll/pitch:
+        # degrees(th_e tx + th_n ty) + wob_p and
+        # degrees(th_e ty - th_n tx) + wob_r
+        tx, ty = np.cos(course), np.sin(course)
+        pitch = th_e * tx
+        pitch += th_n * ty
+        np.degrees(pitch, out=pitch)
+        pitch += _wobble(self._phases[1], t, cfg.wobble_pitch_deg)
+        roll = th_e * ty
+        roll -= th_n * tx
+        np.degrees(roll, out=roll)
+        roll += _wobble(self._phases[0], t, cfg.wobble_roll_deg)
+        del tx, ty
+        swing = np.hypot(th_e, th_n)
+        np.degrees(swing, out=swing)
+
+        # payload position: cable tilt displaces sensors from the UAV
+        # track, pos + length sin(th)
+        pay_e = np.sin(th_e)
+        pay_e *= length
+        pay_e += pos[:, 0]
+        pay_n = np.sin(th_n)
+        pay_n *= length
+        pay_n += pos[:, 1]
+        del pos, theta, th_e, th_n
+
+        # compass heading cw = 90 - degrees(np.unwrap(course)), the unwrap
+        # continued from the last chunk's course
+        path = course if self._course is None \
+            else np.concatenate(([self._course], course))
+        self._course = course[-1]
+        dd = np.diff(path)
+        fix = np.mod(dd + math.pi, 2.0 * math.pi) - math.pi
+        np.copyto(fix, math.pi, where=(fix == -math.pi) & (dd > 0))
+        fix -= dd
+        np.copyto(fix, 0, where=abs(dd) < math.pi)
+        del dd
+        if self._correction is not None and len(fix):
+            fix[0] += self._correction
+        fix = np.cumsum(fix)
+        if len(fix):
+            self._correction = fix[-1]
+        heading = np.array(course)
+        heading[len(heading) - len(fix):] = path[1:] + fix
+        del path, fix, course
+        np.degrees(heading, out=heading)
+        np.subtract(90.0, heading, out=heading)
+        # the payload lags the UAV unless the platform locks it; a locked
+        # heading adds no error: cw is never -0, so cw + 0 would be cw
+        if self._lag:
+            if self._lagged is None:
+                self._lagged = np.full(self._lag, heading[0])
+            held = np.concatenate([self._lagged, heading])
+            self._lagged = held[-self._lag:].copy()
+            err = held[:hi - lo] - heading
+            del held
+            np.clip(err, -cfg.yaw_lag_cap_deg, cfg.yaw_lag_cap_deg, out=err)
+            heading += err
+            del err
+        np.mod(heading, 360.0, out=heading)
+        return AttitudeTrack(t, roll, pitch, heading, swing, pay_e, pay_n,
+                             segment, cfg.speed)
+
+    def _path(self, t: np.ndarray, lo: int, hi: int):
+        """UAV position and course, segment labels and swing (rad, one
+        column per horizontal axis) at steps [lo, hi), times `t`."""
+        cfg, plan = self.cfg, self.plan
+        n = hi - lo
+        if self._segs is None:  # hover: no swing forcing
+            pos = np.tile(np.asarray(plan.origin_utm, dtype=float), (n, 1))
+            course = np.full(n, math.radians(90.0 - plan.heading_deg))
+            return pos, course, ("hover",) * n, np.zeros((n, 2))
+        dt = 1.0 / cfg.sim_rate_hz
+        # the midpoint before each step, but for step 0
+        mid = np.arange(max(lo - 1, 0), hi - 1) * dt
+        acc_h = _path_acceleration(self._segs, cfg.speed * (mid + dt / 2.0),
                                    cfg.speed)
-        pos, course, acc, labels, blocks = _sample_path(
-            segs, cfg.speed * t, cfg.speed)
-        segment = tuple(labels.tolist())
-        del labels
-        theta = _integrate_pendulum(acc, acc_h, dt, omega,
-                                    cfg.effective_damping(geometry), length)
-        del acc, acc_h
-    th_e, th_n = theta.T
+        pos, course, acc, labels = _sample_path(self._segs, cfg.speed * t,
+                                                cfg.speed)
+        return (pos, course, tuple(labels.tolist()),
+                self._swing.feed(acc, acc_h))
 
-    rng0 = np.random.default_rng((cfg.seed, 0))
-    wob_r = _wobble(rng0, t, cfg.wobble_roll_deg)
-    wob_p = _wobble(rng0, t, cfg.wobble_pitch_deg)
+    def _decimate(self, track: AttitudeTrack, lo: int
+                  ) -> tuple[int, np.ndarray]:
+        """Fill the sensor records' noise-free columns from the sensor
+        samples of `track`, flown from step `lo`; returns the first one's
+        row and their swing."""
+        geometry = self.geometry
+        # the first sensor sample at or after step lo, and its record row
+        k0 = -(-lo // self._step)
+        rows = slice(k0 * self._step - lo, None, self._step)
+        ts = track.t[rows]
+        k1 = k0 + len(ts)
+        se, sn = track.easting_m[rows], track.northing_m[rows]
+        swing = track.swing_deg[rows]
+        self._labels += track.segment[rows]
+        # VLF sensor altitude: altitude - length cos(radians(min(swing, 89)))
+        vlf_alt = np.minimum(swing, 89.0)
+        np.radians(vlf_alt, out=vlf_alt)
+        np.cos(vlf_alt, out=vlf_alt)
+        vlf_alt *= geometry.cable_length
+        np.subtract(self.plan.altitude_m, vlf_alt, out=vlf_alt)
+        mag_alt = vlf_alt + geometry.payload_separation
+        self._ts[k0:k1] = ts
+        for record, alt in ((self._mag, mag_alt), (self._vlf, vlf_alt),
+                            (self._rad, mag_alt)):
+            record[k0:k1, 0] = se
+            record[k0:k1, 1] = sn
+            record[k0:k1, 2] = alt
+        self._vlf[k0:k1, 8] = track.roll_deg[rows]
+        self._vlf[k0:k1, 9] = track.pitch_deg[rows]
+        return k0, swing
 
-    # project swing onto the track frame for recorded roll/pitch:
-    # degrees(th_e tx + th_n ty) + wob_p and degrees(th_e ty - th_n tx) + wob_r
-    tx, ty = np.cos(course), np.sin(course)
-    pitch = th_e * tx
-    pitch += th_n * ty
-    np.degrees(pitch, out=pitch)
-    pitch += wob_p
-    roll = th_e * ty
-    roll -= th_n * tx
-    np.degrees(roll, out=roll)
-    roll += wob_r
-    del tx, ty, wob_r, wob_p
-    swing = np.hypot(th_e, th_n)
-    np.degrees(swing, out=swing)
+    def _noise(self, blk: int, k0: int, k1: int, sw: np.ndarray) -> None:
+        """Fill the sensor rows [k0, k1) of block `blk`, with swing `sw`
+        there, from the block's noise substream."""
+        cfg, geometry = self.cfg, self.geometry
+        origin = tuple(self.plan.origin_utm)
+        ns = k1 - k0
+        se, sn = self._mag[k0:k1, 0], self._mag[k0:k1, 1]
+        rng = np.random.default_rng((cfg.seed, 100 + blk))
+        uni = lambda: rng.uniform(-1.0, 1.0, size=ns)  # noqa: E731
+        mag_noise = cfg.emi_amplitude(geometry) * uni() + cfg.noise_floor * uni()
+        self._mag[k0:k1, 3] = regional_field(cfg, se, sn, origin) \
+            + diurnal_variation(cfg, self._ts[k0:k1]) + mag_noise
+        del mag_noise
+        # baseline scaled so the robust amplitude estimator (percentile span
+        # of a median-detrended trace, which inflates white noise by ~10%)
+        # reads just inside outphase_noise_pct on straight segments
+        base_out = 0.85 * cfg.outphase_noise_pct
+        vlf = self._vlf[k0:k1]
+        vlf[:, 4] = base_out * uni() + cfg.swing_noise_gain * sw * uni()
+        vlf[:, 3] = 0.6 * base_out * uni() \
+            + 0.5 * cfg.swing_noise_gain * sw * uni()
+        vlf[:, 5] = 1.5 * uni()
+        vlf[:, 6] = 1.0 * uni()
+        vlf[:, 7] = cfg.pt_base_nt + 1.0 * uni() + 0.1 * sw * uni()
+        dx = se - origin[0]
+        dy = sn - origin[1]
+        rad = self._rad[k0:k1]
+        # k_pct and u_ppm, then the gamma counts
+        rad[:, 3] = np.maximum(0.0, np.maximum(
+            0.0, cfg.k_base_pct + cfg.k_gradient[0] * dx
+            + cfg.k_gradient[1] * dy) + cfg.k_noise_pct * uni())
+        rad[:, 4] = np.maximum(0.0, np.maximum(
+            0.0, cfg.u_base_ppm + cfg.u_gradient[0] * dx
+            + cfg.u_gradient[1] * dy) + cfg.u_noise_ppm * uni())
+        del dx, dy
+        prof_k, prof_u = _spectral_profiles(cfg.n_channels)
+        # a row's counts draw after the rows before it, so a few rows at a
+        # time draw the numbers all of them at once would
+        for r0 in range(0, ns, _COUNT_ROWS):
+            r1 = min(r0 + _COUNT_ROWS, ns)
+            rad[r0:r1, 5:] = rng.poisson(cfg.spectrum_scale * (
+                np.outer(rad[r0:r1, 3], prof_k)
+                + np.outer(rad[r0:r1, 4], prof_u)))
 
-    # payload position: cable tilt displaces sensors from the UAV track,
-    # pos + length sin(th)
-    pay_e = np.sin(th_e)
-    pay_e *= length
-    pay_e += pos[:, 0]
-    pay_n = np.sin(th_n)
-    pay_n *= length
-    pay_n += pos[:, 1]
-    del pos, theta, th_e, th_n
-
-    # compass heading cw = 90 - degrees(unwrap(course)); the payload lags
-    # the UAV unless the platform locks it. A locked heading adds no error:
-    # cw is never -0, so cw + 0 would be cw
-    heading = np.unwrap(course)
-    del course
-    np.degrees(heading, out=heading)
-    np.subtract(90.0, heading, out=heading)
-    if not (geometry.intermediate_platform or cfg.yaw_lag_s == 0.0):
-        k = min(n, max(1, int(round(cfg.yaw_lag_s * cfg.sim_rate_hz))))
-        err = np.concatenate([np.full(k, heading[0]), heading[:-k]])
-        err -= heading
-        np.clip(err, -cfg.yaw_lag_cap_deg, cfg.yaw_lag_cap_deg, out=err)
-        heading += err
-        del err
-    np.mod(heading, 360.0, out=heading)
-
-    # VLF sensor altitude: altitude - length cos(radians(min(swing, 89)))
-    vlf_alt = np.minimum(swing, 89.0)
-    np.radians(vlf_alt, out=vlf_alt)
-    np.cos(vlf_alt, out=vlf_alt)
-    vlf_alt *= length
-    np.subtract(plan.altitude_m, vlf_alt, out=vlf_alt)
-
-    return (AttitudeTrack(t, roll, pitch, heading, swing, pay_e, pay_n,
-                          segment, cfg.speed), blocks, vlf_alt)
+    def _finish(self) -> None:
+        """The sensor streams, once every block is flown."""
+        cfg, ts = self.cfg, self._ts
+        rad_fields = ("easting_m", "northing_m", "alt_m", "k_pct", "u_ppm") \
+            + tuple(f"ch{j}" for j in range(cfg.n_channels))
+        self.rad_full = TimeSeries._adopt(ts, self._rad, rad_fields)
+        self.mag_full = TimeSeries._adopt(
+            ts, self._mag, ("easting_m", "northing_m", "alt_m", "tmi_nT"))
+        self.vlf_full = TimeSeries._adopt(ts, self._vlf, _VLF_FIELDS)
+        # base station covers the rover window with a sample to spare each
+        # side
+        bt = np.arange(-1, len(ts) + 1) / cfg.sensor_rate_hz
+        self.base = TimeSeries._adopt(
+            bt, cfg.base_datum_nt + diurnal_variation(cfg, bt), ("tmi_nT",))
+        self.segment_at_sensor = tuple(self._labels)
+        self.straight_peaks = np.reshape(self._peaks, (-1, 2))
+        del self._ts, self._mag, self._vlf, self._rad, self._labels, \
+            self._peaks
 
 
 def simulate_survey(plan: FlightPlan | None = None,
@@ -851,115 +1117,38 @@ def simulate_survey(plan: FlightPlan | None = None,
     The pendulum is forced by the path's centripetal acceleration per
     horizontal axis and integrated with fixed-step RK4 at sim_rate_hz.
     Each axis goes through a 2nd-order IIR filter that runs the RK4 step
-    as the linear recurrence it is for this ODE (see _integrate_pendulum),
-    so the swing matches a per-step RK4 loop to rounding. The filter is a
-    Python float loop, bit-identical to scipy.signal.lfilter's, so the
-    simulator loads no scipy module; at survey_large size it takes about
-    0.1 s of the simulator's 0.3 s. Sensor streams
-    are decimated to sensor_rate_hz; each line (with its approach and
-    the turn leading into it) draws noise from its own seeded substream,
-    so single lines are reproducible in isolation.
-    speed == 0 is a stationary hover: zero swing forcing, baseline noise
-    only.
+    as the linear recurrence it is for this ODE (see _Swing), so the swing
+    matches a per-step RK4 loop to rounding. The filter is a Python float
+    loop, bit-identical to scipy.signal.lfilter's, so the simulator loads
+    no scipy module; at survey_large size it takes about 0.1 s of the
+    simulator's 0.3 s. Sensor streams are decimated to sensor_rate_hz;
+    each line (with its approach and the turn leading into it) draws
+    noise from its own seeded substream, so single lines are reproducible
+    in isolation. speed == 0 is a stationary hover: zero swing forcing,
+    baseline noise only.
 
-    Memory: inside _fly the midpoint path samples die but for their
-    accelerations, each other attitude-rate intermediate dies once read,
-    and the recorded channels are built in place. The step blocks and VLF
-    altitudes _fly returns die here once decimated, and the gamma counts
-    are drawn straight into the radiometric record. At survey_large size
-    the traced peak is 36 MiB, of which the returned result holds 28.
+    Memory: the survey is flown a chunk of steps at a time (_Flight), each
+    chunk's attitude copied into the whole track, allocated up front, and
+    its intermediates dropped; the sensor records are filled in place and
+    adopted by the result's series. At survey_large size the traced peak
+    is 31 MiB, of which the returned result holds 28. The pipeline and
+    `sim survey` fly into the artifacts instead and never hold the track.
     """
-    cfg = cfg or SimConfig()
-    plan = plan or default_plan(cfg)
-    geometry = geometry or SuspensionGeometry()
-    origin = tuple(plan.origin_utm)
-    attitude, blocks, vlf_alt = _fly(plan, geometry, cfg)
-
-    # --- sensor streams at sensor_rate_hz -------------------------------
-    step = int(round(cfg.sim_rate_hz / cfg.sensor_rate_hz))
-    si = np.arange(0, len(attitude), step)
-    ns = len(si)
-    ts = attitude.t[si]
-    se, sn = attitude.easting_m[si], attitude.northing_m[si]
-    s_vlf_alt = vlf_alt[si]
-    s_mag_alt = s_vlf_alt + geometry.payload_separation
-    s_swing = attitude.swing_deg[si]
-    s_roll, s_pitch = attitude.roll_deg[si], attitude.pitch_deg[si]
-    s_block = blocks[si]
-    del blocks, vlf_alt
-
-    emi_amp = cfg.emi_amplitude(geometry)
-    prof_k, prof_u = _spectral_profiles(cfg.n_channels)
-
-    mag_noise = np.empty(ns)
-    out_pct = np.empty(ns)
-    in_pct = np.empty(ns)
-    h1 = np.empty(ns)
-    h2 = np.empty(ns)
-    pt = np.empty(ns)
-    # the radiometric record is filled in place: k_pct, u_ppm and the
-    # gamma counts are drawn straight into its columns
-    rad = np.empty((ns, 5 + cfg.n_channels))
-    rad[:, 0], rad[:, 1], rad[:, 2] = se, sn, s_mag_alt
-    k_pct, u_ppm, spectra = rad[:, 3], rad[:, 4], rad[:, 5:]
-
-    dx = se - origin[0]
-    dy = sn - origin[1]
-    k_clean = np.maximum(0.0, cfg.k_base_pct + cfg.k_gradient[0] * dx
-                         + cfg.k_gradient[1] * dy)
-    u_clean = np.maximum(0.0, cfg.u_base_ppm + cfg.u_gradient[0] * dx
-                         + cfg.u_gradient[1] * dy)
-    # baseline scaled so the robust amplitude estimator (percentile span of
-    # a median-detrended trace, which inflates white noise by ~10%) reads
-    # just inside outphase_noise_pct on straight segments
-    base_out = 0.85 * cfg.outphase_noise_pct
-
-    for blk in np.unique(s_block):
-        m = s_block == blk
-        nb = int(m.sum())
-        rng = np.random.default_rng((cfg.seed, 100 + int(blk)))
-        uni = lambda: rng.uniform(-1.0, 1.0, size=nb)  # noqa: E731
-        mag_noise[m] = emi_amp * uni() + cfg.noise_floor * uni()
-        sw = s_swing[m]
-        out_pct[m] = base_out * uni() + cfg.swing_noise_gain * sw * uni()
-        in_pct[m] = 0.6 * base_out * uni() + 0.5 * cfg.swing_noise_gain * sw * uni()
-        h1[m] = 1.5 * uni()
-        h2[m] = 1.0 * uni()
-        pt[m] = cfg.pt_base_nt + 1.0 * uni() + 0.1 * sw * uni()
-        k_pct[m] = np.maximum(0.0, k_clean[m] + cfg.k_noise_pct * uni())
-        u_ppm[m] = np.maximum(0.0, u_clean[m] + cfg.u_noise_ppm * uni())
-        lam = cfg.spectrum_scale * (np.outer(k_pct[m], prof_k)
-                                    + np.outer(u_ppm[m], prof_u))
-        spectra[m] = rng.poisson(lam)
-
-    # first the largest record, so its buffer is gone before the others
-    rad_fields = ("easting_m", "northing_m", "alt_m", "k_pct", "u_ppm") + \
-        tuple(f"ch{j}" for j in range(cfg.n_channels))
-    rad_full = TimeSeries(ts, rad, rad_fields)
-    del rad, k_pct, u_ppm, spectra
-
-    tmi = regional_field(cfg, se, sn, origin) + diurnal_variation(cfg, ts) \
-        + mag_noise
-
-    mag_full = TimeSeries(ts, np.column_stack([se, sn, s_mag_alt, tmi]),
-                          ("easting_m", "northing_m", "alt_m", "tmi_nT"))
-    # base station covers the rover window with a sample to spare each side
-    bt = np.arange(-1, ns + 1) / cfg.sensor_rate_hz
-    base = TimeSeries(bt, cfg.base_datum_nt + diurnal_variation(cfg, bt),
-                      ("tmi_nT",))
-    segment_at_sensor = attitude.segment[::step]
-    # last the VLF stream, which dies with the attitude track while the
-    # records above outlive the simulate stage: built after them, its
-    # buffers sit above theirs in the heap, so freeing the stage's arrays
-    # can hand the top of the heap back to the system
-    vlf_full = TimeSeries(
-        ts, np.column_stack([se, sn, s_vlf_alt, in_pct, out_pct, h1, h2, pt,
-                             s_roll, s_pitch]),
-        ("easting_m", "northing_m", "alt_m", "inphase_pct", "outphase_pct",
-         "h1_pct", "h2_pct", "pT_nT", "roll_deg", "pitch_deg"))
-
-    return SimResult(attitude, mag_full, vlf_full, rad_full, base, plan,
-                     geometry, cfg, segment_at_sensor)
+    flight = _Flight(plan, geometry, cfg)
+    track = np.empty((7, flight.n_steps))
+    segment: list[str] = []
+    lo = 0
+    for block in flight.blocks():
+        hi = lo + len(block)
+        for row, column in zip(track, _attitude_columns(block)[:7]):
+            row[lo:hi] = column
+        segment += block.segment
+        lo = hi
+    cfg = flight.cfg
+    return SimResult(AttitudeTrack(*track, tuple(segment), cfg.speed),
+                     flight.mag_full, flight.vlf_full, flight.rad_full,
+                     flight.base, flight.plan, flight.geometry, cfg,
+                     flight.segment_at_sensor)
 
 
 def line_rows(labels, plan: FlightPlan

@@ -30,6 +30,37 @@ def test_timeseries_arrays_are_frozen_copies():
         ts.values[0] = -1.0
 
 
+def test_timeseries_adopts_buffers_its_creator_drops():
+    # the private path the simulator uses: no copy, frozen in place
+    t = np.array([0.0, 1.0])
+    v = np.array([[3.0, 4.0], [5.0, 6.0]])
+    ts = TimeSeries._adopt(t, v, ("a", "b"))
+    assert ts.t is t and ts.values is v
+    assert not t.flags.writeable and not v.flags.writeable
+    assert list(ts.column("b")) == [4.0, 6.0]
+
+
+@pytest.mark.parametrize("t, v, fields", (
+    (np.array([0.0, 1.0, 1.0]), np.zeros(3), ()),      # not increasing
+    (np.array([0.0, 1.0]), np.zeros(3), ()),           # length mismatch
+    (np.zeros((2, 1)), np.zeros(2), ()),               # t not 1-D
+    (np.array([0.0, 1.0]), np.ones((2, 3)), ("a", "b")),
+), ids=("increasing", "length", "ndim", "fields"))
+def test_timeseries_adopt_runs_the_constructor_checks(t, v, fields):
+    with pytest.raises(ValueError):
+        TimeSeries(t, v, fields)
+    with pytest.raises(ValueError):
+        TimeSeries._adopt(t, v, fields)
+
+
+def test_timeseries_adopts_only_float_arrays():
+    # anything else would need a copy, which adopting is meant to avoid
+    with pytest.raises(TypeError):
+        TimeSeries._adopt(np.arange(2), np.zeros(2))
+    with pytest.raises(TypeError):
+        TimeSeries._adopt([0.0, 1.0], np.zeros(2))
+
+
 def test_timeseries_column_and_scalar():
     ts = TimeSeries(np.array([0.0, 1.0]),
                     np.array([[1.0, 2.0], [3.0, 4.0]]),

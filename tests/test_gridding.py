@@ -261,6 +261,36 @@ def test_pgm_reader_names_the_file_and_the_bad_token(tmp_path, text, fault):
     assert str(exc.value) == f"{p}: {fault}"
 
 
+# these once read as pixel values outside [0, maxval], or an empty range
+@pytest.mark.parametrize("text, fault", (
+    ("P2\n2 1\n255\n300 -5\n",
+     "pixel row 1, column 1 must be finite and >= 0 and <= 255, got 300"),
+    ("P2\n2 2\n255\n0 1\n2 -5\n",
+     "pixel row 2, column 2 must be finite and >= 0 and <= 255, got -5"),
+    ("P2\n3 1\n7\n7 0 8\n",
+     "pixel row 1, column 3 must be finite and >= 0 and <= 7, got 8"),
+    ("P2\n2 1\n0\n0 0\n", "maxval must be finite and >= 1 and <= 65535, got 0"),
+    ("P2\n2 1\n-3\n0 0\n",
+     "maxval must be finite and >= 1 and <= 65535, got -3"),
+    ("P2\n2 1\n65536\n0 0\n",
+     "maxval must be finite and >= 1 and <= 65535, got 65536"),
+), ids=("above", "below", "small-maxval", "maxval-0", "maxval-negative",
+        "maxval-too-large"))
+def test_pgm_reader_checks_maxval_and_pixel_range(tmp_path, text, fault):
+    p = tmp_path / "bad.pgm"
+    p.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_pgm(p)
+    assert str(exc.value) == f"{p}: {fault}"
+
+
+@pytest.mark.parametrize("maxval", (1, 255, 65535))
+def test_pgm_reader_takes_pixels_at_both_ends_of_the_range(tmp_path, maxval):
+    p = tmp_path / "edge.pgm"
+    p.write_text(f"P2\n2 1\n{maxval}\n0 {maxval}\n")
+    assert read_pgm(p).tolist() == [[0, maxval]]
+
+
 # --- container validation ---
 
 def test_grid_validation():

@@ -4,7 +4,10 @@
 with the initial state made a parameter. One RK4 step of the linear swing
 ODE is a linear map, so the IIR form must reproduce the loop to rounding.
 The package runs the IIR filter in its own float loop (`_iir2`); with
-scipy.signal.lfilter in its place the result must be the same bits.
+scipy.signal.lfilter in its place the result must be the same bits. The
+simulator runs the recurrence one block of steps at a time (`_Swing`),
+carrying lfilter's zi/zf state across block edges; the blocks must give
+the bits of one run over all steps.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from aerosurvey.suspension import (
     SimConfig,
     SuspensionGeometry,
     _integrate_pendulum,
+    _Swing,
     pendulum_ring_down,
 )
 
@@ -112,8 +116,9 @@ def test_ring_down_is_the_unforced_rk4_loop():
     assert _rel_dev(np.radians(series.values), ref) <= 1e-10
 
 
-def _lfilter_iir2(u, a1, a2):
-    return lfilter([1.0], [1.0, a1, a2], u)
+def _lfilter_iir2(u, a1, a2, zi):
+    # (y, zf), from the state zi, as _iir2 returns them
+    return lfilter([1.0], [1.0, a1, a2], u, zi=zi)
 
 
 @pytest.mark.parametrize("case", ("rest-zero", "rest-negative-zero",
@@ -150,3 +155,28 @@ def test_survey_swing_is_bit_identical_to_lfilter():
         a, b = getattr(got.attitude, name), getattr(ref.attitude, name)
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
     assert got.attitude.swing_deg.max() > 0.1
+
+
+@pytest.mark.parametrize("cuts", ((1,), (2, 3), (1, 2, 3, 4), (700, 701),
+                                  (5000, 12_345, 19_999)),
+                         ids=lambda cuts: "-".join(map(str, cuts)))
+@pytest.mark.parametrize("case", ("rest-2d", "state-1d"))
+def test_swing_fed_in_blocks_is_one_run(case, cuts):
+    # the forcing of 20,000 steps cut into blocks at `cuts`, one-step
+    # blocks included: theta must be the bits of one feed
+    n = 20_000
+    (ae, ahe), (an, ahn) = _forcing("piecewise", n, 4), _forcing("random", n, 5)
+    if case == "rest-2d":
+        acc, acc_half, state = (np.column_stack([ae, an]),
+                                np.column_stack([ahe, ahn]), (0.0, 0.0))
+    else:
+        acc, acc_half, state = ae, ahe, STATE
+    whole = _integrate_pendulum(acc, acc_half, DT, OMEGA, SIM_ZETA, LENGTH,
+                                *state)
+    swing = _Swing(DT, OMEGA, SIM_ZETA, LENGTH, *state)
+    edges = (0, *cuts, n)
+    # step lo's midpoint acc_half[lo - 1] leads into it, but for step 0
+    parts = [swing.feed(acc[lo:hi], acc_half[max(lo - 1, 0):hi - 1])
+             for lo, hi in zip(edges[:-1], edges[1:])]
+    got = np.concatenate(parts).reshape(whole.shape)
+    assert np.array_equal(got.view(np.int64), whole.view(np.int64))

@@ -14,6 +14,7 @@ from aerosurvey import (
     pendulum_ring_down,
     settling_metrics,
     simulate_survey,
+    suspension,
 )
 from aerosurvey.core import LineRole, check_range
 from aerosurvey.suspension import (
@@ -285,15 +286,13 @@ def _sample_path_masked(segs, s, v):
     n = len(s)
     pos, course, acc = np.empty((n, 2)), np.empty(n), np.empty((n, 2))
     labels = np.empty(n, dtype=object)
-    blocks = np.empty(n, dtype=int)
-    for i, (sg, lab, blk) in enumerate(segs):
+    for i, (sg, lab, _) in enumerate(segs):
         m = idx == i
         if not m.any():
             continue
         pos[m], course[m], acc[m] = sg.sample(s[m] - cum[i], v)
         labels[m] = lab
-        blocks[m] = blk
-    return pos, course, acc, labels, blocks
+    return pos, course, acc, labels
 
 
 @pytest.mark.parametrize("plan", [
@@ -461,6 +460,51 @@ def test_simulate_survey_swing_envelope(default_sim):
     mask = default_sim.attitude.straight_mask()
     assert np.abs(default_sim.attitude.roll_deg[mask]).max() <= 5.0
     assert np.abs(default_sim.attitude.pitch_deg[mask]).max() <= 5.0
+
+
+def _survey_bits(res) -> list:
+    """Every array and label tuple of a SimResult, as comparable items."""
+    att = res.attitude
+    arrays = [att.t, att.roll_deg, att.pitch_deg, att.heading_deg,
+              att.swing_deg, att.easting_m, att.northing_m]
+    for series in (res.mag_full, res.vlf_full, res.rad_full, res.base):
+        arrays += [series.t, series.values]
+    return [a.tobytes() for a in arrays] + [att.segment, res.segment_at_sensor]
+
+
+# small flights, for chunks of one step; the yaw lag spans many chunks
+_CHUNKED = {
+    "two_lines": (FlightPlan(n_lines=2, line_length_m=40.0, spacing_m=20.0,
+                             tie_lines=1), None, SimConfig(seed=2, speed=20.0)),
+    "yaw_lag": (FlightPlan(n_lines=2, line_length_m=40.0, spacing_m=20.0,
+                           tie_lines=1),
+                SuspensionGeometry(intermediate_platform=False),
+                SimConfig(seed=2, speed=20.0, yaw_lag_s=0.5)),
+    "hover": (None, None, SimConfig(speed=0.0, hover_duration_s=3.0)),
+}
+
+
+@pytest.mark.parametrize("chunk", (1, 7, 250))
+@pytest.mark.parametrize("case", list(_CHUNKED))
+def test_chunk_edges_do_not_change_a_bit(monkeypatch, case, chunk):
+    # the simulator flies a few steps at a time, carrying the swing
+    # recurrence, the unwrap and the yaw lag across each chunk edge: any
+    # chunk size gives the bits of flying every step at once
+    plan, geometry, cfg = _CHUNKED[case]
+    whole = simulate_survey(plan, geometry, cfg)
+    monkeypatch.setattr(suspension, "_CHUNK_STEPS", chunk)
+    monkeypatch.setattr(suspension, "_COUNT_ROWS", max(1, chunk // 5))
+    assert _survey_bits(simulate_survey(plan, geometry, cfg)) == \
+        _survey_bits(whole)
+
+
+def test_simulate_survey_streams_share_their_records(default_sim):
+    # the sensor series adopt the records the simulator fills, uncopied:
+    # one timestamp array for the three rover streams
+    res = default_sim
+    assert res.mag_full.t is res.vlf_full.t is res.rad_full.t
+    for series in (res.mag_full, res.vlf_full, res.rad_full, res.base):
+        assert not series.values.flags.writeable
 
 
 # --- settling metrics ---
