@@ -215,12 +215,14 @@ def _cmd_qc_tie(args) -> int:
 
 
 def _cmd_qc_nasvd(args) -> int:
-    counts = read_spectra_csv(args.infile)
-    write_spectra_csv(args.out, nasvd_denoise(counts, args.k))
-    _emit({"out": str(args.out), "k": args.k,
-           "energy_fraction": nasvd_energy_fraction(counts, args.k),
-           "n_spectra": int(counts.shape[0]),
-           "n_channels": int(counts.shape[1])})
+    held = [read_spectra_csv(args.infile)]
+    n_spectra, n_channels = held[0].shape
+    energy = nasvd_energy_fraction(held[0], args.k)
+    # pop() hands over the last reference: nasvd_denoise frees the counts
+    # once they are noise-adjusted, before its SVD
+    write_spectra_csv(args.out, nasvd_denoise(held.pop(), args.k))
+    _emit({"out": str(args.out), "k": args.k, "energy_fraction": energy,
+           "n_spectra": n_spectra, "n_channels": n_channels})
     return EXIT_OK
 
 

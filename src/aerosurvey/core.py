@@ -213,6 +213,41 @@ def resample_uniform(series: TimeSeries, rate_hz: float) -> TimeSeries:
     return TimeSeries(new_t, new_v, series.fields)
 
 
+def _median(x) -> float:
+    """np.median of a non-empty 1-D float sequence, bit for bit: the same
+    partition and mean of the middle slice, and nan when a value is nan.
+    np.median's nan check imports numpy.ma, 10-16 ms in a fresh process."""
+    a = np.asarray(x, dtype=float)
+    h = a.size // 2
+    mid = [h - 1, h] if a.size % 2 == 0 else [h]
+    part = np.partition(a, mid + [-1])
+    return float(part[-1]) if np.isnan(part[-1]) \
+        else float(part[mid[0]:h + 1].mean())
+
+
+def _percentiles(x, q) -> list[float]:
+    """np.percentile(x, q) of a non-empty 1-D float sequence with its
+    default linear method, bit for bit: the same partition and
+    interpolation, and nan when a value is nan. np.percentile orders its
+    partition indices with np.unique, which imports numpy.ma."""
+    a = np.array(x, dtype=float)   # a copy: partitioned in place
+    at = (a.size - 1) * (np.asarray(q, dtype=float) / 100)
+    below = np.floor(at)
+    above = below + 1
+    top = at >= a.size - 1
+    below[top] = above[top] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    a.partition(sorted({0, -1, *below.tolist(), *above.tolist()}))
+    if np.isnan(a[-1]):
+        return [float(a[-1])] * len(at)
+    t = at - below
+    lo, hi = a[below], a[above]
+    step = hi - lo
+    out = lo + step * t
+    np.subtract(hi, step * (1 - t), out=out, where=t >= 0.5)
+    return out.tolist()
+
+
 # ---------------------------------------------------------------------------
 # range check and config dataclass <-> JSON-ready dict
 

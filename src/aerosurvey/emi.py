@@ -14,7 +14,14 @@ from enum import Enum
 
 import numpy as np
 
-from .core import TimeSeries, _DictCodec, check_range, ranged
+from .core import (
+    TimeSeries,
+    _DictCodec,
+    _median,
+    _percentiles,
+    check_range,
+    ranged,
+)
 from .errors import (
     NeverBelowFloorError,
     NoFitAvailableError,
@@ -116,11 +123,11 @@ def noise_amplitude(trace: TimeSeries, detrend_window_s: float = 1.0) -> float:
         x = trace.column("tmi_nT")
     else:
         x = trace.values[:, -1]
-    dt = float(np.median(np.diff(trace.t)))
+    dt = _median(np.diff(trace.t))
     k = max(3, int(round(detrend_window_s / dt)) | 1)  # odd sample count
     k = min(k, len(x) if len(x) % 2 else len(x) - 1)
     resid = x - _running_median(x.astype(float), k)
-    lo, hi = np.percentile(resid, [2.5, 97.5])
+    lo, hi = _percentiles(resid, (2.5, 97.5))
     return float(hi - lo) / 2.0
 
 
@@ -153,7 +160,12 @@ def fit_power_law(separations: np.ndarray,
     r = np.asarray(separations, dtype=float)
     a = np.asarray(amplitudes, dtype=float)
     keep = a > 0
-    if keep.sum() < 2 or len(np.unique(r[keep])) < 2:
+    if keep.sum() < 2:
+        return None
+    # fewer than two distinct separations, as np.unique counts them (nans
+    # as one), without np.unique: it imports numpy.ma. nan sorts last
+    lo, hi = np.sort(r[keep])[[0, -1]]
+    if lo == hi or math.isnan(lo):
         return None
     lx = np.log(r[keep])
     ly = np.log(a[keep])
@@ -181,7 +193,7 @@ def build_noise_curve(passes: list[BuzzPass], cfg: EmiConfig,
     if len(groups) < 3:
         raise TooFewSeparationsError("need >= 3 distinct separations")
     seps = np.array(sorted(groups))
-    med = np.array([float(np.median(groups[s])) for s in seps])
+    med = np.array([_median(groups[s]) for s in seps])
     excess = np.sqrt(np.maximum(med ** 2 - cfg.noise_floor ** 2, 0.0))
     fit_mask = excess > cfg.noise_floor
     fit = fit_power_law(seps[fit_mask], excess[fit_mask])

@@ -168,8 +168,10 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
         counts, flat = bins.neighbours(block)
         firsts = np.cumsum(counts) - counts
         # centres with k neighbours form one C-contiguous (m, k) gather, so
-        # each row sum is the same pairwise sum as the 1-D sum per centre
-        for k in np.unique(counts[counts > 0]).tolist():
+        # each row sum is the same pairwise sum as the 1-D sum per centre;
+        # the distinct positive counts, ascending, without np.unique (it
+        # imports numpy.ma)
+        for k in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
             group = np.flatnonzero(counts == k)
             step = max(1, _IDW_PAIRS // k)
             for a in range(0, len(group), step):

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CrossoverRow, SurveyLine, TimeSeries, UtmPoint, check_range
+from .core import (
+    CrossoverRow,
+    SurveyLine,
+    TimeSeries,
+    UtmPoint,
+    _median,
+    check_range,
+)
 from .errors import (
     BaseDoesNotCoverError,
     InvalidRankError,
@@ -98,7 +105,7 @@ def fourth_difference(series: TimeSeries | np.ndarray,
         x = np.asarray(series, dtype=float)
     d4 = fourth_difference_values(x)
     if threshold is None:
-        mad = float(np.median(np.abs(d4 - np.median(d4))))
+        mad = _median(np.abs(d4 - _median(d4)))
         threshold = 4.0 * 1.4826 * mad
     flagged = tuple(int(i) for i in np.nonzero(np.abs(d4) > threshold)[0])
     stats = {
@@ -275,8 +282,14 @@ def crossover_analysis(flight_lines: tuple[SurveyLine, ...],
 
 def _nasvd_scaled(spectra: np.ndarray, k: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated counts, per-channel 1/sqrt(mean spectrum) scale, and the
-    mask of channels with a non-zero mean (the others keep scale 1)."""
+    """Noise-adjusted counts, the per-channel scale that made them, and the
+    mask of channels with a non-zero mean.
+
+    A channel with a non-zero mean is scaled by 1/sqrt(that mean); the
+    others keep scale 1.0, so their columns are the counts bit for bit. A
+    channel mean past the float64 range is refused: it would make the
+    scale 0 and the result nan.
+    """
     m = np.asarray(spectra, dtype=float)
     if m.ndim != 2:
         raise ValueError("spectra matrix must be 2-D")
@@ -284,11 +297,16 @@ def _nasvd_scaled(spectra: np.ndarray, k: int
         raise ValueError("counts must be >= 0")
     if not 1 <= k <= min(m.shape):
         raise InvalidRankError(f"k must be in 1..{min(m.shape)}")
-    mean_spec = m.mean(axis=0)
+    with np.errstate(over="ignore"):
+        mean_spec = m.mean(axis=0)
+    bad = np.flatnonzero(~np.isfinite(mean_spec))
+    if len(bad):
+        raise ValueError(f"channel ch{bad[0]} has a non-finite mean: its "
+                         "counts sum past the float64 range")
     scale = np.ones(m.shape[1])
     nz = mean_spec > 0
     scale[nz] = 1.0 / np.sqrt(mean_spec[nz])
-    return m, scale, nz
+    return m * scale, scale, nz
 
 
 def nasvd_denoise(spectra: np.ndarray, k: int) -> np.ndarray:
@@ -300,20 +318,43 @@ def nasvd_denoise(spectra: np.ndarray, k: int) -> np.ndarray:
     equalize noise before the rank-k truncated SVD; the reconstruction is
     scaled back and negative values clamped to zero. Channels whose mean
     is zero carry no information and pass through untouched. Returns the
-    clamped reconstruction, a new array of the same shape.
+    clamped reconstruction, a new array of the same shape. Raises
+    ValueError when a channel mean is past the float64 range.
+
+    Memory: four spectra-sized arrays are alive at the SVD: the scaled
+    counts, the input copy and U buffer that numpy's linalg gufunc
+    allocates itself (tracemalloc does not see them), and the returned U.
+    The function drops its own reference to `spectra` once the scaled
+    counts exist, so a caller that hands over its last reference (as
+    `aerosurvey qc nasvd` does) has the counts freed before the SVD; a
+    caller that keeps its array holds a fifth.
     """
-    m, scale, nz = _nasvd_scaled(spectra, k)
-    u, s, vt = np.linalg.svd(m * scale, full_matrices=False)
+    scaled, scale, nz = _nasvd_scaled(spectra, k)
+    del spectra
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
     out = (u[:, :k] * s[:k]) @ vt[:k]
     del u   # rebuilt in place: one spectra-sized array alive, not four
     out /= scale
-    out[:, ~nz] = m[:, ~nz]
+    out[:, ~nz] = scaled[:, ~nz]    # scale 1.0: the counts themselves
     return np.maximum(out, 0.0, out=out)
 
 
 def nasvd_energy_fraction(spectra: np.ndarray, k: int) -> float:
-    """Fraction of total variance captured by the top-k scaled components."""
-    m, scale, _ = _nasvd_scaled(spectra, k)
-    s = np.linalg.svd(m * scale, compute_uv=False)
-    total = float(np.sum(s ** 2))
-    return 1.0 if total == 0 else float(np.sum(s[:k] ** 2) / total)
+    """Fraction of total variance captured by the top-k scaled components.
+
+    `spectra` is only read. Raises ValueError when a channel mean or the
+    sum of squared singular values is past the float64 range.
+
+    Memory: two spectra-sized arrays beside the caller's: the scaled
+    counts and the gufunc's input copy, which tracemalloc does not see.
+    """
+    scaled, _, _ = _nasvd_scaled(spectra, k)
+    del spectra
+    s = np.linalg.svd(scaled, compute_uv=False)
+    with np.errstate(over="ignore"):
+        energy = s ** 2
+        total = float(np.sum(energy))
+    if not math.isfinite(total):
+        raise ValueError("the singular-value energy is past the float64 "
+                         "range: the counts are too large")
+    return 1.0 if total == 0 else float(np.sum(energy[:k]) / total)

@@ -644,6 +644,25 @@ def test_qc_nasvd_repeated_column_is_io_error(tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("rows, cause", (
+    # ch0 sums to 3.4e308: its mean overflows
+    ("1.7e308,1e308\r\n1.7e308,2e307\r\n3,4\r\n",
+     "channel ch0 has a non-finite mean"),
+    # finite means, but the squared singular values overflow
+    ("1.5e308,1\r\n0,2\r\n0,3\r\n0,4\r\n", "singular-value energy"),
+), ids=("mean", "energy"))
+def test_qc_nasvd_counts_past_float64_are_io_error(tmp_path, capsys, rows,
+                                                   cause):
+    infile = tmp_path / "spectra.csv"
+    infile.write_text("ch0,ch1\r\n" + rows)
+    out = tmp_path / "denoised.csv"
+    code, stdout, err = run_cli(capsys, "qc", "nasvd", "--in", infile,
+                                "--k", 1, "--out", out)
+    assert code == EXIT_IO
+    assert cause in err and "Traceback" not in err
+    assert stdout == "" and not out.exists()
+
+
 # a cell past csv's field size limit (131072 characters), in a data row or
 # in the header, through ingest_csv, read_spectra_csv and the buzz reader
 LONG_CELL = "x" * 200_000

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aerosurvey import TimeSeries, UtmPoint, resample_uniform
-from aerosurvey.core import SurveyLine, LineRole
+from aerosurvey.core import LineRole, SurveyLine, _median, _percentiles
 from aerosurvey.errors import TooFewSamplesError
 
 
@@ -132,3 +132,42 @@ def test_survey_line_needs_position_columns():
     line = SurveyLine("L1", LineRole.FLIGHT, good)
     assert line.positions().shape == (2, 2)
     assert list(line.field_values("tmi_nT")) == [1.0, 2.0]
+
+
+def _samples(n: int, kind: int, rng) -> np.ndarray:
+    """n values of one kind: normal, small integers, signed zeros and
+    ones, normal with one nan, infinities, or magnitudes 1e-300..1e300."""
+    if kind == 0:
+        return rng.normal(size=n)
+    if kind == 1:
+        return rng.integers(-3, 3, n).astype(float)
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 1.0, -1.0], n)
+    if kind == 3:
+        x = rng.normal(size=n)
+        x[rng.integers(0, n)] = np.nan
+        return x
+    if kind == 4:
+        return rng.choice([np.inf, -np.inf, 1.0, 6e307], n)
+    return rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kind", range(6))
+def test_median_and_percentiles_are_numpys_bit_for_bit(kind):
+    # the package's own median and percentiles, which keep numpy.ma out of
+    # a process, give np.median's and np.percentile's bits, signed zeros
+    # and nan included
+    rng = np.random.default_rng(kind)
+    for n in [*range(1, 40), 999, 1000]:
+        for _ in range(5):
+            x = _samples(n, kind, rng)
+            with np.errstate(invalid="ignore"):   # inf - inf, as numpy
+                assert _bits(_median(x)) == _bits(np.median(x))
+                for q in ((2.5, 97.5), (0.0, 100.0), (50.0,), (2, 98),
+                          (33.3, 66.7, 99.9)):
+                    assert _bits(_percentiles(x, q)) \
+                        == _bits(np.percentile(x, list(q)))

@@ -15,10 +15,16 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import aerosurvey
 from aerosurvey import pipeline
 from aerosurvey.cli import main
 from aerosurvey.core import TimeSeries
@@ -75,6 +81,55 @@ def test_nasvd_denoise_peak_at_survey_large_size():
     rng = np.random.default_rng(0)
     counts = rng.poisson(rng.uniform(5.0, 80.0, 32), (26_695, 32)).astype(float)
     assert _peak_mb(nasvd_denoise, counts, 4) < 30.0  # [40]
+
+
+# a fresh interpreter that imports the CLI, reads a spectra file and then,
+# unless told "read", runs `qc nasvd` on it; it prints its max RSS in KiB.
+# That is VmHWM, the high-water mark of the process's own memory map:
+# ru_maxrss also counts the memory of the process that started it, which
+# for a test run is the test runner's
+MAX_RSS_PROBE = """
+import contextlib, io, sys
+from aerosurvey.cli import main
+from aerosurvey.io_csv import read_spectra_csv
+infile, out = sys.argv[1], sys.argv[2]
+if out == "read":
+    counts = read_spectra_csv(infile)
+else:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["qc", "nasvd", "--in", infile, "--k", "4",
+                     "--out", out]) == 0
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def _max_rss_kib(infile: Path, out: str) -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(aerosurvey.__file__).parent.parent),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", MAX_RSS_PROBE, str(infile),
+                           out], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-2])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="reads VmHWM from /proc (Linux)")
+def test_qc_nasvd_max_rss_at_survey_large_size(tmp_path):
+    # the command's max RSS above a process that only reads the file, in
+    # spectra-sized arrays: the counts are freed once noise-adjusted, so
+    # the SVD runs beside the scaled counts, the gufunc's input copy and U
+    # buffer, and the returned U; the counts alive beside them read 4.1
+    rng = np.random.default_rng(0)
+    counts = rng.poisson(rng.uniform(5.0, 80.0, 32), (26_695, 32)).astype(float)
+    infile = tmp_path / "spectra.csv"
+    write_spectra_csv(infile, counts)
+    excess = (_max_rss_kib(infile, str(tmp_path / "denoised.csv"))
+              - _max_rss_kib(infile, "read")) * 1024
+    assert excess / counts.nbytes < 3.5  # [4.1]
 
 
 def test_read_spectra_csv_peak_at_survey_large_size(tmp_path):

@@ -272,3 +272,36 @@ def test_nasvd_validates_spectra_matrix():
             fn(np.array([1.0, 2.0]), 1)
         with pytest.raises(ValueError, match="counts must be >= 0"):
             fn(np.array([[1.0, -2.0]]), 1)
+
+
+def test_nasvd_refuses_a_channel_mean_past_float64():
+    # ch0 sums to 3.4e308: its mean is inf, which made the scale 0 and the
+    # result nan, with an overflow warning from the mean
+    counts = np.array([[1.7e308, 1e308], [1.7e308, 2e307], [3.0, 4.0]])
+    for fn in (nasvd_denoise, nasvd_energy_fraction):
+        with pytest.raises(ValueError, match="channel ch0 has a non-finite "
+                                             "mean"):
+            fn(counts, 1)
+
+
+def test_nasvd_energy_refuses_singular_values_past_float64():
+    # every channel mean is finite, but the one large count scales to
+    # sqrt(4 * 1.5e308), whose square is past the float64 range
+    counts = np.array([[1.5e308, 1.0], [0.0, 2.0], [0.0, 3.0], [0.0, 4.0]])
+    with pytest.raises(ValueError, match="singular-value energy"):
+        nasvd_energy_fraction(counts, 1)
+    assert np.isfinite(nasvd_denoise(counts, 1)).all()
+
+
+@pytest.mark.parametrize("writeable", (True, False))
+def test_nasvd_only_reads_the_callers_counts(writeable):
+    counts = np.random.default_rng(4).poisson(30.0, (40, 8)).astype(float)
+    counts[:, 5] = 0.0
+    kept = counts.copy()
+    counts.flags.writeable = writeable
+    out = nasvd_denoise(counts, 3)
+    energy = nasvd_energy_fraction(counts, 3)
+    assert counts.tobytes() == kept.tobytes()
+    assert out.flags.writeable and not np.shares_memory(out, counts)
+    assert out.tobytes() == nasvd_denoise(kept, 3).tobytes()
+    assert energy == nasvd_energy_fraction(kept, 3)
