@@ -196,8 +196,8 @@ def _cmd_qc_diurnal(args) -> int:
     rover = ingest_csv(args.rover, SchemaKind.MAG).data
     base = ingest_csv(args.base, SchemaKind.BASE).data
     corrected = diurnal_correct(rover, base, args.datum)
-    write_series_csv(args.out, corrected)
     rms = _correction_stats(rover, corrected)["rms_correction_nt"]
+    write_series_csv(args.out, corrected)
     _emit({"out": str(args.out), "datum_nt": args.datum,
            "rms_correction_nt": rms})
     return EXIT_OK

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _readonly, check_range
+from .core import _percentiles, _readonly, check_range
 from .errors import TooFewPixelsError, TooFewSamplesError
 from .io_csv import write_table
 
@@ -48,8 +48,8 @@ class Stretch:
     def bounds(self, vals: np.ndarray) -> tuple[float, float]:
         if self.mode == "minmax":
             return float(vals.min()), float(vals.max())
-        lo, hi = np.percentile(vals, [self.p_lo, self.p_hi])
-        return float(lo), float(hi)
+        lo, hi = _percentiles(vals, (self.p_lo, self.p_hi))
+        return lo, hi
 
 
 MINMAX = Stretch("minmax")

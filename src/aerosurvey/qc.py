@@ -137,9 +137,16 @@ def diurnal_correct(rover: TimeSeries, base: TimeSeries,
 
 
 def _correction_stats(rover: TimeSeries, corrected: TimeSeries) -> dict:
-    """RMS and largest size of the correction diurnal_correct applied, nT."""
-    correction = rover.column("tmi_nT") - corrected.column("tmi_nT")
-    return {"rms_correction_nt": float(np.sqrt(np.mean(correction ** 2))),
+    """RMS and largest size of the correction diurnal_correct applied, nT;
+    a ValueError when they are past the float64 range."""
+    with np.errstate(over="ignore"):
+        correction = rover.column("tmi_nT") - corrected.column("tmi_nT")
+        rms = float(np.sqrt(np.mean(correction ** 2)))
+    if not math.isfinite(rms):   # as it is whenever the largest is not
+        raise ValueError("the diurnal correction is past the float64 range "
+                         f"(RMS {rms:g} nT): the base-station values less "
+                         "the datum are too large")
+    return {"rms_correction_nt": rms,
             "max_abs_correction_nt": float(np.max(np.abs(correction)))}
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -126,13 +126,15 @@ def payload_pose(geometry: SuspensionGeometry, roll_deg: float,
         minimize z  s.t.  ||x - b_i|| <= cable_length,
         b_i = R_uav a_i - R_yaw p_i,
 
-    a convex program. For fixed (x, y) the lowest feasible z is set by the
-    tightest cable, z*(x, y) = max_i (b_iz - sqrt(L^2 - |xy - b_ixy|^2)),
-    so the solve reduces to an unconstrained 2-D minimization of that
-    piecewise-smooth function (Nelder-Mead; the constraint vertex where
-    all four cables bind defeats gradient-based solvers). Tilt is limited
-    to 45 degrees, beyond which the taut-cable assumption (and the linkage
-    itself) stops being credible.
+    the lowest point of the four balls' intersection, which is unique and
+    holds one, two or three cables taut (a fourth taut one passes through
+    a point three fix). So it is one of 14 candidates: b_i - L z_hat (4),
+    the lowest point of each pair of spheres' common circle (6) and the
+    two common points of each triple (4 x 2). Every candidate that
+    overstretches no cable is feasible, so none lies below the optimum,
+    which is itself a candidate: the lowest feasible one is the pose.
+    Tilt is limited to 45 degrees, beyond which the taut-cable assumption
+    (and the linkage itself) stops being credible.
     """
     if max(abs(roll_deg), abs(pitch_deg)) >= 45.0:
         raise SlackCableError("tilt beyond taut-cable model validity (45 deg)")
@@ -143,45 +145,35 @@ def payload_pose(geometry: SuspensionGeometry, roll_deg: float,
     plat = geometry.platform_points()
     b = (r_uav @ anchors.T).T - (r_yaw @ plat.T).T   # (4, 3)
     length = geometry.cable_length
-    bxy, bz = b[:, :2], b[:, 2]
-
-    # all effective anchors coincide horizontally (parallel linkage at
-    # matching footprints): payload hangs straight below, exactly
-    if float(np.ptp(bxy, axis=0).max()) < 1e-12:
-        x, y = bxy[0]
-        z = float(bz.max()) - length
-        return PayloadPose((float(x), float(y), z), 0.0, 0.0, yaw_deg)
-
     lsq = length * length
-
-    def lowest_z(xy: np.ndarray) -> float:
-        d2 = np.sum((bxy - xy) ** 2, axis=1)
-        worst = float(d2.max())
-        if worst >= lsq:
-            return 1e6 + worst    # outside some cable's reach
-        return float(np.max(bz - np.sqrt(lsq - d2)))
-
-    from scipy.optimize import minimize
-
-    # explicit simplex sized to the anchor spread: scipy's default builds
-    # the start simplex by relative perturbation, which degenerates to a
-    # line when a coordinate of the start point is ~0 and pins the search
-    # there. Restart from the optimum with a fresh simplex until the
-    # objective stops improving, curing premature simplex collapse.
-    span = max(float(np.ptp(bxy, axis=0).max()), 1e-6)
-    opts = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000}
-    x0, best = bxy.mean(axis=0), None
-    for _ in range(4):
-        simplex = np.array([x0, x0 + (span, 0.0), x0 + (0.0, span)])
-        res = minimize(lowest_z, x0, method="Nelder-Mead",
-                       options={**opts, "initial_simplex": simplex})
-        if best is not None and res.fun >= best.fun - 1e-13:
-            break
-        best, x0 = res, res.x
-    if not best.success or best.fun > 1e5:
-        raise SlackCableError(f"pose solve failed: {best.message}")
-    x, y = best.x
-    return PayloadPose((float(x), float(y), float(best.fun)), 0.0, 0.0, yaw_deg)
+    candidates = [bi - (0.0, 0.0, length) for bi in b]
+    for i, j in combinations(range(4), 2):
+        d = b[j] - b[i]
+        dh, dsq = math.hypot(d[0], d[1]), float(d @ d)
+        if dh == 0.0 or dsq >= 4.0 * lsq:   # vertical or coincident, or apart
+            continue
+        # from the circle's centre, its radius down the circle's plane
+        down = np.array([d[0] * d[2] / dh, d[1] * d[2] / dh, -dh])
+        candidates.append((b[i] + b[j]) / 2.0
+                          + math.sqrt((lsq - dsq / 4.0) / dsq) * down)
+    for i, j, k in combinations(range(4), 3):
+        u, v = b[j] - b[i], b[k] - b[i]
+        m = np.cross(u, v)
+        msq = float(m @ m)
+        if msq == 0.0:   # collinear
+            continue
+        # from the circumcentre, along the normal to L from all three
+        rel = np.cross(float(u @ u) * v - float(v @ v) * u, m) / (2.0 * msq)
+        hsq = lsq - float(rel @ rel)
+        if hsq >= 0.0:
+            off = math.sqrt(hsq / msq) * m
+            candidates += (b[i] + rel + off, b[i] + rel - off)
+    feasible = [c for c in candidates
+                if np.sum((b - c) ** 2, axis=1).max() <= lsq * (1.0 + 1e-12)]
+    if not feasible:
+        raise SlackCableError("every payload position overstretches a cable")
+    lowest = min(feasible, key=lambda c: c[2])
+    return PayloadPose(tuple(lowest.tolist()), 0.0, 0.0, yaw_deg)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import TimeSeries, _DictCodec, check_range, ranged
+from .core import TimeSeries, _DictCodec, _median, check_range, ranged
 from .errors import (
     NoCandidatesError,
     NonPositiveFactorError,
@@ -132,7 +132,7 @@ def amplitude_spectrum(series: TimeSeries, axis: str = "z",
     if len(t) < 64:
         raise TooShortError("spectrum needs >= 64 samples")
     dt = np.diff(t)
-    dt0 = float(np.median(dt))
+    dt0 = _median(dt)
     if dt0 <= 0 or np.max(np.abs(dt - dt0)) > 1e-6 * dt0:
         raise NonUniformSeriesError("spectrum requires uniform sampling")
 

@@ -552,6 +552,23 @@ def test_qc_diurnal_writes_corrected(tmp_path, capsys):
         np.sqrt(np.mean(drift ** 2)), rel=0.05)
 
 
+def test_qc_diurnal_past_the_float_range_exits_2_writing_nothing(tmp_path,
+                                                                 capsys):
+    t = np.array([0.0, 0.1, 0.2])
+    write_mag(tmp_path / "rover.csv", t, t, t, np.full(3, 54000.0))
+    (tmp_path / "base.csv").write_text(
+        "t_s,tmi_nT\n-0.1,1e300\n0.0,1e300\n0.3,1e300\n")
+    out = tmp_path / "corrected.csv"
+    code, stdout, err = run_cli(capsys, "qc", "diurnal",
+                                "--rover", tmp_path / "rover.csv",
+                                "--base", tmp_path / "base.csv",
+                                "--datum", 54000.0, "--out", out)
+    assert code == EXIT_IO
+    assert "error: the diurnal correction is past the float64 range" in err
+    assert "Traceback" not in err and stdout == ""
+    assert not out.exists()
+
+
 def _write_tie_fixture(tmp_path, tie_value):
     flights = tmp_path / "flights"
     ties = tmp_path / "ties"
@@ -934,6 +951,27 @@ def test_pipeline_cli_stage_failure_writes_partial_report(
     partial = json.loads((out_dir / "report.json").read_text())
     assert [s["name"] for s in partial["stages"]] == [
         "simulate", "qc_d4", "qc_diurnal", "qc_tie", "qc_nasvd"]
+
+
+def test_pipeline_diurnal_past_the_float_range_exits_2(tmp_path, small_plan,
+                                                      capsys, monkeypatch):
+    def huge_correction(rover, base, datum):
+        corrected = rover.values.copy()
+        corrected[:, rover.fields.index("tmi_nT")] = -1e300
+        return TimeSeries(rover.t, corrected, rover.fields)
+
+    monkeypatch.setattr(pipeline, "diurnal_correct", huge_correction)
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"plan_path": str(small_plan)}))
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "pipeline", "--config", config,
+                           "--out-dir", out_dir)
+    assert code == EXIT_IO
+    assert ("error: stage 'qc_diurnal' failed: the diurnal correction is "
+            "past the float64 range" in err)
+    assert "Traceback" not in err
+    partial = json.loads((out_dir / "report.json").read_text())
+    assert [s["name"] for s in partial["stages"]] == ["simulate", "qc_d4"]
 
 
 # a hover once failed on "max() arg is an empty sequence"

@@ -15,6 +15,7 @@ from aerosurvey import (
     nasvd_energy_fraction,
 )
 from aerosurvey.core import LineRole, SurveyLine
+from aerosurvey.qc import _correction_stats
 from aerosurvey.io_csv import SchemaKind, crossover_fixture_path
 from aerosurvey.errors import (
     BaseDoesNotCoverError,
@@ -104,6 +105,16 @@ def test_diurnal_correct_rejects_non_finite_datum(datum):
     rover = TimeSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="datum must be finite"):
         diurnal_correct(rover, rover, datum=datum)
+
+
+def test_correction_stats_past_the_float_range_are_refused():
+    # each correction is finite, but its square is not
+    t = np.array([0.0, 0.1, 0.2])
+    rover = TimeSeries(t, np.full(3, 54000.0))
+    base = TimeSeries(np.array([-0.1, 0.0, 0.3]), np.full(3, 1e300))
+    corrected = diurnal_correct(rover, base, datum=54000.0)
+    with pytest.raises(ValueError, match="past the float64 range"):
+        _correction_stats(rover, corrected)
 
 
 def test_diurnal_correct_requires_coverage():

@@ -10,11 +10,13 @@ range check, so the paths cannot quietly split again. Arrays are frozen
 only by core._readonly (and numtext's shared tables), the payload EMI
 level is worked out only by SimConfig.emi_amplitude, the size of the
 diurnal correction only by qc._correction_stats (for the pipeline and the
-qc diurnal command alike), and which columns are gamma channels only by
-io_csv._channel_columns. The last tests keep
-scipy out of module scope (the functions that need it import it on their
-first call, so importing the package costs no more than numpy) and keep
-its k-d tree out of the package: grid_idw has its own binned query.
+qc diurnal command alike), which columns are gamma channels only by
+io_csv._channel_columns, and every median and percentile only by
+core._median and core._percentiles (numpy's import numpy.ma). The last
+tests keep scipy out of module scope (the one function that needs it,
+vibration.amplitude_spectrum, imports it on its first call, so importing
+the package costs no more than numpy) and keep its k-d tree out of the
+package: grid_idw has its own binned query.
 """
 
 from __future__ import annotations
@@ -174,6 +176,13 @@ def test_gamma_channel_columns_only_in_channel_columns():
     assert _where(predicate) == {("io_csv.py", "_channel_columns")}
 
 
+def test_medians_and_percentiles_only_from_core():
+    # np.median and np.percentile import numpy.ma in the calling process
+    names = {"median", "percentile", "nanmedian", "nanpercentile", "quantile"}
+    assert _where(lambda n: _uses(n, "np", names)
+                  or _uses(n, "numpy", names)) == set()
+
+
 def test_scipy_is_imported_only_inside_functions():
     def scipy_import(node) -> bool:
         if isinstance(node, ast.Import):
@@ -182,7 +191,7 @@ def test_scipy_is_imported_only_inside_functions():
                 and (node.module or "").split(".")[0] == "scipy")
 
     found = _where(scipy_import)
-    assert found, "the walk found no scipy import at all"
+    assert {f for f, _ in found} == {"vibration.py"}
     assert {f for f, scope in found if scope == "<module>"} == set()
 
 

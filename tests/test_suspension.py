@@ -172,6 +172,51 @@ def test_payload_pose_tilt_moves_payload_uphill():
     assert abs(pose.offset[0]) > 0.01
 
 
+def test_payload_pose_is_exact_on_random_layouts():
+    # 200 random platform layouts and 40 at the default, each at a random
+    # attitude: feasible to rounding, its z the lowest at its (x, y), no
+    # lower z on rings around it, and the same bits on a second call
+    rng = np.random.default_rng(20240601)
+    layouts = [tuple(rng.uniform(0.05, 1.2, 4)) for _ in range(200)]
+    layouts += [None] * 40
+    for offsets in layouts:
+        g = (SuspensionGeometry() if offsets is None
+             else SuspensionGeometry(platform_offsets=offsets))
+        roll, pitch = rng.uniform(-40.0, 40.0, 2)
+        yaw = rng.uniform(-180.0, 180.0)
+        pose = payload_pose(g, roll, pitch, yaw)
+        assert payload_pose(g, roll, pitch, yaw) == pose
+        b = _effective_anchors(g, roll, pitch, yaw)
+        p = np.asarray(pose.offset)
+        length, lsq = g.cable_length, g.cable_length ** 2
+        assert np.linalg.norm(b - p, axis=1).max() <= length * (1 + 1e-12)
+
+        def lowest_z(xy):
+            dd = np.sum((b[:, :2] - xy) ** 2, axis=1)
+            if dd.max() >= lsq:
+                return np.inf
+            return float(np.max(b[:, 2] - np.sqrt(lsq - dd)))
+
+        assert lowest_z(p[:2]) == pytest.approx(p[2], abs=1e-12)
+        for radius in (1e-6, 1e-3):
+            ring = [lowest_z(p[:2] + radius * np.array([np.cos(a), np.sin(a)]))
+                    for a in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)]
+            assert min(ring) >= p[2] - 1e-12, (offsets, roll, pitch, yaw)
+
+
+def test_payload_pose_out_of_reach_is_slack():
+    # effective anchors more than two cable lengths apart: no position
+    # keeps every cable within its length
+    g = SuspensionGeometry(
+        motor_anchor_points=((10.0, 10.0, 0.0), (-10.0, 10.0, 0.0),
+                             (-10.0, -10.0, 0.0), (10.0, -10.0, 0.0)),
+        platform_offsets=(0.1,) * 4)
+    b = _effective_anchors(g, 5.0, 0.0, 0.0)
+    assert np.linalg.norm(b[0] - b[2]) > 2 * g.cable_length
+    with pytest.raises(SlackCableError):
+        payload_pose(g, 5.0, 0.0, 0.0)
+
+
 # --- flight plan ---
 
 def test_flight_plan_leg_layout():
