@@ -284,10 +284,11 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
         stage = "qc_diurnal"
         corrected = diurnal_correct(mag, base, sim_cfg.base_datum_nt)
+        # refused before anything is written, as the qc diurnal command is
+        correction = _correction_stats(mag, corrected)
         write_series_csv(out / "corrected.csv", corrected)
         stages.append(StageResult(stage, True, {
-            "datum_nt": sim_cfg.base_datum_nt,
-            **_correction_stats(mag, corrected),
+            "datum_nt": sim_cfg.base_datum_nt, **correction,
         }, ("corrected.csv",)))
 
         stage = "qc_tie"

@@ -82,7 +82,7 @@ class SpectrumResult:
     """Single-sided amplitude spectrum with detected peaks.
 
     `peaks` is (frequency Hz, amplitude) sorted by amplitude descending;
-    a peak is a local maximum whose prominence exceeds the configured
+    a peak is a local maximum whose prominence is at least the configured
     fraction of the largest bin.
     """
 
@@ -126,6 +126,10 @@ def amplitude_spectrum(series: TimeSeries, axis: str = "z",
     Amplitudes are normalized by 2/sum(window), which reduces to the
     plain 2/N single-sided rule for a boxcar and recovers the amplitude
     of an on-bin sine exactly; DC and Nyquist bins are not doubled.
+    Peaks are the bins scipy.signal.find_peaks(amplitudes, prominence=
+    prominence_fraction * max) returns, found by the package's own
+    _find_peaks. A column whose mean or amplitudes are past the float64
+    range is refused with a ValueError.
     """
     check_range("prominence_fraction", prominence_fraction, 0, 1)
     t = series.t
@@ -137,25 +141,61 @@ def amplitude_spectrum(series: TimeSeries, axis: str = "z",
         raise NonUniformSeriesError("spectrum requires uniform sampling")
 
     x = _axis_column(series, axis).astype(float)
-    x = x - x.mean()
     n = len(x)
     w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))  # periodic Hann
-    spec = np.fft.rfft(x * w)
-    amps = 2.0 * np.abs(spec) / w.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x - x.mean()
+        spec = np.fft.rfft(x * w)
+        amps = 2.0 * np.abs(spec) / w.sum()
+    if not np.isfinite(amps).all():     # as they are when the mean is not
+        raise ValueError(f"axis {axis!r}: the mean or the amplitude spectrum "
+                         "is past the float64 range")
     amps[0] *= 0.5
     if n % 2 == 0:
         amps[-1] *= 0.5
     freqs = np.fft.rfftfreq(n, d=dt0)
 
-    peaks: list[tuple[float, float]] = []
-    top = float(amps.max())
-    if top > 0:
-        from scipy.signal import find_peaks
-
-        locs, _ = find_peaks(amps, prominence=prominence_fraction * top)
-        peaks = [(float(freqs[i]), float(amps[i])) for i in locs]
-        peaks.sort(key=lambda p: (-p[1], p[0]))
+    locs = _find_peaks(amps, prominence_fraction * float(amps.max()))
+    peaks = sorted(((float(freqs[i]), float(amps[i])) for i in locs),
+                   key=lambda p: (-p[1], p[0]))
     return SpectrumResult(freqs, amps, tuple(peaks))
+
+
+def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """scipy.signal.find_peaks(x, prominence=prominence)[0], index for index.
+
+    A peak is a plateau, one sample or more, whose both neighbours are
+    lower (so none touches an end), at its midpoint (left + right) // 2.
+    It is kept when x[p] - max(left_min, right_min) >= prominence, each
+    side's minimum taken up to the first strictly higher sample (scipy's
+    wlen=None). That sample lies past the nearest strictly higher peak,
+    with nothing lower between, so a monotonic stack over the peaks and
+    the valleys between them finds each minimum. x must be finite.
+    """
+    step = np.diff(x)
+    moves = np.flatnonzero(step)                # x[i + 1] != x[i]
+    up = step[moves] > 0
+    k = np.flatnonzero(up[:-1] & ~up[1:])       # a rise, a plateau, a fall
+    peaks = (moves[k] + 1 + moves[k + 1]) // 2
+    heights = x[peaks]
+    # valleys[i]: least sample between peaks i - 1 and i, the array's ends
+    # standing in for peaks -1 and len(peaks)
+    valleys = np.minimum.reduceat(x, np.concatenate(([0], peaks))).tolist()
+    left = _side_mins(heights.tolist(), valleys[:-1])
+    right = _side_mins(heights[::-1].tolist(), valleys[:0:-1])[::-1]
+    return peaks[heights - np.maximum(left, right) >= prominence]
+
+
+def _side_mins(heights: list, valleys: list) -> list:
+    """For each peak i, the least valleys[j] with j from just after the
+    nearest earlier peak strictly higher than i (from 0 if none) to i."""
+    mins, stack = [], []    # (height, least valley since the one below it)
+    for h, low in zip(heights, valleys):
+        while stack and stack[-1][0] <= h:
+            low = min(low, stack.pop()[1])
+        stack.append((h, low))
+        mins.append(low)
+    return mins
 
 
 def damping_effectiveness(inp: DampingInput) -> float:
@@ -171,9 +211,15 @@ def attenuation_db(reduction: float) -> float:
     return 20.0 * math.log10(reduction)
 
 
-def _rms(x: np.ndarray) -> float:
-    x = x - x.mean()
-    return float(np.sqrt(np.mean(x * x)))
+def _rms(x: np.ndarray, name: str) -> float:
+    """Mean-removed RMS of trace `name`; a ValueError when it is past the
+    float64 range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x - x.mean()
+        rms = float(np.sqrt(np.mean(x * x)))
+    if not math.isfinite(rms):
+        raise ValueError(f"{name!r} trace's RMS is past the float64 range")
+    return rms
 
 
 def reduction_factor(before: TimeSeries, after: TimeSeries,
@@ -181,10 +227,10 @@ def reduction_factor(before: TimeSeries, after: TimeSeries,
     """Ratio of mean-removed RMS amplitudes, before/after, per axis."""
     if len(before) == 0 or len(after) == 0:
         raise TooShortError("both series must be non-empty")
-    rms_after = _rms(_axis_column(after, axis))
+    rms_after = _rms(_axis_column(after, axis), "after")
     if rms_after == 0.0:
         raise ZeroAfterAmplitudeError("'after' trace has zero RMS")
-    return _rms(_axis_column(before, axis)) / rms_after
+    return _rms(_axis_column(before, axis), "before") / rms_after
 
 
 def select_configuration(candidates: list[IsolatorConfig], payload_mass: float,

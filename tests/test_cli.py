@@ -82,6 +82,20 @@ def test_vib_compare_reduction(tmp_path, capsys):
     assert payload["attenuation_db"] == pytest.approx(26.0206, abs=1e-3)
 
 
+def test_vib_spectrum_past_the_float_range_is_io_error(tmp_path, capsys):
+    # a column scaled by 1e306: its spectrum overflows, and the command
+    # refuses it before the output is written
+    t = np.arange(2048) / 256.0
+    infile = tmp_path / "accel.csv"
+    write_accel(infile, t, 1e306 * np.sin(2 * np.pi * 33.0 * t))
+    out = tmp_path / "spectrum.csv"
+    code, _, err = run_cli(capsys, "vib", "spectrum", "--in", infile,
+                           "--axis", "z", "--out", out)
+    assert code == EXIT_IO
+    assert "past the float64 range" in err
+    assert not out.exists()
+
+
 def test_vib_rank_orders_by_effectiveness(tmp_path, capsys):
     config = tmp_path / "candidates.json"
     config.write_text(json.dumps([

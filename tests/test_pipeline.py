@@ -6,6 +6,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aerosurvey import __version__, pipeline
@@ -192,6 +193,23 @@ def test_any_exception_in_a_stage_carries_partial_report(tmp_path,
     assert isinstance(err.cause, IndexError)
     done = tuple(s.name for s in err.partial_report.stages)
     assert done == STAGE_ORDER[:5]
+
+
+def test_refused_diurnal_correction_writes_no_corrected_csv(tmp_path,
+                                                            monkeypatch):
+    # a correction past the float64 range is refused before corrected.csv
+    # is written, as the qc diurnal command refuses it
+    def huge_correction(rover, base, datum):
+        return rover.with_column("tmi_nT", np.full(len(rover), -1e300))
+
+    monkeypatch.setattr(pipeline, "diurnal_correct", huge_correction)
+    cfg = PipelineConfig(out_dir=tmp_path / "out",
+                         plan_path=write_small_plan(tmp_path))
+    with pytest.raises(PipelineStageError) as exc_info:
+        run_pipeline(cfg)
+    assert exc_info.value.stage == "qc_diurnal"
+    assert isinstance(exc_info.value.cause, ValueError)
+    assert not (tmp_path / "out" / "corrected.csv").exists()
 
 
 # --- reproducibility ---

@@ -1,15 +1,7 @@
-"""scipy is imported at first use, so most commands start at numpy's cost;
-and each command loads only the package modules it runs.
+"""Each command loads only the package modules it runs, and none of them
+needs scipy.
 
-Each check runs in a fresh interpreter and reads sys.modules afterwards:
-importing the package or the CLI loads no scipy module, and neither do
-the qc commands, `grid compare`, `grid make` (its neighbour query is
-numpy alone), `sim survey`, `emi buzz`, run_pipeline (the pendulum
-filter and the running median are the package's own) or payload_pose
-(an exact candidate solve). Only `vib spectrum` (find_peaks) imports
-scipy. The functions that once imported scipy, or still do, must give in
-a fresh process the same result as in this one.
-
+Each check runs in a fresh interpreter and reads sys.modules afterwards.
 Importing the package loads none of its modules (a submodule still
 resolves as an attribute), and the qc and grid commands load none of the
 simulator, pipeline, EMI or vibration modules; `vib` loads neither the
@@ -19,6 +11,13 @@ the pipeline nor vibration.
 Nor do the qc, grid and `emi buzz` commands load numpy.ma, which numpy's
 np.median, np.percentile and flagless np.unique import (10-16 ms a
 process).
+
+The functions that once imported scipy on their first call (lfilter,
+median_filter, minimize, find_peaks) must give in a fresh process the
+same result as in this one, with no scipy module loaded, and `vib
+spectrum` must write the same bytes with scipy blocked from importing.
+That no module of the package imports scipy is an AST guard in
+test_single_paths.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import numpy as np
 import pytest
 
 import aerosurvey
+from aerosurvey.cli import main
 from aerosurvey.core import TimeSeries
 from aerosurvey.gridding import grid_idw, write_asc
 from aerosurvey.io_csv import write_series_csv
@@ -40,19 +40,17 @@ from aerosurvey.pipeline import write_survey_artifacts
 from aerosurvey.suspension import FlightPlan, SimConfig, simulate_survey
 
 PACKAGE_ROOT = str(Path(aerosurvey.__file__).resolve().parent.parent)
-# printed last by every probe: the scipy modules the process has loaded,
-# then the package's own modules, as their names after "aerosurvey."
-REPORT = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-          " if m.split('.')[0] == 'scipy')))\n"
-          "print(json.dumps(sorted(m.partition('.')[2] for m in sys.modules"
-          " if m.startswith('aerosurvey.'))))\n")
+# printed last by every probe: the package's own modules the process has
+# loaded, as their names after "aerosurvey."
+REPORT = ("\nimport json, sys\nprint(json.dumps(sorted(m.partition('.')[2]"
+          " for m in sys.modules if m.startswith('aerosurvey.'))))\n")
 # the modules the qc and grid commands do not run
 NOT_QC_OR_GRID = {"suspension", "pipeline", "emi", "vibration"}
 
 
 def _fresh(code: str) -> list[str]:
-    """stdout lines of `code` run in a new interpreter: the scipy modules
-    it loaded next to last, and the package's own modules last."""
+    """stdout lines of `code` run in a new interpreter, the package's own
+    modules it loaded last."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
@@ -62,13 +60,12 @@ def _fresh(code: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-def _cli(argvs: list[list[str]]) -> tuple[list[int], set[str], set[str]]:
+def _cli(argvs: list[list[str]]) -> tuple[list[int], set[str]]:
     """Exit codes of cli.main over `argvs` in one fresh process, and the
-    scipy modules and the package's own modules loaded by then."""
+    package's own modules loaded by then."""
     lines = _fresh("import json\nfrom aerosurvey.cli import main\n"
                    f"print(json.dumps([main(a) for a in {argvs!r}]))")
-    return (json.loads(lines[-3]), set(json.loads(lines[-2])),
-            set(json.loads(lines[-1])))
+    return json.loads(lines[-2]), set(json.loads(lines[-1]))
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +83,6 @@ def survey(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("module", ["aerosurvey", "aerosurvey.cli"])
-def test_importing_the_package_loads_no_scipy(module):
-    assert json.loads(_fresh(f"import {module}")[-2]) == []
-
-
 def test_importing_the_package_loads_none_of_its_modules():
     assert json.loads(_fresh("import aerosurvey")[-1]) == []
 
@@ -98,7 +90,7 @@ def test_importing_the_package_loads_none_of_its_modules():
 def test_a_submodule_resolves_after_a_bare_import():
     lines = _fresh("import aerosurvey\nprint(aerosurvey.suspension.__name__,"
                    " aerosurvey.SimConfig.__name__)")
-    assert lines[-3].split() == ["aerosurvey.suspension", "SimConfig"]
+    assert lines[-2].split() == ["aerosurvey.suspension", "SimConfig"]
 
 
 def test_importing_the_cli_loads_only_the_qc_and_grid_modules():
@@ -106,9 +98,10 @@ def test_importing_the_cli_loads_only_the_qc_and_grid_modules():
         == ["cli", "core", "errors", "gridding", "io_csv", "qc"]
 
 
-def test_qc_and_grid_compare_load_no_scipy(survey):
+def test_qc_and_grid_compare_load_no_simulator_pipeline_emi_or_vibration(
+        survey):
     s, o = str(survey), str(survey / "out")
-    codes, loaded, ours = _cli([
+    codes, ours = _cli([
         ["qc", "d4", "--in", f"{s}/mag.csv", "--threshold", "6.72",
          "--out", f"{o}-d4.json"],
         ["qc", "diurnal", "--rover", f"{s}/mag.csv", "--base",
@@ -121,16 +114,14 @@ def test_qc_and_grid_compare_load_no_scipy(survey):
          "--out", f"{o}-cmp.json"],
     ])
     assert codes == [0, 0, 0, 0, 0]
-    assert loaded == set()
     assert ours.isdisjoint(NOT_QC_OR_GRID), ours
 
 
-def test_grid_make_loads_no_scipy(survey):
-    codes, loaded, ours = _cli([["grid", "make", "--in", f"{survey}/mag.csv",
-                                 "--cell", "10", "--pgm", f"{survey}/make.pgm",
-                                 "--out", f"{survey}/make.asc"]])
+def test_grid_make_loads_no_simulator_pipeline_emi_or_vibration(survey):
+    codes, ours = _cli([["grid", "make", "--in", f"{survey}/mag.csv",
+                              "--cell", "10", "--pgm", f"{survey}/make.pgm",
+                              "--out", f"{survey}/make.asc"]])
     assert codes == [0]
-    assert loaded == set()
     assert ours.isdisjoint(NOT_QC_OR_GRID), ours
 
 
@@ -159,7 +150,7 @@ def test_qc_grid_and_emi_commands_load_no_numpy_ma(survey, tmp_path):
     lines = _fresh("import json, sys\nfrom aerosurvey.cli import main\n"
                    f"print(json.dumps([[main(a), 'numpy.ma' in sys.modules]"
                    f" for a in {argvs!r}]))")
-    assert json.loads(lines[-3]) == [[0, False]] * len(argvs)
+    assert json.loads(lines[-2]) == [[0, False]] * len(argvs)
 
 
 def _buzz_passes(folder: Path) -> Path:
@@ -177,24 +168,10 @@ def _buzz_passes(folder: Path) -> Path:
     return folder / "passes.json"
 
 
-def test_sim_survey_and_emi_buzz_load_no_scipy(tmp_path):
-    passes = _buzz_passes(tmp_path)
-    (tmp_path / "plan.json").write_text(json.dumps(
-        {"n_lines": 2, "line_length_m": 200.0, "tie_lines": 1}))
-    codes, loaded, _ = _cli([
-        ["sim", "survey", "--plan", f"{tmp_path}/plan.json",
-         "--out-dir", f"{tmp_path}/sim"],
-        ["emi", "buzz", "--passes", str(passes),
-         "--out", f"{tmp_path}/buzz.json"],
-    ])
-    assert codes == [0, 0]
-    assert loaded == set()
-
-
 def test_emi_buzz_loads_no_simulator_pipeline_or_vibration(tmp_path):
-    codes, _, ours = _cli([["emi", "buzz", "--passes",
-                            str(_buzz_passes(tmp_path)),
-                            "--out", f"{tmp_path}/buzz.json"]])
+    codes, ours = _cli([["emi", "buzz", "--passes",
+                         str(_buzz_passes(tmp_path)),
+                         "--out", f"{tmp_path}/buzz.json"]])
     assert codes == [0]
     assert ours.isdisjoint({"suspension", "pipeline", "vibration"}), ours
 
@@ -209,7 +186,7 @@ def test_vib_rank_and_compare_load_no_simulator_pipeline_or_emi(tmp_path):
     (tmp_path / "candidates.json").write_text(json.dumps([
         {"kind": "wire_rope", "count": 4, "intensity": 1.0,
          "damping_ratio": 0.3, "stiffness": 800.0}]))
-    codes, _, ours = _cli([
+    codes, ours = _cli([
         ["vib", "rank", "--config", f"{tmp_path}/candidates.json",
          "--mass", "6", "--freq", "35"],
         ["vib", "compare", "--before", f"{tmp_path}/before.csv",
@@ -219,20 +196,9 @@ def test_vib_rank_and_compare_load_no_simulator_pipeline_or_emi(tmp_path):
     assert ours.isdisjoint({"suspension", "pipeline", "emi"}), ours
 
 
-def test_run_pipeline_loads_no_scipy(tmp_path):
-    # the default plan, as `aerosurvey pipeline` runs it
-    lines = _fresh("from aerosurvey.pipeline import PipelineConfig, "
-                   "run_pipeline\n"
-                   f"cfg = PipelineConfig(out_dir={str(tmp_path)!r})\n"
-                   "print(run_pipeline(cfg).overall_pass)")
-    assert lines[-3] in ("True", "False")
-    assert (tmp_path / "report.json").is_file()
-    assert json.loads(lines[-2]) == []
-
-
-# each function that imports scipy on its first call, or did before the
-# package had its own code for it, as an expression whose value is JSON;
-# the fresh process must compute the same value
+# each function that imported scipy on its first call before the package
+# had its own code for it, as an expression whose value is JSON; the fresh
+# process must compute the same value, and load no scipy module
 FIRST_USE = {
     "lfilter": ("from aerosurvey.suspension import pendulum_ring_down",
                 "pendulum_ring_down(10.0, 0.05, 9.0, 5.0).values.tolist()"),
@@ -256,17 +222,51 @@ FIRST_USE = {
 }
 
 
-# the entries whose scipy call the package now makes itself
-NO_SCIPY = {"lfilter", "median_filter", "minimize"}
-
-
 @pytest.mark.parametrize("name", sorted(FIRST_USE))
 def test_first_use_import_gives_the_same_result(name):
     setup, expr = FIRST_USE[name]
-    lines = _fresh(f"import json\n{setup}\nprint(json.dumps({expr}))")
+    lines = _fresh(f"import json, sys\n{setup}\nprint(json.dumps({expr}))\n"
+                   "print(json.dumps([m for m in sys.modules"
+                   " if m.partition('.')[0] == 'scipy']))")
     scope: dict = {}
     exec(setup, scope)
     assert lines[-3] == json.dumps(eval(expr, scope))
     assert np.isfinite(np.asarray(json.loads(lines[-3]), dtype=float)).all()
-    loaded = json.loads(lines[-2])
-    assert (loaded == []) == (name in NO_SCIPY), loaded
+    assert json.loads(lines[-2]) == []
+
+
+# put first on sys.meta_path, a finder that fails every scipy import
+BLOCK_SCIPY = """import sys
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition('.')[0] == 'scipy':
+            raise ModuleNotFoundError(f'{name} is blocked')
+sys.meta_path.insert(0, _NoScipy())
+try:
+    import scipy
+except ModuleNotFoundError:
+    pass
+else:
+    raise SystemExit('scipy was not blocked')
+"""
+
+
+def test_vib_spectrum_runs_with_scipy_blocked(tmp_path, capsys):
+    t = np.arange(2048) / 256.0
+    noise = np.random.default_rng(3).normal(0.0, 0.1, t.size)
+    az = (3.0 * np.sin(2 * np.pi * 33.0 * t)
+          + 1.2 * np.sin(2 * np.pi * 76.0 * t) + noise)
+    write_series_csv(tmp_path / "accel.csv", TimeSeries(
+        t, np.column_stack([0 * t, 0 * t, az]),
+        ("ax_ms2", "ay_ms2", "az_ms2")))
+    argv = ["vib", "spectrum", "--in", str(tmp_path / "accel.csv"), "--out"]
+    blocked = argv + [str(tmp_path / "blocked.csv")]
+    lines = _fresh(BLOCK_SCIPY + "from aerosurvey.cli import main\n"
+                   f"print(main({blocked!r}))")
+    assert lines[-2] == "0"
+    assert main(argv + [str(tmp_path / "here.csv")]) == 0
+    here = json.loads(capsys.readouterr().out)
+    assert (tmp_path / "blocked.csv").read_bytes() \
+        == (tmp_path / "here.csv").read_bytes()
+    assert json.loads("\n".join(lines[:-2]))["peaks"] == here["peaks"]
+    assert len(here["peaks"]) >= 2

@@ -13,10 +13,9 @@ diurnal correction only by qc._correction_stats (for the pipeline and the
 qc diurnal command alike), which columns are gamma channels only by
 io_csv._channel_columns, and every median and percentile only by
 core._median and core._percentiles (numpy's import numpy.ma). The last
-tests keep scipy out of module scope (the one function that needs it,
-vibration.amplitude_spectrum, imports it on its first call, so importing
-the package costs no more than numpy) and keep its k-d tree out of the
-package: grid_idw has its own binned query.
+tests keep scipy out of the package, which runs on numpy alone (scipy is
+the tests' oracle, not a dependency), and its k-d tree with it: grid_idw
+has its own binned query.
 """
 
 from __future__ import annotations
@@ -183,16 +182,14 @@ def test_medians_and_percentiles_only_from_core():
                   or _uses(n, "numpy", names)) == set()
 
 
-def test_scipy_is_imported_only_inside_functions():
+def test_no_module_imports_scipy():
     def scipy_import(node) -> bool:
         if isinstance(node, ast.Import):
             return any(a.name.split(".")[0] == "scipy" for a in node.names)
         return (isinstance(node, ast.ImportFrom)
                 and (node.module or "").split(".")[0] == "scipy")
 
-    found = _where(scipy_import)
-    assert {f for f, _ in found} == {"vibration.py"}
-    assert {f for f, scope in found if scope == "<module>"} == set()
+    assert _where(scipy_import) == set()
 
 
 def test_no_kd_tree_in_the_package():

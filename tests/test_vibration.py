@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,22 @@ def test_reduction_factor_zero_after_raises():
     flat = TimeSeries(t, np.full_like(t, 7.0))
     with pytest.raises(ZeroAfterAmplitudeError):
         reduction_factor(before, flat)
+
+
+@pytest.mark.parametrize("name", ("before", "after"))
+def test_reduction_factor_past_the_float_range_names_the_trace(name):
+    # one 1e308 sample overflows x * x: refused, naming the trace, and
+    # with no RuntimeWarning on the way
+    traces = {"before": _sine_trace([(16.0, 2.0)], 128.0, 2.0),
+              "after": _sine_trace([(16.0, 1.0)], 128.0, 2.0)}
+    spiked = traces[name].values.copy()
+    spiked[5] = 1e308
+    traces[name] = TimeSeries(traces[name].t, spiked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"'{name}' trace's RMS is past "
+                                             "the float64 range"):
+            reduction_factor(traces["before"], traces["after"])
 
 
 # --- isolator selection ---
