@@ -21,8 +21,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import AerosurveyError, TooFewSamplesError
-
 
 def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
@@ -197,7 +195,7 @@ def resample_uniform(series: TimeSeries, rate_hz: float) -> TimeSeries:
     """
     check_range("rate_hz", rate_hz, 0, above=True)
     if len(series) < 2:
-        raise TooFewSamplesError("resample needs >= 2 samples")
+        raise ValueError("resample needs >= 2 samples")
     t0, t1 = float(series.t[0]), float(series.t[-1])
     span = t1 - t0
     # count nodes with a tolerance so span*rate == integer survives rounding
@@ -252,8 +250,8 @@ def _percentiles(x, q) -> list[float]:
 # range check and config dataclass <-> JSON-ready dict
 
 
-def check_range(name, value, lo, hi=math.inf, above=False, error=ValueError):
-    """Raise `error` naming `name` unless `value` is finite and in [lo, hi]
+def check_range(name, value, lo, hi=math.inf, above=False):
+    """Raise ValueError naming `name` unless `value` is finite and in [lo, hi]
     ((lo, hi] when `above`); lo = -inf asks only for a finite value."""
     # not math.isfinite, which overflows on ints beyond the float range
     if (lo < value if above else lo <= value) and value <= hi \
@@ -264,7 +262,7 @@ def check_range(name, value, lo, hi=math.inf, above=False, error=ValueError):
         text += f" and {'>' if above else '>='} {lo}"
     if hi < math.inf:
         text += f" and <= {hi}"
-    raise error(f"{text}, got {value!r}")
+    raise ValueError(f"{text}, got {value!r}")
 
 
 def config_to_dict(obj) -> dict:
@@ -309,10 +307,10 @@ def config_from_dict(cls, d):
 
 def _decode_at(cls, raw, where):
     """cls.from_dict(raw), with `where` in front of the message of any
-    ValueError or package error it raises (keeping the error's type)."""
+    ValueError it raises."""
     try:
         return cls.from_dict(raw)
-    except (AerosurveyError, ValueError) as exc:
+    except ValueError as exc:
         exc.args = (f"{where}: {exc}",)
         raise
 
@@ -362,7 +360,6 @@ def ranged(default, lo, hi=math.inf, above=False):
 class _DictCodec:
     """to_dict/from_dict of a config dataclass, through the codec above,
     and one check of its ranged() fields, however it is built."""
-    _range_error = ValueError  # raised by the check
 
     def __post_init__(self):
         for f in dc_fields(self):
@@ -370,8 +367,7 @@ class _DictCodec:
             if "range" not in f.metadata or v is None and f.default is None:
                 continue
             for x in _numbers(v):
-                check_range(f.name, x, *f.metadata["range"],
-                            error=self._range_error)
+                check_range(f.name, x, *f.metadata["range"])
 
     def to_dict(self) -> dict:
         return config_to_dict(self)

@@ -22,13 +22,7 @@ from .core import (
     check_range,
     ranged,
 )
-from .errors import (
-    NeverBelowFloorError,
-    NoFitAvailableError,
-    NonPositiveParameterError,
-    TooFewSeparationsError,
-    TraceTooShortError,
-)
+from .errors import NeverBelowFloorError, NoFitAvailableError
 
 
 # cells of the window matrix _running_median partitions at a time (2 MiB)
@@ -113,10 +107,9 @@ def noise_amplitude(trace: TimeSeries, detrend_window_s: float = 1.0) -> float:
     at survey sizes (k = 11) and about 1 s at n = 3e4, k = 9999, where
     median_filter takes 0.005 s.
     """
-    check_range("detrend_window_s", detrend_window_s, 0, above=True,
-                error=NonPositiveParameterError)
+    check_range("detrend_window_s", detrend_window_s, 0, above=True)
     if trace.duration < 3.0 * detrend_window_s:
-        raise TraceTooShortError("trace must span >= 3 detrend windows")
+        raise ValueError("trace must span >= 3 detrend windows")
     if trace.values.ndim == 1:
         x = trace.values
     elif "tmi_nT" in trace.fields:
@@ -191,7 +184,7 @@ def build_noise_curve(passes: list[BuzzPass], cfg: EmiConfig,
         groups.setdefault(p.separation, []).append(
             noise_amplitude(p.trace, detrend_window_s))
     if len(groups) < 3:
-        raise TooFewSeparationsError("need >= 3 distinct separations")
+        raise ValueError("need >= 3 distinct separations")
     seps = np.array(sorted(groups))
     med = np.array([_median(groups[s]) for s in seps])
     excess = np.sqrt(np.maximum(med ** 2 - cfg.noise_floor ** 2, 0.0))
@@ -240,15 +233,14 @@ def interference_percent(curve: NoiseCurve, separation: float,
     scale; both must be finite and > 0, and the percent finite."""
     for name, val in (("separation", separation),
                       ("signal_scale", signal_scale)):
-        check_range(name, val, 0, above=True, error=NonPositiveParameterError)
+        check_range(name, val, 0, above=True)
     try:
         pct = 100.0 * curve.amplitude_at(separation) / signal_scale
     except OverflowError:               # r ** -p beyond the float range
         pct = math.inf
     if not math.isfinite(pct):
-        raise NonPositiveParameterError(
-            f"separation {separation!r} gives a non-finite interference "
-            f"percent")
+        raise ValueError(f"separation {separation!r} gives a non-finite "
+                         "interference percent")
     return pct
 
 
@@ -264,7 +256,7 @@ def analyze_passes(passes: list[BuzzPass], cfg: EmiConfig,
     order, then pass kind, so the report is deterministic.
     """
     if not passes:
-        raise TooFewSeparationsError("need >= 3 distinct separations")
+        raise ValueError("need >= 3 distinct separations")
     by_kind: dict[PassKind, list[BuzzPass]] = {}
     for p in sorted(passes, key=lambda p: (p.separation, p.kind.value)):
         by_kind.setdefault(p.kind, []).append(p)

@@ -1,7 +1,12 @@
 """Exception taxonomy.
 
-Every operation raises a named subclass of AerosurveyError so callers (and
-the CLI exit-code mapper) can tell input problems from analysis outcomes.
+Bad input (a malformed file, a parameter out of range, a series too short
+for the operation) raises ValueError, which the CLI maps to exit code 2.
+Data that is fine but whose answer is "no" raises one of the named
+analysis outcomes below, which the CLI maps to exit code 3.
+MissingColumnError is the one input error with a type of its own, since
+the ingest path catches it by name; it exits 2 too. PipelineStageError
+wraps whatever a pipeline stage raised and exits as its cause does.
 """
 
 
@@ -9,76 +14,8 @@ class AerosurveyError(Exception):
     """Base class for all package errors."""
 
 
-# --- file / schema problems (CLI exit code 2) ---
-
 class MissingColumnError(AerosurveyError):
     """CSV header lacks a column required by the declared schema."""
-
-
-class EmptyFileError(AerosurveyError):
-    """CSV contains a header but no data rows (or nothing at all)."""
-
-
-class NonMonotoneTimeError(AerosurveyError):
-    """Timestamps not strictly increasing (strict ingestion mode only)."""
-
-
-# --- precondition violations on otherwise well-formed data ---
-
-class TooFewSamplesError(AerosurveyError):
-    """Operation needs more samples than the input provides."""
-
-
-class TooShortError(AerosurveyError):
-    """Series shorter than the operation's minimum length."""
-
-
-class NonUniformSeriesError(AerosurveyError):
-    """Spectral analysis requires uniform sampling; resample first."""
-
-
-class NonPositiveParameterError(AerosurveyError):
-    """A physical parameter that must be strictly positive is not."""
-
-
-class NonPositiveFactorError(AerosurveyError):
-    """Amplitude ratio must be > 0 to express in dB."""
-
-
-class ZeroAfterAmplitudeError(AerosurveyError):
-    """Reduction factor undefined: the 'after' trace has zero RMS."""
-
-
-class NoCandidatesError(AerosurveyError):
-    """Configuration ranking called with an empty candidate list."""
-
-
-class TraceTooShortError(AerosurveyError):
-    """Trace does not span enough time for the detrend window."""
-
-
-class TooFewSeparationsError(AerosurveyError):
-    """Noise curve needs at least 3 distinct separations."""
-
-
-class InvalidRankError(AerosurveyError):
-    """Requested component count outside 1..min(rows, cols)."""
-
-
-class TooFewPixelsError(AerosurveyError):
-    """Standard deviation needs at least 2 valid pixels."""
-
-
-class SlackCableError(AerosurveyError):
-    """UAV tilt beyond the taut-cable model's validity range."""
-
-
-class DegeneratePlanError(AerosurveyError):
-    """Flight plan cannot be turned into a flyable path."""
-
-
-class BaseDoesNotCoverError(AerosurveyError):
-    """Base-station record does not span the rover's time range."""
 
 
 # --- analysis outcomes (data is fine, the answer is 'no'; CLI exit code 3) ---

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import _percentiles, _readonly, check_range
-from .errors import TooFewPixelsError, TooFewSamplesError
 from .io_csv import write_table
 
 NODATA = -9999.0
@@ -137,7 +136,7 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
     y = np.asarray(y, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(x) < 3:
-        raise TooFewSamplesError("gridding needs >= 3 samples")
+        raise ValueError("gridding needs >= 3 samples")
     for name, val in (("cell_size", cell_size),
                       ("search_radius", search_radius), ("power", power)):
         check_range(name, val, 0, above=True)
@@ -297,7 +296,7 @@ def to_grayscale(grid: Grid, stretch: Stretch = MINMAX) -> GrayImage:
     via the validity mask.
     """
     if not np.any(grid.valid):
-        raise TooFewPixelsError("grid has no valid cells")
+        raise ValueError("grid has no valid cells")
     vals = grid.values[grid.valid]
     lo, hi = stretch.bounds(vals)
     pixels = np.zeros(grid.shape, dtype=np.int64)
@@ -313,7 +312,7 @@ def intensity_stddev(img: GrayImage) -> float:
     """Population standard deviation of valid pixel intensities."""
     px = img.pixels[img.valid]
     if px.size < 2:
-        raise TooFewPixelsError("need >= 2 valid pixels")
+        raise ValueError("need >= 2 valid pixels")
     return float(np.std(px.astype(float)))
 
 

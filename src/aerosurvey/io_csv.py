@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CrossoverRow, LineRole, SurveyLine, TimeSeries, UtmPoint
-from .errors import EmptyFileError, MissingColumnError, NonMonotoneTimeError
+from .errors import MissingColumnError
 
 CSV_SCHEMA_VERSION = "1"
 
@@ -133,7 +133,7 @@ def _open_csv(path: str | Path):
         try:
             header = next(rows, None)
             if header is None:
-                raise EmptyFileError(f"{path}: empty file")
+                raise ValueError(f"{path}: empty file")
             header = [c.strip() for c in header]
             if len(set(header)) < len(header):
                 name = next(c for i, c in enumerate(header) if c in header[:i])
@@ -148,7 +148,7 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     with _open_csv(path) as (_, header, rows):
         body = list(rows)
     if not body:
-        raise EmptyFileError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return header, body
 
 
@@ -295,7 +295,7 @@ def ingest_csv(path: str | Path, schema: SchemaKind | str,
     Rows with unparsable or invariant-violating cells are rejected with
     their row index. Duplicate/non-increasing timestamps: lenient mode
     keeps the first occurrence (field loggers hiccup), strict mode raises
-    NonMonotoneTimeError.
+    ValueError.
     """
     schema = SchemaKind(schema) if not isinstance(schema, SchemaKind) else schema
     if schema is SchemaKind.CROSSOVER:
@@ -325,13 +325,13 @@ def ingest_csv(path: str | Path, schema: SchemaKind | str,
     t = values[kept, 0]
     late = t <= np.maximum.accumulate(np.r_[-np.inf, t[:-1]])
     if strict and late.any():
-        raise NonMonotoneTimeError(f"{path}: non-monotone timestamp at data "
-                                   f"row {kept[np.argmax(late)] + 1}")
+        raise ValueError(f"{path}: non-monotone timestamp at data "
+                         f"row {kept[np.argmax(late)] + 1}")
     first_fail[kept[late]] = len(reasons)
     kept = kept[~late]
 
     if not len(kept):
-        raise EmptyFileError(f"{path}: no usable data rows")
+        raise ValueError(f"{path}: no usable data rows")
     data = values[kept, 1:] if len(value_cols) > 1 else values[kept, 1]
     rejected = tuple((i + 1, reasons[first_fail[i] - 1])
                      for i in np.flatnonzero(first_fail).tolist())
@@ -389,7 +389,7 @@ def _ingest_crossover(path, body, idx) -> Ingested:
             continue
         rows.append(CrossoverRow(UtmPoint(x, y), fk, tk, fu, tu))
     if not rows:
-        raise EmptyFileError(f"{path}: no usable crossover rows")
+        raise ValueError(f"{path}: no usable crossover rows")
     return Ingested(tuple(rows), tuple(rejected))
 
 
@@ -602,7 +602,7 @@ def read_survey_lines(directory: str | Path, schema: SchemaKind | str,
     directory = Path(directory)
     files = sorted(directory.glob("*.csv"))
     if not files:
-        raise EmptyFileError(f"{directory}: no CSV files")
+        raise ValueError(f"{directory}: no CSV files")
     lines = []
     for f in files:
         ingested = ingest_csv(f, schema)

@@ -21,12 +21,7 @@ from .core import (
     _median,
     check_range,
 )
-from .errors import (
-    BaseDoesNotCoverError,
-    InvalidRankError,
-    NoIntersectionsError,
-    TooShortError,
-)
+from .errors import NoIntersectionsError
 
 # crossover field name -> series column
 FIELD_COLUMNS = {"K": "k_pct", "U": "u_ppm", "TMI": "tmi_nT"}
@@ -67,7 +62,7 @@ class CrossoverRecord:
 def crossover_row_stats(rows: tuple[CrossoverRow, ...]) -> dict:
     """Repeatability statistics of pre-computed crossover rows (exact)."""
     if not rows:
-        raise TooShortError("no crossover rows")
+        raise ValueError("no crossover rows")
     return {
         "n": len(rows),
         "max_abs_k": max(abs(r.diff_k) for r in rows),
@@ -83,7 +78,7 @@ def fourth_difference_values(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if len(x) < 5:
-        raise TooShortError("4th difference needs >= 5 samples")
+        raise ValueError("4th difference needs >= 5 samples")
     return x[:-4] - 4.0 * x[1:-3] + 6.0 * x[2:-2] - 4.0 * x[3:-1] + x[4:]
 
 
@@ -128,7 +123,7 @@ def diurnal_correct(rover: TimeSeries, base: TimeSeries,
     check_range("datum", datum, -math.inf)
     slack = 1e-9
     if base.t[0] > rover.t[0] + slack or base.t[-1] < rover.t[-1] - slack:
-        raise BaseDoesNotCoverError("base record does not span rover times")
+        raise ValueError("base record does not span rover times")
     base_vals = base.scalar("tmi_nT" if "tmi_nT" in base.fields else None)
     drift = np.interp(rover.t, base.t, base_vals) - datum
     if rover.values.ndim == 1:
@@ -275,12 +270,19 @@ def crossover_analysis(flight_lines: tuple[SurveyLine, ...],
         raise NoIntersectionsError("no flight/tie intersections")
     records.sort(key=lambda r: (r.location.easting, r.location.northing))
     diffs = np.array([r.difference for r in records])
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(diffs ** 2)))
+    # finite RMS bounds every |difference| and the mean, so they are too
+    if not math.isfinite(rms):
+        raise ValueError("the crossover differences are past the float64 "
+                         f"range (RMS {rms:g}): the {field_name} values are "
+                         "too large")
     stats = {
         "field": field_name,
         "n": len(records),
         "max_abs_difference": float(np.max(np.abs(diffs))),
         "mean_difference": float(np.mean(diffs)),
-        "rms_difference": float(np.sqrt(np.mean(diffs ** 2))),
+        "rms_difference": rms,
         "tolerance": float(tolerance),
     }
     flagged = tuple(int(i) for i in np.nonzero(np.abs(diffs) > tolerance)[0])
@@ -303,7 +305,7 @@ def _nasvd_scaled(spectra: np.ndarray, k: int
     if np.any(m < 0):
         raise ValueError("counts must be >= 0")
     if not 1 <= k <= min(m.shape):
-        raise InvalidRankError(f"k must be in 1..{min(m.shape)}")
+        raise ValueError(f"k must be in 1..{min(m.shape)}")
     with np.errstate(over="ignore"):
         mean_spec = m.mean(axis=0)
     bad = np.flatnonzero(~np.isfinite(mean_spec))

@@ -21,11 +21,7 @@ import numpy as np
 
 from .core import (LineRole, SurveyLine, TimeSeries, _DictCodec, check_range,
                    ranged)
-from .errors import (
-    DegeneratePlanError,
-    NeverSettlesError,
-    SlackCableError,
-)
+from .errors import NeverSettlesError
 from .io_csv import _check_header, _read_floats, write_table
 
 G = 9.80665  # m/s^2
@@ -137,7 +133,7 @@ def payload_pose(geometry: SuspensionGeometry, roll_deg: float,
     (and the linkage itself) stops being credible.
     """
     if max(abs(roll_deg), abs(pitch_deg)) >= 45.0:
-        raise SlackCableError("tilt beyond taut-cable model validity (45 deg)")
+        raise ValueError("tilt beyond taut-cable model validity (45 deg)")
     roll, pitch, yaw = (math.radians(a) for a in (roll_deg, pitch_deg, yaw_deg))
     r_uav = _rot_z(yaw) @ _rot_y(pitch) @ _rot_x(roll)
     r_yaw = _rot_z(yaw)
@@ -171,7 +167,7 @@ def payload_pose(geometry: SuspensionGeometry, roll_deg: float,
     feasible = [c for c in candidates
                 if np.sum((b - c) ** 2, axis=1).max() <= lsq * (1.0 + 1e-12)]
     if not feasible:
-        raise SlackCableError("every payload position overstretches a cable")
+        raise ValueError("every payload position overstretches a cable")
     lowest = min(feasible, key=lambda c: c[2])
     return PayloadPose(tuple(lowest.tolist()), 0.0, 0.0, yaw_deg)
 
@@ -196,7 +192,6 @@ class FlightPlan(_DictCodec):
     heading_deg: float = ranged(0.0, -360, 360)
     altitude_m: float = ranged(40.0, 0, 10_000)
     tie_lines: int = ranged(1, 0, 10_000)
-    _range_error = DegeneratePlanError
 
     def direction(self) -> np.ndarray:
         h = math.radians(self.heading_deg)
@@ -312,7 +307,7 @@ def _dubins_csc(p0, psi0, p1, psi1, radius: float) -> list:
                               inner(left0, right1, 1.0),
                               inner(right0, left1, -1.0)) if c is not None]
     if not candidates:
-        raise DegeneratePlanError("no feasible turn between legs")
+        raise ValueError("no feasible turn between legs")
     total, c0, sweep1, rest = min(candidates, key=lambda c: c[0])
 
     segs: list = []

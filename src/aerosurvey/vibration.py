@@ -14,14 +14,6 @@ import math
 import numpy as np
 
 from .core import TimeSeries, _DictCodec, _median, check_range, ranged
-from .errors import (
-    NoCandidatesError,
-    NonPositiveFactorError,
-    NonPositiveParameterError,
-    NonUniformSeriesError,
-    TooShortError,
-    ZeroAfterAmplitudeError,
-)
 
 
 def _positive():
@@ -43,7 +35,6 @@ class DampingInput(_DictCodec):
     mass: float = _positive()           # supported mass, kg
     count: int = _positive()            # number of isolators sharing the load
     frequency: float = _positive()      # excitation frequency, Hz
-    _range_error = NonPositiveParameterError
 
 
 class IsolatorKind(Enum):
@@ -134,11 +125,11 @@ def amplitude_spectrum(series: TimeSeries, axis: str = "z",
     check_range("prominence_fraction", prominence_fraction, 0, 1)
     t = series.t
     if len(t) < 64:
-        raise TooShortError("spectrum needs >= 64 samples")
+        raise ValueError("spectrum needs >= 64 samples")
     dt = np.diff(t)
     dt0 = _median(dt)
     if dt0 <= 0 or np.max(np.abs(dt - dt0)) > 1e-6 * dt0:
-        raise NonUniformSeriesError("spectrum requires uniform sampling")
+        raise ValueError("spectrum requires uniform sampling")
 
     x = _axis_column(series, axis).astype(float)
     n = len(x)
@@ -206,8 +197,7 @@ def damping_effectiveness(inp: DampingInput) -> float:
 
 def attenuation_db(reduction: float) -> float:
     """Amplitude ratio, finite and > 0, in decibels: 20*log10(reduction)."""
-    check_range("reduction", reduction, 0, above=True,
-                error=NonPositiveFactorError)
+    check_range("reduction", reduction, 0, above=True)
     return 20.0 * math.log10(reduction)
 
 
@@ -226,10 +216,10 @@ def reduction_factor(before: TimeSeries, after: TimeSeries,
                      axis: str = "z") -> float:
     """Ratio of mean-removed RMS amplitudes, before/after, per axis."""
     if len(before) == 0 or len(after) == 0:
-        raise TooShortError("both series must be non-empty")
+        raise ValueError("both series must be non-empty")
     rms_after = _rms(_axis_column(after, axis), "after")
     if rms_after == 0.0:
-        raise ZeroAfterAmplitudeError("'after' trace has zero RMS")
+        raise ValueError("'after' trace has zero RMS")
     return _rms(_axis_column(before, axis), "before") / rms_after
 
 
@@ -244,10 +234,10 @@ def select_configuration(candidates: list[IsolatorConfig], payload_mass: float,
     deterministically by (kind, count).
     """
     if not candidates:
-        raise NoCandidatesError("no isolator candidates")
+        raise ValueError("no isolator candidates")
     for name, val in (("payload_mass", payload_mass),
                       ("dominant_freq", dominant_freq)):
-        check_range(name, val, 0, above=True, error=NonPositiveParameterError)
+        check_range(name, val, 0, above=True)
     scored = []
     for i, c in enumerate(candidates):
         try:
@@ -256,12 +246,12 @@ def select_configuration(candidates: list[IsolatorConfig], payload_mass: float,
         except ZeroDivisionError:       # mass * count * f**2 underflows
             score = math.inf
         if not math.isfinite(c.intensity * c.damping_ratio * c.stiffness):
-            raise NonPositiveParameterError(
+            raise ValueError(
                 f"candidate {i}: intensity {c.intensity!r} x damping_ratio "
                 f"{c.damping_ratio!r} x stiffness {c.stiffness!r} is not "
                 f"finite")
         if not math.isfinite(score):
-            raise NonPositiveParameterError(
+            raise ValueError(
                 f"payload_mass {payload_mass!r} and dominant_freq "
                 f"{dominant_freq!r} give candidate {i} a non-finite "
                 f"effectiveness")

@@ -637,7 +637,7 @@ def test_qc_nasvd_roundtrip_and_bad_rank(tmp_path, capsys):
     code, _, err = run_cli(capsys, "qc", "nasvd", "--in", infile,
                            "--k", 99, "--out", tmp_path / "nope.csv")
     assert code == EXIT_IO
-    assert "error" in err
+    assert err == "error: k must be in 1..8\n"
 
 
 def test_qc_nasvd_ragged_row_is_io_error(tmp_path, capsys):
@@ -825,7 +825,7 @@ def test_grid_compare_bad_asc_size_names_file_and_key(tmp_path, capsys, key,
     assert f"error: {bad}: {key} {message}" in err and "Traceback" not in err
 
 
-# --- gate and reprocessing parameters: nan, inf and out-of-range exit 2 ---
+# --- bad gates, parameters and input files: nan, inf, out of range exit 2 ---
 
 def _survey_inputs(tmp_path):
     t = np.arange(0, 30.0, 0.1)
@@ -848,10 +848,31 @@ def _survey_inputs(tmp_path):
                          TimeSeries(t, trace, ("buzz_nT",)))
         passes.append({"separation_m": sep, "csv_path": f"pass_{sep:g}.csv"})
     (tmp_path / "passes.json").write_text(json.dumps(passes))
+    # inputs that each fail one precondition of the analysis reading them
+    t = np.arange(0, 4.0, 1.0 / 256.0)
+    write_accel(tmp_path / "flat.csv", t, np.full_like(t, 9.8))
+    write_accel(tmp_path / "short.csv", t[:63], np.sin(t[:63]))
+    gap = np.concatenate([t[:100], t[100:] + 0.5])
+    write_accel(tmp_path / "gap.csv", gap, np.sin(gap))
+    write_accel(tmp_path / "one.csv", t[:1], t[:1])
+    write_mag(tmp_path / "two.csv", t[:2], t[:2], t[:2], np.full(2, 5e4))
+    _write_tie_fixture(tmp_path / "huge", -1e305)   # the squares overflow
+    header = "t_s,easting_m,northing_m,alt_m,tmi_nT\n"
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "header.csv").write_text(header)
+    (tmp_path / "rejected.csv").write_text(header + "0,0,0,40,nan\n")
+    (tmp_path / "no_lines").mkdir()
+    (tmp_path / "no_candidates.json").write_text("[]")
+    (tmp_path / "two_seps.json").write_text(json.dumps(passes[:2]))
+    asc = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n" \
+        "NODATA_value -9999\n"
+    (tmp_path / "nodata.asc").write_text(asc + "-9999 -9999\n-9999 -9999\n")
+    (tmp_path / "one_cell.asc").write_text(asc + "1 -9999\n-9999 -9999\n")
     return {"mag": tmp_path / "mag.csv", "base": tmp_path / "base.csv",
             "accel": tmp_path / "accel.csv", "flights": flights, "ties": ties,
             "candidates": tmp_path / "candidates.json",
-            "passes": tmp_path / "passes.json", "out": tmp_path / "out.file"}
+            "passes": tmp_path / "passes.json", "out": tmp_path / "out.file",
+            "dir": tmp_path}
 
 
 @pytest.mark.parametrize("argv, message", (
@@ -884,14 +905,53 @@ def _survey_inputs(tmp_path):
       "effectiveness") for m, f in (("1e-320", "1e-200"), ("1e-300", "1e-10"))),
     (["emi", "buzz", "--passes", "{passes}", "--at", "1e-300", "--out",
       "{out}"], "separation 1e-300 gives a non-finite interference percent"),
+    # an input file the analysis cannot take
+    *((argv.split(), message) for argv, message in (
+        ("qc diurnal --rover {mag} --base {dir}/two.csv --datum 0 --out {out}",
+         "base record does not span rover times"),
+        ("qc d4 --in {dir}/two.csv --threshold 1 --out {out}",
+         "4th difference needs >= 5 samples"),
+        ("qc tie --flights {dir}/no_lines --ties {ties} --tol 1 --out {out}",
+         "{dir}/no_lines: no CSV files"),
+        ("qc tie --flights {dir}/huge/flights --ties {dir}/huge/ties "
+         "--tol 100 --out {out}", "the crossover differences are past the "
+         "float64 range (RMS inf): the TMI values are too large"),
+        ("qc d4 --in {dir}/empty.csv --threshold 1 --out {out}",
+         "{dir}/empty.csv: empty file"),
+        ("qc d4 --in {dir}/header.csv --threshold 1 --out {out}",
+         "{dir}/header.csv: no data rows"),
+        ("qc d4 --in {dir}/rejected.csv --threshold 1 --out {out}",
+         "{dir}/rejected.csv: no usable data rows"),
+        ("vib rank --config {dir}/no_candidates.json --mass 6 --freq 35",
+         "no isolator candidates"),
+        ("vib spectrum --in {dir}/short.csv --out {out}",
+         "spectrum needs >= 64 samples"),
+        ("vib spectrum --in {dir}/gap.csv --out {out}",
+         "spectrum requires uniform sampling"),
+        ("vib spectrum --in {dir}/one.csv --rate 100 --out {out}",
+         "resample needs >= 2 samples"),
+        ("vib compare --before {accel} --after {dir}/flat.csv",
+         "'after' trace has zero RMS"),
+        ("vib compare --before {dir}/flat.csv --after {accel}",
+         "reduction must be finite and > 0, got 0.0"),
+        ("emi buzz --passes {passes} --window 10 --out {out}",
+         "trace must span >= 3 detrend windows"),
+        ("emi buzz --passes {dir}/two_seps.json --out {out}",
+         "need >= 3 distinct separations"),
+        ("grid make --in {dir}/two.csv --cell 1 --out {out}",
+         "gridding needs >= 3 samples"),
+        ("grid compare --a {dir}/nodata.asc --b {dir}/nodata.asc --out {out}",
+         "grid has no valid cells"),
+        ("grid compare --a {dir}/one_cell.asc --b {dir}/one_cell.asc "
+         "--out {out}", "need >= 2 valid pixels"))),
 ))
 def test_bad_gate_or_parameter_exits_2_naming_it(tmp_path, capsys, argv,
                                                  message):
     paths = _survey_inputs(tmp_path)
     code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == EXIT_IO
-    assert f"error: {message}" in err and "Traceback" not in err
-    assert not paths["out"].exists()
+    assert f"error: {message.format(**paths)}" in err
+    assert "Traceback" not in err and not paths["out"].exists()
 
 
 @pytest.mark.parametrize("tolerance", ("nan", "inf", "-1"))

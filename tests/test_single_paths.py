@@ -15,16 +15,20 @@ io_csv._channel_columns, and every median and percentile only by
 core._median and core._percentiles (numpy's import numpy.ma). The last
 tests keep scipy out of the package, which runs on numpy alone (scipy is
 the tests' oracle, not a dependency), and its k-d tree with it: grid_idw
-has its own binned query.
+has its own binned query. Bad input raises ValueError alone: errors.py
+holds only the types the CLI or the ingest path tells apart, and no range
+check picks its own error type.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import aerosurvey
+from aerosurvey.core import check_range
 
 SRC = Path(aerosurvey.__file__).resolve().parent
 
@@ -199,3 +203,21 @@ def test_no_kd_tree_in_the_package():
                                       .splitlines(), 1)
              if pattern.search(line)]
     assert found == []
+
+
+def test_bad_input_raises_value_error_alone():
+    # the ingest path catches MissingColumnError and the four outcomes
+    # exit 3; every other refusal of bad input is a ValueError (exit 2)
+    assert _where(lambda n: isinstance(n, ast.ClassDef) and any(
+        isinstance(b, ast.Name) and b.id.endswith(("Error", "Exception"))
+        for b in n.bases)) == {("errors.py", "<module>")}
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    assert [n.name for n in tree.body if isinstance(n, ast.ClassDef)] == [
+        "AerosurveyError", "MissingColumnError", "NeverBelowFloorError",
+        "NoFitAvailableError", "NeverSettlesError", "NoIntersectionsError",
+        "PipelineStageError"]
+    # so no range check picks an error type of its own
+    assert list(inspect.signature(check_range).parameters) == [
+        "name", "value", "lo", "hi", "above"]
+    assert _where(lambda n: "_range_error" in (
+        getattr(n, "id", None), getattr(n, "attr", None))) == set()
