@@ -22,9 +22,9 @@ _EXPORTS = {
             "analyze_passes", "build_noise_curve", "fit_power_law",
             "interference_percent", "noise_amplitude", "threshold_separation"),
     "errors": ("AerosurveyError", "PipelineStageError"),
-    "gridding": ("NODATA", "GrayImage", "Grid", "Stretch", "compare_grids",
-                 "grid_idw", "histogram256", "intensity_stddev", "read_asc",
-                 "read_pgm", "to_grayscale", "write_asc", "write_pgm"),
+    "gridding": ("NODATA", "GrayImage", "Grid", "compare_grids", "grid_idw",
+                 "histogram256", "intensity_stddev", "read_asc", "read_pgm",
+                 "to_grayscale", "write_asc", "write_pgm"),
     "io_csv": ("CSV_SCHEMA_VERSION", "Ingested", "SchemaKind",
                "crossover_fixture_path", "ingest_csv", "read_spectra_csv",
                "read_survey_lines", "write_series_csv", "write_spectra_csv"),

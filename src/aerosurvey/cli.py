@@ -185,8 +185,8 @@ def _cmd_sim_survey(args) -> int:
 
 def _cmd_qc_d4(args) -> int:
     data = ingest_csv(args.infile, _FIELDS[args.field][1]).data
-    report = fourth_difference(data, threshold=args.threshold,
-                               field_name=args.field)
+    report = fourth_difference(data.column(args.field),
+                               threshold=args.threshold)
     _write_json(args.out, report.to_dict())
     _emit(report.to_dict())
     return EXIT_OK if report.passed else EXIT_QC

@@ -158,9 +158,6 @@ class SurveyLine:
             [self.series.column("easting_m"), self.series.column("northing_m")]
         )
 
-    def field_values(self, name: str) -> np.ndarray:
-        return self.series.column(name)
-
 
 @dataclass(frozen=True)
 class CrossoverRow:
@@ -265,44 +262,12 @@ def check_range(name, value, lo, hi=math.inf, above=False):
     raise ValueError(f"{text}, got {value!r}")
 
 
-def config_to_dict(obj) -> dict:
-    """A config dataclass's fields as JSON values: tuples become lists,
-    paths strings, enum members their values, the rest stays as it is."""
-    return {f.name: _to_json(getattr(obj, f.name)) for f in dc_fields(obj)}
-
-
 def _to_json(v):
     if isinstance(v, (tuple, list)):
         return [_to_json(x) for x in v]
     if isinstance(v, Enum):
         return v.value
     return str(v) if isinstance(v, PurePath) else v
-
-
-def config_from_dict(cls, d):
-    """Inverse of config_to_dict: build `cls` from `d`, lists as tuples.
-
-    Raises ValueError naming the class and key when `d` is not a dict (a
-    JSON object), lacks a field without a default, names a key that is not
-    a field of `cls`, or holds a value that the field's annotation does not
-    take (see _fits); building `cls` then checks the declared ranges (see
-    _DictCodec).
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"{cls.__name__}: expected a JSON object, "
-                         f"got {type(d).__name__}")
-    hints = get_type_hints(cls)
-    for f in dc_fields(cls):
-        if f.name not in d and f.default is f.default_factory is MISSING:
-            raise ValueError(f"{cls.__name__}: missing key {f.name!r}")
-    for key, value in d.items():
-        if key not in hints:
-            raise ValueError(f"{cls.__name__}: unknown option {key!r}")
-        if not _fits(value, hints[key]):
-            raise ValueError(f"{cls.__name__}: invalid {key!r}: {value!r}")
-    return cls(**{k: hints[k](v) if isinstance(hints[k], EnumMeta)
-                  else _to_tuple(v)
-                  for k, v in d.items()})
 
 
 def _decode_at(cls, raw, where):
@@ -358,8 +323,8 @@ def ranged(default, lo, hi=math.inf, above=False):
 
 
 class _DictCodec:
-    """to_dict/from_dict of a config dataclass, through the codec above,
-    and one check of its ranged() fields, however it is built."""
+    """to_dict/from_dict of a config dataclass, and one check of its
+    ranged() fields, however it is built."""
 
     def __post_init__(self):
         for f in dc_fields(self):
@@ -370,8 +335,33 @@ class _DictCodec:
                 check_range(f.name, x, *f.metadata["range"])
 
     def to_dict(self) -> dict:
-        return config_to_dict(self)
+        """The fields as JSON values: tuples become lists, paths strings,
+        enum members their values, the rest stays as it is."""
+        return {f.name: _to_json(getattr(self, f.name))
+                for f in dc_fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict):
-        return config_from_dict(cls, d)
+        """Inverse of to_dict: build `cls` from `d`, lists as tuples.
+
+        Raises ValueError naming the class and key when `d` is not a dict (a
+        JSON object), lacks a field without a default, names a key that is
+        not a field of `cls`, or holds a value that the field's annotation
+        does not take (see _fits); building `cls` then checks the declared
+        ranges (__post_init__).
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls.__name__}: expected a JSON object, "
+                             f"got {type(d).__name__}")
+        hints = get_type_hints(cls)
+        for f in dc_fields(cls):
+            if f.name not in d and f.default is f.default_factory is MISSING:
+                raise ValueError(f"{cls.__name__}: missing key {f.name!r}")
+        for key, value in d.items():
+            if key not in hints:
+                raise ValueError(f"{cls.__name__}: unknown option {key!r}")
+            if not _fits(value, hints[key]):
+                raise ValueError(f"{cls.__name__}: invalid {key!r}: {value!r}")
+        return cls(**{k: hints[k](v) if isinstance(hints[k], EnumMeta)
+                      else _to_tuple(v)
+                      for k, v in d.items()})

@@ -41,7 +41,6 @@ class BuzzPass:
     separation: float          # m between UAV and sensor
     trace: TimeSeries          # scalar trace (nT or percent channel)
     kind: PassKind = PassKind.OVERFLIGHT
-    speed_mps: float | None = None  # recorded metadata only
 
     def __post_init__(self):
         check_range("separation", self.separation, 0, above=True)
@@ -177,7 +176,8 @@ def build_noise_curve(passes: list[BuzzPass], cfg: EmiConfig,
     excess = sqrt(max(amp^2 - floor^2, 0)). The power law is fitted over
     points whose excess exceeds the floor itself (signal-to-ambient >= 1);
     points at or below ambient measure the site, not the platform, and
-    would otherwise flatten the fitted decay.
+    would otherwise flatten the fitted decay. An amplitude whose square is
+    past the float64 range raises ValueError naming its separation.
     """
     groups: dict[float, list[float]] = {}
     for p in passes:
@@ -187,7 +187,14 @@ def build_noise_curve(passes: list[BuzzPass], cfg: EmiConfig,
         raise ValueError("need >= 3 distinct separations")
     seps = np.array(sorted(groups))
     med = np.array([_median(groups[s]) for s in seps])
-    excess = np.sqrt(np.maximum(med ** 2 - cfg.noise_floor ** 2, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess = np.sqrt(np.maximum(med ** 2 - cfg.noise_floor ** 2, 0.0))
+    bad = np.flatnonzero(~np.isfinite(excess))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"separation {float(seps[i])!r}: noise amplitude "
+                         f"{float(med[i])!r} is past the float64 range when "
+                         "squared")
     fit_mask = excess > cfg.noise_floor
     fit = fit_power_law(seps[fit_mask], excess[fit_mask])
     points = tuple((float(s), float(e)) for s, e in zip(seps, excess))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _percentiles, _readonly, check_range
+from .core import _readonly, check_range
 from .io_csv import write_table
 
 NODATA = -9999.0
@@ -28,30 +28,6 @@ _IDW_PAIRS = 1 << 14
 # the most cells grid_idw builds: its centres and output take 40 bytes a
 # cell, 2.7 GB here, where 66 line-km of survey at 10 m cells is 30k cells
 _MAX_GRID_CELLS = 1 << 26
-
-
-@dataclass(frozen=True)
-class Stretch:
-    """Contrast stretch: 'minmax' or 'percentile' with lo/hi percentiles."""
-
-    mode: str = "minmax"
-    p_lo: float = 2.5
-    p_hi: float = 97.5
-
-    def __post_init__(self):
-        if self.mode not in ("minmax", "percentile"):
-            raise ValueError("stretch mode must be 'minmax' or 'percentile'")
-        if not 0 <= self.p_lo < self.p_hi <= 100:
-            raise ValueError("percentiles must satisfy 0 <= lo < hi <= 100")
-
-    def bounds(self, vals: np.ndarray) -> tuple[float, float]:
-        if self.mode == "minmax":
-            return float(vals.min()), float(vals.max())
-        lo, hi = _percentiles(vals, (self.p_lo, self.p_hi))
-        return lo, hi
-
-
-MINMAX = Stretch("minmax")
 
 
 @dataclass(frozen=True)
@@ -287,8 +263,9 @@ def _idw_rows(x, y, values, centres, nb, power) -> np.ndarray:
     return res
 
 
-def to_grayscale(grid: Grid, stretch: Stretch = MINMAX) -> GrayImage:
-    """Affine map of [lo, hi] onto [0, 255] with clipping.
+def to_grayscale(grid: Grid) -> GrayImage:
+    """Min-max stretch: affine map of the valid cells' [min, max] onto
+    [0, 255].
 
     Rounding is half-up (not banker's) so results are reproducible across
     languages. A degenerate range (lo == hi) maps every valid cell to
@@ -298,7 +275,7 @@ def to_grayscale(grid: Grid, stretch: Stretch = MINMAX) -> GrayImage:
     if not np.any(grid.valid):
         raise ValueError("grid has no valid cells")
     vals = grid.values[grid.valid]
-    lo, hi = stretch.bounds(vals)
+    lo, hi = float(vals.min()), float(vals.max())
     pixels = np.zeros(grid.shape, dtype=np.int64)
     if hi == lo:
         pixels[grid.valid] = 128  # degenerate range
@@ -321,16 +298,16 @@ def histogram256(img: GrayImage) -> np.ndarray:
     return np.bincount(img.pixels[img.valid].ravel(), minlength=256)
 
 
-def compare_grids(a: Grid, b: Grid, stretch: Stretch = MINMAX) -> dict:
+def compare_grids(a: Grid, b: Grid) -> dict:
     """Grayscale intensity-distribution comparison of two grids.
 
-    Each grid is converted to grayscale independently (its own stretch
+    Each grid is converted to grayscale independently (its own min-max
     bounds), mirroring how separately delivered survey images are
     compared. Returns per-image standard deviations, delta = b - a, and
     the 256-bin histograms.
     """
-    img_a = to_grayscale(a, stretch)
-    img_b = to_grayscale(b, stretch)
+    img_a = to_grayscale(a)
+    img_b = to_grayscale(b)
     sd_a = intensity_stddev(img_a)
     sd_b = intensity_stddev(img_b)
     return {

@@ -268,10 +268,11 @@ def _read_floats(path, select, labelled: bool = False):
 
 
 def _read_buzz_trace(path: Path) -> TimeSeries:
-    """Buzz traces are mag CSVs or any two-column t_s,<value> file."""
+    """Buzz traces are mag CSVs (a header with every mag column) or any
+    two-column t_s,<value> file."""
     with _open_csv(path) as (_, header, _):
         pass
-    if "tmi_nT" in header:
+    if set(_REQUIRED[SchemaKind.MAG]) <= set(header):
         data = ingest_csv(path, SchemaKind.MAG).data
         return TimeSeries(data.t, data.column("tmi_nT"), ("tmi_nT",))
 
@@ -588,10 +589,14 @@ def _escaper(delimiter: str, lineterminator: str, n_cols: int):
 
 
 def write_series_csv(path: str | Path, series: TimeSeries, parts=()) -> None:
-    """Serialize a TimeSeries using its field names as the header; `parts`
-    as write_table's, with t_s as column 0."""
-    fields = series.fields if series.fields else ("value",)
+    """Serialize a TimeSeries using its field names as the header (an
+    unnamed scalar series as `value`); `parts` as write_table's, with t_s
+    as column 0. A multi-column series must name every column."""
     vals = series.values if series.values.ndim == 2 else series.values[:, None]
+    fields = series.fields or ("value",)
+    if len(fields) != vals.shape[1]:
+        raise ValueError(f"{path}: a series of {vals.shape[1]} columns needs "
+                         f"as many field names, got {len(series.fields)}")
     write_table(path, [("t_s",) + tuple(fields)], [series.t, *vals.T],
                 parts=parts)
 

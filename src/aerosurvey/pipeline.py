@@ -277,7 +277,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         stage = "qc_d4"
         thr = cfg.d4_threshold if cfg.d4_threshold is not None \
             else _d4_auto_threshold(sim_cfg, geometry)
-        d4 = fourth_difference(mag, threshold=thr, field_name="tmi_nT")
+        d4 = fourth_difference(mag.column("tmi_nT"), threshold=thr)
         _write_json(out / "d4_report.json", d4.to_dict())
         stages.append(StageResult(stage, d4.passed, d4.stats,
                                   ("d4_report.json",)))

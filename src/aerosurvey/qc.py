@@ -82,10 +82,9 @@ def fourth_difference_values(x: np.ndarray) -> np.ndarray:
     return x[:-4] - 4.0 * x[1:-3] + 6.0 * x[2:-2] - 4.0 * x[3:-1] + x[4:]
 
 
-def fourth_difference(series: TimeSeries | np.ndarray,
-                      threshold: float | None = None,
-                      field_name: str | None = None) -> QcReport:
-    """4th-difference noise test.
+def fourth_difference(x: np.ndarray,
+                      threshold: float | None = None) -> QcReport:
+    """4th-difference noise test of the 1-D trace `x`.
 
     With no explicit threshold, 4x the robust standard deviation
     (1.4826 * median absolute deviation) of d4 is used. Flags are window
@@ -94,10 +93,6 @@ def fourth_difference(series: TimeSeries | np.ndarray,
     """
     if threshold is not None:
         check_range("threshold", threshold, 0, above=True)
-    if isinstance(series, TimeSeries):
-        x = series.scalar(field_name)
-    else:
-        x = np.asarray(series, dtype=float)
     d4 = fourth_difference_values(x)
     if threshold is None:
         mad = _median(np.abs(d4 - _median(d4)))
@@ -254,11 +249,11 @@ def crossover_analysis(flight_lines: tuple[SurveyLine, ...],
     records: list[CrossoverRecord] = []
     for fl in flight_lines:
         pf = fl.positions()
-        vf = fl.field_values(col)
+        vf = fl.series.column(col)
         af = fl.series.column("alt_m") if "alt_m" in fl.series.fields else None
         for tl in tie_lines:
             pt = tl.positions()
-            vt = tl.field_values(col)
+            vt = tl.series.column(col)
             for ua, ub in _segment_intersections(pf, pt):
                 x = _interp_along(pf[:, 0], ua)
                 y = _interp_along(pf[:, 1], ua)

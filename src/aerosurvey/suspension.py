@@ -331,22 +331,9 @@ def _dubins_csc(p0, psi0, p1, psi1, radius: float) -> list:
 # pendulum dynamics
 
 
-def _integrate_pendulum(acc: np.ndarray, acc_half: np.ndarray, dt: float,
-                        omega: float, zeta: float, length: float,
-                        theta0: float = 0.0, rate0: float = 0.0) -> np.ndarray:
-    """RK4 integration of theta'' = -2 zeta w theta' - w^2 theta - a(t)/L.
-
-    `acc` holds the forcing at step times, `acc_half` at midpoints, with
-    time along axis 0; further axes (such as the two horizontal axes) are
-    integrated one after another. Returns theta in rad, shaped like `acc`.
-    This is one block of _Swing, which runs the same steps block by block.
-    """
-    swing = _Swing(dt, omega, zeta, length, theta0, rate0)
-    return swing.feed(acc, acc_half).reshape(acc.shape)
-
-
 class _Swing:
-    """The RK4 pendulum recurrence, run one block of steps at a time.
+    """The RK4 recurrence of theta'' = -2 zeta w theta' - w^2 theta - a(t)/L,
+    run one block of steps at a time.
 
     For this linear ODE one fixed RK4 step is exactly the linear map
     x[n+1] = M x[n] + b0 a[n] + bh a_half[n] + b1 a[n+1] on the state
@@ -477,9 +464,9 @@ def pendulum_ring_down(theta0_deg: float, damping_ratio: float,
     """Free decay from an initial swing angle; scalar series in degrees."""
     n = int(round(duration_s * rate_hz)) + 1
     omega = math.sqrt(G / cable_length)
-    th = _integrate_pendulum(np.zeros(n), np.zeros(n - 1), 1.0 / rate_hz,
-                             omega, damping_ratio, cable_length,
-                             theta0=math.radians(theta0_deg))
+    swing = _Swing(1.0 / rate_hz, omega, damping_ratio, cable_length,
+                   theta0=math.radians(theta0_deg))
+    th = swing.feed(np.zeros(n), np.zeros(n - 1))[:, 0]
     t = np.arange(n) / rate_hz
     return TimeSeries(t, np.degrees(th), ("swing_deg",))
 
@@ -1186,17 +1173,17 @@ class SettlingMetrics:
     threshold_deg: float
 
 
-def settling_metrics(track: AttitudeTrack, threshold_deg: float = 1.0,
-                     speed_mps: float | None = None) -> SettlingMetrics:
+def settling_metrics(track: AttitudeTrack,
+                     threshold_deg: float = 1.0) -> SettlingMetrics:
     """Per-turn time for |swing| to drop below threshold and stay there.
 
     Each settling window runs from the end of a turn run to the start of
     the next (or the track's end); if the swing still violates the
     threshold at the end of any window, or the track ends in a turn, the
-    flight never settles and NeverSettlesError is raised.
+    flight never settles and NeverSettlesError is raised. The lead-in
+    distance is the worst time at the track's speed (0 when it has none).
     """
     check_range("threshold_deg", threshold_deg, 0, above=True)
-    speed = speed_mps if speed_mps is not None else (track.speed_mps or 0.0)
     nt = len(track)
     # the turn runs are [edges[0], edges[1]), [edges[2], edges[3]), ...
     edges = np.flatnonzero(np.diff(_labelled(track.segment, _TURN),
@@ -1219,4 +1206,4 @@ def settling_metrics(track: AttitudeTrack, threshold_deg: float = 1.0,
         return SettlingMetrics(0, 0.0, 0.0, 0.0, threshold_deg)
     worst = max(times)
     return SettlingMetrics(len(times), worst, float(np.mean(times)),
-                           worst * speed, threshold_deg)
+                           worst * (track.speed_mps or 0.0), threshold_deg)

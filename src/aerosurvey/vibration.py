@@ -220,7 +220,10 @@ def reduction_factor(before: TimeSeries, after: TimeSeries,
     rms_after = _rms(_axis_column(after, axis), "after")
     if rms_after == 0.0:
         raise ValueError("'after' trace has zero RMS")
-    return _rms(_axis_column(before, axis), "before") / rms_after
+    rms_before = _rms(_axis_column(before, axis), "before")
+    if rms_before == 0.0:
+        raise ValueError("'before' trace has zero RMS")
+    return rms_before / rms_after
 
 
 def select_configuration(candidates: list[IsolatorConfig], payload_mass: float,

@@ -9,6 +9,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,54 @@ def test_emi_buzz_end_to_end(tmp_path, capsys):
     assert 7.5 <= payload["threshold_m"] <= 11.0
     assert [e["r"] for e in payload["interference_pct_at"]] == [8.0, 9.0, 10.0]
     assert "overflight" in payload["per_kind"]
+
+
+def _write_buzz_passes(tmp_path, amplitudes, column, name="passes.json"):
+    """One 1,000-sample t_s,<column> trace of Gaussian noise per
+    (separation, amplitude), and the --passes list naming them."""
+    rng = np.random.default_rng(7)
+    t = np.arange(1000) / 50.0
+    passes = []
+    for sep, amp in amplitudes:
+        path = tmp_path / f"{column}_{sep:g}.csv"
+        write_series_csv(path, TimeSeries(
+            t, amp * rng.normal(0.0, 1.0, t.size), (column,)))
+        passes.append({"separation_m": sep, "csv_path": path.name})
+    spec = tmp_path / name
+    spec.write_text(json.dumps(passes))
+    return spec
+
+
+# a t_s,tmi_nT header was once read as a mag CSV: exit 2, missing easting_m
+def test_emi_buzz_reads_a_two_column_tmi_trace(tmp_path, capsys):
+    amps = [(sep, 145.8 * sep ** -3.0) for sep in (2.0, 4.0, 8.0, 16.0)]
+    results = []
+    for column in ("tmi_nT", "buzz_nT"):
+        spec = _write_buzz_passes(tmp_path, amps, column, f"{column}.json")
+        code, stdout, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
+                                    "--out", tmp_path / f"{column}_out.json")
+        assert code == EXIT_OK, err
+        results.append(json.loads(stdout))
+    assert results[0] == results[1]
+
+
+# squaring an amplitude of 1e300 once overflowed with two RuntimeWarnings
+# into a QC verdict (exit 3), or exit 4 with warnings as errors
+@pytest.mark.parametrize("action", ("default", "error"))
+def test_emi_buzz_amplitude_past_the_float_range_is_io_error(tmp_path, capsys,
+                                                             action):
+    spec = _write_buzz_passes(tmp_path, [(2.0, 1e300), (4.0, 1e200),
+                                         (8.0, 1e100), (16.0, 1.0)], "buzz_nT")
+    out = tmp_path / "buzz.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        code, _, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
+                               "--out", out)
+    assert code == EXIT_IO
+    assert "error: separation 2.0: noise amplitude " in err
+    assert "is past the float64 range when squared" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_emi_buzz_fit_with_exponent_near_zero_never_reaches_floor(
@@ -933,7 +982,7 @@ def _survey_inputs(tmp_path):
         ("vib compare --before {accel} --after {dir}/flat.csv",
          "'after' trace has zero RMS"),
         ("vib compare --before {dir}/flat.csv --after {accel}",
-         "reduction must be finite and > 0, got 0.0"),
+         "'before' trace has zero RMS"),
         ("emi buzz --passes {passes} --window 10 --out {out}",
          "trace must span >= 3 detrend windows"),
         ("emi buzz --passes {dir}/two_seps.json --out {out}",

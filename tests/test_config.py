@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aerosurvey import cli, suspension
-from aerosurvey.core import config_from_dict, config_to_dict
 from aerosurvey.pipeline import PipelineConfig, config_hash
 from aerosurvey.suspension import FlightPlan, SimConfig, SuspensionGeometry
 
@@ -70,9 +69,9 @@ def test_non_object_input_rejected(cls, raw):
 
 
 def test_paths_are_written_as_strings(tmp_path):
-    d = config_to_dict(PipelineConfig(out_dir=tmp_path))
+    d = PipelineConfig(out_dir=tmp_path).to_dict()
     assert d["out_dir"] == str(tmp_path)
-    assert config_from_dict(PipelineConfig, d) == PipelineConfig(
+    assert PipelineConfig.from_dict(d) == PipelineConfig(
         out_dir=str(tmp_path))
 
 

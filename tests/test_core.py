@@ -130,7 +130,7 @@ def test_survey_line_needs_position_columns():
                       ("easting_m", "northing_m", "tmi_nT"))
     line = SurveyLine("L1", LineRole.FLIGHT, good)
     assert line.positions().shape == (2, 2)
-    assert list(line.field_values("tmi_nT")) == [1.0, 2.0]
+    assert list(line.series.column("tmi_nT")) == [1.0, 2.0]
 
 
 def _samples(n: int, kind: int, rng) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,21 @@ def test_build_noise_curve_needs_three_separations():
     passes = [BuzzPass(r, _gauss_trace(1.0, seed=int(r))) for r in (4.0, 8.0)]
     with pytest.raises(ValueError, match="^need >= 3 distinct separations$"):
         build_noise_curve(passes, EmiConfig())
+
+
+# amplitudes of 1e300 and 1e200 once squared to inf with two
+# RuntimeWarnings, and the curve then never reached the floor
+@pytest.mark.parametrize("action", ("default", "error"))
+def test_build_noise_curve_amplitude_past_the_float_range_names_it(action):
+    passes = [BuzzPass(r, _gauss_trace(amp, seed=int(r)))
+              for r, amp in ((2.0, 1e300), (4.0, 1e200), (8.0, 1e100),
+                             (16.0, 1.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^separation 2\.0: noise "
+                           r"amplitude .+ is past the float64 range when "
+                           r"squared$"):
+            build_noise_curve(passes, EmiConfig())
 
 
 # --- threshold ---

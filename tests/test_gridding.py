@@ -7,7 +7,6 @@ from aerosurvey import (
     Grid,
     GrayImage,
     NODATA,
-    Stretch,
     compare_grids,
     grid_idw,
     histogram256,
@@ -141,17 +140,6 @@ def test_grayscale_rounding_is_half_up():
     # 1/510 of the range maps to exactly 0.5 of a gray level
     img = to_grayscale(_grid(np.array([[0.0, 1.0, 510.0]])))
     assert img.pixels.tolist() == [[0, 1, 255]]
-
-
-def test_grayscale_percentile_stretch_clips_outliers():
-    vals = np.concatenate([np.linspace(0.0, 1.0, 98), [50.0, -50.0]])
-    img = to_grayscale(_grid(vals.reshape(10, 10)),
-                       Stretch("percentile", 2.5, 97.5))
-    assert img.pixels.max() == 255
-    assert img.pixels.min() == 0
-    # the outliers are clipped, not stretched over
-    inner = np.sort(img.pixels.ravel())[1:-1]
-    assert inner.max() == 255 or inner.min() == 0
 
 
 def test_grayscale_nodata_excluded():

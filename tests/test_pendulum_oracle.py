@@ -24,7 +24,6 @@ from aerosurvey.suspension import (
     G,
     SimConfig,
     SuspensionGeometry,
-    _integrate_pendulum,
     _Swing,
     pendulum_ring_down,
 )
@@ -90,9 +89,8 @@ def _rel_dev(got: np.ndarray, ref: np.ndarray) -> float:
 def test_lfilter_matches_rk4_loop_from_a_nonzero_state(kind, zeta, n):
     # both horizontal axes in one call, each with its own forcing
     (ae, ahe), (an, ahn) = _forcing(kind, n, 1), _forcing(kind, n, 2)
-    theta = _integrate_pendulum(np.column_stack([ae, an]),
-                                np.column_stack([ahe, ahn]),
-                                DT, OMEGA, zeta, LENGTH, *STATE)
+    theta = _Swing(DT, OMEGA, zeta, LENGTH, *STATE).feed(
+        np.column_stack([ae, an]), np.column_stack([ahe, ahn]))
     assert theta.shape == (n, 2)
     for axis, (acc, acc_half) in enumerate(((ae, ahe), (an, ahn))):
         ref, _ = _rk4_loop(acc, acc_half, DT, OMEGA, zeta, LENGTH, *STATE)
@@ -102,7 +100,7 @@ def test_lfilter_matches_rk4_loop_from_a_nonzero_state(kind, zeta, n):
 def test_lfilter_matches_rk4_loop_from_rest():
     # the simulator's case: forced from rest by turn accelerations
     acc, acc_half = _forcing("piecewise", 50_000, 3)
-    theta = _integrate_pendulum(acc, acc_half, DT, OMEGA, SIM_ZETA, LENGTH)
+    theta = _Swing(DT, OMEGA, SIM_ZETA, LENGTH).feed(acc, acc_half)[:, 0]
     ref, _ = _rk4_loop(acc, acc_half, DT, OMEGA, SIM_ZETA, LENGTH)
     assert theta[0] == 0.0
     assert _rel_dev(theta, ref) <= 1e-10
@@ -136,11 +134,12 @@ def test_integrator_is_bit_identical_to_lfilter(case, n):
         acc, acc_half = np.column_stack([ae, an]), np.column_stack([ahe, ahn])
     else:
         acc, acc_half = ae, ahe
-    args = (acc, acc_half, DT, OMEGA, SIM_ZETA, LENGTH, *state)
-    theta = _integrate_pendulum(*args)
+    params = (DT, OMEGA, SIM_ZETA, LENGTH, *state)
+    theta = _Swing(*params).feed(acc, acc_half)
     with mock.patch.object(suspension, "_iir2", _lfilter_iir2):
-        ref = _integrate_pendulum(*args)
-    assert theta.shape == ref.shape == acc.shape
+        ref = _Swing(*params).feed(acc, acc_half)
+    # (steps, axes), one axis for a 1-D forcing
+    assert theta.shape == ref.shape == (n, acc.size // n)
     assert theta.dtype == np.float64
     assert np.array_equal(theta.view(np.int64), ref.view(np.int64))
 
@@ -171,12 +170,11 @@ def test_swing_fed_in_blocks_is_one_run(case, cuts):
                                 np.column_stack([ahe, ahn]), (0.0, 0.0))
     else:
         acc, acc_half, state = ae, ahe, STATE
-    whole = _integrate_pendulum(acc, acc_half, DT, OMEGA, SIM_ZETA, LENGTH,
-                                *state)
+    whole = _Swing(DT, OMEGA, SIM_ZETA, LENGTH, *state).feed(acc, acc_half)
     swing = _Swing(DT, OMEGA, SIM_ZETA, LENGTH, *state)
     edges = (0, *cuts, n)
     # step lo's midpoint acc_half[lo - 1] leads into it, but for step 0
     parts = [swing.feed(acc[lo:hi], acc_half[max(lo - 1, 0):hi - 1])
              for lo, hi in zip(edges[:-1], edges[1:])]
-    got = np.concatenate(parts).reshape(whole.shape)
+    got = np.concatenate(parts)
     assert np.array_equal(got.view(np.int64), whole.view(np.int64))

@@ -61,7 +61,7 @@ def test_d4_explicit_threshold_and_named_field():
     t = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
     vals = np.column_stack([np.zeros(6), np.array([0, 0, 1.0, 0, 0, 0])])
     ts = TimeSeries(t, vals, ("easting_m", "tmi_nT"))
-    rep = fourth_difference(ts, threshold=100.0, field_name="tmi_nT")
+    rep = fourth_difference(ts.column("tmi_nT"), threshold=100.0)
     assert rep.passed
     assert rep.stats["max_abs_d4"] == 6.0
 

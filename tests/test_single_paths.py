@@ -17,7 +17,10 @@ tests keep scipy out of the package, which runs on numpy alone (scipy is
 the tests' oracle, not a dependency), and its k-d tree with it: grid_idw
 has its own binned query. Bad input raises ValueError alone: errors.py
 holds only the types the CLI or the ingest path tells apart, and no range
-check picks its own error type.
+check picks its own error type. Each library function has one calling
+form: grayscale is min-max, the 4th difference takes an array, the
+settling lead-in uses the track's speed, the pendulum is run through
+_Swing and configs are coded by _DictCodec alone.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import re
 from pathlib import Path
 
 import aerosurvey
+from aerosurvey import core, emi, gridding, qc, suspension
 from aerosurvey.core import check_range
 
 SRC = Path(aerosurvey.__file__).resolve().parent
@@ -221,3 +225,21 @@ def test_bad_input_raises_value_error_alone():
         "name", "value", "lo", "hi", "above"]
     assert _where(lambda n: "_range_error" in (
         getattr(n, "id", None), getattr(n, "attr", None))) == set()
+
+
+def test_one_calling_form_per_function():
+    def params(fn) -> list[str]:
+        return list(inspect.signature(fn).parameters)
+
+    assert params(gridding.to_grayscale) == ["grid"]
+    assert params(gridding.compare_grids) == ["a", "b"]
+    assert params(qc.fourth_difference) == ["x", "threshold"]
+    assert params(suspension.settling_metrics) == ["track", "threshold_deg"]
+    for module, name in ((gridding, "Stretch"), (gridding, "MINMAX"),
+                         (gridding, "_percentiles"),
+                         (core, "config_to_dict"), (core, "config_from_dict"),
+                         (core.SurveyLine, "field_values"),
+                         (suspension, "_integrate_pendulum")):
+        assert not hasattr(module, name), name
+    assert "speed_mps" not in emi.BuzzPass.__dataclass_fields__
+    assert "Stretch" not in aerosurvey.__all__

@@ -170,6 +170,16 @@ def test_reduction_factor_zero_after_raises():
         reduction_factor(before, flat)
 
 
+# a flat before trace once gave a reduction of 0.0, which vib compare
+# then refused naming neither trace
+def test_reduction_factor_zero_before_raises():
+    t = np.arange(0.0, 2.0, 1.0 / 128.0)
+    flat = TimeSeries(t, np.full_like(t, 9.8))
+    after = TimeSeries(t, np.sin(2 * np.pi * 16 * t))
+    with pytest.raises(ValueError, match="^'before' trace has zero RMS$"):
+        reduction_factor(flat, after)
+
+
 @pytest.mark.parametrize("name", ("before", "after"))
 def test_reduction_factor_past_the_float_range_names_the_trace(name):
     # one 1e308 sample overflows x * x: refused, naming the trace, and
