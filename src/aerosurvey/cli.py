@@ -161,21 +161,16 @@ def _cmd_emi_buzz(args) -> int:
 
 
 def _cmd_sim_survey(args) -> int:
-    from .pipeline import (_load_config, apply_seed_override,
-                           write_survey_artifacts)
-    from .suspension import FlightPlan, SimConfig, SuspensionGeometry, _Flight
-    # no --plan: the flight's default_plan, spaced and flown as cfg says
-    plan = _load_config(FlightPlan, args.plan)
-    geometry = _load_config(SuspensionGeometry, args.geom)
-    cfg = apply_seed_override(_load_config(SimConfig, args.cfg, SimConfig()))
-    flight = _Flight(plan, geometry, cfg)
+    from .pipeline import _load_survey, write_survey_artifacts
+    from .suspension import _Flight
+    flight = _Flight(*_load_survey(args.plan, args.geom, args.cfg))
     paths = write_survey_artifacts(flight, args.out_dir)
     _emit({"out_dir": str(args.out_dir),
            "artifacts": sorted(paths),
-           "seed": cfg.seed,
+           "seed": flight.cfg.seed,
            "n_sensor_samples": len(flight.mag_full),
            "effective_damping_ratio":
-               cfg.effective_damping(flight.geometry)})
+               flight.cfg.effective_damping(flight.geometry)})
     return EXIT_OK
 
 
@@ -263,18 +258,12 @@ def _cmd_grid_compare(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     from .pipeline import PipelineConfig, _load_config, run_pipeline
-    cfg = _load_config(PipelineConfig, args.config, PipelineConfig())
+    cfg = _load_config(PipelineConfig, args.config)
     if args.out_dir is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
     if args.tie_tolerance is not None:
         cfg = replace(cfg, tie_tolerance=args.tie_tolerance)
-    try:
-        report = run_pipeline(cfg)
-    except PipelineStageError as exc:
-        # the completed stages go on record; main exits as the cause says
-        _write_json(Path(cfg.out_dir) / "report.json",
-                    exc.partial_report.to_dict())
-        raise
+    report = run_pipeline(cfg)
     _emit(report.to_dict())
     return EXIT_OK if report.overall_pass else EXIT_QC
 
@@ -346,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("sim", help="survey simulator").add_subparsers(
         dest="subcommand", required=True)
     ss = sim.add_parser("survey", help="fly a plan, write sensor traces")
-    ss.add_argument("--plan", default=None, help="plan JSON (default bundled)")
+    ss.add_argument("--plan", default=None, help="plan JSON (default: --cfg's)")
     ss.add_argument("--geom", default=None, help="geometry JSON")
     ss.add_argument("--cfg", default=None, help="simulator config JSON")
     ss.add_argument("--out-dir", required=True)

@@ -21,6 +21,10 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+# the most nodes resample_uniform makes, a 4.6 h trace at 1 kHz: its time
+# grid, each resampled column and their stacked copy take 128 MiB apiece
+_MAX_RESAMPLE_NODES = 1 << 24
+
 
 def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
@@ -195,8 +199,13 @@ def resample_uniform(series: TimeSeries, rate_hz: float) -> TimeSeries:
         raise ValueError("resample needs >= 2 samples")
     t0, t1 = float(series.t[0]), float(series.t[-1])
     span = t1 - t0
-    # count nodes with a tolerance so span*rate == integer survives rounding
-    n = int(math.floor(span * rate_hz * (1 + 1e-12) + 1e-9)) + 1
+    # count nodes with a tolerance so span*rate == integer survives
+    # rounding, clamped before int(): a huge rate_hz can make the count inf
+    n = int(math.floor(min(span * rate_hz * (1 + 1e-12) + 1e-9,
+                           _MAX_RESAMPLE_NODES))) + 1
+    if n > _MAX_RESAMPLE_NODES:
+        raise ValueError(f"rate_hz {rate_hz!r} gives more than "
+                         f"{_MAX_RESAMPLE_NODES} resample nodes")
     new_t = t0 + np.arange(n) / rate_hz
     if series.values.ndim == 1:
         new_v = np.interp(new_t, series.t, series.values)

@@ -60,7 +60,7 @@ class _PassEntry(_DictCodec):
 
 @dataclass(frozen=True)
 class EmiConfig(_DictCodec):
-    noise_floor: float = ranged(0.2, 0, above=True)  # ambient level, nT
+    noise_floor: float = ranged(0.2, 0, 1000, above=True)  # ambient level, nT
 
 
 @dataclass(frozen=True)

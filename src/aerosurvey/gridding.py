@@ -258,8 +258,17 @@ def _idw_rows(x, y, values, centres, nb, power) -> np.ndarray:
     res = values[nb[hit]]  # a centre on a sample takes its value
     far = ~(d[hit] < 1e-9)  # exactness at nodes; a nan distance is far
     if far.any():
-        w = d[far] ** (-power)
-        res[far] = np.sum(w * values[nb[far]], axis=1) / np.sum(w, axis=1)
+        near = values[nb[far]]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            w = d[far] ** (-power)
+            mean = np.sum(w * near, axis=1) / np.sum(w, axis=1)
+        # a non-finite mean of finite values: a weight, or a weighted
+        # value, left the floats (a nan or inf value makes a nodata cell)
+        bad = ~np.isfinite(mean)
+        if bad.any() and np.isfinite(near[bad]).all(axis=1).any():
+            raise ValueError(f"power {power!r} takes the IDW mean past "
+                             "the float64 range")
+        res[far] = mean
     return res
 
 

@@ -51,6 +51,7 @@ from .suspension import (
     _Flight,
     _on_line,
     _write_attitude,
+    default_plan,
     line_rows,
     split_lines,
 )
@@ -70,7 +71,7 @@ class PipelineConfig(_DictCodec):
     sim_path: str | None = None
     d4_threshold: float | None = ranged(None, 0, above=True)
     tie_field: str = "TMI"
-    tie_tolerance: float = ranged(1.0, 0)          # nT on corrected TMI
+    tie_tolerance: float = ranged(1.0, 0)  # nT TMI, % K or ppm U
     nasvd_k: int = ranged(4, 1, 1024)
     nasvd_energy_min: float = ranged(0.8, 0, 1)
     cell_fine: float = ranged(10.0, 0, 100_000, above=True)      # m
@@ -122,22 +123,27 @@ class RunReport:
         }
 
 
-def apply_seed_override(cfg: SimConfig) -> SimConfig:
-    """Honor the AEROSURVEY_SEED environment variable."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return cfg
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-    return replace(cfg, seed=seed)
-
-
-def _load_config(cls, path, default=None):
+def _load_config(cls, path):
     """`cls` from the JSON object in file `path`, every error naming the
-    file (malformed JSON too); `default` when path is None."""
-    return default if path is None else _decode_at(cls, _read_json(path), path)
+    file (malformed JSON too); `cls()` when path is None."""
+    return cls() if path is None else _decode_at(cls, _read_json(path), path)
+
+
+def _load_survey(plan_path, geometry_path, sim_path):
+    """(plan, geometry, sim config) of a simulated run, read from their
+    files in that order; AEROSURVEY_SEED, when set, overrides the seed, and
+    with no plan file the run flies default_plan(sim config)."""
+    plan = None if plan_path is None else _load_config(FlightPlan, plan_path)
+    geometry = _load_config(SuspensionGeometry, geometry_path)
+    sim_cfg = _load_config(SimConfig, sim_path)
+    raw = os.environ.get(SEED_ENV_VAR)
+    if raw is not None:
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+        sim_cfg = replace(sim_cfg, seed=seed)
+    return plan or default_plan(sim_cfg), geometry, sim_cfg
 
 
 def config_hash(plan: FlightPlan, geometry: SuspensionGeometry,
@@ -256,17 +262,19 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     Writes all intermediate artifacts under cfg.out_dir and returns the
     consolidated report (also written as report.json). Any stage raising
     aborts with PipelineStageError carrying the stage name, the cause and
-    the report of the stages that did complete.
+    the report of the stages that did complete, written as report.json.
     """
-    plan = _load_config(FlightPlan, cfg.plan_path, FlightPlan())
-    geometry = _load_config(SuspensionGeometry, cfg.geometry_path,
-                            SuspensionGeometry())
-    sim_cfg = apply_seed_override(
-        _load_config(SimConfig, cfg.sim_path, SimConfig()))
+    plan, geometry, sim_cfg = _load_survey(cfg.plan_path, cfg.geometry_path,
+                                           cfg.sim_path)
     digest = config_hash(plan, geometry, sim_cfg, cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stages: list[StageResult] = []
+
+    def record() -> RunReport:
+        report = RunReport(tuple(stages), sim_cfg.seed, digest)
+        _write_json(out / "report.json", report.to_dict())
+        return report
 
     stage = "simulate"
     try:
@@ -292,7 +300,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         }, ("corrected.csv",)))
 
         stage = "qc_tie"
-        lines = split_lines(corrected, segment, plan)
+        # TMI is tied on the corrected trace, K and U on the rad record
+        lines = split_lines(corrected if cfg.tie_field == "TMI" else rad,
+                            segment, plan)
         records, tie = crossover_analysis(
             [l for l in lines if l.role is LineRole.FLIGHT],
             [l for l in lines if l.role is LineRole.TIE],
@@ -344,9 +354,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
             "delta": cmp["delta"],
         }, ("cmp.json",)))
     except Exception as exc:
-        raise PipelineStageError(stage, exc, RunReport(
-            tuple(stages), sim_cfg.seed, digest)) from exc
-
-    report = RunReport(tuple(stages), sim_cfg.seed, digest)
-    _write_json(out / "report.json", report.to_dict())
-    return report
+        # the completed stages go on record before the run aborts
+        raise PipelineStageError(stage, exc, record()) from exc
+    return record()

@@ -22,7 +22,8 @@ import numpy as np
 from .core import (LineRole, SurveyLine, TimeSeries, _DictCodec, check_range,
                    ranged)
 from .errors import NeverSettlesError
-from .io_csv import _check_header, _read_floats, write_table
+from .io_csv import (_REQUIRED, SchemaKind, _check_header, _read_floats,
+                     write_table)
 
 G = 9.80665  # m/s^2
 # the most steps a flight simulates: simulate_survey's traced peak is about
@@ -556,7 +557,8 @@ class SimConfig(_DictCodec):
 
 
 def default_plan(cfg: SimConfig) -> FlightPlan:
-    return FlightPlan(spacing_m=cfg.line_spacing, altitude_m=cfg.survey_altitude)
+    return FlightPlan(spacing_m=float(cfg.line_spacing),
+                      altitude_m=float(cfg.survey_altitude))
 
 
 def regional_field(cfg: SimConfig, easting: np.ndarray, northing: np.ndarray,
@@ -806,9 +808,10 @@ def _block_starts(segs, n: int, v: float, dt: float) -> list[int]:
     return [bisect_left(range(n), cum[j], key=offset) for j in first.values()]
 
 
-_VLF_FIELDS = ("easting_m", "northing_m", "alt_m", "inphase_pct",
-               "outphase_pct", "h1_pct", "h2_pct", "pT_nT", "roll_deg",
-               "pitch_deg")
+# the sensor records' columns after t_s: io_csv's schemas, in their order
+_MAG_FIELDS, _VLF_FIELDS, _RAD_FIELDS, _BASE_FIELDS = (
+    _REQUIRED[kind][1:] for kind in (SchemaKind.MAG, SchemaKind.VLF,
+                                     SchemaKind.RAD, SchemaKind.BASE))
 
 
 class _Flight:
@@ -870,9 +873,9 @@ class _Flight:
         self._step = int(round(cfg.sim_rate_hz / cfg.sensor_rate_hz))
         ns = len(range(0, n, self._step))
         self._ts = np.empty(ns)
-        self._mag = np.empty((ns, 4))
+        self._mag = np.empty((ns, len(_MAG_FIELDS)))
         self._vlf = np.empty((ns, len(_VLF_FIELDS)))
-        self._rad = np.empty((ns, 5 + cfg.n_channels))
+        self._rad = np.empty((ns, len(_RAD_FIELDS) + cfg.n_channels))
         self._labels: list[str] = []
         self._peaks: list[tuple[float, float]] = []
 
@@ -1010,6 +1013,7 @@ class _Flight:
         np.subtract(self.plan.altitude_m, vlf_alt, out=vlf_alt)
         mag_alt = vlf_alt + geometry.payload_separation
         self._ts[k0:k1] = ts
+        # columns in _REQUIRED's order: 0-2 the position, VLF 8-9 attitude
         for record, alt in ((self._mag, mag_alt), (self._vlf, vlf_alt),
                             (self._rad, mag_alt)):
             record[k0:k1, 0] = se
@@ -1028,6 +1032,7 @@ class _Flight:
         se, sn = self._mag[k0:k1, 0], self._mag[k0:k1, 1]
         rng = np.random.default_rng((cfg.seed, 100 + blk))
         uni = lambda: rng.uniform(-1.0, 1.0, size=ns)  # noqa: E731
+        # columns in _REQUIRED's order: mag 3 TMI, VLF 3-7 and rad 3-4
         mag_noise = cfg.emi_amplitude(geometry) * uni() + cfg.noise_floor * uni()
         self._mag[k0:k1, 3] = regional_field(cfg, se, sn, origin) \
             + diurnal_variation(cfg, self._ts[k0:k1]) + mag_noise
@@ -1066,17 +1071,15 @@ class _Flight:
     def _finish(self) -> None:
         """The sensor streams, once every block is flown."""
         cfg, ts = self.cfg, self._ts
-        rad_fields = ("easting_m", "northing_m", "alt_m", "k_pct", "u_ppm") \
-            + tuple(f"ch{j}" for j in range(cfg.n_channels))
-        self.rad_full = TimeSeries._adopt(ts, self._rad, rad_fields)
-        self.mag_full = TimeSeries._adopt(
-            ts, self._mag, ("easting_m", "northing_m", "alt_m", "tmi_nT"))
+        self.rad_full = TimeSeries._adopt(ts, self._rad, _RAD_FIELDS + tuple(
+            f"ch{j}" for j in range(cfg.n_channels)))
+        self.mag_full = TimeSeries._adopt(ts, self._mag, _MAG_FIELDS)
         self.vlf_full = TimeSeries._adopt(ts, self._vlf, _VLF_FIELDS)
         # base station covers the rover window with a sample to spare each
         # side
         bt = np.arange(-1, len(ts) + 1) / cfg.sensor_rate_hz
         self.base = TimeSeries._adopt(
-            bt, cfg.base_datum_nt + diurnal_variation(cfg, bt), ("tmi_nT",))
+            bt, cfg.base_datum_nt + diurnal_variation(cfg, bt), _BASE_FIELDS)
         self.segment_at_sensor = tuple(self._labels)
         self.straight_peaks = np.reshape(self._peaks, (-1, 2))
         del self._ts, self._mag, self._vlf, self._rad, self._labels, \

@@ -117,9 +117,7 @@ def chained(request, tmp_path_factory):
     pipe, cli = root / "pipeline", root / "cli"
     cli.mkdir()
     cfg = PipelineConfig(out_dir=pipe, plan_path=plan_path)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("AEROSURVEY_SEED", raising=False)
-        run_pipeline(cfg)
+    run_pipeline(cfg)
     plan = FlightPlan(**LARGE_PLAN) if plan_path else FlightPlan()
     report = json.loads((pipe / "report.json").read_text())
     stages = {s["name"]: s for s in report["stages"]}

@@ -443,6 +443,31 @@ def test_sim_survey_writes_artifacts(tmp_path, small_plan, capsys):
         assert (out_dir / name).is_file()
 
 
+def test_sim_survey_and_pipeline_fly_the_same_default_plan(tmp_path, capsys):
+    # no plan: both fly default_plan of the sim config, spaced as it says
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"line_spacing": 30.0, "survey_altitude": 55.0}))
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"sim_path": str(sim)}))
+    code, _, _ = run_cli(capsys, "sim", "survey", "--cfg", sim,
+                         "--out-dir", tmp_path / "sim")
+    assert code == EXIT_OK
+    code, _, _ = run_cli(capsys, "pipeline", "--config", config,
+                         "--out-dir", tmp_path / "pipe")
+    assert code in (EXIT_OK, EXIT_QC)
+    names = [p.relative_to(tmp_path / "sim").as_posix()
+             for p in sorted((tmp_path / "sim").rglob("*.csv"))]
+    assert {"attitude.csv", "mag.csv", "vlf.csv", "rad.csv", "base.csv",
+            "spectra.csv", "flights/L2.csv", "ties/T1.csv"} <= set(names)
+    for name in names:
+        assert (tmp_path / "sim" / name).read_bytes() \
+            == (tmp_path / "pipe" / name).read_bytes(), name
+    # L2 starts 30 m east of the plan origin
+    l2 = np.loadtxt(tmp_path / "sim" / "flights" / "L2.csv", delimiter=",",
+                    skiprows=1, usecols=1)
+    assert abs(np.median(l2) - (FlightPlan().origin_utm[0] + 30.0)) < 5.0
+
+
 def test_sim_survey_seed_env(tmp_path, small_plan, capsys, monkeypatch):
     monkeypatch.setenv("AEROSURVEY_SEED", "77")
     code, stdout, _ = run_cli(capsys, "sim", "survey", "--plan", small_plan,
@@ -993,6 +1018,16 @@ def _survey_inputs(tmp_path):
          "grid has no valid cells"),
         ("grid compare --a {dir}/one_cell.asc --b {dir}/one_cell.asc "
          "--out {out}", "need >= 2 valid pixels"))),
+    # finite but past a size bound or the float range
+    *((["vib", "spectrum", "--in", "{accel}", "--rate", v, "--out", "{out}"],
+      f"rate_hz {v} gives more than 16777216 resample nodes")
+      for v in ("1e+308", "1e+300")),
+    (["emi", "buzz", "--passes", "{passes}", "--floor", "1e200", "--out",
+      "{out}"], "noise_floor must be finite and > 0 and <= 1000, got 1e+200"),
+    # cells 0.05 m off the samples: d ** -power overflows, or underflows
+    *((["grid", "make", "--in", "{mag}", "--cell", "0.75", "--power", v,
+        "--out", "{out}"], f"power {v} takes the IDW mean past the float64 "
+      "range") for v in ("400.0", "1e+300")),
 ))
 def test_bad_gate_or_parameter_exits_2_naming_it(tmp_path, capsys, argv,
                                                  message):

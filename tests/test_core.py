@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,15 @@ def test_resample_uniform_errors():
     for rate in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="rate_hz must be finite and > 0"):
             resample_uniform(ts2, rate)
+
+
+def test_resample_uniform_refuses_more_than_max_nodes():
+    # 2**24 + 1 nodes over 1 s, and counts past the float range
+    ts = TimeSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    for rate in (2.0 ** 24, 1e300, 1e308):
+        with pytest.raises(ValueError, match=re.escape(
+                f"rate_hz {rate!r} gives more than 16777216 resample nodes")):
+            resample_uniform(ts, rate)
 
 
 def test_survey_line_needs_position_columns():

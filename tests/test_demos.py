@@ -25,7 +25,6 @@ def test_demo_runs_cleanly(tmp_path, demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    env.pop("AEROSURVEY_SEED", None)
     # full_survey.py writes its pipeline artifacts into the directory named
     args = [str(tmp_path / "out")] if demo == "full_survey.py" else []
     proc = subprocess.run([sys.executable, str(DEMOS / demo), *args],

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,28 @@ def test_grid_idw_refuses_more_than_max_grid_cells(cell, shape):
         tracemalloc.stop()
     # refused before any array of one value per cell exists
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("power", (400.0, 1e300))
+def test_grid_idw_weights_past_the_float_range_name_power(power):
+    # cells 0.05 m from the nearest sample: 0.05 ** -400 overflows, and
+    # the weights of samples past 1 m underflow at 1e300
+    x = np.arange(0.0, 30.0, 0.1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"power {power!r} takes the IDW mean past the float64 range")):
+        grid_idw(x, np.zeros_like(x), np.full_like(x, 5e4), 0.75, 3.0,
+                 power=power)
+
+
+def test_grid_idw_nan_values_stay_nodata():
+    # a non-finite sample value is not the weights' fault: its cells are
+    # nodata, as before the weights were checked
+    x = np.arange(0.0, 30.0, 0.5)
+    v = np.full_like(x, 5e4)
+    v[10] = np.nan
+    g = grid_idw(x, np.zeros_like(x), v, 0.75, 3.0)
+    assert not g.valid.all() and g.valid.any()
+    assert np.allclose(g.values[g.valid], 5e4, rtol=1e-12, atol=0)
 
 
 # --- grayscale conversion ---

@@ -30,7 +30,6 @@ def _run(folder: Path, hash_seed: str) -> dict[str, str]:
     with every path relative to `folder`."""
     folder.mkdir()
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    env.pop("AEROSURVEY_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     digests = {}

@@ -13,11 +13,16 @@ from aerosurvey import __version__, pipeline
 from aerosurvey.errors import PipelineStageError
 from aerosurvey.pipeline import (
     PipelineConfig,
-    apply_seed_override,
+    _load_survey,
     config_hash,
     run_pipeline,
 )
-from aerosurvey.suspension import FlightPlan, SimConfig, SuspensionGeometry
+from aerosurvey.suspension import (
+    FlightPlan,
+    SimConfig,
+    SuspensionGeometry,
+    default_plan,
+)
 
 STAGE_ORDER = ("simulate", "qc_d4", "qc_diurnal", "qc_tie", "qc_nasvd",
                "grid_make", "grid_compare")
@@ -101,15 +106,45 @@ def test_config_hash_ignores_output_location(tmp_path):
                        PipelineConfig()) != a
 
 
-def test_apply_seed_override(monkeypatch):
-    cfg = SimConfig()
-    monkeypatch.delenv("AEROSURVEY_SEED", raising=False)
-    assert apply_seed_override(cfg) is cfg
+def test_load_survey_seed_override(tmp_path, monkeypatch):
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"seed": 9}))
+    assert _load_survey(None, None, None)[2] == SimConfig()
+    assert _load_survey(None, None, sim)[2].seed == 9
     monkeypatch.setenv("AEROSURVEY_SEED", "123")
-    assert apply_seed_override(cfg).seed == 123
+    assert _load_survey(None, None, sim)[2] == SimConfig(seed=123)
     monkeypatch.setenv("AEROSURVEY_SEED", "not-a-seed")
-    with pytest.raises(ValueError):
-        apply_seed_override(cfg)
+    with pytest.raises(ValueError, match="AEROSURVEY_SEED must be an "
+                       "integer, got 'not-a-seed'"):
+        _load_survey(None, None, sim)
+
+
+def test_load_survey_reads_plan_geometry_sim_in_order(tmp_path):
+    # the first bad file named is the first one read
+    bad = {}
+    for kind in ("plan", "geometry", "sim"):
+        bad[kind] = tmp_path / f"{kind}.json"
+        bad[kind].write_text('{"bogus": 1}')
+    with pytest.raises(ValueError, match="plan.json: FlightPlan"):
+        _load_survey(bad["plan"], bad["geometry"], bad["sim"])
+    with pytest.raises(ValueError, match="geometry.json: SuspensionGeometry"):
+        _load_survey(None, bad["geometry"], bad["sim"])
+    with pytest.raises(ValueError, match="sim.json: SimConfig"):
+        _load_survey(None, None, bad["sim"])
+
+
+def test_load_survey_without_a_plan_flies_the_default_plan(tmp_path):
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"line_spacing": 30, "survey_altitude": 55}))
+    plan, geometry, cfg = _load_survey(None, None, sim)
+    assert plan == default_plan(cfg) == FlightPlan(spacing_m=30.0,
+                                                   altitude_m=55.0)
+    assert geometry == SuspensionGeometry()
+    # integer defaults give the plan FlightPlan() hashes as
+    sim.write_text(json.dumps({"line_spacing": 50, "survey_altitude": 40}))
+    plan, _, cfg = _load_survey(None, None, sim)
+    assert config_hash(plan, geometry, cfg) == config_hash(
+        FlightPlan(), geometry, cfg)
 
 
 def test_seed_env_reaches_report(tmp_path, monkeypatch):
@@ -174,8 +209,20 @@ def test_raising_stage_wraps_with_partial_report(tmp_path):
     assert repr(err.cause) == repr(ValueError("k must be in 1..32"))
     done = tuple(s.name for s in err.partial_report.stages)
     assert done == STAGE_ORDER[:4]
-    # no consolidated report for an aborted run
-    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_refused_run_writes_the_partial_report_json(tmp_path):
+    # a library caller gets the record the CLI writes: the stages that
+    # completed before the refusal
+    cfg = PipelineConfig(out_dir=tmp_path / "out",
+                         plan_path=write_small_plan(tmp_path),
+                         nasvd_k=64)
+    with pytest.raises(PipelineStageError) as exc_info:
+        run_pipeline(cfg)
+    on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert on_disk == exc_info.value.partial_report.to_dict()
+    assert [s["name"] for s in on_disk["stages"]] == list(STAGE_ORDER[:4])
+    assert on_disk["seed"] == SimConfig().seed
 
 
 def test_any_exception_in_a_stage_carries_partial_report(tmp_path,
@@ -193,6 +240,25 @@ def test_any_exception_in_a_stage_carries_partial_report(tmp_path,
     assert isinstance(err.cause, IndexError)
     done = tuple(s.name for s in err.partial_report.stages)
     assert done == STAGE_ORDER[:5]
+
+
+@pytest.mark.parametrize("field, column", (("K", "k_pct"), ("U", "u_ppm")))
+def test_radiometric_tie_field_ties_the_rad_record(tmp_path, field, column):
+    out = tmp_path / "out"
+    report = run_pipeline(PipelineConfig(
+        out_dir=out, plan_path=write_small_plan(tmp_path), tie_field=field))
+    assert tuple(s.name for s in report.stages) == STAGE_ORDER
+    tie = {s.name: s for s in report.stages}["qc_tie"]
+    assert tie.passed and tie.stats["n"] == 2   # two lines, one tie
+    # both values of every crossing lie in the rad record's range of it
+    header = (out / "rad.csv").read_text().split("\n", 1)[0].split(",")
+    values = np.loadtxt(out / "rad.csv", delimiter=",", skiprows=1,
+                        usecols=header.index(column))
+    crossings = json.loads((out / "crossings.json").read_text())["crossings"]
+    assert len(crossings) == 2
+    for r in crossings:
+        for side in ("flight", "tie"):
+            assert values.min() <= r[side] <= values.max()
 
 
 def test_refused_diurnal_correction_writes_no_corrected_csv(tmp_path,

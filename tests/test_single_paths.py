@@ -20,7 +20,12 @@ holds only the types the CLI or the ingest path tells apart, and no range
 check picks its own error type. Each library function has one calling
 form: grayscale is min-max, the 4th difference takes an array, the
 settling lead-in uses the track's speed, the pendulum is run through
-_Swing and configs are coded by _DictCodec alone.
+_Swing and configs are coded by _DictCodec alone. A simulated run is set
+up by pipeline._load_survey alone, the one reader of AEROSURVEY_SEED,
+for the pipeline and `sim survey` alike; run_pipeline writes every
+report.json, partial ones too, so the pipeline command handles no
+exception; and the simulator's sensor streams take their columns from
+io_csv's schemas, naming none of their own.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ import re
 from pathlib import Path
 
 import aerosurvey
-from aerosurvey import core, emi, gridding, qc, suspension
+from aerosurvey import cli, core, emi, gridding, pipeline, qc, suspension
 from aerosurvey.core import check_range
+from aerosurvey.io_csv import _REQUIRED, SchemaKind
 
 SRC = Path(aerosurvey.__file__).resolve().parent
 
@@ -243,3 +249,33 @@ def test_one_calling_form_per_function():
         assert not hasattr(module, name), name
     assert "speed_mps" not in emi.BuzzPass.__dataclass_fields__
     assert "Stretch" not in aerosurvey.__all__
+
+
+def test_one_set_up_and_one_report_writer_for_a_simulated_run():
+    assert _where(lambda n: _uses(n, "os", {"environ", "getenv"})) \
+        == {("pipeline.py", "_load_survey")}
+    assert not hasattr(pipeline, "apply_seed_override")
+    assert "_load_survey(" in inspect.getsource(cli._cmd_sim_survey)
+    tree = ast.parse(inspect.getsource(cli._cmd_pipeline))
+    assert not any(isinstance(n, (ast.Try, ast.ExceptHandler))
+                   for n in ast.walk(tree))
+
+
+# the columns that only the mag, VLF or rad streams have
+_SENSOR_ONLY = {"tmi_nT", "alt_m", "inphase_pct", "outphase_pct", "h1_pct",
+                "h2_pct", "pT_nT", "k_pct", "u_ppm"}
+
+
+def test_simulator_streams_take_io_csv_schemas():
+    tree = ast.parse((SRC / "suspension.py").read_text(encoding="utf-8"))
+    assert {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+            and isinstance(n.value, str)} & _SENSOR_ONLY == set()
+    flight = suspension._Flight(suspension.FlightPlan(
+        n_lines=1, line_length_m=100.0, tie_lines=0))
+    for _ in flight.blocks():
+        pass
+    for series, kind in ((flight.mag_full, SchemaKind.MAG),
+                         (flight.vlf_full, SchemaKind.VLF),
+                         (flight.base, SchemaKind.BASE)):
+        assert series.fields == _REQUIRED[kind][1:]
+    assert flight.rad_full.fields[:5] == _REQUIRED[SchemaKind.RAD][1:]
