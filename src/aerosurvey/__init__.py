@@ -23,7 +23,7 @@ _EXPORTS = {
             "interference_percent", "noise_amplitude", "threshold_separation"),
     "errors": ("AerosurveyError", "PipelineStageError"),
     "gridding": ("NODATA", "GrayImage", "Grid", "compare_grids", "grid_idw",
-                 "histogram256", "intensity_stddev", "read_asc", "read_pgm",
+                 "histogram256", "intensity_stddev", "read_asc",
                  "to_grayscale", "write_asc", "write_pgm"),
     "io_csv": ("CSV_SCHEMA_VERSION", "Ingested", "SchemaKind",
                "crossover_fixture_path", "ingest_csv", "read_spectra_csv",
@@ -32,10 +32,9 @@ _EXPORTS = {
            "crossover_row_stats", "diurnal_correct", "fourth_difference",
            "fourth_difference_values", "nasvd_denoise",
            "nasvd_energy_fraction"),
-    "suspension": ("AttitudeTrack", "FlightPlan", "PayloadPose",
-                   "SettlingMetrics", "SimConfig", "SimResult",
-                   "SuspensionGeometry", "default_plan", "payload_pose",
-                   "pendulum_ring_down", "read_attitude_csv",
+    "suspension": ("AttitudeTrack", "FlightPlan", "SettlingMetrics",
+                   "SimConfig", "SimResult", "SuspensionGeometry",
+                   "default_plan", "pendulum_ring_down", "read_attitude_csv",
                    "settling_metrics", "simulate_survey",
                    "write_attitude_csv"),
     "pipeline": ("REPORT_SCHEMA_VERSION", "PipelineConfig", "RunReport",

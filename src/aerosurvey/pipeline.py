@@ -100,20 +100,24 @@ class StageResult:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Consolidated pipeline result. overall == all stage passes."""
+    """Consolidated pipeline result. overall == all stage passes, and a
+    run that a stage aborted (`failed_stage` set, with its `error`) fails
+    whatever the stages before it gave."""
 
     stages: tuple[StageResult, ...]
     seed: int
     config_sha256: str
     tool_version: str = __version__
     schema_version: str = REPORT_SCHEMA_VERSION
+    failed_stage: str | None = None
+    error: str | None = None
 
     @property
     def overall_pass(self) -> bool:
-        return all(s.passed for s in self.stages)
+        return self.failed_stage is None and all(s.passed for s in self.stages)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "schema_version": self.schema_version,
             "tool_version": self.tool_version,
             "seed": self.seed,
@@ -121,6 +125,11 @@ class RunReport:
             "stages": [s.to_dict() for s in self.stages],
             "pass": self.overall_pass,
         }
+        if self.failed_stage is not None:
+            # only a partial report has these keys, so a complete one
+            # keeps every byte
+            out.update(failed_stage=self.failed_stage, error=self.error)
+        return out
 
 
 def _load_config(cls, path):
@@ -260,19 +269,28 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """simulate -> d4 -> diurnal -> tie -> nasvd -> grid x2 -> compare.
 
     Writes all intermediate artifacts under cfg.out_dir and returns the
-    consolidated report (also written as report.json). Any stage raising
-    aborts with PipelineStageError carrying the stage name, the cause and
-    the report of the stages that did complete, written as report.json.
+    consolidated report (also written as report.json). A `nasvd_k` above
+    the sim config's `n_channels` is refused with ValueError before the
+    flight, writing nothing. Any stage raising aborts with
+    PipelineStageError carrying the stage name, the cause and the report
+    of the stages that did complete, written as report.json with the
+    failed stage, its error and "pass": false.
     """
     plan, geometry, sim_cfg = _load_survey(cfg.plan_path, cfg.geometry_path,
                                            cfg.sim_path)
+    # refused before the flight, so nothing is written
+    if cfg.nasvd_k > sim_cfg.n_channels:
+        raise ValueError(f"nasvd_k ({cfg.nasvd_k}) must be <= the sim "
+                         f"config's n_channels ({sim_cfg.n_channels})")
     digest = config_hash(plan, geometry, sim_cfg, cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stages: list[StageResult] = []
 
-    def record() -> RunReport:
-        report = RunReport(tuple(stages), sim_cfg.seed, digest)
+    def record(failed: str | None = None,
+               error: str | None = None) -> RunReport:
+        report = RunReport(tuple(stages), sim_cfg.seed, digest,
+                           failed_stage=failed, error=error)
         _write_json(out / "report.json", report.to_dict())
         return report
 
@@ -354,6 +372,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
             "delta": cmp["delta"],
         }, ("cmp.json",)))
     except Exception as exc:
-        # the completed stages go on record before the run aborts
-        raise PipelineStageError(stage, exc, record()) from exc
+        # the completed stages and the one that failed go on record
+        # before the run aborts
+        raise PipelineStageError(stage, exc, record(
+            stage, f"{type(exc).__name__}: {exc}")) from exc
     return record()

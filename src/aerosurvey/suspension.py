@@ -2,12 +2,12 @@
 
 The payload hangs from four cables anchored under the motors, with a
 platform mount that keeps it level and heading-locked (a 4-bar linkage in
-each vertical plane). Quasi-statics are solved exactly; in-flight swing is
-a damped planar pendulum per horizontal axis, forced by turn accelerations
-along a lawnmower flight path. The simulator is the package's synthetic
-data source: it emits attitude, magnetometer, VLF and radiometric traces
-with turn-point swing noise and platform EMI contamination, fully
-deterministic under a fixed seed.
+each vertical plane). In-flight swing is a damped planar pendulum per
+horizontal axis, forced by turn accelerations along a lawnmower flight
+path. The simulator is the package's synthetic data source: it emits
+attitude, magnetometer, VLF and radiometric traces with turn-point swing
+noise and platform EMI contamination, fully deterministic under a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -39,7 +39,7 @@ _COUNT_ROWS = 1 << 11
 
 
 # ---------------------------------------------------------------------------
-# geometry and quasi-static pose
+# geometry
 
 
 def _square_anchors(side: float) -> tuple[tuple[float, float, float], ...]:
@@ -54,7 +54,9 @@ class SuspensionGeometry(_DictCodec):
     `platform_offsets` are the distances of the payload-mount attachment
     points from the payload center, one per anchor, taken along the
     anchor's horizontal direction; equal anchor and platform footprints
-    give the classic parallel linkage.
+    give the classic parallel linkage. The simulator flies a pendulum of
+    `cable_length`, so `motor_anchor_points` and `platform_offsets` feed
+    only a run's `config_sha256`, which hashes this dict.
     """
 
     motor_anchor_points: tuple[tuple[float, float, float], ...] = ranged(
@@ -69,108 +71,6 @@ class SuspensionGeometry(_DictCodec):
         super().__post_init__()
         if len(self.motor_anchor_points) != 4 or len(self.platform_offsets) != 4:
             raise ValueError("exactly 4 anchors and 4 platform offsets required")
-
-    def platform_points(self) -> np.ndarray:
-        """Attachment points on the payload mount, payload frame, (4, 3)."""
-        anchors = np.asarray(self.motor_anchor_points, dtype=float)
-        pts = np.zeros((4, 3))
-        for i, (a, r) in enumerate(zip(anchors, self.platform_offsets)):
-            horiz = np.hypot(a[0], a[1])
-            if horiz < 1e-12:
-                raise ValueError("anchor directly above payload center")
-            pts[i, 0] = a[0] / horiz * r
-            pts[i, 1] = a[1] / horiz * r
-        return pts
-
-
-@dataclass(frozen=True)
-class PayloadPose:
-    """Quasi-static payload pose relative to the UAV center (world ENU)."""
-
-    offset: tuple[float, float, float]  # m, east/north/up
-    roll: float      # deg, 0 by linkage
-    pitch: float     # deg, 0 by linkage
-    heading: float   # deg, locked to UAV heading
-
-    @property
-    def depth(self) -> float:
-        return -self.offset[2]
-
-
-def _rot_z(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot_y(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rot_x(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def payload_pose(geometry: SuspensionGeometry, roll_deg: float,
-                 pitch_deg: float, yaw_deg: float) -> PayloadPose:
-    """Quasi-static payload pose for a given UAV attitude.
-
-    The linkage keeps the payload level and heading-locked, so the only
-    unknown is its position: the minimum-potential-energy point subject to
-    each cable not exceeding its length,
-
-        minimize z  s.t.  ||x - b_i|| <= cable_length,
-        b_i = R_uav a_i - R_yaw p_i,
-
-    the lowest point of the four balls' intersection, which is unique and
-    holds one, two or three cables taut (a fourth taut one passes through
-    a point three fix). So it is one of 14 candidates: b_i - L z_hat (4),
-    the lowest point of each pair of spheres' common circle (6) and the
-    two common points of each triple (4 x 2). Every candidate that
-    overstretches no cable is feasible, so none lies below the optimum,
-    which is itself a candidate: the lowest feasible one is the pose.
-    Tilt is limited to 45 degrees, beyond which the taut-cable assumption
-    (and the linkage itself) stops being credible.
-    """
-    if max(abs(roll_deg), abs(pitch_deg)) >= 45.0:
-        raise ValueError("tilt beyond taut-cable model validity (45 deg)")
-    roll, pitch, yaw = (math.radians(a) for a in (roll_deg, pitch_deg, yaw_deg))
-    r_uav = _rot_z(yaw) @ _rot_y(pitch) @ _rot_x(roll)
-    r_yaw = _rot_z(yaw)
-    anchors = np.asarray(geometry.motor_anchor_points, dtype=float)
-    plat = geometry.platform_points()
-    b = (r_uav @ anchors.T).T - (r_yaw @ plat.T).T   # (4, 3)
-    length = geometry.cable_length
-    lsq = length * length
-    candidates = [bi - (0.0, 0.0, length) for bi in b]
-    for i, j in combinations(range(4), 2):
-        d = b[j] - b[i]
-        dh, dsq = math.hypot(d[0], d[1]), float(d @ d)
-        if dh == 0.0 or dsq >= 4.0 * lsq:   # vertical or coincident, or apart
-            continue
-        # from the circle's centre, its radius down the circle's plane
-        down = np.array([d[0] * d[2] / dh, d[1] * d[2] / dh, -dh])
-        candidates.append((b[i] + b[j]) / 2.0
-                          + math.sqrt((lsq - dsq / 4.0) / dsq) * down)
-    for i, j, k in combinations(range(4), 3):
-        u, v = b[j] - b[i], b[k] - b[i]
-        m = np.cross(u, v)
-        msq = float(m @ m)
-        if msq == 0.0:   # collinear
-            continue
-        # from the circumcentre, along the normal to L from all three
-        rel = np.cross(float(u @ u) * v - float(v @ v) * u, m) / (2.0 * msq)
-        hsq = lsq - float(rel @ rel)
-        if hsq >= 0.0:
-            off = math.sqrt(hsq / msq) * m
-            candidates += (b[i] + rel + off, b[i] + rel - off)
-    feasible = [c for c in candidates
-                if np.sum((b - c) ** 2, axis=1).max() <= lsq * (1.0 + 1e-12)]
-    if not feasible:
-        raise ValueError("every payload position overstretches a cable")
-    lowest = min(feasible, key=lambda c: c[2])
-    return PayloadPose(tuple(lowest.tolist()), 0.0, 0.0, yaw_deg)
 
 
 # ---------------------------------------------------------------------------

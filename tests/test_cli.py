@@ -1111,6 +1111,38 @@ def test_pipeline_cli_stage_failure_writes_partial_report(
         "simulate", "qc_d4", "qc_diurnal", "qc_tie", "qc_nasvd"]
 
 
+def test_pipeline_with_no_tie_line_exits_3_and_its_report_fails(
+        tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(FlightPlan(
+        n_lines=2, line_length_m=200.0, tie_lines=0).to_dict()))
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"plan_path": str(plan)}))
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "pipeline", "--config", config,
+                           "--out-dir", out_dir)
+    assert code == EXIT_QC
+    assert "stage 'qc_tie' failed: no flight/tie intersections" in err
+    partial = json.loads((out_dir / "report.json").read_text())
+    assert len(partial["stages"]) == 3
+    assert partial["pass"] is False
+    assert partial["failed_stage"] == "qc_tie"
+
+
+# once flown whole and refused at qc_nasvd, leaving 12 entries behind
+def test_pipeline_nasvd_rank_above_n_channels_writes_nothing(tmp_path,
+                                                            capsys):
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"nasvd_k": 64}))
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "pipeline", "--config", config,
+                           "--out-dir", out_dir)
+    assert code == EXIT_IO
+    assert ("error: nasvd_k (64) must be <= the sim config's n_channels "
+            "(32)") in err
+    assert not out_dir.exists()
+
+
 def test_pipeline_diurnal_past_the_float_range_exits_2(tmp_path, small_plan,
                                                       capsys, monkeypatch):
     def huge_correction(rover, base, datum):

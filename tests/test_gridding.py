@@ -13,7 +13,6 @@ from aerosurvey import (
     histogram256,
     intensity_stddev,
     read_asc,
-    read_pgm,
     to_grayscale,
     write_asc,
     write_pgm,
@@ -220,85 +219,8 @@ def test_pgm_round_trip_and_row_order(tmp_path):
     img = GrayImage(px, np.ones((2, 2), dtype=bool))
     p = tmp_path / "g.pgm"
     write_pgm(img, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "P2"
-    assert lines[1] == "2 2"
-    assert lines[2] == "255"
-    assert lines[3] == "255 7"                           # north row first
-    assert np.array_equal(read_pgm(p), px)
-
-
-def test_pgm_reader_rejects_other_formats(tmp_path):
-    p = tmp_path / "bad.pgm"
-    p.write_text("P5\n2 2\n255\n")
-    with pytest.raises(ValueError):
-        read_pgm(p)
-
-
-def test_pgm_reader_rejects_truncated_pixel_data(tmp_path):
-    p = tmp_path / "short.pgm"
-    p.write_text("P2\n3 2\n255\n0 1 2\n3 4\n")
-    with pytest.raises(ValueError, match="truncated pixel data"):
-        read_pgm(p)
-
-
-# these once raised IndexError
-@pytest.mark.parametrize("text", ("", "\n# comment only\n", "P2\n",
-                                  "P2\n3 2\n"))
-def test_pgm_reader_rejects_an_empty_or_cut_short_header(tmp_path, text):
-    p = tmp_path / "cut.pgm"
-    p.write_text(text)
-    with pytest.raises(ValueError, match=r"cut\.pgm: not a plain PGM"):
-        read_pgm(p)
-
-
-# these once raised a bare "invalid literal for int()" naming no file
-@pytest.mark.parametrize("text, fault", (
-    ("P2\nx 2\n255\n0 1\n2 3\n", "width must be a whole number, got 'x'"),
-    ("P2\n2 2.5\n255\n0 1\n2 3\n",
-     "height must be a whole number, got '2.5'"),
-    ("P2\n2 2\nmax\n0 1\n2 3\n", "maxval must be a whole number, got 'max'"),
-    ("P2\n2 2\n255\n0 1\n2 x\n",
-     "pixel row 2, column 2 must be a whole number, got 'x'"),
-    ("P2\n-1 -1\n255\n7\n", "width must be finite and >= 1, got -1"),
-    ("P2\n3 0\n255\n", "height must be finite and >= 1, got 0"),
-), ids=("width", "height", "maxval", "pixel", "negative", "empty"))
-def test_pgm_reader_names_the_file_and_the_bad_token(tmp_path, text, fault):
-    p = tmp_path / "bad.pgm"
-    p.write_text(text)
-    with pytest.raises(ValueError) as exc:
-        read_pgm(p)
-    assert str(exc.value) == f"{p}: {fault}"
-
-
-# these once read as pixel values outside [0, maxval], or an empty range
-@pytest.mark.parametrize("text, fault", (
-    ("P2\n2 1\n255\n300 -5\n",
-     "pixel row 1, column 1 must be finite and >= 0 and <= 255, got 300"),
-    ("P2\n2 2\n255\n0 1\n2 -5\n",
-     "pixel row 2, column 2 must be finite and >= 0 and <= 255, got -5"),
-    ("P2\n3 1\n7\n7 0 8\n",
-     "pixel row 1, column 3 must be finite and >= 0 and <= 7, got 8"),
-    ("P2\n2 1\n0\n0 0\n", "maxval must be finite and >= 1 and <= 65535, got 0"),
-    ("P2\n2 1\n-3\n0 0\n",
-     "maxval must be finite and >= 1 and <= 65535, got -3"),
-    ("P2\n2 1\n65536\n0 0\n",
-     "maxval must be finite and >= 1 and <= 65535, got 65536"),
-), ids=("above", "below", "small-maxval", "maxval-0", "maxval-negative",
-        "maxval-too-large"))
-def test_pgm_reader_checks_maxval_and_pixel_range(tmp_path, text, fault):
-    p = tmp_path / "bad.pgm"
-    p.write_text(text)
-    with pytest.raises(ValueError) as exc:
-        read_pgm(p)
-    assert str(exc.value) == f"{p}: {fault}"
-
-
-@pytest.mark.parametrize("maxval", (1, 255, 65535))
-def test_pgm_reader_takes_pixels_at_both_ends_of_the_range(tmp_path, maxval):
-    p = tmp_path / "edge.pgm"
-    p.write_text(f"P2\n2 1\n{maxval}\n0 {maxval}\n")
-    assert read_pgm(p).tolist() == [[0, maxval]]
+    # P2 header (width height, maxval), then the north row first
+    assert p.read_text() == "P2\n2 2\n255\n255 7\n0 128\n"
 
 
 # --- container validation ---

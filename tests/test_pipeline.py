@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from aerosurvey import __version__, pipeline
-from aerosurvey.errors import PipelineStageError
+from aerosurvey.errors import NoIntersectionsError, PipelineStageError
 from aerosurvey.pipeline import (
     PipelineConfig,
     _load_survey,
@@ -28,9 +28,9 @@ STAGE_ORDER = ("simulate", "qc_d4", "qc_diurnal", "qc_tie", "qc_nasvd",
                "grid_make", "grid_compare")
 
 
-def write_small_plan(tmp_path: Path) -> str:
+def write_small_plan(tmp_path: Path, tie_lines: int = 1) -> str:
     # two short lines + one tie keeps failure-path runs quick
-    plan = FlightPlan(n_lines=2, line_length_m=150.0, tie_lines=1)
+    plan = FlightPlan(n_lines=2, line_length_m=150.0, tie_lines=tie_lines)
     p = tmp_path / "plan.json"
     p.write_text(json.dumps(plan.to_dict()))
     return str(p)
@@ -198,31 +198,35 @@ def test_failing_gate_does_not_abort(tmp_path):
 
 
 def test_raising_stage_wraps_with_partial_report(tmp_path):
-    # rank above the channel count raises inside the NASVD stage
+    # a plan with no tie line has nothing to tie: the tie stage raises
     cfg = PipelineConfig(out_dir=tmp_path / "out",
-                         plan_path=write_small_plan(tmp_path),
-                         nasvd_k=64)
+                         plan_path=write_small_plan(tmp_path, tie_lines=0))
     with pytest.raises(PipelineStageError) as exc_info:
         run_pipeline(cfg)
     err = exc_info.value
-    assert err.stage == "qc_nasvd"
-    assert repr(err.cause) == repr(ValueError("k must be in 1..32"))
+    assert err.stage == "qc_tie"
+    assert isinstance(err.cause, NoIntersectionsError)
     done = tuple(s.name for s in err.partial_report.stages)
-    assert done == STAGE_ORDER[:4]
+    assert done == STAGE_ORDER[:3]
 
 
 def test_refused_run_writes_the_partial_report_json(tmp_path):
     # a library caller gets the record the CLI writes: the stages that
-    # completed before the refusal
+    # completed before the refusal, and the one that failed
     cfg = PipelineConfig(out_dir=tmp_path / "out",
-                         plan_path=write_small_plan(tmp_path),
-                         nasvd_k=64)
+                         plan_path=write_small_plan(tmp_path, tie_lines=0))
     with pytest.raises(PipelineStageError) as exc_info:
         run_pipeline(cfg)
     on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
     assert on_disk == exc_info.value.partial_report.to_dict()
-    assert [s["name"] for s in on_disk["stages"]] == list(STAGE_ORDER[:4])
+    assert [s["name"] for s in on_disk["stages"]] == list(STAGE_ORDER[:3])
     assert on_disk["seed"] == SimConfig().seed
+    # every stage that completed passed, but the run did not finish
+    assert all(s["pass"] for s in on_disk["stages"])
+    assert on_disk["pass"] is False
+    assert on_disk["failed_stage"] == "qc_tie"
+    assert on_disk["error"] == ("NoIntersectionsError: no flight/tie "
+                                "intersections")
 
 
 def test_any_exception_in_a_stage_carries_partial_report(tmp_path,

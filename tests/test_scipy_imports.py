@@ -13,8 +13,8 @@ np.median, np.percentile and flagless np.unique import (10-16 ms a
 process).
 
 The functions that once imported scipy on their first call (lfilter,
-median_filter, minimize, find_peaks) must give in a fresh process the
-same result as in this one, with no scipy module loaded, and `vib
+median_filter, find_peaks) must give in a fresh process the same result
+as in this one, with no scipy module loaded, and `vib
 spectrum` must write the same bytes with scipy blocked from importing.
 That no module of the package imports scipy is an AST guard in
 test_single_paths.
@@ -202,10 +202,6 @@ def test_vib_rank_and_compare_load_no_simulator_pipeline_or_emi(tmp_path):
 FIRST_USE = {
     "lfilter": ("from aerosurvey.suspension import pendulum_ring_down",
                 "pendulum_ring_down(10.0, 0.05, 9.0, 5.0).values.tolist()"),
-    "minimize": ("from aerosurvey.suspension import SuspensionGeometry, "
-                 "payload_pose",
-                 "payload_pose(SuspensionGeometry(), 12.0, -7.0, 30.0)"
-                 ".offset"),
     "find_peaks": ("import numpy as np\n"
                    "from aerosurvey.core import TimeSeries\n"
                    "from aerosurvey.vibration import amplitude_spectrum\n"

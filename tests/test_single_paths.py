@@ -25,7 +25,8 @@ up by pipeline._load_survey alone, the one reader of AEROSURVEY_SEED,
 for the pipeline and `sim survey` alike; run_pipeline writes every
 report.json, partial ones too, so the pipeline command handles no
 exception; and the simulator's sensor streams take their columns from
-io_csv's schemas, naming none of their own.
+io_csv's schemas, naming none of their own. No flow reads a payload pose
+or a PGM file, so the package defines neither.
 """
 
 from __future__ import annotations
@@ -259,6 +260,16 @@ def test_one_set_up_and_one_report_writer_for_a_simulated_run():
     tree = ast.parse(inspect.getsource(cli._cmd_pipeline))
     assert not any(isinstance(n, (ast.Try, ast.ExceptHandler))
                    for n in ast.walk(tree))
+
+
+def test_no_payload_pose_and_no_pgm_reader():
+    for name in ("payload_pose", "PayloadPose", "read_pgm"):
+        assert name not in aerosurvey.__all__, name
+    for module, name in ((suspension, "payload_pose"),
+                         (suspension, "PayloadPose"), (suspension, "_rot_x"),
+                         (suspension.SuspensionGeometry, "platform_points"),
+                         (gridding, "read_pgm")):
+        assert not hasattr(module, name), name
 
 
 # the columns that only the mag, VLF or rad streams have

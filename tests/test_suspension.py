@@ -4,13 +4,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from aerosurvey import (
     FlightPlan,
     SimConfig,
     SuspensionGeometry,
-    payload_pose,
     pendulum_ring_down,
     settling_metrics,
     simulate_survey,
@@ -36,11 +34,12 @@ from aerosurvey.errors import NeverSettlesError
 
 def test_default_geometry_is_parallel_linkage():
     g = SuspensionGeometry()
-    pts = g.platform_points()
     anchors = np.asarray(g.motor_anchor_points)
     # offsets equal the anchor horizontal radius, so the footprints match
-    assert np.allclose(pts[:, :2], anchors[:, :2], atol=1e-12)
-    assert np.allclose(pts[:, 2], 0.0)
+    assert np.allclose(g.platform_offsets, np.hypot(anchors[:, 0],
+                                                    anchors[:, 1]),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(anchors[:, 2], 0.0)
 
 
 def test_geometry_validation_and_round_trip():
@@ -50,169 +49,6 @@ def test_geometry_validation_and_round_trip():
         SuspensionGeometry(platform_offsets=(1.0, 1.0))
     g = SuspensionGeometry(cable_length=7.5, intermediate_platform=False)
     assert SuspensionGeometry.from_dict(g.to_dict()) == g
-
-
-# --- quasi-static payload pose ---
-
-def _effective_anchors(geometry, roll_deg, pitch_deg, yaw_deg):
-    def rz(a):
-        c, s = math.cos(a), math.sin(a)
-        return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-
-    def ry(a):
-        c, s = math.cos(a), math.sin(a)
-        return np.array([[c, 0, s], [0, 1.0, 0], [-s, 0, c]])
-
-    def rx(a):
-        c, s = math.cos(a), math.sin(a)
-        return np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]])
-
-    roll, pitch, yaw = (math.radians(v) for v in (roll_deg, pitch_deg, yaw_deg))
-    r_uav = rz(yaw) @ ry(pitch) @ rx(roll)
-    anchors = np.asarray(geometry.motor_anchor_points, float)
-    plat = geometry.platform_points()
-    return (r_uav @ anchors.T).T - (rz(yaw) @ plat.T).T
-
-
-def test_payload_pose_level_hangs_straight_down():
-    g = SuspensionGeometry()
-    pose = payload_pose(g, 0.0, 0.0, 0.0)
-    assert pose.offset == (0.0, 0.0, -9.0)
-    assert pose.depth == 9.0
-    assert pose.roll == 0.0 and pose.pitch == 0.0
-
-
-def test_payload_pose_pure_yaw_is_still_vertical():
-    g = SuspensionGeometry()
-    pose = payload_pose(g, 0.0, 0.0, 30.0)
-    assert pose.offset[0] == pytest.approx(0.0, abs=1e-12)
-    assert pose.offset[1] == pytest.approx(0.0, abs=1e-12)
-    assert pose.offset[2] == pytest.approx(-9.0, abs=1e-12)
-    assert pose.heading == 30.0
-
-
-def test_payload_pose_tilt_limit():
-    g = SuspensionGeometry()
-    for roll, pitch in ((45.0, 0.0), (0.0, -45.0), (50.0, 10.0)):
-        with pytest.raises(ValueError, match=r"^tilt beyond taut-cable "
-                           r"model validity \(45 deg\)$"):
-            payload_pose(g, roll, pitch, 0.0)
-
-
-@pytest.mark.parametrize("offsets,roll,pitch,yaw", [
-    (None, 10.0, 0.0, 0.0), (None, 0.0, 15.0, 0.0), (None, -25.0, 12.0, 40.0),
-    (None, 5.0, -30.0, 0.0), (None, 35.0, 20.0, -60.0),
-    # unequal offsets break the parallel-linkage shortcut and force the
-    # numeric solve; the first attitude once stalled the search on the
-    # y-axis (start point with x ~ 0 collapsed the initial simplex)
-    ((0.3, 0.5, 0.4, 0.6), 8.0, -12.0, 0.0),
-    ((0.3, 0.5, 0.4, 0.6), -20.0, 5.0, 25.0),
-    ((0.55, 0.3, 0.8, 0.45), 14.0, 22.0, 120.0),
-])
-def test_payload_pose_optimality_certificate(offsets, roll, pitch, yaw):
-    # the pose minimizes a convex function (max over cables of the lowest
-    # feasible z), so local optimality on a ring certifies the global min
-    g = (SuspensionGeometry() if offsets is None
-         else SuspensionGeometry(platform_offsets=offsets))
-    pose = payload_pose(g, roll, pitch, yaw)
-    b = _effective_anchors(g, roll, pitch, yaw)
-    p = np.asarray(pose.offset)
-    # feasibility: every cable taut or slack, never overstretched
-    d = np.linalg.norm(b - p, axis=1)
-    assert np.all(d <= g.cable_length + 1e-7)
-    # z is the lowest feasible height at (x, y)
-    lsq = g.cable_length ** 2
-    d2 = np.sum((b[:, :2] - p[:2]) ** 2, axis=1)
-    zstar = np.max(b[:, 2] - np.sqrt(lsq - d2))
-    assert p[2] == pytest.approx(zstar, abs=1e-9)
-
-    def lowest_z(xy):
-        dd = np.sum((b[:, :2] - xy) ** 2, axis=1)
-        if dd.max() >= lsq:
-            return np.inf
-        return float(np.max(b[:, 2] - np.sqrt(lsq - dd)))
-
-    for radius in (1e-4, 1e-2):
-        ring = [lowest_z(p[:2] + radius * np.array([np.cos(a), np.sin(a)]))
-                for a in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)]
-        assert min(ring) >= p[2] - 1e-9
-
-
-def test_payload_pose_matches_constrained_solver():
-    # independent check on a non-degenerate layout (unequal offsets keep
-    # the effective anchors apart, where SLSQP is reliable)
-    g = SuspensionGeometry(platform_offsets=(0.3, 0.5, 0.4, 0.6))
-    for roll, pitch, yaw in ((8.0, -12.0, 0.0), (-20.0, 5.0, 25.0),
-                             (0.0, 30.0, -40.0)):
-        pose = payload_pose(g, roll, pitch, yaw)
-        b = _effective_anchors(g, roll, pitch, yaw)
-        cons = [{"type": "ineq",
-                 "fun": (lambda x, bi=bi: g.cable_length ** 2
-                         - float(np.sum((x - bi) ** 2)))}
-                for bi in b]
-        x0 = np.array([b[:, 0].mean(), b[:, 1].mean(),
-                       b[:, 2].max() - 0.95 * g.cable_length])
-        res = minimize(lambda x: x[2], x0, constraints=cons, method="SLSQP",
-                       options={"maxiter": 500, "ftol": 1e-14})
-        # SLSQP may stop on a spurious linesearch message at the optimum;
-        # what matters is that its point is feasible and that we match it
-        overrun = max(-c["fun"](res.x) for c in cons)
-        assert overrun <= 1e-7
-        assert np.allclose(res.x, pose.offset, atol=1e-6)
-
-
-def test_payload_pose_tilt_moves_payload_uphill():
-    # pitching nose-down drags the hang point; depth shrinks
-    g = SuspensionGeometry()
-    pose = payload_pose(g, 0.0, 20.0, 0.0)
-    assert pose.depth < 9.0
-    assert abs(pose.offset[0]) > 0.01
-
-
-def test_payload_pose_is_exact_on_random_layouts():
-    # 200 random platform layouts and 40 at the default, each at a random
-    # attitude: feasible to rounding, its z the lowest at its (x, y), no
-    # lower z on rings around it, and the same bits on a second call
-    rng = np.random.default_rng(20240601)
-    layouts = [tuple(rng.uniform(0.05, 1.2, 4)) for _ in range(200)]
-    layouts += [None] * 40
-    for offsets in layouts:
-        g = (SuspensionGeometry() if offsets is None
-             else SuspensionGeometry(platform_offsets=offsets))
-        roll, pitch = rng.uniform(-40.0, 40.0, 2)
-        yaw = rng.uniform(-180.0, 180.0)
-        pose = payload_pose(g, roll, pitch, yaw)
-        assert payload_pose(g, roll, pitch, yaw) == pose
-        b = _effective_anchors(g, roll, pitch, yaw)
-        p = np.asarray(pose.offset)
-        length, lsq = g.cable_length, g.cable_length ** 2
-        assert np.linalg.norm(b - p, axis=1).max() <= length * (1 + 1e-12)
-
-        def lowest_z(xy):
-            dd = np.sum((b[:, :2] - xy) ** 2, axis=1)
-            if dd.max() >= lsq:
-                return np.inf
-            return float(np.max(b[:, 2] - np.sqrt(lsq - dd)))
-
-        assert lowest_z(p[:2]) == pytest.approx(p[2], abs=1e-12)
-        for radius in (1e-6, 1e-3):
-            ring = [lowest_z(p[:2] + radius * np.array([np.cos(a), np.sin(a)]))
-                    for a in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)]
-            assert min(ring) >= p[2] - 1e-12, (offsets, roll, pitch, yaw)
-
-
-def test_payload_pose_out_of_reach_is_slack():
-    # effective anchors more than two cable lengths apart: no position
-    # keeps every cable within its length
-    g = SuspensionGeometry(
-        motor_anchor_points=((10.0, 10.0, 0.0), (-10.0, 10.0, 0.0),
-                             (-10.0, -10.0, 0.0), (10.0, -10.0, 0.0)),
-        platform_offsets=(0.1,) * 4)
-    b = _effective_anchors(g, 5.0, 0.0, 0.0)
-    assert np.linalg.norm(b[0] - b[2]) > 2 * g.cable_length
-    with pytest.raises(ValueError, match="^every payload position "
-                       "overstretches a cable$"):
-        payload_pose(g, 5.0, 0.0, 0.0)
 
 
 # --- flight plan ---
