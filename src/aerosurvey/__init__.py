@@ -34,9 +34,8 @@ _EXPORTS = {
            "nasvd_energy_fraction"),
     "suspension": ("AttitudeTrack", "FlightPlan", "SettlingMetrics",
                    "SimConfig", "SimResult", "SuspensionGeometry",
-                   "default_plan", "pendulum_ring_down", "read_attitude_csv",
-                   "settling_metrics", "simulate_survey",
-                   "write_attitude_csv"),
+                   "default_plan", "pendulum_ring_down", "settling_metrics",
+                   "simulate_survey"),
     "pipeline": ("REPORT_SCHEMA_VERSION", "PipelineConfig", "RunReport",
                  "StageResult", "run_pipeline", "write_survey_artifacts"),
     "vibration": ("DampingInput", "IsolatorConfig", "IsolatorKind",

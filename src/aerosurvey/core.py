@@ -116,14 +116,6 @@ class TimeSeries:
             raise KeyError(name) from None
         return self.values[:, j]
 
-    def scalar(self, name: str | None = None) -> np.ndarray:
-        """The series as a 1-D trace; `name` selects a channel if 2-D."""
-        if self.values.ndim == 1:
-            return self.values
-        if name is None:
-            raise ValueError("multi-channel series: channel name required")
-        return self.column(name)
-
     def with_column(self, name: str, new: np.ndarray) -> "TimeSeries":
         """Copy with one channel replaced."""
         j = self.fields.index(name)

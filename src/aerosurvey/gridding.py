@@ -55,12 +55,6 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        ny, nx = self.values.shape
-        xs = self.origin_x + (np.arange(nx) + 0.5) * self.cell_size
-        ys = self.origin_y + (np.arange(ny) + 0.5) * self.cell_size
-        return xs, ys
-
 
 @dataclass(frozen=True)
 class GrayImage:
@@ -89,16 +83,15 @@ class GrayImage:
 
 
 def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
-             cell_size: float, search_radius: float, power: float = 2.0,
-             origin: tuple[float, float] | None = None,
-             shape: tuple[int, int] | None = None) -> Grid:
+             cell_size: float, search_radius: float,
+             power: float = 2.0) -> Grid:
     """Inverse-distance-weighted gridding of scattered samples.
 
     Each cell center takes the IDW mean (weights 1/d**power) of samples
     within `search_radius`; a center within 1e-9 m of a sample takes that
     sample's value exactly; centers with no neighbors are nodata. The
-    default extent snaps cell centers onto the sample bounding box, so a
-    lone sample sits exactly on its cell center. A grid of more than
+    extent snaps cell centers onto the sample bounding box, so a lone
+    sample sits exactly on its cell center. A grid of more than
     _MAX_GRID_CELLS (2**26) cells is refused with a ValueError.
 
     A sample is a neighbour when dx*dx + dy*dy <= search_radius**2, the
@@ -118,15 +111,12 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
         check_range(name, val, 0, above=True)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("sample coordinates must be finite")
-    if origin is None:
-        origin = (float(x.min()) - cell_size / 2.0,
-                  float(y.min()) - cell_size / 2.0)
-    if shape is None:
-        # clamped before int(): a tiny cell_size can make the count inf
-        shape = tuple(int(math.floor(min(
-            float(v.max() - v.min()) / cell_size * (1 + 1e-12) + 1e-9,
-            _MAX_GRID_CELLS))) + 1 for v in (y, x))
-    ny, nx = shape
+    origin = (float(x.min()) - cell_size / 2.0,
+              float(y.min()) - cell_size / 2.0)
+    # clamped before int(): a tiny cell_size can make the count inf
+    ny, nx = (int(math.floor(min(
+        float(v.max() - v.min()) / cell_size * (1 + 1e-12) + 1e-9,
+        _MAX_GRID_CELLS))) + 1 for v in (y, x))
     if ny * nx > _MAX_GRID_CELLS:
         raise ValueError(f"cell_size {cell_size!r} gives more than "
                          f"{_MAX_GRID_CELLS} grid cells")

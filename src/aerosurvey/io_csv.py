@@ -10,31 +10,30 @@ Schemas (comma-separated, header row, '.' decimal, UTF-8):
     rad:       t_s,easting_m,northing_m,alt_m,k_pct,u_ppm[,th_ppm][,ch0..chN]
     crossover: x_utm,y_utm,flights_k_pct,tie_k_pct,flights_u_ppm,tie_u_ppm
 
-Every CSV the package reads has its header read by csv in _open_csv.
-The float readers (ingest_csv for every schema but crossover,
-read_spectra_csv, the CLI's buzz traces and the attitude track with its
-label column) go through _read_columns, which hands the data rows to
-numpy's C parser. Any input that parser refuses or may misread is read
-again by _read_rows, which splits it into rows with csv, and
-_parse_columns, so rejected rows, reasons and error messages are those
-of the row reader on either route. Only the crossover schema (exact
-Decimal cells) is always read by _read_rows, and no other module calls
-these parts. Every artifact the package writes (these CSVs, the attitude
-track, the vibration spectrum, ESRI ASCII grids and PGM images) goes
-through write_table, every JSON artifact through _write_json, and every
-JSON file the package reads through _read_json. Floats are written with
-repr(), the shortest representation that round-trips exactly, so
-serialize(ingest(f)) reproduces numeric content bit-for-bit and repeated
-runs produce byte-identical files. write_table does not call repr() per
-cell: the numtext kernel gives whole chunks of float64 cells repr()'s
-exact text in numpy and calls repr() only for the values it is not sure
-of (subnormals, nan, inf and a few near-ties). Each chunk of about
-_CHUNK_CELLS cells is laid out first, then written into a byte canvas
-whose slots are as wide as its texts need, with a filler byte that no
-UTF-8 text holds around every text, so the chunk's rows are the canvas
-bytes that are not filler. A table whose rows or columns make another
-artifact (spectra.csv from rad.csv, the line files from mag.csv) writes
-that one too, cut from the same text.
+Every CSV the package reads has its header read by csv in _open_csv. The
+float readers (ingest_csv for every schema but crossover,
+read_spectra_csv and the CLI's buzz traces) go through _read_columns,
+which hands the data rows to numpy's C parser. Any input that parser
+refuses or may misread is read again by _read_rows, which splits it into
+rows with csv, and _parse_columns, so rejected rows, reasons and error
+messages are those of the row reader on either route. Only the crossover
+schema (exact Decimal cells) is always read by _read_rows, and no other
+module calls these parts. Every artifact the package writes (these CSVs,
+the attitude track, the vibration spectrum, ESRI ASCII grids and PGM
+images) goes through write_table, every JSON artifact through
+_write_json, and every JSON file the package reads through _read_json.
+Floats are written with repr(), the shortest representation that
+round-trips exactly, so serialize(ingest(f)) reproduces numeric content
+bit-for-bit and repeated runs produce byte-identical files. write_table
+does not call repr() per cell: the numtext kernel gives whole chunks of
+float64 cells repr()'s exact text in numpy and calls repr() only for the
+values it is not sure of (subnormals, nan, inf and a few near-ties).
+Each chunk of about _CHUNK_CELLS cells is laid out first, then written
+into a byte canvas whose slots are as wide as its texts need, with a
+filler byte that no UTF-8 text holds around every text, so the chunk's
+rows are the canvas bytes that are not filler. A table whose rows or
+columns make another artifact (spectra.csv from rad.csv, the line files
+from mag.csv) writes that one too, cut from the same text.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -160,56 +158,45 @@ def _check_header(path, header: list[str], required) -> dict[str, int]:
     return idx
 
 
-def _parse_columns(body: list[list[str]], cols: list[int],
-                   labelled: bool = False):
-    """(values, failed, ragged, labels) of the cells `cols` of `body`.
+def _parse_columns(body: list[list[str]], cols: list[int]):
+    """(values, failed, ragged) of the cells `cols` of `body`.
 
-    `values` holds them as floats, one row per row of `body`; with
-    `labelled` the last of `cols` is a text column instead, whose cells
-    make the tuple `labels` (None while a row is ragged), else None.
-    `ragged` marks the rows without every cell of `cols`; `failed` marks
-    those and the rows with a cell Python's float() rejects (" 1.5 ",
-    "1_0", "nan" and "Infinity" parse).
+    `values` holds them as floats, one row per row of `body`. `ragged`
+    marks the rows without every cell of `cols`; `failed` marks those and
+    the rows with a cell Python's float() rejects (" 1.5 ", "1_0", "nan"
+    and "Infinity" parse).
     """
     n = len(body)
-    floats = cols[:-1] if labelled else cols
     ragged = np.fromiter(map(len, body), np.intp, count=n) <= max(cols)
     failed = ragged.copy()
-    values = np.full((n, len(floats)), np.nan)
+    values = np.full((n, len(cols)), np.nan)
     for i in np.flatnonzero(~ragged).tolist():
         try:
-            values[i] = [float(body[i][c]) for c in floats]
+            values[i] = [float(body[i][c]) for c in cols]
         except ValueError:
             failed[i] = True
-    labels = (tuple(map(itemgetter(cols[-1]), body))
-              if labelled and not ragged.any() else None)
-    return values, failed, ragged, labels
+    return values, failed, ragged
 
 
-def _load_floats(fh, cols: list[int], labelled: bool = False):
-    """(values, labels) of the rest of `fh` by numpy's C parser, or None.
+def _load_floats(fh, cols: list[int]):
+    """The rest of `fh` as floats by numpy's C parser, or None.
 
-    As in _parse_columns; a text cell is kept as it stands, as csv keeps
-    it. loadtxt converts a float cell with PyOS_string_to_double, the core
-    of float(), and skips blank lines as csv does. Where the two were seen
-    to differ, other than at the bytes _CSV_ONLY, it raises ValueError:
-    "1_0", non-ASCII digits, an empty cell, a short row, a whitespace-only
-    or NUL line, a NUL in a cell, bytes that are not UTF-8. Those, and a
-    file without data rows, give None.
+    As in _parse_columns. loadtxt converts a cell with
+    PyOS_string_to_double, the core of float(), and skips blank lines as
+    csv does. Where the two were seen to differ, other than at the bytes
+    _CSV_ONLY, it raises ValueError: "1_0", non-ASCII digits, an empty
+    cell, a short row, a whitespace-only or NUL line, a NUL in a cell,
+    bytes that are not UTF-8. Those, and a file without data rows, give
+    None.
     """
-    dtype = (np.dtype([("v", float, (len(cols) - 1,)), ("s", object)])
-             if labelled else float)
     with warnings.catch_warnings():
         warnings.filterwarnings("error", "loadtxt: input contained no data",
                                 UserWarning)
         try:
-            table = np.loadtxt(fh, delimiter=",", comments=None,
-                               ndmin=1 if labelled else 2, usecols=cols,
-                               dtype=dtype)
+            return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                              usecols=cols, dtype=float)
         except (ValueError, UserWarning):
             return None
-    return (table["v"], tuple(table["s"].tolist())) if labelled \
-        else (table, None)
 
 
 def _has_csv_only_bytes(path) -> bool:
@@ -218,9 +205,9 @@ def _has_csv_only_bytes(path) -> bool:
                    for b in _CSV_ONLY)
 
 
-def _read_columns(path, select, labelled: bool = False):
-    """(header, body, values, failed, ragged, labels) of the cells select
-    names, as _parse_columns gives them.
+def _read_columns(path, select):
+    """(header, body, values, failed, ragged) of the cells select names,
+    as _parse_columns gives them.
 
     `select(header)` gives the column indices to read and raises
     MissingColumnError for a header without them. The data rows go to
@@ -234,26 +221,24 @@ def _read_columns(path, select, labelled: bool = False):
             cols = select(header)
         except MissingColumnError:
             cols = None     # so a file without data rows says that first
-        table = (None if cols is None or _has_csv_only_bytes(path)
-                 else _load_floats(fh, cols, labelled))
-    if table is None:
+        values = (None if cols is None or _has_csv_only_bytes(path)
+                  else _load_floats(fh, cols))
+    if values is None:
         header, body = _read_rows(path)
-        return header, body, *_parse_columns(body, select(header), labelled)
-    values, labels = table
+        return header, body, *_parse_columns(body, select(header))
     passed = np.zeros(len(values), bool)
-    return header, None, values, passed, passed, labels
+    return header, None, values, passed, passed
 
 
-def _read_floats(path, select, labelled: bool = False):
-    """(values, labels) of _read_columns for the strict readers: the first
-    bad row raises.
+def _read_floats(path, select) -> np.ndarray:
+    """The values of _read_columns for the strict readers: the first bad
+    row raises.
 
     The ValueError names the file and the 1-based data row: the first row
     with too few cells or an unparsable cell, else the first with a nan or
     inf.
     """
-    header, body, values, failed, ragged, labels = _read_columns(
-        path, select, labelled)
+    header, body, values, failed, ragged = _read_columns(path, select)
     if failed.any():
         i = int(np.argmax(failed))
         if ragged[i]:
@@ -264,7 +249,7 @@ def _read_floats(path, select, labelled: bool = False):
     if bad.any():
         raise ValueError(f"{path}: data row {int(np.argmax(bad)) + 1} has a "
                          f"non-finite value")
-    return values, labels
+    return values
 
 
 def _read_buzz_trace(path: Path) -> TimeSeries:
@@ -284,21 +269,18 @@ def _read_buzz_trace(path: Path) -> TimeSeries:
             raise MissingColumnError(f"{path}: no value column")
         return value_col[-1]
 
-    values, _ = _read_floats(path, lambda header: [
+    values = _read_floats(path, lambda header: [
         header.index(c) for c in ("t_s", value_column(header))])
     return TimeSeries(*values.T, (value_column(header),))
 
 
-def ingest_csv(path: str | Path, schema: SchemaKind | str,
-               strict: bool = False) -> Ingested:
+def ingest_csv(path: str | Path, schema: SchemaKind) -> Ingested:
     """Parse a CSV against a declared schema.
 
     Rows with unparsable or invariant-violating cells are rejected with
-    their row index. Duplicate/non-increasing timestamps: lenient mode
-    keeps the first occurrence (field loggers hiccup), strict mode raises
-    ValueError.
+    their row index, and so is a row whose timestamp does not exceed every
+    one kept before it: the first occurrence stays (field loggers hiccup).
     """
-    schema = SchemaKind(schema) if not isinstance(schema, SchemaKind) else schema
     if schema is SchemaKind.CROSSOVER:
         header, body = _read_rows(path)
         idx = _check_header(path, header, _REQUIRED[schema])
@@ -308,7 +290,7 @@ def ingest_csv(path: str | Path, schema: SchemaKind | str,
         idx = _check_header(path, header, _REQUIRED[schema])
         return [idx[c] for c in ("t_s", *_value_columns(schema, header))]
 
-    header, _, values, failed, _, _ = _read_columns(path, columns)
+    header, _, values, failed, _ = _read_columns(path, columns)
     value_cols = _value_columns(schema, header)
     checks = [(failed, "unparsable field"),
               (~np.isfinite(values).all(axis=1), "non-finite field")]
@@ -325,9 +307,6 @@ def ingest_csv(path: str | Path, schema: SchemaKind | str,
     kept = np.flatnonzero(first_fail == 0)
     t = values[kept, 0]
     late = t <= np.maximum.accumulate(np.r_[-np.inf, t[:-1]])
-    if strict and late.any():
-        raise ValueError(f"{path}: non-monotone timestamp at data "
-                         f"row {kept[np.argmax(late)] + 1}")
     first_fail[kept[late]] = len(reasons)
     kept = kept[~late]
 
@@ -601,7 +580,7 @@ def write_series_csv(path: str | Path, series: TimeSeries, parts=()) -> None:
                 parts=parts)
 
 
-def read_survey_lines(directory: str | Path, schema: SchemaKind | str,
+def read_survey_lines(directory: str | Path, schema: SchemaKind,
                       role: LineRole) -> tuple[SurveyLine, ...]:
     """One survey line per CSV file in `directory`; line id = file stem."""
     directory = Path(directory)
@@ -623,7 +602,7 @@ def read_spectra_csv(path: str | Path) -> np.ndarray:
             raise MissingColumnError(f"{path}: no ch0..chN columns")
         return [header.index(c) for c in cols]
 
-    return _read_floats(path, columns)[0]
+    return _read_floats(path, columns)
 
 
 def write_spectra_csv(path: str | Path, counts: np.ndarray) -> None:

@@ -46,7 +46,6 @@ from .qc import (
 from .suspension import (
     FlightPlan,
     SimConfig,
-    SimResult,
     SuspensionGeometry,
     _Flight,
     _on_line,
@@ -177,37 +176,34 @@ def config_hash(plan: FlightPlan, geometry: SuspensionGeometry,
 # artifact writers
 
 
-def write_survey_artifacts(result: SimResult | _Flight,
-                           out_dir: str | Path) -> dict:
-    """Write the simulator outputs; returns {artifact name: path}.
+def write_survey_artifacts(flight: _Flight, out_dir: str | Path) -> dict:
+    """Fly `flight` and write its outputs; returns {artifact name: path}.
 
-    `result` is a SimResult, whose attitude track is written as one
-    block, or a _Flight still to fly: each block it flies is appended to
-    attitude.csv as it comes, so the track never exists whole, and its
-    sensor streams are written once they are done. spectra.csv is the
-    gamma channel columns of rad.csv, and each flights/ or ties/ file the
-    rows of mag.csv on one line, so their text is cut from those tables
-    as they are written, not made again.
+    Each block it flies is appended to attitude.csv as it comes, so the
+    track never exists whole, and its sensor streams are written once
+    they are done. spectra.csv is the gamma channel columns of rad.csv,
+    and each flights/ or ties/ file the rows of mag.csv on one line, so
+    their text is cut from those tables as they are written, not made
+    again.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"attitude.csv": out / "attitude.csv"}
-    _write_attitude(paths["attitude.csv"], result.blocks()
-                    if isinstance(result, _Flight) else (result.attitude,))
+    _write_attitude(paths["attitude.csv"], flight.blocks())
     lines = []
-    for lid, role, rows in line_rows(result.segment_at_sensor, result.plan):
+    for lid, role, rows in line_rows(flight.segment_at_sensor, flight.plan):
         name = f"{'flights' if role is LineRole.FLIGHT else 'ties'}/{lid}.csv"
         lines.append((out / name, 0, rows))
         paths[name] = out / name
     for sub in ("flights", "ties"):
         (out / sub).mkdir(exist_ok=True)
-    rad = result.rad_full
+    rad = flight.rad_full
     # t_s is column 0 of a series table
     spectra = [(out / "spectra.csv", 1 + rad.fields.index("ch0"), None)]
-    for name, series, parts in (("mag.csv", result.mag_full, lines),
-                                ("vlf.csv", result.vlf_full, ()),
+    for name, series, parts in (("mag.csv", flight.mag_full, lines),
+                                ("vlf.csv", flight.vlf_full, ()),
                                 ("rad.csv", rad, spectra),
-                                ("base.csv", result.base, ())):
+                                ("base.csv", flight.base, ())):
         write_series_csv(out / name, series, parts)
         paths[name] = out / name
     paths["spectra.csv"] = out / "spectra.csv"

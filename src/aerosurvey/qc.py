@@ -75,11 +75,13 @@ def fourth_difference_values(x: np.ndarray) -> np.ndarray:
 
     Annihilates any cubic, so what remains is short-wavelength content.
     Output has length n-4; index i refers to the window starting at i.
+    Where the sum is past the float64 range it is inf or nan, silently.
     """
     x = np.asarray(x, dtype=float)
     if len(x) < 5:
         raise ValueError("4th difference needs >= 5 samples")
-    return x[:-4] - 4.0 * x[1:-3] + 6.0 * x[2:-2] - 4.0 * x[3:-1] + x[4:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x[:-4] - 4.0 * x[1:-3] + 6.0 * x[2:-2] - 4.0 * x[3:-1] + x[4:]
 
 
 def fourth_difference(x: np.ndarray,
@@ -90,17 +92,23 @@ def fourth_difference(x: np.ndarray,
     (1.4826 * median absolute deviation) of d4 is used. Flags are window
     start indices where |d4| exceeds the threshold; the test passes when
     nothing is flagged. An explicit threshold must be finite and > 0.
+    A max |d4| or threshold past the float64 range raises ValueError.
     """
     if threshold is not None:
         check_range("threshold", threshold, 0, above=True)
     d4 = fourth_difference_values(x)
+    max_abs = float(np.max(np.abs(d4)))
     if threshold is None:
-        mad = _median(np.abs(d4 - _median(d4)))
-        threshold = 4.0 * 1.4826 * mad
+        with np.errstate(over="ignore", invalid="ignore"):
+            threshold = 4.0 * 1.4826 * _median(np.abs(d4 - _median(d4)))
+    if not (math.isfinite(max_abs) and math.isfinite(threshold)):
+        raise ValueError("the 4th difference is past the float64 range "
+                         f"(max |d4| {max_abs:g}, threshold {threshold:g}): "
+                         "the trace values are too large")
     flagged = tuple(int(i) for i in np.nonzero(np.abs(d4) > threshold)[0])
     stats = {
         "n": int(len(d4)),
-        "max_abs_d4": float(np.max(np.abs(d4))),
+        "max_abs_d4": max_abs,
         "threshold": float(threshold),
         "flagged_count": len(flagged),
     }
@@ -119,8 +127,7 @@ def diurnal_correct(rover: TimeSeries, base: TimeSeries,
     slack = 1e-9
     if base.t[0] > rover.t[0] + slack or base.t[-1] < rover.t[-1] - slack:
         raise ValueError("base record does not span rover times")
-    base_vals = base.scalar("tmi_nT" if "tmi_nT" in base.fields else None)
-    drift = np.interp(rover.t, base.t, base_vals) - datum
+    drift = np.interp(rover.t, base.t, base.column("tmi_nT")) - datum
     if rover.values.ndim == 1:
         return TimeSeries(rover.t, rover.values - drift, rover.fields)
     return rover.with_column("tmi_nT", rover.column("tmi_nT") - drift)
@@ -140,6 +147,7 @@ def _correction_stats(rover: TimeSeries, corrected: TimeSeries) -> dict:
             "max_abs_correction_nt": float(np.max(np.abs(correction)))}
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _segment_intersections(pa: np.ndarray, pb: np.ndarray,
                            eps: float = 1e-9) -> list[tuple[float, float]]:
     """All intersections of two polylines.
@@ -161,6 +169,11 @@ def _segment_intersections(pa: np.ndarray, pb: np.ndarray,
     (|q - p x r| <= eps) lies within 2 eps / |r| of segment a; both
     margins are doubled for rounding. Cost follows the candidates, a
     few per segment for survey lines.
+
+    Coordinates near the float64 limit raise ValueError rather than drop
+    a crossing: a cross product that overflows, or a segment whose box
+    overflows and so reaches every other, leaves a candidate's sums not
+    finite.
     """
     a0, a1 = pa[:-1], pa[1:]
     b0, b1 = pb[:-1], pb[1:]
@@ -198,9 +211,11 @@ def _segment_intersections(pa: np.ndarray, pb: np.ndarray,
     qp = b0[jj] - a0[ii]
     qpxr = qp[:, 0] * ri[:, 1] - qp[:, 1] * ri[:, 0]
     qpxs = qp[:, 0] * sj[:, 1] - qp[:, 1] * sj[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = qpxs / denom
-        v = qpxr / denom
+    if not np.isfinite(np.concatenate([denom, qpxr, qpxs])).all():
+        raise ValueError("the segment crossing test is past the float64 "
+                         "range: the line coordinates are too large")
+    u = qpxs / denom
+    v = qpxr / denom
     crossing = (np.abs(denom) > eps) & (u >= -eps) & (u <= 1 + eps) \
         & (v >= -eps) & (v <= 1 + eps)
     hits: list[tuple[float, float]] = []
@@ -254,7 +269,12 @@ def crossover_analysis(flight_lines: tuple[SurveyLine, ...],
         for tl in tie_lines:
             pt = tl.positions()
             vt = tl.series.column(col)
-            for ua, ub in _segment_intersections(pf, pt):
+            try:
+                hits = _segment_intersections(pf, pt)
+            except ValueError as exc:
+                raise ValueError(f"flight line {fl.line_id} x tie line "
+                                 f"{tl.line_id}: {exc}") from None
+            for ua, ub in hits:
                 x = _interp_along(pf[:, 0], ua)
                 y = _interp_along(pf[:, 1], ua)
                 alt = _interp_along(af, ua) if af is not None else 0.0

@@ -22,8 +22,7 @@ import numpy as np
 from .core import (LineRole, SurveyLine, TimeSeries, _DictCodec, check_range,
                    ranged)
 from .errors import NeverSettlesError
-from .io_csv import (_REQUIRED, SchemaKind, _check_header, _read_floats,
-                     write_table)
+from .io_csv import _REQUIRED, SchemaKind, write_table
 
 G = 9.80665  # m/s^2
 # the most steps a flight simulates: simulate_survey's traced peak is about
@@ -533,10 +532,6 @@ def _attitude_columns(track: AttitudeTrack) -> list:
     return [np.asarray(c, dtype=float) for c in numeric] + [track.segment]
 
 
-def write_attitude_csv(track: AttitudeTrack, path) -> None:
-    _write_attitude(path, (track,))
-
-
 def _write_attitude(path, blocks) -> None:
     """The attitude table at `path`, each AttitudeTrack of `blocks`
     appended as it comes, so a track flown a chunk at a time is never
@@ -546,19 +541,6 @@ def _write_attitude(path, blocks) -> None:
         for block in blocks:
             write_table(fh, head, _attitude_columns(block))
             head = []
-
-
-def read_attitude_csv(path) -> AttitudeTrack:
-    def columns(header: list[str]) -> list[int]:
-        idx = _check_header(path, header, ATTITUDE_COLUMNS)
-        return [idx[c] for c in ATTITUDE_COLUMNS]
-
-    values, segment = _read_floats(path, columns, labelled=True)
-    # one str object per distinct label, not one per row
-    distinct: dict[str, str] = {}
-    segment = tuple(map(distinct.setdefault, segment, segment))
-    # ATTITUDE_COLUMNS lists the numeric fields in AttitudeTrack's order
-    return AttitudeTrack(*values.T.copy(), segment)
 
 
 # ---------------------------------------------------------------------------

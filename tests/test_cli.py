@@ -622,6 +622,26 @@ def test_qc_d4_clean_exits_0(tmp_path, capsys):
     assert json.loads(stdout)["pass"] is True
 
 
+@pytest.mark.parametrize("tmi, message", [
+    # one cell: max |d4| is inf
+    (np.where(np.arange(300) == 150, 1e308, 50000.0), "max |d4| inf"),
+    # every cell: max |d4| is 1.6e308, the robust threshold is past it
+    (1e307 * (-1.0) ** np.arange(300), "threshold inf"),
+], ids=["one_cell", "every_cell"])
+def test_qc_d4_past_the_float_range_exits_2_writing_nothing(tmp_path, capsys,
+                                                           tmi, message):
+    t = np.arange(0, 30.0, 0.1)
+    write_mag(tmp_path / "mag.csv", t, t, np.zeros_like(t), tmi)
+    out = tmp_path / "d4.json"
+    code, stdout, err = run_cli(capsys, "qc", "d4", "--in",
+                                tmp_path / "mag.csv", "--out", out)
+    assert code == EXIT_IO
+    assert err.startswith("error: the 4th difference is past the float64 "
+                          "range (") and message in err
+    assert "Traceback" not in err and stdout == ""
+    assert not out.exists()
+
+
 def test_qc_diurnal_writes_corrected(tmp_path, capsys):
     t = np.arange(0, 60.0, 0.5)
     drift = 3.0 * np.sin(2 * np.pi * t / 60.0)
@@ -690,6 +710,27 @@ def test_qc_tie_pass_and_fail(tmp_path, capsys):
                               "--out", tmp_path / "tie_bad.json")
     assert code == EXIT_QC
     assert json.loads(stdout)["pass"] is False
+
+
+def test_qc_tie_past_the_float_range_exits_2_writing_nothing(tmp_path,
+                                                             capsys):
+    # one easting of 1e308 on L1 at 10.5 m north: its two segments reach
+    # every tie segment, 40 m further north, and their cross products
+    # overflow, which once dropped the pair's crossing unsaid
+    flights, ties = _write_tie_fixture(tmp_path, 50000.0)
+    t = np.arange(0, 10.0, 0.5)
+    east = np.zeros(t.size)
+    east[2] = 1e308
+    write_mag(flights / "L1.csv", t, east, np.linspace(0.0, 100.0, t.size),
+              np.full(t.size, 50000.0))
+    out = tmp_path / "tie.json"
+    code, stdout, err = run_cli(capsys, "qc", "tie", "--flights", flights,
+                                "--ties", ties, "--tol", 0.5, "--out", out)
+    assert code == EXIT_IO
+    assert err == ("error: flight line L1 x tie line T1: the segment "
+                   "crossing test is past the float64 range: the line "
+                   "coordinates are too large\n")
+    assert stdout == "" and not out.exists()
 
 
 def test_qc_nasvd_roundtrip_and_bad_rank(tmp_path, capsys):

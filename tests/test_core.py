@@ -69,10 +69,13 @@ def test_timeseries_column_and_scalar():
     assert list(ts.column("b")) == [2.0, 4.0]
     with pytest.raises(KeyError):
         ts.column("missing")
-    with pytest.raises(ValueError):
-        ts.scalar()  # 2-D needs a channel name
+    # an unnamed scalar trace answers to any name, a named one to its own
     flat = TimeSeries(np.array([0.0, 1.0]), np.array([5.0, 6.0]))
-    assert list(flat.scalar()) == [5.0, 6.0]
+    assert list(flat.column("tmi_nT")) == [5.0, 6.0]
+    named = TimeSeries(flat.t, flat.values, ("tmi_nT",))
+    assert list(named.column("tmi_nT")) == [5.0, 6.0]
+    with pytest.raises(KeyError):
+        named.column("k_pct")
 
 
 def test_timeseries_field_count_must_match_columns():

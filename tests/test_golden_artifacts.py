@@ -8,7 +8,7 @@ sha256 of
 * every artifact and report.json that run_pipeline writes (the hover
   run has no survey line, so it has no pipeline run);
 * every artifact that `aerosurvey sim survey` writes, and the same files
-  written by write_survey_artifacts from a simulate_survey result;
+  written by write_survey_artifacts from a _Flight;
 * every array and label tuple of the simulate_survey result,
 
 to the digests in tests/data/golden_digests.json.
@@ -44,6 +44,7 @@ from aerosurvey.suspension import (
     FlightPlan,
     SimConfig,
     SuspensionGeometry,
+    _Flight,
     simulate_survey,
 )
 
@@ -83,16 +84,17 @@ def _config_files(name: str, where: Path) -> dict[str, Path]:
     return files
 
 
-def _simulated(name: str):
+def _configs(name: str) -> tuple:
+    """The case's (plan, geometry, simulator config) objects."""
     plan, geometry, sim = CASES[name]
-    return simulate_survey(None if plan is None else FlightPlan(**plan),
-                           SuspensionGeometry(**geometry), SimConfig(**sim))
+    return (None if plan is None else FlightPlan(**plan),
+            SuspensionGeometry(**geometry), SimConfig(**sim))
 
 
 def _array_digests(name: str) -> dict[str, str]:
     """sha256 of each array (dtype, shape and bytes) and label tuple of
     the case's simulate_survey result."""
-    res = _simulated(name)
+    res = simulate_survey(*_configs(name))
 
     def arr(a) -> str:
         a = np.ascontiguousarray(a)
@@ -165,7 +167,7 @@ def test_sim_survey_artifacts_match_golden(golden, name, tmp_path):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_write_survey_artifacts_match_golden(golden, name, tmp_path):
-    write_survey_artifacts(_simulated(name), tmp_path)
+    write_survey_artifacts(_Flight(*_configs(name)), tmp_path)
     assert _tree(tmp_path) == golden[name]["sim_survey"]
 
 

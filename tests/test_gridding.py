@@ -23,16 +23,15 @@ from aerosurvey.gridding import _MAX_GRID_CELLS
 # --- IDW gridding ---
 
 def test_grid_idw_exact_at_sample_nodes():
-    # default origin snaps cell centers onto the sample bounding box
+    # the extent snaps cell centers onto the sample bounding box: the
+    # lower-left center is half a cell from the lower-left corner
     x = np.array([0.0, 10.0, 20.0])
     y = np.array([0.0, 0.0, 0.0])
     v = np.array([5.0, -3.0, 7.5])
     g = grid_idw(x, y, v, cell_size=10.0, search_radius=15.0)
     assert g.shape == (1, 3)
     assert np.array_equal(g.values[0], v)
-    xs, ys = g.cell_centers()
-    assert np.allclose(xs, [0.0, 10.0, 20.0])
-    assert np.allclose(ys, [0.0])
+    assert (g.origin_x, g.origin_y) == (-5.0, -5.0)
 
 
 def test_grid_idw_is_a_convex_combination():
@@ -50,10 +49,9 @@ def test_grid_idw_inverse_square_weighting():
     x = np.array([0.0, 3.0, 100.0])
     y = np.array([0.0, 0.0, 100.0])
     v = np.array([0.0, 1.0, 50.0])
-    g = grid_idw(x, y, v, cell_size=1.0, search_radius=5.0,
-                 origin=(0.5, -0.5), shape=(1, 1))
+    g = grid_idw(x, y, v, cell_size=1.0, search_radius=5.0)
     want = (0.0 * 1.0 + 1.0 * 0.25) / 1.25
-    assert g.values[0, 0] == pytest.approx(want, rel=1e-12)
+    assert g.values[0, 1] == pytest.approx(want, rel=1e-12)
 
 
 def test_grid_idw_nodata_outside_radius():
@@ -96,16 +94,19 @@ def test_grid_idw_rejects_non_finite_sample_coordinates():
 @pytest.mark.parametrize("cell, shape", (
     (1e-9, None),               # 4e10 x 5e9 cells
     (5e-324, None),             # cell counts beyond float range
-    (1.0, (1 << 13, (1 << 13) + 1)),
+    (1.0, (1 << 13, (1 << 13) + 1)),    # each side under the limit
 ))
 def test_grid_idw_refuses_more_than_max_grid_cells(cell, shape):
+    # `shape`: the (ny, nx) grid whose corners the samples span
     x = np.array([0.0, 10.0, 20.0, 30.0, 40.0])
     y = np.array([0.0, 5.0, 0.0, 5.0, 0.0])
+    if shape is not None:
+        x, y = x / 40.0 * (shape[1] - 1), y / 5.0 * (shape[0] - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"cell_size {cell!r} gives more "
                            f"than {_MAX_GRID_CELLS} grid cells"):
-            grid_idw(x, y, np.ones(5), cell, 1.0, shape=shape)
+            grid_idw(x, y, np.ones(5), cell, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -32,17 +32,12 @@ PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
 CLUSTER_SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129, 300, 517)
 
 
-def _loop_idw(x, y, values, cell_size, search_radius, power=2.0,
-              origin=None, shape=None):
+def _loop_idw(x, y, values, cell_size, search_radius, power=2.0):
     """(values, valid) of the original per-centre grid_idw loop."""
-    if origin is None:
-        origin = (float(x.min()) - cell_size / 2.0,
-                  float(y.min()) - cell_size / 2.0)
-    if shape is None:
-        nx = int(math.floor((x.max() - x.min()) / cell_size * (1 + 1e-12) + 1e-9)) + 1
-        ny = int(math.floor((y.max() - y.min()) / cell_size * (1 + 1e-12) + 1e-9)) + 1
-        shape = (ny, nx)
-    ny, nx = shape
+    origin = (float(x.min()) - cell_size / 2.0,
+              float(y.min()) - cell_size / 2.0)
+    nx = int(math.floor((x.max() - x.min()) / cell_size * (1 + 1e-12) + 1e-9)) + 1
+    ny = int(math.floor((y.max() - y.min()) / cell_size * (1 + 1e-12) + 1e-9)) + 1
     xs = origin[0] + (np.arange(nx) + 0.5) * cell_size
     ys = origin[1] + (np.arange(ny) + 0.5) * cell_size
     cx, cy = np.meshgrid(xs, ys)
@@ -80,16 +75,18 @@ def _assert_same_bits(x, y, v, cell, radius, **kw):
 def clustered_samples(draw):
     """Clusters of chosen sizes on the 1 m cell centres of a small grid.
 
-    A cluster within 0.3 m of its centre is that centre's whole
-    neighbourhood at a 0.45 m radius; centres without a cluster are
-    empty. Some clusters put one or several samples exactly on the centre.
+    The far sample at the origin makes the centres the integer points,
+    and the clusters sit on the centres 1..nx by 1..ny. A cluster within
+    0.3 m of its centre is that centre's whole neighbourhood at a 0.45 m
+    radius; centres without a cluster are empty. Some clusters put one or
+    several samples exactly on the centre.
     """
     ny, nx = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     sizes = draw(st.lists(st.sampled_from(CLUSTER_SIZES), min_size=1,
                           max_size=4))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
-    xs, ys = np.arange(nx) + 0.5, np.arange(ny) + 0.5
+    xs, ys = np.arange(nx) + 1.0, np.arange(ny) + 1.0
     cells = rng.choice(nx * ny, size=min(len(sizes), nx * ny), replace=False)
     x, y = [], []
     for n, cell in zip(sizes, cells):
@@ -101,13 +98,13 @@ def clustered_samples(draw):
         px[:on_node], py[:on_node] = xs[c], ys[r]
         x.append(px)
         y.append(py)
-    # three far samples keep >= 3 samples and pin the extent to the grid
+    # three far samples keep >= 3 samples and pin the extent
     x.append(np.array([0.0, nx + 5.0, 0.0]))
     y.append(np.array([0.0, 0.0, ny + 5.0]))
     x, y = np.concatenate(x), np.concatenate(y)
     order = rng.permutation(len(x))
     v = rng.normal(54000.0, 50.0, len(x))
-    return x[order], y[order], v, (ny, nx)
+    return x[order], y[order], v
 
 
 @given(sample=clustered_samples(),
@@ -117,38 +114,32 @@ def clustered_samples(draw):
        cands=st.sampled_from([1, 300, 1 << 15]))
 @PROPERTY
 def test_grid_idw_matches_loop_on_clusters(sample, power, block, pairs, cands):
-    x, y, v, shape = sample
+    x, y, v = sample
     with mock.patch.object(gridding, "_IDW_BLOCK", block), \
             mock.patch.object(gridding, "_IDW_PAIRS", pairs), \
             mock.patch.object(gridding, "_IDW_CANDIDATES", cands):
-        _assert_same_bits(x, y, v, 1.0, 0.45, power=power,
-                          origin=(0.0, 0.0), shape=shape)
+        _assert_same_bits(x, y, v, 1.0, 0.45, power=power)
 
 
 @given(n=st.integers(3, 400), seed=st.integers(0, 2 ** 32 - 1),
        cell=st.sampled_from([0.5, 1.0, 2.5, 10.0]),
        reach=st.sampled_from([0.3, 1.0, 2.0, 4.0]),
        power=st.sampled_from([2.0, 1.5, 3.0]),
-       explicit=st.booleans(),
        block=st.sampled_from([5, 64, 1024]),
        pairs=st.sampled_from([7, 200, 1 << 14]),
        cands=st.sampled_from([1, 50, 1 << 15]))
 @PROPERTY
 def test_grid_idw_matches_loop_on_scattered_samples(n, seed, cell, reach,
-                                                    power, explicit, block,
-                                                    pairs, cands):
+                                                    power, block, pairs,
+                                                    cands):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 40.0, n)
     y = rng.uniform(0.0, 25.0, n)
     v = rng.normal(size=n)
-    kw = {"power": power}
-    if explicit:  # an extent wider than the samples leaves empty rims
-        kw.update(origin=(-3.0, -2.0), shape=(int(30 / cell) + 1,
-                                              int(45 / cell) + 1))
     with mock.patch.object(gridding, "_IDW_BLOCK", block), \
             mock.patch.object(gridding, "_IDW_PAIRS", pairs), \
             mock.patch.object(gridding, "_IDW_CANDIDATES", cands):
-        _assert_same_bits(x, y, v, cell, reach * cell, **kw)
+        _assert_same_bits(x, y, v, cell, reach * cell, power=power)
 
 
 def test_grid_idw_matches_loop_on_a_dense_survey_grid():

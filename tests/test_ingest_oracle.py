@@ -1,12 +1,11 @@
 """The array-wide CSV readers against the per-row readers they replaced.
 
-`_loop_ingest_csv`, `_loop_read_spectra_csv`, `_loop_read_buzz_trace` and
-`_loop_read_attitude_csv` are the row-at-a-time readers that
-`ingest_csv`, `read_spectra_csv`, the CLI's buzz reader and
-`read_attitude_csv` replaced, kept here only as oracles. For every
+`_loop_ingest_csv`, `_loop_read_spectra_csv` and `_loop_read_buzz_trace`
+are the row-at-a-time readers that `ingest_csv`, `read_spectra_csv` and
+the CLI's buzz reader replaced, kept here only as oracles. For every
 input the oracle accepts, the new reader must return the same bits, the
 same fields and the same rejected rows; where the oracle raises, the new
-reader must raise the same exception (for `strict` both ways).
+reader must raise the same exception.
 
 The readers parse with numpy's C parser first and fall back to the row
 reader (`_read_rows` and `_parse_columns`) for any input the C parser
@@ -42,12 +41,6 @@ from aerosurvey.io_csv import (
     read_spectra_csv,
     read_survey_lines,
 )
-from aerosurvey.suspension import (
-    ATTITUDE_COLUMNS,
-    AttitudeTrack,
-    read_attitude_csv,
-    write_attitude_csv,
-)
 
 # fixed, derandomized profile: the same examples on every run
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None,
@@ -58,9 +51,8 @@ PROPERTY = settings(derandomize=True, max_examples=300, deadline=None,
 # the replaced readers
 
 
-def _loop_ingest_csv(path, schema, strict=False) -> Ingested:
+def _loop_ingest_csv(path, schema: SchemaKind) -> Ingested:
     """ingest_csv as a per-row loop with a per-row invariant check."""
-    schema = SchemaKind(schema)
     header, body = _read_rows(path)
     idx = _check_header(path, header, _REQUIRED[schema])
     value_cols = list(_REQUIRED[schema][1:])
@@ -88,9 +80,6 @@ def _loop_ingest_csv(path, schema, strict=False) -> Ingested:
             rejected.append((rownum, bad))
             continue
         if t <= t_max:
-            if strict:
-                raise ValueError(
-                    f"{path}: non-monotone timestamp at data row {rownum}")
             rejected.append((rownum, "duplicate/non-monotone timestamp"))
             continue
         t_max = t
@@ -154,30 +143,6 @@ def _loop_read_buzz_trace(path) -> TimeSeries:
             raise ValueError(f"{path}: data row {rownum} has {len(row)} "
                              f"cells, the header has {len(header)}") from None
     return TimeSeries(np.array(t), np.array(v), (value_col[-1],))
-
-
-def _loop_read_attitude_csv(path) -> AttitudeTrack:
-    """read_attitude_csv as a per-row loop over the row reader's rows."""
-    header, body = _read_rows(path)
-    idx = _check_header(path, header, ATTITUDE_COLUMNS)
-    cols = [idx[c] for c in ATTITUDE_COLUMNS]
-    rows = []
-    for rownum, row in enumerate(body, start=1):
-        if len(row) <= max(cols):
-            raise ValueError(f"{path}: data row {rownum} has {len(row)} "
-                             f"cells, the header has {len(header)}")
-        try:
-            rows.append([float(row[c]) for c in cols[:-1]])
-        except ValueError:
-            raise ValueError(f"{path}: data row {rownum} has an unparsable "
-                             f"value") from None
-    values = np.array(rows)
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{path}: data row {int(np.argmax(bad)) + 1} has a "
-                         f"non-finite value")
-    return AttitudeTrack(*values.T.copy(),
-                         tuple(row[cols[-1]] for row in body))
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +222,6 @@ def schema_files(draw):
     return schema, header, rows
 
 
-def _read_all(path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.reader(fh))
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args), None
@@ -279,13 +239,13 @@ def _assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
 
 
 @PROPERTY
-@given(schema_files(), st.booleans())
-def test_ingest_matches_row_loop(tmp_path_factory, case, strict):
+@given(schema_files())
+def test_ingest_matches_row_loop(tmp_path_factory, case):
     schema, header, rows = case
     path = tmp_path_factory.mktemp("ingest") / f"{schema.value}.csv"
     _write_rows(path, [header] + rows)
-    want, want_exc = _outcome(_loop_ingest_csv, path, schema, strict)
-    got, got_exc = _outcome(ingest_csv, path, schema, strict)
+    want, want_exc = _outcome(_loop_ingest_csv, path, schema)
+    got, got_exc = _outcome(ingest_csv, path, schema)
     if want_exc is not None:
         assert type(got_exc) is type(want_exc)
         assert str(got_exc) == str(want_exc)
@@ -300,10 +260,10 @@ def test_ingest_matches_row_loop(tmp_path_factory, case, strict):
 @pytest.fixture(scope="module")
 def survey_dir(tmp_path_factory):
     from aerosurvey.pipeline import write_survey_artifacts
-    from aerosurvey.suspension import FlightPlan, SimConfig, simulate_survey
+    from aerosurvey.suspension import FlightPlan, SimConfig, _Flight
 
     out = tmp_path_factory.mktemp("survey")
-    write_survey_artifacts(simulate_survey(
+    write_survey_artifacts(_Flight(
         FlightPlan(n_lines=2, line_length_m=150.0, tie_lines=1), None,
         SimConfig(seed=7)), out)
     return out
@@ -311,28 +271,13 @@ def survey_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("schema", ["mag", "base", "vlf", "rad"])
 def test_ingest_matches_row_loop_on_simulated_files(survey_dir, schema):
-    path = survey_dir / f"{schema}.csv"
+    path, schema = survey_dir / f"{schema}.csv", SchemaKind(schema)
     want = _loop_ingest_csv(path, schema)
     got = ingest_csv(path, schema)
     assert got.rejected_rows == want.rejected_rows == ()
     assert got.data.fields == want.data.fields
     _assert_same_bits(got.data.t, want.data.t)
     _assert_same_bits(got.data.values, want.data.values)
-
-
-def test_ingest_strict_names_first_non_monotone_row(tmp_path):
-    path = tmp_path / "b.csv"
-    # row 2 is dropped as non-finite, so row 4 is the first late timestamp
-    _write_rows(path, [["t_s", "tmi_nT"], ["1", "5"], ["0.5", "nan"],
-                       ["2", "5"], ["1.5", "5"], ["1.0", "5"]])
-    with pytest.raises(ValueError, match=r"b\.csv: non-monotone timestamp "
-                       r"at data row 4$"):
-        ingest_csv(path, SchemaKind.BASE, strict=True)
-    out = ingest_csv(path, SchemaKind.BASE)
-    assert out.rejected_rows == (
-        (2, "non-finite field"), (4, "duplicate/non-monotone timestamp"),
-        (5, "duplicate/non-monotone timestamp"))
-    assert out.data.t.tolist() == [1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +501,9 @@ ROUTE_READERS = {"ingest_csv": lambda p: ingest_csv(p, SchemaKind.RAD),
 
 
 def _assert_same_outcome(got, want) -> None:
-    """Same exception and message, or the same bits, fields, labels and
-    rows."""
+    """Same exception and message, or the same bits, fields and rows."""
     (value, exc), (want_value, want_exc) = got, want
     assert type(exc) is type(want_exc) and str(exc) == str(want_exc)
-    if isinstance(want_value, AttitudeTrack):
-        assert value.segment == want_value.segment
-        names = ("t",) + ATTITUDE_COLUMNS[1:-1]
-        value, want_value = (np.stack([getattr(track, n) for n in names])
-                             for track in (value, want_value))
     if isinstance(want_value, Ingested):
         assert value.rejected_rows == want_value.rejected_rows
         value, want_value = value.data, want_value.data
@@ -629,7 +568,7 @@ def _no_fallback(path):
 
 @pytest.mark.parametrize("schema", ["mag", "base", "vlf", "rad"])
 def test_simulated_files_take_the_c_parser(survey_dir, monkeypatch, schema):
-    path = survey_dir / f"{schema}.csv"
+    path, schema = survey_dir / f"{schema}.csv", SchemaKind(schema)
     want = _loop_ingest_csv(path, schema)
     monkeypatch.setattr(io_csv, "_read_rows", _no_fallback)
     _assert_same_outcome((ingest_csv(path, schema), None), (want, None))
@@ -653,129 +592,3 @@ def test_simulated_spectra_lines_and_traces_take_the_c_parser(
         lines = read_survey_lines(survey_dir / sub, SchemaKind.MAG, role)
         assert [line.series.values.shape[1] for line in lines] \
             == [4] * len(lines)
-
-
-# ---------------------------------------------------------------------------
-# attitude track
-
-
-def _track(n: int = 5) -> AttitudeTrack:
-    t = 0.01 * np.arange(n)
-    return AttitudeTrack(t, np.sin(t), -np.cos(t), np.full(n, 90.0),
-                         np.array([0.1, -0.0, 1e-300, 2.5, 3.0])[:n],
-                         500000.0 + t, 6100000.0 - t,
-                         ("L1", "L1", "turn", "a,b", "T1")[:n])
-
-
-def test_attitude_round_trip_keeps_bits_and_labels(tmp_path):
-    track = _track()
-    path = tmp_path / "attitude.csv"
-    write_attitude_csv(track, path)
-    back = read_attitude_csv(path)
-    for name in ("t", "roll_deg", "pitch_deg", "heading_deg", "swing_deg",
-                 "easting_m", "northing_m"):
-        _assert_same_bits(getattr(back, name), getattr(track, name))
-        assert getattr(back, name).flags.c_contiguous
-    assert back.segment == track.segment
-
-
-def test_attitude_reads_any_column_order(tmp_path):
-    track = _track()
-    path = tmp_path / "attitude.csv"
-    write_attitude_csv(track, path)
-    rows = _read_all(path)
-    order = [7, 3, 0, 6, 1, 5, 2, 4]
-    _write_rows(path, [[r[k] for k in order] for r in rows])
-    back = read_attitude_csv(path)
-    _assert_same_bits(back.northing_m, track.northing_m)
-    assert back.segment == track.segment
-
-
-@pytest.mark.parametrize("edit, error, message", [
-    (lambda rows: [rows[0][:-1]] + [r[:-1] for r in rows[1:]],
-     MissingColumnError, r"missing column 'segment'"),
-    (lambda rows: rows[:1], ValueError, r"no data rows"),
-    (lambda rows: [], ValueError, r"empty file"),
-    (lambda rows: rows[:2] + [rows[2][:-1]] + rows[3:],
-     ValueError, r"data row 2 has 7 cells, the header has 8"),
-    (lambda rows: rows[:3] + [["0.03", "oops"] + rows[3][2:]] + rows[4:],
-     ValueError, r"data row 3 has an unparsable value"),
-    (lambda rows: rows[:2] + [rows[2][:4] + ["inf"] + rows[2][5:]] + rows[3:],
-     ValueError, r"data row 2 has a non-finite value"),
-])
-def test_attitude_errors_name_file_and_row(tmp_path, edit, error, message):
-    path = tmp_path / "attitude.csv"
-    write_attitude_csv(_track(), path)
-    rows = _read_all(path)
-    _write_rows(path, edit(rows))
-    with pytest.raises(error, match=rf"attitude\.csv: .*{message}"):
-        read_attitude_csv(path)
-
-
-# cells of the label column: csv and the C parser keep each as it stands
-LABELS = ["L1", "turn", "transit", "T1", "", " L2 ", "\tx", "a\x00", "\x00",
-          "nan", "1e5", "#c", "\u00e9", "a\x85b", "a\u2028b", "\x0c"]
-LINE_ENDS = ["\n", "\r\n", "\r", "\r\r\n"]
-ATTITUDE_KINDS = ("no_label", "ragged", "blank", "space_line", "long",
-                  "quote", "label", "unparsable", "non_finite", "odd")
-
-
-@st.composite
-def attitude_files(draw) -> bytes:
-    """An attitude file, its columns in any order, mutated at the byte
-    level: quotes, short rows, rows missing only the label, odd labels,
-    nan and inf, mixed line ends and a byte that is not UTF-8."""
-    header = draw(st.permutations(ATTITUDE_COLUMNS))
-    seg = header.index("segment")
-    rows = [[draw(st.sampled_from(LABELS)) if c == "segment"
-             else repr(0.01 * i + j) for j, c in enumerate(header)]
-            for i in range(draw(st.integers(1, 8)))]
-    for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(ATTITUDE_KINDS))
-        i = draw(st.integers(0, len(rows) - 1))
-        row = rows[i]
-        j = draw(st.integers(0, len(header) - 1))
-        if kind == "no_label":
-            rows[i] = row[:seg] + row[seg + 1:]
-        elif kind == "ragged":
-            rows[i] = row[:draw(st.integers(0, max(len(row) - 1, 0)))]
-        elif kind == "blank":
-            rows.insert(i, [])
-        elif kind == "space_line":
-            rows.insert(i, [draw(st.sampled_from([" ", "\t", "\x00"]))])
-        elif kind == "long":
-            row.append("9")
-        elif j >= len(row):
-            continue
-        elif kind == "quote":
-            row[j] = '"' + row[j].replace('"', '""') + '"'
-        elif kind == "label":
-            row[j] = draw(st.sampled_from(LABELS))
-        else:
-            row[j] = draw(st.sampled_from({
-                "unparsable": UNPARSABLE, "non_finite": NON_FINITE,
-                "odd": ODD_BUT_VALID}[kind]))
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines),
-                         max_size=len(lines)))
-    data = "".join(line + end for line, end in zip(lines, ends)).encode()
-    if draw(st.integers(0, 3)) == 3:
-        k = draw(st.integers(0, len(data)))
-        data = data[:k] + b"\xff" + data[k:]
-    return data
-
-
-@PROPERTY
-@given(attitude_files())
-def test_attitude_matches_row_loop(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("attitude") / "attitude.csv"
-    path.write_bytes(data)
-    _assert_same_outcome(_outcome(read_attitude_csv, path),
-                         _outcome(_loop_read_attitude_csv, path))
-
-
-def test_simulated_attitude_takes_the_c_parser(survey_dir, monkeypatch):
-    path = survey_dir / "attitude.csv"
-    want = _loop_read_attitude_csv(path)
-    monkeypatch.setattr(io_csv, "_read_rows", _no_fallback)
-    _assert_same_outcome((read_attitude_csv(path), None), (want, None))

@@ -15,7 +15,6 @@ from aerosurvey.io_csv import (
     write_spectra_csv,
 )
 from aerosurvey.errors import MissingColumnError
-from aerosurvey.suspension import read_attitude_csv
 
 
 def _write(path: Path, text: str) -> Path:
@@ -63,21 +62,12 @@ def test_ingest_rejects_bad_rows_keeps_good(tmp_path):
         "0.0,1.0,2.0,40.0,54001.0",        # duplicate timestamp (lenient: drop)
         "0.3,1.0,2.0,40.0,54002.0",
     ]) + "\n")
-    out = ingest_csv(p, "mag")
+    out = ingest_csv(p, SchemaKind.MAG)
     assert len(out.data) == 2
     reasons = [r for _, r in out.rejected_rows]
     assert reasons == ["unparsable field", "non-finite field",
                        "duplicate/non-monotone timestamp"]
     assert [i for i, _ in out.rejected_rows] == [2, 3, 4]
-
-
-def test_ingest_strict_raises_on_non_monotone(tmp_path):
-    p = _write(tmp_path / "m.csv", "\n".join([
-        "t_s,tmi_nT", "0.0,1.0", "0.0,2.0",
-    ]) + "\n")
-    with pytest.raises(ValueError, match=r"m\.csv: non-monotone timestamp "
-                       r"at data row 2$"):
-        ingest_csv(p, SchemaKind.BASE, strict=True)
 
 
 def test_ingest_validates_declared_invariants(tmp_path):
@@ -221,10 +211,6 @@ _REPEATED = {
                          read_spectra_csv),
     "buzz_trace": ("t_s,buzz_nT,buzz_nT\n0,1,2\n1,3,4\n", "buzz_nT",
                    lambda p: _read_buzz_trace(p)),
-    "read_attitude_csv": (
-        "t_s,roll_deg,pitch_deg,heading_deg,swing_deg,easting_m,northing_m,"
-        "segment,roll_deg\n0,1,2,3,4,5,6,L1,9\n", "roll_deg",
-        lambda p: read_attitude_csv(p)),
 }
 
 

@@ -1,5 +1,5 @@
 """Peak traced memory of the survey kernels at survey_large size, the
-memory a simulated or read-back survey holds once it is built, and what
+memory a simulated survey holds once it is built, and what
 run_pipeline keeps alive from one stage to the next.
 
 Each bound sits between the figure before its intermediates or stored
@@ -30,7 +30,12 @@ from aerosurvey.cli import main
 from aerosurvey.core import TimeSeries
 from aerosurvey.emi import noise_amplitude
 from aerosurvey.gridding import grid_idw
-from aerosurvey.io_csv import read_spectra_csv, write_spectra_csv, write_table
+from aerosurvey.io_csv import (
+    read_spectra_csv,
+    write_series_csv,
+    write_spectra_csv,
+    write_table,
+)
 from aerosurvey.qc import nasvd_denoise
 from aerosurvey.suspension import (
     AttitudeTrack,
@@ -38,9 +43,8 @@ from aerosurvey.suspension import (
     SimConfig,
     SimResult,
     SuspensionGeometry,
-    read_attitude_csv,
+    line_rows,
     simulate_survey,
-    write_attitude_csv,
 )
 
 MB = 2 ** 20
@@ -140,35 +144,6 @@ def test_read_spectra_csv_peak_at_survey_large_size(tmp_path):
     path = tmp_path / "spectra.csv"
     write_spectra_csv(path, counts)
     assert _peak_mb(read_spectra_csv, path) < 20.0  # [59]
-
-
-def test_read_attitude_csv_peak_at_survey_large_size(tmp_path):
-    # 266,948 rows of 7 floats and a label: the row reader held every cell
-    # as a Python str; the C parser keeps the matrix and the labels
-    plan = FlightPlan(n_lines=8, line_length_m=2000.0, spacing_m=50.0,
-                      tie_lines=3)
-    path = tmp_path / "attitude.csv"
-    write_attitude_csv(simulate_survey(plan, None, SimConfig(seed=4)).attitude,
-                       path)
-    assert _peak_mb(read_attitude_csv, path) < 60.0  # [190]
-
-
-def test_read_attitude_csv_holds_one_object_per_label(tmp_path):
-    # the same 266,948 rows: seven float columns (14.3 MiB) and a tuple of
-    # labels, which held one str per row for 13 distinct labels
-    plan = FlightPlan(n_lines=8, line_length_m=2000.0, spacing_m=50.0,
-                      tie_lines=3)
-    path = tmp_path / "attitude.csv"
-    write_attitude_csv(simulate_survey(plan, None, SimConfig(seed=4)).attitude,
-                       path)
-    tracemalloc.start()
-    try:
-        track = read_attitude_csv(path)
-        held = tracemalloc.get_traced_memory()[0] / MB
-    finally:
-        tracemalloc.stop()
-    assert len({id(s) for s in track.segment}) == len(set(track.segment)) == 13
-    assert held < 20.0  # [29.4]
 
 
 def _write_plan(tmp_path, seed: int, **plan) -> pipeline.PipelineConfig:
@@ -307,12 +282,20 @@ def test_write_table_peak_for_an_attitude_table(tmp_path):
                     floats + [labels]) < 8.0  # [634]
 
 
-def test_write_survey_artifacts_peak_at_survey_large_size(tmp_path):
+def test_write_series_csv_peak_with_parts_at_survey_large_size(tmp_path):
     # spectra.csv and the line files are cut from rad.csv's and mag.csv's
     # text as it streams out; holding rad's 32 channel columns as a slot
     # canvas instead would take 26,695 x 32 x 48 bytes (41 MiB, computed)
     plan = FlightPlan(n_lines=8, line_length_m=2000.0, spacing_m=50.0,
                       tie_lines=3)
     sim = simulate_survey(plan, None, SimConfig(seed=4))
-    assert _peak_mb(pipeline.write_survey_artifacts, sim,
-                    tmp_path / "out") < 10.0  # [41]
+    lines = [(tmp_path / f"{lid}.csv", 0, rows)
+             for lid, _, rows in line_rows(sim.segment_at_sensor, sim.plan)]
+    spectra = [(tmp_path / "spectra.csv",
+                1 + sim.rad_full.fields.index("ch0"), None)]
+
+    def write():
+        write_series_csv(tmp_path / "mag.csv", sim.mag_full, lines)
+        write_series_csv(tmp_path / "rad.csv", sim.rad_full, spectra)
+
+    assert _peak_mb(write) < 10.0  # [41]

@@ -37,7 +37,7 @@ from aerosurvey.core import TimeSeries
 from aerosurvey.gridding import grid_idw, write_asc
 from aerosurvey.io_csv import write_series_csv
 from aerosurvey.pipeline import write_survey_artifacts
-from aerosurvey.suspension import FlightPlan, SimConfig, simulate_survey
+from aerosurvey.suspension import FlightPlan, SimConfig, _Flight
 
 PACKAGE_ROOT = str(Path(aerosurvey.__file__).resolve().parent.parent)
 # printed last by every probe: the package's own modules the process has
@@ -73,9 +73,9 @@ def survey(tmp_path_factory):
     """A small simulated survey plus two grids of its magnetic data."""
     out = tmp_path_factory.mktemp("survey")
     plan = FlightPlan(n_lines=2, line_length_m=200.0, tie_lines=1)
-    result = simulate_survey(plan, None, SimConfig(seed=5))
-    write_survey_artifacts(result, out)
-    mag = result.mag_full
+    flight = _Flight(plan, None, SimConfig(seed=5))
+    write_survey_artifacts(flight, out)
+    mag = flight.mag_full
     for name, cell in (("fine", 10.0), ("coarse", 50.0)):
         write_asc(grid_idw(mag.column("easting_m"), mag.column("northing_m"),
                            mag.column("tmi_nT"), cell, 4.0 * cell),

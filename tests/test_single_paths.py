@@ -25,8 +25,11 @@ up by pipeline._load_survey alone, the one reader of AEROSURVEY_SEED,
 for the pipeline and `sim survey` alike; run_pipeline writes every
 report.json, partial ones too, so the pipeline command handles no
 exception; and the simulator's sensor streams take their columns from
-io_csv's schemas, naming none of their own. No flow reads a payload pose
-or a PGM file, so the package defines neither.
+io_csv's schemas, naming none of their own. No flow reads a payload pose,
+a PGM file or an attitude track, so the package defines none of them,
+and no option that only tests set survives: the float readers read
+floats, ingest_csv always drops a late timestamp, grid_idw takes its
+extent from the samples and write_survey_artifacts flies a _Flight.
 """
 
 from __future__ import annotations
@@ -37,7 +40,16 @@ import re
 from pathlib import Path
 
 import aerosurvey
-from aerosurvey import cli, core, emi, gridding, pipeline, qc, suspension
+from aerosurvey import (
+    cli,
+    core,
+    emi,
+    gridding,
+    io_csv,
+    pipeline,
+    qc,
+    suspension,
+)
 from aerosurvey.core import check_range
 from aerosurvey.io_csv import _REQUIRED, SchemaKind
 
@@ -270,6 +282,26 @@ def test_no_payload_pose_and_no_pgm_reader():
                          (suspension.SuspensionGeometry, "platform_points"),
                          (gridding, "read_pgm")):
         assert not hasattr(module, name), name
+
+
+def test_no_attitude_reader_and_no_option_only_tests_set():
+    def params(fn) -> list[str]:
+        return list(inspect.signature(fn).parameters)
+
+    for name in ("read_attitude_csv", "write_attitude_csv"):
+        assert name not in aerosurvey.__all__, name
+        assert not hasattr(suspension, name), name
+    assert params(io_csv.ingest_csv) == ["path", "schema"]
+    assert params(gridding.grid_idw) == ["x", "y", "values", "cell_size",
+                                         "search_radius", "power"]
+    for fn in (io_csv._parse_columns, io_csv._load_floats,
+               io_csv._read_columns, io_csv._read_floats):
+        assert "labelled" not in params(fn), fn.__name__
+    assert not hasattr(core.TimeSeries, "scalar")
+    assert not hasattr(gridding.Grid, "cell_centers")
+    tree = ast.parse(inspect.getsource(pipeline.write_survey_artifacts))
+    assert not any(isinstance(n, ast.Name) and n.id == "isinstance"
+                   for n in ast.walk(tree))
 
 
 # the columns that only the mag, VLF or rad streams have

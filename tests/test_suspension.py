@@ -23,9 +23,7 @@ from aerosurvey.suspension import (
     _build_path,
     _dubins_csc,
     _sample_path,
-    read_attitude_csv,
     split_lines,
-    write_attitude_csv,
 )
 from aerosurvey.errors import NeverSettlesError
 
@@ -580,14 +578,3 @@ def test_effective_damping_capped():
     assert cfg.effective_damping(SuspensionGeometry()) == 0.95
     assert cfg.effective_damping(
         SuspensionGeometry(intermediate_platform=False)) == 0.7
-
-
-def test_attitude_csv_round_trip(tmp_path, default_sim):
-    track = default_sim.attitude
-    p = tmp_path / "attitude.csv"
-    write_attitude_csv(track, p)
-    back = read_attitude_csv(p)
-    assert np.array_equal(back.t, track.t)
-    assert np.array_equal(back.swing_deg, track.swing_deg)
-    assert np.array_equal(back.heading_deg, track.heading_deg)
-    assert back.segment == track.segment

@@ -27,10 +27,10 @@ from aerosurvey.suspension import (
     AttitudeTrack,
     FlightPlan,
     SimConfig,
+    _Flight,
+    _write_attitude,
     line_rows,
-    simulate_survey,
     split_lines,
-    write_attitude_csv,
 )
 
 CHUNK_ROWS = 4096
@@ -166,7 +166,7 @@ def test_attitude_csv_matches_reference(tmp_path, chunked, n):
     labels = tuple(("turn", "L1", "transit", "T1", "hover")[i % 5]
                    for i in range(n))
     track = AttitudeTrack(np.arange(n) * 0.01, *cols.T, labels, 8.0)
-    _same_bytes(tmp_path, lambda p: write_attitude_csv(track, p),
+    _same_bytes(tmp_path, lambda p: _write_attitude(p, (track,)),
                 lambda p: ref_attitude_csv(track, p))
 
 
@@ -374,8 +374,8 @@ def test_one_column_part_of_a_wider_table(tmp_path):
 def test_survey_parts_are_cells_and_rows_of_their_tables(
         tmp_path, monkeypatch, chunk_cells):
     monkeypatch.setattr(io_csv, "_CHUNK_CELLS", chunk_cells)
-    sim = simulate_survey(FlightPlan(n_lines=3, line_length_m=300.0,
-                                     tie_lines=2), None, SimConfig(seed=5))
+    sim = _Flight(FlightPlan(n_lines=3, line_length_m=300.0, tie_lines=2),
+                  None, SimConfig(seed=5))
     write_survey_artifacts(sim, tmp_path / "out")
     out = tmp_path / "out"
     # spectra.csv: the gamma channel cells of rad.csv, header included
