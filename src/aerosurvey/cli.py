@@ -261,8 +261,6 @@ def _cmd_pipeline(args) -> int:
     cfg = _load_config(PipelineConfig, args.config)
     if args.out_dir is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
-    if args.tie_tolerance is not None:
-        cfg = replace(cfg, tie_tolerance=args.tie_tolerance)
     report = run_pipeline(cfg)
     _emit(report.to_dict())
     return EXIT_OK if report.overall_pass else EXIT_QC
@@ -389,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("pipeline", help="simulate -> QC -> grid -> compare")
     pl.add_argument("--config", default=None, help="pipeline config JSON")
     pl.add_argument("--out-dir", default=None)
-    pl.add_argument("--tie-tolerance", type=float, default=None)
     pl.set_defaults(func=_cmd_pipeline)
 
     ver = sub.add_parser("version", help="tool and schema versions")

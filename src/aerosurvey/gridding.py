@@ -269,18 +269,22 @@ def to_grayscale(grid: Grid) -> GrayImage:
     Rounding is half-up (not banker's) so results are reproducible across
     languages. A degenerate range (lo == hi) maps every valid cell to
     mid-gray 128. Nodata cells become 0 and stay excluded from statistics
-    via the validity mask.
+    via the validity mask. A range wider than the float64 range raises
+    ValueError.
     """
     if not np.any(grid.valid):
         raise ValueError("grid has no valid cells")
     vals = grid.values[grid.valid]
     lo, hi = float(vals.min()), float(vals.max())
+    if not math.isfinite(hi - lo):      # Python floats overflow to inf
+        raise ValueError(f"grid values span [{lo!r}, {hi!r}], a range "
+                         "wider than the float64 range")
     pixels = np.zeros(grid.shape, dtype=np.int64)
     if hi == lo:
         pixels[grid.valid] = 128  # degenerate range
     else:
-        scaled = np.clip((grid.values - lo) / (hi - lo), 0.0, 1.0) * 255.0
-        pixels[grid.valid] = np.floor(scaled[grid.valid] + 0.5).astype(np.int64)
+        scaled = np.clip((vals - lo) / (hi - lo), 0.0, 1.0) * 255.0
+        pixels[grid.valid] = np.floor(scaled + 0.5).astype(np.int64)
     return GrayImage(pixels, grid.valid)
 
 

@@ -62,8 +62,8 @@ _CHUNK_CELLS = 1 << 14
 # bytes of a cell's slot in write_table's canvas when no label is longer:
 # the longest number text and a two-byte separator, in whole uint32 words
 _SLOT = 44
-# characters str() can produce for a Python bool, int or float
-_NUMERIC_TEXT = frozenset("0123456789+-.einfaTrueFls")
+# the (delimiter, line terminator) of every table write_table writes
+_DIALECTS = ((",", "\r\n"), (" ", "\n"))
 # bytes on which loadtxt reads a line otherwise than csv and float(), so a
 # file holding one goes to the row reader: a quote (loadtxt splits a
 # quoted cell at its commas, which shifts the columns after it even when
@@ -381,32 +381,26 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
     after what it holds, so a table can be written a block of rows at a
     time, its head with the first.
 
-    Columns are 1-D arrays or sequences of equal length. The bytes are
-    those a csv.writer with this dialect writes for the same rows, where a
-    numpy float is written as the repr() of its float64 value; the head
+    The dialect is (",", "\r\n") or (" ", "\n"). Each column is a 1-D
+    float or int (numpy kind "i") array, or a sequence of labels: non-empty
+    str holding no delimiter, '"', "\r" or "\n", which csv writes as they
+    are. Any other column or dialect raises ValueError naming it. The bytes
+    are those a csv.writer with this dialect writes for the same rows,
+    where a float is written as the repr() of its float64 value; the head
     goes through one. Each (path, first, rows) of `parts` names a further
     file: the table of rows `rows` (ascending indices, None for all) and
     columns `first` on of this one, head rows included, as write_table
-    would write it. Its text is cut from this table's, not made again. A
-    part of one text column needs a table of one, for csv writes an empty
-    field as "" only when it is alone in its row.
+    would write it. Its text is cut from this table's, not made again.
 
     The body is built in chunks of about _CHUNK_CELLS cells, each in a
     byte canvas with one fixed-width slot per cell, filled with
     numtext.FILL, a byte no UTF-8 text holds:
 
-    * Runs of adjacent int or float array columns (uint64 apart) are
-      formatted by numtext.NumberText straight into their slots, a run's
-      cells in one call; it sends the values its digit search is not sure
-      of to repr(). Their text holds no quote, line break or (for the
-      usual delimiters) delimiter, so csv never quotes it; a dialect
-      whose delimiter or line terminator uses a character of that text
-      sends the column down the escaping path below instead.
-    * Any other column (labels, bools, plain sequences) has each distinct
-      value escaped once by a csv.writer of the same dialect, into one
-      table of texts its cells index; the memo key keeps the type, so 1,
-      1.0 and True stay apart. A one-column table keeps csv's "" for an
-      empty field.
+    * Runs of adjacent float, or of adjacent int, columns are formatted by
+      numtext.NumberText straight into their slots, a run's cells in one
+      call; it sends the values its digit search is not sure of to repr().
+    * A label column is coded through one dict, its distinct labels in
+      first-seen order, into one table of texts its cells index.
 
     The chunk's texts are laid out before any is written, so a slot holds
     only the layout columns some text of the chunk reaches: each cell's
@@ -420,27 +414,28 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
     # loaded by the first write, so a command that writes no table skips it
     from .numtext import FILL, PLAIN, TEXT_END, NumberText, text_table
 
+    if (delimiter, lineterminator) not in _DIALECTS:
+        raise ValueError(f"write_table writes the dialects {_DIALECTS}, "
+                         f"not {(delimiter, lineterminator)!r}")
     n_cols = len(columns)
     n_rows = len(columns[0]) if n_cols else 0
-    numeric_ok = not _NUMERIC_TEXT.intersection(delimiter + lineterminator)
-    escape = _escaper(delimiter, lineterminator, n_cols)
-    # [first, stop) of each run of adjacent float, int or uint64 columns;
-    # a run stacks without rounding
+    # [first, stop) of each run of adjacent float or int columns; a run
+    # stacks without rounding
     runs: list[list[int]] = []
-    memos = {}
+    labels_of = {}
     run_kind = None
     for ci, col in enumerate(columns):
-        kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
-        if kind in "iuf" and numeric_ok:
-            kind = ("f" if kind == "f" else
-                    "u" if col.dtype == np.uint64 else "i")
+        if not isinstance(col, np.ndarray) or col.dtype == object:
+            codes, texts = _labels(col, ci, delimiter)
+            labels_of[ci] = (codes, *text_table(texts))
+            kind = None
+        elif (kind := col.dtype.kind) in "fi":
             if kind != run_kind:
                 runs.append([ci, ci])
             runs[-1][1] = ci + 1
         else:
-            codes, texts = _memo(col, escape)
-            memos[ci] = (codes, *text_table(texts))
-            kind = None
+            raise ValueError(f"column {ci}: write_table writes float or int "
+                             f"arrays, not {col.dtype}")
         run_kind = kind
     seps = [delimiter] * (n_cols - 1) + [lineterminator] if n_cols else []
     sep_len = np.array([len(sep.encode()) for sep in seps], np.int64)
@@ -450,12 +445,9 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
         sep_bytes[ci, :sep_len[ci]] = np.frombuffer(sep.encode(), np.uint8)
     # labels start at PLAIN like the fallback texts of numbers
     text_end = max([TEXT_END] + [PLAIN + table.shape[1]
-                                 for _, table, _ in memos.values()])
+                                 for _, table, _ in labels_of.values()])
     slot = max(_SLOT, -(-(text_end + longest) // 4) * 4)
     rows = max(1, _CHUNK_CELLS * _SLOT // (slot * max(n_cols, 1)))
-    for _, first, _ in parts:
-        if n_cols - first == 1 < n_cols and first in memos:
-            raise ValueError("a part of one text column needs a table of one")
     with ExitStack() as files:
         outs = []
         for out, first, part_rows in ((path, 0, None), *parts):
@@ -479,7 +471,7 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
                 start[:, c0:c1], end[:, c0:c1] = text.start, text.end
                 texts.append((c0, c1, text))
             labels = []
-            for ci, (codes, table, length) in memos.items():
+            for ci, (codes, table, length) in labels_of.items():
                 cell_length = length[codes[r0:r1]]
                 end[:, ci] = PLAIN + cell_length
                 # only as wide as this chunk's longest text
@@ -531,40 +523,23 @@ def _cut(body: np.ndarray, begin: np.ndarray, stop: np.ndarray) -> np.ndarray:
     return span[keep]
 
 
-def _memo(column, escape) -> tuple[np.ndarray, list[bytes]]:
-    """(codes, texts): texts[codes[i]] is the escaped UTF-8 text of cell i.
-
-    Cells with the same type and str() share one text, so 1, 1.0 and True
-    stay apart and each distinct value is escaped once; a column of str
-    is keyed by its values.
-    """
-    values = column.tolist() if isinstance(column, np.ndarray) else column
+def _labels(column, ci: int, delimiter: str) -> tuple[np.ndarray, list[bytes]]:
+    """(codes, texts): texts[codes[i]] is the UTF-8 text of label i, the
+    distinct labels in first-seen order; a cell that is not a label
+    write_table writes raises ValueError naming column `ci`."""
+    code: dict = {}
     try:
-        plain = all(type(v) is str for v in set(values))
+        codes = np.fromiter((code.setdefault(v, len(code)) for v in column),
+                            np.intp, len(column))
     except TypeError:                   # an unhashable cell
-        plain = False
-    keys = values if plain else list(zip(map(type, values), map(str, values)))
-    distinct = dict(zip(keys, values))
-    code = dict(zip(distinct, range(len(distinct))))
-    return (np.fromiter(map(code.__getitem__, keys), np.intp, len(keys)),
-            [escape(v).encode() for v in distinct.values()])
-
-
-def _escaper(delimiter: str, lineterminator: str, n_cols: int):
-    """value -> its cell text as a csv.writer of this dialect writes it."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator=lineterminator)
-    # csv writes an empty cell as "" only when it is the row's one cell; an
-    # empty trailing cell gives the value the context of a wider row
-    tail = (None,) if n_cols > 1 else ()
-    cut = len(lineterminator) + len(delimiter) * len(tail)
-
-    def escape(value) -> str:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((value,) + tail)
-        return buf.getvalue()[:-cut]
-    return escape
+        raise ValueError(f"column {ci} holds a cell that is not a label"
+                         ) from None
+    quoted = frozenset(delimiter + '"\r\n')     # csv quotes a label holding one
+    for label in code:
+        if not (isinstance(label, str) and label and quoted.isdisjoint(label)):
+            raise ValueError(f"column {ci}: {label!r} is not a label "
+                             "write_table writes")
+    return codes, [label.encode() for label in code]
 
 
 def write_series_csv(path: str | Path, series: TimeSeries, parts=()) -> None:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +55,6 @@ from .suspension import (
 )
 
 REPORT_SCHEMA_VERSION = "1"
-SEED_ENV_VAR = "AEROSURVEY_SEED"
 
 
 @dataclass(frozen=True)
@@ -139,18 +137,11 @@ def _load_config(cls, path):
 
 def _load_survey(plan_path, geometry_path, sim_path):
     """(plan, geometry, sim config) of a simulated run, read from their
-    files in that order; AEROSURVEY_SEED, when set, overrides the seed, and
-    with no plan file the run flies default_plan(sim config)."""
+    files in that order and from nothing else; with no plan file the run
+    flies default_plan(sim config)."""
     plan = None if plan_path is None else _load_config(FlightPlan, plan_path)
     geometry = _load_config(SuspensionGeometry, geometry_path)
     sim_cfg = _load_config(SimConfig, sim_path)
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is not None:
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-        sim_cfg = replace(sim_cfg, seed=seed)
     return plan or default_plan(sim_cfg), geometry, sim_cfg
 
 

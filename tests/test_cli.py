@@ -468,10 +468,13 @@ def test_sim_survey_and_pipeline_fly_the_same_default_plan(tmp_path, capsys):
     assert abs(np.median(l2) - (FlightPlan().origin_utm[0] + 30.0)) < 5.0
 
 
+# the seed comes from --cfg alone: an exported AEROSURVEY_SEED sets nothing
 def test_sim_survey_seed_env(tmp_path, small_plan, capsys, monkeypatch):
-    monkeypatch.setenv("AEROSURVEY_SEED", "77")
+    monkeypatch.setenv("AEROSURVEY_SEED", "5")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 77}))
     code, stdout, _ = run_cli(capsys, "sim", "survey", "--plan", small_plan,
-                              "--out-dir", tmp_path / "out")
+                              "--cfg", cfg, "--out-dir", tmp_path / "out")
     assert code == EXIT_OK
     assert json.loads(stdout)["seed"] == 77
 
@@ -479,11 +482,17 @@ def test_sim_survey_seed_env(tmp_path, small_plan, capsys, monkeypatch):
 def test_negative_seed_env_names_the_field(tmp_path, small_plan, capsys,
                                            monkeypatch):
     monkeypatch.setenv("AEROSURVEY_SEED", "-1")
+    code, stdout, _ = run_cli(capsys, "sim", "survey", "--plan", small_plan,
+                              "--out-dir", tmp_path / "out")
+    assert code == EXIT_OK
+    assert json.loads(stdout)["seed"] == SimConfig().seed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
     code, _, err = run_cli(capsys, "sim", "survey", "--plan", small_plan,
-                           "--out-dir", tmp_path / "out")
+                           "--cfg", cfg, "--out-dir", tmp_path / "bad")
     assert code == EXIT_IO
-    assert "error: seed must be finite and >= 0, got -1" in err
-    assert "Traceback" not in err
+    assert f"error: {cfg}: seed must be finite and >= 0, got -1" in err
+    assert "Traceback" not in err and not (tmp_path / "bad").exists()
 
 
 # a zero-width anomaly once wrote a NaN TMI sample and exited 0, and one
@@ -940,6 +949,25 @@ def test_grid_compare_bad_asc_size_names_file_and_key(tmp_path, capsys, key,
     assert f"error: {bad}: {key} {message}" in err and "Traceback" not in err
 
 
+# a grid spanning past the float64 range once warned three times and
+# exited 2 naming neither file nor cause, or 4 under the warning filter
+@pytest.mark.parametrize("action", ("error", "always"))
+def test_grid_compare_span_past_float64_range_exits_2(tmp_path, capsys,
+                                                      action):
+    big = tmp_path / "big.asc"
+    big.write_text("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                   "NODATA_value -9999\n1e308 0 1\n-1e308 2 3\n")
+    out = tmp_path / "cmp.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        code, _, err = run_cli(capsys, "grid", "compare", "--a", big,
+                               "--b", big, "--out", out)
+    assert code == EXIT_IO and not caught
+    assert "error: grid values span [-1e+308, 1e+308], a range wider " \
+        "than the float64 range" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 # --- bad gates, parameters and input files: nan, inf, out of range exit 2 ---
 
 def _survey_inputs(tmp_path):
@@ -1079,16 +1107,26 @@ def test_bad_gate_or_parameter_exits_2_naming_it(tmp_path, capsys, argv,
     assert "Traceback" not in err and not paths["out"].exists()
 
 
+# the tolerance as the config file holds it, and the refusal that names it
+_BAD_TOLERANCE = {
+    "nan": ("NaN", "PipelineConfig: invalid 'tie_tolerance': nan"),
+    "inf": ("Infinity", "PipelineConfig: invalid 'tie_tolerance': inf"),
+    "-1": ("-1", "tie_tolerance must be finite and >= 0, got -1"),
+}
+
+
 @pytest.mark.parametrize("tolerance", ("nan", "inf", "-1"))
 def test_pipeline_bad_tie_tolerance_exits_2_before_simulating(
         tmp_path, small_plan, capsys, tolerance):
+    text, message = _BAD_TOLERANCE[tolerance]
     config = tmp_path / "pipeline.json"
-    config.write_text(json.dumps({"plan_path": str(small_plan)}))
+    config.write_text(f'{{"plan_path": {json.dumps(str(small_plan))}, '
+                      f'"tie_tolerance": {text}}}')
     out_dir = tmp_path / "run"
     code, _, err = run_cli(capsys, "pipeline", "--config", config,
-                           "--out-dir", out_dir, "--tie-tolerance", tolerance)
+                           "--out-dir", out_dir)
     assert code == EXIT_IO
-    assert "error: tie_tolerance must be finite and >= 0" in err
+    assert f"error: {config}: {message}" in err
     assert not out_dir.exists()
 
 
@@ -1120,10 +1158,12 @@ def test_pipeline_cli_pass_and_tie_failure(tmp_path, small_plan, capsys):
     assert payload["pass"] is True
     assert (out_dir / "report.json").is_file()
 
+    strict = tmp_path / "strict.json"
+    strict.write_text(json.dumps({"plan_path": str(small_plan),
+                                  "tie_tolerance": 1e-12}))
     out_bad = tmp_path / "run_bad"
-    code, stdout, _ = run_cli(capsys, "pipeline", "--config", config,
-                              "--out-dir", out_bad,
-                              "--tie-tolerance", 1e-12)
+    code, stdout, _ = run_cli(capsys, "pipeline", "--config", strict,
+                              "--out-dir", out_bad)
     assert code == EXIT_QC
     assert json.loads(stdout)["pass"] is False
     assert json.loads((out_bad / "report.json").read_text())["pass"] is False

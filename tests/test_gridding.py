@@ -174,6 +174,14 @@ def test_grayscale_nodata_excluded():
     assert histogram256(img).sum() == 3
 
 
+def test_grayscale_stretches_the_valid_cells_alone():
+    # a subnormal span once divided the nodata cells by it too, which
+    # overflowed
+    vals = np.array([[0.0, 5e-324, NODATA]])
+    img = to_grayscale(_grid(vals, np.array([[True, True, False]])))
+    assert img.pixels.tolist() == [[0, 255, 0]]
+
+
 def test_intensity_stddev_needs_pixels():
     img = GrayImage(np.array([[5, 7]]), np.array([[True, False]]))
     with pytest.raises(ValueError, match="^need >= 2 valid pixels$"):

@@ -107,16 +107,14 @@ def test_config_hash_ignores_output_location(tmp_path):
 
 
 def test_load_survey_seed_override(tmp_path, monkeypatch):
+    # only the sim file sets the seed: no environment variable overrides it
     sim = tmp_path / "sim.json"
     sim.write_text(json.dumps({"seed": 9}))
     assert _load_survey(None, None, None)[2] == SimConfig()
     assert _load_survey(None, None, sim)[2].seed == 9
-    monkeypatch.setenv("AEROSURVEY_SEED", "123")
-    assert _load_survey(None, None, sim)[2] == SimConfig(seed=123)
-    monkeypatch.setenv("AEROSURVEY_SEED", "not-a-seed")
-    with pytest.raises(ValueError, match="AEROSURVEY_SEED must be an "
-                       "integer, got 'not-a-seed'"):
-        _load_survey(None, None, sim)
+    for raw in ("123", "not-a-seed"):
+        monkeypatch.setenv("AEROSURVEY_SEED", raw)
+        assert _load_survey(None, None, sim)[2] == SimConfig(seed=9)
 
 
 def test_load_survey_reads_plan_geometry_sim_in_order(tmp_path):
@@ -147,10 +145,12 @@ def test_load_survey_without_a_plan_flies_the_default_plan(tmp_path):
         FlightPlan(), geometry, cfg)
 
 
-def test_seed_env_reaches_report(tmp_path, monkeypatch):
-    monkeypatch.setenv("AEROSURVEY_SEED", "77")
+def test_sim_file_seed_reaches_report(tmp_path):
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"seed": 77}))
     report = run_pipeline(PipelineConfig(out_dir=tmp_path / "out",
-                                         plan_path=write_small_plan(tmp_path)))
+                                         plan_path=write_small_plan(tmp_path),
+                                         sim_path=str(sim)))
     assert report.seed == 77
 
 

@@ -21,8 +21,9 @@ check picks its own error type. Each library function has one calling
 form: grayscale is min-max, the 4th difference takes an array, the
 settling lead-in uses the track's speed, the pendulum is run through
 _Swing and configs are coded by _DictCodec alone. A simulated run is set
-up by pipeline._load_survey alone, the one reader of AEROSURVEY_SEED,
-for the pipeline and `sim survey` alike; run_pipeline writes every
+up by pipeline._load_survey alone, for the pipeline and `sim survey`
+alike, and from its config files alone: no module reads the environment
+and no flag shadows a config field but --out-dir; run_pipeline writes every
 report.json, partial ones too, so the pipeline command handles no
 exception; and the simulator's sensor streams take their columns from
 io_csv's schemas, naming none of their own. No flow reads a payload pose,
@@ -265,13 +266,24 @@ def test_one_calling_form_per_function():
 
 
 def test_one_set_up_and_one_report_writer_for_a_simulated_run():
-    assert _where(lambda n: _uses(n, "os", {"environ", "getenv"})) \
-        == {("pipeline.py", "_load_survey")}
     assert not hasattr(pipeline, "apply_seed_override")
     assert "_load_survey(" in inspect.getsource(cli._cmd_sim_survey)
     tree = ast.parse(inspect.getsource(cli._cmd_pipeline))
     assert not any(isinstance(n, (ast.Try, ast.ExceptHandler))
                    for n in ast.walk(tree))
+
+
+def test_no_module_reads_the_environment():
+    # so no variable shadows a config field, as AEROSURVEY_SEED did the seed
+    assert _where(lambda n: _uses(n, "os", {"environ", "getenv"})) == set()
+    assert not hasattr(pipeline, "SEED_ENV_VAR")
+
+
+def test_no_flag_shadows_the_tie_tolerance(tmp_path, capsys):
+    # the tie tolerance is the config file's tie_tolerance alone
+    assert cli.main(["pipeline", "--out-dir", str(tmp_path / "run"),
+                     "--tie-tolerance", "1"]) == cli.EXIT_USAGE
+    assert "unrecognized arguments: --tie-tolerance" in capsys.readouterr().err
 
 
 def test_no_payload_pose_and_no_pgm_reader():
