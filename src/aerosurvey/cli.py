@@ -30,6 +30,7 @@ from .errors import (
     PipelineStageError,
 )
 from .gridding import (
+    _valid_span,
     compare_grids,
     grid_idw,
     read_asc,
@@ -244,9 +245,14 @@ def _cmd_grid_make(args) -> int:
 
 
 def _cmd_grid_compare(args) -> int:
-    a = read_asc(args.a)
-    b = read_asc(args.b)
-    result = compare_grids(a, b)
+    grids = []
+    for flag, path in (("--a", args.a), ("--b", args.b)):
+        grids.append(read_asc(path))
+        try:        # compare_grids cannot say which grid it refuses
+            _valid_span(grids[-1])
+        except ValueError as exc:
+            raise ValueError(f"{exc}: {flag} {path}") from None
+    result = compare_grids(*grids)
     _write_json(args.out, result)
     _emit({k: result[k] for k in ("stddev_a", "stddev_b", "delta")})
     return EXIT_OK

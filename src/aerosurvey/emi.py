@@ -147,7 +147,8 @@ def fit_power_law(separations: np.ndarray,
     """Least-squares fit of A(r) = A1 * r**-p in log-log space.
 
     Only strictly positive amplitudes participate. Returns (A1, p), or
-    None when fewer than two usable distinct separations remain.
+    None when fewer than two usable distinct separations remain. An A1
+    past the float64 range raises ValueError naming it.
     """
     r = np.asarray(separations, dtype=float)
     a = np.asarray(amplitudes, dtype=float)
@@ -163,8 +164,12 @@ def fit_power_law(separations: np.ndarray,
     ly = np.log(a[keep])
     mx, my = lx.mean(), ly.mean()
     slope = float(np.sum((lx - mx) * (ly - my)) / np.sum((lx - mx) ** 2))
-    intercept = my - slope * mx
-    return math.exp(intercept), -slope
+    intercept = float(my - slope * mx)
+    try:
+        return math.exp(intercept), -slope
+    except OverflowError:
+        raise ValueError(f"the fitted amplitude at 1 m, exp({intercept!r}), "
+                         "is past the float64 range") from None
 
 
 def build_noise_curve(passes: list[BuzzPass], cfg: EmiConfig,

@@ -25,15 +25,12 @@ _write_json, and every JSON file the package reads through _read_json.
 Floats are written with repr(), the shortest representation that
 round-trips exactly, so serialize(ingest(f)) reproduces numeric content
 bit-for-bit and repeated runs produce byte-identical files. write_table
-does not call repr() per cell: the numtext kernel gives whole chunks of
-float64 cells repr()'s exact text in numpy and calls repr() only for the
-values it is not sure of (subnormals, nan, inf and a few near-ties).
-Each chunk of about _CHUNK_CELLS cells is laid out first, then written
-into a byte canvas whose slots are as wide as its texts need, with a
-filler byte that no UTF-8 text holds around every text, so the chunk's
-rows are the canvas bytes that are not filler. A table whose rows or
-columns make another artifact (spectra.csv from rad.csv, the line files
-from mag.csv) writes that one too, cut from the same text.
+does not call repr() per cell: it checks the dialect and the columns and
+writes the heads, and numtext.Layout makes each chunk's row bytes, in
+numpy, calling repr() only for the values it is not sure of (subnormals,
+nan, inf and a few near-ties). A table whose rows or columns make another
+artifact (spectra.csv from rad.csv, the line files from mag.csv) writes
+that one too, cut from the same bytes.
 """
 
 from __future__ import annotations
@@ -59,9 +56,6 @@ CSV_SCHEMA_VERSION = "1"
 # cells write_table formats at a time; bounds the writer's extra memory
 # and keeps the number kernel's arrays in cache
 _CHUNK_CELLS = 1 << 14
-# bytes of a cell's slot in write_table's canvas when no label is longer:
-# the longest number text and a two-byte separator, in whole uint32 words
-_SLOT = 44
 # the (delimiter, line terminator) of every table write_table writes
 _DIALECTS = ((",", "\r\n"), (" ", "\n"))
 # bytes on which loadtxt reads a line otherwise than csv and float(), so a
@@ -392,27 +386,11 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
     columns `first` on of this one, head rows included, as write_table
     would write it. Its text is cut from this table's, not made again.
 
-    The body is built in chunks of about _CHUNK_CELLS cells, each in a
-    byte canvas with one fixed-width slot per cell, filled with
-    numtext.FILL, a byte no UTF-8 text holds:
-
-    * Runs of adjacent float, or of adjacent int, columns are formatted by
-      numtext.NumberText straight into their slots, a run's cells in one
-      call; it sends the values its digit search is not sure of to repr().
-    * A label column is coded through one dict, its distinct labels in
-      first-seen order, into one table of texts its cells index.
-
-    The chunk's texts are laid out before any is written, so a slot holds
-    only the layout columns some text of the chunk reaches: each cell's
-    text lies at [start, end) of its slot with FILL around it and its
-    delimiter (the line terminator in the last column) after every column
-    a text is written to. The chunk's rows are then the canvas bytes that
-    are not FILL, taken in one pass, and a part's rows are cut from them
-    by the cell lengths. Chunks have _CHUNK_CELLS * _SLOT // slot cells,
-    where a slot is _SLOT bytes, wider when a label does not fit.
+    numtext.Layout makes the body's bytes a chunk of about _CHUNK_CELLS
+    cells at a time, with the cell byte counts that cut a part's rows.
     """
     # loaded by the first write, so a command that writes no table skips it
-    from .numtext import FILL, PLAIN, TEXT_END, NumberText, text_table
+    from .numtext import Layout
 
     if (delimiter, lineterminator) not in _DIALECTS:
         raise ValueError(f"write_table writes the dialects {_DIALECTS}, "
@@ -422,12 +400,11 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
     # [first, stop) of each run of adjacent float or int columns; a run
     # stacks without rounding
     runs: list[list[int]] = []
-    labels_of = {}
+    labels = {}
     run_kind = None
     for ci, col in enumerate(columns):
         if not isinstance(col, np.ndarray) or col.dtype == object:
-            codes, texts = _labels(col, ci, delimiter)
-            labels_of[ci] = (codes, *text_table(texts))
+            labels[ci] = _labels(col, ci, delimiter)
             kind = None
         elif (kind := col.dtype.kind) in "fi":
             if kind != run_kind:
@@ -438,16 +415,8 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
                              f"arrays, not {col.dtype}")
         run_kind = kind
     seps = [delimiter] * (n_cols - 1) + [lineterminator] if n_cols else []
-    sep_len = np.array([len(sep.encode()) for sep in seps], np.int64)
-    longest = max(sep_len, default=0)
-    sep_bytes = np.full((n_cols, longest), FILL, np.uint8)
-    for ci, sep in enumerate(seps):
-        sep_bytes[ci, :sep_len[ci]] = np.frombuffer(sep.encode(), np.uint8)
-    # labels start at PLAIN like the fallback texts of numbers
-    text_end = max([TEXT_END] + [PLAIN + table.shape[1]
-                                 for _, table, _ in labels_of.values()])
-    slot = max(_SLOT, -(-(text_end + longest) // 4) * 4)
-    rows = max(1, _CHUNK_CELLS * _SLOT // (slot * max(n_cols, 1)))
+    layout = Layout(runs, labels, seps)
+    rows = layout.chunk_rows(_CHUNK_CELLS)
     with ExitStack() as files:
         outs = []
         for out, first, part_rows in ((path, 0, None), *parts):
@@ -459,47 +428,12 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
                        ).writerows(row[first:] for row in head)
             fh.write(head_text.getvalue().encode())
             outs.append((fh, first, part_rows))
-        buffer = np.empty(min(rows, n_rows) * n_cols * slot, np.uint8)
         for r0 in range(0, n_rows, rows):
             r1 = min(r0 + rows, n_rows)
-            start = np.full((r1 - r0, n_cols), PLAIN)
-            end = np.empty((r1 - r0, n_cols), np.int64)
-            texts = []
-            for c0, c1 in runs:
-                text = NumberText(np.stack(
-                    [columns[ci][r0:r1] for ci in range(c0, c1)], axis=1))
-                start[:, c0:c1], end[:, c0:c1] = text.start, text.end
-                texts.append((c0, c1, text))
-            labels = []
-            for ci, (codes, table, length) in labels_of.items():
-                cell_length = length[codes[r0:r1]]
-                end[:, ci] = PLAIN + cell_length
-                # only as wide as this chunk's longest text
-                text_width = int(cell_length.max(initial=0))
-                labels.append((ci, table[codes[r0:r1], :text_width]))
-            # slots hold columns [lo, at + longest) of the layout: the
-            # separators follow every column the texts are written to
-            lo = min([PLAIN] + [text.first for _, _, text in texts])
-            at = max([int(end.max())] + [text.high for _, _, text in texts])
-            width = -(-(at + longest - lo) // 4) * 4
-            canvas = buffer[:(r1 - r0) * n_cols * width].reshape(
-                r1 - r0, n_cols, width)
-            row = np.full((n_cols, width), FILL, np.uint8)
-            row[:, at - lo:at - lo + longest] = sep_bytes
-            canvas[:] = row
-            for c0, c1, text in texts:
-                text.write(canvas[:, c0:c1], lo)
-            del texts
-            for ci, cells in labels:
-                canvas[:, ci, PLAIN - lo:PLAIN - lo + cells.shape[1]] = cells
-            del labels
-            flat = canvas.reshape(-1)
-            body = flat[flat != FILL]
+            body, cell = layout.rows(columns, r0, r1)
             outs[0][0].write(body)
             if len(outs) > 1:
-                cell = end - start + sep_len        # bytes, separator included
-                row_len = cell.sum(axis=1)
-                row_end = np.cumsum(row_len)
+                row_end = np.cumsum(cell.sum(axis=1))
             for fh, first, part_rows in outs[1:]:
                 if part_rows is None:
                     local = np.arange(r1 - r0)
@@ -507,8 +441,7 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
                     a, b = np.searchsorted(part_rows, (r0, r1))
                     local = part_rows[a:b] - r0
                 if len(local):
-                    begin = (row_end[local] - row_len[local]
-                             + cell[local, :first].sum(axis=1))
+                    begin = row_end[local] - cell[local, first:].sum(axis=1)
                     fh.write(_cut(body, begin, row_end[local]))
 
 
@@ -586,12 +519,19 @@ def write_spectra_csv(path: str | Path, counts: np.ndarray) -> None:
 
 
 def _json_text(obj) -> str:
-    """The text of every JSON artifact and of the CLI's JSON output."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The text of every JSON artifact and of the CLI's JSON output; a nan
+    or inf raises ValueError, so none holds NaN or Infinity."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(_json_text(obj))
+    """Write _json_text(obj) to `path`; its ValueError names the path, and
+    nothing is written."""
+    try:
+        text = _json_text(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    Path(path).write_text(text)
 
 
 def _write_crossings(path, records, report) -> None:

@@ -1,9 +1,9 @@
-"""repr() of float64 and str() of int values, many at a time, in numpy.
+"""repr() of float64 and str() of int values, and table rows, in numpy.
 
 NumberText lays out the text of every value of an array, exactly as
 repr() (or str(), for ints) would give it, and writes each into one slot
-of a byte canvas, so io_csv.write_table can format whole chunks of a
-table without a Python call per cell.
+of a byte canvas. Layout makes io_csv.write_table's rows from those, its
+labels and separators, a chunk at a time, with no Python call per cell.
 
 Digits. For a positive normal double a, with j = 16 - floor(log10(a)),
 V = a * 10**j lies in [1e16, 1e17) and its integer digits are a's first
@@ -30,10 +30,8 @@ only the sign and the exponent suffix are placed per value. The word
 tables hold FILL, a byte no UTF-8 text contains, in place of the zeros
 that are not digits of the number (those left of the integer part and
 right of the fraction), so every byte NumberText writes outside a text
-is FILL: in a canvas filled with FILL beforehand, the texts are exactly
-the bytes that are not FILL. Positional text is used for
-1e-4 <= |a| < 1e16, exponent text ("1e-05", "1.5e+300") otherwise, as
-repr() does.
+is FILL. Positional text is used for 1e-4 <= |a| < 1e16, exponent text
+("1e-05", "1.5e+300") otherwise, as repr() does.
 """
 
 from __future__ import annotations
@@ -51,6 +49,9 @@ _MARGIN = 1e-11           # distance to a decision point that needs repr()
 _J0, _J1 = -300, 330      # range of the decimal scale exponent j
 _S0 = -16                 # lowest binary scale exponent in _tables().pow2
 _MIN_NORMAL = 2.2250738585072014e-308
+# bytes of a cell's slot when no label is longer: the longest number text
+# and a two-byte separator, in whole uint32 words
+_SLOT = 44
 
 
 _Tables = namedtuple("_Tables", "lead three_point three_bare frac0 frac "
@@ -268,7 +269,7 @@ def _quads(x: np.ndarray, count: int) -> list[np.ndarray]:
     return [x] + groups[::-1]
 
 
-def text_table(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+def _text_table(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     """The texts as the rows of a FILL-padded uint8 table, and their
     lengths."""
     width = max(map(len, texts), default=0)
@@ -366,7 +367,7 @@ class NumberText:
             distinct, self.inverse = np.unique(x[self.other],
                                                return_inverse=True)
             fmt = repr if is_float else str
-            self.table, length = text_table([fmt(v).encode()
+            self.table, length = _text_table([fmt(v).encode()
                                              for v in distinct.tolist()])
             self.start[self.other] = PLAIN
             self.end[self.other] = PLAIN + length[self.inverse]
@@ -440,3 +441,68 @@ class NumberText:
                                   PLAIN - origin + self.table.shape[1]),
                 self.table[self.inverse])
 
+
+
+class Layout:
+    """The row bytes of a table, a chunk of rows at a time, in one reused
+    canvas with a FILL-filled slot per cell.
+
+    Each [first, stop) of `runs` is a run of adjacent float, or int,
+    columns for one NumberText; `labels` maps every other column to
+    (codes, texts), texts[codes[i]] being its row i's UTF-8 text, put at
+    PLAIN like repr() fallbacks; `seps` holds each column's separator. A
+    chunk's texts are laid out first, so a slot (_SLOT bytes, or wider for
+    a long label) holds only the columns [lo, at + separator) they reach,
+    and the rows are then the canvas bytes that are not FILL.
+    """
+
+    def __init__(self, runs, labels, seps):
+        self.runs = runs
+        self.labels = {ci: (codes, *_text_table(texts))
+                       for ci, (codes, texts) in labels.items()}
+        self.seps, self.sep_len = _text_table([sep.encode() for sep in seps])
+        text_end = max([TEXT_END] + [PLAIN + table.shape[1]
+                                     for _, table, _ in self.labels.values()])
+        self.slot = max(_SLOT, -(-(text_end + self.seps.shape[1]) // 4) * 4)
+        self.buffer = np.empty(0, np.uint8)
+
+    def chunk_rows(self, cells: int) -> int:
+        """Rows of a chunk as large as `cells` cells of _SLOT bytes."""
+        return max(1, cells * _SLOT // (self.slot * max(len(self.seps), 1)))
+
+    def rows(self, columns, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+        """(body, cell_bytes): the bytes of rows [r0, r1) of `columns`, and
+        each cell's byte count, its separator included."""
+        n_cols, longest = self.seps.shape
+        size = (r1 - r0) * n_cols
+        if len(self.buffer) < size * self.slot:
+            self.buffer = np.empty(size * self.slot, np.uint8)
+        cell = np.empty((r1 - r0, n_cols), np.int64)
+        texts, lo, at = [], PLAIN, PLAIN
+        for c0, c1 in self.runs:
+            text = NumberText(np.stack(
+                [columns[ci][r0:r1] for ci in range(c0, c1)], axis=1))
+            np.subtract(text.end, text.start, out=cell[:, c0:c1])
+            texts.append((c0, c1, text))
+            lo, at = min(lo, text.first), max(at, text.high)
+        labels = []
+        for ci, (codes, table, length) in self.labels.items():
+            cell[:, ci] = length[codes[r0:r1]]
+            # only as wide as this chunk's longest text
+            text_width = int(cell[:, ci].max())
+            labels.append((ci, table[codes[r0:r1], :text_width]))
+            at = max(at, PLAIN + text_width)
+        width = -(-(at + longest - lo) // 4) * 4
+        canvas = self.buffer[:size * width].reshape(r1 - r0, n_cols, width)
+        row = np.full((n_cols, width), FILL, np.uint8)
+        row[:, at - lo:at - lo + longest] = self.seps
+        canvas[:] = row
+        for c0, c1, text in texts:
+            text.write(canvas[:, c0:c1], lo)
+        del texts
+        for ci, cells in labels:
+            canvas[:, ci, PLAIN - lo:PLAIN - lo + cells.shape[1]] = cells
+        del labels
+        flat = canvas.reshape(-1)
+        cell += self.sep_len
+        return flat[flat != FILL], cell

@@ -279,6 +279,25 @@ def test_emi_buzz_amplitude_past_the_float_range_is_io_error(tmp_path, capsys,
     assert not out.exists()
 
 
+# a decay from 1e153 at 10 m to 1 at 20 m fits an amplitude at 1 m of
+# exp(1522): math.exp once overflowed into exit 4 with a traceback
+@pytest.mark.parametrize("action", ("default", "error"))
+def test_emi_buzz_fitted_amplitude_past_the_float_range_is_io_error(
+        tmp_path, capsys, action):
+    spec = _write_buzz_passes(tmp_path, [(10.0, 1e153), (20.0, 1.0),
+                                         (40.0, 0.0)], "tmi_nT")
+    out = tmp_path / "buzz.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        code, _, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
+                               "--out", out)
+    assert code == EXIT_IO
+    assert "error: the fitted amplitude at 1 m, exp(1522." in err
+    assert "is past the float64 range" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_emi_buzz_fit_with_exponent_near_zero_never_reaches_floor(
         tmp_path, capsys):
     # one trace at three separations: the fitted decay is flat, so
@@ -966,6 +985,25 @@ def test_grid_compare_span_past_float64_range_exits_2(tmp_path, capsys,
     assert "error: grid values span [-1e+308, 1e+308], a range wider " \
         "than the float64 range" in err
     assert "Traceback" not in err and not out.exists()
+
+
+# that refusal once named neither grid of the two
+@pytest.mark.parametrize("flag", ("--a", "--b"))
+def test_grid_compare_span_past_float64_range_names_the_grid(tmp_path, capsys,
+                                                             flag):
+    head = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n" \
+        "NODATA_value -9999\n"
+    ok, big = tmp_path / "ok.asc", tmp_path / "big.asc"
+    ok.write_text(head + "5 0 1\n-1 2 3\n")
+    big.write_text(head + "1e308 0 1\n-1e308 2 3\n")
+    grids = {"--a": ok, "--b": ok, flag: big}
+    out = tmp_path / "cmp.json"
+    code, _, err = run_cli(capsys, "grid", "compare", *(
+        a for kv in grids.items() for a in kv), "--out", out)
+    assert code == EXIT_IO
+    assert err == "error: grid values span [-1e+308, 1e+308], a range " \
+        f"wider than the float64 range: {flag} {big}\n"
+    assert not out.exists()
 
 
 # --- bad gates, parameters and input files: nan, inf, out of range exit 2 ---

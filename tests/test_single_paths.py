@@ -2,11 +2,13 @@
 
 Every CSV the package reads goes through io_csv (one row splitter, one
 column parser, one call of numpy's C parser, and no other module
-composing them), every JSON file through io_csv._read_json, and every
-JSON artifact through io_csv._json_text, and every scalar range message
-through core.check_range. These tests fail when a module grows its own
-csv reader, its own json.load(s), its own indented json.dumps or its own
-range check, so the paths cannot quietly split again. Arrays are frozen
+composing them), every JSON file through io_csv._read_json, every JSON
+artifact through io_csv._json_text, which refuses NaN and Infinity, and
+every scalar range message through core.check_range. These tests fail
+when a module grows its own csv reader, its own json.load(s), its own
+indented json.dumps or its own range check, so the paths cannot quietly
+split again. The table writer's byte canvas lives in numtext alone,
+behind numtext.Layout, the one name io_csv takes from it. Arrays are frozen
 only by core._readonly (and numtext's shared tables), the payload EMI
 level is worked out only by SimConfig.emi_amplitude, the size of the
 diurnal correction only by qc._correction_stats (for the pipeline and the
@@ -37,8 +39,11 @@ from __future__ import annotations
 
 import ast
 import inspect
+import math
 import re
 from pathlib import Path
+
+import pytest
 
 import aerosurvey
 from aerosurvey import (
@@ -138,6 +143,17 @@ def test_indented_json_dump_only_in_its_writer():
     assert _where(indented_dump) == {("io_csv.py", "_json_text")}
 
 
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_json_writer_refuses_nan_and_infinity(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="^Out of range float values"):
+        io_csv._json_text({"k": [value]})
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Out of "
+                       "range float values"):
+        io_csv._write_json(path, {"k": [value]})
+    assert not path.exists()
+
+
 def _raises_text(node, text: str) -> bool:
     """A raise with a string literal (or f-string part) holding `text`."""
     return isinstance(node, ast.Raise) and any(
@@ -165,6 +181,32 @@ def test_arrays_are_frozen_only_by_readonly():
 
     assert _where(freeze) == {("core.py", "_readonly"),
                               ("numtext.py", "_tables")}
+
+
+# the byte canvas of the table writer: its filler byte, its layout columns,
+# its slot size and its texts table
+_CANVAS = {"FILL", "PLAIN", "TEXT_END", "_SLOT", "_text_table"}
+
+
+def test_table_canvas_stays_in_numtext():
+    def canvas(node) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in _CANVAS
+        if isinstance(node, ast.Attribute):
+            return node.attr in _CANVAS
+        return isinstance(node, ast.ImportFrom) and any(
+            a.name in _CANVAS for a in node.names)
+
+    def compaction(node) -> bool:       # `!= FILL`: the bytes that are text
+        return isinstance(node, ast.Compare) and any(
+            isinstance(op, ast.NotEq) and canvas(c)
+            for op, c in zip(node.ops, node.comparators))
+
+    assert {file for file, _ in _where(canvas)} == {"numtext.py"}
+    assert _where(compaction) == {("numtext.py", "rows")}
+    tree = ast.parse((SRC / "io_csv.py").read_text(encoding="utf-8"))
+    assert [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+            and n.module == "numtext" for a in n.names] == ["Layout"]
 
 
 def test_emi_level_is_read_only_by_emi_amplitude():
