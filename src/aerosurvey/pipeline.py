@@ -47,11 +47,9 @@ from .suspension import (
     SimConfig,
     SuspensionGeometry,
     _Flight,
-    _on_line,
     _write_attitude,
     default_plan,
-    line_rows,
-    split_lines,
+    line_series,
 )
 
 REPORT_SCHEMA_VERSION = "1"
@@ -182,7 +180,7 @@ def write_survey_artifacts(flight: _Flight, out_dir: str | Path) -> dict:
     paths = {"attitude.csv": out / "attitude.csv"}
     _write_attitude(paths["attitude.csv"], flight.blocks())
     lines = []
-    for lid, role, rows in line_rows(flight.segment_at_sensor, flight.plan):
+    for lid, role, rows in flight.lines:
         name = f"{'flights' if role is LineRole.FLIGHT else 'ties'}/{lid}.csv"
         lines.append((out / name, 0, rows))
         paths[name] = out / name
@@ -221,18 +219,18 @@ def _simulate_stage(plan: FlightPlan, geometry: SuspensionGeometry,
 
     Returns the stage's StageResult and the four things later stages read:
     the magnetometer and base traces, the radiometric record and the
-    sensor samples' segment labels. The survey is written as it is flown,
-    so its attitude track never exists whole; the VLF stream dies when
-    this returns.
+    flight's lines, known before it flies. The survey is written as it is
+    flown, so its attitude track never exists whole; the VLF stream dies
+    when this returns.
     """
     sim = _Flight(plan, geometry, sim_cfg)
-    paths = write_survey_artifacts(sim, out)
-    max_roll, max_pitch = map(float, np.max(sim.straight_peaks, axis=0))
-    # robust out-of-phase amplitude on the (first) longest line
-    lines = line_rows(sim.segment_at_sensor, plan)
+    lines = sim.lines
     if not lines:
         raise ValueError("the flight has no survey line with 2 or more "
                          "sensor samples")
+    paths = write_survey_artifacts(sim, out)
+    max_roll, max_pitch = map(float, np.max(sim.straight_peaks, axis=0))
+    # robust out-of-phase amplitude on the (first) longest line
     _, _, rows = max(lines, key=lambda line: len(line[2]))
     vlf = sim.vlf_full
     out_amp = noise_amplitude(TimeSeries(
@@ -249,7 +247,7 @@ def _simulate_stage(plan: FlightPlan, geometry: SuspensionGeometry,
         "max_straight_pitch_deg": max_pitch,
         "straight_outphase_amplitude_pct": out_amp,
     }, tuple(sorted(paths)))
-    return result, sim.mag_full, sim.base, sim.rad_full, sim.segment_at_sensor
+    return result, sim.mag_full, sim.base, sim.rad_full, lines
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
@@ -283,7 +281,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
     stage = "simulate"
     try:
-        result, mag, base, rad, segment = _simulate_stage(
+        result, mag, base, rad, flown = _simulate_stage(
             plan, geometry, sim_cfg, out)
         stages.append(result)
 
@@ -306,8 +304,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
         stage = "qc_tie"
         # TMI is tied on the corrected trace, K and U on the rad record
-        lines = split_lines(corrected if cfg.tie_field == "TMI" else rad,
-                            segment, plan)
+        lines = line_series(corrected if cfg.tie_field == "TMI" else rad,
+                             flown)
         records, tie = crossover_analysis(
             [l for l in lines if l.role is LineRole.FLIGHT],
             [l for l in lines if l.role is LineRole.TIE],
@@ -330,7 +328,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         }, ("denoised.csv",)))
 
         stage = "grid_make"
-        online = _on_line(segment)
+        online = np.concatenate([rows for _, _, rows in flown])
         x = corrected.column("easting_m")[online]
         y = corrected.column("northing_m")[online]
         v = corrected.column("tmi_nT")[online]

@@ -503,7 +503,7 @@ class AttitudeTrack:
 
     def straight_mask(self) -> np.ndarray:
         """True on survey/tie lines (settled flight), False on turns etc."""
-        return _on_line(self.segment)
+        return ~_labelled(self.segment, _OFF_LINE)
 
 
 _OFF_LINE = frozenset(("turn", "transit"))
@@ -514,11 +514,6 @@ def _labelled(segment, labels: frozenset) -> np.ndarray:
     """True where a path segment label is one of `labels`."""
     return np.fromiter(map(labels.__contains__, segment), bool,
                        count=len(segment))
-
-
-def _on_line(segment) -> np.ndarray:
-    """True where a path segment label names a survey or tie line."""
-    return ~_labelled(segment, _OFF_LINE)
 
 
 ATTITUDE_COLUMNS = ("t_s", "roll_deg", "pitch_deg", "heading_deg",
@@ -673,21 +668,18 @@ def _refuse_steps(steps: float, fields: str) -> None:
                          f"than _MAX_SIM_STEPS ({_MAX_SIM_STEPS})")
 
 
-def _block_starts(segs, n: int, v: float, dt: float) -> list[int]:
-    """The first step of each block of `segs`, as _sample_path places
+def _segment_starts(segs, n: int, v: float, dt: float) -> list[int]:
+    """The first step of each segment of `segs`, as _segment_spans places
     step i at path offset v * (i * dt), clipped into the path: the first
-    whose offset reaches the block's first segment."""
+    whose offset reaches the segment's start (n when none does)."""
     lengths = np.array([sg.length for sg, _, _ in segs])
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
     top = cum[-1] - 1e-9
-    first: dict[int, int] = {}
-    for j, (_, _, blk) in enumerate(segs):
-        first.setdefault(blk, j)
 
     def offset(i: int) -> float:
         return min(max(v * (i * dt), 0.0), top)
 
-    return [bisect_left(range(n), cum[j], key=offset) for j in first.values()]
+    return [bisect_left(range(n), c, key=offset) for c in cum[:-1].tolist()]
 
 
 # the sensor records' columns after t_s: io_csv's schemas, in their order
@@ -706,11 +698,12 @@ class _Flight:
     into the first tie line grows with the survey's width. blocks() yields
     each chunk's AttitudeTrack at sim_rate_hz and fills its rows of the
     sensor records at sensor_rate_hz, allocated here, for the step count
-    is known before flying. Once blocks() is exhausted, mag_full,
-    vlf_full, rad_full, base and segment_at_sensor hold the sensor
-    streams, as a SimResult's do, adopting the records uncopied, and
-    straight_peaks the largest |roll| and |pitch| on the survey and tie
-    lines, one row per chunk that has samples there.
+    is known before flying. So are the `lines`, as line_rows gives them:
+    the sensor rows of the steps on each plan leg's segment. Once
+    blocks() is exhausted, mag_full, vlf_full, rad_full and base hold the
+    sensor streams, as a SimResult's do, adopting the records uncopied,
+    and straight_peaks the largest |roll| and |pitch| on the survey and
+    tie lines, one row per chunk that has samples there.
 
     Each value is the one a single pass over all steps gives, bit for
     bit: each step's path sample, wobble and sensor value is worked out
@@ -727,16 +720,27 @@ class _Flight:
         plan = self.plan = plan or default_plan(cfg)
         geometry = self.geometry = geometry or SuspensionGeometry()
         dt = 1.0 / cfg.sim_rate_hz
+        # the sensor samples are steps 0, step, 2 step, ...
+        step = self._step = int(round(cfg.sim_rate_hz / cfg.sensor_rate_hz))
         if cfg.speed == 0.0:
             n = int(round(cfg.hover_duration_s * cfg.sim_rate_hz)) + 1
             _refuse_steps(n, "hover_duration_s x sim_rate_hz")
-            self._segs, starts = None, [0]
+            self._segs, starts, self.lines = None, [0], ()
         else:
             segs = self._segs = _build_path(plan, cfg)
             duration = sum(sg.length for sg, _, _ in segs) / cfg.speed
             _refuse_steps(duration * cfg.sim_rate_hz, "path / speed x sim_rate_hz")
             n = int(math.floor(duration * cfg.sim_rate_hz)) + 1
-            starts = _block_starts(segs, n, cfg.speed, dt)
+            first = _segment_starts(segs, n, cfg.speed, dt)
+            roles = {lid: role for lid, role, _, _ in plan.legs()}
+            starts, lines = [], []
+            for (_, label, blk), lo, hi in zip(segs, first, first[1:] + [n]):
+                if blk == len(starts):   # the block's first segment
+                    starts.append(lo)
+                k0, k1 = -(-lo // step), -(-hi // step)
+                if label in roles and k1 - k0 >= 2:
+                    lines.append((label, roles[label], np.arange(k0, k1)))
+            self.lines = tuple(lines)
         self.n_steps = n
         self._spans = list(zip(starts, starts[1:] + [n]))
         rng0 = np.random.default_rng((cfg.seed, 0))
@@ -751,14 +755,11 @@ class _Flight:
         if not (geometry.intermediate_platform or cfg.yaw_lag_s == 0.0):
             self._lag = min(n, max(1, int(round(cfg.yaw_lag_s
                                                 * cfg.sim_rate_hz))))
-        # the sensor samples are steps 0, step, 2 step, ...
-        self._step = int(round(cfg.sim_rate_hz / cfg.sensor_rate_hz))
-        ns = len(range(0, n, self._step))
+        ns = len(range(0, n, step))
         self._ts = np.empty(ns)
         self._mag = np.empty((ns, len(_MAG_FIELDS)))
         self._vlf = np.empty((ns, len(_VLF_FIELDS)))
         self._rad = np.empty((ns, len(_RAD_FIELDS) + cfg.n_channels))
-        self._labels: list[str] = []
         self._peaks: list[tuple[float, float]] = []
 
     def blocks(self):
@@ -886,7 +887,6 @@ class _Flight:
         k1 = k0 + len(ts)
         se, sn = track.easting_m[rows], track.northing_m[rows]
         swing = track.swing_deg[rows]
-        self._labels += track.segment[rows]
         # VLF sensor altitude: altitude - length cos(radians(min(swing, 89)))
         vlf_alt = np.minimum(swing, 89.0)
         np.radians(vlf_alt, out=vlf_alt)
@@ -962,10 +962,8 @@ class _Flight:
         bt = np.arange(-1, len(ts) + 1) / cfg.sensor_rate_hz
         self.base = TimeSeries._adopt(
             bt, cfg.base_datum_nt + diurnal_variation(cfg, bt), _BASE_FIELDS)
-        self.segment_at_sensor = tuple(self._labels)
         self.straight_peaks = np.reshape(self._peaks, (-1, 2))
-        del self._ts, self._mag, self._vlf, self._rad, self._labels, \
-            self._peaks
+        del self._ts, self._mag, self._vlf, self._rad, self._peaks
 
 
 def simulate_survey(plan: FlightPlan | None = None,
@@ -979,19 +977,17 @@ def simulate_survey(plan: FlightPlan | None = None,
     as the linear recurrence it is for this ODE (see _Swing), so the swing
     matches a per-step RK4 loop to rounding. The filter is a Python float
     loop, bit-identical to scipy.signal.lfilter's, so the simulator loads
-    no scipy module; at survey_large size it takes about 0.1 s of the
-    simulator's 0.3 s. Sensor streams are decimated to sensor_rate_hz;
-    each line (with its approach and the turn leading into it) draws
-    noise from its own seeded substream, so single lines are reproducible
-    in isolation. speed == 0 is a stationary hover: zero swing forcing,
+    no scipy module. Sensor streams are decimated to sensor_rate_hz; each
+    line (with its approach and the turn leading into it) draws noise from
+    its own seeded substream, so single lines are reproducible in
+    isolation. speed == 0 is a stationary hover: zero swing forcing,
     baseline noise only.
 
     Memory: the survey is flown a chunk of steps at a time (_Flight), each
     chunk's attitude copied into the whole track, allocated up front, and
     its intermediates dropped; the sensor records are filled in place and
-    adopted by the result's series. At survey_large size the traced peak
-    is 31 MiB, of which the returned result holds 28. The pipeline and
-    `sim survey` fly into the artifacts instead and never hold the track.
+    adopted by the result's series. The pipeline and `sim survey` fly into
+    the artifacts instead and never hold the track.
     """
     flight = _Flight(plan, geometry, cfg)
     track = np.empty((7, flight.n_steps))
@@ -1007,7 +1003,7 @@ def simulate_survey(plan: FlightPlan | None = None,
     return SimResult(AttitudeTrack(*track, tuple(segment), cfg.speed),
                      flight.mag_full, flight.vlf_full, flight.rad_full,
                      flight.base, flight.plan, flight.geometry, cfg,
-                     flight.segment_at_sensor)
+                     tuple(segment[::flight._step]))
 
 
 def line_rows(labels, plan: FlightPlan
@@ -1034,13 +1030,17 @@ def line_rows(labels, plan: FlightPlan
 
 def split_lines(series: TimeSeries, labels, plan: FlightPlan
                 ) -> tuple[SurveyLine, ...]:
-    """One SurveyLine per line of line_rows(labels, plan), each holding a
-    copy of its rows of `series`: SimResult stores only the full traces,
-    and callers split them where they need lines.
-    """
+    """The lines of line_rows(labels, plan), as line_series cuts them:
+    SimResult stores only the full traces, and callers split them."""
+    return line_series(series, line_rows(labels, plan))
+
+
+def line_series(series: TimeSeries, lines) -> tuple[SurveyLine, ...]:
+    """One SurveyLine per (line id, role, rows) of `lines`, each holding a
+    copy of its rows of `series`."""
     return tuple(SurveyLine(lid, role, TimeSeries(
         series.t[rows], series.values[rows], series.fields))
-        for lid, role, rows in line_rows(labels, plan))
+        for lid, role, rows in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -1297,6 +1297,26 @@ def test_pipeline_hover_says_it_has_no_survey_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_pipeline_hover_is_refused_before_any_survey_artifact(tmp_path,
+                                                              capsys):
+    # the flight's lines are known before it flies, so a run with none
+    # leaves its partial report alone
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"speed": 0}))
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"sim_path": str(sim)}))
+    run = tmp_path / "run"
+    code, _, err = run_cli(capsys, "pipeline", "--config", config,
+                           "--out-dir", run)
+    assert code == EXIT_IO
+    assert "the flight has no survey line with 2 or more sensor samples" in err
+    assert [p.name for p in run.iterdir()] == ["report.json"]
+    partial = json.loads((run / "report.json").read_text())
+    assert partial["stages"] == []
+    assert partial["failed_stage"] == "simulate"
+    assert partial["pass"] is False
+
+
 # --- version and exit codes ---
 
 @pytest.mark.parametrize("content", ({"tie_tolerance": 1.0, "no_such_key": 1},

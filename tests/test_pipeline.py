@@ -21,7 +21,9 @@ from aerosurvey.suspension import (
     FlightPlan,
     SimConfig,
     SuspensionGeometry,
+    _Flight,
     default_plan,
+    simulate_survey,
 )
 
 STAGE_ORDER = ("simulate", "qc_d4", "qc_diurnal", "qc_tie", "qc_nasvd",
@@ -244,6 +246,33 @@ def test_any_exception_in_a_stage_carries_partial_report(tmp_path,
     assert isinstance(err.cause, IndexError)
     done = tuple(s.name for s in err.partial_report.stages)
     assert done == STAGE_ORDER[:5]
+
+
+def test_grid_takes_the_rows_of_the_flights_lines(tmp_path, monkeypatch):
+    # T4 of this plan has exactly 1 sensor sample: it is no line, so it is
+    # neither tied nor gridded
+    plan = FlightPlan(n_lines=3, line_length_m=200.0, spacing_m=2.0,
+                      tie_lines=4)
+    sim = SimConfig(sensor_rate_hz=2.0, lead_in_m=0.0, lead_out_m=0.0)
+    assert simulate_survey(plan, None, sim).segment_at_sensor.count("T4") == 1
+    lines = _Flight(plan, None, sim).lines
+    assert "T4" not in [lid for lid, _, _ in lines]
+    paths = []
+    for name, obj in (("plan", plan), ("sim", sim)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(obj.to_dict()))
+    gridded = []
+
+    def counting_grid(x, *args, **kwargs):
+        gridded.append(len(x))
+        return grid_idw(x, *args, **kwargs)
+
+    grid_idw = pipeline.grid_idw
+    monkeypatch.setattr(pipeline, "grid_idw", counting_grid)
+    run_pipeline(PipelineConfig(out_dir=tmp_path / "out",
+                                plan_path=str(paths[0]),
+                                sim_path=str(paths[1])))
+    assert gridded == [sum(len(rows) for _, _, rows in lines)] * 2
 
 
 @pytest.mark.parametrize("field, column", (("K", "k_pct"), ("U", "u_ppm")))

@@ -32,7 +32,10 @@ io_csv's schemas, naming none of their own. No flow reads a payload pose,
 a PGM file or an attitude track, so the package defines none of them,
 and no option that only tests set survives: the float readers read
 floats, ingest_csv always drops a late timestamp, grid_idw takes its
-extent from the samples and write_survey_artifacts flies a _Flight.
+extent from the samples and write_survey_artifacts flies a _Flight. The
+pipeline learns which sensor samples lie on which line from _Flight.lines
+alone, worked out from the path before the flight, and the flight keeps
+no per-sample segment labels.
 """
 
 from __future__ import annotations
@@ -376,3 +379,32 @@ def test_simulator_streams_take_io_csv_schemas():
                          (flight.base, SchemaKind.BASE)):
         assert series.fields == _REQUIRED[kind][1:]
     assert flight.rad_full.fields[:5] == _REQUIRED[SchemaKind.RAD][1:]
+
+
+def test_pipeline_lines_come_from_the_flight_path():
+    pipe = ast.parse((SRC / "pipeline.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(pipe):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            named |= {alias.name for alias in node.names}
+    assert named & {"line_rows", "split_lines", "_on_line",
+                    "segment_at_sensor"} == set()
+    flight = next(node for node in ast.walk(ast.parse(
+        (SRC / "suspension.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name == "_Flight")
+    assigned = set()
+    for node in ast.walk(flight):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        assigned |= {t.attr for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Attribute)}
+    assert "lines" in assigned
+    assert assigned & {"_labels", "segment_at_sensor"} == set()

@@ -30,8 +30,7 @@ from aerosurvey.suspension import (
     SimConfig,
     _Flight,
     _write_attitude,
-    line_rows,
-    split_lines,
+    line_series,
 )
 
 CHUNK_ROWS = 4096
@@ -384,7 +383,9 @@ def test_survey_parts_are_cells_and_rows_of_their_tables(
         row.split(b",", ch0)[-1] for row in rad]
     # each flights/ or ties/ file: the header and its rows of mag.csv
     mag = (out / "mag.csv").read_bytes().split(b"\r\n")
-    lines = line_rows(sim.segment_at_sensor, sim.plan)
+    # sim.lines is what the writer cut by; test_flight_lines_oracle holds
+    # it to the per-sample label route
+    lines = sim.lines
     assert len(lines) == 5
     for lid, role, rows in lines:
         sub = "flights" if lid.startswith("L") else "ties"
@@ -394,7 +395,7 @@ def test_survey_parts_are_cells_and_rows_of_their_tables(
     write_spectra_csv(tmp_path / "s.csv", sim.rad_full.values[:, ch0 - 1:])
     assert (tmp_path / "s.csv").read_bytes() == \
         (out / "spectra.csv").read_bytes()
-    for line in split_lines(sim.mag_full, sim.segment_at_sensor, sim.plan):
+    for line in line_series(sim.mag_full, lines):
         sub = "flights" if line.line_id.startswith("L") else "ties"
         write_series_csv(tmp_path / "l.csv", line.series)
         assert (tmp_path / "l.csv").read_bytes() == \
