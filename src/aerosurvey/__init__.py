@@ -34,8 +34,7 @@ _EXPORTS = {
            "nasvd_energy_fraction"),
     "suspension": ("AttitudeTrack", "FlightPlan", "SettlingMetrics",
                    "SimConfig", "SimResult", "SuspensionGeometry",
-                   "default_plan", "pendulum_ring_down", "settling_metrics",
-                   "simulate_survey"),
+                   "default_plan", "settling_metrics", "simulate_survey"),
     "pipeline": ("REPORT_SCHEMA_VERSION", "PipelineConfig", "RunReport",
                  "StageResult", "run_pipeline", "write_survey_artifacts"),
     "vibration": ("DampingInput", "IsolatorConfig", "IsolatorKind",

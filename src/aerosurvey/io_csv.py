@@ -376,15 +376,18 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
     time, its head with the first.
 
     The dialect is (",", "\r\n") or (" ", "\n"). Each column is a 1-D
-    float or int (numpy kind "i") array, or a sequence of labels: non-empty
-    str holding no delimiter, '"', "\r" or "\n", which csv writes as they
-    are. Any other column or dialect raises ValueError naming it. The bytes
-    are those a csv.writer with this dialect writes for the same rows,
-    where a float is written as the repr() of its float64 value; the head
-    goes through one. Each (path, first, rows) of `parts` names a further
-    file: the table of rows `rows` (ascending indices, None for all) and
-    columns `first` on of this one, head rows included, as write_table
-    would write it. Its text is cut from this table's, not made again.
+    float or int (numpy kind "i") array, or a label column: the pair
+    (codes, texts) of a 1-D int array and a sequence of labels, row i
+    holding texts[codes[i]]. A label is a non-empty str holding no
+    delimiter, '"', "\r" or "\n", which csv writes as it is. Any other
+    column or dialect, or a code outside texts, raises ValueError naming
+    it. The bytes are those a csv.writer with this dialect writes for the
+    same rows, where a float is written as the repr() of its float64
+    value; the head goes through one. Each (path, first, rows) of `parts`
+    names a further file: the table of rows `rows` (ascending indices,
+    None for all) and columns `first` on of this one, head rows included,
+    as write_table would write it. Its text is cut from this table's, not
+    made again.
 
     numtext.Layout makes the body's bytes a chunk of about _CHUNK_CELLS
     cells at a time, with the cell byte counts that cut a part's rows.
@@ -396,14 +399,13 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
         raise ValueError(f"write_table writes the dialects {_DIALECTS}, "
                          f"not {(delimiter, lineterminator)!r}")
     n_cols = len(columns)
-    n_rows = len(columns[0]) if n_cols else 0
     # [first, stop) of each run of adjacent float or int columns; a run
     # stacks without rounding
     runs: list[list[int]] = []
     labels = {}
     run_kind = None
     for ci, col in enumerate(columns):
-        if not isinstance(col, np.ndarray) or col.dtype == object:
+        if isinstance(col, tuple):
             labels[ci] = _labels(col, ci, delimiter)
             kind = None
         elif (kind := col.dtype.kind) in "fi":
@@ -414,6 +416,7 @@ def write_table(path: str | Path, head, columns, delimiter: str = ",",
             raise ValueError(f"column {ci}: write_table writes float or int "
                              f"arrays, not {col.dtype}")
         run_kind = kind
+    n_rows = len(labels[0][0] if 0 in labels else columns[0]) if n_cols else 0
     seps = [delimiter] * (n_cols - 1) + [lineterminator] if n_cols else []
     layout = Layout(runs, labels, seps)
     rows = layout.chunk_rows(_CHUNK_CELLS)
@@ -457,22 +460,23 @@ def _cut(body: np.ndarray, begin: np.ndarray, stop: np.ndarray) -> np.ndarray:
 
 
 def _labels(column, ci: int, delimiter: str) -> tuple[np.ndarray, list[bytes]]:
-    """(codes, texts): texts[codes[i]] is the UTF-8 text of label i, the
-    distinct labels in first-seen order; a cell that is not a label
-    write_table writes raises ValueError naming column `ci`."""
-    code: dict = {}
-    try:
-        codes = np.fromiter((code.setdefault(v, len(code)) for v in column),
-                            np.intp, len(column))
-    except TypeError:                   # an unhashable cell
-        raise ValueError(f"column {ci} holds a cell that is not a label"
-                         ) from None
+    """The label column (codes, texts) as numtext.Layout takes it, each
+    text UTF-8; one write_table does not write raises ValueError naming
+    column `ci`."""
+    codes, texts = column if len(column) == 2 else (None, ())
+    if not (isinstance(codes, np.ndarray) and codes.ndim == 1
+            and codes.dtype.kind == "i"):
+        raise ValueError(f"column {ci}: a label column is a (codes, texts) "
+                         "pair of a 1-D int array and the labels")
     quoted = frozenset(delimiter + '"\r\n')     # csv quotes a label holding one
-    for label in code:
+    for label in texts:
         if not (isinstance(label, str) and label and quoted.isdisjoint(label)):
             raise ValueError(f"column {ci}: {label!r} is not a label "
                              "write_table writes")
-    return codes, [label.encode() for label in code]
+    if len(codes) and not 0 <= codes.min() <= codes.max() < len(texts):
+        raise ValueError(f"column {ci}: a code is outside the {len(texts)} "
+                         "texts")
+    return codes, [label.encode() for label in texts]
 
 
 def write_series_csv(path: str | Path, series: TimeSeries, parts=()) -> None:

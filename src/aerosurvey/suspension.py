@@ -358,19 +358,6 @@ def _iir2(u: memoryview, a1: float, a2: float, zi) -> tuple[np.ndarray, tuple]:
     return out, (z, w)
 
 
-def pendulum_ring_down(theta0_deg: float, damping_ratio: float,
-                       cable_length: float, duration_s: float,
-                       rate_hz: float = 100.0) -> TimeSeries:
-    """Free decay from an initial swing angle; scalar series in degrees."""
-    n = int(round(duration_s * rate_hz)) + 1
-    omega = math.sqrt(G / cable_length)
-    swing = _Swing(1.0 / rate_hz, omega, damping_ratio, cable_length,
-                   theta0=math.radians(theta0_deg))
-    th = swing.feed(np.zeros(n), np.zeros(n - 1))[:, 0]
-    t = np.arange(n) / rate_hz
-    return TimeSeries(t, np.degrees(th), ("swing_deg",))
-
-
 # ---------------------------------------------------------------------------
 # simulator configuration
 
@@ -495,25 +482,14 @@ class AttitudeTrack:
     swing_deg: np.ndarray
     easting_m: np.ndarray
     northing_m: np.ndarray
-    segment: tuple[str, ...]
+    # each step's path segment label: one str a step in simulate_survey's
+    # track, and in a _Flight chunk's the pair (codes, texts) write_table
+    # takes, texts[codes[i]] being step i's
+    segment: tuple
     speed_mps: float | None = None
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def straight_mask(self) -> np.ndarray:
-        """True on survey/tie lines (settled flight), False on turns etc."""
-        return ~_labelled(self.segment, _OFF_LINE)
-
-
-_OFF_LINE = frozenset(("turn", "transit"))
-_TURN = frozenset(("turn",))
-
-
-def _labelled(segment, labels: frozenset) -> np.ndarray:
-    """True where a path segment label is one of `labels`."""
-    return np.fromiter(map(labels.__contains__, segment), bool,
-                       count=len(segment))
 
 
 ATTITUDE_COLUMNS = ("t_s", "roll_deg", "pitch_deg", "heading_deg",
@@ -521,7 +497,7 @@ ATTITUDE_COLUMNS = ("t_s", "roll_deg", "pitch_deg", "heading_deg",
 
 
 def _attitude_columns(track: AttitudeTrack) -> list:
-    """The columns of ATTITUDE_COLUMNS, seven float arrays and the labels."""
+    """The columns of ATTITUDE_COLUMNS: seven float arrays and the segment."""
     numeric = (track.t, track.roll_deg, track.pitch_deg, track.heading_deg,
                track.swing_deg, track.easting_m, track.northing_m)
     return [np.asarray(c, dtype=float) for c in numeric] + [track.segment]
@@ -548,9 +524,9 @@ class SimResult:
 
     Full traces run gate to gate (turns included), each sample stored
     once. `segment_at_sensor` labels the sensor samples with their path
-    segment; split_lines(full, result.segment_at_sensor, result.plan)
-    gives the on-line samples of a trace, one SurveyLine per flight or
-    tie line.
+    segment; line_series(full, line_rows(result.segment_at_sensor,
+    result.plan)) gives the on-line samples of a trace, one SurveyLine
+    per flight or tie line.
     """
 
     attitude: AttitudeTrack
@@ -621,17 +597,14 @@ def _segment_spans(segs, s: np.ndarray):
 
 
 def _sample_path(segs, s: np.ndarray, v: float):
-    """Evaluate position/course/accel/label at path offsets `s`."""
+    """Evaluate position/course/accel at path offsets `s`."""
     n = len(s)
     pos = np.empty((n, 2))
     course = np.empty(n)
     acc = np.empty((n, 2))
-    labels = np.empty(n, dtype=object)
     for i, lo, hi, offsets in _segment_spans(segs, s):
-        sg, lab, _ = segs[i]
-        pos[lo:hi], course[lo:hi], acc[lo:hi] = sg.sample(offsets, v)
-        labels[lo:hi] = lab
-    return pos, course, acc, labels
+        pos[lo:hi], course[lo:hi], acc[lo:hi] = segs[i][0].sample(offsets, v)
+    return pos, course, acc
 
 
 def _path_acceleration(segs, s: np.ndarray, v: float) -> np.ndarray:
@@ -698,12 +671,15 @@ class _Flight:
     into the first tie line grows with the survey's width. blocks() yields
     each chunk's AttitudeTrack at sim_rate_hz and fills its rows of the
     sensor records at sensor_rate_hz, allocated here, for the step count
-    is known before flying. So are the `lines`, as line_rows gives them:
-    the sensor rows of the steps on each plan leg's segment. Once
-    blocks() is exhausted, mag_full, vlf_full, rad_full and base hold the
-    sensor streams, as a SimResult's do, adopting the records uncopied,
-    and straight_peaks the largest |roll| and |pitch| on the survey and
-    tie lines, one row per chunk that has samples there.
+    is known before flying. So is each path segment's step span, and from
+    it the `lines`, as line_rows gives them: the sensor rows of the steps
+    on each plan leg's segment. A chunk's segment is coded: the indices
+    of its steps' path segments, filled a span at a time, and `texts`,
+    each path segment's label. Once blocks() is exhausted, mag_full,
+    vlf_full, rad_full and base hold the sensor streams, as a SimResult's
+    do, adopting the records uncopied, and straight_peaks the largest
+    |roll| and |pitch| on the survey and tie lines' segments, one row per
+    chunk that has steps there (none for a hover).
 
     Each value is the one a single pass over all steps gives, bit for
     bit: each step's path sample, wobble and sensor value is worked out
@@ -725,24 +701,31 @@ class _Flight:
         if cfg.speed == 0.0:
             n = int(round(cfg.hover_duration_s * cfg.sim_rate_hz)) + 1
             _refuse_steps(n, "hover_duration_s x sim_rate_hz")
-            self._segs, starts, self.lines = None, [0], ()
+            self._segs, self.texts, self.lines = None, ("hover",), ()
+            first, starts, legs = [0], [0], [(0, 0)]
         else:
             segs = self._segs = _build_path(plan, cfg)
             duration = sum(sg.length for sg, _, _ in segs) / cfg.speed
             _refuse_steps(duration * cfg.sim_rate_hz, "path / speed x sim_rate_hz")
             n = int(math.floor(duration * cfg.sim_rate_hz)) + 1
             first = _segment_starts(segs, n, cfg.speed, dt)
+            self.texts = tuple(label for _, label, _ in segs)
             roles = {lid: role for lid, role, _, _ in plan.legs()}
-            starts, lines = [], []
+            # each block's first step, and the step span of its one leg
+            starts, legs, lines = [], [], []
             for (_, label, blk), lo, hi in zip(segs, first, first[1:] + [n]):
                 if blk == len(starts):   # the block's first segment
                     starts.append(lo)
-                k0, k1 = -(-lo // step), -(-hi // step)
-                if label in roles and k1 - k0 >= 2:
-                    lines.append((label, roles[label], np.arange(k0, k1)))
+                if label in roles:
+                    legs.append((lo, hi))
+                    k0, k1 = -(-lo // step), -(-hi // step)
+                    if k1 - k0 >= 2:
+                        lines.append((label, roles[label], np.arange(k0, k1)))
             self.lines = tuple(lines)
         self.n_steps = n
+        self._edges = np.array(first + [n])
         self._spans = list(zip(starts, starts[1:] + [n]))
+        self._legs = legs
         rng0 = np.random.default_rng((cfg.seed, 0))
         self._phases = [rng0.uniform(0.0, 2.0 * math.pi, size=3)
                         for _ in ("roll", "pitch")]
@@ -765,19 +748,20 @@ class _Flight:
     def blocks(self):
         """Fly the survey: yield each chunk's AttitudeTrack in turn."""
         step = self._step
-        for blk, (lo, hi) in enumerate(self._spans):
+        for blk, ((lo, hi), leg) in enumerate(zip(self._spans, self._legs)):
             # the block's sensor rows, and its swing there for its noise
             k0, k1 = -(-lo // step), -(-hi // step)
             swing = np.empty(k1 - k0)
             for c0 in range(lo, hi, _CHUNK_STEPS):
-                track = self._fly(c0, min(c0 + _CHUNK_STEPS, hi))
+                c1 = min(c0 + _CHUNK_STEPS, hi)
+                track = self._fly(c0, c1)
                 at, sw = self._decimate(track, c0)
                 swing[at - k0:at - k0 + len(sw)] = sw
-                straight = track.straight_mask()
-                if straight.any():
-                    self._peaks.append(
-                        (np.max(np.abs(track.roll_deg[straight])),
-                         np.max(np.abs(track.pitch_deg[straight]))))
+                # the chunk's steps on the block's leg
+                on = slice(max(leg[0], c0) - c0, min(leg[1], c1) - c0)
+                if on.start < on.stop:
+                    self._peaks.append((np.max(np.abs(track.roll_deg[on])),
+                                        np.max(np.abs(track.pitch_deg[on]))))
                 yield track
                 del track   # gone before the next chunk is flown
             if k1 > k0:
@@ -789,7 +773,7 @@ class _Flight:
         cfg, geometry = self.cfg, self.geometry
         length = geometry.cable_length
         t = np.arange(lo, hi) * (1.0 / cfg.sim_rate_hz)
-        pos, course, segment, theta = self._path(t, lo, hi)
+        pos, course, theta = self._path(t, lo, hi)
         th_e, th_n = theta.T
 
         # project swing onto the track frame for recorded roll/pitch:
@@ -852,27 +836,28 @@ class _Flight:
             heading += err
             del err
         np.mod(heading, 360.0, out=heading)
+        # each path segment's index repeated over its steps in [lo, hi)
+        codes = np.repeat(np.arange(len(self.texts)),
+                          np.diff(np.clip(self._edges, lo, hi)))
         return AttitudeTrack(t, roll, pitch, heading, swing, pay_e, pay_n,
-                             segment, cfg.speed)
+                             (codes, self.texts), cfg.speed)
 
     def _path(self, t: np.ndarray, lo: int, hi: int):
-        """UAV position and course, segment labels and swing (rad, one
-        column per horizontal axis) at steps [lo, hi), times `t`."""
+        """UAV position and course and swing (rad, one column per
+        horizontal axis) at steps [lo, hi), times `t`."""
         cfg, plan = self.cfg, self.plan
         n = hi - lo
         if self._segs is None:  # hover: no swing forcing
             pos = np.tile(np.asarray(plan.origin_utm, dtype=float), (n, 1))
             course = np.full(n, math.radians(90.0 - plan.heading_deg))
-            return pos, course, ("hover",) * n, np.zeros((n, 2))
+            return pos, course, np.zeros((n, 2))
         dt = 1.0 / cfg.sim_rate_hz
         # the midpoint before each step, but for step 0
         mid = np.arange(max(lo - 1, 0), hi - 1) * dt
         acc_h = _path_acceleration(self._segs, cfg.speed * (mid + dt / 2.0),
                                    cfg.speed)
-        pos, course, acc, labels = _sample_path(self._segs, cfg.speed * t,
-                                                cfg.speed)
-        return (pos, course, tuple(labels.tolist()),
-                self._swing.feed(acc, acc_h))
+        pos, course, acc = _sample_path(self._segs, cfg.speed * t, cfg.speed)
+        return pos, course, self._swing.feed(acc, acc_h)
 
     def _decimate(self, track: AttitudeTrack, lo: int
                   ) -> tuple[int, np.ndarray]:
@@ -991,14 +976,17 @@ def simulate_survey(plan: FlightPlan | None = None,
     """
     flight = _Flight(plan, geometry, cfg)
     track = np.empty((7, flight.n_steps))
-    segment: list[str] = []
+    codes = np.empty(flight.n_steps, np.intp)
     lo = 0
     for block in flight.blocks():
         hi = lo + len(block)
         for row, column in zip(track, _attitude_columns(block)[:7]):
             row[lo:hi] = column
-        segment += block.segment
+        codes[lo:hi] = block.segment[0]
         lo = hi
+    # the one place a label is made per step
+    segment = np.array(flight.texts, object)[codes]
+    del codes
     cfg = flight.cfg
     return SimResult(AttitudeTrack(*track, tuple(segment), cfg.speed),
                      flight.mag_full, flight.vlf_full, flight.rad_full,
@@ -1026,13 +1014,6 @@ def line_rows(labels, plan: FlightPlan
         if len(rows) >= 2:
             out.append((lid, role, rows))
     return tuple(out)
-
-
-def split_lines(series: TimeSeries, labels, plan: FlightPlan
-                ) -> tuple[SurveyLine, ...]:
-    """The lines of line_rows(labels, plan), as line_series cuts them:
-    SimResult stores only the full traces, and callers split them."""
-    return line_series(series, line_rows(labels, plan))
 
 
 def line_series(series: TimeSeries, lines) -> tuple[SurveyLine, ...]:
@@ -1071,8 +1052,9 @@ def settling_metrics(track: AttitudeTrack,
     check_range("threshold_deg", threshold_deg, 0, above=True)
     nt = len(track)
     # the turn runs are [edges[0], edges[1]), [edges[2], edges[3]), ...
-    edges = np.flatnonzero(np.diff(_labelled(track.segment, _TURN),
-                                   prepend=False, append=False)).tolist()
+    turn = np.asarray(track.segment, str) == "turn"
+    edges = np.flatnonzero(np.diff(turn, prepend=False,
+                                   append=False)).tolist()
     # the last sample at or before each index whose swing breaks the threshold
     bad = np.abs(track.swing_deg) >= threshold_deg
     last_bad = np.maximum.accumulate(np.where(bad, np.arange(nt), -1))

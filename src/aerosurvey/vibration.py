@@ -190,9 +190,17 @@ def _side_mins(heights: list, valleys: list) -> list:
 
 
 def damping_effectiveness(inp: DampingInput) -> float:
-    """Figure of merit: intensity * damping_ratio * stiffness / (mass * count * f^2)."""
-    return (inp.intensity * inp.damping_ratio * inp.stiffness
-            / (inp.mass * inp.count * inp.frequency ** 2))
+    """Figure of merit: intensity * damping_ratio * stiffness / (mass * count * f^2).
+
+    A denominator past the float64 range raises ValueError naming the
+    mass and the frequency; f ** 2 would raise OverflowError first.
+    """
+    f = inp.frequency
+    den = inp.mass * inp.count * (f * f)
+    if not math.isfinite(den):
+        raise ValueError(f"mass {inp.mass!r} x count {inp.count!r} x "
+                         f"frequency {f!r}^2 is past the float64 range")
+    return inp.intensity * inp.damping_ratio * inp.stiffness / den
 
 
 def attenuation_db(reduction: float) -> float:

@@ -33,8 +33,9 @@ from aerosurvey.qc import (
 )
 from aerosurvey.suspension import (
     SuspensionGeometry,
+    line_rows,
+    line_series,
     simulate_survey,
-    split_lines,
 )
 from aerosurvey.vibration import (
     DampingInput,
@@ -202,10 +203,12 @@ def test_c09_default_pipeline_meets_attitude_and_noise_gates(pipeline_run):
     res = simulate_survey()
     elapsed += time.perf_counter() - t0
     att = res.attitude
-    straight = att.straight_mask()
+    straight = np.isin(np.asarray(att.segment),
+                       [lid for lid, *_ in res.plan.legs()])
     assert np.all(np.abs(att.roll_deg[straight]) <= 5.0)
     assert np.all(np.abs(att.pitch_deg[straight]) <= 5.0)
-    for line in split_lines(res.vlf_full, res.segment_at_sensor, res.plan):
+    for line in line_series(res.vlf_full,
+                            line_rows(res.segment_at_sensor, res.plan)):
         series = TimeSeries(line.series.t, line.series.column("outphase_pct"),
                             ("outphase_pct",))
         assert noise_amplitude(series) <= 4.0

@@ -202,6 +202,19 @@ def test_vib_rank_candidate_overflow_names_the_candidate(tmp_path, capsys):
     assert "payload_mass" not in err and "Traceback" not in err
 
 
+# mass x count x freq^2 once overflowed in `**` and exited 4 with a traceback
+@pytest.mark.parametrize("freq", (1e160, 1e300))
+def test_vib_rank_overflowing_frequency_is_io_error(tmp_path, capsys, freq):
+    config = tmp_path / "candidates.json"
+    config.write_text(json.dumps([GOOD_CANDIDATE]))
+    code, stdout, err = run_cli(capsys, "vib", "rank", "--config", config,
+                                "--mass", 6.0, "--freq", freq)
+    assert code == EXIT_IO
+    assert (f"error: mass 6.0 x count 4 x frequency {freq!r}^2 is past the "
+            "float64 range" in err)
+    assert stdout == "" and "Traceback" not in err
+
+
 # --- emi ---
 
 def test_emi_buzz_end_to_end(tmp_path, capsys):

@@ -276,8 +276,7 @@ def test_write_table_peak_for_an_attitude_table(tmp_path):
     rng = np.random.default_rng(3)
     n = 266_948
     floats = [np.cumsum(rng.normal(0.0, 1.0, n)) for _ in range(7)]
-    labels = tuple(("turn", "L1", "transit", "T1", "L2")[i % 5]
-                   for i in range(n))
+    labels = (np.arange(n) % 5, ("turn", "L1", "transit", "T1", "L2"))
     assert _peak_mb(write_table, tmp_path / "a.csv", [tuple("abcdefgh")],
                     floats + [labels]) < 8.0  # [634]
 

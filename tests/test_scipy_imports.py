@@ -200,8 +200,10 @@ def test_vib_rank_and_compare_load_no_simulator_pipeline_or_emi(tmp_path):
 # had its own code for it, as an expression whose value is JSON; the fresh
 # process must compute the same value, and load no scipy module
 FIRST_USE = {
-    "lfilter": ("from aerosurvey.suspension import pendulum_ring_down",
-                "pendulum_ring_down(10.0, 0.05, 9.0, 5.0).values.tolist()"),
+    "lfilter": ("import numpy as np\n"
+                "from aerosurvey.suspension import _Swing",
+                "_Swing(0.01, (9.80665 / 9.0) ** 0.5, 0.05, 9.0, 0.2).feed("
+                "np.zeros(501), np.zeros(500)).tolist()"),
     "find_peaks": ("import numpy as np\n"
                    "from aerosurvey.core import TimeSeries\n"
                    "from aerosurvey.vibration import amplitude_spectrum\n"

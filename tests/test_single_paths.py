@@ -35,7 +35,10 @@ floats, ingest_csv always drops a late timestamp, grid_idw takes its
 extent from the samples and write_survey_artifacts flies a _Flight. The
 pipeline learns which sensor samples lie on which line from _Flight.lines
 alone, worked out from the path before the flight, and the flight keeps
-no per-sample segment labels.
+no per-sample segment labels. A flown chunk's segment column is coded
+over the path segments' step spans, a label is spelt out per step by
+simulate_survey alone, and write_table takes a label column in that one
+coded form.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ import ast
 import inspect
 import math
 import re
+import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aerosurvey
@@ -408,3 +413,41 @@ def test_pipeline_lines_come_from_the_flight_path():
                      if isinstance(t, ast.Attribute)}
     assert "lines" in assigned
     assert assigned & {"_labels", "segment_at_sensor"} == set()
+
+
+def test_segments_are_spans_not_per_step_labels(tmp_path):
+    tree = ast.parse((SRC / "suspension.py").read_text(encoding="utf-8"))
+    defined = {n.name for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                for t in n.targets if isinstance(t, ast.Name)}
+    assert defined & {"_labelled", "_OFF_LINE", "_TURN", "straight_mask",
+                      "split_lines", "pendulum_ring_down"} == set()
+    assert "pendulum_ring_down" not in aerosurvey.__all__
+
+    # an object array, a label a cell, is made by simulate_survey alone
+    def object_array(node) -> bool:
+        return isinstance(node, ast.Call) and any(
+            isinstance(a, ast.Name) and a.id == "object"
+            for a in [*node.args, *(k.value for k in node.keywords)])
+
+    assert _where(object_array) == {("suspension.py", "simulate_survey")}
+    # nor does the path build a label tuple, ("hover",) * n or tuple(...)
+    for fn in (suspension._sample_path, suspension._Flight._path):
+        body = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(
+            (isinstance(n, ast.Name) and n.id == "tuple")
+            or (isinstance(n, ast.BinOp) and isinstance(n.left, ast.Tuple))
+            for n in ast.walk(body)), fn.__name__
+
+    # write_table codes no label a cell at a time: a column of labels is
+    # refused, its (codes, texts) pair taken
+    writer = ast.parse((SRC / "io_csv.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "setdefault"
+                   for n in ast.walk(writer))
+    with pytest.raises(ValueError, match="^column 1"):
+        io_csv.write_table(tmp_path / "t", [], [np.zeros(3),
+                                                ("L1", "L1", "T1")])
+    io_csv.write_table(tmp_path / "t", [], [np.zeros(3), (
+        np.array([0, 0, 1]), ("L1", "T1"))])
+    assert (tmp_path / "t").read_bytes() == b"0.0,L1\r\n0.0,L1\r\n0.0,T1\r\n"

@@ -9,7 +9,6 @@ from aerosurvey import (
     FlightPlan,
     SimConfig,
     SuspensionGeometry,
-    pendulum_ring_down,
     settling_metrics,
     simulate_survey,
     suspension,
@@ -20,10 +19,12 @@ from aerosurvey.suspension import (
     G,
     SettlingMetrics,
     _MAX_SIM_STEPS,
+    _Swing,
     _build_path,
     _dubins_csc,
     _sample_path,
-    split_lines,
+    line_rows,
+    line_series,
 )
 from aerosurvey.errors import NeverSettlesError
 
@@ -165,14 +166,12 @@ def _sample_path_masked(segs, s, v):
     idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(segs) - 1)
     n = len(s)
     pos, course, acc = np.empty((n, 2)), np.empty(n), np.empty((n, 2))
-    labels = np.empty(n, dtype=object)
-    for i, (sg, lab, _) in enumerate(segs):
+    for i, (sg, _, _) in enumerate(segs):
         m = idx == i
         if not m.any():
             continue
         pos[m], course[m], acc[m] = sg.sample(s[m] - cum[i], v)
-        labels[m] = lab
-    return pos, course, acc, labels
+    return pos, course, acc
 
 
 @pytest.mark.parametrize("plan", [
@@ -201,23 +200,31 @@ def test_sample_path_matches_mask_reference(plan):
 
 # --- pendulum dynamics ---
 
+def _ring_down(theta0_deg, zeta, length, duration_s, rate_hz=100.0):
+    """(t, swing in degrees): free decay from theta0_deg through _Swing."""
+    n = int(round(duration_s * rate_hz)) + 1
+    swing = _Swing(1.0 / rate_hz, math.sqrt(G / length), zeta, length,
+                   theta0=math.radians(theta0_deg))
+    theta = swing.feed(np.zeros(n), np.zeros(n - 1))[:, 0]
+    return np.arange(n) / rate_hz, np.degrees(theta)
+
+
 def test_ring_down_matches_closed_form():
     theta0, zeta, length = 17.0, 0.45, 9.0
-    series = pendulum_ring_down(theta0, zeta, length, duration_s=20.0)
+    t, swing = _ring_down(theta0, zeta, length, duration_s=20.0)
     omega = math.sqrt(G / length)
     wd = omega * math.sqrt(1.0 - zeta ** 2)
-    t = series.t
     envelope = np.exp(-zeta * omega * t)
     analytic = theta0 * envelope * (np.cos(wd * t)
                                     + zeta * omega / wd * np.sin(wd * t))
-    assert np.max(np.abs(series.values - analytic)) < 1e-6 * theta0
+    assert np.max(np.abs(swing - analytic)) < 1e-6 * theta0
 
 
 def test_ring_down_energy_never_increases():
-    series = pendulum_ring_down(12.0, 0.2, 9.0, duration_s=30.0)
-    th = np.radians(series.values)
+    t, swing = _ring_down(12.0, 0.2, 9.0, duration_s=30.0)
+    th = np.radians(swing)
     omega2 = G / 9.0
-    rate = np.gradient(th, series.t)
+    rate = np.gradient(th, t)
     energy = 0.5 * rate ** 2 + 0.5 * omega2 * th ** 2
     # numerical differentiation is noisy at the ends; check the interior
     e = energy[5:-5]
@@ -226,9 +233,9 @@ def test_ring_down_energy_never_increases():
 
 def test_more_damping_never_settles_slower():
     def settle_time(zeta, thr=0.5):
-        s = pendulum_ring_down(15.0, zeta, 9.0, duration_s=60.0)
-        bad = np.nonzero(np.abs(s.values) >= thr)[0]
-        return s.t[bad[-1]] if len(bad) else 0.0
+        t, swing = _ring_down(15.0, zeta, 9.0, duration_s=60.0)
+        bad = np.nonzero(np.abs(swing) >= thr)[0]
+        return t[bad[-1]] if len(bad) else 0.0
 
     times = [settle_time(z) for z in (0.1, 0.2, 0.4, 0.8)]
     assert all(b <= a + 1e-9 for a, b in zip(times, times[1:]))
@@ -267,7 +274,8 @@ def test_simulate_survey_streams_are_aligned(default_sim):
 
 def test_simulate_survey_line_split(default_sim):
     res = default_sim
-    lines = split_lines(res.mag_full, res.segment_at_sensor, res.plan)
+    lines = line_series(res.mag_full,
+                        line_rows(res.segment_at_sensor, res.plan))
     assert [ln.line_id for ln in lines] == ["L1", "L2", "L3", "L4", "T1"]
     roles = {ln.line_id: ln.role for ln in lines}
     assert roles["T1"] is LineRole.TIE
@@ -278,7 +286,7 @@ def test_simulate_survey_line_split(default_sim):
     assert n_on_line == int(np.isin(labels, [ln.line_id for ln in lines]).sum())
 
 
-def test_split_lines_matches_per_sample_labels(default_sim):
+def test_line_rows_match_per_sample_labels(default_sim):
     res = default_sim
     # sensor sample i is attitude sample i * step, and carries its label
     step = round(res.cfg.sim_rate_hz / res.cfg.sensor_rate_hz)
@@ -288,7 +296,7 @@ def test_split_lines_matches_per_sample_labels(default_sim):
     assert list(res.segment_at_sensor) == labels
     legs = [(lid, role) for lid, role, _, _ in res.plan.legs()]
     for full in (res.mag_full, res.vlf_full, res.rad_full):
-        lines = split_lines(full, res.segment_at_sensor, res.plan)
+        lines = line_series(full, line_rows(res.segment_at_sensor, res.plan))
         assert [(ln.line_id, ln.role) for ln in lines] == legs
         for ln in lines:
             m = np.array([lab == ln.line_id for lab in labels])
@@ -297,7 +305,7 @@ def test_split_lines_matches_per_sample_labels(default_sim):
             assert ln.series.fields == full.fields
     # a leg with fewer than 2 labelled samples yields no line
     one = ("L1",) + ("turn",) * (len(res.mag_full) - 1)
-    assert split_lines(res.mag_full, one, res.plan) == ()
+    assert line_rows(one, res.plan) == ()
 
 
 def test_simulate_survey_platform_locks_heading(default_sim):
@@ -305,9 +313,8 @@ def test_simulate_survey_platform_locks_heading(default_sim):
     assert res.effective_damping_ratio == pytest.approx(0.45)
     # platform fitted: payload heading equals the flown course everywhere,
     # and a north-flown line reads 0 on the compass (wrap before comparing)
-    mask = res.attitude.straight_mask()
     seg = np.asarray(res.attitude.segment)
-    north = res.attitude.heading_deg[(seg == "L1") & mask]
+    north = res.attitude.heading_deg[seg == "L1"]
     wrapped = (north + 180.0) % 360.0 - 180.0
     assert np.abs(wrapped).max() <= 1e-6
 
@@ -330,14 +337,16 @@ def test_simulate_survey_hover():
     res = simulate_survey(cfg=SimConfig(speed=0.0, hover_duration_s=30.0))
     assert set(res.attitude.segment) == {"hover"}
     assert res.attitude.t[-1] == pytest.approx(30.0)
-    assert split_lines(res.mag_full, res.segment_at_sensor, res.plan) == ()
+    assert line_rows(res.segment_at_sensor, res.plan) == ()
     assert np.all(res.attitude.swing_deg == 0.0)
     # hover magnetometer trace is regional + diurnal + noise at one spot
     assert np.ptp(res.mag_full.column("easting_m")) == 0.0
 
 
 def test_simulate_survey_swing_envelope(default_sim):
-    mask = default_sim.attitude.straight_mask()
+    # on the survey and tie lines
+    legs = [lid for lid, *_ in default_sim.plan.legs()]
+    mask = np.isin(np.asarray(default_sim.attitude.segment), legs)
     assert np.abs(default_sim.attitude.roll_deg[mask]).max() <= 5.0
     assert np.abs(default_sim.attitude.pitch_deg[mask]).max() <= 5.0
 

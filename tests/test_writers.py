@@ -83,6 +83,7 @@ def ref_spectra_csv(path, counts):
 
 
 def ref_attitude_csv(track, path):
+    codes, texts = track.segment
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(ATTITUDE_COLUMNS)
@@ -93,7 +94,7 @@ def ref_attitude_csv(track, path):
                         repr(float(track.swing_deg[i])),
                         repr(float(track.easting_m[i])),
                         repr(float(track.northing_m[i])),
-                        track.segment[i]])
+                        texts[codes[i]]])
 
 
 def ref_asc(grid, path):
@@ -163,8 +164,7 @@ def test_spectra_csv_matches_reference(tmp_path, chunked, n):
 def test_attitude_csv_matches_reference(tmp_path, chunked, n):
     chunked(8)
     cols = _awkward(n, 6, seed=2)
-    labels = tuple(("turn", "L1", "transit", "T1", "hover")[i % 5]
-                   for i in range(n))
+    labels = (np.arange(n) % 5, ("turn", "L1", "transit", "T1", "hover"))
     track = AttitudeTrack(np.arange(n) * 0.01, *cols.T, labels, 8.0)
     _same_bytes(tmp_path, lambda p: _write_attitude(p, (track,)),
                 lambda p: ref_attitude_csv(track, p))
@@ -205,8 +205,17 @@ def test_two_column_table_matches_reference(tmp_path, chunked, n):
 
 # --- write_table against csv.writer, one row at a time ---
 
+def _cells(column):
+    """A column's cells: a label column (codes, texts) as its labels."""
+    if isinstance(column, tuple):
+        codes, texts = column
+        return [texts[k] for k in codes]
+    return column
+
+
 def ref_table(path, head, columns, delimiter=",", lineterminator="\r\n"):
     """csv.writer.writerow per row; numpy scalars become Python scalars."""
+    columns = [_cells(c) for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, delimiter=delimiter, lineterminator=lineterminator)
         w.writerows(head)
@@ -219,8 +228,9 @@ TABLE_ROWS = (0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
 # write_table writes the first two and refuses the others by name
 DIALECTS = ((",", "\r\n"), (" ", "\n"), (";", "%\n"), (".", "\n"), ("e", "\n"))
 WRITTEN = DIALECTS[:2]
-# labels as the attitude track holds them: plain text csv never quotes
-LABELS = ("L1", "turn", "transit", "T1", "hover", "é€")
+# labels as the attitude track holds them: plain text csv never quotes,
+# one text for each path segment, so a label may repeat
+LABELS = ("L1", "turn", "transit", "T1", "turn", "hover", "é€")
 
 
 def _same_bytes_or_refused(tmp_path, head, cols, delimiter, lineterminator):
@@ -248,7 +258,7 @@ def _mixed_columns(n: int) -> list:
     f32 = rng.choice(np.float32([0.1, -2.5, 3e-38, 1.0]), n)
     return [repeated, distinct, f32, rng.integers(-2**62, 2**62, n),
             rng.integers(0, 256, n).astype(np.int16),
-            tuple(LABELS[i % len(LABELS)] for i in range(n))]
+            (np.arange(n) % len(LABELS), LABELS)]
 
 
 @pytest.mark.parametrize("delimiter,lineterminator", DIALECTS)
@@ -268,9 +278,9 @@ def test_labels_longer_than_a_number_widen_the_slots(tmp_path, chunked,
                                                      lineterminator):
     chunked(3)
     n = CHUNK_ROWS + 3
-    labels = tuple(("x" * (7 * i % 150 + 1), "long_label_" * (i % 9 + 1),
-                    "é€" * (i % 40 + 1))[i % 3] for i in range(n))
-    cols = [np.arange(n) * 0.25 - 7.0, labels,
+    texts = tuple(("x" * (7 * i % 150 + 1), "long_label_" * (i % 9 + 1),
+                   "é€" * (i % 40 + 1))[i % 3] for i in range(n))
+    cols = [np.arange(n) * 0.25 - 7.0, (np.arange(n)[::-1], texts),
             np.random.default_rng(8).integers(-9, 9, n)]
     head = [("v", "label", "i")]
     _same_bytes_or_refused(tmp_path, head, cols, delimiter, lineterminator)
@@ -284,12 +294,18 @@ def test_default_chunks_match_reference(tmp_path):
                 lambda p: ref_table(p, [("v", "i")], cols))
 
 
+CODES = np.array([0, 1])
+
+
 @pytest.mark.parametrize("column", (
     np.array([True, False]), np.array([1, 2], np.uint64),
-    np.array(["L1", 1], dtype=object), ("L1", ""), ("L1", ["L2"]),
-    *(("L1", f"a{c}b") for c in '"\r\n'),
-), ids=("bool", "uint64", "object", "empty", "unhashable", "quote", "cr",
-        "lf"))
+    np.array(["L1", 1], dtype=object), (CODES, ("L1", "")),
+    (CODES, ("L1", b"L2")),
+    *((CODES, ("L1", f"a{c}b")) for c in '"\r\n'),
+    (np.array([0, 2]), ("L1", "L2")), (np.array([-1, 0]), ("L1", "L2")),
+    ("L1", "L2"), (CODES.astype(float), ("L1", "L2")),
+), ids=("bool", "uint64", "object", "empty", "not_str", "quote", "cr", "lf",
+        "code_past_texts", "negative_code", "labels_uncoded", "float_codes"))
 def test_write_table_refuses_a_column_it_does_not_write(tmp_path, column):
     for delimiter, lineterminator in WRITTEN:
         with pytest.raises(ValueError, match="^column 1"):
@@ -302,7 +318,7 @@ def test_write_table_refuses_a_column_it_does_not_write(tmp_path, column):
 def test_write_table_refuses_a_label_holding_the_delimiter(
         tmp_path, delimiter, lineterminator):
     with pytest.raises(ValueError, match="^column 0: 'a.b'"):
-        write_table(tmp_path / "t", [], [("L1", f"a{delimiter}b")],
+        write_table(tmp_path / "t", [], [(CODES, ("L1", f"a{delimiter}b"))],
                     delimiter, lineterminator)
 
 
@@ -323,17 +339,22 @@ def tables(draw):
     """(dialect, columns, part): a table and the part (first column, rows)
     to cut from it."""
     delimiter, lineterminator = draw(st.sampled_from(WRITTEN))
-    cells = dict(CELLS, label=st.text(LABEL_CHARS.replace(delimiter, ""),
-                                      min_size=1, max_size=5))
+    label = st.text(LABEL_CHARS.replace(delimiter, ""), min_size=1,
+                    max_size=5)
     n = draw(st.integers(0, 3 * ORACLE_ROWS + 1))
-    kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1,
-                          max_size=5))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS) + ["label"]),
+                          min_size=1, max_size=5))
     columns = []
     for kind in kinds:
-        column = draw(st.lists(cells[kind], min_size=n, max_size=n))
-        columns.append(tuple(column) if kind == "label"
-                       else np.array(column, float if kind == "float"
-                                     else np.int64))
+        if kind == "label":
+            texts = tuple(draw(st.lists(label, min_size=1, max_size=6)))
+            codes = draw(st.lists(st.integers(0, len(texts) - 1),
+                                  min_size=n, max_size=n))
+            columns.append((np.array(codes, np.intp), texts))
+            continue
+        column = draw(st.lists(CELLS[kind], min_size=n, max_size=n))
+        columns.append(np.array(column, float if kind == "float"
+                                else np.int64))
     first = draw(st.integers(0, len(columns) - 1))
     rows = sorted(draw(st.sets(st.integers(0, n - 1)))) if n else []
     return (delimiter, lineterminator), columns, (first, rows)
@@ -351,8 +372,8 @@ def test_write_table_and_its_part_match_csv_writer(tmp_path_factory, table):
                     [(tmp / "p", first, np.array(rows, np.intp))])
     ref_table(tmp / "rt", head, columns, delimiter, lineterminator)
     ref_table(tmp / "rp", [head[0][first:]],
-              [[c[i] for i in rows] for c in columns[first:]], delimiter,
-              lineterminator)
+              [[_cells(c)[i] for i in rows] for c in columns[first:]],
+              delimiter, lineterminator)
     assert (tmp / "t").read_bytes() == (tmp / "rt").read_bytes()
     assert (tmp / "p").read_bytes() == (tmp / "rp").read_bytes()
 
