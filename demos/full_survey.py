@@ -34,8 +34,8 @@ def ring_down_check(result):
     expected = math.exp(-zeta * omega * math.pi
                         / (omega * math.sqrt(1.0 - zeta ** 2)))
     att = result.attitude
-    seg = np.asarray(att.segment)
-    is_turn = seg == "turn"
+    codes, texts = att.segment
+    is_turn = np.isin(codes, [i for i, s in enumerate(texts) if s == "turn"])
     ends = np.nonzero(is_turn[:-1] & ~is_turn[1:])[0]
     print(f"\nring-down after {len(ends)} turns "
           f"(analytic peak ratio {expected:.4f}):")

@@ -30,7 +30,6 @@ from .errors import (
     PipelineStageError,
 )
 from .gridding import (
-    _valid_span,
     compare_grids,
     grid_idw,
     read_asc,
@@ -245,14 +244,14 @@ def _cmd_grid_make(args) -> int:
 
 
 def _cmd_grid_compare(args) -> int:
-    grids = []
+    images = []
     for flag, path in (("--a", args.a), ("--b", args.b)):
-        grids.append(read_asc(path))
-        try:        # compare_grids cannot say which grid it refuses
-            _valid_span(grids[-1])
+        grid = read_asc(path)
+        try:        # to_grayscale cannot say which grid it refuses
+            images.append(to_grayscale(grid))
         except ValueError as exc:
             raise ValueError(f"{exc}: {flag} {path}") from None
-    result = compare_grids(*grids)
+    result = compare_grids(*images)
     _write_json(args.out, result)
     _emit({k: result[k] for k in ("stddev_a", "stddev_b", "delta")})
     return EXIT_OK

@@ -270,21 +270,8 @@ def to_grayscale(grid: Grid) -> GrayImage:
     languages. A degenerate range (lo == hi) maps every valid cell to
     mid-gray 128. Nodata cells become 0 and stay excluded from statistics
     via the validity mask. A range wider than the float64 range raises
-    ValueError.
+    ValueError, as does a grid with no valid cell.
     """
-    vals, lo, hi = _valid_span(grid)
-    pixels = np.zeros(grid.shape, dtype=np.int64)
-    if hi == lo:
-        pixels[grid.valid] = 128  # degenerate range
-    else:
-        scaled = np.clip((vals - lo) / (hi - lo), 0.0, 1.0) * 255.0
-        pixels[grid.valid] = np.floor(scaled + 0.5).astype(np.int64)
-    return GrayImage(pixels, grid.valid)
-
-
-def _valid_span(grid: Grid) -> tuple[np.ndarray, float, float]:
-    """(values, lo, hi) of the valid cells; ValueError for a grid with
-    none, or whose values span past the float64 range."""
     if not np.any(grid.valid):
         raise ValueError("grid has no valid cells")
     vals = grid.values[grid.valid]
@@ -292,7 +279,13 @@ def _valid_span(grid: Grid) -> tuple[np.ndarray, float, float]:
     if not math.isfinite(hi - lo):      # Python floats overflow to inf
         raise ValueError(f"grid values span [{lo!r}, {hi!r}], a range "
                          "wider than the float64 range")
-    return vals, lo, hi
+    pixels = np.zeros(grid.shape, dtype=np.int64)
+    if hi == lo:
+        pixels[grid.valid] = 128  # degenerate range
+    else:
+        scaled = np.clip((vals - lo) / (hi - lo), 0.0, 1.0) * 255.0
+        pixels[grid.valid] = np.floor(scaled + 0.5).astype(np.int64)
+    return GrayImage(pixels, grid.valid)
 
 
 def intensity_stddev(img: GrayImage) -> float:
@@ -308,25 +301,23 @@ def histogram256(img: GrayImage) -> np.ndarray:
     return np.bincount(img.pixels[img.valid].ravel(), minlength=256)
 
 
-def compare_grids(a: Grid, b: Grid) -> dict:
-    """Grayscale intensity-distribution comparison of two grids.
+def compare_grids(a: GrayImage, b: GrayImage) -> dict:
+    """Intensity-distribution comparison of two grids' grayscale images.
 
-    Each grid is converted to grayscale independently (its own min-max
+    Each image is a grid stretched on its own (to_grayscale's min-max
     bounds), mirroring how separately delivered survey images are
     compared. Returns per-image standard deviations, delta = b - a, and
     the 256-bin histograms. Each deviation is of at least 2 pixels in
     [0, 255], so every value is finite.
     """
-    img_a = to_grayscale(a)
-    img_b = to_grayscale(b)
-    sd_a = intensity_stddev(img_a)
-    sd_b = intensity_stddev(img_b)
+    sd_a = intensity_stddev(a)
+    sd_b = intensity_stddev(b)
     return {
         "stddev_a": sd_a,
         "stddev_b": sd_b,
         "delta": sd_b - sd_a,
-        "histogram_a": histogram256(img_a).tolist(),
-        "histogram_b": histogram256(img_b).tolist(),
+        "histogram_a": histogram256(a).tolist(),
+        "histogram_b": histogram256(b).tolist(),
     }
 
 

@@ -144,19 +144,17 @@ def _load_survey(plan_path, geometry_path, sim_path):
 
 
 def config_hash(plan: FlightPlan, geometry: SuspensionGeometry,
-                sim: SimConfig, pipe: PipelineConfig | None = None) -> str:
+                sim: SimConfig, pipe: PipelineConfig) -> str:
     """Digest of everything that determines the run's outputs.
 
     Output location and config file paths are excluded: two runs of the
     same parameters into different directories are the same run.
     """
+    params = pipe.to_dict()
+    for key in ("out_dir", "plan_path", "geometry_path", "sim_path"):
+        params.pop(key, None)
     payload = {"plan": plan.to_dict(), "geometry": geometry.to_dict(),
-               "sim": sim.to_dict()}
-    if pipe is not None:
-        params = pipe.to_dict()
-        for key in ("out_dir", "plan_path", "geometry_path", "sim_path"):
-            params.pop(key, None)
-        payload["pipeline"] = params
+               "sim": sim.to_dict(), "pipeline": params}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -332,21 +330,22 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         x = corrected.column("easting_m")[online]
         y = corrected.column("northing_m")[online]
         v = corrected.column("tmi_nT")[online]
-        grids, stats, arts = {}, {}, []
+        images, stats, arts = {}, {}, []
         for tag, cell in (("fine", cfg.cell_fine), ("coarse", cfg.cell_coarse)):
             radius = max(2.0 * cell, 0.75 * plan.spacing_m)
-            g = grids[tag] = grid_idw(x, y, v, cell, radius)
+            g = grid_idw(x, y, v, cell, radius)
             write_asc(g, out / f"tmi_{tag}.asc")
-            write_pgm(to_grayscale(g), out / f"tmi_{tag}.pgm")
+            img = images[tag] = to_grayscale(g)
+            write_pgm(img, out / f"tmi_{tag}.pgm")
             arts += [f"tmi_{tag}.asc", f"tmi_{tag}.pgm"]
             stats[f"{tag}_shape"] = list(g.shape)
             stats[f"{tag}_valid_fraction"] = float(np.mean(g.valid))
         stages.append(StageResult(stage, all(
-            stats[f"{tag}_valid_fraction"] > 0.5 for tag in grids),
+            stats[f"{tag}_valid_fraction"] > 0.5 for tag in images),
             stats, tuple(arts)))
 
         stage = "grid_compare"
-        cmp = compare_grids(grids["coarse"], grids["fine"])
+        cmp = compare_grids(images["coarse"], images["fine"])
         _write_json(out / "cmp.json", cmp)
         # the delta is a finding, not a gate: with a handful of coarse
         # pixels the min-max stretch dominates the std, so the stage passes

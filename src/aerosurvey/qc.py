@@ -52,7 +52,6 @@ class CrossoverRecord:
     location: UtmPoint
     flight_value: float
     tie_value: float
-    field_name: str = ""
 
     @property
     def difference(self) -> float:
@@ -256,16 +255,19 @@ def crossover_analysis(flight_lines: tuple[SurveyLine, ...],
     yields a record with both line values linearly interpolated between
     the bracketing samples; difference = flight - tie. The report passes
     when max |difference| <= tolerance, which must be finite and >= 0.
-    Records are ordered by ascending easting then northing so results
-    never depend on evaluation order.
+    `field_name` is a key of FIELD_COLUMNS. Records are ordered by
+    ascending easting then northing so results never depend on
+    evaluation order.
     """
     check_range("tolerance", tolerance, 0)
-    col = FIELD_COLUMNS.get(field_name, field_name)
+    if field_name not in FIELD_COLUMNS:
+        raise ValueError(f"field_name must be one of {sorted(FIELD_COLUMNS)}, "
+                         f"not {field_name!r}")
+    col = FIELD_COLUMNS[field_name]
     records: list[CrossoverRecord] = []
     for fl in flight_lines:
         pf = fl.positions()
         vf = fl.series.column(col)
-        af = fl.series.column("alt_m") if "alt_m" in fl.series.fields else None
         for tl in tie_lines:
             pt = tl.positions()
             vt = tl.series.column(col)
@@ -275,12 +277,10 @@ def crossover_analysis(flight_lines: tuple[SurveyLine, ...],
                 raise ValueError(f"flight line {fl.line_id} x tie line "
                                  f"{tl.line_id}: {exc}") from None
             for ua, ub in hits:
-                x = _interp_along(pf[:, 0], ua)
-                y = _interp_along(pf[:, 1], ua)
-                alt = _interp_along(af, ua) if af is not None else 0.0
                 records.append(CrossoverRecord(
-                    UtmPoint(x, y, alt),
-                    _interp_along(vf, ua), _interp_along(vt, ub), field_name))
+                    UtmPoint(_interp_along(pf[:, 0], ua),
+                             _interp_along(pf[:, 1], ua)),
+                    _interp_along(vf, ua), _interp_along(vt, ub)))
     if not records:
         raise NoIntersectionsError("no flight/tie intersections")
     records.sort(key=lambda r: (r.location.easting, r.location.northing))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .io_csv import _REQUIRED, SchemaKind, write_table
 
 G = 9.80665  # m/s^2
 # the most steps a flight simulates: simulate_survey's traced peak is about
-# 125 bytes a step, 520 MB here, and flying into the artifacts (which never
+# 112 bytes a step, 470 MB here, and flying into the artifacts (which never
 # holds the attitude track whole) about 65, where survey_large's 17.2
 # line-km is 267k steps
 _MAX_SIM_STEPS = 1 << 22
@@ -482,9 +481,8 @@ class AttitudeTrack:
     swing_deg: np.ndarray
     easting_m: np.ndarray
     northing_m: np.ndarray
-    # each step's path segment label: one str a step in simulate_survey's
-    # track, and in a _Flight chunk's the pair (codes, texts) write_table
-    # takes, texts[codes[i]] being step i's
+    # each step's path segment label as the pair (codes, texts) write_table
+    # takes: texts[codes[i]] is step i's
     segment: tuple
     speed_mps: float | None = None
 
@@ -523,10 +521,9 @@ class SimResult:
     """Synthetic survey: payload attitude plus all sensor traces.
 
     Full traces run gate to gate (turns included), each sample stored
-    once. `segment_at_sensor` labels the sensor samples with their path
-    segment; line_series(full, line_rows(result.segment_at_sensor,
-    result.plan)) gives the on-line samples of a trace, one SurveyLine
-    per flight or tie line.
+    once. `lines` holds (line id, role, sensor rows) of each flight and
+    tie line, so line_series(full, result.lines) gives the on-line
+    samples of a trace, one SurveyLine per line.
     """
 
     attitude: AttitudeTrack
@@ -537,7 +534,7 @@ class SimResult:
     plan: FlightPlan
     geometry: SuspensionGeometry
     cfg: SimConfig
-    segment_at_sensor: tuple[str, ...]
+    lines: tuple[tuple[str, LineRole, np.ndarray], ...]
 
     @property
     def effective_damping_ratio(self) -> float:
@@ -672,14 +669,15 @@ class _Flight:
     each chunk's AttitudeTrack at sim_rate_hz and fills its rows of the
     sensor records at sensor_rate_hz, allocated here, for the step count
     is known before flying. So is each path segment's step span, and from
-    it the `lines`, as line_rows gives them: the sensor rows of the steps
-    on each plan leg's segment. A chunk's segment is coded: the indices
-    of its steps' path segments, filled a span at a time, and `texts`,
-    each path segment's label. Once blocks() is exhausted, mag_full,
-    vlf_full, rad_full and base hold the sensor streams, as a SimResult's
-    do, adopting the records uncopied, and straight_peaks the largest
-    |roll| and |pitch| on the survey and tie lines' segments, one row per
-    chunk that has steps there (none for a hover).
+    it the `lines`: (line id, role, sensor rows) of each plan leg with at
+    least 2 sensor samples on its segment, in plan.legs() order. A chunk's
+    segment is coded: the indices of its steps' path segments, filled a
+    span at a time, and `texts`, each path segment's label. Once blocks()
+    is exhausted, mag_full, vlf_full, rad_full and base hold the sensor
+    streams, as a SimResult's do, adopting the records uncopied, and
+    straight_peaks the largest |roll| and |pitch| on the survey and tie
+    lines' segments, one row per chunk that has steps there (none for a
+    hover).
 
     Each value is the one a single pass over all steps gives, bit for
     bit: each step's path sample, wobble and sensor value is worked out
@@ -976,44 +974,19 @@ def simulate_survey(plan: FlightPlan | None = None,
     """
     flight = _Flight(plan, geometry, cfg)
     track = np.empty((7, flight.n_steps))
-    codes = np.empty(flight.n_steps, np.intp)
     lo = 0
     for block in flight.blocks():
         hi = lo + len(block)
         for row, column in zip(track, _attitude_columns(block)[:7]):
             row[lo:hi] = column
-        codes[lo:hi] = block.segment[0]
         lo = hi
-    # the one place a label is made per step
-    segment = np.array(flight.texts, object)[codes]
-    del codes
+    # each path segment's index repeated over its steps
+    codes = np.repeat(np.arange(len(flight.texts)), np.diff(flight._edges))
     cfg = flight.cfg
-    return SimResult(AttitudeTrack(*track, tuple(segment), cfg.speed),
+    return SimResult(AttitudeTrack(*track, (codes, flight.texts), cfg.speed),
                      flight.mag_full, flight.vlf_full, flight.rad_full,
                      flight.base, flight.plan, flight.geometry, cfg,
-                     tuple(segment[::flight._step]))
-
-
-def line_rows(labels, plan: FlightPlan
-              ) -> tuple[tuple[str, LineRole, np.ndarray], ...]:
-    """(line id, role, sample indices) of each plan leg, from the segment
-    labels of a full trace.
-
-    Samples belong to a leg when their label equals the leg id; legs with
-    fewer than 2 samples are skipped, so a hover (labelled "hover") gives
-    no lines. Lines keep plan.legs() order.
-    """
-    legs = plan.legs()
-    index = {lid: i for i, (lid, *_) in enumerate(legs)}
-    # each sample's leg index, -1 off the legs
-    code = np.fromiter(map(index.get, labels, repeat(-1)), np.intp,
-                       count=len(labels))
-    out = []
-    for lid, role, _, _ in legs:
-        rows = np.flatnonzero(code == index[lid])
-        if len(rows) >= 2:
-            out.append((lid, role, rows))
-    return tuple(out)
+                     flight.lines)
 
 
 def line_series(series: TimeSeries, lines) -> tuple[SurveyLine, ...]:
@@ -1052,7 +1025,8 @@ def settling_metrics(track: AttitudeTrack,
     check_range("threshold_deg", threshold_deg, 0, above=True)
     nt = len(track)
     # the turn runs are [edges[0], edges[1]), [edges[2], edges[3]), ...
-    turn = np.asarray(track.segment, str) == "turn"
+    codes, texts = track.segment
+    turn = np.isin(codes, [i for i, s in enumerate(texts) if s == "turn"])
     edges = np.flatnonzero(np.diff(turn, prepend=False,
                                    append=False)).tolist()
     # the last sample at or before each index whose swing breaks the threshold

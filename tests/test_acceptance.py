@@ -33,7 +33,6 @@ from aerosurvey.qc import (
 )
 from aerosurvey.suspension import (
     SuspensionGeometry,
-    line_rows,
     line_series,
     simulate_survey,
 )
@@ -203,12 +202,12 @@ def test_c09_default_pipeline_meets_attitude_and_noise_gates(pipeline_run):
     res = simulate_survey()
     elapsed += time.perf_counter() - t0
     att = res.attitude
-    straight = np.isin(np.asarray(att.segment),
-                       [lid for lid, *_ in res.plan.legs()])
+    codes, texts = att.segment
+    seg = np.asarray(texts)[codes]
+    straight = np.isin(seg, [lid for lid, *_ in res.plan.legs()])
     assert np.all(np.abs(att.roll_deg[straight]) <= 5.0)
     assert np.all(np.abs(att.pitch_deg[straight]) <= 5.0)
-    for line in line_series(res.vlf_full,
-                            line_rows(res.segment_at_sensor, res.plan)):
+    for line in line_series(res.vlf_full, res.lines):
         series = TimeSeries(line.series.t, line.series.column("outphase_pct"),
                             ("outphase_pct",))
         assert noise_amplitude(series) <= 4.0
@@ -219,7 +218,6 @@ def test_c09_default_pipeline_meets_attitude_and_noise_gates(pipeline_run):
     omega = math.sqrt(9.80665 / SuspensionGeometry().cable_length)
     expected = math.exp(-zeta * omega * math.pi
                         / (omega * math.sqrt(1.0 - zeta ** 2)))
-    seg = np.asarray(att.segment)
     is_turn = seg == "turn"
     ends = np.nonzero(is_turn[:-1] & ~is_turn[1:])[0]
     assert len(ends) >= 4

@@ -80,7 +80,9 @@ def test_integer_turn_radius_hashes_like_its_float():
     as_float = SimConfig.from_dict({"turn_radius_m": 30.0})
     assert isinstance(as_int.turn_radius_m, float)
     plan, geom = FlightPlan(), SuspensionGeometry()
-    assert config_hash(plan, geom, as_int) == config_hash(plan, geom, as_float)
+    pipe = PipelineConfig()
+    assert config_hash(plan, geom, as_int, pipe) == \
+        config_hash(plan, geom, as_float, pipe)
 
 
 def test_other_ints_are_kept_as_ints():

@@ -20,7 +20,6 @@ from aerosurvey.qc import _segment_intersections
 from aerosurvey.suspension import (
     FlightPlan,
     SimConfig,
-    line_rows,
     line_series,
     simulate_survey,
 )
@@ -180,8 +179,7 @@ def test_sweep_matches_dense_oracle_on_edge_cases(pa, pb):
 def test_sweep_matches_dense_oracle_on_simulated_lines():
     sim = simulate_survey(FlightPlan(n_lines=2, line_length_m=150.0,
                                      tie_lines=1), cfg=SimConfig(seed=7))
-    lines = line_series(sim.rad_full, line_rows(sim.segment_at_sensor,
-                                                sim.plan))
+    lines = line_series(sim.rad_full, sim.lines)
     flights = [ln for ln in lines if ln.role is LineRole.FLIGHT]
     ties = [ln for ln in lines if ln.role is LineRole.TIE]
     assert flights and ties

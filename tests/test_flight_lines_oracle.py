@@ -2,16 +2,18 @@
 to per-step segment labels placed step by step.
 
 _Flight works out the first step of each path segment once, before it
-flies; its lines, its chunks' coded segment column and its straight_peaks
-all come from those spans. The reference here places every step on its
-own: step i lies at path offset v * t_i, and _segment_spans says which
-segment holds each offset, the fill the simulator once did per step. From
-those labels, line_rows collects the sensor samples whose label is a leg
-id, and the leg-labelled steps give the largest |roll| and |pitch| on the
-lines.
+flies; its lines, its chunks' coded segment column, simulate_survey's
+segment column and lines, and its straight_peaks all come from those
+spans. The reference here places every step on its own: step i lies at
+path offset v * t_i, and _segment_spans says which segment holds each
+offset, the fill the simulator once did per step. From those labels,
+line_rows collects the sensor samples whose label is a leg id, and the
+leg-labelled steps give the largest |roll| and |pitch| on the lines.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,7 +25,6 @@ from aerosurvey.suspension import (
     _build_path,
     _Flight,
     _segment_spans,
-    line_rows,
     simulate_survey,
 )
 
@@ -51,6 +52,27 @@ def _step_labels(plan, cfg, n: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def line_rows(labels, plan: FlightPlan):
+    """(line id, role, sample indices) of each plan leg, from the segment
+    labels of a full trace.
+
+    Samples belong to a leg when their label equals the leg id; legs with
+    fewer than 2 samples are skipped, so a hover (labelled "hover") gives
+    no lines. Lines keep plan.legs() order.
+    """
+    legs = plan.legs()
+    index = {lid: i for i, (lid, *_) in enumerate(legs)}
+    # each sample's leg index, -1 off the legs
+    code = np.fromiter(map(index.get, labels, repeat(-1)), np.intp,
+                       count=len(labels))
+    out = []
+    for lid, role, _, _ in legs:
+        rows = np.flatnonzero(code == index[lid])
+        if len(rows) >= 2:
+            out.append((lid, role, rows))
+    return tuple(out)
+
+
 def _assert_same_lines(lines, reference):
     assert [(lid, role) for lid, role, _ in lines] == \
         [(lid, role) for lid, role, _ in reference]
@@ -59,16 +81,20 @@ def _assert_same_lines(lines, reference):
 
 
 def _assert_spans_are_the_step_labels(plan, cfg):
-    """simulate_survey's labels, _Flight.lines and straight_peaks against
-    the labels of _step_labels."""
+    """simulate_survey's segment column and lines, _Flight.lines and
+    straight_peaks against the labels of _step_labels."""
     flight = _Flight(plan, None, cfg)
     # read before blocks() runs: nothing has been flown yet
     lines = flight.lines
-    track = simulate_survey(plan, None, cfg).attitude
+    res = simulate_survey(plan, None, cfg)
+    track = res.attitude
     labels = _step_labels(plan, cfg, len(track))
-    assert track.segment == labels
+    codes, texts = track.segment
+    assert tuple(texts[c] for c in codes.tolist()) == labels
     step = round(cfg.sim_rate_hz / cfg.sensor_rate_hz)
-    _assert_same_lines(lines, line_rows(labels[::step], plan))
+    reference = line_rows(labels[::step], plan)
+    _assert_same_lines(lines, reference)
+    _assert_same_lines(res.lines, reference)
     for _ in flight.blocks():
         pass
     on_legs = np.isin(np.array(labels, object),
@@ -108,6 +134,10 @@ def test_flight_lines_on_the_default_survey():
     lines = _Flight(plan, None, cfg).lines
     assert [lid for lid, _, _ in lines] == ["L1", "L2", "L3", "L4", "T1"]
     _assert_spans_are_the_step_labels(plan, cfg)
+    # the reference takes no leg of one labelled sample
+    assert line_rows(("L1",) + ("turn",) * 9, plan) == ()
+    assert [lid for lid, _, _ in line_rows(("L1",) * 2 + ("T1",), plan)] \
+        == ["L1"]
 
 
 def test_a_hover_has_no_lines():

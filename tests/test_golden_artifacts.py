@@ -9,7 +9,8 @@ sha256 of
   run has no survey line, so it has no pipeline run);
 * every artifact that `aerosurvey sim survey` writes, and the same files
   written by write_survey_artifacts from a _Flight;
-* every array and label tuple of the simulate_survey result,
+* every array of the simulate_survey result, and its segment labels
+  spelled out per step and per sensor sample,
 
 to the digests in tests/data/golden_digests.json.
 
@@ -92,8 +93,9 @@ def _configs(name: str) -> tuple:
 
 
 def _array_digests(name: str) -> dict[str, str]:
-    """sha256 of each array (dtype, shape and bytes) and label tuple of
-    the case's simulate_survey result."""
+    """sha256 of each array (dtype, shape and bytes) of the case's
+    simulate_survey result, and of its segment labels spelled out per
+    step and per sensor sample."""
     res = simulate_survey(*_configs(name))
 
     def arr(a) -> str:
@@ -107,13 +109,17 @@ def _array_digests(name: str) -> dict[str, str]:
     out = {f"attitude.{f}": arr(getattr(att, f))
            for f in ("t", "roll_deg", "pitch_deg", "heading_deg",
                      "swing_deg", "easting_m", "northing_m")}
-    out["attitude.segment"] = labels(att.segment)
+    codes, texts = att.segment
+    per_step = [texts[c] for c in codes.tolist()]
+    out["attitude.segment"] = labels(per_step)
     for stream in ("mag_full", "vlf_full", "rad_full", "base"):
         series = getattr(res, stream)
         out[f"{stream}.t"] = arr(series.t)
         out[f"{stream}.values"] = arr(series.values)
         out[f"{stream}.fields"] = labels(series.fields)
-    out["segment_at_sensor"] = labels(res.segment_at_sensor)
+    # sensor sample i is step i * step
+    step = round(res.cfg.sim_rate_hz / res.cfg.sensor_rate_hz)
+    out["segment_at_sensor"] = labels(per_step[::step])
     return out
 
 

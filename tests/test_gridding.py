@@ -194,7 +194,7 @@ def test_intensity_stddev_needs_pixels():
 def test_compare_grids_delta_is_b_minus_a():
     a = _grid(np.full((3, 3), 2.0))                      # flat: std 0
     b = _grid(np.array([[0.0, 4.0, 0.0]] * 3))           # two-valued
-    out = compare_grids(a, b)
+    out = compare_grids(to_grayscale(a), to_grayscale(b))
     assert out["stddev_a"] == 0.0
     assert out["stddev_b"] > 0.0
     assert out["delta"] == out["stddev_b"] - out["stddev_a"]

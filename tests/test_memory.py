@@ -43,7 +43,6 @@ from aerosurvey.suspension import (
     SimConfig,
     SimResult,
     SuspensionGeometry,
-    line_rows,
     simulate_survey,
 )
 
@@ -289,7 +288,7 @@ def test_write_series_csv_peak_with_parts_at_survey_large_size(tmp_path):
                       tie_lines=3)
     sim = simulate_survey(plan, None, SimConfig(seed=4))
     lines = [(tmp_path / f"{lid}.csv", 0, rows)
-             for lid, _, rows in line_rows(sim.segment_at_sensor, sim.plan)]
+             for lid, _, rows in sim.lines]
     spectra = [(tmp_path / "spectra.csv",
                 1 + sim.rad_full.fields.index("ch0"), None)]
 

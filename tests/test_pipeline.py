@@ -143,8 +143,8 @@ def test_load_survey_without_a_plan_flies_the_default_plan(tmp_path):
     # integer defaults give the plan FlightPlan() hashes as
     sim.write_text(json.dumps({"line_spacing": 50, "survey_altitude": 40}))
     plan, _, cfg = _load_survey(None, None, sim)
-    assert config_hash(plan, geometry, cfg) == config_hash(
-        FlightPlan(), geometry, cfg)
+    assert config_hash(plan, geometry, cfg, PipelineConfig()) == config_hash(
+        FlightPlan(), geometry, cfg, PipelineConfig())
 
 
 def test_sim_file_seed_reaches_report(tmp_path):
@@ -254,7 +254,9 @@ def test_grid_takes_the_rows_of_the_flights_lines(tmp_path, monkeypatch):
     plan = FlightPlan(n_lines=3, line_length_m=200.0, spacing_m=2.0,
                       tie_lines=4)
     sim = SimConfig(sensor_rate_hz=2.0, lead_in_m=0.0, lead_out_m=0.0)
-    assert simulate_survey(plan, None, sim).segment_at_sensor.count("T4") == 1
+    codes, texts = simulate_survey(plan, None, sim).attitude.segment
+    step = round(sim.sim_rate_hz / sim.sensor_rate_hz)
+    assert np.count_nonzero(codes[::step] == texts.index("T4")) == 1
     lines = _Flight(plan, None, sim).lines
     assert "T4" not in [lid for lid, _, _ in lines]
     paths = []

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from decimal import Decimal
 
 import numpy as np
@@ -15,7 +16,7 @@ from aerosurvey import (
     nasvd_energy_fraction,
 )
 from aerosurvey.core import LineRole, SurveyLine
-from aerosurvey.qc import _correction_stats
+from aerosurvey.qc import CrossoverRecord, _correction_stats
 from aerosurvey.io_csv import SchemaKind, crossover_fixture_path
 from aerosurvey.errors import NoIntersectionsError
 
@@ -166,6 +167,20 @@ def test_crossover_field_name_mapping():
         ("easting_m", "northing_m", "alt_m", "k_pct")))
     records, _ = crossover_analysis((fk,), (tk,), "K", tolerance=1.0)
     assert records[0].difference == pytest.approx(-0.1, abs=1e-12)
+
+
+def test_crossover_takes_field_keys_alone():
+    f = _line("L1", LineRole.FLIGHT, [(0.0, 0.0), (0.0, 10.0)], [1.0, 2.0])
+    t = _line("T1", LineRole.TIE, [(-5.0, 5.0), (5.0, 5.0)], [1.0, 1.0])
+    # a column name is no key, though the lines hold that column
+    with pytest.raises(ValueError, match=r"^field_name must be one of "
+                       r"\['K', 'TMI', 'U'\], not 'tmi_nT'$"):
+        crossover_analysis((f,), (t,), "tmi_nT", tolerance=1.0)
+    # a record holds where the lines cross and their two values alone
+    records, _ = crossover_analysis((f,), (t,), "TMI", tolerance=1.0)
+    assert [fl.name for fl in fields(CrossoverRecord)] == [
+        "location", "flight_value", "tie_value"]
+    assert records[0].location.alt == 0.0
 
 
 @pytest.mark.parametrize("tolerance", (float("nan"), float("inf"), -1.0))

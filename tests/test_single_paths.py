@@ -20,9 +20,10 @@ the tests' oracle, not a dependency), and its k-d tree with it: grid_idw
 has its own binned query. Bad input raises ValueError alone: errors.py
 holds only the types the CLI or the ingest path tells apart, and no range
 check picks its own error type. Each library function has one calling
-form: grayscale is min-max, the 4th difference takes an array, the
-settling lead-in uses the track's speed, the pendulum is run through
-_Swing and configs are coded by _DictCodec alone. A simulated run is set
+form: grayscale is min-max, grids are compared by their grayscale
+images, the 4th difference takes an array, the settling lead-in uses the
+track's speed, the config hash covers the pipeline config, the pendulum
+is run through _Swing and configs are coded by _DictCodec alone. A simulated run is set
 up by pipeline._load_survey alone, for the pipeline and `sim survey`
 alike, and from its config files alone: no module reads the environment
 and no flag shadows a config field but --out-dir; run_pipeline writes every
@@ -35,10 +36,11 @@ floats, ingest_csv always drops a late timestamp, grid_idw takes its
 extent from the samples and write_survey_artifacts flies a _Flight. The
 pipeline learns which sensor samples lie on which line from _Flight.lines
 alone, worked out from the path before the flight, and the flight keeps
-no per-sample segment labels. A flown chunk's segment column is coded
-over the path segments' step spans, a label is spelt out per step by
-simulate_survey alone, and write_table takes a label column in that one
-coded form.
+no per-sample segment labels. A flown chunk's segment column and
+simulate_survey's are coded over the path segments' step spans, no module
+spells a label out per step or per sample, simulate_survey's result
+carries the flight's lines, and write_table takes a label column in that
+one coded form.
 """
 
 from __future__ import annotations
@@ -305,6 +307,9 @@ def test_one_calling_form_per_function():
     assert params(gridding.compare_grids) == ["a", "b"]
     assert params(qc.fourth_difference) == ["x", "threshold"]
     assert params(suspension.settling_metrics) == ["track", "threshold_deg"]
+    assert params(pipeline.config_hash) == ["plan", "geometry", "sim", "pipe"]
+    assert inspect.signature(pipeline.config_hash).parameters[
+        "pipe"].default is inspect.Parameter.empty
     for module, name in ((gridding, "Stretch"), (gridding, "MINMAX"),
                          (gridding, "_percentiles"),
                          (core, "config_to_dict"), (core, "config_from_dict"),
@@ -425,13 +430,20 @@ def test_segments_are_spans_not_per_step_labels(tmp_path):
                       "split_lines", "pendulum_ring_down"} == set()
     assert "pendulum_ring_down" not in aerosurvey.__all__
 
-    # an object array, a label a cell, is made by simulate_survey alone
+    # no module makes an object array, a label a cell
     def object_array(node) -> bool:
         return isinstance(node, ast.Call) and any(
             isinstance(a, ast.Name) and a.id == "object"
             for a in [*node.args, *(k.value for k in node.keywords)])
 
-    assert _where(object_array) == {("suspension.py", "simulate_survey")}
+    assert _where(object_array) == set()
+    # nor keeps the label route to a line's rows: a result's lines are
+    # the flight's
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name in ("line_rows", "segment_at_sensor"):
+            assert name not in text, (path.name, name)
+    assert "lines" in suspension.SimResult.__dataclass_fields__
     # nor does the path build a label tuple, ("hover",) * n or tuple(...)
     for fn in (suspension._sample_path, suspension._Flight._path):
         body = ast.parse(textwrap.dedent(inspect.getsource(fn)))

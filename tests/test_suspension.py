@@ -23,10 +23,21 @@ from aerosurvey.suspension import (
     _build_path,
     _dubins_csc,
     _sample_path,
-    line_rows,
     line_series,
 )
 from aerosurvey.errors import NeverSettlesError
+
+
+def _labels(track) -> np.ndarray:
+    """Each step's segment label, spelled out from the coded column."""
+    codes, texts = track.segment
+    return np.asarray(texts)[codes]
+
+
+def _coded(labels) -> tuple:
+    """The (codes, texts) segment column of per-step `labels`."""
+    texts = tuple(dict.fromkeys(labels))
+    return np.array([texts.index(s) for s in labels], np.intp), texts
 
 
 # --- geometry ---
@@ -261,7 +272,8 @@ def test_simulate_survey_is_deterministic(default_sim):
 def test_simulate_survey_streams_are_aligned(default_sim):
     res = default_sim
     assert len(res.mag_full) == len(res.vlf_full) == len(res.rad_full)
-    assert len(res.segment_at_sensor) == len(res.mag_full)
+    step = round(res.cfg.sim_rate_hz / res.cfg.sensor_rate_hz)
+    assert len(range(0, len(res.attitude), step)) == len(res.mag_full)
     # magnetometer rides payload_separation above the VLF sensor
     gap = res.mag_full.column("alt_m") - res.vlf_full.column("alt_m")
     assert np.allclose(gap, res.geometry.payload_separation)
@@ -274,15 +286,15 @@ def test_simulate_survey_streams_are_aligned(default_sim):
 
 def test_simulate_survey_line_split(default_sim):
     res = default_sim
-    lines = line_series(res.mag_full,
-                        line_rows(res.segment_at_sensor, res.plan))
+    lines = line_series(res.mag_full, res.lines)
     assert [ln.line_id for ln in lines] == ["L1", "L2", "L3", "L4", "T1"]
     roles = {ln.line_id: ln.role for ln in lines}
     assert roles["T1"] is LineRole.TIE
     assert roles["L2"] is LineRole.FLIGHT
     # every on-line sensor sample lands in exactly one line
     n_on_line = sum(len(ln.series) for ln in lines)
-    labels = np.asarray(res.segment_at_sensor)
+    step = round(res.cfg.sim_rate_hz / res.cfg.sensor_rate_hz)
+    labels = _labels(res.attitude)[::step]
     assert n_on_line == int(np.isin(labels, [ln.line_id for ln in lines]).sum())
 
 
@@ -292,20 +304,16 @@ def test_line_rows_match_per_sample_labels(default_sim):
     step = round(res.cfg.sim_rate_hz / res.cfg.sensor_rate_hz)
     at_sensor = np.arange(0, len(res.attitude), step)
     assert np.array_equal(res.attitude.t[at_sensor], res.mag_full.t)
-    labels = [res.attitude.segment[j] for j in at_sensor.tolist()]
-    assert list(res.segment_at_sensor) == labels
+    labels = _labels(res.attitude)[at_sensor].tolist()
     legs = [(lid, role) for lid, role, _, _ in res.plan.legs()]
     for full in (res.mag_full, res.vlf_full, res.rad_full):
-        lines = line_series(full, line_rows(res.segment_at_sensor, res.plan))
+        lines = line_series(full, res.lines)
         assert [(ln.line_id, ln.role) for ln in lines] == legs
         for ln in lines:
             m = np.array([lab == ln.line_id for lab in labels])
             assert np.array_equal(ln.series.t, full.t[m])
             assert np.array_equal(ln.series.values, full.values[m])
             assert ln.series.fields == full.fields
-    # a leg with fewer than 2 labelled samples yields no line
-    one = ("L1",) + ("turn",) * (len(res.mag_full) - 1)
-    assert line_rows(one, res.plan) == ()
 
 
 def test_simulate_survey_platform_locks_heading(default_sim):
@@ -313,7 +321,7 @@ def test_simulate_survey_platform_locks_heading(default_sim):
     assert res.effective_damping_ratio == pytest.approx(0.45)
     # platform fitted: payload heading equals the flown course everywhere,
     # and a north-flown line reads 0 on the compass (wrap before comparing)
-    seg = np.asarray(res.attitude.segment)
+    seg = _labels(res.attitude)
     north = res.attitude.heading_deg[seg == "L1"]
     wrapped = (north + 180.0) % 360.0 - 180.0
     assert np.abs(wrapped).max() <= 1e-6
@@ -324,7 +332,7 @@ def test_simulate_survey_without_platform_lags_heading(default_sim):
     free = simulate_survey(geometry=SuspensionGeometry(intermediate_platform=False),
                            cfg=cfg)
     assert free.effective_damping_ratio == pytest.approx(0.30)
-    seg = np.asarray(free.attitude.segment)
+    seg = _labels(free.attitude)
     # heading error vs the locked run appears during turns but stays
     # within the lag cap; difference taken circularly (360 wrap)
     diff = free.attitude.heading_deg - default_sim.attitude.heading_deg
@@ -335,9 +343,9 @@ def test_simulate_survey_without_platform_lags_heading(default_sim):
 
 def test_simulate_survey_hover():
     res = simulate_survey(cfg=SimConfig(speed=0.0, hover_duration_s=30.0))
-    assert set(res.attitude.segment) == {"hover"}
+    assert set(_labels(res.attitude)) == {"hover"}
     assert res.attitude.t[-1] == pytest.approx(30.0)
-    assert line_rows(res.segment_at_sensor, res.plan) == ()
+    assert res.lines == ()
     assert np.all(res.attitude.swing_deg == 0.0)
     # hover magnetometer trace is regional + diurnal + noise at one spot
     assert np.ptp(res.mag_full.column("easting_m")) == 0.0
@@ -346,19 +354,22 @@ def test_simulate_survey_hover():
 def test_simulate_survey_swing_envelope(default_sim):
     # on the survey and tie lines
     legs = [lid for lid, *_ in default_sim.plan.legs()]
-    mask = np.isin(np.asarray(default_sim.attitude.segment), legs)
+    mask = np.isin(_labels(default_sim.attitude), legs)
     assert np.abs(default_sim.attitude.roll_deg[mask]).max() <= 5.0
     assert np.abs(default_sim.attitude.pitch_deg[mask]).max() <= 5.0
 
 
 def _survey_bits(res) -> list:
-    """Every array and label tuple of a SimResult, as comparable items."""
+    """Every array, segment column and line of a SimResult, as comparable
+    items."""
     att = res.attitude
+    codes, texts = att.segment
     arrays = [att.t, att.roll_deg, att.pitch_deg, att.heading_deg,
-              att.swing_deg, att.easting_m, att.northing_m]
+              att.swing_deg, att.easting_m, att.northing_m, codes]
     for series in (res.mag_full, res.vlf_full, res.rad_full, res.base):
         arrays += [series.t, series.values]
-    return [a.tobytes() for a in arrays] + [att.segment, res.segment_at_sensor]
+    return [a.tobytes() for a in arrays] + [texts, [
+        (lid, role, rows.tobytes()) for lid, role, rows in res.lines]]
 
 
 # small flights, for chunks of one step; the yaw lag spans many chunks
@@ -406,7 +417,7 @@ def test_settling_metrics_on_default_survey(default_sim):
         m.settling_time_s * default_sim.cfg.speed)
     # decay of the worst turn tracks the analytic damped envelope
     zeta_omega = default_sim.effective_damping_ratio * math.sqrt(G / 9.0)
-    seg = np.asarray(default_sim.attitude.segment)
+    seg = _labels(default_sim.attitude)
     turn = seg == "turn"
     ends = [i for i in range(len(seg) - 1) if turn[i] and not turn[i + 1]]
     worst_pred = 0.0
@@ -419,7 +430,7 @@ def test_settling_metrics_on_default_survey(default_sim):
 
 def test_settling_metrics_never_settles():
     n = 40
-    seg = ("turn",) * 10 + ("L1",) * 30
+    seg = _coded(("turn",) * 10 + ("L1",) * 30)
     track = AttitudeTrack(
         t=np.arange(n) * 0.1,
         roll_deg=np.zeros(n), pitch_deg=np.zeros(n),
@@ -438,7 +449,7 @@ def test_settling_metrics_no_turns_is_empty():
         roll_deg=np.zeros(n), pitch_deg=np.zeros(n),
         heading_deg=np.zeros(n), swing_deg=np.zeros(n),
         easting_m=np.zeros(n), northing_m=np.zeros(n),
-        segment=("hover",) * n)
+        segment=_coded(("hover",) * n))
     m = settling_metrics(track)
     assert m.n_turns == 0
     assert m.settling_time_s == 0.0
@@ -448,7 +459,7 @@ def _loop_settling_metrics(track, threshold_deg=1.0, speed_mps=None):
     """settling_metrics as the per-step loop it replaced, kept as an oracle."""
     check_range("threshold_deg", threshold_deg, 0, above=True)
     speed = speed_mps if speed_mps is not None else (track.speed_mps or 0.0)
-    seg = np.asarray(track.segment)
+    seg = _labels(track)
     turn = seg == "turn"
     nt = len(track)
     # indices where a turn block ends
@@ -483,14 +494,15 @@ def _loop_settling_metrics(track, threshold_deg=1.0, speed_mps=None):
 
 def _cut(track, lo, hi):
     """Samples [lo, hi) of an attitude track."""
+    codes, texts = track.segment
     return AttitudeTrack(*(getattr(track, f.name)[lo:hi]
-                           for f in fields(AttitudeTrack)[:-1]),
-                         track.speed_mps)
+                           for f in fields(AttitudeTrack)[:-2]),
+                         (codes[lo:hi], texts), track.speed_mps)
 
 
 def _turn_runs(track):
     """[start, stop) of each run of turn samples."""
-    turn = np.r_[False, np.asarray(track.segment) == "turn", False]
+    turn = np.r_[False, _labels(track) == "turn", False]
     edges = np.flatnonzero(np.diff(turn.astype(np.int8)))
     return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
@@ -507,8 +519,8 @@ def settling_tracks(default_sim):
         np.arange(n) * 0.5, *np.zeros((3, n)),
         np.array([3.0, 2.0, 0.5, 2.0, 2.0, 0.0, 2.0, 0.2, 0.0, 2.0, 2.0, 2.0]),
         *np.zeros((2, n)),
-        ("L1", "turn", "L1", "turn", "turn", "L1", "turn", "L2", "L2",
-         "transit", "turn", "L3"), 4.0)
+        _coded(("L1", "turn", "L1", "turn", "turn", "L1", "turn", "L2", "L2",
+                "transit", "turn", "L3")), 4.0)
     return {
         "default": full,
         "survey_large": fly(FlightPlan(n_lines=8, line_length_m=2000.0,
