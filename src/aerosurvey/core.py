@@ -32,14 +32,13 @@ def _finite(*values: float) -> bool:
 
 @dataclass(frozen=True)
 class UtmPoint:
-    """A projected position: easting/northing in meters, altitude m AGL."""
+    """A projected position: easting/northing in meters."""
 
     easting: float
     northing: float
-    alt: float = 0.0
 
     def __post_init__(self):
-        if not _finite(self.easting, self.northing, self.alt):
+        if not _finite(self.easting, self.northing):
             raise ValueError("UtmPoint coordinates must be finite")
 
 

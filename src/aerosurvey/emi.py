@@ -92,7 +92,7 @@ class NoiseCurve:
 
 
 def noise_amplitude(trace: TimeSeries, detrend_window_s: float = 1.0) -> float:
-    """Robust noise amplitude of a trace.
+    """Robust noise amplitude of a scalar trace.
 
     A moving median over `detrend_window_s` removes the slow signal
     (regional field, pass geometry); the amplitude is half the
@@ -107,14 +107,12 @@ def noise_amplitude(trace: TimeSeries, detrend_window_s: float = 1.0) -> float:
     median_filter takes 0.005 s.
     """
     check_range("detrend_window_s", detrend_window_s, 0, above=True)
+    x = trace.values
+    if x.ndim != 1:
+        raise ValueError(f"noise_amplitude takes a scalar trace, not the "
+                         f"columns {list(trace.fields)}")
     if trace.duration < 3.0 * detrend_window_s:
         raise ValueError("trace must span >= 3 detrend windows")
-    if trace.values.ndim == 1:
-        x = trace.values
-    elif "tmi_nT" in trace.fields:
-        x = trace.column("tmi_nT")
-    else:
-        x = trace.values[:, -1]
     dt = _median(np.diff(trace.t))
     k = max(3, int(round(detrend_window_s / dt)) | 1)  # odd sample count
     k = min(k, len(x) if len(x) % 2 else len(x) - 1)

@@ -24,11 +24,15 @@ from .errors import NeverSettlesError
 from .io_csv import _REQUIRED, SchemaKind, write_table
 
 G = 9.80665  # m/s^2
-# the most steps a flight simulates: simulate_survey's traced peak is about
-# 112 bytes a step, 470 MB here, and flying into the artifacts (which never
-# holds the attitude track whole) about 65, where survey_large's 17.2
-# line-km is 267k steps
+# the most steps a flight simulates (survey_large's 17.2 line-km is 267k)
+# and the most cells of its sensor records, 268 MB: a row of t_s, 4 mag,
+# 10 VLF and 5 + n_channels radiometric cells per sim_rate_hz /
+# sensor_rate_hz steps. At the default 10 steps a row and 32 channels a
+# step-capped flight needs 21.8 M cells, and the traced peak is about 112
+# bytes a step for simulate_survey, which adds 64 of attitude track and
+# codes, 470 MB at the cap, and 65 flying into the artifacts
 _MAX_SIM_STEPS = 1 << 22
+_MAX_SIM_CELLS = 1 << 25
 # the most steps _Flight flies at once, and the most sensor rows whose
 # gamma counts it draws at once, so its working set does not grow with
 # the survey
@@ -129,10 +133,7 @@ class _Straight:
         d = (self.p1 - self.p0) / self.length
         pos = self.p0[None, :] + s[:, None] * d[None, :]
         course = np.full(len(s), math.atan2(d[1], d[0]))
-        return pos, course, self.acceleration(s, v)
-
-    def acceleration(self, s: np.ndarray, v: float) -> np.ndarray:
-        return np.zeros((len(s), 2))
+        return pos, course, np.zeros((len(s), 2))
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,6 @@ class _Arc:
         course = ang + sgn * math.pi / 2.0
         acc = -(v ** 2 / self.radius) * radial  # centripetal, toward center
         return pos, course, acc
-
-    def acceleration(self, s: np.ndarray, v: float) -> np.ndarray:
-        return self.sample(s, v)[2]
 
 
 def _mod2pi(a: float) -> float:
@@ -575,41 +573,32 @@ def _build_path(plan: FlightPlan, cfg: SimConfig):
     return segs
 
 
-def _segment_spans(segs, s: np.ndarray):
-    """(i, lo, hi, offsets) per segment that holds samples of `s`:
-    s[lo:hi] lie on segs[i], at `offsets` from its start.
+def _segment_spans(cum: np.ndarray, s: np.ndarray):
+    """(i, lo, hi, offsets) per path segment that holds samples of `s`:
+    s[lo:hi] lie on segment i, at `offsets` from its start offset cum[i].
 
     `s` must be non-decreasing (offsets of increasing times), so the
     samples of each segment form one contiguous slice.
     """
-    lengths = np.array([sg.length for sg, _, _ in segs])
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    m = len(cum) - 1
     s = np.clip(s, 0.0, cum[-1] - 1e-9)
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(segs) - 1)
-    bounds = np.searchsorted(idx, np.arange(len(segs) + 1)).tolist()
-    for i in range(len(segs)):
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, m - 1)
+    bounds = np.searchsorted(idx, np.arange(m + 1)).tolist()
+    for i in range(m):
         lo, hi = bounds[i], bounds[i + 1]
         if lo < hi:
             yield i, lo, hi, s[lo:hi] - cum[i]
 
 
-def _sample_path(segs, s: np.ndarray, v: float):
+def _sample_path(segs, cum: np.ndarray, s: np.ndarray, v: float):
     """Evaluate position/course/accel at path offsets `s`."""
     n = len(s)
     pos = np.empty((n, 2))
     course = np.empty(n)
     acc = np.empty((n, 2))
-    for i, lo, hi, offsets in _segment_spans(segs, s):
+    for i, lo, hi, offsets in _segment_spans(cum, s):
         pos[lo:hi], course[lo:hi], acc[lo:hi] = segs[i][0].sample(offsets, v)
     return pos, course, acc
-
-
-def _path_acceleration(segs, s: np.ndarray, v: float) -> np.ndarray:
-    """The accelerations _sample_path gives at path offsets `s`, alone."""
-    acc = np.empty((len(s), 2))
-    for i, lo, hi, offsets in _segment_spans(segs, s):
-        acc[lo:hi] = segs[i][0].acceleration(offsets, v)
-    return acc
 
 
 def _wobble(phases: np.ndarray, t: np.ndarray, amp: float) -> np.ndarray:
@@ -638,12 +627,10 @@ def _refuse_steps(steps: float, fields: str) -> None:
                          f"than _MAX_SIM_STEPS ({_MAX_SIM_STEPS})")
 
 
-def _segment_starts(segs, n: int, v: float, dt: float) -> list[int]:
-    """The first step of each segment of `segs`, as _segment_spans places
-    step i at path offset v * (i * dt), clipped into the path: the first
-    whose offset reaches the segment's start (n when none does)."""
-    lengths = np.array([sg.length for sg, _, _ in segs])
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+def _segment_starts(cum, n: int, v: float, dt: float) -> list[int]:
+    """The first step of each path segment, as _segment_spans places step
+    i at path offset v * (i * dt), clipped into the path: the first whose
+    offset reaches the segment's start cum[i] (n when none does)."""
     top = cum[-1] - 1e-9
 
     def offset(i: int) -> float:
@@ -667,17 +654,18 @@ class _Flight:
     Blocks are flown in chunks of at most _CHUNK_STEPS steps: the transit
     into the first tie line grows with the survey's width. blocks() yields
     each chunk's AttitudeTrack at sim_rate_hz and fills its rows of the
-    sensor records at sensor_rate_hz, allocated here, for the step count
-    is known before flying. So is each path segment's step span, and from
-    it the `lines`: (line id, role, sensor rows) of each plan leg with at
-    least 2 sensor samples on its segment, in plan.legs() order. A chunk's
-    segment is coded: the indices of its steps' path segments, filled a
-    span at a time, and `texts`, each path segment's label. Once blocks()
-    is exhausted, mag_full, vlf_full, rad_full and base hold the sensor
-    streams, as a SimResult's do, adopting the records uncopied, and
-    straight_peaks the largest |roll| and |pitch| on the survey and tie
-    lines' segments, one row per chunk that has steps there (none for a
-    hover).
+    sensor records at sensor_rate_hz, allocated here (at most
+    _MAX_SIM_CELLS cells), for the step count is known before flying. So
+    is each path segment's step span, from the path's offset table `_cum`
+    that every path sample is placed by, and from it the `lines`: (line
+    id, role, sensor rows) of each plan leg with at least 2 sensor samples
+    on its segment, in plan.legs() order. A chunk's segment is coded: the
+    indices of its steps' path segments, filled a span at a time, and
+    `texts`, each path segment's label. Once blocks() is exhausted,
+    mag_full, vlf_full, rad_full and base hold the sensor streams, as a
+    SimResult's do, adopting the records uncopied, and straight_peaks the
+    largest |roll| and |pitch| on the survey and tie lines' segments, one
+    row per chunk that has steps there (none for a hover).
 
     Each value is the one a single pass over all steps gives, bit for
     bit: each step's path sample, wobble and sensor value is worked out
@@ -703,10 +691,13 @@ class _Flight:
             first, starts, legs = [0], [0], [(0, 0)]
         else:
             segs = self._segs = _build_path(plan, cfg)
-            duration = sum(sg.length for sg, _, _ in segs) / cfg.speed
+            # the path's offset table: each segment's start, then the length
+            cum = self._cum = np.concatenate(
+                [[0.0], np.cumsum([sg.length for sg, _, _ in segs])])
+            duration = float(cum[-1]) / cfg.speed
             _refuse_steps(duration * cfg.sim_rate_hz, "path / speed x sim_rate_hz")
             n = int(math.floor(duration * cfg.sim_rate_hz)) + 1
-            first = _segment_starts(segs, n, cfg.speed, dt)
+            first = _segment_starts(cum, n, cfg.speed, dt)
             self.texts = tuple(label for _, label, _ in segs)
             roles = {lid: role for lid, role, _, _ in plan.legs()}
             # each block's first step, and the step span of its one leg
@@ -737,6 +728,13 @@ class _Flight:
             self._lag = min(n, max(1, int(round(cfg.yaw_lag_s
                                                 * cfg.sim_rate_hz))))
         ns = len(range(0, n, step))
+        width = 1 + len(_MAG_FIELDS) + len(_VLF_FIELDS) + len(_RAD_FIELDS) \
+            + cfg.n_channels
+        if ns * width > _MAX_SIM_CELLS:
+            raise ValueError(
+                f"sensor_rate_hz, sim_rate_hz and n_channels give {ns} x "
+                f"{width} sensor record cells, more than _MAX_SIM_CELLS "
+                f"({_MAX_SIM_CELLS})")
         self._ts = np.empty(ns)
         self._mag = np.empty((ns, len(_MAG_FIELDS)))
         self._vlf = np.empty((ns, len(_VLF_FIELDS)))
@@ -851,10 +849,10 @@ class _Flight:
             return pos, course, np.zeros((n, 2))
         dt = 1.0 / cfg.sim_rate_hz
         # the midpoint before each step, but for step 0
-        mid = np.arange(max(lo - 1, 0), hi - 1) * dt
-        acc_h = _path_acceleration(self._segs, cfg.speed * (mid + dt / 2.0),
-                                   cfg.speed)
-        pos, course, acc = _sample_path(self._segs, cfg.speed * t, cfg.speed)
+        mid = np.arange(max(lo - 1, 0), hi - 1) * dt + dt / 2.0
+        segs, cum, v = self._segs, self._cum, cfg.speed
+        acc_h = _sample_path(segs, cum, v * mid, v)[2]
+        pos, course, acc = _sample_path(segs, cum, v * t, v)
         return pos, course, self._swing.feed(acc, acc_h)
 
     def _decimate(self, track: AttitudeTrack, lo: int

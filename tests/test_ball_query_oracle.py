@@ -22,9 +22,8 @@ from scipy.spatial import cKDTree
 
 from aerosurvey import gridding
 
-# fixed, derandomized profile: the same examples on every run
-PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
-                    database=None)
+# the suite's derandomized profile (conftest.py), this many examples
+PROPERTY = settings(max_examples=150)
 BUDGETS = st.sampled_from([1, 2, 7, 64, 1 << 15])
 
 

@@ -433,8 +433,7 @@ def test_one_entry_value_never_ends_in_exit_4(tmp_path, command):
     cases = [(key, value) for key in good for value in (*ENTRY_VALUES,
                                                         LEFT_OUT)]
 
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=2 * len(cases))
+    @settings(max_examples=2 * len(cases))
     @given(st.sampled_from(cases))
     def one_value(case):
         key, value = case

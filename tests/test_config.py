@@ -222,8 +222,7 @@ def test_one_field_config_never_ends_in_exit_4(cls, f, path, monkeypatch):
     # holds about 40 MB
     monkeypatch.setattr(suspension, "_MAX_SIM_STEPS", 2 ** 18)
 
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=2 * len(_probes(f)))
+    @settings(max_examples=2 * len(_probes(f)))
     @given(st.sampled_from(_probes(f)))
     def one_field(value):
         with tempfile.TemporaryDirectory() as tmp:

@@ -24,9 +24,8 @@ from aerosurvey.suspension import (
     simulate_survey,
 )
 
-# fixed, derandomized profile: the same examples on every run
-PROPERTY = settings(derandomize=True, max_examples=250, deadline=None,
-                    database=None)
+# the suite's derandomized profile (conftest.py), this many examples
+PROPERTY = settings(max_examples=250)
 
 
 def _dense_intersections(pa: np.ndarray, pb: np.ndarray,

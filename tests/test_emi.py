@@ -44,12 +44,16 @@ def test_noise_amplitude_removes_slow_trend():
     assert with_drift == pytest.approx(without, rel=0.05)
 
 
-def test_noise_amplitude_multichannel_prefers_tmi():
+def test_noise_amplitude_refuses_a_multichannel_trace():
     t = np.arange(0.0, 10.0, 0.01)
     quiet = np.zeros_like(t)
     loud = np.sin(2 * np.pi * 7.0 * t)
     ts = TimeSeries(t, np.column_stack([loud, quiet]), ("other", "tmi_nT"))
-    assert noise_amplitude(ts) < 0.01
+    # no column is picked for the caller, tmi_nT or the last
+    with pytest.raises(ValueError, match=r"^noise_amplitude takes a scalar "
+                       r"trace, not the columns \['other', 'tmi_nT'\]$"):
+        noise_amplitude(ts)
+    assert noise_amplitude(TimeSeries(t, quiet, ("tmi_nT",))) == 0.0
 
 
 def test_noise_amplitude_preconditions():

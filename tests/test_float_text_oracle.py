@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 
 from aerosurvey import io_csv, numtext
 
-PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
-                    database=None)
+PROPERTY = settings(max_examples=200)
 RNG = np.random.default_rng(20240601)
 # values at the edges of the layout: signed zero, a subnormal, 1e22, the
 # positional bounds, exponent text with and without a '.', nan and inf

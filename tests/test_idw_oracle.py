@@ -24,9 +24,8 @@ from scipy.spatial import cKDTree
 from aerosurvey import gridding
 from aerosurvey.gridding import NODATA, grid_idw
 
-# fixed, derandomized profile: the same examples on every run
-PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
-                    database=None)
+# the suite's derandomized profile (conftest.py), this many examples
+PROPERTY = settings(max_examples=200)
 
 # samples around one centre; crosses the pairwise-sum thresholds
 CLUSTER_SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129, 300, 517)

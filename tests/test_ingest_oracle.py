@@ -42,9 +42,8 @@ from aerosurvey.io_csv import (
     read_survey_lines,
 )
 
-# fixed, derandomized profile: the same examples on every run
-PROPERTY = settings(derandomize=True, max_examples=300, deadline=None,
-                    database=None)
+# the suite's derandomized profile (conftest.py), this many examples
+PROPERTY = settings(max_examples=300)
 
 
 # ---------------------------------------------------------------------------

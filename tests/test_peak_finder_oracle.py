@@ -23,9 +23,8 @@ from aerosurvey import vibration
 from aerosurvey.core import TimeSeries, _median
 from aerosurvey.vibration import _find_peaks, amplitude_spectrum
 
-# fixed, derandomized profile: the same examples on every run
-PROPERTY = settings(derandomize=True, max_examples=300, deadline=None,
-                    database=None)
+# the suite's derandomized profile (conftest.py), this many examples
+PROPERTY = settings(max_examples=300)
 
 
 def _prominence_cases(x: np.ndarray) -> list[float]:

@@ -20,9 +20,8 @@ from scipy.ndimage import median_filter
 from aerosurvey import emi
 from aerosurvey.core import TimeSeries
 
-# fixed, derandomized profile: the same examples on every run
-PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
-                    database=None)
+# the suite's derandomized profile (conftest.py), this many examples
+PROPERTY = settings(max_examples=200)
 VALUES = st.one_of(st.integers(-3, 3).map(float),
                    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False))
 

@@ -40,7 +40,9 @@ no per-sample segment labels. A flown chunk's segment column and
 simulate_survey's are coded over the path segments' step spans, no module
 spells a label out per step or per sample, simulate_survey's result
 carries the flight's lines, and write_table takes a label column in that
-one coded form.
+one coded form. The flight path is sampled one way: its offset table is
+built once per flight, one sampler places the steps and the RK4 half
+steps by it, and no path segment samples its acceleration alone.
 """
 
 from __future__ import annotations
@@ -463,3 +465,25 @@ def test_segments_are_spans_not_per_step_labels(tmp_path):
     io_csv.write_table(tmp_path / "t", [], [np.zeros(3), (
         np.array([0, 0, 1]), ("L1", "T1"))])
     assert (tmp_path / "t").read_bytes() == b"0.0,L1\r\n0.0,L1\r\n0.0,T1\r\n"
+
+
+def test_the_path_is_sampled_one_way():
+    # no acceleration-only route beside _sample_path
+    def acceleration_route(node) -> bool:
+        if isinstance(node, ast.FunctionDef):
+            return node.name in ("acceleration", "_path_acceleration")
+        return (isinstance(node, ast.Attribute) and node.attr == "acceleration"
+                or isinstance(node, ast.Name)
+                and node.id == "_path_acceleration")
+
+    assert _where(acceleration_route) == set()
+
+    # outside a segment's own methods, a path segment's length is read only
+    # where _Flight builds the path's offset table, once per flight
+    def segment_length(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "length"
+                and isinstance(node.ctx, ast.Load)
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id == "self"))
+
+    assert _where(segment_length) == {("suspension.py", "__init__")}

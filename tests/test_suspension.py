@@ -18,7 +18,9 @@ from aerosurvey.suspension import (
     AttitudeTrack,
     G,
     SettlingMetrics,
+    _MAX_SIM_CELLS,
     _MAX_SIM_STEPS,
+    _Flight,
     _Swing,
     _build_path,
     _dubins_csc,
@@ -193,7 +195,9 @@ def _sample_path_masked(segs, s, v):
 ], ids=["default", "survey_large", "rotated"])
 def test_sample_path_matches_mask_reference(plan):
     cfg = SimConfig()
-    segs = _build_path(plan, cfg)
+    # the path and offset table the flight samples
+    flight = _Flight(plan, None, cfg)
+    segs, cum = flight._segs, flight._cum
     total = sum(sg.length for sg, _, _ in segs)
     dt = 1.0 / cfg.sim_rate_hz
     t = np.arange(int(total / cfg.speed * cfg.sim_rate_hz) + 1) * dt
@@ -201,7 +205,7 @@ def test_sample_path_matches_mask_reference(plan):
     # that skips short segments; offsets beyond both ends of the path
     for s in (cfg.speed * t, cfg.speed * (t[:-1] + dt / 2.0),
               np.linspace(-5.0, total + 5.0, 41)):
-        got = _sample_path(segs, s, cfg.speed)
+        got = _sample_path(segs, cum, s, cfg.speed)
         want = _sample_path_masked(segs, s, cfg.speed)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -585,6 +589,30 @@ def test_simulator_refuses_more_than_max_sim_steps(plan, cfg, fields):
         tracemalloc.stop()
     # refused before any array of one value per step exists
     assert peak < 2 ** 20
+
+
+def test_simulator_refuses_a_sensor_record_past_max_sim_cells(monkeypatch):
+    # the default plan at one sensor row a step: 43,145 rows of 1044 cells
+    cfg = SimConfig(sensor_rate_hz=100.0, n_channels=1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^sensor_rate_hz, sim_rate_hz "
+                           r"and n_channels give 43145 x 1044 sensor record "
+                           r"cells, more than _MAX_SIM_CELLS \(33554432\)$"):
+            _Flight(None, None, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # refused before the records are allocated
+    assert peak < 2 ** 20
+    # a default-rate flight at the step cap fits
+    assert len(range(0, _MAX_SIM_STEPS, 10)) * 52 < _MAX_SIM_CELLS
+    # the default flight's 4315 rows of 52 cells fit a cap of exactly that
+    monkeypatch.setattr(suspension, "_MAX_SIM_CELLS", 4315 * 52)
+    _Flight()
+    monkeypatch.setattr(suspension, "_MAX_SIM_CELLS", 4315 * 52 - 1)
+    with pytest.raises(ValueError, match=" 4315 x 52 sensor record cells"):
+        _Flight()
 
 
 def test_sim_config_round_trip_and_unknown_keys():

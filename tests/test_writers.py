@@ -324,8 +324,7 @@ def test_write_table_refuses_a_label_holding_the_delimiter(
 
 # --- write_table and its parts against csv.writer, drawn by hypothesis ---
 
-ORACLE = settings(derandomize=True, database=None, max_examples=300,
-                  deadline=None)
+ORACLE = settings(max_examples=300)
 ORACLE_ROWS = 8         # rows per chunk, so most tables cross chunks
 LABEL_CHARS = " ,;.e%é€L1"
 CELLS = {
