@@ -59,9 +59,10 @@ class TimeSeries:
     """Timestamps plus one value per timestamp.
 
     `values` is (n,) for a scalar trace or (n, k) for a multi-channel
-    record, with `fields` naming the k columns (CSV header names, so a
-    magnetometer series has fields ('easting_m', 'northing_m', 'alt_m',
-    'tmi_nT')). Timestamps are strictly increasing.
+    record, with `fields` naming each of the k columns (CSV header names,
+    so a magnetometer series has fields ('easting_m', 'northing_m',
+    'alt_m', 'tmi_nT')). A scalar trace names its one column or none.
+    Timestamps are strictly increasing.
     """
 
     t: np.ndarray
@@ -93,8 +94,10 @@ class TimeSeries:
             raise ValueError("t and values length mismatch")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("timestamps must be strictly increasing")
-        if v.ndim == 2 and self.fields and v.shape[1] != len(self.fields):
-            raise ValueError("fields/value column count mismatch")
+        width = v.shape[1] if v.ndim == 2 else 1
+        if len(self.fields) != width and (v.ndim == 2 or self.fields):
+            raise ValueError(f"a series of {width} columns needs as many "
+                             f"field names, got {len(self.fields)}")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -104,22 +107,16 @@ class TimeSeries:
         return float(self.t[-1] - self.t[0]) if len(self.t) else 0.0
 
     def column(self, name: str) -> np.ndarray:
-        """Named channel of a multi-channel series (or the scalar trace)."""
-        if self.values.ndim == 1:
-            if self.fields and self.fields != (name,):
-                raise KeyError(name)
-            return self.values
-        try:
-            j = self.fields.index(name)
-        except ValueError:
-            raise KeyError(name) from None
-        return self.values[:, j]
+        """Named channel of a series (an unnamed scalar trace is any)."""
+        if self.fields and name not in self.fields:
+            raise KeyError(name)
+        return self.values if self.values.ndim == 1 else \
+            self.values[:, self.fields.index(name)]
 
     def with_column(self, name: str, new: np.ndarray) -> "TimeSeries":
         """Copy with one channel replaced."""
-        j = self.fields.index(name)
         v = np.array(self.values)
-        v[:, j] = new
+        v[:, self.fields.index(name)] = new
         return TimeSeries(self.t, v, self.fields)
 
 
@@ -198,13 +195,9 @@ def resample_uniform(series: TimeSeries, rate_hz: float) -> TimeSeries:
         raise ValueError(f"rate_hz {rate_hz!r} gives more than "
                          f"{_MAX_RESAMPLE_NODES} resample nodes")
     new_t = t0 + np.arange(n) / rate_hz
-    if series.values.ndim == 1:
-        new_v = np.interp(new_t, series.t, series.values)
-    else:
-        new_v = np.column_stack(
-            [np.interp(new_t, series.t, series.values[:, j])
-             for j in range(series.values.shape[1])]
-        )
+    new_v = np.interp(new_t, series.t, series.values) \
+        if series.values.ndim == 1 else np.column_stack(
+            [np.interp(new_t, series.t, v) for v in series.values.T])
     return TimeSeries(new_t, new_v, series.fields)
 
 

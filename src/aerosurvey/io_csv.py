@@ -247,25 +247,20 @@ def _read_floats(path, select) -> np.ndarray:
 
 
 def _read_buzz_trace(path: Path) -> TimeSeries:
-    """Buzz traces are mag CSVs (a header with every mag column) or any
-    two-column t_s,<value> file."""
+    """A buzz trace is a mag CSV's tmi_nT (a header with every mag column)
+    or the value column of a t_s,<value> file. Any other header raises
+    ValueError naming the file and its columns."""
     with _open_csv(path) as (_, header, _):
         pass
     if set(_REQUIRED[SchemaKind.MAG]) <= set(header):
         data = ingest_csv(path, SchemaKind.MAG).data
         return TimeSeries(data.t, data.column("tmi_nT"), ("tmi_nT",))
-
-    def value_column(header: list[str]) -> str:
-        if "t_s" not in header:
-            raise MissingColumnError(f"{path}: no t_s column")
-        value_col = [c for c in header if c != "t_s"]
-        if not value_col:
-            raise MissingColumnError(f"{path}: no value column")
-        return value_col[-1]
-
-    values = _read_floats(path, lambda header: [
-        header.index(c) for c in ("t_s", value_column(header))])
-    return TimeSeries(*values.T, (value_column(header),))
+    if len(header) != 2 or "t_s" not in header:
+        raise ValueError(f"{path}: a pass file is a mag CSV or t_s and one "
+                         f"value column, not the columns {header}")
+    cols = [header.index("t_s"), 1 - header.index("t_s")]
+    return TimeSeries(*_read_floats(path, lambda _: cols).T,
+                      (header[cols[1]],))
 
 
 def ingest_csv(path: str | Path, schema: SchemaKind) -> Ingested:
@@ -282,10 +277,10 @@ def ingest_csv(path: str | Path, schema: SchemaKind) -> Ingested:
 
     def columns(header: list[str]) -> list[int]:
         idx = _check_header(path, header, _REQUIRED[schema])
-        return [idx[c] for c in ("t_s", *_value_columns(schema, header))]
+        return [idx[c] for c in ("t_s", *_value_columns(path, schema, header))]
 
     header, _, values, failed, _ = _read_columns(path, columns)
-    value_cols = _value_columns(schema, header)
+    value_cols = _value_columns(path, schema, header)
     checks = [(failed, "unparsable field"),
               (~np.isfinite(values).all(axis=1), "non-finite field")]
     for c, v in zip(value_cols, values[:, 1:].T):
@@ -315,19 +310,25 @@ def ingest_csv(path: str | Path, schema: SchemaKind) -> Ingested:
                     rejected)
 
 
-def _value_columns(schema: SchemaKind, header: list[str]) -> list[str]:
+def _value_columns(path, schema: SchemaKind, header: list[str]) -> list[str]:
     """Everything `schema` requires after t_s, plus rad's optionals."""
     cols = list(_REQUIRED[schema][1:])
     if schema is SchemaKind.RAD:
         if "th_ppm" in header:
             cols.append("th_ppm")
-        cols.extend(_channel_columns(header))
+        cols.extend(_channel_columns(path, header))
     return cols
 
 
-def _channel_columns(header: list[str]) -> list[str]:
-    """The gamma channel columns of `header` (ch0..chN), in its order."""
-    return [c for c in header if c.startswith("ch") and c[2:].isdigit()]
+def _channel_columns(path, header: list[str]) -> list[str]:
+    """ch0..ch<k-1>, in index order, for the k ch<digits> names of
+    `header`; any other set raises MissingColumnError naming the file."""
+    names = [c for c in header if c.startswith("ch") and c[2:].isdigit()]
+    channels = [f"ch{j}" for j in range(len(names))]
+    if set(names) != set(channels):
+        raise MissingColumnError(f"{path}: the channel columns {names} are "
+                                 f"not ch0..ch{len(names) - 1}")
+    return channels
 
 
 def _warn_rejected(path, rejected: tuple[tuple[int, str], ...]) -> None:
@@ -482,14 +483,10 @@ def _labels(column, ci: int, delimiter: str) -> tuple[np.ndarray, list[bytes]]:
 def write_series_csv(path: str | Path, series: TimeSeries, parts=()) -> None:
     """Serialize a TimeSeries using its field names as the header (an
     unnamed scalar series as `value`); `parts` as write_table's, with t_s
-    as column 0. A multi-column series must name every column."""
+    as column 0."""
     vals = series.values if series.values.ndim == 2 else series.values[:, None]
-    fields = series.fields or ("value",)
-    if len(fields) != vals.shape[1]:
-        raise ValueError(f"{path}: a series of {vals.shape[1]} columns needs "
-                         f"as many field names, got {len(series.fields)}")
-    write_table(path, [("t_s",) + tuple(fields)], [series.t, *vals.T],
-                parts=parts)
+    write_table(path, [("t_s", *(series.fields or ("value",)))],
+                [series.t, *vals.T], parts=parts)
 
 
 def read_survey_lines(directory: str | Path, schema: SchemaKind,
@@ -507,9 +504,10 @@ def read_survey_lines(directory: str | Path, schema: SchemaKind,
 
 
 def read_spectra_csv(path: str | Path) -> np.ndarray:
-    """Plain spectra matrix: header ch0..chN, one sample per row."""
+    """Plain spectra matrix: columns ch0..chN in index order, one sample
+    per row."""
     def columns(header: list[str]) -> list[int]:
-        cols = _channel_columns(header)
+        cols = _channel_columns(path, header)
         if not cols:
             raise MissingColumnError(f"{path}: no ch0..chN columns")
         return [header.index(c) for c in cols]

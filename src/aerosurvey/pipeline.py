@@ -217,19 +217,26 @@ def _simulate_stage(plan: FlightPlan, geometry: SuspensionGeometry,
 
     Returns the stage's StageResult and the four things later stages read:
     the magnetometer and base traces, the radiometric record and the
-    flight's lines, known before it flies. The survey is written as it is
-    flown, so its attitude track never exists whole; the VLF stream dies
-    when this returns.
+    flight's lines. The lines are known before the flight, so a flight
+    without a flight line or a tie line, or too short to judge, is refused
+    unflown. The survey is written as it is flown, so its attitude track
+    never exists whole; the VLF stream dies when this returns.
     """
     sim = _Flight(plan, geometry, sim_cfg)
     lines = sim.lines
     if not lines:
         raise ValueError("the flight has no survey line with 2 or more "
                          "sensor samples")
+    if {role for _, role, _ in lines} != set(LineRole):
+        raise ValueError("qc_tie needs a flight line and a tie line of 2 or "
+                         f"more sensor samples (tie_lines: {plan.tie_lines})")
+    # the (first) longest line's out-of-phase noise judges the flight; its
+    # times are known unflown, so noise_amplitude refuses a short one here
+    _, _, rows = max(lines, key=lambda line: len(line[2]))
+    noise_amplitude(TimeSeries(
+        rows * sim._step * (1.0 / sim_cfg.sim_rate_hz), np.zeros(len(rows))))
     paths = write_survey_artifacts(sim, out)
     max_roll, max_pitch = map(float, np.max(sim.straight_peaks, axis=0))
-    # robust out-of-phase amplitude on the (first) longest line
-    _, _, rows = max(lines, key=lambda line: len(line[2]))
     vlf = sim.vlf_full
     out_amp = noise_amplitude(TimeSeries(
         vlf.t[rows], vlf.column("outphase_pct")[rows], ("outphase_pct",)))

@@ -82,19 +82,17 @@ class SpectrumResult:
     peaks: tuple[tuple[float, float], ...]
 
 
-_AXIS_FIELD = {"x": "ax_ms2", "y": "ay_ms2", "z": "az_ms2"}
-
-
 def _axis_column(series: TimeSeries, axis: str) -> np.ndarray:
+    """The column a<axis>_ms2 of `series` (an unnamed scalar trace is any
+    axis); a series without it raises ValueError naming both."""
     axis = axis.lower()
-    if axis not in _AXIS_FIELD:
+    if axis not in ("x", "y", "z"):
         raise ValueError("axis must be one of x, y, z")
-    if series.values.ndim == 1:
-        return series.values
-    name = _AXIS_FIELD[axis]
-    if name in series.fields:
-        return series.column(name)
-    return series.values[:, "xyz".index(axis)]
+    try:
+        return series.column(f"a{axis}_ms2")
+    except KeyError:
+        raise ValueError(f"axis {axis!r} is the column a{axis}_ms2, not one "
+                         f"of the fields {series.fields}") from None
 
 
 def amplitude_spectrum(series: TimeSeries, axis: str = "z",
@@ -106,7 +104,8 @@ def amplitude_spectrum(series: TimeSeries, axis: str = "z",
     series : TimeSeries
         Uniformly sampled acceleration, at least 64 samples.
     axis : str
-        Body axis to analyze: 'x', 'y' or 'z'.
+        Body axis to analyze: 'x', 'y' or 'z', read from the column
+        ax_ms2, ay_ms2 or az_ms2 (an unnamed scalar trace is any axis).
     prominence_fraction : float
         Peak prominence threshold as a fraction of the maximum bin; finite
         and in [0, 1].

@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -28,6 +29,7 @@ from aerosurvey.cli import (
     version_info,
 )
 from aerosurvey.core import TimeSeries
+from aerosurvey.errors import NoIntersectionsError
 from aerosurvey.io_csv import write_series_csv, write_spectra_csv
 from aerosurvey.suspension import FlightPlan, SimConfig
 
@@ -271,6 +273,23 @@ def test_emi_buzz_reads_a_two_column_tmi_trace(tmp_path, capsys):
         assert code == EXIT_OK, err
         results.append(json.loads(stdout))
     assert results[0] == results[1]
+
+
+# the last of any number of value columns was once read as the trace
+def test_emi_buzz_pass_file_with_two_value_columns_is_io_error(tmp_path,
+                                                               capsys):
+    spec = _write_buzz_passes(tmp_path, [(sep, 1.0) for sep in (2.0, 4.0)],
+                              "tmi_nT")
+    bad = tmp_path / "tmi_nT_4.csv"
+    bad.write_text("t_s,tmi_nT,other\r\n0.0,1.0,5.0\r\n0.02,2.0,6.0\r\n")
+    out = tmp_path / "buzz.json"
+    code, _, err = run_cli(capsys, "emi", "buzz", "--passes", spec,
+                           "--out", out)
+    assert code == EXIT_IO
+    assert err == (f"error: {bad}: a pass file is a mag CSV or t_s and one "
+                   "value column, not the columns ['t_s', 'tmi_nT', "
+                   "'other']\n")
+    assert not out.exists()
 
 
 # squaring an amplitude of 1e300 once overflowed with two RuntimeWarnings
@@ -795,6 +814,37 @@ def test_qc_nasvd_roundtrip_and_bad_rank(tmp_path, capsys):
     assert err == "error: k must be in 1..8\n"
 
 
+# the channels were once read in header order and written back as
+# ch0..chN, so ch2's denoised counts came out under the name ch0
+def test_qc_nasvd_reads_each_channel_by_its_name(tmp_path, capsys):
+    counts = np.random.default_rng(4).poisson(30.0, (20, 3)).astype(float)
+    ordered, shuffled = tmp_path / "ordered.csv", tmp_path / "shuffled.csv"
+    write_spectra_csv(ordered, counts)
+    shuffled.write_text("ch2,ch0,ch1\r\n" + "".join(
+        f"{c!r},{a!r},{b!r}\r\n" for a, b, c in counts.tolist()))
+    outputs = []
+    for infile in (ordered, shuffled):
+        out = tmp_path / f"denoised_{infile.stem}.csv"
+        code, stdout, err = run_cli(capsys, "qc", "nasvd", "--in", infile,
+                                    "--k", 1, "--out", out)
+        assert code == EXIT_OK, err
+        outputs.append((json.loads(stdout)["energy_fraction"],
+                        out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_qc_nasvd_channels_not_ch0_to_chn_are_io_error(tmp_path, capsys):
+    infile = tmp_path / "spectra.csv"
+    infile.write_text("ch0,ch2\r\n1.0,2.0\r\n3.0,4.0\r\n")
+    out = tmp_path / "denoised.csv"
+    code, _, err = run_cli(capsys, "qc", "nasvd", "--in", infile,
+                           "--k", 1, "--out", out)
+    assert code == EXIT_IO
+    assert err == (f"error: {infile}: the channel columns ['ch0', 'ch2'] "
+                   "are not ch0..ch1\n")
+    assert not out.exists()
+
+
 def test_qc_nasvd_ragged_row_is_io_error(tmp_path, capsys):
     infile = tmp_path / "spectra.csv"
     infile.write_text("ch0,ch1,ch2\r\n1.0,2.0,3.0\r\n4.0,5.0\r\n")
@@ -1242,13 +1292,14 @@ def test_pipeline_cli_stage_failure_writes_partial_report(
         "simulate", "qc_d4", "qc_diurnal", "qc_tie", "qc_nasvd"]
 
 
-def test_pipeline_with_no_tie_line_exits_3_and_its_report_fails(
-        tmp_path, capsys):
-    plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps(FlightPlan(
-        n_lines=2, line_length_m=200.0, tie_lines=0).to_dict()))
+def test_pipeline_analysis_outcome_exits_3_and_its_report_fails(
+        tmp_path, small_plan, capsys, monkeypatch):
+    def no_crossing(*args):
+        raise NoIntersectionsError("no flight/tie intersections")
+
+    monkeypatch.setattr(pipeline, "crossover_analysis", no_crossing)
     config = tmp_path / "pipeline.json"
-    config.write_text(json.dumps({"plan_path": str(plan)}))
+    config.write_text(json.dumps({"plan_path": str(small_plan)}))
     out_dir = tmp_path / "run"
     code, _, err = run_cli(capsys, "pipeline", "--config", config,
                            "--out-dir", out_dir)
@@ -1258,6 +1309,28 @@ def test_pipeline_with_no_tie_line_exits_3_and_its_report_fails(
     assert len(partial["stages"]) == 3
     assert partial["pass"] is False
     assert partial["failed_stage"] == "qc_tie"
+
+
+# once flown whole, every survey file written, and refused at qc_tie (exit 3)
+def test_pipeline_with_no_tie_line_is_refused_before_it_flies(tmp_path,
+                                                              capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(FlightPlan(
+        n_lines=2, line_length_m=200.0, tie_lines=0).to_dict()))
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"plan_path": str(plan)}))
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "pipeline", "--config", config,
+                           "--out-dir", out_dir)
+    assert code == EXIT_IO
+    assert err == ("error: stage 'simulate' failed: qc_tie needs a flight "
+                   "line and a tie line of 2 or more sensor samples "
+                   "(tie_lines: 0)\n")
+    assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+    partial = json.loads((out_dir / "report.json").read_text())
+    assert partial["stages"] == []
+    assert partial["pass"] is False
+    assert partial["failed_stage"] == "simulate"
 
 
 # once flown whole and refused at qc_nasvd, leaving 12 entries behind
@@ -1327,6 +1400,82 @@ def test_pipeline_hover_is_refused_before_any_survey_artifact(tmp_path,
     assert partial["stages"] == []
     assert partial["failed_stage"] == "simulate"
     assert partial["pass"] is False
+
+
+# --- pipeline over random configs: exit 0, 2 or 3 and a strict report ---
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@st.composite
+def pipeline_configs(draw):
+    """(plan, sim config, pipeline fields) of a small run, each value
+    inside its declared range; the first choice of each sampled_from is
+    the common one."""
+    plan = FlightPlan(n_lines=draw(st.sampled_from((2, 3, 1))),
+                      line_length_m=draw(st.floats(40.0, 300.0)),
+                      spacing_m=draw(st.floats(10.0, 200.0)),
+                      heading_deg=draw(st.floats(-360.0, 360.0)),
+                      tie_lines=draw(st.sampled_from((1, 2, 0))))
+    sensor_rate = draw(st.sampled_from((10.0, 2.5, 1.0)))
+    sim = SimConfig(seed=draw(st.integers(0, 3)),
+                    speed=draw(st.sampled_from((8.0, 25.0, 3.0, 100.0,
+                                                0.0))),
+                    hover_duration_s=draw(st.floats(1.0, 30.0)),
+                    sensor_rate_hz=sensor_rate,
+                    sim_rate_hz=sensor_rate * draw(st.integers(1, 10)),
+                    n_channels=draw(st.sampled_from((32, 8, 3))))
+    pipe = {"tie_field": draw(st.sampled_from(("TMI", "K", "U"))),
+            "tie_tolerance": draw(st.sampled_from((1.0, 10.0, 0.0))),
+            "d4_threshold": draw(st.one_of(st.none(), st.floats(0.01, 1e3))),
+            "nasvd_k": draw(st.integers(1, 4)),
+            "nasvd_energy_min": draw(st.floats(0.0, 1.0)),
+            "cell_fine": draw(st.floats(2.0, 200.0)),
+            "cell_coarse": draw(st.floats(10.0, 10_000.0))}
+    return plan, sim, pipe
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60)
+@given(pipeline_configs())
+def test_pipeline_over_random_configs_keeps_its_exit_codes(tmp_path_factory,
+                                                           case):
+    plan, sim, pipe = case
+    tmp = tmp_path_factory.mktemp("random_run")
+    (tmp / "plan.json").write_text(json.dumps(plan.to_dict()))
+    (tmp / "sim.json").write_text(json.dumps(sim.to_dict()))
+    (tmp / "pipeline.json").write_text(json.dumps(
+        {**pipe, "plan_path": str(tmp / "plan.json"),
+         "sim_path": str(tmp / "sim.json")}))
+    out, stdout, stderr = tmp / "out", io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["pipeline", "--config", str(tmp / "pipeline.json"),
+                     "--out-dir", str(out)])
+    err = stderr.getvalue()
+    assert code in (EXIT_OK, EXIT_IO, EXIT_QC), err
+    assert "Traceback" not in err
+    refused = re.match(r"error: stage '(\w+)' failed: ", err)
+    if not (out / "report.json").exists():
+        # refused at load, before anything is written
+        assert code == EXIT_IO and refused is None and not out.exists()
+        return
+    report = _strict_json((out / "report.json").read_text())
+    if refused:
+        assert report["pass"] is False
+        assert report["failed_stage"] == refused[1]
+    else:
+        assert "failed_stage" not in report
+        assert _strict_json(stdout.getvalue()) == report
+        assert report["pass"] is (code == EXIT_OK)
+    if report.get("failed_stage") == "simulate":
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+    if plan.tie_lines == 0:
+        # refused before the flight, so it never reaches qc_tie
+        assert report["failed_stage"] == "simulate"
 
 
 # --- version and exit codes ---

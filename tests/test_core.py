@@ -83,6 +83,18 @@ def test_timeseries_field_count_must_match_columns():
         TimeSeries(np.array([0.0, 1.0]), np.ones((2, 3)), ("a", "b"))
 
 
+# an unnamed multi-column series could once only be read by position
+def test_timeseries_names_every_column_of_a_multi_column_series():
+    t = np.arange(3.0)
+    with pytest.raises(ValueError, match="^a series of 2 columns needs as "
+                       "many field names, got 0$"):
+        TimeSeries(t, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="^a series of 1 columns needs as "
+                       "many field names, got 2$"):
+        TimeSeries(t, np.ones(3), ("a", "b"))
+    assert TimeSeries(t, np.ones(3)).fields == ()
+
+
 def test_with_column_replaces_one_channel():
     ts = TimeSeries(np.array([0.0, 1.0]),
                     np.array([[1.0, 2.0], [3.0, 4.0]]),

@@ -2,7 +2,9 @@
 
 `_loop_ingest_csv`, `_loop_read_spectra_csv` and `_loop_read_buzz_trace`
 are the row-at-a-time readers that `ingest_csv`, `read_spectra_csv` and
-the CLI's buzz reader replaced, kept here only as oracles. For every
+the CLI's buzz reader replaced, kept here only as oracles. They follow
+the readers' column rules: the gamma channels are ch0..ch<k-1> in index
+order, and a buzz trace's file holds t_s and one value column. For every
 input the oracle accepts, the new reader must return the same bits, the
 same fields and the same rejected rows; where the oracle raises, the new
 reader must raise the same exception.
@@ -58,7 +60,7 @@ def _loop_ingest_csv(path, schema: SchemaKind) -> Ingested:
     if schema is SchemaKind.RAD:
         if "th_ppm" in idx:
             value_cols.append("th_ppm")
-        value_cols.extend(c for c in header if c.startswith("ch") and c[2:].isdigit())
+        value_cols.extend(_loop_channels(path, header))
 
     t_list: list[float] = []
     rows_out: list[list[float]] = []
@@ -103,9 +105,21 @@ def _invariant_violation(cols, vals):
     return None
 
 
+def _loop_channels(path, header) -> list[str]:
+    """ch0, ch1, ... for as many ch<digits> cells as `header` holds, each
+    of which it must hold."""
+    n = sum(c.startswith("ch") and c[2:].isdigit() for c in header)
+    cols = [f"ch{j}" for j in range(n)]
+    if any(c not in header for c in cols):
+        names = [c for c in header if c.startswith("ch") and c[2:].isdigit()]
+        raise MissingColumnError(f"{path}: the channel columns {names} are "
+                                 f"not ch0..ch{n - 1}")
+    return cols
+
+
 def _loop_read_spectra_csv(path) -> np.ndarray:
     header, body = _read_rows(path)
-    cols = [c for c in header if c.startswith("ch") and c[2:].isdigit()]
+    cols = _loop_channels(path, header)
     if not cols:
         raise MissingColumnError(f"{path}: no ch0..chN columns")
     idx = [header.index(c) for c in cols]
@@ -125,11 +139,15 @@ def _loop_read_spectra_csv(path) -> np.ndarray:
 
 
 def _loop_read_buzz_trace(path) -> TimeSeries:
-    """The two-column branch of the CLI's buzz reader, with its own csv.reader."""
+    """The two-column branch of the CLI's buzz reader, with its own
+    csv.reader: t_s and exactly one value column."""
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
     value_col = [c for c in header if c != "t_s"]
-    ti, vi = header.index("t_s"), header.index(value_col[-1])
+    if len(header) != 2 or len(value_col) != 1:
+        raise ValueError(f"{path}: a pass file is a mag CSV or t_s and one "
+                         f"value column, not the columns {header}")
+    ti, vi = header.index("t_s"), header.index(value_col[0])
     t, v = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         rd = csv.reader(fh)
@@ -141,7 +159,7 @@ def _loop_read_buzz_trace(path) -> TimeSeries:
         except IndexError:
             raise ValueError(f"{path}: data row {rownum} has {len(row)} "
                              f"cells, the header has {len(header)}") from None
-    return TimeSeries(np.array(t), np.array(v), (value_col[-1],))
+    return TimeSeries(np.array(t), np.array(v), (value_col[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +304,7 @@ def test_ingest_matches_row_loop_on_simulated_files(survey_dir, schema):
 @st.composite
 def spectra_files(draw):
     k = draw(st.integers(1, 4))
-    header = [f"ch{j}" for j in range(k)]
+    header = draw(st.permutations([f"ch{j}" for j in range(k)]))
     if draw(st.booleans()):
         header.insert(draw(st.integers(0, k)), "t_s")
     n = draw(st.integers(1, 8))
@@ -361,6 +379,31 @@ def test_spectra_round_trip_keeps_bits(tmp_path):
     _assert_same_bits(read_spectra_csv(path), counts)
 
 
+# the gamma channels are ch0..ch<k-1> taken in index order, and any other
+# set of ch<digits> names is refused ("\u00b2" is a superscript two, which
+# str.isdigit takes)
+@pytest.mark.parametrize("channels", ("ch2,ch0,ch1", "ch0,ch2", "ch1", "ch01",
+                                      "ch0,ch\u00b2"))
+def test_channel_sets_match_the_row_loops(tmp_path, channels):
+    header = "t_s,easting_m,northing_m,alt_m,k_pct,u_ppm," + channels
+    width = header.count(",") + 1
+    path = tmp_path / "rad.csv"
+    path.write_text("\n".join([header] + [
+        ",".join(repr(0.5 * i + 0.25 * j) for j in range(width))
+        for i in range(3)]) + "\n", encoding="utf-8")
+    outcomes = [(_outcome(lambda p: ingest_csv(p, SchemaKind.RAD), path),
+                 _outcome(_loop_ingest_csv, path, SchemaKind.RAD)),
+                (_outcome(read_spectra_csv, path),
+                 _outcome(_loop_read_spectra_csv, path))]
+    for got, want in outcomes:
+        _assert_same_outcome(got, want)
+    (ingested, exc), _ = outcomes[0]
+    if channels == "ch2,ch0,ch1":
+        assert ingested.data.fields[-3:] == ("ch0", "ch1", "ch2")
+    else:
+        assert isinstance(exc, MissingColumnError)
+
+
 # ---------------------------------------------------------------------------
 # buzz traces
 
@@ -431,36 +474,55 @@ def test_emi_buzz_non_finite_cell_is_io_error(tmp_path, capsys):
 # the C parser and the row reader
 
 
-def _route_rows(n: int = 4) -> list[str]:
-    """n rows under ROUTE_HEADER: increasing t_s, every value >= 0."""
-    return [",".join(repr(0.5 * i + 0.25 * j) for j in range(8))
-            for i in range(n)]
+def _route_rows(n: int = 4) -> list[list[str]]:
+    """n rows of cells under ROUTE_HEADER: increasing t_s, every value
+    >= 0."""
+    return [[repr(0.5 * i + 0.25 * j) for j in range(8)] for i in range(n)]
 
 
-# the rad schema for ingest_csv, ch0 and ch1 for read_spectra_csv and t_s
-# with ch1, the last column, for the buzz reader
+# the rad schema for ingest_csv, ch0 and ch1 for read_spectra_csv
 ROUTE_HEADER = "t_s,easting_m,northing_m,alt_m,k_pct,u_ppm,ch0,ch1"
 
 
-def _text(rows: list[str], end: str = "\n", last: bool = True) -> str:
-    return end.join([ROUTE_HEADER] + rows) + (end if last else "")
+def _buzz_cells(cells: list[str]) -> list[str]:
+    """A row under ROUTE_HEADER as the buzz reader's t_s,ch1 file holds it:
+    t_s and ch1 first, the cells that reader skips after them, so an odd
+    cell stays in the file wherever it was; a row without ch1 keeps only
+    its t_s."""
+    if len(cells) < 8:
+        return cells[:1]
+    return [cells[0], cells[7], *cells[1:7], *cells[8:]]
 
 
-def _cell(rows: list[str], i: int, value: str, j: int = -1) -> list[str]:
+def _text(rows: list[list[str]], end: str = "\n",
+          last: bool = True) -> dict[str, str]:
+    """{file name: text} of `rows`: route.csv under ROUTE_HEADER for
+    ingest_csv and read_spectra_csv, buzz.csv for the buzz reader."""
+    def text(header, cut):
+        lines = [header] + [",".join(cut(cells)) for cells in rows]
+        return end.join(lines) + (end if last else "")
+
+    return {"route.csv": text(ROUTE_HEADER, list),
+            "buzz.csv": text("t_s,ch1", _buzz_cells)}
+
+
+def _cell(rows: list[list[str]], i: int, value: str,
+          j: int = -1) -> list[list[str]]:
     """`rows` with cell j of row i replaced by `value`."""
-    cells = rows[i].split(",")
+    cells = list(rows[i])
     cells[j] = value
-    return rows[:i] + [",".join(cells)] + rows[i + 1:]
+    return rows[:i] + [cells] + rows[i + 1:]
 
 
-def _line(rows: list[str], line: str) -> list[str]:
-    return rows[:2] + [line] + rows[2:]
+def _line(rows: list[list[str]], line: str) -> list[list[str]]:
+    return rows[:2] + [[line] if line else []] + rows[2:]
 
 
-# name -> (file text, route): "rows" where the row reader must read the
+# name -> (file texts, route): "rows" where the row reader must read the
 # data (loadtxt refuses it, or the file holds a byte of _CSV_ONLY), "fast"
-# where numpy's C parser reads it. "\udcff" stands for a 0xff byte; that
-# case puts it after 8 KiB of rows, so the header still decodes.
+# where numpy's C parser reads it, for both files. "\udcff" stands for a
+# 0xff byte; that case puts it after 8 KiB of rows, so the header still
+# decodes.
 ROUTE_CASES = {
     "underscore in a number": (_text(_cell(_route_rows(), 1, "1_0")), "rows"),
     "full-width digit": (_text(_cell(_route_rows(), 1, "\uff11")), "rows"),
@@ -476,7 +538,7 @@ ROUTE_CASES = {
     "no-break-space line": (_text(_line(_route_rows(), "\xa0")), "rows"),
     "NUL line": (_text(_line(_route_rows(), "\x00")), "rows"),
     "NUL in a cell": (_text(_cell(_route_rows(), 1, "2\x005")), "rows"),
-    "short row": (_text(_route_rows()[:2] + ["0.75,1,2,3,4,5,6"]
+    "short row": (_text(_route_rows()[:2] + [["0.75", *"123456"]]
                         + _route_rows()[3:]), "rows"),
     "header only": (_text([]), "rows"),
     "empty cell": (_text(_cell(_route_rows(), 1, "")), "rows"),
@@ -494,9 +556,11 @@ ROUTE_CASES = {
                                "2.2250738585072e-309")), "fast"),
 }
 
-ROUTE_READERS = {"ingest_csv": lambda p: ingest_csv(p, SchemaKind.RAD),
-                 "read_spectra_csv": read_spectra_csv,
-                 "buzz reader": _read_buzz_trace}
+# name -> (reader, the file of _text it reads)
+ROUTE_READERS = {"ingest_csv": (lambda p: ingest_csv(p, SchemaKind.RAD),
+                                "route.csv"),
+                 "read_spectra_csv": (read_spectra_csv, "route.csv"),
+                 "buzz reader": (_read_buzz_trace, "buzz.csv")}
 
 
 def _assert_same_outcome(got, want) -> None:
@@ -543,22 +607,22 @@ def _assert_matches_loop(reader: str, path, got) -> None:
 
 @pytest.mark.parametrize("case", ROUTE_CASES)
 def test_both_routes_match_the_row_loops(tmp_path, monkeypatch, case):
-    text, route = ROUTE_CASES[case]
-    path = tmp_path / "route.csv"
-    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    texts, route = ROUTE_CASES[case]
+    for name, text in texts.items():
+        (tmp_path / name).write_bytes(text.encode("utf-8", "surrogateescape"))
     read_rows = io_csv._read_rows
     fallbacks = []
     monkeypatch.setattr(io_csv, "_read_rows",
                         lambda p: fallbacks.append(p) or read_rows(p))
-    got = {name: _outcome(reader, path)
-           for name, reader in ROUTE_READERS.items()}
+    got = {name: _outcome(reader, tmp_path / file)
+           for name, (reader, file) in ROUTE_READERS.items()}
     assert len(fallbacks) == (len(ROUTE_READERS) if route == "rows" else 0)
     for name, outcome in got.items():
-        _assert_matches_loop(name, path, outcome)
+        _assert_matches_loop(name, tmp_path / ROUTE_READERS[name][1], outcome)
     # the row route alone reads every case as the two routes together do
     monkeypatch.setattr(io_csv, "_load_floats", lambda *args: None)
-    for name, reader in ROUTE_READERS.items():
-        _assert_same_outcome(_outcome(reader, path), got[name])
+    for name, (reader, file) in ROUTE_READERS.items():
+        _assert_same_outcome(_outcome(reader, tmp_path / file), got[name])
 
 
 def _no_fallback(path):

@@ -41,16 +41,15 @@ def test_series_round_trip_is_bit_exact(tmp_path):
 
 
 # an unnamed 3 x 2 series was once written under the header t_s,value,
-# which no reader takes back
+# which no reader takes back; TimeSeries now refuses such a series
+# (test_core.py), so only a scalar trace is written unnamed
 def test_series_csv_needs_a_name_for_every_column(tmp_path):
     t = np.arange(3.0)
     p = tmp_path / "s.csv"
-    with pytest.raises(ValueError, match="s.csv: a series of 2 columns needs "
-                       "as many field names, got 0"):
-        write_series_csv(p, TimeSeries(t, np.ones((3, 2))))
-    assert not p.exists()
     write_series_csv(p, TimeSeries(t, np.ones(3)))
     assert p.read_text().splitlines()[0] == "t_s,value"
+    write_series_csv(p, TimeSeries(t, np.ones((3, 2)), ("a", "b")))
+    assert p.read_text().splitlines()[0] == "t_s,a,b"
 
 
 def test_ingest_rejects_bad_rows_keeps_good(tmp_path):

@@ -30,9 +30,9 @@ STAGE_ORDER = ("simulate", "qc_d4", "qc_diurnal", "qc_tie", "qc_nasvd",
                "grid_make", "grid_compare")
 
 
-def write_small_plan(tmp_path: Path, tie_lines: int = 1) -> str:
+def write_small_plan(tmp_path: Path) -> str:
     # two short lines + one tie keeps failure-path runs quick
-    plan = FlightPlan(n_lines=2, line_length_m=150.0, tie_lines=tie_lines)
+    plan = FlightPlan(n_lines=2, line_length_m=150.0, tie_lines=1)
     p = tmp_path / "plan.json"
     p.write_text(json.dumps(plan.to_dict()))
     return str(p)
@@ -199,10 +199,14 @@ def test_failing_gate_does_not_abort(tmp_path):
     assert on_disk["pass"] is False
 
 
-def test_raising_stage_wraps_with_partial_report(tmp_path):
-    # a plan with no tie line has nothing to tie: the tie stage raises
+def test_raising_stage_wraps_with_partial_report(tmp_path, monkeypatch):
+    # an analysis outcome raised mid-run: the tie stage finds no crossing
+    def no_crossing(*args):
+        raise NoIntersectionsError("no flight/tie intersections")
+
+    monkeypatch.setattr(pipeline, "crossover_analysis", no_crossing)
     cfg = PipelineConfig(out_dir=tmp_path / "out",
-                         plan_path=write_small_plan(tmp_path, tie_lines=0))
+                         plan_path=write_small_plan(tmp_path))
     with pytest.raises(PipelineStageError) as exc_info:
         run_pipeline(cfg)
     err = exc_info.value
@@ -214,21 +218,37 @@ def test_raising_stage_wraps_with_partial_report(tmp_path):
 
 def test_refused_run_writes_the_partial_report_json(tmp_path):
     # a library caller gets the record the CLI writes: the stages that
-    # completed before the refusal, and the one that failed
-    cfg = PipelineConfig(out_dir=tmp_path / "out",
-                         plan_path=write_small_plan(tmp_path, tie_lines=0))
+    # completed before the refusal, and the one that failed; a coarse cell
+    # wider than the survey leaves the comparison one valid pixel
+    cfg = PipelineConfig(out_dir=tmp_path / "out", cell_coarse=1000.0,
+                         plan_path=write_small_plan(tmp_path))
     with pytest.raises(PipelineStageError) as exc_info:
         run_pipeline(cfg)
     on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
     assert on_disk == exc_info.value.partial_report.to_dict()
-    assert [s["name"] for s in on_disk["stages"]] == list(STAGE_ORDER[:3])
+    assert [s["name"] for s in on_disk["stages"]] == list(STAGE_ORDER[:6])
     assert on_disk["seed"] == SimConfig().seed
     # every stage that completed passed, but the run did not finish
     assert all(s["pass"] for s in on_disk["stages"])
     assert on_disk["pass"] is False
-    assert on_disk["failed_stage"] == "qc_tie"
-    assert on_disk["error"] == ("NoIntersectionsError: no flight/tie "
-                                "intersections")
+    assert on_disk["failed_stage"] == "grid_compare"
+    assert on_disk["error"] == "ValueError: need >= 2 valid pixels"
+
+
+def test_flight_without_a_tie_line_is_refused_before_it_flies(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(FlightPlan(
+        n_lines=2, line_length_m=150.0, tie_lines=0).to_dict()))
+    out = tmp_path / "out"
+    with pytest.raises(PipelineStageError) as exc_info:
+        run_pipeline(PipelineConfig(out_dir=out, plan_path=str(plan)))
+    err = exc_info.value
+    assert err.stage == "simulate" and isinstance(err.cause, ValueError)
+    assert str(err.cause) == ("qc_tie needs a flight line and a tie line of "
+                              "2 or more sensor samples (tie_lines: 0)")
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+    assert err.partial_report.stages == ()
+    assert err.partial_report.failed_stage == "simulate"
 
 
 def test_any_exception_in_a_stage_carries_partial_report(tmp_path,

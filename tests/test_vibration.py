@@ -127,6 +127,23 @@ def test_spectrum_axis_selection():
         amplitude_spectrum(ts, axis="w")
 
 
+# a scalar trace named for another axis, and a multi-column series
+# without the axis names, were once read anyway (the second by position)
+@pytest.mark.parametrize("fields", (("ax_ms2",), ("u", "v", "w")),
+                         ids=("x trace", "other names"))
+def test_axis_is_read_by_its_column_name_only(fields):
+    t = np.arange(0.0, 1.0, 1.0 / 128.0)
+    x = np.sin(2 * np.pi * 16 * t)
+    ts = TimeSeries(t, x if len(fields) == 1 else
+                    np.column_stack([x] * len(fields)), fields)
+    for call in (lambda: amplitude_spectrum(ts, axis="z"),
+                 lambda: reduction_factor(ts, ts, axis="Z")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == ("axis 'z' is the column az_ms2, not one "
+                                   f"of the fields {fields}")
+
+
 def test_spectrum_requires_uniform_sampling_and_length():
     t = np.concatenate([np.arange(0.0, 1.0, 0.01), [1.5, 2.5]])
     with pytest.raises(ValueError,
