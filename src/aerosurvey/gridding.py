@@ -19,12 +19,18 @@ from .core import _readonly, check_range
 from .io_csv import write_table
 
 NODATA = -9999.0
-# grid centres whose neighbour lists grid_idw holds at a time
+# grid centres whose neighbour lists grid_idw holds at a time (fewer past
+# _IDW_HELD indices)
 _IDW_BLOCK = 1024
 # (centre, sample) pairs that grid_idw tests against the radius at a time
 _IDW_CANDIDATES = 1 << 15
 # (centre, sample) pairs that grid_idw weighs in one array operation
 _IDW_PAIRS = 1 << 14
+# neighbour indices grid_idw holds before it cuts a block. Over
+# survey_large a block held at most 118k and 308k at the pipeline's radii
+# (10 and 100 m cells), 137k and 969k at grid make's (4 x cell), and 27.3M
+# at a 2000 m radius (660 MB)
+_IDW_HELD = 1 << 20
 # the most cells grid_idw builds: its centres and output take 40 bytes a
 # cell, 2.7 GB here, where 66 line-km of survey at 10 m cells is 30k cells
 _MAX_GRID_CELLS = 1 << 26
@@ -128,9 +134,10 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
 
     bins = _Bins(x, y, float(search_radius))
     out = np.full(centers.shape[0], np.nan)
-    for start in range(0, len(centers), _IDW_BLOCK):
-        block = centers[start:start + _IDW_BLOCK]
-        counts, flat = bins.neighbours(block)
+    start = 0
+    while start < len(centers):
+        counts, flat = bins.neighbours(centers[start:start + _IDW_BLOCK])
+        block = centers[start:start + len(counts)]
         firsts = np.cumsum(counts) - counts
         # centres with k neighbours form one C-contiguous (m, k) gather, so
         # each row sum is the same pairwise sum as the 1-D sum per centre;
@@ -144,6 +151,8 @@ def grid_idw(x: np.ndarray, y: np.ndarray, values: np.ndarray,
                 out[start + rows] = _idw_rows(
                     x, y, values, block[rows],
                     flat[firsts[rows, None] + np.arange(k)], power)
+        start += len(counts)
+        del flat    # gone before the next cut is found
     out = out.reshape(ny, nx)
     valid = np.isfinite(out)
     out[~valid] = NODATA
@@ -184,11 +193,13 @@ class _Bins:
         return b.astype(np.intp)
 
     def neighbours(self, centres):
-        """(counts, flat): centre i's counts[i] neighbours follow those of
-        the centres before it in flat, in ascending sample order.
+        """(counts, flat) of the first len(counts) centres: centre i's
+        counts[i] neighbours follow those of the centres before it in
+        flat, in ascending sample order.
 
         Candidates are tested at most _IDW_CANDIDATES (centre, sample)
-        pairs at a time; a centre with more candidates goes alone.
+        pairs at a time; a centre with more candidates goes alone. The
+        centres end after the batch that takes flat past _IDW_HELD.
         """
         nbx = self.nbx
         # centres two bins past the samples' bins get empty runs
@@ -203,15 +214,16 @@ class _Bins:
         ends = np.cumsum(cands)
         counts = np.zeros(len(centres), np.intp)
         flats = []
-        a = 0
-        while a < len(centres):
+        a = held = 0
+        while a < len(centres) and held <= _IDW_HELD:
             z = max(a + 1, int(np.searchsorted(
                 ends, ends[a] - cands[a] + _IDW_CANDIDATES, "right")))
             counts[a:z], flat = self._near(centres[a:z], begin[a:z].ravel(),
                                            length[a:z].ravel(), cands[a:z])
             flats.append(flat)
+            held += len(flat)
             a = z
-        return counts, np.concatenate(flats)
+        return counts[:a], np.concatenate(flats)
 
     def _near(self, centres, begin, length, cands):
         """Neighbour counts and lists of centres from their candidate runs."""

@@ -14,14 +14,15 @@ Every CSV the package reads has its header read by csv in _open_csv. The
 float readers (ingest_csv for every schema but crossover,
 read_spectra_csv and the CLI's buzz traces) go through _read_columns,
 which hands the data rows to numpy's C parser. Any input that parser
-refuses or may misread is read again by _read_rows, which splits it into
-rows with csv, and _parse_columns, so rejected rows, reasons and error
-messages are those of the row reader on either route. Only the crossover
-schema (exact Decimal cells) is always read by _read_rows, and no other
-module calls these parts. Every artifact the package writes (these CSVs,
-the attitude track, the vibration spectrum, ESRI ASCII grids and PGM
-images) goes through write_table, every JSON artifact through
-_write_json, and every JSON file the package reads through _read_json.
+refuses or may misread goes to _parse_rows, which parses csv's rows as
+they come, so rejected rows, reasons and error messages are those of the
+row reader on either route. Only the crossover schema (exact Decimal
+cells) is always read row by row. No reader holds a file's rows or reads
+past its first data row to judge its header, and no other module calls
+these parts. Every artifact the package writes (these CSVs, the attitude
+track, the vibration spectrum, ESRI ASCII grids and PGM images) goes
+through write_table, every JSON artifact through _write_json, and every
+JSON file the package reads through _read_json.
 Floats are written with repr(), the shortest representation that
 round-trips exactly, so serialize(ingest(f)) reproduces numeric content
 bit-for-bit and repeated runs produce byte-identical files. write_table
@@ -40,6 +41,7 @@ import io
 import json
 import math
 import warnings
+from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -136,14 +138,6 @@ def _open_csv(path: str | Path):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    with _open_csv(path) as (_, header, rows):
-        body = list(rows)
-    if not body:
-        raise ValueError(f"{path}: no data rows")
-    return header, body
-
-
 def _check_header(path, header: list[str], required) -> dict[str, int]:
     idx = {name: i for i, name in enumerate(header)}
     for col in required:
@@ -152,30 +146,31 @@ def _check_header(path, header: list[str], required) -> dict[str, int]:
     return idx
 
 
-def _parse_columns(body: list[list[str]], cols: list[int]):
-    """(values, failed, ragged) of the cells `cols` of `body`.
-
-    `values` holds them as floats, one row per row of `body`. `ragged`
-    marks the rows without every cell of `cols`; `failed` marks those and
-    the rows with a cell Python's float() rejects (" 1.5 ", "1_0", "nan"
-    and "Infinity" parse).
+def _parse_rows(rows, cols: list[int]):
+    """(values, failed, cells) of the cells `cols` of csv's `rows`, each
+    row parsed as it comes and not kept: the floats (nan in a failed row),
+    the rows without every cell of `cols` or with a cell Python's float()
+    rejects (" 1.5 ", "1_0", "nan" and "Infinity" parse), and each row's
+    cell count.
     """
-    n = len(body)
-    ragged = np.fromiter(map(len, body), np.intp, count=n) <= max(cols)
-    failed = ragged.copy()
-    values = np.full((n, len(cols)), np.nan)
-    for i in np.flatnonzero(~ragged).tolist():
+    values, failed, cells = array("d"), bytearray(), array("q")
+    for row in rows:
+        cells.append(len(row))
         try:
-            values[i] = [float(body[i][c]) for c in cols]
-        except ValueError:
-            failed[i] = True
-    return values, failed, ragged
+            values.extend([float(row[c]) for c in cols])
+        except (ValueError, IndexError):
+            values.extend([math.nan] * len(cols))
+            failed.append(True)
+        else:
+            failed.append(False)
+    return (np.frombuffer(values).reshape(-1, len(cols)),
+            np.frombuffer(failed, bool), np.frombuffer(cells, np.int64))
 
 
 def _load_floats(fh, cols: list[int]):
     """The rest of `fh` as floats by numpy's C parser, or None.
 
-    As in _parse_columns. loadtxt converts a cell with
+    As _parse_rows' values. loadtxt converts a cell with
     PyOS_string_to_double, the core of float(), and skips blank lines as
     csv does. Where the two were seen to differ, other than at the bytes
     _CSV_ONLY, it raises ValueError: "1_0", non-ASCII digits, an empty
@@ -199,29 +194,36 @@ def _has_csv_only_bytes(path) -> bool:
                    for b in _CSV_ONLY)
 
 
-def _read_columns(path, select):
-    """(header, body, values, failed, ragged) of the cells select names,
-    as _parse_columns gives them.
+def _select(path, header: list[str], rows, select):
+    """select(header). Where it raises MissingColumnError, a file without
+    data rows says so instead, told by one row of `rows`."""
+    try:
+        return select(header)
+    except MissingColumnError:
+        if next(rows, None) is None:
+            raise ValueError(f"{path}: no data rows") from None
+        raise
 
-    `select(header)` gives the column indices to read and raises
-    MissingColumnError for a header without them. The data rows go to
-    _load_floats first; there `body` is None and no row failed. Where it
-    gives None, the file holds a byte of _CSV_ONLY or select rejects the
-    header, the file is read again by _read_rows and _parse_columns, so
-    the rows, the errors and their messages are exactly theirs.
+
+def _read_columns(path, select):
+    """(header, values, failed, cells) of the cells select names, as
+    _parse_rows gives them.
+
+    `select(header)` gives their indices or raises MissingColumnError
+    (_select). The data rows go to _load_floats first; there no row
+    failed and `cells` is None. Where it gives None, or the file holds a
+    byte of _CSV_ONLY, csv's rows go to _parse_rows instead.
     """
-    with _open_csv(path) as (fh, header, _):
-        try:
-            cols = select(header)
-        except MissingColumnError:
-            cols = None     # so a file without data rows says that first
-        values = (None if cols is None or _has_csv_only_bytes(path)
-                  else _load_floats(fh, cols))
-    if values is None:
-        header, body = _read_rows(path)
-        return header, body, *_parse_columns(body, select(header))
-    passed = np.zeros(len(values), bool)
-    return header, None, values, passed, passed
+    with _open_csv(path) as (fh, header, rows):
+        cols = _select(path, header, rows, select)
+        values = None if _has_csv_only_bytes(path) else _load_floats(fh, cols)
+    if values is not None:
+        return header, values, np.zeros(len(values), bool), None
+    with _open_csv(path) as (_, _, rows):
+        values, failed, cells = _parse_rows(rows, cols)
+    if not len(values):
+        raise ValueError(f"{path}: no data rows")
+    return header, values, failed, cells
 
 
 def _read_floats(path, select) -> np.ndarray:
@@ -232,11 +234,11 @@ def _read_floats(path, select) -> np.ndarray:
     with too few cells or an unparsable cell, else the first with a nan or
     inf.
     """
-    header, body, values, failed, ragged = _read_columns(path, select)
+    header, values, failed, cells = _read_columns(path, select)
     if failed.any():
         i = int(np.argmax(failed))
-        if ragged[i]:
-            raise ValueError(f"{path}: data row {i + 1} has {len(body[i])} "
+        if cells[i] <= max(select(header)):
+            raise ValueError(f"{path}: data row {i + 1} has {cells[i]} "
                              f"cells, the header has {len(header)}")
         raise ValueError(f"{path}: data row {i + 1} has an unparsable value")
     bad = ~np.isfinite(values).all(axis=1)
@@ -271,15 +273,13 @@ def ingest_csv(path: str | Path, schema: SchemaKind) -> Ingested:
     one kept before it: the first occurrence stays (field loggers hiccup).
     """
     if schema is SchemaKind.CROSSOVER:
-        header, body = _read_rows(path)
-        idx = _check_header(path, header, _REQUIRED[schema])
-        return _ingest_crossover(path, body, idx)
+        return _ingest_crossover(path)
 
     def columns(header: list[str]) -> list[int]:
         idx = _check_header(path, header, _REQUIRED[schema])
         return [idx[c] for c in ("t_s", *_value_columns(path, schema, header))]
 
-    header, _, values, failed, _ = _read_columns(path, columns)
+    header, values, failed, _ = _read_columns(path, columns)
     value_cols = _value_columns(path, schema, header)
     checks = [(failed, "unparsable field"),
               (~np.isfinite(values).all(axis=1), "non-finite field")]
@@ -343,28 +343,32 @@ def _warn_rejected(path, rejected: tuple[tuple[int, str], ...]) -> None:
         "%s: %d data rows rejected (%s%s)", path, len(rejected), first, more)
 
 
-def _ingest_crossover(path, body, idx) -> Ingested:
+def _ingest_crossover(path) -> Ingested:
     rows: list[CrossoverRow] = []
     rejected: list[tuple[int, str]] = []
-    for rownum, row in enumerate(body, start=1):
-        try:
-            x = float(row[idx["x_utm"]])
-            y = float(row[idx["y_utm"]])
-            # 2-decimal deliverable values: exact decimal arithmetic so
-            # differences and their maxima are exact, not float-approximate
-            fk = Decimal(row[idx["flights_k_pct"]])
-            tk = Decimal(row[idx["tie_k_pct"]])
-            fu = Decimal(row[idx["flights_u_ppm"]])
-            tu = Decimal(row[idx["tie_u_ppm"]])
-        except (ValueError, IndexError, InvalidOperation):
-            rejected.append((rownum, "unparsable field"))
-            continue
-        if not (math.isfinite(x) and math.isfinite(y)):
-            rejected.append((rownum, "non-finite field"))
-            continue
-        rows.append(CrossoverRow(UtmPoint(x, y), fk, tk, fu, tu))
+    with _open_csv(path) as (_, header, body):
+        idx = _select(path, header, body, lambda h: _check_header(
+            path, h, _REQUIRED[SchemaKind.CROSSOVER]))
+        for rownum, row in enumerate(body, start=1):
+            try:
+                x = float(row[idx["x_utm"]])
+                y = float(row[idx["y_utm"]])
+                # 2-decimal deliverable values: exact decimal arithmetic so
+                # differences and their maxima are exact, not float-approximate
+                fk = Decimal(row[idx["flights_k_pct"]])
+                tk = Decimal(row[idx["tie_k_pct"]])
+                fu = Decimal(row[idx["flights_u_ppm"]])
+                tu = Decimal(row[idx["tie_u_ppm"]])
+            except (ValueError, IndexError, InvalidOperation):
+                rejected.append((rownum, "unparsable field"))
+                continue
+            if not (math.isfinite(x) and math.isfinite(y)):
+                rejected.append((rownum, "non-finite field"))
+                continue
+            rows.append(CrossoverRow(UtmPoint(x, y), fk, tk, fu, tu))
     if not rows:
-        raise ValueError(f"{path}: no usable crossover rows")
+        raise ValueError(f"{path}: no usable crossover rows" if rejected
+                         else f"{path}: no data rows")
     return Ingested(tuple(rows), tuple(rejected))
 
 

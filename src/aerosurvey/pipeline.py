@@ -261,7 +261,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     Writes all intermediate artifacts under cfg.out_dir and returns the
     consolidated report (also written as report.json). A `nasvd_k` above
     the sim config's `n_channels` is refused with ValueError before the
-    flight, writing nothing. Any stage raising aborts with
+    flight, writing nothing; a `cell_coarse` that makes a one-pixel grid
+    is refused at simulate, unflown. Any stage raising aborts with
     PipelineStageError carrying the stage name, the cause and the report
     of the stages that did complete, written as report.json with the
     failed stage, its error and "pass": false.
@@ -286,6 +287,15 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
     stage = "simulate"
     try:
+        # the gridded samples lie within the cable length of the plan's
+        # legs, so a coarse cell wider than that makes the one-pixel grid
+        # grid_compare refuses (the slack covers the grid's own rounding)
+        ends = np.array([end for leg in plan.legs() for end in leg[2:]])
+        span = float(np.ptp(ends, axis=0).max()) + 2.0 * geometry.cable_length
+        if cfg.cell_coarse > span * (1.0 + 1e-6):
+            raise ValueError(f"cell_coarse ({cfg.cell_coarse} m) is wider "
+                             f"than the {span} m the survey can span, so the "
+                             "coarse grid would have one pixel")
         result, mag, base, rad, flown = _simulate_stage(
             plan, geometry, sim_cfg, out)
         stages.append(result)

@@ -6,8 +6,10 @@ dx*dx + dy*dy <= r*r, each list in ascending index order. The cases aim
 at the places a bucket query can go wrong: samples exactly at distance r
 (integer coordinates make every distance exact), samples on bin edges,
 duplicate samples, every sample in one bin, centres far outside the
-samples' bins, and candidate budgets that end a batch inside a block or
-leave one centre with more candidates than the budget.
+samples' bins, candidate budgets that end a batch inside a block or
+leave one centre with more candidates than the budget, and budgets of
+held indices that cut a block's lists short (the rest come from the
+next call).
 """
 
 from __future__ import annotations
@@ -33,11 +35,20 @@ def _tree_lists(x, y, centres, r):
 
 
 def _assert_same_lists(x, y, centres, r, budget):
+    # the whole lists, over as many calls as neighbours cuts them into:
+    # at the default _IDW_HELD, and where `budget` indices end a cut
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     centres = np.asarray(centres, dtype=float).reshape(-1, 2)
-    with mock.patch.object(gridding, "_IDW_CANDIDATES", budget):
-        counts, flat = gridding._Bins(x, y, float(r)).neighbours(centres)
-    assert (counts.tolist(), flat.tolist()) == _tree_lists(x, y, centres, r)
+    bins = gridding._Bins(x, y, float(r))
+    for held in (gridding._IDW_HELD, budget):
+        counts, flat = [], []
+        with mock.patch.object(gridding, "_IDW_CANDIDATES", budget), \
+                mock.patch.object(gridding, "_IDW_HELD", held):
+            while len(counts) < len(centres):
+                c, f = bins.neighbours(centres[len(counts):])
+                counts += c.tolist()
+                flat += f.tolist()
+        assert (counts, flat) == _tree_lists(x, y, centres, r)
 
 
 @given(pts=st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),

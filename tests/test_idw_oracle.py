@@ -151,3 +151,19 @@ def test_grid_idw_matches_loop_on_a_dense_survey_grid():
     v = 54000.0 + np.cumsum(rng.normal(0.0, 0.3, x.size))
     for cell in (5.0, 10.0, 100.0):
         _assert_same_bits(x, y, v, cell, 4.0 * cell)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), reach=st.sampled_from([2.0, 40.0]),
+       held=st.sampled_from([0, 37, 1000]))
+@settings(max_examples=40)
+def test_grid_idw_matches_loop_where_held_indices_cut_blocks(seed, reach,
+                                                             held):
+    # _IDW_HELD cuts a block's lists after a batch or a few centres, and
+    # the next cut starts at the centre after them; at a reach of 40 cells
+    # every centre sees every sample
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(0.0, 30.0, 150), rng.uniform(0.0, 20.0, 150)
+    v = rng.normal(size=150)
+    with mock.patch.object(gridding, "_IDW_HELD", held), \
+            mock.patch.object(gridding, "_IDW_CANDIDATES", 300):
+        _assert_same_bits(x, y, v, 1.0, reach)

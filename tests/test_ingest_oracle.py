@@ -10,10 +10,11 @@ same fields and the same rejected rows; where the oracle raises, the new
 reader must raise the same exception.
 
 The readers parse with numpy's C parser first and fall back to the row
-reader (`_read_rows` and `_parse_columns`) for any input the C parser
-refuses or might misread. The route tests at the end hold each input that takes the
-fallback, and each odd input that does not, against both the row loops
-and the row route alone.
+parser (`_parse_rows`, over csv's rows as they come) for any input the C
+parser refuses or might misread. The oracles split a file into rows with
+the package's csv reader, all at once (`_read_rows` below). The route
+tests at the end hold each input that takes the fallback, and each odd
+input that does not, against both the row loops and the row route alone.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from aerosurvey.io_csv import (
     Ingested,
     SchemaKind,
     _check_header,
-    _read_rows,
+    _open_csv,
     ingest_csv,
     read_spectra_csv,
     read_survey_lines,
@@ -50,6 +51,15 @@ PROPERTY = settings(max_examples=300)
 
 # ---------------------------------------------------------------------------
 # the replaced readers
+
+
+def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+    """(header, every data row) of a CSV; one without data rows raises."""
+    with _open_csv(path) as (_, header, rows):
+        body = list(rows)
+    if not body:
+        raise ValueError(f"{path}: no data rows")
+    return header, body
 
 
 def _loop_ingest_csv(path, schema: SchemaKind) -> Ingested:
@@ -610,10 +620,10 @@ def test_both_routes_match_the_row_loops(tmp_path, monkeypatch, case):
     texts, route = ROUTE_CASES[case]
     for name, text in texts.items():
         (tmp_path / name).write_bytes(text.encode("utf-8", "surrogateescape"))
-    read_rows = io_csv._read_rows
+    parse_rows = io_csv._parse_rows
     fallbacks = []
-    monkeypatch.setattr(io_csv, "_read_rows",
-                        lambda p: fallbacks.append(p) or read_rows(p))
+    monkeypatch.setattr(io_csv, "_parse_rows",
+                        lambda *a: fallbacks.append(a) or parse_rows(*a))
     got = {name: _outcome(reader, tmp_path / file)
            for name, (reader, file) in ROUTE_READERS.items()}
     assert len(fallbacks) == (len(ROUTE_READERS) if route == "rows" else 0)
@@ -625,15 +635,15 @@ def test_both_routes_match_the_row_loops(tmp_path, monkeypatch, case):
         _assert_same_outcome(_outcome(reader, tmp_path / file), got[name])
 
 
-def _no_fallback(path):
-    raise AssertionError(f"{path}: read by the row reader")
+def _no_fallback(*args):
+    raise AssertionError("read by the row parser")
 
 
 @pytest.mark.parametrize("schema", ["mag", "base", "vlf", "rad"])
 def test_simulated_files_take_the_c_parser(survey_dir, monkeypatch, schema):
     path, schema = survey_dir / f"{schema}.csv", SchemaKind(schema)
     want = _loop_ingest_csv(path, schema)
-    monkeypatch.setattr(io_csv, "_read_rows", _no_fallback)
+    monkeypatch.setattr(io_csv, "_parse_rows", _no_fallback)
     _assert_same_outcome((ingest_csv(path, schema), None), (want, None))
 
 
@@ -646,7 +656,7 @@ def test_simulated_spectra_lines_and_traces_take_the_c_parser(
     rover = _loop_ingest_csv(mag, SchemaKind.MAG).data
     want = (_loop_read_spectra_csv(spectra), _loop_read_buzz_trace(trace),
             TimeSeries(rover.t, rover.column("tmi_nT"), ("tmi_nT",)))
-    monkeypatch.setattr(io_csv, "_read_rows", _no_fallback)
+    monkeypatch.setattr(io_csv, "_parse_rows", _no_fallback)
     got = (read_spectra_csv(spectra), _read_buzz_trace(trace),
            _read_buzz_trace(mag))
     for g, w in zip(got, want):

@@ -28,9 +28,12 @@ import aerosurvey
 from aerosurvey import pipeline
 from aerosurvey.cli import main
 from aerosurvey.core import TimeSeries
+from aerosurvey.errors import MissingColumnError
 from aerosurvey.emi import noise_amplitude
 from aerosurvey.gridding import grid_idw
 from aerosurvey.io_csv import (
+    SchemaKind,
+    ingest_csv,
     read_spectra_csv,
     write_series_csv,
     write_spectra_csv,
@@ -143,6 +146,50 @@ def test_read_spectra_csv_peak_at_survey_large_size(tmp_path):
     path = tmp_path / "spectra.csv"
     write_spectra_csv(path, counts)
     assert _peak_mb(read_spectra_csv, path) < 20.0  # [59]
+
+
+def _mag_text(tmp_path, fields) -> str:
+    """The text of a 20,000-row, 1.7 MB mag file with header `fields`."""
+    n = 20_000
+    rng = np.random.default_rng(5)
+    values = np.column_stack([rng.uniform(0.0, 500.0, (n, 2)),
+                              rng.uniform(40.0, 50.0, n),
+                              rng.normal(54_000.0, 3.0, n)])
+    path = tmp_path / "mag.csv"
+    write_series_csv(path, TimeSeries(np.arange(n) * 0.1, values, fields))
+    return path.read_text()
+
+
+def test_refused_header_is_judged_without_reading_the_rows(tmp_path):
+    # the row reader read every row before it named the missing column
+    path = tmp_path / "mag.csv"
+    path.write_text(_mag_text(tmp_path, ("easting_m", "northing_m", "alt_m",
+                                         "tmi")))
+
+    def refused():
+        with pytest.raises(MissingColumnError, match="missing column 'tmi_nT'"):
+            ingest_csv(path, SchemaKind.MAG)
+
+    assert _peak_mb(refused) < 1.0  # [8.7]
+
+
+def test_one_unparsable_cell_keeps_the_row_route_near_its_values(tmp_path):
+    # one bad cell sends the file to the row route, which parses the rows
+    # as csv splits them: about 4.1 x the 0.8 MB of values (2-core VM),
+    # where holding every row as Python strs took 13.6 x
+    text = _mag_text(tmp_path, ("easting_m", "northing_m", "alt_m",
+                                "tmi_nT")).splitlines(True)
+    text[10_000] = "x" + text[10_000]
+    path = tmp_path / "mag.csv"
+    path.write_text("".join(text))
+    tracemalloc.start()
+    try:
+        got = ingest_csv(path, SchemaKind.MAG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.rejected_rows == ((10_000, "unparsable field"),)
+    assert peak / (20_000 * 5 * 8) < 6.0  # [13.6]
 
 
 def _write_plan(tmp_path, seed: int, **plan) -> pipeline.PipelineConfig:
@@ -260,6 +307,18 @@ def test_grid_idw_peak_with_few_centres_and_many_pairs():
     y += rng.normal(0.0, 1.0, y.size)
     v = 54000.0 + np.cumsum(rng.normal(0.0, 0.3, x.size))
     assert _peak_mb(grid_idw, x, y, v, 100.0, 400.0) < 20.0  # [32.9]
+
+
+def test_grid_idw_peak_at_a_radius_that_reaches_every_sample():
+    # 4,000 samples on 4 lines and 1,271 centres of 10 m cells, each
+    # within the 2000 m radius of every sample: a whole block's lists
+    # held 4.1M indices, and a cut holds about _IDW_HELD (2**20), freed
+    # before the next is found (16.4 MiB)
+    rng = np.random.default_rng(2)
+    x = np.tile(np.linspace(0.0, 400.0, 1000), 4) + rng.normal(0.0, 1.0, 4000)
+    y = np.repeat(np.arange(4) * 100.0, 1000) + rng.normal(0.0, 1.0, 4000)
+    v = 54000.0 + np.cumsum(rng.normal(0.0, 0.3, 4000))
+    assert _peak_mb(grid_idw, x, y, v, 10.0, 2000.0) < 20.0  # [63]
 
 
 def test_write_table_peak_for_a_denoised_spectra_table(tmp_path):

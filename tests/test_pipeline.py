@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from aerosurvey import __version__, pipeline
+from aerosurvey.cli import EXIT_IO, main
 from aerosurvey.errors import NoIntersectionsError, PipelineStageError
 from aerosurvey.pipeline import (
     PipelineConfig,
@@ -219,8 +220,9 @@ def test_raising_stage_wraps_with_partial_report(tmp_path, monkeypatch):
 def test_refused_run_writes_the_partial_report_json(tmp_path):
     # a library caller gets the record the CLI writes: the stages that
     # completed before the refusal, and the one that failed; a coarse cell
-    # wider than the survey leaves the comparison one valid pixel
-    cfg = PipelineConfig(out_dir=tmp_path / "out", cell_coarse=1000.0,
+    # wider than the samples' 150 m, but inside the 168 m they could span
+    # with the payload's swing, leaves the comparison one valid pixel
+    cfg = PipelineConfig(out_dir=tmp_path / "out", cell_coarse=160.0,
                          plan_path=write_small_plan(tmp_path))
     with pytest.raises(PipelineStageError) as exc_info:
         run_pipeline(cfg)
@@ -233,6 +235,25 @@ def test_refused_run_writes_the_partial_report_json(tmp_path):
     assert on_disk["pass"] is False
     assert on_disk["failed_stage"] == "grid_compare"
     assert on_disk["error"] == "ValueError: need >= 2 valid pixels"
+
+
+def test_coarse_cell_wider_than_the_survey_is_refused_before_it_flies(
+        tmp_path, capsys):
+    # 2 x 150 m lines 50 m apart and a 100 m tie: the samples span at most
+    # 150 m plus twice the 9 m cable, so a 1000 m cell is one pixel
+    out = tmp_path / "out"
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(json.dumps({"cell_coarse": 1000.0,
+                               "plan_path": write_small_plan(tmp_path)}))
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out)]) \
+        == EXIT_IO
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["stages"] == [] and report["failed_stage"] == "simulate"
+    assert report["error"] == (
+        "ValueError: cell_coarse (1000.0 m) is wider than the 168.0 m the "
+        "survey can span, so the coarse grid would have one pixel")
+    assert "cell_coarse (1000.0 m)" in capsys.readouterr().err
 
 
 def test_flight_without_a_tie_line_is_refused_before_it_flies(tmp_path):

@@ -1,8 +1,10 @@
 """One CSV reading path, one JSON reader and one JSON writer in the package.
 
 Every CSV the package reads goes through io_csv (one row splitter, one
-column parser, one call of numpy's C parser, and no other module
-composing them), every JSON file through io_csv._read_json, every JSON
+row parser, one call of numpy's C parser, and no other module composing
+them), and no reader holds a file's rows: only the row parser and the
+crossover loop walk them, one row at a time, and no row is kept once
+read. Every JSON file through io_csv._read_json, every JSON
 artifact through io_csv._json_text, which refuses NaN and Infinity, and
 every scalar range message through core.check_range. These tests fail
 when a module grows its own csv reader, its own json.load(s), its own
@@ -120,7 +122,7 @@ def test_csv_is_read_only_by_the_row_splitter():
 
 
 # the parts of io_csv's read protocol: the row route and the C parser
-_PROTOCOL = {"_open_csv", "_read_rows", "_parse_columns"}
+_PROTOCOL = {"_open_csv", "_parse_rows"}
 
 
 def test_csv_read_protocol_stays_in_io_csv():
@@ -137,6 +139,79 @@ def test_csv_read_protocol_stays_in_io_csv():
     found = _where(protocol)
     assert {f for f, _ in found} == {"io_csv.py"}
     assert ("io_csv.py", "_load_floats") in found
+
+
+def _row_stream_uses() -> list[tuple[str, str]]:
+    """(function, use) of each read of _open_csv's rows under src/.
+
+    The rows are the third name a `with _open_csv(...)` binds, and the
+    parameter a package function takes them as. A use is "loop" (a for
+    loop over them, or over their enumerate()), "peek" (next(rows,
+    None)), "to <function>" (passed to a package function), or the
+    source line of anything else. A loop's row may only be indexed or
+    measured by len(), so no row outlives its step.
+    """
+    uses = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        defs = {n.name: n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+        todo = [(f, item.optional_vars.elts[2].id) for f in defs.values()
+                for w in ast.walk(f) if isinstance(w, ast.With)
+                for item in w.items
+                if isinstance(item.context_expr, ast.Call)
+                and getattr(item.context_expr.func, "id", "") == "_open_csv"
+                and isinstance(item.optional_vars, ast.Tuple)
+                and getattr(item.optional_vars.elts[2], "id", "_") != "_"]
+        while todo:
+            fn, name = todo.pop()
+            for n in ast.walk(fn):
+                if not (isinstance(n, ast.Name) and n.id == name
+                        and isinstance(n.ctx, ast.Load)):
+                    continue
+                up = n.parent
+                callee = getattr(getattr(up, "func", None), "id", None)
+                loop = up.parent if callee == "enumerate" else up
+                if isinstance(loop, (ast.For, ast.comprehension)) \
+                        and loop.iter in (n, up):
+                    uses.append((fn.name, "loop"))
+                    row = loop.target.elts[-1] \
+                        if isinstance(loop.target, ast.Tuple) else loop.target
+                    for r in ast.walk(loop):
+                        if isinstance(r, ast.Name) and r.id == row.id \
+                                and r is not row:
+                            held = r.parent
+                            if not (isinstance(held, ast.Subscript)
+                                    and held.value is r) and not (
+                                    getattr(getattr(held, "func", None),
+                                            "id", None) == "len"):
+                                uses.append((fn.name, ast.get_source_segment(
+                                    text, held)))
+                elif callee == "next" and len(up.args) == 2 \
+                        and isinstance(up.args[1], ast.Constant) \
+                        and up.args[1].value is None:
+                    uses.append((fn.name, "peek"))
+                elif callee in defs and n in up.args:
+                    uses.append((fn.name, f"to {callee}"))
+                    params = defs[callee].args.args
+                    todo.append((defs[callee],
+                                 params[up.args.index(n)].arg))
+                else:
+                    uses.append((fn.name, ast.get_source_segment(text, up)))
+    return uses
+
+
+def test_only_the_row_parser_and_the_crossover_loop_walk_csv_rows():
+    # a header is judged by a peek at one data row, never by the file;
+    # list(rows), or a row kept past its loop step, would hold the file
+    assert sorted(set(_row_stream_uses())) == [
+        ("_ingest_crossover", "loop"), ("_ingest_crossover", "to _select"),
+        ("_parse_rows", "loop"), ("_read_columns", "to _parse_rows"),
+        ("_read_columns", "to _select"), ("_select", "peek")]
 
 
 def test_json_is_read_only_by_its_reader():
@@ -363,7 +438,7 @@ def test_no_attitude_reader_and_no_option_only_tests_set():
     assert params(io_csv.ingest_csv) == ["path", "schema"]
     assert params(gridding.grid_idw) == ["x", "y", "values", "cell_size",
                                          "search_radius", "power"]
-    for fn in (io_csv._parse_columns, io_csv._load_floats,
+    for fn in (io_csv._parse_rows, io_csv._load_floats,
                io_csv._read_columns, io_csv._read_floats):
         assert "labelled" not in params(fn), fn.__name__
     assert not hasattr(core.TimeSeries, "scalar")
